@@ -17,7 +17,6 @@ from .grids import (
     inverse_transform,
     make_grid,
     spectral_gradient_k,
-    tree_sum,
 )
 from .polarization import PolarizationBasis, berry_loop, build_basis, gauge_transform, identity_residuals
 from .photon_state import (
@@ -43,7 +42,6 @@ from .fields_bridge import (
     magnetic_field,
     maxwell_residual,
     spectral_curl,
-    spectral_divergence,
     spectral_e_field,
     spectral_e_from_wavefunction,
     synthesize,

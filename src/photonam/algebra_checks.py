@@ -10,18 +10,17 @@ is refined.
 
 from __future__ import annotations
 
+import os
 import re
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, replace
 
 import numpy as np
 
 from . import photon_state
-from .grids import _readonly, tree_sum
+from .grids import LEVI_CIVITA, _readonly
 
 _AXES = {"x": 0, "y": 1, "z": 2}
-_EPS = np.zeros((3, 3, 3))
-_EPS[0, 1, 2] = _EPS[1, 2, 0] = _EPS[2, 0, 1] = 1.0
-_EPS[0, 2, 1] = _EPS[2, 1, 0] = _EPS[1, 0, 2] = -1.0
 
 
 @dataclass(frozen=True)
@@ -116,19 +115,19 @@ def _expected(tagA, tagB, wf, boundary):
         if A.axis == B.axis:
             return "0", None
         l = 3 - A.axis - B.axis
-        s = _EPS[A.axis, B.axis, l]
+        s = LEVI_CIVITA[A.axis, B.axis, l]
         return f"i hbar eps J{'xyz'[l]}", scaled(OperatorTag("J", l), 1j * h * s)
     if A.kind == "K" and B.kind == "K":
         if A.axis == B.axis:
             return "0", None
         l = 3 - A.axis - B.axis
-        s = _EPS[A.axis, B.axis, l]
+        s = LEVI_CIVITA[A.axis, B.axis, l]
         return f"-i hbar c^2 eps J{'xyz'[l]}", scaled(OperatorTag("J", l), -1j * h * c * c * s)
     if A.kind == "J" and B.kind in ("P", "K"):
         if A.axis == B.axis:
             return "0", None
         l = 3 - A.axis - B.axis
-        s = _EPS[A.axis, B.axis, l]
+        s = LEVI_CIVITA[A.axis, B.axis, l]
         return f"i hbar eps {B.kind}{'xyz'[l]}", scaled(OperatorTag(B.kind, l), 1j * h * s)
     if A.kind == "K" and B.kind == "P":
         if A.axis != B.axis:
@@ -163,7 +162,7 @@ def check_commutator(tagA, tagB, wf, boundary="warn"):
 
     norm_psi = photon_state.norm(wf)
     w = grid.w_invariant
-    resid_norm = float(np.sqrt(tree_sum(w * (np.abs(diff_L) ** 2 + np.abs(diff_R) ** 2)).real))
+    resid_norm = float(np.sqrt(np.sum(w * (np.abs(diff_L) ** 2 + np.abs(diff_R) ** 2))))
     scale = max(photon_state.norm(s) for s in scale_states)
     scale = max(scale, 1e-300)
 
@@ -192,7 +191,7 @@ def check_curvature(wf, axes=(0, 1), boundary="warn"):
     kmag2 = grid.kfields.kmag ** 2
     safe = np.where(kmag2 == 0.0, 1.0, kmag2)
     l = 3 - i - j
-    s = _EPS[i, j, l]
+    s = LEVI_CIVITA[i, j, l]
     curv = s * grid.kfields.nhat[l] / safe
 
     res = {}
@@ -200,9 +199,9 @@ def check_curvature(wf, axes=(0, 1), boundary="warn"):
         comm = Di_of_Dj.components[chi] - Dj_of_Di.components[chi]
         res[chi] = comm - 1j * chi * curv * wf.components[chi]
     w = grid.w_invariant
-    resid_norm = float(np.sqrt(tree_sum(w * (np.abs(res[+1]) ** 2 + np.abs(res[-1]) ** 2)).real))
+    resid_norm = float(np.sqrt(np.sum(w * (np.abs(res[+1]) ** 2 + np.abs(res[-1]) ** 2))))
     # scale: curvature term itself
-    curv_norm = float(np.sqrt(tree_sum(w * (np.abs(curv * wf.gL) ** 2 + np.abs(curv * wf.gR) ** 2)).real))
+    curv_norm = float(np.sqrt(np.sum(w * (np.abs(curv * wf.gL) ** 2 + np.abs(curv * wf.gR) ** 2))))
     norm_psi = photon_state.norm(wf)
     return CommutatorReport(
         pair=f"[D{'xyz'[i]}, D{'xyz'[j]}]",
@@ -230,8 +229,15 @@ DEFAULT_SUITE = (
 
 
 def run_suite(wf, pairs=DEFAULT_SUITE, curvature=True, boundary="warn"):
-    """Run the commutator suite plus the curvature relation on one state."""
-    reports = [check_commutator(a, b, wf, boundary=boundary) for a, b in pairs]
+    """Run the commutator suite plus the curvature relation on one state.
+
+    The pairs run on a pool of THREADS workers (default: the CPU count).
+    Each pair is computed on one thread, so the reports are identical for
+    any worker count.
+    """
+    workers = max(1, int(os.environ.get("THREADS") or os.cpu_count() or 1))
+    with ThreadPoolExecutor(max_workers=workers) as pool:
+        reports = list(pool.map(lambda p: check_commutator(p[0], p[1], wf, boundary=boundary), pairs))
     if curvature:
         reports.append(check_curvature(wf, boundary=boundary))
     return reports

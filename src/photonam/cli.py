@@ -5,8 +5,9 @@ plotdata.  Human-readable text goes to stdout; ``--json`` switches to
 machine-readable JSON.  Exit codes: 0 success, 1 numerical threshold
 failure, 2 usage or validation error (with an error JSON on stderr).
 
-The THREADS environment variable caps the worker count used for
-embarrassingly parallel check suites; results are identical for any value.
+The THREADS environment variable caps the worker count of the commutator
+pool in ``check algebra`` (see ``algebra_checks.run_suite``); results are
+identical for any value.
 """
 
 from __future__ import annotations
@@ -15,10 +16,8 @@ import argparse
 import csv
 import io
 import json
-import os
 import sys
 import warnings
-from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 
@@ -72,13 +71,6 @@ def _emit(payload, as_json, text_lines):
 def _grid_arg(spec, dx):
     dims = _vec(spec, 3, int)
     return make_grid(dims, (dx, dx, dx))
-
-
-def _threads():
-    env = os.environ.get("THREADS")
-    if env:
-        return max(1, int(env))
-    return os.cpu_count() or 1
 
 
 # ---------------------------------------------------------------------------
@@ -328,14 +320,7 @@ def check_algebra(grids=(48, 96), dx=1.0):
         basis = polarization.build_basis(grid)
         with warnings.catch_warnings():
             warnings.simplefilter("ignore")
-            wf = _algebra_state(grid, basis)
-            pairs = list(algebra_checks.DEFAULT_SUITE)
-            with ThreadPoolExecutor(max_workers=_threads()) as pool:
-                reports = list(pool.map(
-                    lambda p: algebra_checks.check_commutator(p[0], p[1], wf, boundary="ignore"),
-                    pairs))
-            reports.append(algebra_checks.check_curvature(wf, boundary="ignore"))
-        per_grid[n] = reports
+            per_grid[n] = algebra_checks.run_suite(_algebra_state(grid, basis), boundary="ignore")
 
     coarse, fine = grids[0], grids[-1]
     ok = True

@@ -14,10 +14,10 @@ import numpy as np
 
 from . import photon_state
 from .grids import (
+    cross,
     forward_transform,
     inverse_transform,
     reflect_conjugate,
-    tree_sum,
     _readonly,
 )
 
@@ -55,27 +55,10 @@ class SpectralEField:
 # ---------------------------------------------------------------------------
 # spectral vector calculus
 
-def _k_cross(grid, V):
-    k = grid.kvec
-    return np.stack([
-        k[1] * V[2] - k[2] * V[1],
-        k[2] * V[0] - k[0] * V[2],
-        k[0] * V[1] - k[1] * V[0],
-    ])
-
-
 def spectral_curl(grid, field):
     """Curl of a real-space vector field via i k x in momentum space."""
     Vk = forward_transform(grid, field)
-    out = inverse_transform(grid, 1j * _k_cross(grid, Vk))
-    return out.real if np.isrealobj(field) else out
-
-
-def spectral_divergence(grid, field):
-    """Divergence of a real-space vector field via i k . in momentum space."""
-    Vk = forward_transform(grid, field)
-    div = 1j * np.einsum("i...,i...->...", grid.kvec, Vk)
-    out = inverse_transform(grid, div)
+    out = inverse_transform(grid, 1j * cross(grid.kvec, Vk))
     return out.real if np.isrealobj(field) else out
 
 
@@ -83,8 +66,8 @@ def relative_divergence(grid, field):
     """L2 norm of div(field) over the field gradient scale, dimensionless."""
     Vk = forward_transform(grid, field)
     div = np.einsum("i...,i...->...", grid.kvec, Vk)
-    num = np.sqrt(tree_sum(np.abs(div) ** 2).real)
-    den = np.sqrt(tree_sum((grid.kfields.kmag * np.abs(Vk)) ** 2).real)
+    num = np.linalg.norm(div)
+    den = np.linalg.norm(grid.kfields.kmag * Vk)
     return float(num / den) if den > 0 else 0.0
 
 
@@ -138,12 +121,12 @@ def spectral_e_field(E, B, longitudinal_tol=1e-6):
     Bk = forward_transform(grid, B.values)
     kmag = grid.kfields.kmag
     safe = np.where(kmag == 0.0, 1.0, kmag)
-    Ek = 0.5 * (Ek_raw - (c / safe) * _k_cross(grid, Bk))
+    Ek = 0.5 * (Ek_raw - (c / safe) * cross(grid.kvec, Bk))
     Ek[:, grid.excluded_index[0], grid.excluded_index[1], grid.excluded_index[2]] = 0.0
 
     long_part = np.einsum("i...,i...->...", grid.kfields.nhat, Ek)
-    num = np.sqrt(tree_sum(np.abs(long_part) ** 2).real)
-    den = np.sqrt(tree_sum(np.abs(Ek) ** 2).real)
+    num = np.linalg.norm(long_part)
+    den = np.linalg.norm(Ek)
     if den > 0 and num / den > longitudinal_tol:
         raise ValueError(
             f"non-radiative field content: longitudinal fraction {num / den:.2e} "
@@ -203,8 +186,8 @@ def maxwell_residual(rs1, rs2):
     mid = 0.5 * (rs1.F + rs2.F)
     dF = (rs2.F - rs1.F) / dt
     resid = dF + 1j * grid.units.c * spectral_curl(grid, mid)
-    num = np.sqrt(tree_sum(np.abs(resid) ** 2).real)
-    den = np.sqrt(tree_sum(np.abs(mid) ** 2).real)
+    num = np.linalg.norm(resid)
+    den = np.linalg.norm(mid)
     return float(num / den) if den > 0 else float(num)
 
 
@@ -228,7 +211,7 @@ def vector_potential(B, zero_mode_tol=1e-12, transverse_tol=1e-6):
         raise ValueError(f"B is not divergence free (relative residual {div:.2e})")
     kmag2 = grid.kfields.kmag ** 2
     safe = np.where(kmag2 == 0.0, 1.0, kmag2)
-    Ak = 1j * _k_cross(grid, Bk) / safe
+    Ak = 1j * cross(grid.kvec, Bk) / safe
     Ak[:, grid.excluded_index[0], grid.excluded_index[1], grid.excluded_index[2]] = 0.0
     A = inverse_transform(grid, Ak).real
     return RealVectorField(values=_readonly(A), role="A", grid=grid, time=B.time)

@@ -9,7 +9,8 @@ Layout (all integers little endian):
     next P bytes  float64 payload
 
 The payload is the concatenation of the named components, each in C order
-over (x, y, z) with z fastest, complex data interleaved (re, im).
+over (x, y, z) with z fastest, complex data interleaved (re, im), which is
+the memory layout of little-endian complex128.
 Momentum-space data keeps the FFT axis ordering.  Writing is deterministic:
 write -> read -> write reproduces the file byte for byte.
 """
@@ -33,41 +34,37 @@ class FieldFileError(ValueError):
     pass
 
 
-def _manifest_for_grid(grid):
-    return {
+#: manifest keys the reader needs; per kind, the component count and extra keys
+_COMMON_KEYS = {"kind", "components", "complex", "dims", "spacing", "units", "time"}
+_KINDS = {"wavefunction": (2, {"chart_axis"}), "rs_field": (3, set()), "real_field": (3, {"role"})}
+
+
+def _write(path, grid, arrays, provenance, entries):
+    """Write the header, then each array straight from memory; return the manifest."""
+    manifest = {
         "dims": list(grid.dims),
         "spacing": list(grid.spacing),
         "units": {"c": grid.units.c, "hbar": grid.units.hbar, "eps0": grid.units.eps0},
         "index_order": "x-major, z fastest",
         "byte_order": "little",
         "format_version": FORMAT_VERSION,
+        **entries,
     }
-
-
-def _pack(manifest, arrays, complex_data):
-    payload = bytearray()
-    for a in arrays:
-        a = np.ascontiguousarray(a)
-        if complex_data:
-            inter = np.empty(a.shape + (2,))
-            inter[..., 0] = a.real
-            inter[..., 1] = a.imag
-            payload += inter.astype("<f8").tobytes()
-        else:
-            payload += a.astype("<f8").tobytes()
+    if provenance:
+        manifest["provenance"] = provenance
+    dtype = "<c16" if manifest["complex"] else "<f8"
+    arrays = [np.ascontiguousarray(a, dtype=dtype) for a in arrays]
     blob = json.dumps(manifest, sort_keys=True, separators=(",", ":")).encode("utf-8")
-    out = bytearray()
-    out += MAGIC
-    out += struct.pack("<Q", len(blob))
-    out += blob
-    out += struct.pack("<Q", len(payload))
-    out += payload
-    return bytes(out)
+    with open(path, "wb") as fh:
+        fh.write(MAGIC + struct.pack("<Q", len(blob)) + blob)
+        fh.write(struct.pack("<Q", sum(a.nbytes for a in arrays)))
+        for a in arrays:
+            fh.write(a.data)
+    return manifest
 
 
 def write_wavefunction(path, wf, provenance=None):
-    manifest = _manifest_for_grid(wf.grid)
-    manifest.update({
+    return _write(path, wf.grid, [wf.gL, wf.gR], provenance, {
         "kind": "wavefunction",
         "components": ["gL", "gR"],
         "complex": True,
@@ -75,75 +72,57 @@ def write_wavefunction(path, wf, provenance=None):
         "chart_axis": [float(v) for v in wf.basis.chart_axis],
         "k_ordering": "fft",
     })
-    if provenance:
-        manifest["provenance"] = provenance
-    data = _pack(manifest, [wf.gL, wf.gR], complex_data=True)
-    with open(path, "wb") as fh:
-        fh.write(data)
-    return manifest
 
 
 def write_rs_field(path, rs, provenance=None):
-    manifest = _manifest_for_grid(rs.grid)
-    manifest.update({
+    return _write(path, rs.grid, rs.F, provenance, {
         "kind": "rs_field",
         "components": ["Fx", "Fy", "Fz"],
         "complex": True,
         "time": rs.time,
         "chart_axis": None,
     })
-    if provenance:
-        manifest["provenance"] = provenance
-    with open(path, "wb") as fh:
-        fh.write(_pack(manifest, [rs.F[0], rs.F[1], rs.F[2]], complex_data=True))
-    return manifest
 
 
 def write_real_field(path, field, provenance=None):
-    manifest = _manifest_for_grid(field.grid)
-    role = field.role
-    manifest.update({
+    return _write(path, field.grid, field.values, provenance, {
         "kind": "real_field",
-        "role": role,
-        "components": [role + ax for ax in "xyz"],
+        "role": field.role,
+        "components": [field.role + ax for ax in "xyz"],
         "complex": False,
         "time": field.time,
         "chart_axis": None,
     })
-    if provenance:
-        manifest["provenance"] = provenance
-    with open(path, "wb") as fh:
-        fh.write(_pack(manifest, [field.values[i] for i in range(3)], complex_data=False))
-    return manifest
 
 
 def _read_container(path):
+    """Validate a file; return (manifest, read-only (ncomp, nx, ny, nz) array)."""
     with open(path, "rb") as fh:
         raw = fh.read()
     if raw[:8] != MAGIC:
         raise FieldFileError(f"{path}: not a photonam field file")
-    (mlen,) = struct.unpack("<Q", raw[8:16])
-    manifest = json.loads(raw[16:16 + mlen].decode("utf-8"))
-    (plen,) = struct.unpack("<Q", raw[16 + mlen:24 + mlen])
-    payload = raw[24 + mlen:24 + mlen + plen]
-    if len(payload) != plen:
+    try:
+        (mlen,) = struct.unpack_from("<Q", raw, 8)
+        manifest = json.loads(raw[16:16 + mlen].decode("utf-8"))
+        (plen,) = struct.unpack_from("<Q", raw, 16 + mlen)
+    except (struct.error, ValueError) as exc:
+        raise FieldFileError(f"{path}: truncated or corrupt header ({exc})") from None
+    if not isinstance(manifest, dict) or manifest.get("kind") not in _KINDS:
+        raise FieldFileError(f"{path}: manifest names no known file kind")
+    ncomp, kind_keys = _KINDS[manifest["kind"]]
+    missing = (_COMMON_KEYS | kind_keys) - manifest.keys()
+    if missing:
+        raise FieldFileError(f"{path}: manifest lacks {', '.join(sorted(missing))}")
+    shape = (len(manifest["components"]),) + tuple(manifest["dims"])
+    if len(shape) != 4 or shape[0] != ncomp:
+        raise FieldFileError(f"{path}: a {manifest['kind']} file needs {ncomp} components on a 3-d grid")
+    payload = memoryview(raw)[24 + mlen:]
+    if len(payload) < plen:
         raise FieldFileError(f"{path}: truncated payload")
-    ncomp = len(manifest["components"])
-    per = int(np.prod(manifest["dims"])) * (2 if manifest["complex"] else 1) * 8
-    if plen != ncomp * per:
+    dtype = np.dtype("<c16" if manifest["complex"] else "<f8")
+    if plen != len(payload) or plen != int(np.prod(shape)) * dtype.itemsize:
         raise FieldFileError(f"{path}: payload length {plen} does not match manifest")
-    return manifest, payload
-
-
-def _unpack_component(manifest, payload, index):
-    dims = tuple(manifest["dims"])
-    count = int(np.prod(dims))
-    if manifest["complex"]:
-        flat = np.frombuffer(payload, dtype="<f8", count=2 * count, offset=index * 16 * count)
-        a = flat[0::2] + 1j * flat[1::2]
-    else:
-        a = np.frombuffer(payload, dtype="<f8", count=count, offset=index * 8 * count).copy()
-    return a.reshape(dims)
+    return manifest, np.frombuffer(payload, dtype=dtype).reshape(shape)
 
 
 def _grid_from_manifest(manifest):
@@ -161,9 +140,12 @@ def read(path, grid=None, basis=None):
     `grid` (and, for wavefunctions, `basis`) may be supplied to reuse
     existing instances; they must match the manifest.
     """
-    manifest, payload = _read_container(path)
+    manifest, data = _read_container(path)
     if grid is None:
-        grid = _grid_from_manifest(manifest)
+        try:
+            grid = _grid_from_manifest(manifest)
+        except (KeyError, TypeError, ValueError) as exc:
+            raise FieldFileError(f"{path}: manifest grid is invalid ({exc!r})") from None
     elif list(grid.dims) != manifest["dims"] or list(grid.spacing) != manifest["spacing"]:
         raise FieldFileError("supplied grid does not match the file manifest")
 
@@ -171,15 +153,9 @@ def read(path, grid=None, basis=None):
     if kind == "wavefunction":
         if basis is None:
             basis = polarization.build_basis(grid, tuple(manifest["chart_axis"]))
-        gL = _unpack_component(manifest, payload, 0)
-        gR = _unpack_component(manifest, payload, 1)
-        wf = photon_state.wavefunction(grid, basis, gL, gR, time=manifest["time"], warn=False)
+        wf = photon_state.wavefunction(grid, basis, data[0], data[1], time=manifest["time"], warn=False)
         return wf, manifest
     if kind == "rs_field":
-        F = np.stack([_unpack_component(manifest, payload, i) for i in range(3)])
-        return RSField(F=_readonly(F), grid=grid, time=manifest["time"]), manifest
-    if kind == "real_field":
-        vals = np.stack([_unpack_component(manifest, payload, i) for i in range(3)])
-        return RealVectorField(values=_readonly(vals.real), role=manifest["role"],
-                               grid=grid, time=manifest["time"]), manifest
-    raise FieldFileError(f"unknown file kind {kind!r}")
+        return RSField(F=_readonly(data), grid=grid, time=manifest["time"]), manifest
+    return RealVectorField(values=_readonly(data), role=manifest["role"],
+                           grid=grid, time=manifest["time"]), manifest

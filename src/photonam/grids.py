@@ -28,11 +28,27 @@ BOUNDARY_TOL = 1e-8
 
 
 class BoundaryDecayError(ValueError):
-    """Raised when an array does not decay at the momentum-grid boundary."""
+    """Raised when an array does not decay at a grid boundary."""
 
 
 class BoundaryDecayWarning(UserWarning):
     pass
+
+
+#: Levi-Civita symbol eps_ijl
+LEVI_CIVITA = np.zeros((3, 3, 3))
+LEVI_CIVITA[0, 1, 2] = LEVI_CIVITA[1, 2, 0] = LEVI_CIVITA[2, 0, 1] = 1.0
+LEVI_CIVITA[0, 2, 1] = LEVI_CIVITA[2, 1, 0] = LEVI_CIVITA[1, 0, 2] = -1.0
+LEVI_CIVITA.setflags(write=False)
+
+
+def cross(a, b):
+    """Cross product over the leading component axis; components may broadcast."""
+    return np.stack([
+        a[1] * b[2] - a[2] * b[1],
+        a[2] * b[0] - a[0] * b[2],
+        a[0] * b[1] - a[1] * b[0],
+    ])
 
 
 @dataclass(frozen=True)
@@ -245,21 +261,27 @@ def reflect_conjugate(grid, F):
 # ---------------------------------------------------------------------------
 # finite differences in k
 
-def boundary_margin_k(grid, F):
-    """max |F| on the outer two momentum shells divided by the global max."""
-    F = np.asarray(F)
+def boundary_margin(F, mask):
+    """max |F| on the boundary shells in `mask` divided by the global max.
+
+    `mask` is ``grid.boundary_mask_k`` or ``grid.boundary_mask_r``.
+    """
     mag = np.abs(F)
     peak = mag.max()
     if peak == 0.0:
         return 0.0
-    return float(mag[..., grid.boundary_mask_k].max() / peak)
+    return float(mag[..., mask].max() / peak)
 
 
 def check_boundary_decay(grid, F, tol=BOUNDARY_TOL, mode="raise", what="array"):
-    """Enforce decay near the momentum boundary; warn or raise per `mode`."""
+    """Enforce decay near the momentum boundary; warn or raise per `mode`.
+
+    `F` is an array or a tuple of arrays; each is measured against its own peak.
+    """
     if mode == "ignore":
         return 0.0
-    margin = boundary_margin_k(grid, F)
+    arrays = F if isinstance(F, tuple) else (F,)
+    margin = max(boundary_margin(a, grid.boundary_mask_k) for a in arrays)
     if margin > tol:
         msg = (f"{what} does not decay at the momentum-grid boundary "
                f"(relative edge magnitude {margin:.2e} > {tol:.0e}); "
@@ -290,31 +312,3 @@ def spectral_gradient_k(grid, F, boundary="raise", tol=BOUNDARY_TOL):
         g = np.gradient(mono, grid.dk[ax], axis=axis, edge_order=2)
         out[ax] = np.fft.ifftshift(g, axes=axis)
     return out
-
-
-# ---------------------------------------------------------------------------
-# deterministic reductions
-
-def tree_sum(a, axes=None):
-    """Pairwise-tree summation; bit-reproducible regardless of worker count.
-
-    Adjacent elements are folded pairwise until one value remains, so the
-    result does not depend on how the work would be sliced across threads.
-    """
-    a = np.asarray(a)
-    if axes is None:
-        axes = tuple(range(a.ndim))
-    else:
-        axes = tuple(ax % a.ndim for ax in np.atleast_1d(axes))
-    keep = tuple(ax for ax in range(a.ndim) if ax not in axes)
-    a = np.transpose(a, keep + axes)
-    a = a.reshape(a.shape[: len(keep)] + (-1,))
-    while a.shape[-1] > 1:
-        m = a.shape[-1]
-        if m % 2:
-            tail = a[..., -1:]
-            a = np.concatenate([a[..., 0:-1:2] + a[..., 1::2], tail], axis=-1)
-        else:
-            a = a[..., 0::2] + a[..., 1::2]
-    out = a[..., 0]
-    return out if keep else out[()]

@@ -8,11 +8,13 @@ Cross checks:    the k-space double-transform form acting on E(k), the
                  textbook real-space split with the transverse-gauge A, and
                  the nonlocal Coulomb-kernel double integral for the spin.
 
-All reductions use the deterministic pairwise tree sum.
+Reductions are plain numpy sums, each on one thread, so results do not
+depend on the THREADS worker count of the check suites.
 """
 
 from __future__ import annotations
 
+import warnings
 from dataclasses import dataclass
 
 import numpy as np
@@ -21,10 +23,13 @@ from . import photon_state
 from .fields_bridge import relative_divergence, spectral_curl
 from .grids import (
     BOUNDARY_TOL,
+    BoundaryDecayError,
+    BoundaryDecayWarning,
+    boundary_margin,
+    cross,
     forward_transform,
     inverse_transform,
     spectral_gradient_k,
-    tree_sum,
 )
 
 
@@ -59,27 +64,6 @@ class GeneratorSet:
         return self
 
 
-def _cross(a, b):
-    return np.stack([
-        a[1] * b[2] - a[2] * b[1],
-        a[2] * b[0] - a[0] * b[2],
-        a[0] * b[1] - a[1] * b[0],
-    ])
-
-
-def _r_axes(grid):
-    x, y, z = grid.x_axes
-    return x[:, None, None], y[None, :, None], z[None, None, :]
-
-
-def _real_boundary_margin(grid, F):
-    mag = np.abs(F)
-    peak = mag.max()
-    if peak == 0.0:
-        return 0.0
-    return float(mag[..., grid.boundary_mask_r].max() / peak)
-
-
 # ---------------------------------------------------------------------------
 # field picture
 
@@ -88,8 +72,9 @@ def generators_field_picture(rs, include_moments=True, boundary="raise", tol=BOU
 
     ``H = int |F|^2``, ``P = (1/ic) int F* x F``, ``J = (1/ic) int r x (F* x F)``,
     ``K = int r |F|^2`` with r measured from the grid center.  The r-weighted
-    moments require the field to decay near the grid boundary; for periodic
-    content (single plane waves) pass ``include_moments=False``.
+    moments require the field to decay near the grid boundary (`boundary`:
+    "raise", "warn" or "ignore"); for periodic content (single plane waves)
+    pass ``include_moments=False``.
     """
     grid = rs.grid
     F = rs.F
@@ -97,33 +82,26 @@ def generators_field_picture(rs, include_moments=True, boundary="raise", tol=BOU
     dV = grid.dV
 
     dens = np.einsum("i...,i...->...", np.conj(F), F).real
-    H = float(tree_sum(dens) * dV)
+    H = float(np.sum(dens) * dV)
 
     # F* x F is purely imaginary; its imaginary part V gives P = V/c pointwise
-    V = np.stack([
-        2.0 * np.imag(np.conj(F[1]) * F[2]),
-        2.0 * np.imag(np.conj(F[2]) * F[0]),
-        2.0 * np.imag(np.conj(F[0]) * F[1]),
-    ])
-    P = tree_sum(V, axes=(1, 2, 3)) * dV / c
+    V = cross(np.conj(F), F).imag
+    P = np.sum(V, axis=(1, 2, 3)) * dV / c
 
     J = K = None
     diagnostics = {}
     if include_moments:
-        margin = _real_boundary_margin(grid, F)
+        margin = boundary_margin(F, grid.boundary_mask_r)
         diagnostics["boundary_margin_r"] = margin
-        if margin > tol:
+        if margin > tol and boundary != "ignore":
+            msg = (f"field does not decay at the real-space boundary "
+                   f"(edge magnitude {margin:.2e}); r-weighted moments unreliable")
             if boundary == "raise":
-                raise ValueError(
-                    f"field does not decay at the real-space boundary "
-                    f"(edge magnitude {margin:.2e}); r-weighted moments unreliable")
-        x, y, z = _r_axes(grid)
-        J = np.stack([
-            tree_sum(y * V[2] - z * V[1]),
-            tree_sum(z * V[0] - x * V[2]),
-            tree_sum(x * V[1] - y * V[0]),
-        ]) * dV / c
-        K = np.stack([tree_sum(x * dens), tree_sum(y * dens), tree_sum(z * dens)]) * dV
+                raise BoundaryDecayError(msg)
+            warnings.warn(msg, BoundaryDecayWarning, stacklevel=2)
+        r = np.ix_(*grid.x_axes)
+        J = np.sum(cross(r, V), axis=(1, 2, 3)) * dV / c
+        K = np.array([np.sum(ri * dens) for ri in r]) * dV
 
     return GeneratorSet(H=H, P=P, J=J, K=K, diagnostics=diagnostics)
 
@@ -151,10 +129,10 @@ def generators_photon_picture(wf, boundary="warn", tol=BOUNDARY_TOL):
     absR2 = np.abs(wf.gR) ** 2
     dens = absL2 + absR2
 
-    N = float(tree_sum(w * dens))
-    H = float(tree_sum(wk * dens))
-    P = hbar * tree_sum(w * k * dens, axes=(1, 2, 3))
-    Js = hbar * tree_sum(w * n * (absL2 - absR2), axes=(1, 2, 3))
+    N = float(np.sum(w * dens))
+    H = float(np.sum(wk * dens))
+    P = hbar * np.sum(w * k * dens, axis=(1, 2, 3))
+    Js = hbar * np.sum(w * n * (absL2 - absR2), axis=(1, 2, 3))
 
     D = photon_state.covariant_derivative(wf, boundary=boundary, tol=tol)
     orb = np.zeros((3,) + grid.dims, dtype=complex)   # sum_chi g* i (Dg x k)
@@ -163,26 +141,24 @@ def generators_photon_picture(wf, boundary="warn", tol=BOUNDARY_TOL):
         g = wf.components[chi]
         Dg = np.stack([D[j].components[chi] for j in range(3)])
         gc = np.conj(g)
-        orb += gc * 1j * _cross(Dg, k)
+        orb += gc * 1j * cross(Dg, k)
         kexp += gc * 1j * omega * Dg
 
-    Jo = hbar * tree_sum(w * orb.real, axes=(1, 2, 3))
-    K = hbar * tree_sum(w * kexp.real, axes=(1, 2, 3))
+    Jo = hbar * np.sum(w * orb.real, axis=(1, 2, 3))
+    K = hbar * np.sum(w * kexp.real, axis=(1, 2, 3))
 
-    scaleJ = max(float(np.abs(tree_sum(w * np.abs(orb), axes=(1, 2, 3))).max()), 1e-300)
-    scaleK = max(float(np.abs(tree_sum(w * np.abs(kexp), axes=(1, 2, 3))).max()), 1e-300)
+    scaleJ = max(float(np.abs(np.sum(w * np.abs(orb), axis=(1, 2, 3))).max()), 1e-300)
+    scaleK = max(float(np.abs(np.sum(w * np.abs(kexp), axis=(1, 2, 3))).max()), 1e-300)
     dot_n = np.einsum("i...,i...->...", n, orb.real)
     mag = np.sqrt(np.einsum("i...,i...->...", orb.real, orb.real))
-    orth_num = float(tree_sum(w * np.abs(dot_n)))
-    orth_den = max(float(tree_sum(w * mag)), 1e-300)
+    orth_num = float(np.sum(w * np.abs(dot_n)))
+    orth_den = max(float(np.sum(w * mag)), 1e-300)
     diagnostics = {
-        "imag_residual_Jo": float(np.abs(hbar * tree_sum(w * orb.imag, axes=(1, 2, 3))).max() / scaleJ),
-        "imag_residual_K": float(np.abs(hbar * tree_sum(w * kexp.imag, axes=(1, 2, 3))).max() / scaleK),
+        "imag_residual_Jo": float(np.abs(hbar * np.sum(w * orb.imag, axis=(1, 2, 3))).max() / scaleJ),
+        "imag_residual_K": float(np.abs(hbar * np.sum(w * kexp.imag, axis=(1, 2, 3))).max() / scaleK),
         "jo_orthogonality": orth_num / orth_den,
-        "boundary_margin_k": max(
-            float(np.abs(wf.gL[..., grid.boundary_mask_k]).max() / max(np.abs(wf.gL).max(), 1e-300)),
-            float(np.abs(wf.gR[..., grid.boundary_mask_k]).max() / max(np.abs(wf.gR).max(), 1e-300)),
-        ) if np.abs(wf.gL).max() + np.abs(wf.gR).max() > 0 else 0.0,
+        "boundary_margin": max(boundary_margin(wf.gL, grid.boundary_mask_k),
+                               boundary_margin(wf.gR, grid.boundary_mask_k)),
     }
 
     return GeneratorSet(H=H, P=P, J=Jo + Js, K=K, N=N, Jo=Jo, Js=Js, diagnostics=diagnostics)
@@ -211,18 +187,18 @@ def darwin_split(Ek, boundary="warn", tol=BOUNDARY_TOL):
     w2 = grid.units.hbar * grid.w_invariant     # dVk / (c |k|), zero at k=0
     E = Ek.values
 
-    V = _cross(np.conj(E), E)                   # purely imaginary
-    Js = 2.0 * eps0 * tree_sum(w2 * V.imag, axes=(1, 2, 3))
+    V = cross(np.conj(E), E)                    # purely imaginary
+    Js = 2.0 * eps0 * np.sum(w2 * V.imag, axis=(1, 2, 3))
 
     X = np.zeros((3,) + grid.dims, dtype=complex)
     for i in range(3):
         grad = spectral_gradient_k(grid, E[i], boundary=boundary, tol=tol)
-        X += np.conj(E[i]) * _cross(grid.kvec, grad)
-    Jo = 2.0 * eps0 * tree_sum(w2 * X.imag, axes=(1, 2, 3))
+        X += np.conj(E[i]) * cross(grid.kvec, grad)
+    Jo = 2.0 * eps0 * np.sum(w2 * X.imag, axis=(1, 2, 3))
 
     scale = max(float(np.linalg.norm(Jo)), float(np.linalg.norm(Js)), 1e-300)
     diagnostics = {
-        "imag_residual_Jo": float(np.linalg.norm(2.0 * eps0 * tree_sum(w2 * X.real, axes=(1, 2, 3)))) / scale,
+        "imag_residual_Jo": float(np.linalg.norm(2.0 * eps0 * np.sum(w2 * X.real, axis=(1, 2, 3)))) / scale,
     }
     return Jo, Js, diagnostics
 
@@ -248,20 +224,13 @@ def textbook_split(E, A, transverse_tol=1e-6):
     if relative_divergence(grid, A.values) > transverse_tol:
         raise ValueError("A is not transverse: the split requires div A = 0")
 
-    Js = eps0 * dV * tree_sum(_cross(E.values, A.values), axes=(1, 2, 3))
+    Js = eps0 * dV * np.sum(cross(E.values, A.values), axis=(1, 2, 3))
 
-    x, y, z = _r_axes(grid)
+    r = np.ix_(*grid.x_axes)
     Jo = np.zeros(3)
     for i in range(3):
         g = _real_space_gradient(grid, A.values[i])
-        rx = y * g[2] - z * g[1]
-        ry = z * g[0] - x * g[2]
-        rz = x * g[1] - y * g[0]
-        Jo += eps0 * dV * np.stack([
-            tree_sum(E.values[i] * rx),
-            tree_sum(E.values[i] * ry),
-            tree_sum(E.values[i] * rz),
-        ])
+        Jo += eps0 * dV * np.sum(E.values[i] * cross(r, g), axis=(1, 2, 3))
     return Jo, Js
 
 
@@ -312,4 +281,4 @@ def spin_nonlocal_real(E, B, max_dim=24, block=512):
 
     Eflat = E.values.reshape(3, -1).T
     integrand = np.cross(Eflat, C)      # (M, 3)
-    return eps0 * dV * tree_sum(integrand, axes=0)
+    return eps0 * dV * np.sum(integrand, axis=0)

@@ -11,17 +11,14 @@ orbital/spin split conserved to rounding, as it is in the continuum.
 
 from __future__ import annotations
 
-import warnings
 from dataclasses import dataclass, replace
 
 import numpy as np
 
 from .grids import (
     BOUNDARY_TOL,
-    boundary_margin_k,
     check_boundary_decay,
     spectral_gradient_k,
-    tree_sum,
     _readonly,
 )
 
@@ -47,7 +44,8 @@ def wavefunction(grid, basis, gL, gR, time=0.0, boundary_tol=BOUNDARY_TOL, warn=
     """Canonicalize raw amplitude arrays into a PhotonWaveFunction.
 
     The excluded k=0 bin is zeroed (the invariant measure has no weight
-    there) and boundary decay is checked, warning by default.
+    there) and boundary decay is checked, warning once with a
+    `BoundaryDecayWarning` by default.
     """
     gL = np.array(gL, dtype=complex)
     gR = np.array(gR, dtype=complex)
@@ -57,13 +55,7 @@ def wavefunction(grid, basis, gL, gR, time=0.0, boundary_tol=BOUNDARY_TOL, warn=
     gR[grid.excluded_index] = 0.0
     wf = PhotonWaveFunction(gL=_readonly(gL), gR=_readonly(gR), grid=grid, basis=basis, time=float(time))
     if warn:
-        margin = max(boundary_margin_k(grid, gL), boundary_margin_k(grid, gR))
-        if margin > boundary_tol:
-            warnings.warn(
-                f"wavefunction edge magnitude {margin:.2e} exceeds {boundary_tol:.0e}; "
-                "derivative observables may be degraded",
-                stacklevel=2,
-            )
+        check_boundary_decay(grid, (gL, gR), tol=boundary_tol, mode="warn", what="wavefunction")
     return wf
 
 
@@ -80,7 +72,7 @@ def scalar_product(wf1, wf2):
     if wf1.time != wf2.time:
         # relative evolution phase between the two snapshots
         integrand = integrand * np.exp(-1j * wf1.grid.kfields.omega * (wf2.time - wf1.time))
-    return complex(tree_sum(w * integrand))
+    return complex(np.sum(w * integrand))
 
 
 def norm(wf):

@@ -17,7 +17,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .grids import spectral_gradient_k, tree_sum, _readonly
+from .grids import LEVI_CIVITA, cross, reflect_conjugate, spectral_gradient_k, _readonly
 
 EPS_POLE = 1e-6  # radians
 
@@ -141,13 +141,6 @@ def identity_residuals(grid, basis):
     e = basis.e
     n = grid.kfields.nhat
 
-    def cross(a, b):
-        return np.stack([
-            a[1] * b[2] - a[2] * b[1],
-            a[2] * b[0] - a[0] * b[2],
-            a[0] * b[1] - a[1] * b[0],
-        ])
-
     res = {}
     # c k x e = -i omega e, written with unit vectors so it is scale free
     res["k_cross_e"] = np.abs(cross(n, e) + 1j * e)[:, ok].max()
@@ -156,20 +149,16 @@ def identity_residuals(grid, basis):
     res["estar_cross_e"] = np.abs(cross(np.conj(e), e) - 1j * n)[:, ok].max()
     res["e_cross_e"] = np.abs(cross(e, e))[:, ok].max()
 
-    eps = np.zeros((3, 3, 3))
-    eps[0, 1, 2] = eps[1, 2, 0] = eps[2, 0, 1] = 1.0
-    eps[0, 2, 1] = eps[2, 1, 0] = eps[1, 0, 2] = -1.0
     dyad = np.einsum("i...,j...->ij...", np.conj(e), e)
     expect = 0.5 * (
         np.eye(3)[:, :, None, None, None]
         - np.einsum("i...,j...->ij...", n, n)
-        + 1j * np.einsum("ijl,l...->ij...", eps, n)
+        + 1j * np.einsum("ijl,l...->ij...", LEVI_CIVITA, n)
     )
     res["dyadic"] = np.abs(dyad - expect)[:, :, ok].max()
 
     # e*(k) . e(-k) = 0; needs both k and -k usable, which excludes the
     # self-aliased Nyquist planes along with the poles
-    from .grids import reflect_conjugate
     e_neg = np.stack([np.conj(reflect_conjugate(grid, e[i])) for i in range(3)])
     ok_pair = ok & ~np.roll(np.flip(basis.pole_mask, axis=(0, 1, 2)), (1, 1, 1), axis=(0, 1, 2))
     for ax, nn in enumerate(grid.dims):

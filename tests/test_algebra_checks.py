@@ -111,3 +111,21 @@ def test_run_suite_covers_all_families(state48):
     assert len(reports) == len(algebra_checks.DEFAULT_SUITE) + 1
     for r in reports:
         assert np.isfinite(r.residual)
+
+
+def test_run_suite_is_identical_for_any_thread_count(monkeypatch, grid16, basis16):
+    workers = []
+
+    class Pool(algebra_checks.ThreadPoolExecutor):
+        def __init__(self, max_workers):
+            workers.append(max_workers)
+            super().__init__(max_workers)
+
+    monkeypatch.setattr(algebra_checks, "ThreadPoolExecutor", Pool)
+    wf = smooth_state(grid16, basis16, seed=5)
+    runs = []
+    for threads in ("1", "2"):
+        monkeypatch.setenv("THREADS", threads)
+        runs.append(pn.run_suite(wf, boundary="ignore"))
+    assert workers == [1, 2]
+    assert runs[0] == runs[1]

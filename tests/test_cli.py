@@ -1,4 +1,6 @@
 import json
+import os
+import struct
 import warnings
 
 import numpy as np
@@ -55,7 +57,7 @@ def test_rs_and_real_field_files(tmp_path, grid32, basis32):
     assert np.array_equal(back_b.values, B.values)
 
 
-def test_corrupt_files_rejected(tmp_path):
+def test_corrupt_files_rejected(tmp_path, capsys):
     bad = tmp_path / "bad.pam"
     bad.write_bytes(b"NOTAFILE" + b"\x00" * 64)
     with pytest.raises(fileio.FieldFileError, match="not a photonam"):
@@ -71,6 +73,66 @@ def test_corrupt_files_rejected(tmp_path):
     truncated.write_bytes(good.read_bytes()[:-16])
     with pytest.raises(fileio.FieldFileError, match="truncated|payload"):
         fileio.read(truncated)
+
+    # cut at every byte, from the last one down to an empty file
+    raw = good.read_bytes()
+    for n in range(len(raw) - 1, -1, -1):
+        os.truncate(truncated, n)
+        with pytest.raises(fileio.FieldFileError):
+            fileio.read(truncated)
+
+    # every manifest key the reader needs, dropped in turn, then bad values
+    (mlen,) = struct.unpack("<Q", raw[8:16])
+    manifest = json.loads(raw[16:16 + mlen])
+
+    def rewrite(m):
+        blob = json.dumps(m).encode()
+        bad.write_bytes(b"PHOTONAM" + struct.pack("<Q", len(blob)) + blob + raw[16 + mlen:])
+
+    for key in ("kind", "components", "complex", "dims", "spacing", "units", "time", "chart_axis"):
+        rewrite({k: v for k, v in manifest.items() if k != key})
+        with pytest.raises(fileio.FieldFileError, match=key):
+            fileio.read(bad)
+    for change in ({"components": ["gL"]}, {"units": {}}, {"spacing": [1.0, 1.0, -1.0]}):
+        rewrite({**manifest, **change})
+        with pytest.raises(fileio.FieldFileError):
+            fileio.read(bad)
+
+    bad.write_bytes(b"PHOTONAM\x05\x00")
+    code, out, err = run_cli(capsys, "observables", str(bad), "--json")
+    assert code == 2 and out == ""
+    assert json.loads(err)["type"] == "FieldFileError"
+
+
+def _parse_float64_container(path):
+    """Independent reader: header by struct, payload as interleaved little-endian float64."""
+    raw = path.read_bytes()
+    assert raw[:8] == b"PHOTONAM"
+    (mlen,) = struct.unpack("<Q", raw[8:16])
+    manifest = json.loads(raw[16:16 + mlen])
+    (plen,) = struct.unpack("<Q", raw[16 + mlen:24 + mlen])
+    flat = np.frombuffer(raw, "<f8", offset=24 + mlen)
+    assert flat.size * 8 == plen
+    if manifest["complex"]:
+        pairs = flat
+        flat = np.empty(pairs.size // 2, dtype=complex)
+        flat.real, flat.imag = pairs[0::2], pairs[1::2]
+    return manifest, flat.reshape((len(manifest["components"]),) + tuple(manifest["dims"]))
+
+
+def test_on_disk_layout_is_interleaved_float64(tmp_path, grid32, basis32):
+    wf = smooth_state(grid32, basis32, seed=4, mix=(0.7, 0.2j))
+    pw, pe = tmp_path / "wf.pam", tmp_path / "e.pam"
+    fileio.write_wavefunction(pw, wf)
+    manifest, data = _parse_float64_container(pw)
+    assert manifest["complex"] and manifest["components"] == ["gL", "gR"]
+    assert np.array_equal(data[0], wf.gL) and np.array_equal(data[1], wf.gR)
+
+    E = pn.electric_field(pn.synthesize(wf, 0.1))
+    fileio.write_real_field(pe, E)
+    manifest, data = _parse_float64_container(pe)
+    assert not manifest["complex"] and manifest["role"] == "E"
+    assert np.array_equal(data, E.values)
 
 
 # ---------------------------------------------------------------------------

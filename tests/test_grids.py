@@ -4,9 +4,8 @@ import pytest
 import photonam as pn
 from photonam.grids import (
     BoundaryDecayError,
-    boundary_margin_k,
+    boundary_margin,
     reflect_conjugate,
-    tree_sum,
 )
 
 from conftest import rel
@@ -61,8 +60,8 @@ def test_round_trip_and_parseval(grid16):
     F = pn.forward_transform(grid16, f)
     back = pn.inverse_transform(grid16, F)
     assert rel(back, f) < 1e-12
-    a = tree_sum(np.abs(f) ** 2).real * grid16.dV
-    b = tree_sum(np.abs(F) ** 2).real * grid16.dVk
+    a = np.sum(np.abs(f) ** 2) * grid16.dV
+    b = np.sum(np.abs(F) ** 2) * grid16.dVk
     assert abs(a - b) / a < 1e-12
 
 
@@ -127,7 +126,7 @@ def test_gradient_boundary_modes(grid16):
     with pytest.warns(UserWarning):
         pn.spectral_gradient_k(g, bad, boundary="warn")
     pn.spectral_gradient_k(g, bad, boundary="ignore")
-    assert boundary_margin_k(g, bad) == 1.0
+    assert boundary_margin(bad, g.boundary_mask_k) == 1.0
 
 
 def test_reflect_conjugate_is_conj_at_negated_k(grid16):
@@ -139,18 +138,3 @@ def test_reflect_conjugate_is_conj_at_negated_k(grid16):
     for idx in [(0, 0, 0), (1, 2, 3), (5, 0, 9), (15, 15, 15)]:
         neg = tuple((-i) % n for i in idx)
         assert out[idx] == np.conj(f[neg])
-
-
-def test_tree_sum_matches_numpy():
-    rng = np.random.default_rng(3)
-    for shape in [(7,), (128,), (5, 33), (4, 6, 10)]:
-        a = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
-        assert abs(tree_sum(a) - a.sum()) <= 1e-12 * max(1.0, abs(a.sum()))
-    # axis-restricted reduction keeps the leading axis
-    a = rng.standard_normal((3, 50))
-    out = tree_sum(a, axes=1)
-    assert out.shape == (3,)
-    assert np.allclose(out, a.sum(axis=1))
-    # bit-reproducible across calls
-    b = rng.standard_normal(10001)
-    assert tree_sum(b) == tree_sum(b.copy())

@@ -5,7 +5,7 @@ import pytest
 
 import photonam as pn
 from photonam.fields_bridge import RealVectorField, SpectralEField, project_spectral_e
-from photonam.grids import _readonly
+from photonam.grids import BoundaryDecayWarning, _readonly
 
 from conftest import rel, smooth_state
 
@@ -65,6 +65,9 @@ def test_field_picture_boundary_guard(grid16, basis16):
     rs = pn.synthesize(pn.wavefunction(g, basis16, gL, np.zeros(g.dims), warn=False))
     with pytest.raises(ValueError, match="boundary"):
         pn.generators_field_picture(rs, include_moments=True, boundary="raise")
+    with pytest.warns(BoundaryDecayWarning, match="real-space boundary"):
+        gen = pn.generators_field_picture(rs, include_moments=True, boundary="warn")
+    assert gen.diagnostics["boundary_margin_r"] > 1e-8
 
 
 def test_cross_picture_agreement_64(grid64):

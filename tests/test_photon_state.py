@@ -5,6 +5,7 @@ import pytest
 
 import photonam as pn
 from photonam import algebra_checks, photon_state
+from photonam.grids import BoundaryDecayWarning
 
 from conftest import rel, smooth_state
 
@@ -24,8 +25,9 @@ def test_wavefunction_shape_check(grid16, basis16):
 
 
 def test_wavefunction_warns_on_poor_decay(grid16, basis16):
-    with pytest.warns(UserWarning, match="edge"):
+    with pytest.warns(BoundaryDecayWarning, match="edge") as record:
         pn.wavefunction(grid16, basis16, np.ones(grid16.dims), np.zeros(grid16.dims))
+    assert len(record) == 1
 
 
 def test_scalar_product_positivity_and_symmetry(grid48, basis48):
