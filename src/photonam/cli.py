@@ -182,18 +182,24 @@ def build_report(wf, routes, manifest=None, nonlocal_max=24):
         report["deltas"]["P_field_vs_photon"] = _rel(gen_f.P, gen_p.P)
         if gen_f.J is not None:
             report["deltas"]["J_field_vs_photon"] = _rel(gen_f.J, gen_p.J)
-            report["deltas"]["K_field_vs_photon"] = _rel(gen_f.K, gen_p.K)
+            # both K are energy x length; near zero on centred beams, so scale by H L
+            L = max(n * d for n, d in zip(wf.grid.dims, wf.grid.spacing))
+            report["deltas"]["K_field_vs_photon"] = float(
+                np.linalg.norm(gen_f.K - gen_p.K) / max(gen_p.H * L, 1e-300))
     if "darwin" in routes:
-        Ek = fields_bridge.spectral_e_from_wavefunction(wf)
-        Jo_d, Js_d, diag = observables.darwin_split(Ek, boundary="warn")
+        Jo_d, Js_d, diag = observables.darwin_split(fields_bridge.spectral_e_from_wavefunction(wf), boundary="warn")
         report["routes"]["darwin"] = {"Jo": _vec3(Jo_d), "Js": _vec3(Js_d), "diagnostics": _jsonable(diag)}
         report["deltas"]["Js_darwin_vs_photon"] = _rel(Js_d, gen_p.Js)
         report["deltas"]["Jo_darwin_vs_photon"] = _rel(Jo_d, gen_p.Jo)
     if "textbook" in routes:
         E = fields_bridge.electric_field(rs)
         B = fields_bridge.magnetic_field(rs)
+        if "nonlocal" not in routes:
+            rs = None       # E and B are copies; F is no longer needed
         A = fields_bridge.vector_potential(B)
+        del B
         Jo_t, Js_t = observables.textbook_split(E, A)
+        del E, A
         report["routes"]["textbook"] = {"Jo": _vec3(Jo_t), "Js": _vec3(Js_t)}
         report["deltas"]["Js_textbook_vs_photon"] = _rel(Js_t, gen_p.Js)
         report["deltas"]["Jo_textbook_vs_photon"] = _rel(Jo_t, gen_p.Jo)

@@ -15,6 +15,7 @@ import numpy as np
 from . import photon_state
 from .grids import (
     cross,
+    cross_component,
     forward_transform,
     inverse_transform,
     reflect_conjugate,
@@ -63,12 +64,18 @@ def spectral_curl(grid, field):
 
 
 def relative_divergence(grid, field):
-    """L2 norm of div(field) over the field gradient scale, dimensionless."""
-    Vk = forward_transform(grid, field)
-    div = np.einsum("i...,i...->...", grid.kvec, Vk)
+    """L2 norm of div(field) over the field gradient scale, dimensionless.
+
+    Transforms one component at a time.
+    """
+    div = np.zeros(grid.dims, dtype=complex)
+    den2 = 0.0
+    for i in range(3):
+        Vk = forward_transform(grid, field[i])
+        div += grid.kvec[i] * Vk
+        den2 += np.linalg.norm(grid.kfields.kmag * Vk) ** 2
     num = np.linalg.norm(div)
-    den = np.linalg.norm(grid.kfields.kmag * Vk)
-    return float(num / den) if den > 0 else 0.0
+    return float(num / np.sqrt(den2)) if den2 > 0 else 0.0
 
 
 # ---------------------------------------------------------------------------
@@ -201,7 +208,9 @@ def vector_potential(B, zero_mode_tol=1e-12, transverse_tol=1e-6):
     grid = B.grid
     if B.values.dtype.kind == "c":
         raise ValueError("B must be a real field")
-    Bk = forward_transform(grid, B.values)
+    Bk = np.empty(B.values.shape, dtype=complex)
+    for i in range(3):
+        Bk[i] = forward_transform(grid, B.values[i])
     peak = np.abs(Bk).max()
     zero_mode = np.abs(Bk[(slice(None),) + grid.excluded_index]).max()
     if peak > 0 and zero_mode > zero_mode_tol * peak:
@@ -209,11 +218,13 @@ def vector_potential(B, zero_mode_tol=1e-12, transverse_tol=1e-6):
     div = relative_divergence(grid, B.values)
     if div > transverse_tol:
         raise ValueError(f"B is not divergence free (relative residual {div:.2e})")
-    kmag2 = grid.kfields.kmag ** 2
-    safe = np.where(kmag2 == 0.0, 1.0, kmag2)
-    Ak = 1j * cross(grid.kvec, Bk) / safe
-    Ak[:, grid.excluded_index[0], grid.excluded_index[1], grid.excluded_index[2]] = 0.0
-    A = inverse_transform(grid, Ak).real
+    kmag = grid.kfields.kmag
+    safe = np.where(kmag == 0.0, 1.0, kmag ** 2)
+    A = np.empty(B.values.shape)
+    for j in range(3):
+        Ak = 1j * cross_component(grid.kvec, Bk, j) / safe
+        Ak[grid.excluded_index] = 0.0
+        A[j] = inverse_transform(grid, Ak).real
     return RealVectorField(values=_readonly(A), role="A", grid=grid, time=B.time)
 
 

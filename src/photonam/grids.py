@@ -42,13 +42,15 @@ LEVI_CIVITA[0, 2, 1] = LEVI_CIVITA[2, 1, 0] = LEVI_CIVITA[1, 0, 2] = -1.0
 LEVI_CIVITA.setflags(write=False)
 
 
+def cross_component(a, b, j):
+    """Component `j` of the cross product over the leading component axis."""
+    p, q = (j + 1) % 3, (j + 2) % 3
+    return a[p] * b[q] - a[q] * b[p]
+
+
 def cross(a, b):
     """Cross product over the leading component axis; components may broadcast."""
-    return np.stack([
-        a[1] * b[2] - a[2] * b[1],
-        a[2] * b[0] - a[0] * b[2],
-        a[0] * b[1] - a[1] * b[0],
-    ])
+    return np.stack([cross_component(a, b, j) for j in range(3)])
 
 
 @dataclass(frozen=True)
@@ -260,6 +262,12 @@ def reflect_conjugate(grid, F):
 
 # ---------------------------------------------------------------------------
 # finite differences in k
+#
+# Every k derivative is the same second-order stencil, taken directly in FFT
+# order: central differences with wrap-around indexing everywhere except at
+# the two ends of the monotone k range (indices n/2 - 1 and n/2), where
+# numpy's one-sided second-order formulas replace them.  The data must decay
+# near the momentum boundary, so the stencil is read as non-periodic there.
 
 def boundary_margin(F, mask):
     """max |F| on the boundary shells in `mask` divided by the global max.
@@ -292,11 +300,31 @@ def check_boundary_decay(grid, F, tol=BOUNDARY_TOL, mode="raise", what="array"):
     return margin
 
 
+def _gradient_k_axis(grid, F, ax, out):
+    """Write d F / d k along grid axis `ax` into `out` (same shape as `F`); return `out`.
+
+    Matches ``np.gradient(edge_order=2)`` of the monotone-ordered array bit
+    for bit, without reordering copies.
+    """
+    h = grid.dk[ax]
+    f = np.moveaxis(F, F.ndim - 3 + ax, 0)
+    g = np.moveaxis(out, out.ndim - 3 + ax, 0)
+    np.subtract(f[2:], f[:-2], out=g[1:-1])
+    np.subtract(f[1], f[-1], out=g[0])
+    np.subtract(f[0], f[-2], out=g[-1])
+    g /= 2.0 * h
+    lo = f.shape[0] // 2        # smallest k; its left neighbour wraps to the largest
+    g[lo] = (-1.5 / h) * f[lo] + (2.0 / h) * f[lo + 1] + (-0.5 / h) * f[lo + 2]
+    hi = lo - 1                 # largest k
+    g[hi] = (0.5 / h) * f[hi - 2] + (-2.0 / h) * f[hi - 1] + (1.5 / h) * f[hi]
+    return out
+
+
 def spectral_gradient_k(grid, F, boundary="raise", tol=BOUNDARY_TOL):
     """Centered second-order finite-difference gradient along the k axes.
 
-    Non-periodic: the FFT-ordered array is viewed in monotone k order and
-    one-sided second-order stencils are used at the two ends of each axis.
+    Non-periodic: one-sided second-order stencils are used at the two ends
+    of the monotone k range of each axis (see the section comment above).
     Requires the data to decay near the momentum boundary (`boundary`:
     "raise", "warn" or "ignore").
 
@@ -307,8 +335,5 @@ def spectral_gradient_k(grid, F, boundary="raise", tol=BOUNDARY_TOL):
     check_boundary_decay(grid, F, tol=tol, mode=boundary)
     out = np.empty((3,) + F.shape, dtype=F.dtype if np.iscomplexobj(F) else float)
     for ax in range(3):
-        axis = F.ndim - 3 + ax
-        mono = np.fft.fftshift(F, axes=axis)
-        g = np.gradient(mono, grid.dk[ax], axis=axis, edge_order=2)
-        out[ax] = np.fft.ifftshift(g, axes=axis)
+        _gradient_k_axis(grid, F, ax, out=out[ax])
     return out

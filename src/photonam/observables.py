@@ -8,8 +8,13 @@ Cross checks:    the k-space double-transform form acting on E(k), the
                  textbook real-space split with the transverse-gauge A, and
                  the nonlocal Coulomb-kernel double integral for the spin.
 
-Reductions are plain numpy sums, each on one thread, so results do not
-depend on the THREADS worker count of the check suites.
+The k-space routes stream: no stage builds a (3, N) complex stack only to
+reduce it.  The photon picture reduces everything from the density
+``u = sum_chi i g* D g``, built one helicity and axis at a time; the darwin
+route sums each Levi-Civita term straight into its totals; the textbook
+route takes one inverse transform per axis.  Reductions are plain numpy
+sums, each on one thread, so results do not depend on the THREADS worker
+count of the check suites.
 """
 
 from __future__ import annotations
@@ -25,8 +30,10 @@ from .grids import (
     BOUNDARY_TOL,
     BoundaryDecayError,
     BoundaryDecayWarning,
+    LEVI_CIVITA,
     boundary_margin,
     cross,
+    cross_component,
     forward_transform,
     inverse_transform,
     spectral_gradient_k,
@@ -115,13 +122,14 @@ def generators_photon_picture(wf, boundary="warn", tol=BOUNDARY_TOL):
     ``H = <hbar w>``, ``P = <hbar k>``, ``Jo = <i hbar D x k>``,
     ``Js = <hbar chi n_k>``, ``K = <i hbar w D>`` over the invariant measure;
     imaginary parts of the discretized D expectations are reported as
-    diagnostics, not silently dropped.
+    diagnostics, not silently dropped.  Jo, K and the diagnostics all follow
+    from the density ``u = sum_chi i g* D g``: the Jo integrand is ``u x k``
+    and the K integrand ``w u``.
     """
     grid = wf.grid
     hbar = grid.units.hbar
     w = grid.w_invariant          # dVk / (hbar omega), zero at the excluded bin
     wk = grid.wk                  # dVk, zero at the excluded bin
-    omega = grid.kfields.omega
     k = grid.kvec
     n = grid.kfields.nhat
 
@@ -133,29 +141,32 @@ def generators_photon_picture(wf, boundary="warn", tol=BOUNDARY_TOL):
     H = float(np.sum(wk * dens))
     P = hbar * np.sum(w * k * dens, axis=(1, 2, 3))
     Js = hbar * np.sum(w * n * (absL2 - absR2), axis=(1, 2, 3))
+    del absL2, absR2, dens
 
-    D = photon_state.covariant_derivative(wf, boundary=boundary, tol=tol)
-    orb = np.zeros((3,) + grid.dims, dtype=complex)   # sum_chi g* i (Dg x k)
-    kexp = np.zeros((3,) + grid.dims, dtype=complex)  # sum_chi g* i w Dg
-    for chi in photon_state.HELICITIES:
-        g = wf.components[chi]
-        Dg = np.stack([D[j].components[chi] for j in range(3)])
-        gc = np.conj(g)
-        orb += gc * 1j * cross(Dg, k)
-        kexp += gc * 1j * omega * Dg
+    u = photon_state._covariant_density(wf, boundary=boundary, tol=tol)
 
-    Jo = hbar * np.sum(w * orb.real, axis=(1, 2, 3))
-    K = hbar * np.sum(w * kexp.real, axis=(1, 2, 3))
+    Jo, K = np.zeros(3), np.zeros(3)
+    imJo, imK = np.zeros(3), np.zeros(3)
+    scaleJ = scaleK = 1e-300
+    dot_n = np.zeros(grid.dims)   # n . Re(u x k)
+    mag2 = np.zeros(grid.dims)    # |Re(u x k)|^2
+    wo = w * grid.kfields.omega   # w omega = dVk / hbar away from the excluded bin
+    for j in range(3):
+        orb = cross_component(u, k, j)
+        Jo[j] = hbar * np.sum(w * orb.real)
+        imJo[j] = hbar * np.sum(w * orb.imag)
+        scaleJ = max(scaleJ, float(np.sum(w * np.abs(orb))))
+        dot_n += n[j] * orb.real
+        mag2 += orb.real ** 2
+        K[j] = hbar * np.sum(wo * u[j].real)
+        imK[j] = hbar * np.sum(wo * u[j].imag)
+        scaleK = max(scaleK, float(np.sum(wo * np.abs(u[j]))))
 
-    scaleJ = max(float(np.abs(np.sum(w * np.abs(orb), axis=(1, 2, 3))).max()), 1e-300)
-    scaleK = max(float(np.abs(np.sum(w * np.abs(kexp), axis=(1, 2, 3))).max()), 1e-300)
-    dot_n = np.einsum("i...,i...->...", n, orb.real)
-    mag = np.sqrt(np.einsum("i...,i...->...", orb.real, orb.real))
     orth_num = float(np.sum(w * np.abs(dot_n)))
-    orth_den = max(float(np.sum(w * mag)), 1e-300)
+    orth_den = max(float(np.sum(w * np.sqrt(mag2))), 1e-300)
     diagnostics = {
-        "imag_residual_Jo": float(np.abs(hbar * np.sum(w * orb.imag, axis=(1, 2, 3))).max() / scaleJ),
-        "imag_residual_K": float(np.abs(hbar * np.sum(w * kexp.imag, axis=(1, 2, 3))).max() / scaleK),
+        "imag_residual_Jo": float(np.abs(imJo).max() / scaleJ),
+        "imag_residual_K": float(np.abs(imK).max() / scaleK),
         "jo_orthogonality": orth_num / orth_den,
         "boundary_margin": max(boundary_margin(wf.gL, grid.boundary_mask_k),
                                boundary_margin(wf.gR, grid.boundary_mask_k)),
@@ -187,18 +198,23 @@ def darwin_split(Ek, boundary="warn", tol=BOUNDARY_TOL):
     w2 = grid.units.hbar * grid.w_invariant     # dVk / (c |k|), zero at k=0
     E = Ek.values
 
-    V = cross(np.conj(E), E)                    # purely imaginary
-    Js = 2.0 * eps0 * np.sum(w2 * V.imag, axis=(1, 2, 3))
+    Ec = np.conj(E)     # E* x E is purely imaginary
+    Js = np.array([2.0 * eps0 * np.sum(w2 * cross_component(Ec, E, j).imag) for j in range(3)])
+    del Ec
 
-    X = np.zeros((3,) + grid.dims, dtype=complex)
+    # X_j = sum_i conj(E_i) eps_jab k_a d_b E_i, summed term by term
+    X = np.zeros(3, dtype=complex)
     for i in range(3):
-        grad = spectral_gradient_k(grid, E[i], boundary=boundary, tol=tol)
-        X += np.conj(E[i]) * cross(grid.kvec, grad)
-    Jo = 2.0 * eps0 * np.sum(w2 * X.imag, axis=(1, 2, 3))
+        T = spectral_gradient_k(grid, E[i], boundary=boundary, tol=tol)
+        T *= w2 * np.conj(E[i])
+        for j, a, b in zip(*np.nonzero(LEVI_CIVITA)):
+            X[j] += LEVI_CIVITA[j, a, b] * np.sum(grid.kvec[a] * T[b])
+        del T           # before the next component's gradient is allocated
+    Jo = 2.0 * eps0 * X.imag
 
     scale = max(float(np.linalg.norm(Jo)), float(np.linalg.norm(Js)), 1e-300)
     diagnostics = {
-        "imag_residual_Jo": float(np.linalg.norm(2.0 * eps0 * np.sum(w2 * X.real, axis=(1, 2, 3)))) / scale,
+        "imag_residual_Jo": float(np.linalg.norm(2.0 * eps0 * X.real)) / scale,
     }
     return Jo, Js, diagnostics
 
@@ -207,8 +223,12 @@ def darwin_split(Ek, boundary="warn", tol=BOUNDARY_TOL):
 # textbook real-space route
 
 def _real_space_gradient(grid, scalar):
+    """Spectral gradient of a real scalar field: one forward transform, one inverse per axis."""
     Fk = forward_transform(grid, scalar)
-    return inverse_transform(grid, 1j * grid.kvec * Fk).real
+    out = np.empty((3,) + grid.dims)
+    for b in range(3):
+        out[b] = inverse_transform(grid, 1j * grid.kvec[b] * Fk).real
+    return out
 
 
 def textbook_split(E, A, transverse_tol=1e-6):
@@ -224,13 +244,15 @@ def textbook_split(E, A, transverse_tol=1e-6):
     if relative_divergence(grid, A.values) > transverse_tol:
         raise ValueError("A is not transverse: the split requires div A = 0")
 
-    Js = eps0 * dV * np.sum(cross(E.values, A.values), axis=(1, 2, 3))
+    Js = np.array([eps0 * dV * np.sum(cross_component(E.values, A.values, j)) for j in range(3)])
 
     r = np.ix_(*grid.x_axes)
     Jo = np.zeros(3)
     for i in range(3):
         g = _real_space_gradient(grid, A.values[i])
-        Jo += eps0 * dV * np.sum(E.values[i] * cross(r, g), axis=(1, 2, 3))
+        for j in range(3):
+            Jo[j] += eps0 * dV * np.sum(E.values[i] * cross_component(r, g, j))
+        del g           # before the next component's gradient is allocated
     return Jo, Js
 
 

@@ -19,6 +19,7 @@ from .grids import (
     BOUNDARY_TOL,
     check_boundary_decay,
     spectral_gradient_k,
+    _gradient_k_axis,
     _readonly,
 )
 
@@ -123,32 +124,47 @@ def gauge_transform_amplitudes(wf, phi, new_basis):
     return replace(wf, gL=_readonly(up * wf.gL), gR=_readonly(np.conj(up) * wf.gR), basis=new_basis)
 
 
+def _construction_gauge(wf, chi):
+    """Amplitude `chi` with the accumulated chart phase removed."""
+    g = wf.components[chi]
+    basis = wf.basis
+    return np.exp(-1j * chi * basis.gauge_phase) * g if basis.has_gauge_phase else g
+
+
+def _connect(wf, chi, ghat, j, d):
+    """Turn ``d = d_j ghat`` into ``D_j ghat`` in place, in the construction gauge.
+
+    Subtracts the connection term ``i chi alpha_j ghat`` and the analytic
+    evolution-phase gradient ``i c t n_j ghat``.
+    """
+    d -= 1j * chi * wf.basis.alpha_base[j] * ghat
+    if wf.time != 0.0:
+        d -= (1j * wf.grid.units.c * wf.time) * wf.grid.kfields.nhat[j] * ghat
+    return d
+
+
 def covariant_derivative(wf, boundary="warn", tol=BOUNDARY_TOL):
     """Covariant k derivative D = grad_k - i chi alpha of both components.
 
     Evaluated in the construction gauge of the basis (any accumulated chart
     phase is removed before differencing and restored afterwards, which makes
     the operator exactly gauge covariant), with the evolution phase gradient
-    ``-i c t n_k`` added analytically.
+    ``-i c t n_k`` added analytically.  Boundary decay of (gL, gR) is checked
+    once per call.
 
     Returns a tuple of three wavefunctions, one per Cartesian k axis, at the
     same time as the input.
     """
     grid, basis = wf.grid, wf.basis
-    c = grid.units.c
-    nhat = grid.kfields.nhat
     phase = basis.gauge_phase if basis.has_gauge_phase else None
+    check_boundary_decay(grid, (wf.gL, wf.gR), tol=tol, mode=boundary, what="wavefunction")
 
     out = [[None, None] for _ in range(3)]
     for slot, chi in enumerate(HELICITIES):
-        g = wf.components[chi]
-        ghat = np.exp(-1j * chi * phase) * g if phase is not None else g
-        check_boundary_decay(grid, ghat, tol=tol, mode=boundary, what="wavefunction")
+        ghat = _construction_gauge(wf, chi)
         grad = spectral_gradient_k(grid, ghat, boundary="ignore")
         for j in range(3):
-            d = grad[j] - 1j * chi * basis.alpha_base[j] * ghat
-            if wf.time != 0.0:
-                d = d - (1j * c * wf.time) * nhat[j] * ghat
+            d = _connect(wf, chi, ghat, j, grad[j])
             if phase is not None:
                 d = np.exp(1j * chi * phase) * d
             out[j][slot] = d
@@ -156,3 +172,24 @@ def covariant_derivative(wf, boundary="warn", tol=BOUNDARY_TOL):
         replace(wf, gL=_readonly(out[j][0]), gR=_readonly(out[j][1]))
         for j in range(3)
     )
+
+
+def _covariant_density(wf, boundary, tol):
+    """``u_j = sum_chi i g* D_j g``, shape (3,) + dims, built one helicity and axis at a time.
+
+    Same gauge and time handling as `covariant_derivative`; the re-phasing
+    factor ``e^{i chi phase}`` of D g cancels against the one in g*, so
+    ``i g* D_j g = i ghat* (D_j ghat)`` in the construction gauge.
+    """
+    grid = wf.grid
+    check_boundary_decay(grid, (wf.gL, wf.gR), tol=tol, mode=boundary, what="wavefunction")
+    u = np.zeros((3,) + grid.dims, dtype=complex)
+    d = np.empty(grid.dims, dtype=complex)
+    for chi in HELICITIES:
+        ghat = _construction_gauge(wf, chi)
+        igc = 1j * np.conj(ghat)
+        for j in range(3):
+            _connect(wf, chi, ghat, j, _gradient_k_axis(grid, ghat, j, out=d))
+            d *= igc
+            u[j] += d
+    return u

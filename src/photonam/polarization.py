@@ -29,7 +29,9 @@ class PolarizationBasis:
     ``alpha`` is the connection in the current gauge; ``alpha_base`` and
     ``gauge_phase`` keep the construction gauge and the accumulated chart
     phase so that covariant derivatives can be evaluated in the construction
-    gauge (exactly gauge covariant) and re-phased afterwards.
+    gauge (exactly gauge covariant) and re-phased afterwards.  Until a gauge
+    transform, ``alpha_base`` is the same read-only array as ``alpha`` and
+    ``gauge_phase`` is a zero-stride view of one zero.
     """
 
     e: np.ndarray              # (3, nx, ny, nz) complex
@@ -82,26 +84,30 @@ def build_basis(grid, chart_axis=(0.0, 0.0, 1.0), eps_pole=EPS_POLE):
     sphi = np.where(pole_mask, 0.0, nv / st_safe)
 
     shape = (3,) + grid.dims
-    theta_hat = np.empty(shape)
-    phi_hat = np.empty(shape)
+    e = np.empty(shape, dtype=complex)
     for i in range(3):
-        theta_hat[i] = ca * (cphi * u[i] + sphi * v[i]) - st * axis[i]
-        phi_hat[i] = -sphi * u[i] + cphi * v[i]
-    e = (theta_hat + 1j * phi_hat) / np.sqrt(2.0)
+        theta_hat = ca * (cphi * u[i] + sphi * v[i]) - st * axis[i]
+        phi_hat = -sphi * u[i] + cphi * v[i]
+        e[i] = (theta_hat + 1j * phi_hat) / np.sqrt(2.0)
+    del ca, st, nu, nv, st_safe, cphi, sphi, theta_hat, phi_hat  # free before the derivatives
 
+    # alpha_j = -sum_c Im(e_c* d_j e_c), one component at a time
     alpha = np.zeros(shape)
     for comp in range(3):
         grad = spectral_gradient_k(grid, e[comp], boundary="ignore")
-        alpha -= np.imag(np.conj(e[comp]) * grad)
+        np.multiply(np.conj(e[comp]), grad, out=grad)
+        alpha -= grad.imag
+        del grad        # before the next component's gradient is allocated
 
+    alpha = _readonly(alpha)
     return PolarizationBasis(
         e=_readonly(e),
-        alpha=_readonly(alpha),
+        alpha=alpha,
         chart_axis=_readonly(axis),
         pole_points=_readonly(np.argwhere(pole_mask)),
         pole_mask=_readonly(pole_mask),
-        alpha_base=_readonly(alpha.copy()),
-        gauge_phase=_readonly(np.zeros(grid.dims)),
+        alpha_base=alpha,
+        gauge_phase=np.broadcast_to(0.0, grid.dims),
     )
 
 

@@ -1,3 +1,4 @@
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -11,6 +12,25 @@ def rel(a, b):
     b = np.asarray(b, dtype=complex)
     den = max(np.linalg.norm(b.ravel()), 1e-300)
     return float(np.linalg.norm((a - b).ravel()) / den)
+
+
+def traced_peak(fn):
+    """Run ``fn()``; return its result and the tracemalloc peak, in bytes, above the size at the start.
+
+    numpy reports its array buffers to tracemalloc, so the peak is the
+    working set of the call, deterministic unlike RSS.
+    """
+    started = not tracemalloc.is_tracing()
+    if started:
+        tracemalloc.start()
+    try:
+        tracemalloc.reset_peak()
+        base = tracemalloc.get_traced_memory()[0]
+        result = fn()
+        return result, tracemalloc.get_traced_memory()[1] - base
+    finally:
+        if started:
+            tracemalloc.stop()
 
 
 @pytest.fixture(scope="session")

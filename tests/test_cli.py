@@ -8,7 +8,7 @@ import pytest
 
 import photonam as pn
 from photonam import fileio
-from photonam.cli import main
+from photonam.cli import build_report, main
 
 from conftest import rel, smooth_state
 
@@ -164,6 +164,30 @@ def test_beam_split_and_observables(tmp_path, capsys):
     assert rep["deltas"]["Js_darwin_vs_photon"] < 1e-10
     assert rep["deltas"]["Js_textbook_vs_photon"] < 1e-3
     assert rep["provenance"]["family"] == "bessel"
+
+
+def test_k_delta_of_centred_beam_is_noise_scaled_by_energy_times_box(tmp_path, capsys):
+    """Both K are ~1e-17 on the default 96^3 beam; the delta must not magnify that noise."""
+    out = tmp_path / "beam96.pam"
+    code, _, _ = run_cli(capsys, "beam", "bessel", "--m", "3", "-o", str(out))
+    assert code == 0
+    code, text, _ = run_cli(capsys, "observables", str(out), "--json", "--routes", "photon,field")
+    assert code == 0
+    assert json.loads(text)["deltas"]["K_field_vs_photon"] < 1e-12
+
+
+def test_k_delta_is_scaled_by_energy_times_box(grid48, basis48):
+    """Off-centre packet: K is far from zero, and the delta is |dK| / (H L)."""
+    wf = smooth_state(grid48, basis48, seed=4)
+    rep = build_report(wf, ("photon", "field"))
+    gen_p = pn.generators_photon_picture(wf)
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")
+        gen_f = pn.generators_field_picture(pn.synthesize(wf), boundary="warn")
+    L = max(n * d for n, d in zip(grid48.dims, grid48.spacing))
+    assert np.linalg.norm(gen_p.K) > 1e-2 * gen_p.H
+    expect = np.linalg.norm(gen_f.K - gen_p.K) / (gen_p.H * L)
+    assert rep["deltas"]["K_field_vs_photon"] == pytest.approx(expect, rel=1e-12)
 
 
 def test_beam_usage_error_exit_2(capsys, tmp_path):

@@ -104,6 +104,42 @@ def test_gradient_constant_and_linear(grid16):
         assert np.abs(grad[j] - a[j]).max() < 1e-12
 
 
+def _shifted_gradient(grid, F):
+    """Reference stencil: monotone order, np.gradient(edge_order=2), back to FFT order."""
+    out = np.empty((3,) + F.shape, dtype=F.dtype if np.iscomplexobj(F) else float)
+    for ax in range(3):
+        mono = np.fft.fftshift(F, axes=ax)
+        out[ax] = np.fft.ifftshift(np.gradient(mono, grid.dk[ax], axis=ax, edge_order=2), axes=ax)
+    return out
+
+
+@pytest.mark.parametrize("dims", [(8, 10, 12), (12, 8, 16)])
+@pytest.mark.parametrize("is_complex", [False, True])
+def test_fft_order_stencil_matches_shifted_gradient(dims, is_complex):
+    g = pn.make_grid(dims, (0.7, 1.3, 1.0))
+    rng = np.random.default_rng(sum(dims))
+    F = rng.standard_normal(dims)
+    if is_complex:
+        F = F + 1j * rng.standard_normal(dims)
+    got = pn.spectral_gradient_k(g, F, boundary="ignore")
+    ref = _shifted_gradient(g, F)
+    assert got.dtype == ref.dtype
+    for ax in range(3):
+        assert np.abs(got[ax] - ref[ax]).max() <= 1e-15 * np.abs(F).max() / g.dk[ax]
+
+    # affine data: the one-sided formulas at both monotone ends are exact too
+    a = np.array([0.3, -1.2, 0.7])
+    lin = 0.4 + a[0] * g.kvec[0] + a[1] * g.kvec[1] + a[2] * g.kvec[2]
+    if is_complex:
+        lin = lin * (1.0 - 2.0j)
+    grad = pn.spectral_gradient_k(g, lin, boundary="ignore")
+    scale = 1.0 - 2.0j if is_complex else 1.0
+    for ax, n in enumerate(dims):
+        for end in (n // 2, n // 2 - 1):
+            plane = np.take(grad[ax], end, axis=ax)
+            assert np.abs(plane - a[ax] * scale).max() < 1e-12
+
+
 def test_gradient_gaussian_second_order():
     errs = []
     for n in (32, 64):

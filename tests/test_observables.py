@@ -5,7 +5,7 @@ import pytest
 
 import photonam as pn
 from photonam.fields_bridge import RealVectorField, SpectralEField, project_spectral_e
-from photonam.grids import BoundaryDecayWarning, _readonly
+from photonam.grids import BoundaryDecayWarning, _readonly, cross
 
 from conftest import rel, smooth_state
 
@@ -88,6 +88,62 @@ def test_photon_picture_diagnostics(grid64):
     assert gen.diagnostics["imag_residual_K"] < 1e-8
     assert np.allclose(gen.Jo + gen.Js, gen.J)
     gen.validate(wf.grid.units)
+
+
+def _stacked_photon_picture(wf):
+    """Oracle: the photon picture from full covariant-derivative stacks.
+
+    ``orb = sum_chi g* i (D g x k)`` and ``kexp = sum_chi g* i w D g`` are
+    built as (3, N) complex arrays, then reduced.
+    """
+    grid = wf.grid
+    hbar = grid.units.hbar
+    w, k, n = grid.w_invariant, grid.kvec, grid.kfields.nhat
+    absL2, absR2 = np.abs(wf.gL) ** 2, np.abs(wf.gR) ** 2
+    dens = absL2 + absR2
+    D = pn.covariant_derivative(wf, boundary="ignore")
+    orb = np.zeros((3,) + grid.dims, dtype=complex)
+    kexp = np.zeros((3,) + grid.dims, dtype=complex)
+    for chi, g in wf.components.items():
+        Dg = np.stack([D[j].components[chi] for j in range(3)])
+        orb += np.conj(g) * 1j * cross(Dg, k)
+        kexp += np.conj(g) * 1j * grid.kfields.omega * Dg
+    scaleJ = np.abs(np.sum(w * np.abs(orb), axis=(1, 2, 3))).max()
+    scaleK = np.abs(np.sum(w * np.abs(kexp), axis=(1, 2, 3))).max()
+    dot_n = np.einsum("i...,i...->...", n, orb.real)
+    mag = np.sqrt(np.einsum("i...,i...->...", orb.real, orb.real))
+    return dict(
+        N=float(np.sum(w * dens)), H=float(np.sum(grid.wk * dens)),
+        P=hbar * np.sum(w * k * dens, axis=(1, 2, 3)),
+        Js=hbar * np.sum(w * n * (absL2 - absR2), axis=(1, 2, 3)),
+        Jo=hbar * np.sum(w * orb.real, axis=(1, 2, 3)),
+        K=hbar * np.sum(w * kexp.real, axis=(1, 2, 3)),
+        imag_residual_Jo=np.abs(hbar * np.sum(w * orb.imag, axis=(1, 2, 3))).max() / scaleJ,
+        imag_residual_K=np.abs(hbar * np.sum(w * kexp.imag, axis=(1, 2, 3))).max() / scaleK,
+        jo_orthogonality=np.sum(w * np.abs(dot_n)) / np.sum(w * mag),
+    )
+
+
+def test_photon_picture_matches_stacked_oracle(grid48, basis48):
+    """Gauge-transformed basis at t != 0: every gauge and time term is live."""
+    g = grid48
+    kx, ky, kz = g.kvec
+    phi = 0.6 * np.exp(-((kx - 1.1) ** 2 + (ky - 0.9) ** 2 + (kz - 1.3) ** 2) / (2 * 0.6 ** 2))
+    b2 = pn.gauge_transform(g, basis48, phi)
+    wf = smooth_state(g, basis48, seed=17, mix=(1.0, 0.5j), m=1)
+    wf = pn.evolve(pn.gauge_transform_amplitudes(wf, phi, b2), 0.7)
+    assert wf.basis.has_gauge_phase and wf.time != 0.0
+
+    gen = pn.generators_photon_picture(wf, boundary="ignore")
+    ref = _stacked_photon_picture(wf)
+    assert gen.N == ref["N"] and gen.H == ref["H"]
+    assert np.array_equal(gen.P, ref["P"]) and np.array_equal(gen.Js, ref["Js"])
+    assert rel(gen.Jo, ref["Jo"]) < 1e-12
+    L = max(n * d for n, d in zip(g.dims, g.spacing))
+    assert np.linalg.norm(gen.K - ref["K"]) < 1e-12 * gen.H * L
+    # the diagnostics are already ratios to their own scale
+    for key in ("imag_residual_Jo", "imag_residual_K", "jo_orthogonality"):
+        assert abs(gen.diagnostics[key] - ref[key]) < 1e-12, key
 
 
 def test_causality_and_spin_bounds(grid48, basis48):

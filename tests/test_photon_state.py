@@ -30,6 +30,18 @@ def test_wavefunction_warns_on_poor_decay(grid16, basis16):
     assert len(record) == 1
 
 
+def test_poor_decay_warns_once_per_call(grid16, basis16):
+    """Both helicities fail the decay check, yet each call warns once."""
+    flat = np.ones(grid16.dims)
+    wf = pn.wavefunction(grid16, basis16, flat, flat, warn=False)
+    with pytest.warns(BoundaryDecayWarning, match="edge") as record:
+        pn.covariant_derivative(wf)
+    assert len(record) == 1
+    with pytest.warns(BoundaryDecayWarning, match="edge") as record:
+        pn.generators_photon_picture(wf)
+    assert len(record) == 1
+
+
 def test_scalar_product_positivity_and_symmetry(grid48, basis48):
     f = smooth_state(grid48, basis48, seed=10, mix=(1.0, 0.3j))
     g = smooth_state(grid48, basis48, seed=11, mix=(0.2, 1.0))

@@ -135,6 +135,10 @@ def test_gauge_transform_linear_shifts_alpha(grid32, basis32):
     for j in range(3):
         assert np.abs(bl.alpha[j] - b.alpha[j] - a[j]).max() < 1e-12
     assert np.abs(bl.gauge_phase - phi).max() == 0.0
+    # the construction gauge is shared with alpha, not copied, until a transform
+    assert b.alpha_base is b.alpha and bl.alpha_base is b.alpha
+    assert not b.has_gauge_phase and b.gauge_phase.strides == (0, 0, 0)
+    assert bl.has_gauge_phase
 
 
 def test_gauge_transform_shape_check(grid32, basis32):

@@ -1,0 +1,49 @@
+"""Working sets of the k-space stages, in complex grid arrays at 64^3.
+
+Each stage streams over components and axes instead of building (3, N)
+complex stacks it only reduces; these budgets hold it there.  The peaks are
+tracemalloc peaks above the size at the call, so inputs prepared beforehand
+do not count, while the stage's own result does.
+"""
+
+import warnings
+
+import numpy as np
+import pytest
+
+import photonam as pn
+
+from conftest import smooth_state, traced_peak
+
+BUDGETS = {
+    "build_basis": 10.0,
+    "generators_photon_picture": 9.0,
+    "darwin_split": 10.0,
+    "vector_potential": 10.0,
+    "textbook_split": 10.0,
+}
+
+
+@pytest.fixture(scope="module")
+def stages64(grid64, basis64):
+    wf = smooth_state(grid64, basis64, seed=6, mix=(1.0, 0.4j), m=1)
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")
+        rs = pn.synthesize(wf)
+    E, B = pn.electric_field(rs), pn.magnetic_field(rs)
+    A = pn.vector_potential(B)
+    Ek = pn.spectral_e_from_wavefunction(wf)
+    return {
+        "build_basis": lambda: pn.build_basis(grid64, (1.0, 0.0, 0.0)),
+        "generators_photon_picture": lambda: pn.generators_photon_picture(wf, boundary="ignore"),
+        "darwin_split": lambda: pn.darwin_split(Ek, boundary="ignore"),
+        "vector_potential": lambda: pn.vector_potential(B),
+        "textbook_split": lambda: pn.textbook_split(E, A),
+    }
+
+
+@pytest.mark.parametrize("stage", sorted(BUDGETS))
+def test_stage_working_set(stage, stages64, grid64):
+    unit = np.dtype(complex).itemsize * grid64.npoints
+    _, peak = traced_peak(stages64[stage])
+    assert peak / unit <= BUDGETS[stage], f"{stage}: {peak / unit:.2f} complex grid arrays"
