@@ -11,7 +11,6 @@ with several independent routes for cross-validation.
 
 from .grids import (
     GridPair,
-    KGridFields,
     UnitsConfig,
     forward_transform,
     inverse_transform,

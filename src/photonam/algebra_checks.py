@@ -67,27 +67,30 @@ def apply_generator(tag, wf, boundary="warn"):
     hbar = grid.units.hbar
 
     if tag.kind == "H":
-        f = hbar * grid.kfields.omega
+        f = hbar * grid.omega()
         return replace(wf, gL=_readonly(f * wf.gL), gR=_readonly(f * wf.gR))
     if tag.kind == "P":
         f = hbar * grid.kvec[tag.axis]
         return replace(wf, gL=_readonly(f * wf.gL), gR=_readonly(f * wf.gR))
 
-    D = photon_state.covariant_derivative(wf, boundary=boundary)
+    # only the D axes the generator reads
     i = tag.axis
     if tag.kind == "D":
-        return D[i]
+        return photon_state.covariant_derivative_axis(wf, i, boundary=boundary)
     if tag.kind == "K":
-        f = 1j * hbar * grid.kfields.omega
-        return replace(wf, gL=_readonly(f * D[i].gL), gR=_readonly(f * D[i].gR))
+        Di = photon_state.covariant_derivative_axis(wf, i, boundary=boundary)
+        f = 1j * hbar * grid.omega()
+        return replace(wf, gL=_readonly(f * Di.gL), gR=_readonly(f * Di.gR))
     if tag.kind == "J":
         a, b = (i + 1) % 3, (i + 2) % 3
+        Da = photon_state.covariant_derivative_axis(wf, a, boundary=boundary)
+        Db = photon_state.covariant_derivative_axis(wf, b, boundary="ignore")
         k = grid.kvec
-        n_i = grid.kfields.nhat[i]
+        n_i = grid.nhat(i)
         out = {}
         for chi in photon_state.HELICITIES:
             g = wf.components[chi]
-            cross_i = D[a].components[chi] * k[b] - D[b].components[chi] * k[a]
+            cross_i = Da.components[chi] * k[b] - Db.components[chi] * k[a]
             out[chi] = 1j * hbar * cross_i + hbar * chi * n_i * g
         return replace(wf, gL=_readonly(out[+1]), gR=_readonly(out[-1]))
     raise ValueError(f"unknown operator kind {tag.kind}")
@@ -161,7 +164,7 @@ def check_commutator(tagA, tagB, wf, boundary="warn"):
         scale_states.append(expected_wf)
 
     norm_psi = photon_state.norm(wf)
-    w = grid.w_invariant
+    w = grid.w_invariant()
     resid_norm = float(np.sqrt(np.sum(w * (np.abs(diff_L) ** 2 + np.abs(diff_R) ** 2))))
     scale = max(photon_state.norm(s) for s in scale_states)
     scale = max(scale, 1e-300)
@@ -184,21 +187,23 @@ def check_curvature(wf, axes=(0, 1), boundary="warn"):
     """Residual of [D_i, D_j] = i chi eps_ijl n_l / |k|^2 on the state."""
     i, j = axes
     grid = wf.grid
-    D = photon_state.covariant_derivative(wf, boundary=boundary)
-    Di_of_Dj = photon_state.covariant_derivative(D[j], boundary="ignore")[i]
-    Dj_of_Di = photon_state.covariant_derivative(D[i], boundary="ignore")[j]
+    Dj = photon_state.covariant_derivative_axis(wf, j, boundary=boundary)
+    Di = photon_state.covariant_derivative_axis(wf, i, boundary="ignore")
+    Di_of_Dj = photon_state.covariant_derivative_axis(Dj, i, boundary="ignore")
+    Dj_of_Di = photon_state.covariant_derivative_axis(Di, j, boundary="ignore")
+    del Dj, Di
 
-    kmag2 = grid.kfields.kmag ** 2
-    safe = np.where(kmag2 == 0.0, 1.0, kmag2)
+    safe = grid.kmag() ** 2
+    safe[grid.excluded_index] = 1.0
     l = 3 - i - j
     s = LEVI_CIVITA[i, j, l]
-    curv = s * grid.kfields.nhat[l] / safe
+    curv = s * grid.nhat(l) / safe
 
     res = {}
     for chi in photon_state.HELICITIES:
         comm = Di_of_Dj.components[chi] - Dj_of_Di.components[chi]
         res[chi] = comm - 1j * chi * curv * wf.components[chi]
-    w = grid.w_invariant
+    w = grid.w_invariant()
     resid_norm = float(np.sqrt(np.sum(w * (np.abs(res[+1]) ** 2 + np.abs(res[-1]) ** 2))))
     # scale: curvature term itself
     curv_norm = float(np.sqrt(np.sum(w * (np.abs(curv * wf.gL) ** 2 + np.abs(curv * wf.gR) ** 2))))

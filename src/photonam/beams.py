@@ -104,33 +104,56 @@ def bessel_beam(grid, basis, spec, photons=1.0):
         raise ValueError("pole collision: chart axis passes through the regularized ring")
 
     kx, ky, kz = grid.kvec
-    kmag = grid.kfields.kmag
-    safe_k = np.where(kmag == 0.0, 1.0, kmag)
     kperp = np.hypot(kx, ky)
-    safe_perp = np.where(kperp == 0.0, 1.0, kperp)
-    cphi = np.where(kperp == 0.0, 1.0, kx / safe_perp)
-    sphi = np.where(kperp == 0.0, 0.0, ky / safe_perp)
+    on_axis = kperp == 0.0
+    safe_perp = np.where(on_axis, 1.0, kperp)
+    cphi = np.where(on_axis, 1.0, kx / safe_perp)
+    sphi = np.where(on_axis, 0.0, ky / safe_perp)
+    del on_axis, safe_perp
 
-    a = kz / safe_k
-    b = kperp / safe_k
-    chi = spec.helicity
-    col = np.stack([
-        -a * cphi + 1j * chi * sphi,
-        -a * sphi - 1j * chi * cphi,
-        b + 0j,
-    ])
-
-    envelope = np.exp(
+    # envelope x azimuthal phase, shared by the three components of the column
+    ep = spec.amplitude * np.exp(
         -((kperp - spec.k_perp0) ** 2) / (2.0 * spec.sigma_perp ** 2)
         - ((kz - spec.k_z0) ** 2) / (2.0 * spec.sigma_z ** 2)
     )
-    phase = (cphi + 1j * sphi) ** spec.m if spec.m >= 0 else (cphi - 1j * sphi) ** (-spec.m)
-    Ek = spec.amplitude * col * envelope * phase
+    ep = ep * ((cphi + 1j * sphi) ** spec.m if spec.m >= 0 else (cphi - 1j * sphi) ** (-spec.m))
+
+    safe_k = grid.kmag()
+    safe_k[grid.excluded_index] = 1.0
+    minus_a = np.negative(kz / safe_k)
+    b = np.divide(kperp, safe_k, out=kperp)
+    del kperp, safe_k
+
+    # gL = e* . col, gR = e . col, one component of the helicity column
+    # (-a cos phi + i chi sin phi, -a sin phi - i chi cos phi, b) at a time,
+    # with a = k_z/k and b = k_perp/k
+    chi = spec.helicity
+    gL = np.zeros(grid.dims, dtype=complex)
+    gR = np.zeros(grid.dims, dtype=complex)
+    col = np.empty(grid.dims, dtype=complex)
+    tmp = np.empty(grid.dims, dtype=complex)
+    for i in range(3):
+        if i == 0:
+            np.multiply(minus_a, cphi, out=col.real)
+            np.multiply(sphi, chi, out=col.imag)
+        elif i == 1:
+            np.multiply(minus_a, sphi, out=col.real)
+            np.multiply(cphi, -chi, out=col.imag)
+        else:
+            col.real, col.imag = b, 0.0
+        col *= ep
+        np.conjugate(basis.e[i], out=tmp)
+        tmp *= col
+        gL += tmp
+        np.multiply(basis.e[i], col, out=tmp)
+        gR += tmp
+    del minus_a, b, cphi, sphi, ep, col, tmp
 
     scale = np.sqrt(2.0 * grid.units.eps0)
-    gL = scale * np.einsum("i...,i...->...", np.conj(basis.e), Ek)
-    gR = scale * np.einsum("i...,i...->...", basis.e, Ek)
+    gL *= scale
+    gR *= scale
     wf = photon_state.wavefunction(grid, basis, gL, gR)
+    del gL, gR
     if photons is not None:
         n = photon_state.photon_number(wf)
         if n <= 0:

@@ -3,7 +3,9 @@
 Commands: beam, observables, split, synthesize, analyze, potential, check,
 plotdata.  Human-readable text goes to stdout; ``--json`` switches to
 machine-readable JSON.  Exit codes: 0 success, 1 numerical threshold
-failure, 2 usage or validation error (with an error JSON on stderr).
+failure, 2 usage or validation error (with an error JSON on stderr); a
+grid too large for the machine's memory is refused with exit 2 before it is
+allocated, and an allocation that fails all the same also exits 2.
 
 The THREADS environment variable caps the worker count of the commutator
 pool in ``check algebra`` (see ``algebra_checks.run_suite``); results are
@@ -172,6 +174,13 @@ def build_report(wf, routes, manifest=None, nonlocal_max=24):
     report["routes"]["photon"] = _generator_dict(gen_p)
     report["n_photons"] = float(gen_p.N)
 
+    # darwin first, so that E(k) and F are never alive together
+    if "darwin" in routes:
+        Jo_d, Js_d, diag = observables.darwin_split(fields_bridge.spectral_e_from_wavefunction(wf), boundary="warn")
+        report["routes"]["darwin"] = {"Jo": _vec3(Jo_d), "Js": _vec3(Js_d), "diagnostics": _jsonable(diag)}
+        report["deltas"]["Js_darwin_vs_photon"] = _rel(Js_d, gen_p.Js)
+        report["deltas"]["Jo_darwin_vs_photon"] = _rel(Jo_d, gen_p.Jo)
+
     rs = None
     if "field" in routes or "textbook" in routes or "nonlocal" in routes:
         rs = fields_bridge.synthesize(wf)
@@ -186,11 +195,6 @@ def build_report(wf, routes, manifest=None, nonlocal_max=24):
             L = max(n * d for n, d in zip(wf.grid.dims, wf.grid.spacing))
             report["deltas"]["K_field_vs_photon"] = float(
                 np.linalg.norm(gen_f.K - gen_p.K) / max(gen_p.H * L, 1e-300))
-    if "darwin" in routes:
-        Jo_d, Js_d, diag = observables.darwin_split(fields_bridge.spectral_e_from_wavefunction(wf), boundary="warn")
-        report["routes"]["darwin"] = {"Jo": _vec3(Jo_d), "Js": _vec3(Js_d), "diagnostics": _jsonable(diag)}
-        report["deltas"]["Js_darwin_vs_photon"] = _rel(Js_d, gen_p.Js)
-        report["deltas"]["Jo_darwin_vs_photon"] = _rel(Jo_d, gen_p.Jo)
     if "textbook" in routes:
         E = fields_bridge.electric_field(rs)
         B = fields_bridge.magnetic_field(rs)
@@ -548,7 +552,7 @@ def main(argv=None):
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except (ValueError, OSError, KeyError) as exc:
+    except (ValueError, OSError, KeyError, MemoryError) as exc:
         print(json.dumps({"error": str(exc), "type": type(exc).__name__}), file=sys.stderr)
         return 2
 

@@ -63,19 +63,37 @@ def spectral_curl(grid, field):
     return out.real if np.isrealobj(field) else out
 
 
+class _DivergenceSum:
+    """Accumulates `relative_divergence` from component spectra V_i(k), one at a time.
+
+    Lets a stage that already holds the spectra measure the divergence
+    without transforming the field again.
+    """
+
+    def __init__(self, grid):
+        self.grid = grid
+        self.kmag = grid.kmag()
+        self.div = np.zeros(grid.dims, dtype=complex)
+        self.den2 = 0.0
+
+    def add(self, i, Vk):
+        self.div += self.grid.kvec[i] * Vk
+        self.den2 += np.linalg.norm(self.kmag * Vk) ** 2
+
+    def ratio(self):
+        num = np.linalg.norm(self.div)
+        return float(num / np.sqrt(self.den2)) if self.den2 > 0 else 0.0
+
+
 def relative_divergence(grid, field):
     """L2 norm of div(field) over the field gradient scale, dimensionless.
 
     Transforms one component at a time.
     """
-    div = np.zeros(grid.dims, dtype=complex)
-    den2 = 0.0
+    acc = _DivergenceSum(grid)
     for i in range(3):
-        Vk = forward_transform(grid, field[i])
-        div += grid.kvec[i] * Vk
-        den2 += np.linalg.norm(grid.kfields.kmag * Vk) ** 2
-    num = np.linalg.norm(div)
-    return float(num / np.sqrt(den2)) if den2 > 0 else 0.0
+        acc.add(i, forward_transform(grid, field[i]))
+    return acc.ratio()
 
 
 # ---------------------------------------------------------------------------
@@ -88,15 +106,22 @@ def synthesize(wf, t=0.0):
     + gR* e^{+i w t - i k.r}]``; the negative-frequency term is folded onto
     the grid by the k -> -k reflection, so a single inverse transform per
     component suffices.  `t` is added to the wavefunction's own time.
+    Works one spectral component at a time.
     """
     grid, basis = wf.grid, wf.basis
     total_t = wf.time + t
-    phase = np.exp(-1j * grid.kfields.omega * total_t)
-    gLt = wf.gL * phase
-    gRt = wf.gR * phase
-    # second term folded to +k: coefficient e(-k) conj(gR(-k) e^{-i w t})
-    spectral = basis.e * gLt + reflect_conjugate(grid, np.conj(basis.e) * gRt)
-    F = inverse_transform(grid, spectral)
+    gLt, gRt = wf.gL, wf.gR
+    if total_t != 0.0:
+        phase = np.exp(-1j * grid.omega() * total_t)
+        gLt, gRt = gLt * phase, gRt * phase
+        del phase
+    F = np.empty((3,) + grid.dims, dtype=complex)
+    for i in range(3):
+        # second term folded to +k: coefficient e(-k) conj(gR(-k) e^{-i w t})
+        spectral = reflect_conjugate(grid, np.conj(basis.e[i]) * gRt)
+        spectral += basis.e[i] * gLt
+        F[i] = inverse_transform(grid, spectral)
+        del spectral
     return RSField(F=_readonly(F), grid=grid, time=float(total_t))
 
 
@@ -124,14 +149,27 @@ def spectral_e_field(E, B, longitudinal_tol=1e-6):
     if E.values.dtype.kind == "c" or B.values.dtype.kind == "c":
         raise ValueError("E and B must be real fields")
     c = grid.units.c
-    Ek_raw = forward_transform(grid, E.values)
-    Bk = forward_transform(grid, B.values)
-    kmag = grid.kfields.kmag
-    safe = np.where(kmag == 0.0, 1.0, kmag)
-    Ek = 0.5 * (Ek_raw - (c / safe) * cross(grid.kvec, Bk))
-    Ek[:, grid.excluded_index[0], grid.excluded_index[1], grid.excluded_index[2]] = 0.0
+    Bk = np.empty(B.values.shape, dtype=complex)
+    for i in range(3):
+        Bk[i] = forward_transform(grid, B.values[i])
+    c_over_k = grid.kmag()
+    c_over_k[grid.excluded_index] = 1.0
+    np.divide(c, c_over_k, out=c_over_k)
 
-    long_part = np.einsum("i...,i...->...", grid.kfields.nhat, Ek)
+    # one component at a time, with the longitudinal part n . E(k) accumulated as it goes
+    Ek = np.empty(B.values.shape, dtype=complex)
+    long_part = np.zeros(grid.dims, dtype=complex)
+    curl = np.empty(grid.dims, dtype=complex)
+    for j in range(3):
+        cross_component(grid.kvec, Bk, j, out=curl)
+        curl *= c_over_k
+        Ek[j] = forward_transform(grid, E.values[j])
+        Ek[j] -= curl
+        Ek[j] *= 0.5
+        Ek[(j,) + grid.excluded_index] = 0.0
+        long_part += grid.nhat(j) * Ek[j]
+    del Bk, c_over_k, curl
+
     num = np.linalg.norm(long_part)
     den = np.linalg.norm(Ek)
     if den > 0 and num / den > longitudinal_tol:
@@ -155,9 +193,19 @@ def analyze(E, B, basis, longitudinal_tol=1e-6):
 def project_spectral_e(Ek, basis):
     """Basis projections gL = sqrt(2 eps0) e*.E(k), gR = sqrt(2 eps0) e.E(k)."""
     grid = Ek.grid
+    gL = np.zeros(grid.dims, dtype=complex)
+    gR = np.zeros(grid.dims, dtype=complex)
+    tmp = np.empty(grid.dims, dtype=complex)
+    for i in range(3):
+        np.conjugate(basis.e[i], out=tmp)
+        tmp *= Ek.values[i]
+        gL += tmp
+        np.multiply(basis.e[i], Ek.values[i], out=tmp)
+        gR += tmp
+    del tmp
     s = np.sqrt(2.0 * grid.units.eps0)
-    gL = s * np.einsum("i...,i...->...", np.conj(basis.e), Ek.values)
-    gR = s * np.einsum("i...,i...->...", basis.e, Ek.values)
+    gL *= s
+    gR *= s
     return photon_state.wavefunction(grid, basis, gL, gR, warn=False)
 
 
@@ -166,7 +214,14 @@ def spectral_e_from_wavefunction(wf):
     grid, basis = wf.grid, wf.basis
     w = photon_state.materialized(wf)
     pref = 1.0 / np.sqrt(2.0 * grid.units.eps0)
-    Ek = pref * (basis.e * w.gL + np.conj(basis.e) * w.gR)
+    Ek = np.empty((3,) + grid.dims, dtype=complex)
+    tmp = np.empty(grid.dims, dtype=complex)
+    for i in range(3):
+        np.multiply(basis.e[i], w.gL, out=Ek[i])
+        np.conjugate(basis.e[i], out=tmp)
+        tmp *= w.gR
+        Ek[i] += tmp
+        Ek[i] *= pref
     return SpectralEField(values=_readonly(Ek), grid=grid)
 
 
@@ -209,20 +264,27 @@ def vector_potential(B, zero_mode_tol=1e-12, transverse_tol=1e-6):
     if B.values.dtype.kind == "c":
         raise ValueError("B must be a real field")
     Bk = np.empty(B.values.shape, dtype=complex)
+    div = _DivergenceSum(grid)
     for i in range(3):
         Bk[i] = forward_transform(grid, B.values[i])
-    peak = np.abs(Bk).max()
+        div.add(i, Bk[i])
+    peak = max(np.abs(Bk[i]).max() for i in range(3))
     zero_mode = np.abs(Bk[(slice(None),) + grid.excluded_index]).max()
     if peak > 0 and zero_mode > zero_mode_tol * peak:
         raise ValueError("zero-mode in B: uniform component has no transverse potential")
-    div = relative_divergence(grid, B.values)
-    if div > transverse_tol:
-        raise ValueError(f"B is not divergence free (relative residual {div:.2e})")
-    kmag = grid.kfields.kmag
-    safe = np.where(kmag == 0.0, 1.0, kmag ** 2)
+    residual = div.ratio()
+    del div
+    if residual > transverse_tol:
+        raise ValueError(f"B is not divergence free (relative residual {residual:.2e})")
+    k2 = grid.kmag()
+    k2 *= k2
+    k2[grid.excluded_index] = 1.0
     A = np.empty(B.values.shape)
+    Ak = np.empty(grid.dims, dtype=complex)
     for j in range(3):
-        Ak = 1j * cross_component(grid.kvec, Bk, j) / safe
+        cross_component(grid.kvec, Bk, j, out=Ak)
+        Ak *= 1j
+        Ak /= k2
         Ak[grid.excluded_index] = 0.0
         A[j] = inverse_transform(grid, Ak).real
     return RealVectorField(values=_readonly(A), role="A", grid=grid, time=B.time)
@@ -248,7 +310,7 @@ def greens_function_check(grid, axis_cells=(8, 10, 12), diag_cells=(2, 3, 4, 5, 
     n = grid.dims[0]
     dx = grid.spacing[0]
     L = n * dx
-    kmag2 = grid.kfields.kmag ** 2
+    kmag2 = grid.kmag() ** 2
     F = np.zeros(grid.dims)
     nz = kmag2 > 0
     F[nz] = 1.0 / kmag2[nz]

@@ -10,13 +10,17 @@ Conventions used throughout the package:
   ``F(k) = (2 pi)^{-3/2} sum_r f(r) e^{-i k.r} dV``;
 * the ``k = 0`` bin carries zero quadrature weight because the invariant
   measure ``d3k / omega`` is singular there; fields are required to vanish
-  on that bin.
+  on that bin;
+* a grid stores only its 1-d axes.  |k|, omega, the unit vectors n, the
+  invariant weight, the boundary masks and the transform phase are derived
+  on request, so a stage holds only the metadata it is using.
 """
 
 from __future__ import annotations
 
+import os
 import warnings
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -25,6 +29,11 @@ ROOT_2PI_CUBED = TWO_PI ** 1.5
 
 #: default relative decay required within two cells of the momentum boundary
 BOUNDARY_TOL = 1e-8
+
+#: peak working set of the largest photonam command, in complex grid arrays
+#: (16 bytes per grid point): the `analyze` child peaks at about 705 MiB RSS at
+#: 128^3, 22 arrays of 32 MiB
+WORKING_SET_ARRAYS = 22
 
 
 class BoundaryDecayError(ValueError):
@@ -42,10 +51,17 @@ LEVI_CIVITA[0, 2, 1] = LEVI_CIVITA[2, 1, 0] = LEVI_CIVITA[1, 0, 2] = -1.0
 LEVI_CIVITA.setflags(write=False)
 
 
-def cross_component(a, b, j):
-    """Component `j` of the cross product over the leading component axis."""
+def cross_component(a, b, j, out=None):
+    """Component `j` of the cross product over the leading component axis.
+
+    With `out`, the result is written into that buffer and `out` returned.
+    """
     p, q = (j + 1) % 3, (j + 2) % 3
-    return a[p] * b[q] - a[q] * b[p]
+    if out is None:
+        return a[p] * b[q] - a[q] * b[p]
+    np.multiply(a[p], b[q], out=out)
+    out -= a[q] * b[p]
+    return out
 
 
 def cross(a, b):
@@ -71,24 +87,17 @@ class UnitsConfig:
 
 
 @dataclass(frozen=True)
-class KGridFields:
-    """Per-point momentum magnitude, frequency and unit direction.
-
-    ``nhat`` at the excluded k=0 bin is the fixed placeholder ``z`` (that bin
-    never enters any quadrature).
-    """
-
-    kmag: np.ndarray        # |k|
-    omega: np.ndarray       # c |k|
-    nhat: np.ndarray        # (3, ...) unit vectors k/|k|
-
-
-@dataclass(frozen=True)
 class GridPair:
     """Matched real-space and momentum-space grids.
 
-    Immutable after construction; all arrays are read-only and may be shared
-    freely between workers.
+    Only the 1-d axes are stored, so a grid costs a few kilobytes at any
+    size.  Every 3-d quantity is derived on request from one formula:
+    `kvec` gives zero-stride views, the methods allocate one real array per
+    call (`nhat` one component per call).  The quadrature weight of the
+    momentum sum is the scalar `dVk`, with the k=0 bin (`excluded_index`)
+    excluded; `photon_state.wavefunction` zeroes amplitudes there.
+    Immutable; the axes are read-only and may be shared freely between
+    workers.
     """
 
     dims: tuple
@@ -96,13 +105,6 @@ class GridPair:
     units: UnitsConfig
     x_axes: tuple              # three 1-d centered coordinate arrays
     k_axes: tuple              # three 1-d FFT-ordered momentum arrays
-    kvec: np.ndarray           # (3, nx, ny, nz) broadcast momentum components
-    kfields: KGridFields
-    wk: np.ndarray             # dVk everywhere, 0 at the excluded bin
-    w_invariant: np.ndarray    # dVk / (hbar omega), 0 at the excluded bin
-    boundary_mask_k: np.ndarray    # outermost two momentum shells
-    boundary_mask_r: np.ndarray    # outermost two real-space shells
-    _phase: np.ndarray = field(repr=False, default=None)  # (-1)^i per index
 
     @property
     def dk(self):
@@ -127,6 +129,64 @@ class GridPair:
     def same_as(self, other):
         return self.dims == other.dims and self.spacing == other.spacing
 
+    @property
+    def kvec(self):
+        """(kx, ky, kz): read-only zero-stride views of the k axes, each of shape `dims`."""
+        return tuple(np.broadcast_to(_along(a, ax), self.dims) for ax, a in enumerate(self.k_axes))
+
+    def kmag(self):
+        """|k| at every point."""
+        kx, ky, kz = (_along(a, ax) for ax, a in enumerate(self.k_axes))
+        out = kx ** 2 + ky ** 2 + kz ** 2
+        return np.sqrt(out, out=out)
+
+    def omega(self):
+        """c |k| at every point."""
+        out = self.kmag()
+        out *= self.units.c
+        return out
+
+    def nhat(self, j):
+        """Component `j` of the unit vector k/|k|; the excluded k=0 bin holds the placeholder z."""
+        out = self.kmag()
+        out[self.excluded_index] = 1.0
+        np.divide(self.kvec[j], out, out=out)
+        out[self.excluded_index] = (0.0, 0.0, 1.0)[j]   # arbitrary fixed direction
+        return out
+
+    def w_invariant(self):
+        """dVk / (hbar omega): the invariant measure, 0 at the excluded k=0 bin."""
+        out = self.omega()
+        out *= self.units.hbar
+        out[self.excluded_index] = 1.0
+        np.divide(self.dVk, out, out=out)
+        out[self.excluded_index] = 0.0
+        return out
+
+    def boundary_mask_k(self):
+        """The outermost two momentum shells of each axis (in FFT order)."""
+        return _shell_mask(self.dims, 2, fft_order=True)
+
+    def boundary_mask_r(self):
+        """The outermost two real-space shells of each axis."""
+        return _shell_mask(self.dims, 2, fft_order=False)
+
+    def fft_phase(self):
+        """The transform phase (-1)^(i+j+l) as two broadcasting factors.
+
+        Returns ``(px, pyz)``: (-1)^i as an (nx, 1, 1) column and (-1)^(j+l)
+        as an (ny, nz) plane; their product is the phase on the grid.
+        """
+        px, py, pz = ((-1.0) ** np.arange(n) for n in self.dims)
+        return px[:, None, None], py[:, None] * pz[None, :]
+
+
+def _along(a, ax):
+    """1-d array `a` shaped to broadcast along grid axis `ax`."""
+    shape = [1, 1, 1]
+    shape[ax] = a.size
+    return a.reshape(shape)
+
 
 def _readonly(a):
     a = np.ascontiguousarray(a)
@@ -135,7 +195,7 @@ def _readonly(a):
 
 
 def make_grid(dims, spacing=(1.0, 1.0, 1.0), units=None):
-    """Build a GridPair with momentum metadata and quadrature weights.
+    """Build a GridPair from its 1-d axes; no 3-d array is allocated.
 
     Parameters
     ----------
@@ -157,53 +217,36 @@ def make_grid(dims, spacing=(1.0, 1.0, 1.0), units=None):
     if any(s <= 0 for s in spacing):
         raise ValueError("spacing must be strictly positive")
     units = units or UnitsConfig()
-
-    x_axes = tuple(_readonly((np.arange(n) - n // 2) * d) for n, d in zip(dims, spacing))
-    k_axes = tuple(_readonly(TWO_PI * np.fft.fftfreq(n, d=d)) for n, d in zip(dims, spacing))
-
-    kx = k_axes[0][:, None, None]
-    ky = k_axes[1][None, :, None]
-    kz = k_axes[2][None, None, :]
-    shape = dims
-    kvec = np.empty((3,) + shape)
-    kvec[0], kvec[1], kvec[2] = np.broadcast_to(kx, shape), np.broadcast_to(ky, shape), np.broadcast_to(kz, shape)
-
-    kmag = np.sqrt(kvec[0] ** 2 + kvec[1] ** 2 + kvec[2] ** 2)
-    safe = np.where(kmag == 0.0, 1.0, kmag)
-    nhat = kvec / safe
-    nhat[:, 0, 0, 0] = (0.0, 0.0, 1.0)  # arbitrary fixed direction at the excluded bin
-    omega = units.c * kmag
-
-    dVk = float(np.prod([TWO_PI / (n * d) for n, d in zip(dims, spacing)]))
-    wk = np.full(shape, dVk)
-    wk[0, 0, 0] = 0.0
-    w_inv = np.zeros(shape)
-    nz = kmag > 0
-    w_inv[nz] = dVk / (units.hbar * omega[nz])
-
-    boundary_mask_k = _shell_mask(dims, 2, fft_order=True)
-    boundary_mask_r = _shell_mask(dims, 2, fft_order=False)
-
-    phase = np.ones(shape)
-    for ax, n in enumerate(dims):
-        sl = [None, None, None]
-        sl[ax] = slice(None)
-        phase = phase * ((-1.0) ** np.arange(n))[tuple(sl)]
+    need = WORKING_SET_ARRAYS * 16 * int(np.prod(dims))
+    memory = physical_memory()
+    if memory is not None and need > memory:
+        raise ValueError(
+            f"grid {dims} too large: its working set is about {need / 2 ** 30:.1f} GiB, "
+            f"more than the {memory / 2 ** 30:.1f} GiB of physical memory")
 
     return GridPair(
         dims=dims,
         spacing=spacing,
         units=units,
-        x_axes=x_axes,
-        k_axes=k_axes,
-        kvec=_readonly(kvec),
-        kfields=KGridFields(kmag=_readonly(kmag), omega=_readonly(omega), nhat=_readonly(nhat)),
-        wk=_readonly(wk),
-        w_invariant=_readonly(w_inv),
-        boundary_mask_k=_readonly(boundary_mask_k),
-        boundary_mask_r=_readonly(boundary_mask_r),
-        _phase=_readonly(phase),
+        x_axes=tuple(_readonly((np.arange(n) - n // 2) * d) for n, d in zip(dims, spacing)),
+        k_axes=tuple(_readonly(TWO_PI * np.fft.fftfreq(n, d=d)) for n, d in zip(dims, spacing)),
     )
+
+
+def physical_memory():
+    """Bytes of physical memory of this machine, or None where the platform does not report it.
+
+    Reads `os.sysconf`, which exists only on POSIX systems; cgroup limits are
+    not taken into account.
+    """
+    try:
+        pages = os.sysconf("SC_PHYS_PAGES")
+        page_size = os.sysconf("SC_PAGE_SIZE")
+    except (AttributeError, ValueError, OSError):
+        return None
+    if pages <= 0 or page_size <= 0:
+        return None
+    return pages * page_size
 
 
 def _shell_mask(dims, ncells, fft_order):
@@ -230,20 +273,35 @@ def forward_transform(grid, f):
     """Real space -> momentum space over the trailing three axes.
 
     Returns ``F(k) = (2 pi)^{-3/2} sum_r f(r) e^{-i k.r} dV`` on the
-    FFT-ordered momentum grid.
+    FFT-ordered momentum grid.  The result is the only array allocated.
     """
     f = np.asarray(f)
     _check_shape(grid, f)
-    pref = grid.dV / ROOT_2PI_CUBED
-    return pref * grid._phase * np.fft.fftn(f, axes=(-3, -2, -1))
+    out = np.empty(f.shape, dtype=complex)
+    out[...] = f
+    np.fft.fftn(out, axes=(-3, -2, -1), out=out)
+    out *= grid.dV / ROOT_2PI_CUBED
+    return _apply_fft_phase(grid, out)
 
 
 def inverse_transform(grid, F):
-    """Momentum space -> real space; exact inverse of forward_transform."""
+    """Momentum space -> real space; exact inverse of forward_transform.
+
+    The result is the only array allocated.
+    """
     F = np.asarray(F)
     _check_shape(grid, F)
-    pref = grid.dVk * grid.npoints / ROOT_2PI_CUBED
-    return pref * np.fft.ifftn(grid._phase * F, axes=(-3, -2, -1))
+    out = _apply_fft_phase(grid, np.array(F, dtype=complex))
+    np.fft.ifftn(out, axes=(-3, -2, -1), out=out)
+    out *= grid.dVk * grid.npoints / ROOT_2PI_CUBED
+    return out
+
+
+def _apply_fft_phase(grid, a):
+    """Multiply `a` by (-1)^(i+j+l) in place (an exact sign flip); return `a`."""
+    for factor in grid.fft_phase():
+        a *= factor
+    return a
 
 
 def _check_shape(grid, a):
@@ -255,9 +313,8 @@ def reflect_conjugate(grid, F):
     """Return ``conj(F(-k))`` on the FFT-ordered grid (Nyquist bins map to themselves)."""
     F = np.asarray(F)
     _check_shape(grid, F)
-    out = np.flip(F, axis=(-3, -2, -1))
-    out = np.roll(out, (1, 1, 1), axis=(-3, -2, -1))
-    return np.conj(out)
+    out = np.roll(np.flip(F, axis=(-3, -2, -1)), (1, 1, 1), axis=(-3, -2, -1))
+    return np.conjugate(out, out=out)
 
 
 # ---------------------------------------------------------------------------
@@ -272,13 +329,16 @@ def reflect_conjugate(grid, F):
 def boundary_margin(F, mask):
     """max |F| on the boundary shells in `mask` divided by the global max.
 
-    `mask` is ``grid.boundary_mask_k`` or ``grid.boundary_mask_r``.
+    `mask` is ``grid.boundary_mask_k()`` or ``grid.boundary_mask_r()``.  The
+    components along leading axes of `F` are measured one at a time and
+    share one global max.
     """
-    mag = np.abs(F)
-    peak = mag.max()
-    if peak == 0.0:
-        return 0.0
-    return float(mag[..., mask].max() / peak)
+    peak = edge = 0.0
+    for a in np.asarray(F).reshape((-1,) + mask.shape):
+        mag = np.abs(a)
+        peak = max(peak, mag.max())
+        edge = max(edge, mag[mask].max())
+    return float(edge / peak) if peak > 0.0 else 0.0
 
 
 def check_boundary_decay(grid, F, tol=BOUNDARY_TOL, mode="raise", what="array"):
@@ -289,7 +349,8 @@ def check_boundary_decay(grid, F, tol=BOUNDARY_TOL, mode="raise", what="array"):
     if mode == "ignore":
         return 0.0
     arrays = F if isinstance(F, tuple) else (F,)
-    margin = max(boundary_margin(a, grid.boundary_mask_k) for a in arrays)
+    mask = grid.boundary_mask_k()
+    margin = max(boundary_margin(a, mask) for a in arrays)
     if margin > tol:
         msg = (f"{what} does not decay at the momentum-grid boundary "
                f"(relative edge magnitude {margin:.2e} > {tol:.0e}); "

@@ -8,13 +8,15 @@ Cross checks:    the k-space double-transform form acting on E(k), the
                  textbook real-space split with the transverse-gauge A, and
                  the nonlocal Coulomb-kernel double integral for the spin.
 
-The k-space routes stream: no stage builds a (3, N) complex stack only to
-reduce it.  The photon picture reduces everything from the density
+Every route streams: no stage builds a (3, N) complex stack only to reduce
+it.  The field picture accumulates |F|^2 and F* x F one component at a
+time.  The photon picture reduces everything from the density
 ``u = sum_chi i g* D g``, built one helicity and axis at a time; the darwin
 route sums each Levi-Civita term straight into its totals; the textbook
-route takes one inverse transform per axis.  Reductions are plain numpy
-sums, each on one thread, so results do not depend on the THREADS worker
-count of the check suites.
+route transforms each component of A once and takes one inverse transform
+per axis.  Grid metadata (w, omega, n) is derived inside each stage, n one
+component at a time.  Reductions are plain numpy sums, each on one thread,
+so results do not depend on the THREADS worker count of the check suites.
 """
 
 from __future__ import annotations
@@ -25,14 +27,13 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import photon_state
-from .fields_bridge import relative_divergence, spectral_curl
+from .fields_bridge import _DivergenceSum, spectral_curl
 from .grids import (
     BOUNDARY_TOL,
     BoundaryDecayError,
     BoundaryDecayWarning,
     LEVI_CIVITA,
     boundary_margin,
-    cross,
     cross_component,
     forward_transform,
     inverse_transform,
@@ -88,17 +89,10 @@ def generators_field_picture(rs, include_moments=True, boundary="raise", tol=BOU
     c = grid.units.c
     dV = grid.dV
 
-    dens = np.einsum("i...,i...->...", np.conj(F), F).real
-    H = float(np.sum(dens) * dV)
-
-    # F* x F is purely imaginary; its imaginary part V gives P = V/c pointwise
-    V = cross(np.conj(F), F).imag
-    P = np.sum(V, axis=(1, 2, 3)) * dV / c
-
     J = K = None
     diagnostics = {}
     if include_moments:
-        margin = boundary_margin(F, grid.boundary_mask_r)
+        margin = boundary_margin(F, grid.boundary_mask_r())
         diagnostics["boundary_margin_r"] = margin
         if margin > tol and boundary != "ignore":
             msg = (f"field does not decay at the real-space boundary "
@@ -106,8 +100,20 @@ def generators_field_picture(rs, include_moments=True, boundary="raise", tol=BOU
             if boundary == "raise":
                 raise BoundaryDecayError(msg)
             warnings.warn(msg, BoundaryDecayWarning, stacklevel=2)
+
+    # |F|^2 and V = Im(F* x F) = 2 Re F x Im F; P = V/c pointwise
+    dens = np.zeros(grid.dims)
+    V = np.empty((3,) + grid.dims)
+    for j in range(3):
+        dens += F[j].real ** 2 + F[j].imag ** 2
+        cross_component(F.real, F.imag, j, out=V[j])
+        V[j] *= 2.0
+    H = float(np.sum(dens) * dV)
+    P = np.sum(V, axis=(1, 2, 3)) * dV / c
+
+    if include_moments:
         r = np.ix_(*grid.x_axes)
-        J = np.sum(cross(r, V), axis=(1, 2, 3)) * dV / c
+        J = np.array([np.sum(cross_component(r, V, j)) for j in range(3)]) * dV / c
         K = np.array([np.sum(ri * dens) for ri in r]) * dV
 
     return GeneratorSet(H=H, P=P, J=J, K=K, diagnostics=diagnostics)
@@ -128,20 +134,22 @@ def generators_photon_picture(wf, boundary="warn", tol=BOUNDARY_TOL):
     """
     grid = wf.grid
     hbar = grid.units.hbar
-    w = grid.w_invariant          # dVk / (hbar omega), zero at the excluded bin
-    wk = grid.wk                  # dVk, zero at the excluded bin
+    w = grid.w_invariant()        # dVk / (hbar omega), zero at the excluded bin
     k = grid.kvec
-    n = grid.kfields.nhat
 
     absL2 = np.abs(wf.gL) ** 2
     absR2 = np.abs(wf.gR) ** 2
     dens = absL2 + absR2
+    dens[grid.excluded_index] = 0.0     # the k=0 exclusion of the dVk quadrature
 
     N = float(np.sum(w * dens))
-    H = float(np.sum(wk * dens))
-    P = hbar * np.sum(w * k * dens, axis=(1, 2, 3))
-    Js = hbar * np.sum(w * n * (absL2 - absR2), axis=(1, 2, 3))
-    del absL2, absR2, dens
+    H = float(np.sum(grid.dVk * dens))
+    P = hbar * np.array([np.sum(w * k[j] * dens) for j in range(3)])
+    del dens
+    absL2 -= absR2
+    del absR2
+    Js = hbar * np.array([np.sum(w * grid.nhat(j) * absL2) for j in range(3)])
+    del absL2
 
     u = photon_state._covariant_density(wf, boundary=boundary, tol=tol)
 
@@ -150,26 +158,27 @@ def generators_photon_picture(wf, boundary="warn", tol=BOUNDARY_TOL):
     scaleJ = scaleK = 1e-300
     dot_n = np.zeros(grid.dims)   # n . Re(u x k)
     mag2 = np.zeros(grid.dims)    # |Re(u x k)|^2
-    wo = w * grid.kfields.omega   # w omega = dVk / hbar away from the excluded bin
+    wo = grid.omega()             # w omega = dVk / hbar away from the excluded bin
+    wo *= w
     for j in range(3):
         orb = cross_component(u, k, j)
         Jo[j] = hbar * np.sum(w * orb.real)
         imJo[j] = hbar * np.sum(w * orb.imag)
         scaleJ = max(scaleJ, float(np.sum(w * np.abs(orb))))
-        dot_n += n[j] * orb.real
+        dot_n += grid.nhat(j) * orb.real
         mag2 += orb.real ** 2
         K[j] = hbar * np.sum(wo * u[j].real)
         imK[j] = hbar * np.sum(wo * u[j].imag)
         scaleK = max(scaleK, float(np.sum(wo * np.abs(u[j]))))
 
+    mask = grid.boundary_mask_k()
     orth_num = float(np.sum(w * np.abs(dot_n)))
     orth_den = max(float(np.sum(w * np.sqrt(mag2))), 1e-300)
     diagnostics = {
         "imag_residual_Jo": float(np.abs(imJo).max() / scaleJ),
         "imag_residual_K": float(np.abs(imK).max() / scaleK),
         "jo_orthogonality": orth_num / orth_den,
-        "boundary_margin": max(boundary_margin(wf.gL, grid.boundary_mask_k),
-                               boundary_margin(wf.gR, grid.boundary_mask_k)),
+        "boundary_margin": max(boundary_margin(wf.gL, mask), boundary_margin(wf.gR, mask)),
     }
 
     return GeneratorSet(H=H, P=P, J=Jo + Js, K=K, N=N, Jo=Jo, Js=Js, diagnostics=diagnostics)
@@ -195,12 +204,18 @@ def darwin_split(Ek, boundary="warn", tol=BOUNDARY_TOL):
     """
     grid = Ek.grid
     eps0 = grid.units.eps0
-    w2 = grid.units.hbar * grid.w_invariant     # dVk / (c |k|), zero at k=0
+    w2 = grid.w_invariant()                     # dVk / (c |k|), zero at k=0
+    w2 *= grid.units.hbar
     E = Ek.values
 
-    Ec = np.conj(E)     # E* x E is purely imaginary
-    Js = np.array([2.0 * eps0 * np.sum(w2 * cross_component(Ec, E, j).imag) for j in range(3)])
-    del Ec
+    # E* x E is purely imaginary: Im(E* x E) = 2 Re E x Im E
+    Js = np.zeros(3)
+    buf = np.empty(grid.dims)
+    for j in range(3):
+        cross_component(E.real, E.imag, j, out=buf)
+        buf *= w2
+        Js[j] = 4.0 * eps0 * np.sum(buf)
+    del buf
 
     # X_j = sum_i conj(E_i) eps_jab k_a d_b E_i, summed term by term
     X = np.zeros(3, dtype=complex)
@@ -222,9 +237,8 @@ def darwin_split(Ek, boundary="warn", tol=BOUNDARY_TOL):
 # ---------------------------------------------------------------------------
 # textbook real-space route
 
-def _real_space_gradient(grid, scalar):
-    """Spectral gradient of a real scalar field: one forward transform, one inverse per axis."""
-    Fk = forward_transform(grid, scalar)
+def _real_space_gradient(grid, Fk):
+    """Spectral gradient of a real scalar field from its spectrum `Fk`: one inverse transform per axis."""
     out = np.empty((3,) + grid.dims)
     for b in range(3):
         out[b] = inverse_transform(grid, 1j * grid.kvec[b] * Fk).real
@@ -236,23 +250,28 @@ def textbook_split(E, A, transverse_tol=1e-6):
 
     Valid only with the transverse-gauge potential (div A = 0), which is
     exactly what `vector_potential` produces; any other gauge shifts both
-    terms.  Real-space derivatives are spectral.
+    terms.  Real-space derivatives are spectral; each component of A is
+    transformed once, for its gradient and for the divergence check.
     """
     grid = E.grid
     eps0 = grid.units.eps0
     dV = grid.dV
-    if relative_divergence(grid, A.values) > transverse_tol:
-        raise ValueError("A is not transverse: the split requires div A = 0")
-
-    Js = np.array([eps0 * dV * np.sum(cross_component(E.values, A.values, j)) for j in range(3)])
 
     r = np.ix_(*grid.x_axes)
     Jo = np.zeros(3)
+    div = _DivergenceSum(grid)
     for i in range(3):
-        g = _real_space_gradient(grid, A.values[i])
+        Ak = forward_transform(grid, A.values[i])
+        div.add(i, Ak)
+        g = _real_space_gradient(grid, Ak)
+        del Ak
         for j in range(3):
             Jo[j] += eps0 * dV * np.sum(E.values[i] * cross_component(r, g, j))
         del g           # before the next component's gradient is allocated
+    if div.ratio() > transverse_tol:
+        raise ValueError("A is not transverse: the split requires div A = 0")
+
+    Js = np.array([eps0 * dV * np.sum(cross_component(E.values, A.values, j)) for j in range(3)])
     return Jo, Js
 
 

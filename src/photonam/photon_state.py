@@ -68,12 +68,11 @@ def _require_same_grid(wf1, wf2):
 def scalar_product(wf1, wf2):
     """Lorentz-invariant product sum over dVk/(hbar omega) of g1* g2."""
     _require_same_grid(wf1, wf2)
-    w = wf1.grid.w_invariant
     integrand = np.conj(wf1.gL) * wf2.gL + np.conj(wf1.gR) * wf2.gR
     if wf1.time != wf2.time:
         # relative evolution phase between the two snapshots
-        integrand = integrand * np.exp(-1j * wf1.grid.kfields.omega * (wf2.time - wf1.time))
-    return complex(np.sum(w * integrand))
+        integrand = integrand * np.exp(-1j * wf1.grid.omega() * (wf2.time - wf1.time))
+    return complex(np.sum(wf1.grid.w_invariant() * integrand))
 
 
 def norm(wf):
@@ -107,7 +106,7 @@ def materialized(wf):
     """
     if wf.time == 0.0:
         return wf
-    phase = np.exp(-1j * wf.grid.kfields.omega * wf.time)
+    phase = np.exp(-1j * wf.grid.omega() * wf.time)
     return replace(wf, gL=_readonly(phase * wf.gL), gR=_readonly(phase * wf.gR), time=0.0)
 
 
@@ -139,8 +138,20 @@ def _connect(wf, chi, ghat, j, d):
     """
     d -= 1j * chi * wf.basis.alpha_base[j] * ghat
     if wf.time != 0.0:
-        d -= (1j * wf.grid.units.c * wf.time) * wf.grid.kfields.nhat[j] * ghat
+        d -= (1j * wf.grid.units.c * wf.time) * wf.grid.nhat(j) * ghat
     return d
+
+
+def _covariant_axis(wf, chi, ghat, j, d):
+    """``D_j g`` of helicity `chi` from ``d = d_j ghat``, in the current gauge of the basis.
+
+    The one per-axis step shared by `covariant_derivative` and
+    `covariant_derivative_axis`: connect in the construction gauge, then
+    restore the accumulated chart phase.
+    """
+    d = _connect(wf, chi, ghat, j, d)
+    basis = wf.basis
+    return np.exp(1j * chi * basis.gauge_phase) * d if basis.has_gauge_phase else d
 
 
 def covariant_derivative(wf, boundary="warn", tol=BOUNDARY_TOL):
@@ -153,10 +164,10 @@ def covariant_derivative(wf, boundary="warn", tol=BOUNDARY_TOL):
     once per call.
 
     Returns a tuple of three wavefunctions, one per Cartesian k axis, at the
-    same time as the input.
+    same time as the input.  `covariant_derivative_axis` gives one axis for
+    a third of the work.
     """
-    grid, basis = wf.grid, wf.basis
-    phase = basis.gauge_phase if basis.has_gauge_phase else None
+    grid = wf.grid
     check_boundary_decay(grid, (wf.gL, wf.gR), tol=tol, mode=boundary, what="wavefunction")
 
     out = [[None, None] for _ in range(3)]
@@ -164,14 +175,23 @@ def covariant_derivative(wf, boundary="warn", tol=BOUNDARY_TOL):
         ghat = _construction_gauge(wf, chi)
         grad = spectral_gradient_k(grid, ghat, boundary="ignore")
         for j in range(3):
-            d = _connect(wf, chi, ghat, j, grad[j])
-            if phase is not None:
-                d = np.exp(1j * chi * phase) * d
-            out[j][slot] = d
+            out[j][slot] = _covariant_axis(wf, chi, ghat, j, grad[j])
     return tuple(
         replace(wf, gL=_readonly(out[j][0]), gR=_readonly(out[j][1]))
         for j in range(3)
     )
+
+
+def covariant_derivative_axis(wf, j, boundary="warn", tol=BOUNDARY_TOL):
+    """Component `j` of `covariant_derivative`, equal to it bit for bit."""
+    grid = wf.grid
+    check_boundary_decay(grid, (wf.gL, wf.gR), tol=tol, mode=boundary, what="wavefunction")
+    out = []
+    for chi in HELICITIES:
+        ghat = _construction_gauge(wf, chi)
+        d = _gradient_k_axis(grid, ghat, j, out=np.empty(grid.dims, dtype=complex))
+        out.append(_covariant_axis(wf, chi, ghat, j, d))
+    return replace(wf, gL=_readonly(out[0]), gR=_readonly(out[1]))
 
 
 def _covariant_density(wf, boundary, tol):

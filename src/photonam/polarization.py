@@ -69,19 +69,26 @@ def build_basis(grid, chart_axis=(0.0, 0.0, 1.0), eps_pole=EPS_POLE):
     """
     u, v, = _chart_frame(chart_axis)
     axis = np.asarray(chart_axis, dtype=float)
-    n = grid.kfields.nhat
 
-    ca = np.clip(np.einsum("i,i...->...", axis, n), -1.0, 1.0)
+    # n . axis, n . u, n . v, deriving n one component at a time
+    ca, nu, nv = (np.empty(grid.dims) for _ in range(3))
+    for j in range(3):
+        n = grid.nhat(j)
+        for dot, vec in ((ca, axis), (nu, u), (nv, v)):
+            if j == 0:
+                np.multiply(vec[0], n, out=dot)
+            else:
+                dot += vec[j] * n
+    del n, dot
+    np.clip(ca, -1.0, 1.0, out=ca)
     st = np.sqrt(np.clip(1.0 - ca * ca, 0.0, None))
     pole_mask = st < eps_pole
-    pole_mask = pole_mask.copy()
     pole_mask[grid.excluded_index] = True  # direction undefined there
 
-    nu = np.einsum("i,i...->...", u, n)
-    nv = np.einsum("i,i...->...", v, n)
     st_safe = np.where(pole_mask, 1.0, st)
     cphi = np.where(pole_mask, 1.0, nu / st_safe)   # azimuth-0 limit at poles
     sphi = np.where(pole_mask, 0.0, nv / st_safe)
+    del nu, nv, st_safe
 
     shape = (3,) + grid.dims
     e = np.empty(shape, dtype=complex)
@@ -89,7 +96,7 @@ def build_basis(grid, chart_axis=(0.0, 0.0, 1.0), eps_pole=EPS_POLE):
         theta_hat = ca * (cphi * u[i] + sphi * v[i]) - st * axis[i]
         phi_hat = -sphi * u[i] + cphi * v[i]
         e[i] = (theta_hat + 1j * phi_hat) / np.sqrt(2.0)
-    del ca, st, nu, nv, st_safe, cphi, sphi, theta_hat, phi_hat  # free before the derivatives
+    del ca, st, cphi, sphi, theta_hat, phi_hat  # free before the derivatives
 
     # alpha_j = -sum_c Im(e_c* d_j e_c), one component at a time
     alpha = np.zeros(shape)
@@ -145,7 +152,7 @@ def identity_residuals(grid, basis):
     ok = ~basis.pole_mask
     ok[grid.excluded_index] = False
     e = basis.e
-    n = grid.kfields.nhat
+    n = np.stack([grid.nhat(j) for j in range(3)])
 
     res = {}
     # c k x e = -i omega e, written with unit vectors so it is scale free

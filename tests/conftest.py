@@ -14,6 +14,11 @@ def rel(a, b):
     return float(np.linalg.norm((a - b).ravel()) / den)
 
 
+def nhat_stack(grid):
+    """The unit vectors k/|k| as one (3,) + dims array, from the per-component accessor."""
+    return np.stack([grid.nhat(j) for j in range(3)])
+
+
 def traced_peak(fn):
     """Run ``fn()``; return its result and the tracemalloc peak, in bytes, above the size at the start.
 

@@ -28,7 +28,7 @@ def test_energy_on_single_bin(grid16, basis16):
     gL[idx] = 2.0 - 1.0j
     wf = pn.wavefunction(g, basis16, gL, np.zeros(g.dims), warn=False)
     out = pn.apply_generator("H", wf)
-    expect = g.units.hbar * g.kfields.omega[idx] * gL[idx]
+    expect = g.units.hbar * g.omega()[idx] * gL[idx]
     assert out.gL[idx] == pytest.approx(expect, rel=1e-14)
     assert np.count_nonzero(out.gL) == 1
 

@@ -54,7 +54,7 @@ def test_helicity_purity_and_normalization(grid48):
     basis = pn.build_basis(grid48, (1.0, 0.0, 0.0))
     for hel in (+1, -1):
         wf = make_bessel(grid48, basis, m=2, helicity=hel)
-        w = grid48.w_invariant
+        w = grid48.w_invariant()
         nL = float(np.sum(w * np.abs(wf.gL) ** 2))
         nR = float(np.sum(w * np.abs(wf.gR) ** 2))
         major, minor = (nL, nR) if hel > 0 else (nR, nL)

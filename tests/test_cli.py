@@ -205,6 +205,27 @@ def test_beam_validation_error_json_on_stderr(tmp_path, capsys):
     assert "error" in payload and "unresolvable" in payload["error"]
 
 
+def test_grid_too_large_for_memory_exits_2_before_allocating(tmp_path, capsys, monkeypatch):
+    from photonam import grids
+    monkeypatch.setattr(grids, "physical_memory", lambda: 1 << 20)
+    built = []
+    monkeypatch.setattr(pn.polarization, "build_basis", lambda *a, **k: built.append(a))
+    code, _, err = run_cli(capsys, "beam", "gaussian", "--grid", "16", "-o", str(tmp_path / "x.pam"))
+    assert code == 2 and not built
+    payload = json.loads(err.strip())
+    assert payload["type"] == "ValueError" and "physical memory" in payload["error"]
+
+
+def test_failed_allocation_exits_2_with_error_json(tmp_path, capsys, monkeypatch):
+    def no_memory(*args, **kwargs):
+        raise MemoryError("Unable to allocate 1.00 TiB for an array")
+    monkeypatch.setattr(pn.polarization, "build_basis", no_memory)
+    code, _, err = run_cli(capsys, "beam", "gaussian", "--grid", "16", "-o", str(tmp_path / "x.pam"))
+    assert code == 2
+    payload = json.loads(err.strip())
+    assert payload["type"] == "MemoryError" and "allocate" in payload["error"]
+
+
 def test_zero_state_report(tmp_path, capsys, grid16, basis16):
     z = np.zeros(grid16.dims, dtype=complex)
     wf = pn.wavefunction(grid16, basis16, z, z, warn=False)

@@ -27,8 +27,8 @@ def test_single_bin_plane_wave_oracle(grid16, basis16):
     wf = pn.wavefunction(g, b, gL, np.zeros(g.dims), warn=False)
     rs = pn.synthesize(wf, t=0.37)
 
-    kvec = g.kvec[:, idx[0], idx[1], idx[2]]
-    om = g.kfields.omega[idx]
+    kvec = np.stack(g.kvec)[:, idx[0], idx[1], idx[2]]
+    om = g.omega()[idx]
     e = b.e[:, idx[0], idx[1], idx[2]]
     x, y, z = np.meshgrid(*g.x_axes, indexing="ij")
     phase = np.exp(1j * (kvec[0] * x + kvec[1] * y + kvec[2] * z - om * 0.37))
@@ -168,3 +168,22 @@ def test_greens_kernel_improves_with_grid(grid64, grid96):
         return max(abs(s["rel_mismatch"]) for s in rep["samples"] if s["kind"] == "diag")
 
     assert diag_max(pn.greens_function_check(grid96)) < diag_max(pn.greens_function_check(grid64))
+
+
+def test_potential_and_textbook_split_transform_each_component_once(state48, monkeypatch):
+    from photonam import fields_bridge, grids, observables
+    rs = pn.synthesize(state48)
+    E, B = pn.electric_field(rs), pn.magnetic_field(rs)
+    calls = []
+
+    def counted(grid, f):
+        calls.append(np.shape(f))
+        return grids.forward_transform(grid, f)
+
+    monkeypatch.setattr(fields_bridge, "forward_transform", counted)
+    monkeypatch.setattr(observables, "forward_transform", counted)
+    A = pn.vector_potential(B)
+    assert len(calls) == 3          # B, whose spectra also give the divergence check
+    calls.clear()
+    pn.textbook_split(E, A)
+    assert len(calls) == 3          # A, whose spectra also give the divergence check

@@ -8,7 +8,7 @@ from photonam.grids import (
     reflect_conjugate,
 )
 
-from conftest import rel
+from conftest import nhat_stack, rel
 
 
 def test_units_defaults_and_mu0():
@@ -31,11 +31,11 @@ def test_grid_spacing_and_weights():
     assert g.dVk == pytest.approx((np.pi / 4) ** 3)
     assert g.dV == 1.0
     # exactly one excluded point, at the zero bin
-    assert g.wk[0, 0, 0] == 0.0
-    assert np.count_nonzero(g.wk == 0.0) == 1
-    assert g.w_invariant[0, 0, 0] == 0.0
-    assert np.count_nonzero(g.w_invariant == 0.0) == 1
-    assert np.all(np.isfinite(g.w_invariant))
+    assert g.excluded_index == (0, 0, 0)
+    w = g.w_invariant()
+    assert w[0, 0, 0] == 0.0
+    assert np.count_nonzero(w == 0.0) == 1
+    assert np.all(np.isfinite(w))
 
 
 def test_grid_rejects_odd_and_tiny_dims():
@@ -48,10 +48,10 @@ def test_grid_rejects_odd_and_tiny_dims():
 
 
 def test_kfields_unit_vectors(grid16):
-    n = grid16.kfields.nhat
+    n = nhat_stack(grid16)
     norms = np.sqrt(np.einsum("i...,i...->...", n, n))
     assert np.allclose(norms, 1.0, atol=1e-14)
-    assert np.all(grid16.kfields.omega[grid16.w_invariant > 0] > 0)
+    assert np.all(grid16.omega()[grid16.w_invariant() > 0] > 0)
 
 
 def test_round_trip_and_parseval(grid16):
@@ -162,7 +162,7 @@ def test_gradient_boundary_modes(grid16):
     with pytest.warns(UserWarning):
         pn.spectral_gradient_k(g, bad, boundary="warn")
     pn.spectral_gradient_k(g, bad, boundary="ignore")
-    assert boundary_margin(bad, g.boundary_mask_k) == 1.0
+    assert boundary_margin(bad, g.boundary_mask_k()) == 1.0
 
 
 def test_reflect_conjugate_is_conj_at_negated_k(grid16):
@@ -174,3 +174,77 @@ def test_reflect_conjugate_is_conj_at_negated_k(grid16):
     for idx in [(0, 0, 0), (1, 2, 3), (5, 0, 9), (15, 15, 15)]:
         neg = tuple((-i) % n for i in idx)
         assert out[idx] == np.conj(f[neg])
+
+
+def _stored_metadata(g):
+    """The 3-d metadata as make_grid used to store it, built the same way here as an oracle."""
+    kvec = np.empty((3,) + g.dims)
+    for ax in range(3):
+        sl = [None, None, None]
+        sl[ax] = slice(None)
+        kvec[ax] = np.broadcast_to(g.k_axes[ax][tuple(sl)], g.dims)
+    kmag = np.sqrt(kvec[0] ** 2 + kvec[1] ** 2 + kvec[2] ** 2)
+    nhat = kvec / np.where(kmag == 0.0, 1.0, kmag)
+    nhat[:, 0, 0, 0] = (0.0, 0.0, 1.0)
+    omega = g.units.c * kmag
+    w_inv = np.zeros(g.dims)
+    nz = kmag > 0
+    w_inv[nz] = g.dVk / (g.units.hbar * omega[nz])
+    masks = []
+    for fft_order in (True, False):
+        mask = np.zeros(g.dims, dtype=bool)
+        for ax, n in enumerate(g.dims):
+            pos = (np.arange(n) + n // 2) % n if fft_order else np.arange(n)
+            sl = [None, None, None]
+            sl[ax] = slice(None)
+            mask |= ((pos < 2) | (pos >= n - 2))[tuple(sl)]
+        masks.append(mask)
+    phase = np.ones(g.dims)
+    for ax, n in enumerate(g.dims):
+        sl = [None, None, None]
+        sl[ax] = slice(None)
+        phase = phase * ((-1.0) ** np.arange(n))[tuple(sl)]
+    return dict(kvec=kvec, kmag=kmag, nhat=nhat, omega=omega, w_invariant=w_inv,
+                mask_k=masks[0], mask_r=masks[1], phase=phase)
+
+
+@pytest.mark.parametrize("dims", [(8, 10, 12), (16, 16, 16)])
+def test_derived_metadata_equals_stored_arrays(dims):
+    g = pn.make_grid(dims, (1.0, 0.7, 1.3), pn.UnitsConfig(c=2.0, hbar=0.5))
+    ref = _stored_metadata(g)
+    for j in range(3):
+        assert np.array_equal(g.kvec[j], ref["kvec"][j])
+        assert g.kvec[j].strides.count(0) == 2 and not g.kvec[j].flags.writeable
+        assert np.array_equal(g.nhat(j), ref["nhat"][j])
+    assert g.nhat(2)[0, 0, 0] == 1.0 and g.nhat(0)[0, 0, 0] == g.nhat(1)[0, 0, 0] == 0.0
+    assert np.array_equal(g.kmag(), ref["kmag"])
+    assert np.array_equal(g.omega(), ref["omega"])
+    assert np.array_equal(g.w_invariant(), ref["w_invariant"])
+    assert np.array_equal(g.boundary_mask_k(), ref["mask_k"])
+    assert np.array_equal(g.boundary_mask_r(), ref["mask_r"])
+    assert np.array_equal(np.multiply(*g.fft_phase()), ref["phase"])
+    # the transforms apply that phase and their prefactors bit for bit as the stored form did
+    rng = np.random.default_rng(4)
+    f = rng.standard_normal(dims) + 1j * rng.standard_normal(dims)
+    fwd = (g.dV / (2 * np.pi) ** 1.5 * ref["phase"]) * np.fft.fftn(f)
+    inv = (g.dVk * g.npoints / (2 * np.pi) ** 1.5) * np.fft.ifftn(ref["phase"] * f)
+    assert np.array_equal(pn.forward_transform(g, f), fwd)
+    assert np.array_equal(pn.forward_transform(g, f.real), (g.dV / (2 * np.pi) ** 1.5 * ref["phase"]) * np.fft.fftn(f.real))
+    assert np.array_equal(pn.inverse_transform(g, f), inv)
+
+
+def test_grid_beyond_physical_memory_is_refused(monkeypatch):
+    from photonam import grids
+    unit = 16 * 64 ** 3
+    monkeypatch.setattr(grids, "physical_memory", lambda: grids.WORKING_SET_ARRAYS * unit - 1)
+    with pytest.raises(ValueError, match="physical memory"):
+        pn.make_grid(64)
+    pn.make_grid((64, 64, 62))      # just under the estimate
+
+
+def test_grid_is_built_where_memory_is_unknown(monkeypatch):
+    """Without `os.sysconf` the memory refusal is skipped, not an error."""
+    from photonam import grids
+    monkeypatch.delattr(grids.os, "sysconf")
+    assert grids.physical_memory() is None
+    assert pn.make_grid(16).dims == (16, 16, 16)

@@ -1,4 +1,5 @@
 import warnings
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -7,7 +8,7 @@ import photonam as pn
 from photonam.fields_bridge import RealVectorField, SpectralEField, project_spectral_e
 from photonam.grids import BoundaryDecayWarning, _readonly, cross
 
-from conftest import rel, smooth_state
+from conftest import nhat_stack, rel, smooth_state
 
 
 def circular_packet(grid, sig_cells=2.5, helicity="L"):
@@ -34,7 +35,7 @@ def random_transverse_e(grid, seed=7, slope=0.15):
         c0 = rng.standard_normal() + 1j * rng.standard_normal()
         cv = (rng.standard_normal(3) + 1j * rng.standard_normal(3)) * slope / sig
         E[i] = (c0 + cv[0] * (kx - kc) + cv[1] * (ky - kc) + cv[2] * (kz - kc)) * env
-    n = grid.kfields.nhat
+    n = nhat_stack(grid)
     E -= n * np.einsum("i...,i...->...", n, E)
     E[:, 0, 0, 0] = 0.0
     return SpectralEField(values=_readonly(E), grid=grid)
@@ -98,7 +99,7 @@ def _stacked_photon_picture(wf):
     """
     grid = wf.grid
     hbar = grid.units.hbar
-    w, k, n = grid.w_invariant, grid.kvec, grid.kfields.nhat
+    w, k, n = grid.w_invariant(), np.stack(grid.kvec), nhat_stack(grid)
     absL2, absR2 = np.abs(wf.gL) ** 2, np.abs(wf.gR) ** 2
     dens = absL2 + absR2
     D = pn.covariant_derivative(wf, boundary="ignore")
@@ -107,13 +108,13 @@ def _stacked_photon_picture(wf):
     for chi, g in wf.components.items():
         Dg = np.stack([D[j].components[chi] for j in range(3)])
         orb += np.conj(g) * 1j * cross(Dg, k)
-        kexp += np.conj(g) * 1j * grid.kfields.omega * Dg
+        kexp += np.conj(g) * 1j * grid.omega() * Dg
     scaleJ = np.abs(np.sum(w * np.abs(orb), axis=(1, 2, 3))).max()
     scaleK = np.abs(np.sum(w * np.abs(kexp), axis=(1, 2, 3))).max()
     dot_n = np.einsum("i...,i...->...", n, orb.real)
     mag = np.sqrt(np.einsum("i...,i...->...", orb.real, orb.real))
     return dict(
-        N=float(np.sum(w * dens)), H=float(np.sum(grid.wk * dens)),
+        N=float(np.sum(w * dens)), H=float(np.sum(grid.dVk * dens)),
         P=hbar * np.sum(w * k * dens, axis=(1, 2, 3)),
         Js=hbar * np.sum(w * n * (absL2 - absR2), axis=(1, 2, 3)),
         Jo=hbar * np.sum(w * orb.real, axis=(1, 2, 3)),
@@ -144,6 +145,18 @@ def test_photon_picture_matches_stacked_oracle(grid48, basis48):
     # the diagnostics are already ratios to their own scale
     for key in ("imag_residual_Jo", "imag_residual_K", "jo_orthogonality"):
         assert abs(gen.diagnostics[key] - ref[key]) < 1e-12, key
+
+
+def test_photon_picture_ignores_the_excluded_bin(grid48, basis48):
+    """A k=0 amplitude carries no weight, also in a state not built by `wavefunction`."""
+    wf = smooth_state(grid48, basis48, seed=3, mix=(1.0, 0.5j))
+    gL = np.array(wf.gL)
+    assert gL[grid48.excluded_index] == 0.0
+    gL[grid48.excluded_index] = 0.5 * np.abs(gL).max()
+    ref = pn.generators_photon_picture(wf, boundary="ignore")
+    gen = pn.generators_photon_picture(replace(wf, gL=gL), boundary="ignore")
+    assert gen.H == ref.H and gen.N == ref.N
+    assert np.array_equal(gen.P, ref.P) and np.array_equal(gen.Js, ref.Js)
 
 
 def test_causality_and_spin_bounds(grid48, basis48):

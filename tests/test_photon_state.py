@@ -57,7 +57,7 @@ def test_scalar_product_single_bin(grid16, basis16):
     arr = np.zeros(g.dims, dtype=complex)
     arr[idx] = amp
     wf = pn.wavefunction(g, basis16, arr, np.zeros(g.dims), warn=False)
-    expected = abs(amp) ** 2 * g.dVk / (g.units.hbar * g.kfields.omega[idx])
+    expected = abs(amp) ** 2 * g.dVk / (g.units.hbar * g.omega()[idx])
     assert pn.photon_number(wf) == pytest.approx(expected, rel=1e-14)
 
 
@@ -98,12 +98,12 @@ def test_evolve_group_property_and_invariance(state48):
     assert pn.photon_number(w12) == pn.photon_number(wf)
     # physical amplitudes agree with the directly materialized phase
     direct = pn.materialized(pn.evolve(wf, 1.3))
-    phase = np.exp(-1j * wf.grid.kfields.omega * 1.3)
+    phase = np.exp(-1j * wf.grid.omega() * 1.3)
     assert rel(direct.gL, phase * wf.gL) < 1e-15
     # mixed-time products pick up the relative phase
     sp = pn.scalar_product(wf, pn.evolve(wf, 2.1))
-    w = wf.grid.w_invariant
-    expect = np.sum(w * np.exp(-1j * wf.grid.kfields.omega * 2.1)
+    w = wf.grid.w_invariant()
+    expect = np.sum(w * np.exp(-1j * wf.grid.omega() * 2.1)
                     * (np.abs(wf.gL) ** 2 + np.abs(wf.gR) ** 2))
     assert sp == pytest.approx(expect, rel=1e-12)
 
@@ -139,6 +139,20 @@ def test_covariant_derivative_gauge_covariance(grid48, basis48):
         assert rel(D2[j].gR, np.exp(-1j * phi) * D[j].gR) < 1e-12
 
 
+def test_covariant_derivative_axis_matches_stack(grid48, basis48):
+    """One axis of D, as the generators use it, equals that axis of the full D bit for bit."""
+    g = grid48
+    kx, ky, kz = g.kvec
+    phi = 0.4 * np.sin(0.5 * kx) * np.cos(0.3 * kz)
+    b2 = pn.gauge_transform(g, basis48, phi)
+    wf = pn.evolve(pn.gauge_transform_amplitudes(smooth_state(g, basis48, seed=7), phi, b2), 0.6)
+    D = pn.covariant_derivative(wf, boundary="ignore")
+    for j in range(3):
+        Dj = photon_state.covariant_derivative_axis(wf, j, boundary="ignore")
+        assert np.array_equal(Dj.gL, D[j].gL) and np.array_equal(Dj.gR, D[j].gR)
+        assert Dj.time == wf.time and Dj.basis is b2
+
+
 def test_curvature_sign_flips_with_helicity(grid48, basis48):
     left = smooth_state(grid48, basis48, mix=(1.0, 0.0))
     right = smooth_state(grid48, basis48, mix=(0.0, 1.0))
@@ -153,8 +167,8 @@ def test_curvature_sign_flips_with_helicity(grid48, basis48):
     D = pn.covariant_derivative(left, boundary="ignore")
     DxDy = pn.covariant_derivative(D[1], boundary="ignore")[0].gL
     DyDx = pn.covariant_derivative(D[0], boundary="ignore")[1].gL
-    kmag2 = np.where(g.kfields.kmag == 0, 1.0, g.kfields.kmag) ** 2
-    curv = g.kfields.nhat[2] / kmag2
+    kmag2 = np.where(g.kmag() == 0, 1.0, g.kmag()) ** 2
+    curv = g.nhat(2) / kmag2
     good = np.linalg.norm((DxDy - DyDx) - 1j * curv * left.gL)
     bad = np.linalg.norm((DxDy - DyDx) + 1j * curv * left.gL)
     assert bad > 5 * good
