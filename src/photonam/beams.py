@@ -45,6 +45,8 @@ class BesselSpec:
         return self.k_z0 / self.k0
 
     def validate(self, grid):
+        if not np.all(np.isfinite((self.k_perp0, self.k_z0, self.sigma_perp, self.sigma_z, self.amplitude))):
+            raise ValueError("Bessel beam parameters must be finite")
         if self.k_perp0 <= 0:
             raise ValueError("k_perp0 must be positive")
         if self.sigma_perp <= 0 or self.sigma_z <= 0:
@@ -91,6 +93,7 @@ def bessel_beam(grid, basis, spec, photons=1.0):
     to that photon number; pass None to keep the raw amplitude.
     """
     spec.validate(grid)
+    _check_photons(photons)
 
     # chart poles must stay clear of the regularized ring
     nring = 64
@@ -178,8 +181,11 @@ def gaussian_vortex(grid, basis, center, widths, m=0, helicity="L",
     """
     center = np.asarray(center, dtype=float)
     widths = np.broadcast_to(np.asarray(widths, dtype=float), (3,))
+    if not (np.all(np.isfinite(center)) and np.all(np.isfinite(widths))):
+        raise ValueError("packet center and widths must be finite")
     if np.any(widths < 2.0 * max(grid.dk)):
         raise ValueError("width too small: need at least 2 grid steps per axis")
+    _check_photons(photons)
     sig_max = float(widths.max())
     if _pole_line_distance(center[None, :], basis.chart_axis)[0] < 2.0 * sig_max:
         raise ValueError("packet center too close to the chart axis")
@@ -205,6 +211,12 @@ def gaussian_vortex(grid, basis, center, widths, m=0, helicity="L",
             raise ValueError("packet has zero weight on this grid")
         wf = rescale(wf, np.sqrt(photons / n))
     return wf
+
+
+def _check_photons(photons):
+    """Reject a photon-number target that is not positive and finite (NaN included)."""
+    if photons is not None and not 0.0 < photons < np.inf:
+        raise ValueError(f"photons must be positive and finite, got {photons}")
 
 
 def _helicity_amplitudes(helicity):

@@ -6,6 +6,10 @@ machine-readable JSON.  Exit codes: 0 success, 1 numerical threshold
 failure, 2 usage or validation error (with an error JSON on stderr); a
 grid too large for the machine's memory is refused with exit 2 before it is
 allocated, and an allocation that fails all the same also exits 2.
+Non-finite or out-of-range numbers also exit 2 and write no file; an
+unknown ``observables`` route is refused before its file is read.  Every
+``observables`` route, the nonlocal Coulomb-kernel one included, runs on any
+grid the memory refusal accepts.
 
 The THREADS environment variable caps the worker count of the commutator
 pool in ``check algebra`` (see ``algebra_checks.run_suite``); results are
@@ -81,7 +85,10 @@ def _grid_arg(spec, dx):
 def cmd_beam(args):
     grid = _grid_arg(args.grid, args.dx)
     chart = np.asarray(_vec(args.chart_axis))
-    chart = chart / np.linalg.norm(chart)
+    norm = np.linalg.norm(chart)
+    if not 0.0 < norm < np.inf:
+        raise ValueError(f"chart axis {args.chart_axis!r} must be a nonzero finite vector")
+    chart = chart / norm
     basis = polarization.build_basis(grid, tuple(chart))
     dk = max(grid.dk)
 
@@ -163,7 +170,7 @@ def _load_state(path, chart_axis):
     raise ValueError(f"{path}: cannot compute observables from a {manifest['kind']} file")
 
 
-def build_report(wf, routes, manifest=None, nonlocal_max=24):
+def build_report(wf, routes, manifest=None):
     report = {"routes": {}, "deltas": {}, "grid": {"dims": list(wf.grid.dims), "spacing": list(wf.grid.spacing)},
               "units": {"c": wf.grid.units.c, "hbar": wf.grid.units.hbar, "eps0": wf.grid.units.eps0},
               "time": wf.time}
@@ -195,11 +202,16 @@ def build_report(wf, routes, manifest=None, nonlocal_max=24):
             L = max(n * d for n, d in zip(wf.grid.dims, wf.grid.spacing))
             report["deltas"]["K_field_vs_photon"] = float(
                 np.linalg.norm(gen_f.K - gen_p.K) / max(gen_p.H * L, 1e-300))
-    if "textbook" in routes:
+    # nonlocal before textbook, so that B is dropped before the textbook split
+    if "textbook" in routes or "nonlocal" in routes:
         E = fields_bridge.electric_field(rs)
         B = fields_bridge.magnetic_field(rs)
-        if "nonlocal" not in routes:
-            rs = None       # E and B are copies; F is no longer needed
+        rs = None           # E and B are copies; F is no longer needed
+    if "nonlocal" in routes:
+        Js_n = observables.spin_nonlocal_real(E, B)
+        report["routes"]["nonlocal"] = {"Js": _vec3(Js_n)}
+        report["deltas"]["Js_nonlocal_vs_photon"] = _rel(Js_n, gen_p.Js)
+    if "textbook" in routes:
         A = fields_bridge.vector_potential(B)
         del B
         Jo_t, Js_t = observables.textbook_split(E, A)
@@ -207,12 +219,6 @@ def build_report(wf, routes, manifest=None, nonlocal_max=24):
         report["routes"]["textbook"] = {"Jo": _vec3(Jo_t), "Js": _vec3(Js_t)}
         report["deltas"]["Js_textbook_vs_photon"] = _rel(Js_t, gen_p.Js)
         report["deltas"]["Jo_textbook_vs_photon"] = _rel(Jo_t, gen_p.Jo)
-    if "nonlocal" in routes:
-        E = fields_bridge.electric_field(rs)
-        B = fields_bridge.magnetic_field(rs)
-        Js_n = observables.spin_nonlocal_real(E, B, max_dim=nonlocal_max)
-        report["routes"]["nonlocal"] = {"Js": _vec3(Js_n)}
-        report["deltas"]["Js_nonlocal_vs_photon"] = _rel(Js_n, gen_p.Js)
     return report
 
 
@@ -235,16 +241,12 @@ def _report_lines(report):
 
 
 def cmd_observables(args):
-    wf, manifest = _load_state(args.file, _vec(args.chart_axis))
     routes = tuple(r.strip() for r in args.routes.split(",")) if args.routes else ("photon", "field", "darwin", "textbook")
     for r in routes:
         if r not in ROUTES:
             raise ValueError(f"unknown route {r!r}; choose from {ROUTES}")
-    if "nonlocal" in routes and max(wf.grid.dims) > args.nonlocal_max:
-        raise ValueError(
-            f"nonlocal route refused on a {wf.grid.dims} grid "
-            f"(cost guard at {args.nonlocal_max}^3); use a smaller grid")
-    report = build_report(wf, routes, manifest, nonlocal_max=args.nonlocal_max)
+    wf, manifest = _load_state(args.file, _vec(args.chart_axis))
+    report = build_report(wf, routes, manifest)
     _emit(report, args.json, _report_lines(report))
     return 0
 
@@ -501,7 +503,6 @@ def build_parser():
     obs.add_argument("file")
     obs.add_argument("--routes", default=None, help=f"comma list from {ROUTES}")
     obs.add_argument("--chart-axis", default="1,0,0", dest="chart_axis")
-    obs.add_argument("--nonlocal-max", type=int, default=24, dest="nonlocal_max")
     obs.add_argument("--json", action="store_true")
     obs.set_defaults(func=cmd_observables)
 

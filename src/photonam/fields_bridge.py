@@ -14,7 +14,6 @@ import numpy as np
 
 from . import photon_state
 from .grids import (
-    cross,
     cross_component,
     forward_transform,
     inverse_transform,
@@ -57,10 +56,21 @@ class SpectralEField:
 # spectral vector calculus
 
 def spectral_curl(grid, field):
-    """Curl of a real-space vector field via i k x in momentum space."""
+    """Curl of a real-space vector field via i k x in momentum space.
+
+    Builds and inverse-transforms one component of i k x V(k) at a time.
+    """
     Vk = forward_transform(grid, field)
-    out = inverse_transform(grid, 1j * cross(grid.kvec, Vk))
-    return out.real if np.isrealobj(field) else out
+    real = np.isrealobj(field)
+    out = np.empty(Vk.shape, dtype=float if real else complex)
+    buf = np.empty(grid.dims, dtype=complex)
+    for j in range(3):
+        cross_component(grid.kvec, Vk, j, out=buf)
+        buf *= 1j
+        curl_j = inverse_transform(grid, buf)
+        out[j] = curl_j.real if real else curl_j
+        del curl_j      # before the next component's transform is allocated
+    return out
 
 
 class _DivergenceSum:
@@ -110,6 +120,8 @@ def synthesize(wf, t=0.0):
     """
     grid, basis = wf.grid, wf.basis
     total_t = wf.time + t
+    if not np.isfinite(total_t):
+        raise ValueError(f"synthesis time must be finite, got {total_t}")
     gLt, gRt = wf.gL, wf.gR
     if total_t != 0.0:
         phase = np.exp(-1j * grid.omega() * total_t)

@@ -78,8 +78,8 @@ class UnitsConfig:
     eps0: float = 1.0
 
     def __post_init__(self):
-        if self.c <= 0 or self.hbar <= 0 or self.eps0 <= 0:
-            raise ValueError("c, hbar and eps0 must all be strictly positive")
+        if not all(0.0 < v < np.inf for v in (self.c, self.hbar, self.eps0)):
+            raise ValueError("c, hbar and eps0 must all be positive and finite")
 
     @property
     def mu0(self):
@@ -200,7 +200,7 @@ def make_grid(dims, spacing=(1.0, 1.0, 1.0), units=None):
     Parameters
     ----------
     dims : three even integers, each >= 8
-    spacing : three positive real-space steps
+    spacing : three positive, finite real-space steps
     units : UnitsConfig, optional
     """
     dims = tuple(int(n) for n in np.atleast_1d(dims)) if np.ndim(dims) else (int(dims),) * 3
@@ -214,8 +214,8 @@ def make_grid(dims, spacing=(1.0, 1.0, 1.0), units=None):
         if n < 8:
             raise ValueError(f"dimension {n} too small: need at least 8 points per axis")
     spacing = tuple(float(s) for s in np.broadcast_to(spacing, (3,)))
-    if any(s <= 0 for s in spacing):
-        raise ValueError("spacing must be strictly positive")
+    if not all(0.0 < s < np.inf for s in spacing):
+        raise ValueError("spacing must be positive and finite")
     units = units or UnitsConfig()
     need = WORKING_SET_ARRAYS * 16 * int(np.prod(dims))
     memory = physical_memory()

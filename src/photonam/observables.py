@@ -14,9 +14,11 @@ time.  The photon picture reduces everything from the density
 ``u = sum_chi i g* D g``, built one helicity and axis at a time; the darwin
 route sums each Levi-Civita term straight into its totals; the textbook
 route transforms each component of A once and takes one inverse transform
-per axis.  Grid metadata (w, omega, n) is derived inside each stage, n one
-component at a time.  Reductions are plain numpy sums, each on one thread,
-so results do not depend on the THREADS worker count of the check suites.
+per axis; the nonlocal route convolves one component of curl B at a time on
+the doubled grid, in O(M log M), so it runs at every grid size.  Grid
+metadata (w, omega, n) is derived inside each stage, n one component at a
+time.  Reductions are plain numpy sums, each on one thread, so results do
+not depend on the THREADS worker count of the check suites.
 """
 
 from __future__ import annotations
@@ -38,6 +40,7 @@ from .grids import (
     forward_transform,
     inverse_transform,
     spectral_gradient_k,
+    _along,
 )
 
 
@@ -288,38 +291,57 @@ def _cell_self_weight(grid):
     return float(grid.dV / 512.0 * np.sum(1.0 / (4.0 * np.pi * dist)))
 
 
-def spin_nonlocal_real(E, B, max_dim=24, block=512):
+def _kernel_spectrum(grid):
+    """Spectrum of the sampled Coulomb kernel on the grid doubled along every axis.
+
+    The kernel dV/(4 pi |r|) is sampled at every lag -(n-1)..(n-1) of each
+    axis, with `_cell_self_weight` at lag 0 and zero at the unused lag n, and
+    laid out in wrap order.  It is even in each axis, so its spectrum is
+    real: `hfft` transforms the sampled half (lags 0..n) one axis at a time.
+    The last axis keeps the n+1 frequencies that `rfft` produces.
+    """
+    dims = grid.dims
+    lags = [_along(np.arange(n + 1) * d, ax) for ax, (n, d) in enumerate(zip(dims, grid.spacing))]
+    r = np.sqrt(lags[0] ** 2 + lags[1] ** 2 + lags[2] ** 2)
+    r[0, 0, 0] = 1.0
+    K = grid.dV / (4.0 * np.pi * r)
+    K[0, 0, 0] = _cell_self_weight(grid)
+    K[dims[0]] = K[:, dims[1]] = K[:, :, dims[2]] = 0.0
+    K = np.fft.hfft(K, n=2 * dims[2], axis=2)[:, :, :dims[2] + 1]
+    for ax in (1, 0):
+        K = np.fft.hfft(K, n=2 * dims[ax], axis=ax)
+    return K
+
+
+def spin_nonlocal_real(E, B):
     """Spin part from the double integral of E x (curl' B)/(4 pi |r - r'|).
 
-    Direct O(M^2) pair sum over grid points (Coulomb kernel evaluated in real
-    space, independent of every spectral route); guarded to small grids.
-    The singular self-cell carries its exact cell-averaged kernel weight.
+    The direct pair sum ``Js = eps0 dV sum_r E(r) x C(r)``, with
+    ``C(r) = sum_r' K(r - r') curl B(r')`` and the Coulomb kernel
+    ``K = dV/(4 pi |r|)`` sampled in real space, so no 1/k^2 enters; the
+    singular self-cell carries its exact cell-averaged weight.  C is a linear
+    convolution, taken exactly on the grid doubled along every axis
+    (zero-padded circulant embedding, Hockney & Eastwood 1988) in O(M log M):
+    one component of curl B at a time, padded one axis at a time on the way
+    in and cropped one axis at a time on the way out.
     """
     grid = E.grid
-    if max(grid.dims) > max_dim:
-        raise ValueError(
-            f"grid {grid.dims} too large for the direct double integral "
-            f"(cost guard at {max_dim}^3)")
-    eps0 = grid.units.eps0
-    dV = grid.dV
-
+    n0, n1, n2 = grid.dims
+    Khat = _kernel_spectrum(grid)
     curlB = spectral_curl(grid, B.values)
-    x, y, z = np.meshgrid(*grid.x_axes, indexing="ij")
-    X = np.stack([x.ravel(), y.ravel(), z.ravel()], axis=1)
-    S = curlB.reshape(3, -1).T          # (M, 3) source strengths
-    M = X.shape[0]
 
-    w_self = _cell_self_weight(grid)
-    C = np.empty((M, 3))
-    for start in range(0, M, block):
-        stop = min(start + block, M)
-        d = X[start:stop, None, :] - X[None, :, :]
-        dist = np.sqrt(np.einsum("abi,abi->ab", d, d))
-        np.fill_diagonal(dist[:, start:stop], np.inf)
-        kernel = dV / (4.0 * np.pi * dist)
-        kernel[np.arange(stop - start), np.arange(start, stop)] = w_self
-        C[start:stop] = kernel @ S
-
-    Eflat = E.values.reshape(3, -1).T
-    integrand = np.cross(Eflat, C)      # (M, 3)
-    return eps0 * dV * np.sum(integrand, axis=0)
+    G = np.empty((3, 3))             # G[a, b] = sum_r E_a(r) C_b(r); Js_i = eps_iab G[a, b]
+    for b in range(3):
+        X = np.zeros(Khat.shape, dtype=complex)
+        X[:n0, :n1] = np.fft.rfft(curlB[b], n=2 * n2, axis=2)
+        np.fft.fft(X[:n0], axis=1, out=X[:n0])
+        np.fft.fft(X, axis=0, out=X)
+        X *= Khat
+        np.fft.ifft(X, axis=0, out=X)
+        np.fft.ifft(X[:n0], axis=1, out=X[:n0])
+        C = np.fft.irfft(X[:n0, :n1], n=2 * n2, axis=2)[:, :, :n2]
+        del X
+        for a in range(3):
+            G[a, b] = np.sum(E.values[a] * C)
+        del C
+    return grid.units.eps0 * grid.dV * np.einsum("iab,ab->i", LEVI_CIVITA, G)

@@ -50,7 +50,7 @@ class PolarizationBasis:
 def _chart_frame(axis):
     """Deterministic right-handed frame (u, v, axis)."""
     axis = np.asarray(axis, dtype=float)
-    if abs(np.linalg.norm(axis) - 1.0) > 1e-12:
+    if not abs(np.linalg.norm(axis) - 1.0) <= 1e-12:     # NaN fails too
         raise ValueError("chart_axis must be a unit vector")
     trial = np.eye(3)[np.argmin(np.abs(axis))]
     u = trial - np.dot(trial, axis) * axis

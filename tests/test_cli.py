@@ -240,13 +240,59 @@ def test_zero_state_report(tmp_path, capsys, grid16, basis16):
     assert all(v == 0.0 for v in rep["routes"]["photon"]["Js"])
 
 
-def test_nonlocal_route_cost_guard(tmp_path, capsys):
+def test_nonlocal_route_runs_on_a_64_grid(tmp_path, capsys):
     out = tmp_path / "beam64.pam"
     code, _, _ = run_cli(capsys, "beam", "gaussian", "--grid", "64", "-o", str(out))
     assert code == 0
-    code, _, err = run_cli(capsys, "observables", str(out), "--routes", "nonlocal")
+    code, text, _ = run_cli(capsys, "observables", str(out), "--routes", "nonlocal", "--json")
+    assert code == 0
+    rep = json.loads(text)
+    assert set(rep["routes"]) == {"photon", "nonlocal"}
+    # about 3.5 cells per wavelength: the sampled kernel is 8.5% off at this dx
+    assert rep["deltas"]["Js_nonlocal_vs_photon"] < 0.1
+    assert np.dot(rep["routes"]["nonlocal"]["Js"], rep["routes"]["photon"]["Js"]) > 0
+
+
+@pytest.mark.parametrize("argv", [
+    ("gaussian", "--grid", "16", "--chart-axis", "0,0,0"),
+    ("gaussian", "--grid", "16", "--chart-axis", "nan,0,1"),
+    ("gaussian", "--grid", "16", "--dx", "nan"),
+    ("gaussian", "--grid", "16", "--dx", "inf"),
+    ("gaussian", "--grid", "32", "--sigma", "nan"),
+    ("gaussian", "--grid", "32", "--center", "nan,1,1"),
+    ("gaussian", "--grid", "32", "--photons", "nan"),
+    ("bessel", "--grid", "64", "--m", "1", "--photons", "-1"),
+    ("bessel", "--grid", "64", "--m", "1", "--photons", "nan"),
+    ("bessel", "--grid", "64", "--m", "1", "--photons", "inf"),
+    ("bessel", "--grid", "64", "--m", "1", "--k0", "nan"),
+    ("bessel", "--grid", "64", "--m", "1", "--sigma-perp", "nan"),
+    ("bessel", "--grid", "64", "--m", "1", "--kz-over-k", "nan"),
+])
+def test_non_finite_or_negative_beam_input_exits_2(tmp_path, capsys, argv):
+    out = tmp_path / "x.pam"
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        code, _, err = run_cli(capsys, "beam", *argv, "-o", str(out))
     assert code == 2
-    assert "cost guard" in json.loads(err.strip())["error"]
+    assert json.loads(err.strip())["type"] == "ValueError"
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("t", ["nan", "inf"])
+def test_non_finite_synthesis_time_exits_2(tmp_path, capsys, grid16, basis16, t):
+    beam = tmp_path / "beam.pam"
+    fileio.write_wavefunction(beam, smooth_state(grid16, basis16))
+    out = tmp_path / "rs.pam"
+    code, _, err = run_cli(capsys, "synthesize", str(beam), "--t", t, "-o", str(out))
+    assert code == 2
+    assert "finite" in json.loads(err.strip())["error"]
+    assert not out.exists()
+
+
+def test_unknown_route_is_refused_before_the_file_is_read(tmp_path, capsys):
+    code, _, err = run_cli(capsys, "observables", str(tmp_path / "missing.pam"), "--routes", "photon,bogus")
+    assert code == 2
+    assert "unknown route" in json.loads(err.strip())["error"]
 
 
 def test_synthesize_analyze_potential_pipeline(tmp_path, capsys):

@@ -19,7 +19,8 @@ def test_units_defaults_and_mu0():
     assert u2.mu0 == pytest.approx(1.0 / 16.0)
 
 
-@pytest.mark.parametrize("bad", [dict(c=0.0), dict(hbar=-1.0), dict(eps0=0.0)])
+@pytest.mark.parametrize("bad", [dict(c=0.0), dict(hbar=-1.0), dict(eps0=0.0),
+                                 dict(c=np.nan), dict(hbar=np.inf), dict(eps0=np.nan)])
 def test_units_must_be_positive(bad):
     with pytest.raises(ValueError):
         pn.UnitsConfig(**bad)
@@ -43,8 +44,9 @@ def test_grid_rejects_odd_and_tiny_dims():
         pn.make_grid((7, 8, 8))
     with pytest.raises(ValueError, match="too small"):
         pn.make_grid((8, 8, 6))
-    with pytest.raises(ValueError, match="spacing"):
-        pn.make_grid((8, 8, 8), (1.0, -1.0, 1.0))
+    for bad in (-1.0, np.nan, np.inf):
+        with pytest.raises(ValueError, match="spacing"):
+            pn.make_grid((8, 8, 8), (1.0, bad, 1.0))
 
 
 def test_kfields_unit_vectors(grid16):

@@ -7,6 +7,7 @@ import pytest
 import photonam as pn
 from photonam.fields_bridge import RealVectorField, SpectralEField, project_spectral_e
 from photonam.grids import BoundaryDecayWarning, _readonly, cross
+from photonam.observables import _cell_self_weight
 
 from conftest import nhat_stack, rel, smooth_state
 
@@ -269,12 +270,43 @@ def test_nonlocal_spin_zero_b(grid16):
     assert np.all(pn.spin_nonlocal_real(E, B) == 0)
 
 
-def test_nonlocal_spin_cost_guard(grid32):
-    z = _readonly(np.zeros((3,) + grid32.dims))
-    E = RealVectorField(values=z, role="E", grid=grid32)
-    B = RealVectorField(values=z, role="B", grid=grid32)
-    with pytest.raises(ValueError, match="cost guard"):
-        pn.spin_nonlocal_real(E, B, max_dim=24)
+def _nonlocal_pair_sum(E, B):
+    """The nonlocal spin as the direct O(M^2) sum over pairs of grid points."""
+    g = E.grid
+    X = np.stack([x.ravel() for x in np.meshgrid(*g.x_axes, indexing="ij")], axis=1)
+    d = X[:, None, :] - X[None, :, :]
+    dist = np.sqrt(np.einsum("abi,abi->ab", d, d))
+    np.fill_diagonal(dist, 1.0)
+    kernel = g.dV / (4.0 * np.pi * dist)
+    np.fill_diagonal(kernel, _cell_self_weight(g))
+    C = kernel @ pn.spectral_curl(g, B.values).reshape(3, -1).T
+    return g.units.eps0 * g.dV * np.sum(np.cross(E.values.reshape(3, -1).T, C), axis=0)
+
+
+@pytest.mark.parametrize("dims, spacing", [((8, 10, 12), (1.0, 0.8, 1.3)), ((12, 8, 10), (0.5, 1.1, 0.9))])
+def test_nonlocal_spin_equals_direct_pair_sum(dims, spacing):
+    g = pn.make_grid(dims, spacing)
+    rng = np.random.default_rng(7)
+    E, B = (RealVectorField(values=_readonly(rng.standard_normal((3,) + dims)), role=role, grid=g)
+            for role in "EB")
+    assert rel(pn.spin_nonlocal_real(E, B), _nonlocal_pair_sum(E, B)) <= 1e-13
+
+
+def test_nonlocal_spin_converges_under_refinement():
+    # one physical state (box L = 24, fixed k-space packet) sampled ever finer in real space
+    errors = []
+    for n in (24, 48, 96):
+        g = pn.make_grid(n, 24.0 / n)
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore")
+            wf = pn.gaussian_vortex(g, pn.build_basis(g, (1.0, 0.0, 0.0)), center=(np.pi / 3,) * 3,
+                                    widths=2.5 * 2.0 * np.pi / 24.0)
+        rs = pn.synthesize(wf)
+        Js_nl = pn.spin_nonlocal_real(pn.electric_field(rs), pn.magnetic_field(rs))
+        _, Js_h = pn.split_angular_momentum(wf, boundary="ignore")
+        errors.append(rel(Js_nl, Js_h))
+    assert errors[-1] <= 1e-2
+    assert errors[-2] / errors[-1] >= 3.0, errors
 
 
 def test_nonlocal_spin_matches_spectral_on_coarse_grid(grid16):

@@ -52,8 +52,9 @@ def test_alpha_is_real_and_finite(basis16):
 
 
 def test_non_unit_axis_rejected(grid16):
-    with pytest.raises(ValueError, match="unit"):
-        pn.build_basis(grid16, (0.0, 0.0, 2.0))
+    for axis in ((0.0, 0.0, 2.0), (np.nan, 0.0, 1.0), (0.0, 0.0, 0.0)):
+        with pytest.raises(ValueError, match="unit"):
+            pn.build_basis(grid16, axis)
 
 
 def test_construction_is_deterministic(grid16):

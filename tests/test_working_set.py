@@ -27,6 +27,7 @@ BUDGETS = {
     "generators_field_picture": 5.0,
     "spectral_e_from_wavefunction": 5.0,
     "analyze": 11.0,
+    "spin_nonlocal_real": 11.0,
 }
 
 
@@ -53,6 +54,7 @@ def stages64(grid64, basis64):
         "generators_field_picture": lambda: pn.generators_field_picture(rs, boundary="ignore"),
         "spectral_e_from_wavefunction": lambda: pn.spectral_e_from_wavefunction(wf),
         "analyze": lambda: pn.analyze(E, B, basis64),
+        "spin_nonlocal_real": lambda: pn.spin_nonlocal_real(E, B),
     }
 
 
