@@ -135,6 +135,7 @@ def bessel_beam(grid, basis, spec, photons=1.0):
     gR = np.zeros(grid.dims, dtype=complex)
     col = np.empty(grid.dims, dtype=complex)
     tmp = np.empty(grid.dims, dtype=complex)
+    e_i = np.empty(grid.dims, dtype=complex)
     for i in range(3):
         if i == 0:
             np.multiply(minus_a, cphi, out=col.real)
@@ -145,12 +146,13 @@ def bessel_beam(grid, basis, spec, photons=1.0):
         else:
             col.real, col.imag = b, 0.0
         col *= ep
-        np.conjugate(basis.e[i], out=tmp)
-        tmp *= col
-        gL += tmp
-        np.multiply(basis.e[i], col, out=tmp)
+        basis.e(i, out=e_i)
+        np.multiply(e_i, col, out=tmp)
         gR += tmp
-    del minus_a, b, cphi, sphi, ep, col, tmp
+        np.conjugate(e_i, out=e_i)
+        e_i *= col
+        gL += e_i
+    del minus_a, b, cphi, sphi, ep, col, tmp, e_i
 
     scale = np.sqrt(2.0 * grid.units.eps0)
     gL *= scale
@@ -179,12 +181,7 @@ def gaussian_vortex(grid, basis, center, widths, m=0, helicity="L",
     keep the center several widths away from the chart axis, the origin and
     the grid boundary.
     """
-    center = np.asarray(center, dtype=float)
-    widths = np.broadcast_to(np.asarray(widths, dtype=float), (3,))
-    if not (np.all(np.isfinite(center)) and np.all(np.isfinite(widths))):
-        raise ValueError("packet center and widths must be finite")
-    if np.any(widths < 2.0 * max(grid.dk)):
-        raise ValueError("width too small: need at least 2 grid steps per axis")
+    center, widths = _check_packet(grid, center, widths)
     _check_photons(photons)
     sig_max = float(widths.max())
     if _pole_line_distance(center[None, :], basis.chart_axis)[0] < 2.0 * sig_max:
@@ -211,6 +208,17 @@ def gaussian_vortex(grid, basis, center, widths, m=0, helicity="L",
             raise ValueError("packet has zero weight on this grid")
         wf = rescale(wf, np.sqrt(photons / n))
     return wf
+
+
+def _check_packet(grid, center, widths):
+    """Validate a Gaussian packet's center and widths; return them as float arrays."""
+    center = np.asarray(center, dtype=float)
+    widths = np.broadcast_to(np.asarray(widths, dtype=float), (3,))
+    if not (np.all(np.isfinite(center)) and np.all(np.isfinite(widths))):
+        raise ValueError("packet center and widths must be finite")
+    if np.any(widths < 2.0 * max(grid.dk)):
+        raise ValueError("width too small: need at least 2 grid steps per axis")
+    return center, widths
 
 
 def _check_photons(photons):

@@ -24,6 +24,7 @@ import io
 import json
 import sys
 import warnings
+from functools import partial
 
 import numpy as np
 
@@ -89,9 +90,9 @@ def cmd_beam(args):
     if not 0.0 < norm < np.inf:
         raise ValueError(f"chart axis {args.chart_axis!r} must be a nonzero finite vector")
     chart = chart / norm
-    basis = polarization.build_basis(grid, tuple(chart))
     dk = max(grid.dk)
 
+    # the input values are validated before the basis, the first grid-sized allocation
     if args.family == "bessel":
         # default keeps the ring plus 8 sigma of tail inside the grid
         k0 = args.k0 if args.k0 is not None else 0.62 * np.pi / args.dx
@@ -107,7 +108,8 @@ def cmd_beam(args):
             sigma_perp=(args.sigma_perp if args.sigma_perp is not None else sigma_auto) * dk,
             sigma_z=(args.sigma_z if args.sigma_z is not None else sigma_auto) * dk,
         )
-        wf = beams.bessel_beam(grid, basis, spec, photons=args.photons)
+        spec.validate(grid)
+        make_beam = partial(beams.bessel_beam, grid, spec=spec, photons=args.photons)
         provenance = {
             "family": "bessel", "m": args.m, "helicity": args.helicity,
             "k0": k0, "kz_over_k": args.kz_over_k,
@@ -118,14 +120,15 @@ def cmd_beam(args):
     else:
         center = _vec(args.center) if args.center else ((np.pi / args.dx) / 3.0,) * 3
         sigma = tuple(s * dk for s in _vec(args.sigma if args.sigma is not None else "2.5"))
-        wf = beams.gaussian_vortex(
-            grid, basis, center=center, widths=sigma, m=args.m,
-            helicity=args.helicity_name, photons=args.photons,
-        )
+        beams._check_packet(grid, center, sigma)
+        make_beam = partial(beams.gaussian_vortex, grid, center=center, widths=sigma, m=args.m,
+                            helicity=args.helicity_name, photons=args.photons)
         provenance = {
             "family": "gaussian", "m": args.m, "helicity": args.helicity_name,
             "center": list(center), "sigma": list(sigma),
         }
+    beams._check_photons(args.photons)
+    wf = make_beam(basis=polarization.build_basis(grid, tuple(chart)))
 
     manifest = fileio.write_wavefunction(args.output, wf, provenance=provenance)
     _emit({"written": args.output, "manifest": manifest}, args.json,

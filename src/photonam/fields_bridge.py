@@ -128,12 +128,18 @@ def synthesize(wf, t=0.0):
         gLt, gRt = gLt * phase, gRt * phase
         del phase
     F = np.empty((3,) + grid.dims, dtype=complex)
+    e_i = np.empty(grid.dims, dtype=complex)
     for i in range(3):
+        basis.e(i, out=e_i)
         # second term folded to +k: coefficient e(-k) conj(gR(-k) e^{-i w t})
-        spectral = reflect_conjugate(grid, np.conj(basis.e[i]) * gRt)
-        spectral += basis.e[i] * gLt
+        spectral = np.conjugate(e_i)
+        spectral *= gRt
+        spectral = reflect_conjugate(grid, spectral)
+        e_i *= gLt
+        spectral += e_i
         F[i] = inverse_transform(grid, spectral)
         del spectral
+    del e_i
     return RSField(F=_readonly(F), grid=grid, time=float(total_t))
 
 
@@ -208,13 +214,15 @@ def project_spectral_e(Ek, basis):
     gL = np.zeros(grid.dims, dtype=complex)
     gR = np.zeros(grid.dims, dtype=complex)
     tmp = np.empty(grid.dims, dtype=complex)
+    e_i = np.empty(grid.dims, dtype=complex)
     for i in range(3):
-        np.conjugate(basis.e[i], out=tmp)
+        basis.e(i, out=e_i)
+        np.conjugate(e_i, out=tmp)
         tmp *= Ek.values[i]
         gL += tmp
-        np.multiply(basis.e[i], Ek.values[i], out=tmp)
-        gR += tmp
-    del tmp
+        e_i *= Ek.values[i]
+        gR += e_i
+    del tmp, e_i
     s = np.sqrt(2.0 * grid.units.eps0)
     gL *= s
     gR *= s
@@ -229,8 +237,9 @@ def spectral_e_from_wavefunction(wf):
     Ek = np.empty((3,) + grid.dims, dtype=complex)
     tmp = np.empty(grid.dims, dtype=complex)
     for i in range(3):
-        np.multiply(basis.e[i], w.gL, out=Ek[i])
-        np.conjugate(basis.e[i], out=tmp)
+        basis.e(i, out=Ek[i])
+        np.conjugate(Ek[i], out=tmp)
+        Ek[i] *= w.gL
         tmp *= w.gR
         Ek[i] += tmp
         Ek[i] *= pref

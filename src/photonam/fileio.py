@@ -113,6 +113,9 @@ def _read_container(path):
     missing = (_COMMON_KEYS | kind_keys) - manifest.keys()
     if missing:
         raise FieldFileError(f"{path}: manifest lacks {', '.join(sorted(missing))}")
+    time = manifest["time"]
+    if not isinstance(time, (int, float)) or not np.isfinite(time):
+        raise FieldFileError(f"{path}: manifest time {time!r} is not a finite number")
     shape = (len(manifest["components"]),) + tuple(manifest["dims"])
     if len(shape) != 4 or shape[0] != ncomp:
         raise FieldFileError(f"{path}: a {manifest['kind']} file needs {ncomp} components on a 3-d grid")

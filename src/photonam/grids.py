@@ -31,9 +31,9 @@ ROOT_2PI_CUBED = TWO_PI ** 1.5
 BOUNDARY_TOL = 1e-8
 
 #: peak working set of the largest photonam command, in complex grid arrays
-#: (16 bytes per grid point): the `analyze` child peaks at about 705 MiB RSS at
-#: 128^3, 22 arrays of 32 MiB
-WORKING_SET_ARRAYS = 22
+#: (16 bytes per grid point): `analyze`, and `observables` on an rs_field file,
+#: peak at 592 MiB RSS at 128^3; 21 arrays of 32 MiB leave a 13% margin
+WORKING_SET_ARRAYS = 21
 
 
 class BoundaryDecayError(ValueError):

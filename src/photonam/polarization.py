@@ -1,14 +1,22 @@
 """Transverse circular-polarization basis on the momentum grid.
 
-The basis vector at each momentum point is ``e(k) = (theta_hat + i phi_hat)/sqrt(2)``
-built from spherical angles about a configurable chart axis, together with the
-Berry-type connection ``alpha_j = -Im[e* . d_j e]`` obtained with the same
+The basis vector at each momentum point is ``e(k) = (theta_hat + i phi_hat)/sqrt(2)``,
+the spherical unit vectors taken about a configurable unit chart axis ``a``.
+In closed form, with ``n = k/|k|``,
+
+    e = ((a.n) n - a + i a x n) / (sqrt(2) |a x n|),
+
+which needs no azimuthal frame and no angles.  A basis stores no e array:
+`PolarizationBasis.e` derives one Cartesian component per call, the way
+`GridPair` derives its metadata.  What it stores is the Berry-type
+connection ``alpha_j = -Im[e* . d_j e]``, obtained with the same
 finite-difference stencil as every other k derivative in the package.
 
 A single chart cannot cover the sphere smoothly; points within ``eps_pole``
-of the chart axis are recorded in ``pole_points`` and carry the limiting
-basis of an azimuth-0 approach.  Beams and test states are constructed away
-from the poles.
+of the chart axis (`PolarizationBasis.pole_mask`) carry the limiting basis
+of an azimuth-0 approach, ``(cos(theta) u - sin(theta) a + i v)/sqrt(2)``
+in a fixed right-handed frame (u, v, a).  Beams and test states are
+constructed away from the poles.
 """
 
 from __future__ import annotations
@@ -17,15 +25,18 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .grids import LEVI_CIVITA, cross, reflect_conjugate, spectral_gradient_k, _readonly
+from .grids import LEVI_CIVITA, cross, reflect_conjugate, spectral_gradient_k, _along, _readonly
 
 EPS_POLE = 1e-6  # radians
 
 
 @dataclass(frozen=True)
 class PolarizationBasis:
-    """Polarization vectors e(k), connection alpha(k) and gauge bookkeeping.
+    """Connection alpha(k) of the circular basis, with gauge bookkeeping.
 
+    The vectors e(k) themselves are derived on request, one component per
+    call of `e`, in closed form from the chart axis, and re-phased by
+    ``exp(-i gauge_phase)``; the chart poles likewise (`pole_mask`).
     ``alpha`` is the connection in the current gauge; ``alpha_base`` and
     ``gauge_phase`` keep the construction gauge and the accumulated chart
     phase so that covariant derivatives can be evaluated in the construction
@@ -34,17 +45,41 @@ class PolarizationBasis:
     ``gauge_phase`` is a zero-stride view of one zero.
     """
 
-    e: np.ndarray              # (3, nx, ny, nz) complex
-    alpha: np.ndarray          # (3, nx, ny, nz) real, current gauge
+    grid: object
     chart_axis: np.ndarray     # unit 3-vector
-    pole_points: np.ndarray    # (npole, 3) integer grid indices
-    pole_mask: np.ndarray      # boolean grid mask
+    alpha: np.ndarray          # (3, nx, ny, nz) real, current gauge
     alpha_base: np.ndarray     # connection of the construction gauge
     gauge_phase: np.ndarray    # accumulated phase field, zeros at construction
+    eps_pole: float = EPS_POLE
 
     @property
     def has_gauge_phase(self):
         return bool(np.any(self.gauge_phase))
+
+    def e(self, i, out=None):
+        """Component `i` of the polarization vector e(k) in the current gauge.
+
+        With `out` (a complex grid array) the component is written there and
+        `out` returned.  Uses one real grid array of scratch, and one complex
+        one more when a gauge phase is present.
+        """
+        if out is None:
+            out = np.empty(self.grid.dims, dtype=complex)
+        _construction_e(self.grid, self.chart_axis, self.eps_pole, i, out)
+        if self.has_gauge_phase:
+            phase = np.multiply(self.gauge_phase, -1j)
+            out *= np.exp(phase, out=phase)
+        return out
+
+    def pole_mask(self):
+        """Boolean grid mask of the chart poles, the excluded k=0 bin included."""
+        cnorm, scratch = np.empty(self.grid.dims), np.empty(self.grid.dims)
+        return _chart_geometry(self.grid, self.chart_axis, self.eps_pole, cnorm, scratch)[2]
+
+    @property
+    def pole_points(self):
+        """(npole, 3) integer grid indices of `pole_mask`."""
+        return np.argwhere(self.pole_mask())
 
 
 def _chart_frame(axis):
@@ -59,6 +94,88 @@ def _chart_frame(axis):
     return u, v
 
 
+def _two_product(x, y):
+    """x*y as an unevaluated sum p + err of two doubles, exactly (Dekker's product)."""
+    p = x * y
+    xh, xl = _split(x)
+    yh, yl = _split(y)
+    return p, ((xh * yh - p) + xh * yl + xl * yh) + xl * yl
+
+
+def _split(x):
+    """Veltkamp split of x into two halves of 26 significant bits each."""
+    t = 134217729.0 * x     # 2**27 + 1
+    hi = t - (t - x)
+    return hi, x - hi
+
+
+def _chart_geometry(grid, axis, eps_pole, cnorm, scratch):
+    """a x k, |k| and the pole points of the chart axis `a` on `grid`.
+
+    Returns ``(c, kmag, poles)``: the three components of a x k as
+    broadcasting 2-d arrays, |k| with 1 at the excluded bin, and the mask of
+    the points within `eps_pole` of the axis plus the excluded bin.
+    sqrt(2) |a x k| is written into `cnorm`; `scratch` is overwritten.  The
+    components of a x k are formed from exact products, so they keep full
+    relative accuracy where the products cancel near the axis: the direction
+    of a x k, and every vector derived from it, stays accurate to rounding
+    however close k comes to the axis.
+    """
+    k = [_along(a, ax) for ax, a in enumerate(grid.k_axes)]
+    c = []
+    for j in range(3):
+        p, q = (j + 1) % 3, (j + 2) % 3
+        h1, l1 = _two_product(axis[p], k[q])
+        h2, l2 = _two_product(axis[q], k[p])
+        c.append((h1 - h2) + (l1 - l2))
+    kmag = grid.kmag()
+    kmag[grid.excluded_index] = 1.0
+    np.add(2.0 * c[0] * c[0], 2.0 * c[1] * c[1], out=cnorm)
+    cnorm += 2.0 * c[2] * c[2]
+    np.sqrt(cnorm, out=cnorm)
+    np.multiply(kmag, np.sqrt(2.0) * eps_pole, out=scratch)
+    poles = cnorm < scratch                 # sin(theta) < eps_pole
+    poles[grid.excluded_index] = True       # direction undefined there
+    return c, kmag, poles
+
+
+def _pole_limit(grid, axis, pts, i):
+    """Component `i` of (cos(theta) u - sin(theta) a + i v)/sqrt(2) at the points `pts`.
+
+    The excluded k=0 bin takes the placeholder direction z of `GridPair.nhat`.
+    """
+    n = np.stack([a[idx] for a, idx in zip(grid.k_axes, pts)])
+    kmag = np.linalg.norm(n, axis=0)
+    n /= np.where(kmag == 0.0, 1.0, kmag)
+    n[:, kmag == 0.0] = ((0.0,), (0.0,), (1.0,))
+    ca = axis @ n
+    st = np.linalg.norm(np.cross(axis, n, axis=0), axis=0)
+    u, v = _chart_frame(axis)
+    return (ca * u[i] - st * axis[i]) / np.sqrt(2.0), v[i] / np.sqrt(2.0)
+
+
+def _construction_e(grid, axis, eps_pole, i, out):
+    """Write component `i` of e(k) in the construction gauge into the complex array `out`.
+
+    Evaluates ``((a x k) x k + i |k| a x k) / (sqrt(2) |k| |a x k|)``, the
+    closed form of the module docstring multiplied through by |k|^2.
+    """
+    re, im = out.real, out.imag
+    c, kmag, poles = _chart_geometry(grid, axis, eps_pole, cnorm=im, scratch=re)
+    pts = np.nonzero(poles)
+    del poles
+    im[pts] = 1.0
+    kmag *= im
+    k = [_along(a, ax) for ax, a in enumerate(grid.k_axes)]
+    p, q = (i + 1) % 3, (i + 2) % 3
+    np.subtract(c[p] * k[q], c[q] * k[p], out=re)
+    re /= kmag                              # theta_hat_i / sqrt(2)
+    del kmag
+    np.divide(c[i], im, out=im)             # phi_hat_i / sqrt(2)
+    re[pts], im[pts] = _pole_limit(grid, axis, pts, i)
+    return out
+
+
 def build_basis(grid, chart_axis=(0.0, 0.0, 1.0), eps_pole=EPS_POLE):
     """Construct the circular basis and its connection on `grid`.
 
@@ -67,54 +184,28 @@ def build_basis(grid, chart_axis=(0.0, 0.0, 1.0), eps_pole=EPS_POLE):
     up to a gauge transformation, the operational check being the curvature
     relation exercised by `photonam.algebra_checks.check_curvature`.
     """
-    u, v, = _chart_frame(chart_axis)
-    axis = np.asarray(chart_axis, dtype=float)
+    _chart_frame(chart_axis)        # a non-unit axis fails before any grid array exists
+    axis = _readonly(np.asarray(chart_axis, dtype=float))
 
-    # n . axis, n . u, n . v, deriving n one component at a time
-    ca, nu, nv = (np.empty(grid.dims) for _ in range(3))
-    for j in range(3):
-        n = grid.nhat(j)
-        for dot, vec in ((ca, axis), (nu, u), (nv, v)):
-            if j == 0:
-                np.multiply(vec[0], n, out=dot)
-            else:
-                dot += vec[j] * n
-    del n, dot
-    np.clip(ca, -1.0, 1.0, out=ca)
-    st = np.sqrt(np.clip(1.0 - ca * ca, 0.0, None))
-    pole_mask = st < eps_pole
-    pole_mask[grid.excluded_index] = True  # direction undefined there
-
-    st_safe = np.where(pole_mask, 1.0, st)
-    cphi = np.where(pole_mask, 1.0, nu / st_safe)   # azimuth-0 limit at poles
-    sphi = np.where(pole_mask, 0.0, nv / st_safe)
-    del nu, nv, st_safe
-
-    shape = (3,) + grid.dims
-    e = np.empty(shape, dtype=complex)
-    for i in range(3):
-        theta_hat = ca * (cphi * u[i] + sphi * v[i]) - st * axis[i]
-        phi_hat = -sphi * u[i] + cphi * v[i]
-        e[i] = (theta_hat + 1j * phi_hat) / np.sqrt(2.0)
-    del ca, st, cphi, sphi, theta_hat, phi_hat  # free before the derivatives
-
-    # alpha_j = -sum_c Im(e_c* d_j e_c), one component at a time
-    alpha = np.zeros(shape)
+    # alpha_j = -sum_c Im(e_c* d_j e_c), one component of e at a time
+    alpha = np.zeros((3,) + grid.dims)
+    e = np.empty(grid.dims, dtype=complex)
     for comp in range(3):
-        grad = spectral_gradient_k(grid, e[comp], boundary="ignore")
-        np.multiply(np.conj(e[comp]), grad, out=grad)
+        _construction_e(grid, axis, eps_pole, comp, e)
+        grad = spectral_gradient_k(grid, e, boundary="ignore")
+        grad *= np.conjugate(e, out=e)
         alpha -= grad.imag
         del grad        # before the next component's gradient is allocated
+    del e
 
     alpha = _readonly(alpha)
     return PolarizationBasis(
-        e=_readonly(e),
+        grid=grid,
+        chart_axis=axis,
         alpha=alpha,
-        chart_axis=_readonly(axis),
-        pole_points=_readonly(np.argwhere(pole_mask)),
-        pole_mask=_readonly(pole_mask),
         alpha_base=alpha,
         gauge_phase=np.broadcast_to(0.0, grid.dims),
+        eps_pole=float(eps_pole),
     )
 
 
@@ -132,7 +223,6 @@ def gauge_transform(grid, basis, phi):
     grad_phi = spectral_gradient_k(grid, phi, boundary="ignore")
     return replace(
         basis,
-        e=_readonly(np.exp(-1j * phi) * basis.e),
         alpha=_readonly(basis.alpha + grad_phi),
         gauge_phase=_readonly(basis.gauge_phase + phi),
     )
@@ -149,9 +239,11 @@ def identity_residuals(grid, basis):
     transverse fields the ``n_i n_j`` term drops and the familiar shorthand
     ``(delta_ij + i eps_ijl n_l)/2`` is recovered.
     """
-    ok = ~basis.pole_mask
-    ok[grid.excluded_index] = False
-    e = basis.e
+    poles = basis.pole_mask()
+    ok = ~poles
+    e = np.empty((3,) + grid.dims, dtype=complex)
+    for i in range(3):
+        basis.e(i, out=e[i])
     n = np.stack([grid.nhat(j) for j in range(3)])
 
     res = {}
@@ -173,7 +265,7 @@ def identity_residuals(grid, basis):
     # e*(k) . e(-k) = 0; needs both k and -k usable, which excludes the
     # self-aliased Nyquist planes along with the poles
     e_neg = np.stack([np.conj(reflect_conjugate(grid, e[i])) for i in range(3)])
-    ok_pair = ok & ~np.roll(np.flip(basis.pole_mask, axis=(0, 1, 2)), (1, 1, 1), axis=(0, 1, 2))
+    ok_pair = ok & ~np.roll(np.flip(poles, axis=(0, 1, 2)), (1, 1, 1), axis=(0, 1, 2))
     for ax, nn in enumerate(grid.dims):
         sl = [slice(None)] * 3
         sl[ax] = nn // 2

@@ -62,16 +62,13 @@ def rotate_vector_field(grid, field, R):
 
 
 def rotate_basis(grid, basis, R):
-    pole_mask = rotate_scalar(grid, np.asarray(basis.pole_mask), R)
+    """Rotate the connection and the gauge phase; e follows from the rotated chart axis."""
     return replace(
         basis,
-        e=_readonly(rotate_vector_field(grid, basis.e, R)),
         alpha=_readonly(rotate_vector_field(grid, basis.alpha, R)),
         alpha_base=_readonly(rotate_vector_field(grid, basis.alpha_base, R)),
         gauge_phase=_readonly(rotate_scalar(grid, basis.gauge_phase, R)),
         chart_axis=_readonly(R @ basis.chart_axis),
-        pole_mask=_readonly(pole_mask),
-        pole_points=_readonly(np.argwhere(pole_mask)),
     )
 
 

@@ -19,6 +19,11 @@ def nhat_stack(grid):
     return np.stack([grid.nhat(j) for j in range(3)])
 
 
+def e_stack(basis):
+    """The polarization vectors e(k) as one (3,) + dims array, from the per-component accessor."""
+    return np.stack([basis.e(i) for i in range(3)])
+
+
 def traced_peak(fn):
     """Run ``fn()``; return its result and the tracemalloc peak, in bytes, above the size at the start.
 

@@ -93,7 +93,8 @@ def test_corrupt_files_rejected(tmp_path, capsys):
         rewrite({k: v for k, v in manifest.items() if k != key})
         with pytest.raises(fileio.FieldFileError, match=key):
             fileio.read(bad)
-    for change in ({"components": ["gL"]}, {"units": {}}, {"spacing": [1.0, 1.0, -1.0]}):
+    for change in ({"components": ["gL"]}, {"units": {}}, {"spacing": [1.0, 1.0, -1.0]},
+                   {"time": float("nan")}, {"time": float("inf")}, {"time": "0"}):
         rewrite({**manifest, **change})
         with pytest.raises(fileio.FieldFileError):
             fileio.read(bad)
@@ -214,6 +215,20 @@ def test_grid_too_large_for_memory_exits_2_before_allocating(tmp_path, capsys, m
     assert code == 2 and not built
     payload = json.loads(err.strip())
     assert payload["type"] == "ValueError" and "physical memory" in payload["error"]
+
+
+@pytest.mark.parametrize("argv, message", [
+    (("bessel", "--m", "1", "--photons", "-1"), "photons"),
+    (("bessel", "--m", "1", "--k0", "nan"), "finite"),
+    (("gaussian", "--sigma", "nan"), "finite"),
+])
+def test_beam_input_is_refused_before_the_basis_is_built(tmp_path, capsys, monkeypatch, argv, message):
+    built = []
+    monkeypatch.setattr(pn.polarization, "build_basis", lambda *a, **k: built.append(a))
+    code, _, err = run_cli(capsys, "beam", *argv, "--grid", "64", "-o", str(tmp_path / "x.pam"))
+    assert code == 2 and not built
+    payload = json.loads(err.strip())
+    assert payload["type"] == "ValueError" and message in payload["error"]
 
 
 def test_failed_allocation_exits_2_with_error_json(tmp_path, capsys, monkeypatch):

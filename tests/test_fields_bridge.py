@@ -7,7 +7,7 @@ import photonam as pn
 from photonam.fields_bridge import RealVectorField, relative_divergence
 from photonam.grids import _readonly
 
-from conftest import rel, smooth_state
+from conftest import e_stack, rel, smooth_state
 
 
 def test_synthesize_zero(grid16, basis16):
@@ -29,7 +29,7 @@ def test_single_bin_plane_wave_oracle(grid16, basis16):
 
     kvec = np.stack(g.kvec)[:, idx[0], idx[1], idx[2]]
     om = g.omega()[idx]
-    e = b.e[:, idx[0], idx[1], idx[2]]
+    e = e_stack(b)[:, idx[0], idx[1], idx[2]]
     x, y, z = np.meshgrid(*g.x_axes, indexing="ij")
     phase = np.exp(1j * (kvec[0] * x + kvec[1] * y + kvec[2] * z - om * 0.37))
     expected = (g.dVk / (2 * np.pi) ** 1.5) * amp * e[:, None, None, None] * phase

@@ -1,10 +1,12 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import photonam as pn
 from photonam.grids import spectral_gradient_k
+from photonam.polarization import EPS_POLE, _chart_frame
 
-from conftest import nhat_stack, rel
+from conftest import e_stack, nhat_stack, rel
 
 
 IDENTITY_TOL = 1e-12
@@ -25,20 +27,66 @@ def test_identities_tilted_chart(grid16):
         assert v <= IDENTITY_TOL, name
 
 
+@settings(max_examples=40, deadline=None)
+@given(st.tuples(*[st.floats(-1.0, 1.0, allow_nan=False)] * 3).filter(lambda v: np.linalg.norm(v) > 1e-3))
+def test_identities_hold_for_any_chart_axis(raw):
+    """Rounding-level identities at every non-pole point, however close the grid comes to the axis."""
+    axis = np.asarray(raw) / np.linalg.norm(raw)
+    for grid in (pn.make_grid(16), pn.make_grid((16, 12, 20), (1.0, 0.8, 1.3))):
+        basis = pn.build_basis(grid, tuple(axis))
+        for name, v in pn.identity_residuals(grid, basis).items():
+            assert v <= IDENTITY_TOL, name
+
+
+def _spherical_e(grid, axis):
+    """Reference: (theta_hat + i phi_hat)/sqrt(2) from the polar and azimuthal angles in the frame (u, v, a).
+
+    Poles (and the excluded bin, direction z) take the azimuth-0 limit.  sin(theta) is taken as
+    hypot(n.u, n.v); sqrt(1 - cos^2(theta)) would lose half the digits near the axis.
+    """
+    u, v = _chart_frame(axis)
+    n = nhat_stack(grid)
+    ca, nu, nv = (np.einsum("i,i...->...", w, n) for w in (axis, u, v))
+    sin_t = np.hypot(nu, nv)
+    pole = sin_t < EPS_POLE
+    pole[grid.excluded_index] = True
+    safe = np.where(pole, 1.0, sin_t)
+    cphi = np.where(pole, 1.0, nu / safe)
+    sphi = np.where(pole, 0.0, nv / safe)
+    col = (slice(None), None, None, None)
+    theta_hat = ca * (cphi * u[col] + sphi * v[col]) - sin_t * axis[col]
+    phi_hat = -sphi * u[col] + cphi * v[col]
+    return (theta_hat + 1j * phi_hat) / np.sqrt(2.0), pole
+
+
+@pytest.mark.parametrize("dims, spacing", [((48, 40, 56), (1.0, 0.8, 1.3)), ((40, 56, 48), (0.7, 1.1, 0.9))])
+@pytest.mark.parametrize("axis", [(1.0, 0.0, 0.0), (0.0, 0.0, 1.0), tuple(np.ones(3) / np.sqrt(3.0))])
+def test_closed_form_matches_spherical_construction(dims, spacing, axis):
+    g = pn.make_grid(dims, spacing)
+    b = pn.build_basis(g, axis)
+    e_ref, pole_ref = _spherical_e(g, np.asarray(axis))
+    assert np.array_equal(b.pole_mask(), pole_ref)
+    assert np.abs(e_stack(b) - e_ref).max() <= 1e-13      # pole points and the k=0 bin included
+    alpha_ref = np.zeros((3,) + g.dims)
+    for c in range(3):
+        alpha_ref -= (np.conj(e_ref[c]) * spectral_gradient_k(g, e_ref[c], boundary="ignore")).imag
+    assert np.abs(b.alpha - alpha_ref).max() <= 1e-10
+
+
 def test_pole_limit_values(grid16, basis16):
     g, b = grid16, basis16
     # on the positive chart axis: e = (x + i y)/sqrt(2)
     up = (0, 0, 3)
     expect_up = np.array([1.0, 1.0j, 0.0]) / np.sqrt(2.0)
-    assert np.abs(b.e[(slice(None),) + up] - expect_up).max() < 1e-14
+    assert np.abs(e_stack(b)[(slice(None),) + up] - expect_up).max() < 1e-14
     # e* x e = i z there
-    e = b.e[(slice(None),) + up]
+    e = e_stack(b)[(slice(None),) + up]
     cr = np.cross(np.conj(e), e)
     assert np.abs(cr - 1j * np.array([0, 0, 1.0])).max() < 1e-14
     # negative axis: azimuth-0 limit gives (-x + i y)/sqrt(2)
     down = (0, 0, g.dims[2] - 3)
     expect_down = np.array([-1.0, 1.0j, 0.0]) / np.sqrt(2.0)
-    assert np.abs(b.e[(slice(None),) + down] - expect_down).max() < 1e-14
+    assert np.abs(e_stack(b)[(slice(None),) + down] - expect_down).max() < 1e-14
 
 
 def test_pole_points_lie_on_axis(grid16, basis16):
@@ -60,7 +108,7 @@ def test_non_unit_axis_rejected(grid16):
 def test_construction_is_deterministic(grid16):
     b1 = pn.build_basis(grid16)
     b2 = pn.build_basis(grid16)
-    assert np.array_equal(b1.e, b2.e)
+    assert np.array_equal(e_stack(b1), e_stack(b2))
     assert np.array_equal(b1.alpha, b2.alpha)
 
 
@@ -117,12 +165,12 @@ def test_berry_loop_leaving_grid_rejected(grid16, basis16):
 def test_gauge_transform_identity_and_constant(grid32, basis32):
     g, b = grid32, basis32
     b0 = pn.gauge_transform(g, b, np.zeros(g.dims))
-    assert rel(b0.e, b.e) < 1e-15
+    assert rel(e_stack(b0), e_stack(b)) < 1e-15
     assert np.abs(b0.alpha - b.alpha).max() < 1e-15
 
     phi = np.full(g.dims, 0.8)
     bc = pn.gauge_transform(g, b, phi)
-    assert rel(bc.e, np.exp(-0.8j) * b.e) < 1e-15
+    assert rel(e_stack(bc), np.exp(-0.8j) * e_stack(b)) < 1e-15
     # gradient of a constant vanishes (edge stencils leave rounding dust)
     assert np.abs(bc.alpha - b.alpha).max() < 1e-13
 

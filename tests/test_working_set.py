@@ -7,6 +7,7 @@ the size at the call, so inputs prepared beforehand do not count, while the
 stage's own result does.
 """
 
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -17,7 +18,8 @@ import photonam as pn
 from conftest import smooth_state, traced_peak
 
 BUDGETS = {
-    "build_basis": 10.0,
+    "build_basis": 6.1,
+    "basis.e": 1.0,
     "generators_photon_picture": 9.0,
     "darwin_split": 10.0,
     "vector_potential": 10.0,
@@ -43,8 +45,10 @@ def stages64(grid64, basis64):
     k0 = 0.62 * np.pi
     sigma = 2.5 * grid64.dk[0]
     spec = pn.BesselSpec(k_perp0=0.6 * k0, k_z0=0.8 * k0, m=3, helicity=1, sigma_perp=sigma, sigma_z=sigma)
+    e_i = np.empty(grid64.dims, dtype=complex)
     return {
         "build_basis": lambda: pn.build_basis(grid64, (1.0, 0.0, 0.0)),
+        "basis.e": lambda: basis64.e(1, out=e_i),
         "generators_photon_picture": lambda: pn.generators_photon_picture(wf, boundary="ignore"),
         "darwin_split": lambda: pn.darwin_split(Ek, boundary="ignore"),
         "vector_potential": lambda: pn.vector_potential(B),
@@ -65,6 +69,20 @@ def test_stage_working_set(stage, stages64, grid64):
         warnings.simplefilter("ignore")
         _, peak = traced_peak(stages64[stage])
     assert peak / unit <= BUDGETS[stage], f"{stage}: {peak / unit:.2f} complex grid arrays"
+
+
+def test_basis_retains_only_the_connection(grid64):
+    """A basis keeps alpha (1.5 complex grid arrays) and derives e and the poles on request."""
+    unit = np.dtype(complex).itemsize * grid64.npoints
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        basis = pn.build_basis(grid64, (1.0, 0.0, 0.0))
+        retained = tracemalloc.get_traced_memory()[0] - base
+    finally:
+        tracemalloc.stop()
+    assert basis.alpha.nbytes == 1.5 * unit
+    assert retained / unit <= 1.6, f"build_basis retained {retained / unit:.2f} complex grid arrays"
 
 
 def test_grid_holds_no_3d_array():
