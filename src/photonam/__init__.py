@@ -52,7 +52,6 @@ from .observables import (
     generators_field_picture,
     generators_photon_picture,
     spin_nonlocal_real,
-    split_angular_momentum,
     textbook_split,
 )
 from .algebra_checks import (

@@ -60,7 +60,7 @@ def _as_tag(tag):
     return tag if isinstance(tag, OperatorTag) else OperatorTag.parse(tag)
 
 
-def apply_generator(tag, wf, boundary="warn"):
+def apply_generator(tag, wf):
     """Apply H = hbar w, P = hbar k, J = i hbar D x k + hbar chi n, K = i hbar w D."""
     tag = _as_tag(tag)
     grid = wf.grid
@@ -76,15 +76,15 @@ def apply_generator(tag, wf, boundary="warn"):
     # only the D axes the generator reads
     i = tag.axis
     if tag.kind == "D":
-        return photon_state.covariant_derivative_axis(wf, i, boundary=boundary)
+        return photon_state.covariant_derivative_axis(wf, i)
     if tag.kind == "K":
-        Di = photon_state.covariant_derivative_axis(wf, i, boundary=boundary)
+        Di = photon_state.covariant_derivative_axis(wf, i)
         f = 1j * hbar * grid.omega()
         return replace(wf, gL=_readonly(f * Di.gL), gR=_readonly(f * Di.gR))
     if tag.kind == "J":
         a, b = (i + 1) % 3, (i + 2) % 3
-        Da = photon_state.covariant_derivative_axis(wf, a, boundary=boundary)
-        Db = photon_state.covariant_derivative_axis(wf, b, boundary="ignore")
+        Da = photon_state.covariant_derivative_axis(wf, a)
+        Db = photon_state.covariant_derivative_axis(wf, b)
         k = grid.kvec
         n_i = grid.nhat(i)
         out = {}
@@ -97,7 +97,7 @@ def apply_generator(tag, wf, boundary="warn"):
 
 
 # expected commutators, canonical order; c = speed of light, h = hbar
-def _expected(tagA, tagB, wf, boundary):
+def _expected(tagA, tagB, wf):
     """Return (label, wavefunction or None) for [A, B] in canonical order."""
     grid = wf.grid
     h = grid.units.hbar
@@ -105,7 +105,7 @@ def _expected(tagA, tagB, wf, boundary):
     A, B = tagA, tagB
 
     def scaled(tag, factor):
-        g = apply_generator(tag, wf, boundary=boundary)
+        g = apply_generator(tag, wf)
         return replace(g, gL=_readonly(factor * g.gL), gR=_readonly(factor * g.gR))
 
     if {A.kind, B.kind} <= {"H", "P"}:
@@ -139,22 +139,22 @@ def _expected(tagA, tagB, wf, boundary):
     return None
 
 
-def check_commutator(tagA, tagB, wf, boundary="warn"):
+def check_commutator(tagA, tagB, wf):
     """Residual of [A, B] psi against the Poincare table (report, never raises)."""
     tagA, tagB = _as_tag(tagA), _as_tag(tagB)
     grid = wf.grid
 
-    found = _expected(tagA, tagB, wf, boundary)
+    found = _expected(tagA, tagB, wf)
     sign = 1.0
     if found is None:
-        found = _expected(tagB, tagA, wf, boundary)
+        found = _expected(tagB, tagA, wf)
         sign = -1.0
         if found is None:
             raise ValueError(f"no tabulated relation for [{tagA}, {tagB}]")
     label, expected_wf = found
 
-    AB = apply_generator(tagA, apply_generator(tagB, wf, boundary), boundary)
-    BA = apply_generator(tagB, apply_generator(tagA, wf, boundary), boundary)
+    AB = apply_generator(tagA, apply_generator(tagB, wf))
+    BA = apply_generator(tagB, apply_generator(tagA, wf))
     diff_L = AB.gL - BA.gL
     diff_R = AB.gR - BA.gR
     scale_states = [AB, BA]
@@ -183,14 +183,14 @@ def check_commutator(tagA, tagB, wf, boundary="warn"):
     )
 
 
-def check_curvature(wf, axes=(0, 1), boundary="warn"):
+def check_curvature(wf, axes=(0, 1)):
     """Residual of [D_i, D_j] = i chi eps_ijl n_l / |k|^2 on the state."""
     i, j = axes
     grid = wf.grid
-    Dj = photon_state.covariant_derivative_axis(wf, j, boundary=boundary)
-    Di = photon_state.covariant_derivative_axis(wf, i, boundary="ignore")
-    Di_of_Dj = photon_state.covariant_derivative_axis(Dj, i, boundary="ignore")
-    Dj_of_Di = photon_state.covariant_derivative_axis(Di, j, boundary="ignore")
+    Dj = photon_state.covariant_derivative_axis(wf, j)
+    Di = photon_state.covariant_derivative_axis(wf, i)
+    Di_of_Dj = photon_state.covariant_derivative_axis(Dj, i)
+    Dj_of_Di = photon_state.covariant_derivative_axis(Di, j)
     del Dj, Di
 
     safe = grid.kmag() ** 2
@@ -233,7 +233,7 @@ DEFAULT_SUITE = (
 )
 
 
-def run_suite(wf, pairs=DEFAULT_SUITE, curvature=True, boundary="warn"):
+def run_suite(wf, pairs=DEFAULT_SUITE, curvature=True):
     """Run the commutator suite plus the curvature relation on one state.
 
     The pairs run on a pool of THREADS workers (default: the CPU count).
@@ -242,7 +242,7 @@ def run_suite(wf, pairs=DEFAULT_SUITE, curvature=True, boundary="warn"):
     """
     workers = max(1, int(os.environ.get("THREADS") or os.cpu_count() or 1))
     with ThreadPoolExecutor(max_workers=workers) as pool:
-        reports = list(pool.map(lambda p: check_commutator(p[0], p[1], wf, boundary=boundary), pairs))
+        reports = list(pool.map(lambda p: check_commutator(p[0], p[1], wf), pairs))
     if curvature:
-        reports.append(check_curvature(wf, boundary=boundary))
+        reports.append(check_curvature(wf))
     return reports

@@ -11,6 +11,10 @@ unknown ``observables`` route is refused before its file is read.  Every
 ``observables`` route, the nonlocal Coulomb-kernel one included, runs on any
 grid the memory refusal accepts.
 
+The photon, darwin and field routes each measure their decay margin once
+and report it (``diagnostics.boundary_margin``, ``boundary_margin_r`` for the
+field); a failing margin also writes one ``BoundaryDecayWarning`` to stderr.
+
 The THREADS environment variable caps the worker count of the commutator
 pool in ``check algebra`` (see ``algebra_checks.run_suite``); results are
 identical for any value.
@@ -180,13 +184,13 @@ def build_report(wf, routes, manifest=None):
     if manifest and "provenance" in manifest:
         report["provenance"] = manifest["provenance"]
 
-    gen_p = observables.generators_photon_picture(wf, boundary="warn")
+    gen_p = observables.generators_photon_picture(wf)
     report["routes"]["photon"] = _generator_dict(gen_p)
     report["n_photons"] = float(gen_p.N)
 
     # darwin first, so that E(k) and F are never alive together
     if "darwin" in routes:
-        Jo_d, Js_d, diag = observables.darwin_split(fields_bridge.spectral_e_from_wavefunction(wf), boundary="warn")
+        Jo_d, Js_d, diag = observables.darwin_split(fields_bridge.spectral_e_from_wavefunction(wf))
         report["routes"]["darwin"] = {"Jo": _vec3(Jo_d), "Js": _vec3(Js_d), "diagnostics": _jsonable(diag)}
         report["deltas"]["Js_darwin_vs_photon"] = _rel(Js_d, gen_p.Js)
         report["deltas"]["Jo_darwin_vs_photon"] = _rel(Jo_d, gen_p.Jo)
@@ -195,7 +199,7 @@ def build_report(wf, routes, manifest=None):
     if "field" in routes or "textbook" in routes or "nonlocal" in routes:
         rs = fields_bridge.synthesize(wf)
     if "field" in routes:
-        gen_f = observables.generators_field_picture(rs, boundary="warn")
+        gen_f = observables.generators_field_picture(rs)
         report["routes"]["field"] = _generator_dict(gen_f)
         report["deltas"]["H_field_vs_photon"] = _rel(gen_f.H, gen_p.H)
         report["deltas"]["P_field_vs_photon"] = _rel(gen_f.P, gen_p.P)
@@ -335,7 +339,7 @@ def check_algebra(grids=(48, 96), dx=1.0):
         basis = polarization.build_basis(grid)
         with warnings.catch_warnings():
             warnings.simplefilter("ignore")
-            per_grid[n] = algebra_checks.run_suite(_algebra_state(grid, basis), boundary="ignore")
+            per_grid[n] = algebra_checks.run_suite(_algebra_state(grid, basis))
 
     coarse, fine = grids[0], grids[-1]
     ok = True

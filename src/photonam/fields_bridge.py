@@ -24,6 +24,10 @@ from .grids import (
 #: simple-cubic lattice self-energy constant of the neutralizing background
 WIGNER_SC = 2.837297479480619
 
+#: accepted limits: longitudinal fraction of E(k), relative divergence of B
+#: (and of A in the textbook split), k=0 component of B relative to its peak
+LONGITUDINAL_TOL, TRANSVERSE_TOL, ZERO_MODE_TOL = 1e-6, 1e-6, 1e-12
+
 
 @dataclass(frozen=True)
 class RSField:
@@ -156,12 +160,12 @@ def magnetic_field(rs):
     return RealVectorField(values=_readonly(s * rs.F.imag), role="B", grid=rs.grid, time=rs.time)
 
 
-def spectral_e_field(E, B, longitudinal_tol=1e-6):
+def spectral_e_field(E, B):
     """Plane-wave electric amplitudes from real E and B snapshots.
 
     ``E(k) = (2(2 pi)^{3/2})^{-1} int d3r e^{-i k.r} [E + (i c/|k|) curl B]``;
     the curl is evaluated spectrally.  Raises if the result has a longitudinal
-    component above `longitudinal_tol` (non-radiative field content).
+    component above LONGITUDINAL_TOL (non-radiative field content).
     """
     grid = E.grid
     if E.values.dtype.kind == "c" or B.values.dtype.kind == "c":
@@ -190,21 +194,21 @@ def spectral_e_field(E, B, longitudinal_tol=1e-6):
 
     num = np.linalg.norm(long_part)
     den = np.linalg.norm(Ek)
-    if den > 0 and num / den > longitudinal_tol:
+    if den > 0 and num / den > LONGITUDINAL_TOL:
         raise ValueError(
             f"non-radiative field content: longitudinal fraction {num / den:.2e} "
-            f"exceeds {longitudinal_tol:.0e}")
+            f"exceeds {LONGITUDINAL_TOL:.0e}")
     return SpectralEField(values=_readonly(Ek), grid=grid)
 
 
-def analyze(E, B, basis, longitudinal_tol=1e-6):
+def analyze(E, B, basis):
     """Recover the photon wavefunction from real E and B snapshots.
 
     Inverse of `synthesize` at the snapshot instant: round-trips to 1e-10
     relative for boundary-decaying states.  The returned wavefunction has
     time 0 (phases, if any, are already baked into the field data).
     """
-    Ek = spectral_e_field(E, B, longitudinal_tol=longitudinal_tol)
+    Ek = spectral_e_field(E, B)
     return project_spectral_e(Ek, basis)
 
 
@@ -246,9 +250,9 @@ def spectral_e_from_wavefunction(wf):
     return SpectralEField(values=_readonly(Ek), grid=grid)
 
 
-def analyze_rs(rs, basis, longitudinal_tol=1e-6):
+def analyze_rs(rs, basis):
     """Convenience: split an RSField into (E, B) and analyze."""
-    return analyze(electric_field(rs), magnetic_field(rs), basis, longitudinal_tol=longitudinal_tol)
+    return analyze(electric_field(rs), magnetic_field(rs), basis)
 
 
 # ---------------------------------------------------------------------------
@@ -274,7 +278,7 @@ def maxwell_residual(rs1, rs2):
     return float(num / den) if den > 0 else float(num)
 
 
-def vector_potential(B, zero_mode_tol=1e-12, transverse_tol=1e-6):
+def vector_potential(B):
     """Transverse-gauge vector potential with curl A = B, div A = 0.
 
     Spectral inversion ``A(k) = i k x B(k) / |k|^2``, the momentum-space form
@@ -291,11 +295,11 @@ def vector_potential(B, zero_mode_tol=1e-12, transverse_tol=1e-6):
         div.add(i, Bk[i])
     peak = max(np.abs(Bk[i]).max() for i in range(3))
     zero_mode = np.abs(Bk[(slice(None),) + grid.excluded_index]).max()
-    if peak > 0 and zero_mode > zero_mode_tol * peak:
+    if peak > 0 and zero_mode > ZERO_MODE_TOL * peak:
         raise ValueError("zero-mode in B: uniform component has no transverse potential")
     residual = div.ratio()
     del div
-    if residual > transverse_tol:
+    if residual > TRANSVERSE_TOL:
         raise ValueError(f"B is not divergence free (relative residual {residual:.2e})")
     k2 = grid.kmag()
     k2 *= k2

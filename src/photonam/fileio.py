@@ -18,7 +18,9 @@ write -> read -> write reproduces the file byte for byte.
 from __future__ import annotations
 
 import json
+import math
 import struct
+import sys
 
 import numpy as np
 
@@ -113,52 +115,49 @@ def _read_container(path):
     missing = (_COMMON_KEYS | kind_keys) - manifest.keys()
     if missing:
         raise FieldFileError(f"{path}: manifest lacks {', '.join(sorted(missing))}")
-    time = manifest["time"]
-    if not isinstance(time, (int, float)) or not np.isfinite(time):
+    time, dims, components = manifest["time"], manifest["dims"], manifest["components"]
+    if not _finite_number(time):
         raise FieldFileError(f"{path}: manifest time {time!r} is not a finite number")
-    shape = (len(manifest["components"]),) + tuple(manifest["dims"])
-    if len(shape) != 4 or shape[0] != ncomp:
-        raise FieldFileError(f"{path}: a {manifest['kind']} file needs {ncomp} components on a 3-d grid")
+    if not (isinstance(dims, list) and len(dims) == 3 and all(type(n) is int and n > 0 for n in dims)):
+        raise FieldFileError(f"{path}: manifest dims {dims!r} are not three positive integers")
+    if not isinstance(components, list) or len(components) != ncomp:
+        raise FieldFileError(f"{path}: a {manifest['kind']} file needs a list of {ncomp} components")
+    if "chart_axis" in kind_keys:
+        axis = manifest["chart_axis"]
+        if not (isinstance(axis, list) and len(axis) == 3 and all(map(_finite_number, axis))):
+            raise FieldFileError(f"{path}: manifest chart_axis {axis!r} is not three finite numbers")
+    shape = (ncomp,) + tuple(dims)
     payload = memoryview(raw)[24 + mlen:]
     if len(payload) < plen:
         raise FieldFileError(f"{path}: truncated payload")
     dtype = np.dtype("<c16" if manifest["complex"] else "<f8")
-    if plen != len(payload) or plen != int(np.prod(shape)) * dtype.itemsize:
+    if plen != len(payload) or plen != math.prod(shape) * dtype.itemsize:
         raise FieldFileError(f"{path}: payload length {plen} does not match manifest")
     return manifest, np.frombuffer(payload, dtype=dtype).reshape(shape)
 
 
-def _grid_from_manifest(manifest):
-    u = manifest["units"]
-    return make_grid(
-        tuple(manifest["dims"]),
-        tuple(manifest["spacing"]),
-        UnitsConfig(c=u["c"], hbar=u["hbar"], eps0=u["eps0"]),
-    )
+def _finite_number(v):
+    """True for a JSON number, not a bool, that converts to a finite float."""
+    return type(v) in (int, float) and -sys.float_info.max <= v <= sys.float_info.max
 
 
-def read(path, grid=None, basis=None):
+def read(path):
     """Read any field file; returns (object, manifest).
 
-    `grid` (and, for wavefunctions, `basis`) may be supplied to reuse
-    existing instances; they must match the manifest.
+    Every malformed file raises `FieldFileError`.
     """
     manifest, data = _read_container(path)
-    if grid is None:
-        try:
-            grid = _grid_from_manifest(manifest)
-        except (KeyError, TypeError, ValueError) as exc:
-            raise FieldFileError(f"{path}: manifest grid is invalid ({exc!r})") from None
-    elif list(grid.dims) != manifest["dims"] or list(grid.spacing) != manifest["spacing"]:
-        raise FieldFileError("supplied grid does not match the file manifest")
-
-    kind = manifest["kind"]
-    if kind == "wavefunction":
-        if basis is None:
+    kind, time, u = manifest["kind"], manifest["time"], manifest["units"]
+    try:
+        grid = make_grid(tuple(manifest["dims"]), tuple(manifest["spacing"]),
+                         UnitsConfig(c=u["c"], hbar=u["hbar"], eps0=u["eps0"]))
+        if kind == "wavefunction":
             basis = polarization.build_basis(grid, tuple(manifest["chart_axis"]))
-        wf = photon_state.wavefunction(grid, basis, data[0], data[1], time=manifest["time"], warn=False)
-        return wf, manifest
+    except (KeyError, TypeError, ValueError) as exc:
+        raise FieldFileError(f"{path}: manifest grid or chart axis is invalid ({exc!r})") from None
+
+    if kind == "wavefunction":
+        return photon_state.wavefunction(grid, basis, data[0], data[1], time=time, warn=False), manifest
     if kind == "rs_field":
-        return RSField(F=_readonly(data), grid=grid, time=manifest["time"]), manifest
-    return RealVectorField(values=_readonly(data), role=manifest["role"],
-                           grid=grid, time=manifest["time"]), manifest
+        return RSField(F=_readonly(data), grid=grid, time=time), manifest
+    return RealVectorField(values=_readonly(data), role=manifest["role"], grid=grid, time=time), manifest

@@ -19,6 +19,11 @@ the doubled grid, in O(M log M), so it runs at every grid size.  Grid
 metadata (w, omega, n) is derived inside each stage, n one component at a
 time.  Reductions are plain numpy sums, each on one thread, so results do
 not depend on the THREADS worker count of the check suites.
+
+Each route measures the decay its result needs once and reports it in its
+diagnostics: the photon picture that of (gL, gR) and the darwin route that
+of E(k), each against one shared peak, the field picture the real-space
+decay; a margin above BOUNDARY_TOL also gives one `BoundaryDecayWarning`.
 """
 
 from __future__ import annotations
@@ -29,13 +34,13 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import photon_state
-from .fields_bridge import _DivergenceSum, spectral_curl
+from .fields_bridge import TRANSVERSE_TOL, _DivergenceSum, spectral_curl
 from .grids import (
     BOUNDARY_TOL,
-    BoundaryDecayError,
     BoundaryDecayWarning,
     LEVI_CIVITA,
     boundary_margin,
+    check_boundary_decay,
     cross_component,
     forward_transform,
     inverse_transform,
@@ -78,14 +83,14 @@ class GeneratorSet:
 # ---------------------------------------------------------------------------
 # field picture
 
-def generators_field_picture(rs, include_moments=True, boundary="raise", tol=BOUNDARY_TOL):
+def generators_field_picture(rs, include_moments=True):
     """H, P, J, K as real-space integrals of the complex Maxwell field.
 
     ``H = int |F|^2``, ``P = (1/ic) int F* x F``, ``J = (1/ic) int r x (F* x F)``,
     ``K = int r |F|^2`` with r measured from the grid center.  The r-weighted
-    moments require the field to decay near the grid boundary (`boundary`:
-    "raise", "warn" or "ignore"); for periodic content (single plane waves)
-    pass ``include_moments=False``.
+    moments need the field to decay near the grid boundary; that margin is
+    ``diagnostics["boundary_margin_r"]``, and one above BOUNDARY_TOL warns.
+    For periodic content (single plane waves) pass ``include_moments=False``.
     """
     grid = rs.grid
     F = rs.F
@@ -97,12 +102,10 @@ def generators_field_picture(rs, include_moments=True, boundary="raise", tol=BOU
     if include_moments:
         margin = boundary_margin(F, grid.boundary_mask_r())
         diagnostics["boundary_margin_r"] = margin
-        if margin > tol and boundary != "ignore":
-            msg = (f"field does not decay at the real-space boundary "
-                   f"(edge magnitude {margin:.2e}); r-weighted moments unreliable")
-            if boundary == "raise":
-                raise BoundaryDecayError(msg)
-            warnings.warn(msg, BoundaryDecayWarning, stacklevel=2)
+        if margin > BOUNDARY_TOL:
+            warnings.warn(f"field does not decay at the real-space boundary "
+                          f"(edge magnitude {margin:.2e}); r-weighted moments unreliable",
+                          BoundaryDecayWarning, stacklevel=2)
 
     # |F|^2 and V = Im(F* x F) = 2 Re F x Im F; P = V/c pointwise
     dens = np.zeros(grid.dims)
@@ -125,7 +128,7 @@ def generators_field_picture(rs, include_moments=True, boundary="raise", tol=BOU
 # ---------------------------------------------------------------------------
 # photon picture
 
-def generators_photon_picture(wf, boundary="warn", tol=BOUNDARY_TOL):
+def generators_photon_picture(wf):
     """Expectation-value form of all ten quantities plus the Jo/Js split.
 
     ``H = <hbar w>``, ``P = <hbar k>``, ``Jo = <i hbar D x k>``,
@@ -133,9 +136,11 @@ def generators_photon_picture(wf, boundary="warn", tol=BOUNDARY_TOL):
     imaginary parts of the discretized D expectations are reported as
     diagnostics, not silently dropped.  Jo, K and the diagnostics all follow
     from the density ``u = sum_chi i g* D g``: the Jo integrand is ``u x k``
-    and the K integrand ``w u``.
+    and the K integrand ``w u``.  ``diagnostics["boundary_margin"]`` is the
+    decay of (gL, gR) that D needs, measured once against their joint peak.
     """
     grid = wf.grid
+    margin = check_boundary_decay(grid, (wf.gL, wf.gR), "wavefunction")
     hbar = grid.units.hbar
     w = grid.w_invariant()        # dVk / (hbar omega), zero at the excluded bin
     k = grid.kvec
@@ -154,7 +159,7 @@ def generators_photon_picture(wf, boundary="warn", tol=BOUNDARY_TOL):
     Js = hbar * np.array([np.sum(w * grid.nhat(j) * absL2) for j in range(3)])
     del absL2
 
-    u = photon_state._covariant_density(wf, boundary=boundary, tol=tol)
+    u = photon_state._covariant_density(wf)
 
     Jo, K = np.zeros(3), np.zeros(3)
     imJo, imK = np.zeros(3), np.zeros(3)
@@ -174,42 +179,37 @@ def generators_photon_picture(wf, boundary="warn", tol=BOUNDARY_TOL):
         imK[j] = hbar * np.sum(wo * u[j].imag)
         scaleK = max(scaleK, float(np.sum(wo * np.abs(u[j]))))
 
-    mask = grid.boundary_mask_k()
     orth_num = float(np.sum(w * np.abs(dot_n)))
     orth_den = max(float(np.sum(w * np.sqrt(mag2))), 1e-300)
     diagnostics = {
         "imag_residual_Jo": float(np.abs(imJo).max() / scaleJ),
         "imag_residual_K": float(np.abs(imK).max() / scaleK),
         "jo_orthogonality": orth_num / orth_den,
-        "boundary_margin": max(boundary_margin(wf.gL, mask), boundary_margin(wf.gR, mask)),
+        "boundary_margin": margin,
     }
 
     return GeneratorSet(H=H, P=P, J=Jo + Js, K=K, N=N, Jo=Jo, Js=Js, diagnostics=diagnostics)
 
 
-def split_angular_momentum(wf, boundary="warn"):
-    """(Jo, Js) of the state; shares the photon-picture implementation."""
-    gen = generators_photon_picture(wf, boundary=boundary)
-    return gen.Jo, gen.Js
-
-
 # ---------------------------------------------------------------------------
 # k-space double-transform route
 
-def darwin_split(Ek, boundary="warn", tol=BOUNDARY_TOL):
+def darwin_split(Ek):
     """Jo and Js from the plane-wave electric amplitudes alone.
 
     ``Jo = -2 i eps0 int d3k/(c|k|) E_i*(k) (k x grad_k) E_i(k)`` and
     ``Js = -2 i eps0 int d3k/(c|k|) E*(k) x E(k)``; both are manifestly real,
     the imaginary residuals are returned as diagnostics.  The spin part is
     algebraically identical to the helicity form, the orbital part differs
-    from the photon picture by finite-difference error only.
+    from the photon picture by finite-difference error only.  Its
+    ``diagnostics["boundary_margin"]`` is the decay of E(k) that grad_k needs.
     """
     grid = Ek.grid
     eps0 = grid.units.eps0
+    E = Ek.values
+    margin = check_boundary_decay(grid, E, "E(k)")
     w2 = grid.w_invariant()                     # dVk / (c |k|), zero at k=0
     w2 *= grid.units.hbar
-    E = Ek.values
 
     # E* x E is purely imaginary: Im(E* x E) = 2 Re E x Im E
     Js = np.zeros(3)
@@ -223,7 +223,7 @@ def darwin_split(Ek, boundary="warn", tol=BOUNDARY_TOL):
     # X_j = sum_i conj(E_i) eps_jab k_a d_b E_i, summed term by term
     X = np.zeros(3, dtype=complex)
     for i in range(3):
-        T = spectral_gradient_k(grid, E[i], boundary=boundary, tol=tol)
+        T = spectral_gradient_k(grid, E[i])
         T *= w2 * np.conj(E[i])
         for j, a, b in zip(*np.nonzero(LEVI_CIVITA)):
             X[j] += LEVI_CIVITA[j, a, b] * np.sum(grid.kvec[a] * T[b])
@@ -233,6 +233,7 @@ def darwin_split(Ek, boundary="warn", tol=BOUNDARY_TOL):
     scale = max(float(np.linalg.norm(Jo)), float(np.linalg.norm(Js)), 1e-300)
     diagnostics = {
         "imag_residual_Jo": float(np.linalg.norm(2.0 * eps0 * X.real)) / scale,
+        "boundary_margin": margin,
     }
     return Jo, Js, diagnostics
 
@@ -248,7 +249,7 @@ def _real_space_gradient(grid, Fk):
     return out
 
 
-def textbook_split(E, A, transverse_tol=1e-6):
+def textbook_split(E, A):
     """The familiar split ``Jo = eps0 int E_i (r x grad) A_i``, ``Js = eps0 int E x A``.
 
     Valid only with the transverse-gauge potential (div A = 0), which is
@@ -271,7 +272,7 @@ def textbook_split(E, A, transverse_tol=1e-6):
         for j in range(3):
             Jo[j] += eps0 * dV * np.sum(E.values[i] * cross_component(r, g, j))
         del g           # before the next component's gradient is allocated
-    if div.ratio() > transverse_tol:
+    if div.ratio() > TRANSVERSE_TOL:
         raise ValueError("A is not transverse: the split requires div A = 0")
 
     Js = np.array([eps0 * dV * np.sum(cross_component(E.values, A.values, j)) for j in range(3)])

@@ -7,6 +7,11 @@ applied analytically wherever it matters.  Baking a rapidly oscillating
 phase into sampled data would wreck every finite-difference observable long
 before ten optical periods, while the analytic bookkeeping keeps the
 orbital/spin split conserved to rounding, as it is in the continuum.
+
+The covariant derivative D is a k-space finite difference, valid only for
+states that decay near the momentum boundary.  D checks nothing: the decay
+is measured when a state is built (`wavefunction`) and by the route that
+reports a result from D (`observables.generators_photon_picture`).
 """
 
 from __future__ import annotations
@@ -15,13 +20,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .grids import (
-    BOUNDARY_TOL,
-    check_boundary_decay,
-    spectral_gradient_k,
-    _gradient_k_axis,
-    _readonly,
-)
+from .grids import check_boundary_decay, spectral_gradient_k, _gradient_k_axis, _readonly
 
 HELICITIES = (+1, -1)
 
@@ -41,12 +40,13 @@ class PhotonWaveFunction:
         return {+1: self.gL, -1: self.gR}
 
 
-def wavefunction(grid, basis, gL, gR, time=0.0, boundary_tol=BOUNDARY_TOL, warn=True):
+def wavefunction(grid, basis, gL, gR, time=0.0, warn=True):
     """Canonicalize raw amplitude arrays into a PhotonWaveFunction.
 
     The excluded k=0 bin is zeroed (the invariant measure has no weight
-    there) and boundary decay is checked, warning once with a
-    `BoundaryDecayWarning` by default.
+    there).  With `warn`, the decay of (gL, gR) at the momentum boundary is
+    measured against their joint peak, warning once with a
+    `BoundaryDecayWarning` when it fails.
     """
     gL = np.array(gL, dtype=complex)
     gR = np.array(gR, dtype=complex)
@@ -56,7 +56,7 @@ def wavefunction(grid, basis, gL, gR, time=0.0, boundary_tol=BOUNDARY_TOL, warn=
     gR[grid.excluded_index] = 0.0
     wf = PhotonWaveFunction(gL=_readonly(gL), gR=_readonly(gR), grid=grid, basis=basis, time=float(time))
     if warn:
-        check_boundary_decay(grid, (gL, gR), tol=boundary_tol, mode="warn", what="wavefunction")
+        check_boundary_decay(grid, (gL, gR), "wavefunction")
     return wf
 
 
@@ -154,26 +154,24 @@ def _covariant_axis(wf, chi, ghat, j, d):
     return np.exp(1j * chi * basis.gauge_phase) * d if basis.has_gauge_phase else d
 
 
-def covariant_derivative(wf, boundary="warn", tol=BOUNDARY_TOL):
+def covariant_derivative(wf):
     """Covariant k derivative D = grad_k - i chi alpha of both components.
 
     Evaluated in the construction gauge of the basis (any accumulated chart
     phase is removed before differencing and restored afterwards, which makes
     the operator exactly gauge covariant), with the evolution phase gradient
-    ``-i c t n_k`` added analytically.  Boundary decay of (gL, gR) is checked
-    once per call.
+    ``-i c t n_k`` added analytically.  Valid for states that decay near the
+    momentum boundary; that is measured where a state is built and reported.
 
     Returns a tuple of three wavefunctions, one per Cartesian k axis, at the
     same time as the input.  `covariant_derivative_axis` gives one axis for
     a third of the work.
     """
     grid = wf.grid
-    check_boundary_decay(grid, (wf.gL, wf.gR), tol=tol, mode=boundary, what="wavefunction")
-
     out = [[None, None] for _ in range(3)]
     for slot, chi in enumerate(HELICITIES):
         ghat = _construction_gauge(wf, chi)
-        grad = spectral_gradient_k(grid, ghat, boundary="ignore")
+        grad = spectral_gradient_k(grid, ghat)
         for j in range(3):
             out[j][slot] = _covariant_axis(wf, chi, ghat, j, grad[j])
     return tuple(
@@ -182,10 +180,9 @@ def covariant_derivative(wf, boundary="warn", tol=BOUNDARY_TOL):
     )
 
 
-def covariant_derivative_axis(wf, j, boundary="warn", tol=BOUNDARY_TOL):
+def covariant_derivative_axis(wf, j):
     """Component `j` of `covariant_derivative`, equal to it bit for bit."""
     grid = wf.grid
-    check_boundary_decay(grid, (wf.gL, wf.gR), tol=tol, mode=boundary, what="wavefunction")
     out = []
     for chi in HELICITIES:
         ghat = _construction_gauge(wf, chi)
@@ -194,7 +191,7 @@ def covariant_derivative_axis(wf, j, boundary="warn", tol=BOUNDARY_TOL):
     return replace(wf, gL=_readonly(out[0]), gR=_readonly(out[1]))
 
 
-def _covariant_density(wf, boundary, tol):
+def _covariant_density(wf):
     """``u_j = sum_chi i g* D_j g``, shape (3,) + dims, built one helicity and axis at a time.
 
     Same gauge and time handling as `covariant_derivative`; the re-phasing
@@ -202,7 +199,6 @@ def _covariant_density(wf, boundary, tol):
     ``i g* D_j g = i ghat* (D_j ghat)`` in the construction gauge.
     """
     grid = wf.grid
-    check_boundary_decay(grid, (wf.gL, wf.gR), tol=tol, mode=boundary, what="wavefunction")
     u = np.zeros((3,) + grid.dims, dtype=complex)
     d = np.empty(grid.dims, dtype=complex)
     for chi in HELICITIES:

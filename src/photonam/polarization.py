@@ -12,7 +12,7 @@ which needs no azimuthal frame and no angles.  A basis stores no e array:
 connection ``alpha_j = -Im[e* . d_j e]``, obtained with the same
 finite-difference stencil as every other k derivative in the package.
 
-A single chart cannot cover the sphere smoothly; points within ``eps_pole``
+A single chart cannot cover the sphere smoothly; points within ``EPS_POLE``
 of the chart axis (`PolarizationBasis.pole_mask`) carry the limiting basis
 of an azimuth-0 approach, ``(cos(theta) u - sin(theta) a + i v)/sqrt(2)``
 in a fixed right-handed frame (u, v, a).  Beams and test states are
@@ -50,7 +50,6 @@ class PolarizationBasis:
     alpha: np.ndarray          # (3, nx, ny, nz) real, current gauge
     alpha_base: np.ndarray     # connection of the construction gauge
     gauge_phase: np.ndarray    # accumulated phase field, zeros at construction
-    eps_pole: float = EPS_POLE
 
     @property
     def has_gauge_phase(self):
@@ -65,7 +64,7 @@ class PolarizationBasis:
         """
         if out is None:
             out = np.empty(self.grid.dims, dtype=complex)
-        _construction_e(self.grid, self.chart_axis, self.eps_pole, i, out)
+        _construction_e(self.grid, self.chart_axis, i, out)
         if self.has_gauge_phase:
             phase = np.multiply(self.gauge_phase, -1j)
             out *= np.exp(phase, out=phase)
@@ -74,7 +73,7 @@ class PolarizationBasis:
     def pole_mask(self):
         """Boolean grid mask of the chart poles, the excluded k=0 bin included."""
         cnorm, scratch = np.empty(self.grid.dims), np.empty(self.grid.dims)
-        return _chart_geometry(self.grid, self.chart_axis, self.eps_pole, cnorm, scratch)[2]
+        return _chart_geometry(self.grid, self.chart_axis, cnorm, scratch)[2]
 
     @property
     def pole_points(self):
@@ -109,12 +108,12 @@ def _split(x):
     return hi, x - hi
 
 
-def _chart_geometry(grid, axis, eps_pole, cnorm, scratch):
+def _chart_geometry(grid, axis, cnorm, scratch):
     """a x k, |k| and the pole points of the chart axis `a` on `grid`.
 
     Returns ``(c, kmag, poles)``: the three components of a x k as
     broadcasting 2-d arrays, |k| with 1 at the excluded bin, and the mask of
-    the points within `eps_pole` of the axis plus the excluded bin.
+    the points within EPS_POLE of the axis plus the excluded bin.
     sqrt(2) |a x k| is written into `cnorm`; `scratch` is overwritten.  The
     components of a x k are formed from exact products, so they keep full
     relative accuracy where the products cancel near the axis: the direction
@@ -133,8 +132,8 @@ def _chart_geometry(grid, axis, eps_pole, cnorm, scratch):
     np.add(2.0 * c[0] * c[0], 2.0 * c[1] * c[1], out=cnorm)
     cnorm += 2.0 * c[2] * c[2]
     np.sqrt(cnorm, out=cnorm)
-    np.multiply(kmag, np.sqrt(2.0) * eps_pole, out=scratch)
-    poles = cnorm < scratch                 # sin(theta) < eps_pole
+    np.multiply(kmag, np.sqrt(2.0) * EPS_POLE, out=scratch)
+    poles = cnorm < scratch                 # sin(theta) < EPS_POLE
     poles[grid.excluded_index] = True       # direction undefined there
     return c, kmag, poles
 
@@ -154,14 +153,14 @@ def _pole_limit(grid, axis, pts, i):
     return (ca * u[i] - st * axis[i]) / np.sqrt(2.0), v[i] / np.sqrt(2.0)
 
 
-def _construction_e(grid, axis, eps_pole, i, out):
+def _construction_e(grid, axis, i, out):
     """Write component `i` of e(k) in the construction gauge into the complex array `out`.
 
     Evaluates ``((a x k) x k + i |k| a x k) / (sqrt(2) |k| |a x k|)``, the
     closed form of the module docstring multiplied through by |k|^2.
     """
     re, im = out.real, out.imag
-    c, kmag, poles = _chart_geometry(grid, axis, eps_pole, cnorm=im, scratch=re)
+    c, kmag, poles = _chart_geometry(grid, axis, cnorm=im, scratch=re)
     pts = np.nonzero(poles)
     del poles
     im[pts] = 1.0
@@ -176,7 +175,7 @@ def _construction_e(grid, axis, eps_pole, i, out):
     return out
 
 
-def build_basis(grid, chart_axis=(0.0, 0.0, 1.0), eps_pole=EPS_POLE):
+def build_basis(grid, chart_axis=(0.0, 0.0, 1.0)):
     """Construct the circular basis and its connection on `grid`.
 
     At every non-pole point the seven transversality/handedness identities
@@ -191,8 +190,8 @@ def build_basis(grid, chart_axis=(0.0, 0.0, 1.0), eps_pole=EPS_POLE):
     alpha = np.zeros((3,) + grid.dims)
     e = np.empty(grid.dims, dtype=complex)
     for comp in range(3):
-        _construction_e(grid, axis, eps_pole, comp, e)
-        grad = spectral_gradient_k(grid, e, boundary="ignore")
+        _construction_e(grid, axis, comp, e)
+        grad = spectral_gradient_k(grid, e)
         grad *= np.conjugate(e, out=e)
         alpha -= grad.imag
         del grad        # before the next component's gradient is allocated
@@ -205,7 +204,6 @@ def build_basis(grid, chart_axis=(0.0, 0.0, 1.0), eps_pole=EPS_POLE):
         alpha=alpha,
         alpha_base=alpha,
         gauge_phase=np.broadcast_to(0.0, grid.dims),
-        eps_pole=float(eps_pole),
     )
 
 
@@ -220,7 +218,7 @@ def gauge_transform(grid, basis, phi):
     phi = np.asarray(phi, dtype=float)
     if phi.shape != grid.dims:
         raise ValueError("phase field shape does not match grid")
-    grad_phi = spectral_gradient_k(grid, phi, boundary="ignore")
+    grad_phi = spectral_gradient_k(grid, phi)
     return replace(
         basis,
         alpha=_readonly(basis.alpha + grad_phi),

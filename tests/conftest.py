@@ -1,3 +1,4 @@
+import contextlib
 import tracemalloc
 import warnings
 
@@ -5,6 +6,7 @@ import numpy as np
 import pytest
 
 import photonam as pn
+from photonam.grids import BoundaryDecayWarning
 
 
 def rel(a, b):
@@ -22,6 +24,14 @@ def nhat_stack(grid):
 def e_stack(basis):
     """The polarization vectors e(k) as one (3,) + dims array, from the per-component accessor."""
     return np.stack([basis.e(i) for i in range(3)])
+
+
+@contextlib.contextmanager
+def decay_ignored():
+    """Silence `BoundaryDecayWarning`, for a route run on a state that does not decay at the grid edge."""
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", BoundaryDecayWarning)
+        yield
 
 
 def traced_peak(fn):

@@ -12,7 +12,7 @@ import photonam as pn
 from photonam.cli import check_algebra
 from photonam.fields_bridge import relative_divergence
 
-from conftest import rel
+from conftest import decay_ignored, rel
 
 
 def report(num, ok, desc, metric):
@@ -54,7 +54,9 @@ def test_criterion_1_bessel_ratio(grid96):
         errs = []
         for sig in sweep:
             wf = bessel(grid96, basis, helicity, sig)
-            Jo, Js = pn.split_angular_momentum(wf, boundary="ignore")
+            with decay_ignored():
+                photon = pn.generators_photon_picture(wf)
+            Jo, Js = photon.Jo, photon.Js
             errs.append(abs(Jo[2] / Js[2] - exact) / abs(exact))
         if helicity > 0:
             # plain width-dominated convergence for the upper sign
@@ -71,9 +73,11 @@ def test_criterion_1_bessel_ratio(grid96):
 def test_criterion_2_spin_route_agreement(grid64, grid16):
     """Helicity, double-transform and textbook spin routes within 1e-3; nonlocal 5%."""
     wf = circular_packet(grid64)
-    Jo_h, Js_h = pn.split_angular_momentum(wf, boundary="ignore")
-    Ek = pn.spectral_e_from_wavefunction(wf)
-    _, Js_d, _ = pn.darwin_split(Ek, boundary="ignore")
+    with decay_ignored():
+        photon = pn.generators_photon_picture(wf)
+        Jo_h, Js_h = photon.Jo, photon.Js
+        Ek = pn.spectral_e_from_wavefunction(wf)
+        _, Js_d, _ = pn.darwin_split(Ek)
     rs = pn.synthesize(wf)
     E, B = pn.electric_field(rs), pn.magnetic_field(rs)
     _, Js_t = pn.textbook_split(E, pn.vector_potential(B))
@@ -87,7 +91,8 @@ def test_criterion_2_spin_route_agreement(grid64, grid16):
                                   m=0, helicity="L")
     rs16 = pn.synthesize(wf16)
     Js_nl = pn.spin_nonlocal_real(pn.electric_field(rs16), pn.magnetic_field(rs16))
-    _, Js_h16 = pn.split_angular_momentum(wf16, boundary="ignore")
+    with decay_ignored():
+        Js_h16 = pn.generators_photon_picture(wf16).Js
     nl = rel(Js_nl, Js_h16)
 
     ok = pairwise <= 1e-3 and nl <= 0.05
@@ -100,8 +105,9 @@ def test_criterion_3_picture_equivalence(grid64):
     def deltas(grid, sig_cells):
         wf = circular_packet(grid, sig_cells=sig_cells, helicity=(0.8, 0.4j))
         rs = pn.synthesize(wf)
-        gf = pn.generators_field_picture(rs, boundary="warn")
-        gp = pn.generators_photon_picture(wf, boundary="ignore")
+        gf = pn.generators_field_picture(rs)
+        with decay_ignored():
+            gp = pn.generators_photon_picture(wf)
         return (abs(gf.H - gp.H) / gp.H, rel(gf.P, gp.P),
                 rel(gf.J, gp.J), rel(gf.K, gp.K))
 
@@ -117,12 +123,16 @@ def test_criterion_3_picture_equivalence(grid64):
 def test_criterion_4_split_conservation(grid64):
     """Jo and Js separately invariant under evolution across +-10 periods."""
     wf = circular_packet(grid64, helicity=(1.0, 0.3))
-    Jo0, Js0 = pn.split_angular_momentum(wf, boundary="ignore")
+    with decay_ignored():
+        photon = pn.generators_photon_picture(wf)
+    Jo0, Js0 = photon.Jo, photon.Js
     omega0 = np.sqrt(3.0) * (grid64.dims[0] / 4.0) * grid64.dk[0] * grid64.units.c
     period = 2.0 * np.pi / omega0
     worst = 0.0
     for t in (-10 * period, -2.7 * period, 0.6 * period, 10 * period):
-        Jo, Js = pn.split_angular_momentum(pn.evolve(wf, t), boundary="ignore")
+        with decay_ignored():
+            photon = pn.generators_photon_picture(pn.evolve(wf, t))
+        Jo, Js = photon.Jo, photon.Js
         worst = max(worst, rel(Jo, Jo0), rel(Js, Js0))
     report(4, worst <= 1e-10, "orbital and spin parts conserved over +-10 periods",
            f"worst drift {worst:.2e}")
@@ -174,7 +184,8 @@ def test_criterion_7_round_trips(grid64, grid48, basis48):
 def test_criterion_8_gauge_invariance(grid48, basis48):
     from conftest import smooth_state
     wf = smooth_state(grid48, basis48, seed=77, mix=(1.0, 0.45j), m=1)
-    base = pn.generators_photon_picture(wf, boundary="ignore")
+    with decay_ignored():
+        base = pn.generators_photon_picture(wf)
     kx, ky, kz = grid48.kvec
     dk = grid48.dk[0]
     phases = {
@@ -187,7 +198,8 @@ def test_criterion_8_gauge_invariance(grid48, basis48):
     for phi in phases.values():
         b2 = pn.gauge_transform(grid48, basis48, phi)
         wf2 = pn.gauge_transform_amplitudes(wf, phi, b2)
-        gen2 = pn.generators_photon_picture(wf2, boundary="ignore")
+        with decay_ignored():
+            gen2 = pn.generators_photon_picture(wf2)
         worst = max(worst,
                     abs(gen2.H - base.H) / base.H,
                     abs(gen2.N - base.N) / base.N,

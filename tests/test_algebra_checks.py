@@ -8,7 +8,7 @@ from photonam import algebra_checks
 from photonam.algebra_checks import OperatorTag
 from photonam.grids import _readonly
 
-from conftest import rel, smooth_state
+from conftest import decay_ignored, rel, smooth_state
 
 
 def test_operator_tag_parsing():
@@ -35,17 +35,18 @@ def test_energy_on_single_bin(grid16, basis16):
 
 def test_jz_expectation_matches_observables(grid48, basis48):
     wf = smooth_state(grid48, basis48, seed=4, mix=(1.0, 0.4), m=1)
-    gen = pn.generators_photon_picture(wf, boundary="ignore")
-    jz = pn.scalar_product(wf, pn.apply_generator("Jz", wf, boundary="ignore"))
+    with decay_ignored():
+        gen = pn.generators_photon_picture(wf)
+    jz = pn.scalar_product(wf, pn.apply_generator("Jz", wf))
     assert jz.real == pytest.approx(gen.J[2], rel=1e-10)
     # imaginary part is the reported stencil diagnostic, O(dk^2)
     assert abs(jz.imag) < 2e-2 * abs(jz.real)
 
 
 def test_momentum_commutators_exact(state48):
-    rep = pn.check_commutator("Px", "Py", state48, boundary="ignore")
+    rep = pn.check_commutator("Px", "Py", state48)
     assert rep.exact and rep.residual < 1e-12
-    rep = pn.check_commutator("H", "Pz", state48, boundary="ignore")
+    rep = pn.check_commutator("H", "Pz", state48)
     assert rep.exact and rep.residual < 1e-12
 
 
@@ -54,7 +55,7 @@ def test_commutator_reports_never_throw_on_bad_states(grid16, basis16):
     rng = np.random.default_rng(0)
     raw = rng.standard_normal(grid16.dims) + 1j * rng.standard_normal(grid16.dims)
     wf = pn.wavefunction(grid16, basis16, raw, raw, warn=False)
-    rep = pn.check_commutator("Jx", "Jy", wf, boundary="ignore")
+    rep = pn.check_commutator("Jx", "Jy", wf)
     assert rep.residual >= 0
 
 
@@ -75,18 +76,18 @@ def test_derivative_commutators_second_order(grid48, grid96, basis48, basis96):
             wf = pn.gaussian_vortex(g, b, center=(kc, kc, kc), widths=sig,
                                     m=0, helicity=(1.0, 0.6), r_offset=(0.4, -0.7, 0.2))
         results[g.dims[0]] = {
-            "JJ": pn.check_commutator("Jx", "Jy", wf, boundary="ignore").residual,
-            "KP": pn.check_commutator("Kx", "Px", wf, boundary="ignore").residual,
-            "HK": pn.check_commutator("H", "Kx", wf, boundary="ignore").residual,
-            "curv": pn.check_curvature(wf, boundary="ignore").residual,
+            "JJ": pn.check_commutator("Jx", "Jy", wf).residual,
+            "KP": pn.check_commutator("Kx", "Px", wf).residual,
+            "HK": pn.check_commutator("H", "Kx", wf).residual,
+            "curv": pn.check_curvature(wf).residual,
         }
     for key in results[48]:
         assert results[48][key] / results[96][key] > 3.0, key
 
 
 def test_reversed_pair_uses_antisymmetry(state48):
-    ab = pn.check_commutator("Kx", "Px", state48, boundary="ignore")
-    ba = pn.check_commutator("Px", "Kx", state48, boundary="ignore")
+    ab = pn.check_commutator("Kx", "Px", state48)
+    ba = pn.check_commutator("Px", "Kx", state48)
     assert ab.residual == pytest.approx(ba.residual, rel=1e-12)
     assert ba.expected.startswith("-(")
 
@@ -94,18 +95,18 @@ def test_reversed_pair_uses_antisymmetry(state48):
 def test_curvature_negative_control(grid48, basis48):
     """A global sign flip of the connection must break the curvature relation."""
     wf = smooth_state(grid48, basis48, seed=8, mix=(1.0, 0.0))
-    good = pn.check_curvature(wf, boundary="ignore").residual
+    good = pn.check_curvature(wf).residual
     flipped_basis = replace(basis48,
                             alpha=_readonly(-basis48.alpha),
                             alpha_base=_readonly(-basis48.alpha_base))
     wf_bad = replace(wf, basis=flipped_basis)
-    bad = pn.check_curvature(wf_bad, boundary="ignore").residual
+    bad = pn.check_curvature(wf_bad).residual
     assert good < 0.2
     assert bad > 0.5
 
 
 def test_run_suite_covers_all_families(state48):
-    reports = pn.run_suite(state48, boundary="ignore")
+    reports = pn.run_suite(state48)
     pairs = {r.pair for r in reports}
     assert "[Px, Py]" in pairs and "[Jx, Jy]" in pairs and "[Dx, Dy]" in pairs
     assert len(reports) == len(algebra_checks.DEFAULT_SUITE) + 1
@@ -126,6 +127,6 @@ def test_run_suite_is_identical_for_any_thread_count(monkeypatch, grid16, basis1
     runs = []
     for threads in ("1", "2"):
         monkeypatch.setenv("THREADS", threads)
-        runs.append(pn.run_suite(wf, boundary="ignore"))
+        runs.append(pn.run_suite(wf))
     assert workers == [1, 2]
     assert runs[0] == runs[1]

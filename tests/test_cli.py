@@ -21,7 +21,7 @@ def test_wavefunction_file_roundtrip(tmp_path, grid32, basis32):
     wf = pn.evolve(wf, 0.35)
     path = tmp_path / "state.pam"
     fileio.write_wavefunction(path, wf, provenance={"note": "test"})
-    back, manifest = fileio.read(path, grid=grid32, basis=basis32)
+    back, manifest = fileio.read(path)
     assert manifest["kind"] == "wavefunction"
     assert manifest["time"] == 0.35
     assert manifest["provenance"] == {"note": "test"}
@@ -94,10 +94,20 @@ def test_corrupt_files_rejected(tmp_path, capsys):
         with pytest.raises(fileio.FieldFileError, match=key):
             fileio.read(bad)
     for change in ({"components": ["gL"]}, {"units": {}}, {"spacing": [1.0, 1.0, -1.0]},
-                   {"time": float("nan")}, {"time": float("inf")}, {"time": "0"}):
+                   {"time": float("nan")}, {"time": float("inf")}, {"time": "0"},
+                   {"time": True}, {"time": 10 ** 400},
+                   {"dims": [8.0, 8, 8]}, {"dims": "888"}, {"dims": [-8, -8, 8]},
+                   {"dims": [True, 8, 8]}, {"dims": [8, 8]}, {"components": 2},
+                   {"chart_axis": [1, 0]}, {"chart_axis": "x"}, {"chart_axis": [1.0, 0.0, None]},
+                   {"chart_axis": [2.0, 0.0, 0.0]}):
         rewrite({**manifest, **change})
         with pytest.raises(fileio.FieldFileError):
             fileio.read(bad)
+
+    rewrite({**manifest, "dims": [8.0, 8, 8]})
+    code, out, err = run_cli(capsys, "split", str(bad), "--json")
+    assert code == 2 and out == ""
+    assert json.loads(err)["type"] == "FieldFileError"
 
     bad.write_bytes(b"PHOTONAM\x05\x00")
     code, out, err = run_cli(capsys, "observables", str(bad), "--json")
@@ -181,10 +191,10 @@ def test_k_delta_is_scaled_by_energy_times_box(grid48, basis48):
     """Off-centre packet: K is far from zero, and the delta is |dK| / (H L)."""
     wf = smooth_state(grid48, basis48, seed=4)
     rep = build_report(wf, ("photon", "field"))
-    gen_p = pn.generators_photon_picture(wf)
     with warnings.catch_warnings():
         warnings.simplefilter("ignore")
-        gen_f = pn.generators_field_picture(pn.synthesize(wf), boundary="warn")
+        gen_p = pn.generators_photon_picture(wf)
+        gen_f = pn.generators_field_picture(pn.synthesize(wf))
     L = max(n * d for n, d in zip(grid48.dims, grid48.spacing))
     assert np.linalg.norm(gen_p.K) > 1e-2 * gen_p.H
     expect = np.linalg.norm(gen_f.K - gen_p.K) / (gen_p.H * L)

@@ -1,10 +1,13 @@
+import warnings
+
 import numpy as np
 import pytest
 
 import photonam as pn
 from photonam.grids import (
-    BoundaryDecayError,
+    BoundaryDecayWarning,
     boundary_margin,
+    check_boundary_decay,
     reflect_conjugate,
 )
 
@@ -96,11 +99,11 @@ def test_transform_shape_mismatch(grid16):
 def test_gradient_constant_and_linear(grid16):
     g = grid16
     const = np.full(g.dims, 2.5 + 0j)
-    grad = pn.spectral_gradient_k(g, const, boundary="ignore")
+    grad = pn.spectral_gradient_k(g, const)
     assert np.abs(grad).max() < 1e-13
     a = np.array([0.3, -1.2, 0.7])
     lin = a[0] * g.kvec[0] + a[1] * g.kvec[1] + a[2] * g.kvec[2]
-    grad = pn.spectral_gradient_k(g, lin.astype(complex), boundary="ignore")
+    grad = pn.spectral_gradient_k(g, lin.astype(complex))
     # centered and one-sided second-order stencils are exact on affine data
     for j in range(3):
         assert np.abs(grad[j] - a[j]).max() < 1e-12
@@ -123,7 +126,7 @@ def test_fft_order_stencil_matches_shifted_gradient(dims, is_complex):
     F = rng.standard_normal(dims)
     if is_complex:
         F = F + 1j * rng.standard_normal(dims)
-    got = pn.spectral_gradient_k(g, F, boundary="ignore")
+    got = pn.spectral_gradient_k(g, F)
     ref = _shifted_gradient(g, F)
     assert got.dtype == ref.dtype
     for ax in range(3):
@@ -134,7 +137,7 @@ def test_fft_order_stencil_matches_shifted_gradient(dims, is_complex):
     lin = 0.4 + a[0] * g.kvec[0] + a[1] * g.kvec[1] + a[2] * g.kvec[2]
     if is_complex:
         lin = lin * (1.0 - 2.0j)
-    grad = pn.spectral_gradient_k(g, lin, boundary="ignore")
+    grad = pn.spectral_gradient_k(g, lin)
     scale = 1.0 - 2.0j if is_complex else 1.0
     for ax, n in enumerate(dims):
         for end in (n // 2, n // 2 - 1):
@@ -150,21 +153,33 @@ def test_gradient_gaussian_second_order():
         kx, ky, kz = g.kvec
         r2 = (kx - kc) ** 2 + (ky - kc) ** 2 + (kz - kc) ** 2
         f = np.exp(-r2 / (2 * sig ** 2))
-        grad = pn.spectral_gradient_k(g, f, boundary="ignore")
+        grad = pn.spectral_gradient_k(g, f)
         exact = -(np.stack([kx - kc, ky - kc, kz - kc]) / sig ** 2) * f
         errs.append(np.abs(grad - exact).max())
     assert errs[0] / errs[1] > 3.0
 
 
 def test_gradient_boundary_modes(grid16):
+    """The stencil checks nothing; `check_boundary_decay` measures against one shared peak."""
     g = grid16
+    mask = g.boundary_mask_k()
     bad = np.ones(g.dims, dtype=complex)  # no decay at all
-    with pytest.raises(BoundaryDecayError):
-        pn.spectral_gradient_k(g, bad, boundary="raise")
-    with pytest.warns(UserWarning):
-        pn.spectral_gradient_k(g, bad, boundary="warn")
-    pn.spectral_gradient_k(g, bad, boundary="ignore")
-    assert boundary_margin(bad, g.boundary_mask_k()) == 1.0
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        pn.spectral_gradient_k(g, bad)
+    with pytest.warns(BoundaryDecayWarning, match="does not decay") as record:
+        assert check_boundary_decay(g, bad, "array") == 1.0
+    assert len(record) == 1
+    assert boundary_margin(bad, mask) == 1.0
+
+    # rounding noise beside a decaying array: no failure against the joint peak
+    decaying = np.where(mask, 0.0, 1.0)
+    noise = np.full(g.dims, 1e-15)
+    assert boundary_margin(noise, mask) == 1.0
+    assert boundary_margin((decaying, noise), mask) == boundary_margin(np.stack([decaying, noise]), mask) == 1e-15
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert check_boundary_decay(g, (decaying, noise), "pair") == 1e-15
 
 
 def test_reflect_conjugate_is_conj_at_negated_k(grid16):

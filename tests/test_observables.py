@@ -9,7 +9,7 @@ from photonam.fields_bridge import RealVectorField, SpectralEField, project_spec
 from photonam.grids import BoundaryDecayWarning, _readonly, cross
 from photonam.observables import _cell_self_weight
 
-from conftest import nhat_stack, rel, smooth_state
+from conftest import decay_ignored, nhat_stack, rel, smooth_state
 
 
 def circular_packet(grid, sig_cells=2.5, helicity="L"):
@@ -65,18 +65,56 @@ def test_field_picture_boundary_guard(grid16, basis16):
     gL = np.zeros(g.dims, dtype=complex)
     gL[2, 3, 4] = 1.0   # plane wave: no real-space decay
     rs = pn.synthesize(pn.wavefunction(g, basis16, gL, np.zeros(g.dims), warn=False))
-    with pytest.raises(ValueError, match="boundary"):
-        pn.generators_field_picture(rs, include_moments=True, boundary="raise")
-    with pytest.warns(BoundaryDecayWarning, match="real-space boundary"):
-        gen = pn.generators_field_picture(rs, include_moments=True, boundary="warn")
+    with pytest.warns(BoundaryDecayWarning, match="real-space boundary") as record:
+        gen = pn.generators_field_picture(rs, include_moments=True)
+    assert len(record) == 1
     assert gen.diagnostics["boundary_margin_r"] > 1e-8
+
+
+def decaying_packet(grid, basis):
+    """Pure-L Gaussian packet that decays to ~2e-11 of its peak at the momentum edge of a 48^3 grid."""
+    dk = grid.dk[0]
+    return pn.gaussian_vortex(grid, basis, center=(8 * dk,) * 3, widths=2.0 * dk, m=0, helicity="L")
+
+
+def test_analysed_pure_helicity_packet_decays(grid48, basis48):
+    """The analysed gR of a pure-L packet is rounding noise; against the joint peak it decays."""
+    wf = pn.analyze_rs(pn.synthesize(decaying_packet(grid48, basis48), 0.3), basis48)
+    assert np.abs(wf.gR).max() < 1e-12 * np.abs(wf.gL).max()
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", BoundaryDecayWarning)
+        gen = pn.generators_photon_picture(wf)
+        _, _, diag = pn.darwin_split(pn.spectral_e_from_wavefunction(wf))
+    assert gen.diagnostics["boundary_margin"] <= 1e-10
+    assert diag["boundary_margin"] <= 1e-10
+
+
+def test_shared_peak_still_flags_a_flat_helicity(grid48, basis48):
+    """A non-decaying gR at 1e-3 of the peak beside a decaying gL fails the joint measurement."""
+    good = decaying_packet(grid48, basis48)
+    flat = np.full(grid48.dims, 1e-3 * np.abs(good.gL).max())
+    wf = pn.wavefunction(grid48, basis48, good.gL, flat, warn=False)
+    with pytest.warns(BoundaryDecayWarning, match="edge") as record:
+        gen = pn.generators_photon_picture(wf)
+    assert len(record) == 1
+    assert gen.diagnostics["boundary_margin"] == pytest.approx(1e-3, rel=1e-12)
+
+
+def test_darwin_split_warns_once_and_reports_its_margin(grid16):
+    """Three non-decaying components of E(k): one measurement, one warning."""
+    E = SpectralEField(values=_readonly(np.ones((3,) + grid16.dims, dtype=complex)), grid=grid16)
+    with pytest.warns(BoundaryDecayWarning, match=r"E\(k\)") as record:
+        _, _, diag = pn.darwin_split(E)
+    assert len(record) == 1
+    assert diag["boundary_margin"] == 1.0
 
 
 def test_cross_picture_agreement_64(grid64):
     wf = circular_packet(grid64, helicity=(0.8, 0.4j))
     rs = pn.synthesize(wf)
-    gen_f = pn.generators_field_picture(rs, boundary="warn")
-    gen_p = pn.generators_photon_picture(wf, boundary="ignore")
+    gen_f = pn.generators_field_picture(rs)
+    with decay_ignored():
+        gen_p = pn.generators_photon_picture(wf)
     assert abs(gen_f.H - gen_p.H) / gen_p.H < 1e-6
     assert rel(gen_f.P, gen_p.P) < 1e-6
     assert rel(gen_f.J, gen_p.J) < 1e-3
@@ -85,7 +123,8 @@ def test_cross_picture_agreement_64(grid64):
 
 def test_photon_picture_diagnostics(grid64):
     wf = circular_packet(grid64)
-    gen = pn.generators_photon_picture(wf, boundary="ignore")
+    with decay_ignored():
+        gen = pn.generators_photon_picture(wf)
     assert gen.diagnostics["jo_orthogonality"] < 1e-8
     assert gen.diagnostics["imag_residual_K"] < 1e-8
     assert np.allclose(gen.Jo + gen.Js, gen.J)
@@ -103,7 +142,7 @@ def _stacked_photon_picture(wf):
     w, k, n = grid.w_invariant(), np.stack(grid.kvec), nhat_stack(grid)
     absL2, absR2 = np.abs(wf.gL) ** 2, np.abs(wf.gR) ** 2
     dens = absL2 + absR2
-    D = pn.covariant_derivative(wf, boundary="ignore")
+    D = pn.covariant_derivative(wf)
     orb = np.zeros((3,) + grid.dims, dtype=complex)
     kexp = np.zeros((3,) + grid.dims, dtype=complex)
     for chi, g in wf.components.items():
@@ -136,7 +175,8 @@ def test_photon_picture_matches_stacked_oracle(grid48, basis48):
     wf = pn.evolve(pn.gauge_transform_amplitudes(wf, phi, b2), 0.7)
     assert wf.basis.has_gauge_phase and wf.time != 0.0
 
-    gen = pn.generators_photon_picture(wf, boundary="ignore")
+    with decay_ignored():
+        gen = pn.generators_photon_picture(wf)
     ref = _stacked_photon_picture(wf)
     assert gen.N == ref["N"] and gen.H == ref["H"]
     assert np.array_equal(gen.P, ref["P"]) and np.array_equal(gen.Js, ref["Js"])
@@ -154,15 +194,17 @@ def test_photon_picture_ignores_the_excluded_bin(grid48, basis48):
     gL = np.array(wf.gL)
     assert gL[grid48.excluded_index] == 0.0
     gL[grid48.excluded_index] = 0.5 * np.abs(gL).max()
-    ref = pn.generators_photon_picture(wf, boundary="ignore")
-    gen = pn.generators_photon_picture(replace(wf, gL=gL), boundary="ignore")
+    with decay_ignored():
+        ref = pn.generators_photon_picture(wf)
+        gen = pn.generators_photon_picture(replace(wf, gL=gL))
     assert gen.H == ref.H and gen.N == ref.N
     assert np.array_equal(gen.P, ref.P) and np.array_equal(gen.Js, ref.Js)
 
 
 def test_causality_and_spin_bounds(grid48, basis48):
     wf = smooth_state(grid48, basis48, seed=9, mix=(0.9, 0.5j))
-    gen = pn.generators_photon_picture(wf, boundary="ignore")
+    with decay_ignored():
+        gen = pn.generators_photon_picture(wf)
     u = wf.grid.units
     assert np.linalg.norm(gen.P) <= gen.H / u.c * (1 + 1e-12)
     assert np.linalg.norm(gen.Js) <= u.hbar * gen.N * (1 + 1e-12)
@@ -170,11 +212,15 @@ def test_causality_and_spin_bounds(grid48, basis48):
 
 def test_split_time_invariance(grid48, basis48):
     wf = smooth_state(grid48, basis48, seed=12, mix=(1.0, 0.3))
-    Jo0, Js0 = pn.split_angular_momentum(wf, boundary="ignore")
+    with decay_ignored():
+        photon = pn.generators_photon_picture(wf)
+    Jo0, Js0 = photon.Jo, photon.Js
     omega0 = np.sqrt(3.0) * (grid48.dims[0] / 4.0) * grid48.dk[0]
     period = 2 * np.pi / omega0
     for t in (-10 * period, 0.4 * period, 10 * period):
-        Jo, Js = pn.split_angular_momentum(pn.evolve(wf, t), boundary="ignore")
+        with decay_ignored():
+            photon = pn.generators_photon_picture(pn.evolve(wf, t))
+        Jo, Js = photon.Jo, photon.Js
         assert rel(Jo, Jo0) < 1e-10
         assert rel(Js, Js0) < 1e-10
 
@@ -182,11 +228,15 @@ def test_split_time_invariance(grid48, basis48):
 def test_split_gauge_invariance(grid48, basis48):
     g = grid48
     wf = smooth_state(g, basis48, seed=13, mix=(0.6, 1.0))
-    Jo0, Js0 = pn.split_angular_momentum(wf, boundary="ignore")
+    with decay_ignored():
+        photon = pn.generators_photon_picture(wf)
+    Jo0, Js0 = photon.Jo, photon.Js
     phi = 0.5 * g.kvec[0] - 0.3 * g.kvec[2]
     b2 = pn.gauge_transform(g, basis48, phi)
     wf2 = pn.gauge_transform_amplitudes(wf, phi, b2)
-    Jo, Js = pn.split_angular_momentum(wf2, boundary="ignore")
+    with decay_ignored():
+        photon = pn.generators_photon_picture(wf2)
+    Jo, Js = photon.Jo, photon.Js
     assert rel(Jo, Jo0) < 1e-10
     assert rel(Js, Js0) < 1e-10
 
@@ -194,17 +244,19 @@ def test_split_gauge_invariance(grid48, basis48):
 def test_linear_polarization_has_no_spin(grid48):
     """Equal-weight L/R superposition: helicity weights cancel pointwise."""
     wf = circular_packet(grid48, helicity=(1.0, 1.0))
-    _, Js = pn.split_angular_momentum(wf, boundary="ignore")
-    gen = pn.generators_photon_picture(wf, boundary="ignore")
-    assert np.linalg.norm(Js) < 1e-14 * gen.N
+    with decay_ignored():
+        gen = pn.generators_photon_picture(wf)
+    assert np.linalg.norm(gen.Js) < 1e-14 * gen.N
     assert rel(gen.Jo, gen.J) < 1e-12
 
 
 def test_darwin_spin_identical_to_helicity_form(grid48, basis48):
     wf = smooth_state(grid48, basis48, seed=14, mix=(1.0, 0.35j))
     Ek = pn.spectral_e_from_wavefunction(wf)
-    Jo_d, Js_d, diag = pn.darwin_split(Ek, boundary="ignore")
-    Jo_h, Js_h = pn.split_angular_momentum(wf, boundary="ignore")
+    with decay_ignored():
+        Jo_d, Js_d, diag = pn.darwin_split(Ek)
+        photon = pn.generators_photon_picture(wf)
+    Jo_h, Js_h = photon.Jo, photon.Js
     assert rel(Js_d, Js_h) < 1e-10
     # the orbital functional is real up to the O(dk^2) stencil asymmetry
     assert diag["imag_residual_Jo"] < 1e-3
@@ -214,7 +266,8 @@ def test_darwin_spin_vanishes_for_real_spectrum(grid48):
     """E(k) proportional to a real field has E* x E = 0 identically."""
     E = random_transverse_e(pn.make_grid(48), seed=3, slope=0.0)
     E = SpectralEField(values=_readonly(E.values.real.astype(complex)), grid=E.grid)
-    _, Js, _ = pn.darwin_split(E, boundary="ignore")
+    with decay_ignored():
+        _, Js, _ = pn.darwin_split(E)
     assert np.linalg.norm(Js) < 1e-14
 
 
@@ -224,9 +277,11 @@ def test_darwin_orbital_converges_to_photon_route():
         g = pn.make_grid(n)
         b = pn.build_basis(g)
         Ek = random_transverse_e(g)
-        Jo_d, Js_d, _ = pn.darwin_split(Ek, boundary="ignore")
-        wf = project_spectral_e(Ek, b)
-        Jo_h, Js_h = pn.split_angular_momentum(wf, boundary="ignore")
+        with decay_ignored():
+            Jo_d, Js_d, _ = pn.darwin_split(Ek)
+            wf = project_spectral_e(Ek, b)
+            photon = pn.generators_photon_picture(wf)
+        Jo_h, Js_h = photon.Jo, photon.Js
         assert rel(Js_d, Js_h) < 1e-10
         errs.append(rel(Jo_d, Jo_h))
     assert errs[0] < 3e-2          # finite-difference floor at 48^3
@@ -240,7 +295,9 @@ def test_textbook_split_matches_helicity_routes(grid64):
     B = pn.magnetic_field(rs)
     A = pn.vector_potential(B)
     Jo_t, Js_t = pn.textbook_split(E, A)
-    Jo_h, Js_h = pn.split_angular_momentum(wf, boundary="ignore")
+    with decay_ignored():
+        photon = pn.generators_photon_picture(wf)
+    Jo_h, Js_h = photon.Jo, photon.Js
     assert rel(Js_t, Js_h) < 1e-3
     assert rel(Jo_t, Jo_h) < 1e-3
 
@@ -303,7 +360,8 @@ def test_nonlocal_spin_converges_under_refinement():
                                     widths=2.5 * 2.0 * np.pi / 24.0)
         rs = pn.synthesize(wf)
         Js_nl = pn.spin_nonlocal_real(pn.electric_field(rs), pn.magnetic_field(rs))
-        _, Js_h = pn.split_angular_momentum(wf, boundary="ignore")
+        with decay_ignored():
+            Js_h = pn.generators_photon_picture(wf).Js
         errors.append(rel(Js_nl, Js_h))
     assert errors[-1] <= 1e-2
     assert errors[-2] / errors[-1] >= 3.0, errors
@@ -321,7 +379,8 @@ def test_nonlocal_spin_matches_spectral_on_coarse_grid(grid16):
     E = pn.electric_field(rs)
     B = pn.magnetic_field(rs)
     Js_nl = pn.spin_nonlocal_real(E, B)
-    _, Js_h = pn.split_angular_momentum(wf, boundary="ignore")
+    with decay_ignored():
+        Js_h = pn.generators_photon_picture(wf).Js
     # direction and sign agree; magnitude within the coarse-kernel bound
     assert np.dot(Js_nl, Js_h) > 0
     assert rel(Js_nl, Js_h) < 0.05
@@ -335,12 +394,14 @@ def test_rotations_transform_generators_exactly(grid48):
         warnings.simplefilter("ignore")
         wf = pn.gaussian_vortex(g, basis, center=(11 * dk, 11 * dk, 11 * dk),
                                 widths=2.0 * dk, m=1, helicity=(0.8, 0.4j))
-    gen = pn.generators_photon_picture(wf, boundary="ignore")
+    with decay_ignored():
+        gen = pn.generators_photon_picture(wf)
     for axis in "xyz":
         for turns in (1, 2, 3):
             R = pn.rotation_matrix(axis, turns)
             wfr = pn.rotate_wavefunction(wf, axis, turns)
-            genr = pn.generators_photon_picture(wfr, boundary="ignore")
+            with decay_ignored():
+                genr = pn.generators_photon_picture(wfr)
             assert abs(genr.H - gen.H) / gen.H < 1e-12
             assert abs(genr.N - gen.N) / gen.N < 1e-12
             for a, b in ((genr.P, R @ gen.P), (genr.J, R @ gen.J),

@@ -31,15 +31,16 @@ def test_wavefunction_warns_on_poor_decay(grid16, basis16):
 
 
 def test_poor_decay_warns_once_per_call(grid16, basis16):
-    """Both helicities fail the decay check, yet each call warns once."""
+    """Both helicities fail the decay check, yet the reporting route warns once; D checks nothing."""
     flat = np.ones(grid16.dims)
     wf = pn.wavefunction(grid16, basis16, flat, flat, warn=False)
-    with pytest.warns(BoundaryDecayWarning, match="edge") as record:
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
         pn.covariant_derivative(wf)
-    assert len(record) == 1
     with pytest.warns(BoundaryDecayWarning, match="edge") as record:
-        pn.generators_photon_picture(wf)
+        gen = pn.generators_photon_picture(wf)
     assert len(record) == 1
+    assert gen.diagnostics["boundary_margin"] == 1.0
 
 
 def test_scalar_product_positivity_and_symmetry(grid48, basis48):
@@ -117,7 +118,7 @@ def test_covariant_derivative_flat_patch(grid48, basis48):
     d2 = (kx - center[0]) ** 2 + ky ** 2 + kz ** 2
     plateau = (d2 < (3 * g.dk[0]) ** 2).astype(complex)
     wf = pn.wavefunction(g, basis48, plateau, np.zeros(g.dims), warn=False)
-    D = pn.covariant_derivative(wf, boundary="ignore")
+    D = pn.covariant_derivative(wf)
     idx = (g.dims[0] // 4, 0, 0)
     for j in range(3):
         # centered stencil of a locally constant array is exactly zero;
@@ -132,8 +133,8 @@ def test_covariant_derivative_gauge_covariance(grid48, basis48):
     phi = 0.7 * np.exp(-((kx - 1.0) ** 2 + (ky - 0.8) ** 2 + (kz - 1.2) ** 2) / (2 * 0.5 ** 2))
     b2 = pn.gauge_transform(g, basis48, phi)
     wf2 = pn.gauge_transform_amplitudes(wf, phi, b2)
-    D = pn.covariant_derivative(wf, boundary="ignore")
-    D2 = pn.covariant_derivative(wf2, boundary="ignore")
+    D = pn.covariant_derivative(wf)
+    D2 = pn.covariant_derivative(wf2)
     for j in range(3):
         assert rel(D2[j].gL, np.exp(1j * phi) * D[j].gL) < 1e-12
         assert rel(D2[j].gR, np.exp(-1j * phi) * D[j].gR) < 1e-12
@@ -146,9 +147,9 @@ def test_covariant_derivative_axis_matches_stack(grid48, basis48):
     phi = 0.4 * np.sin(0.5 * kx) * np.cos(0.3 * kz)
     b2 = pn.gauge_transform(g, basis48, phi)
     wf = pn.evolve(pn.gauge_transform_amplitudes(smooth_state(g, basis48, seed=7), phi, b2), 0.6)
-    D = pn.covariant_derivative(wf, boundary="ignore")
+    D = pn.covariant_derivative(wf)
     for j in range(3):
-        Dj = photon_state.covariant_derivative_axis(wf, j, boundary="ignore")
+        Dj = photon_state.covariant_derivative_axis(wf, j)
         assert np.array_equal(Dj.gL, D[j].gL) and np.array_equal(Dj.gR, D[j].gR)
         assert Dj.time == wf.time and Dj.basis is b2
 
@@ -156,17 +157,17 @@ def test_covariant_derivative_axis_matches_stack(grid48, basis48):
 def test_curvature_sign_flips_with_helicity(grid48, basis48):
     left = smooth_state(grid48, basis48, mix=(1.0, 0.0))
     right = smooth_state(grid48, basis48, mix=(0.0, 1.0))
-    rep_l = pn.check_curvature(left, boundary="ignore")
-    rep_r = pn.check_curvature(right, boundary="ignore")
+    rep_l = pn.check_curvature(left)
+    rep_r = pn.check_curvature(right)
     # both helicities satisfy their own sign of the curvature relation
     assert rep_l.residual < 0.2
     assert rep_r.residual < 0.2
     # flipping the expected sign must fail: verified by comparing against
     # the opposite-helicity expectation
     g = grid48
-    D = pn.covariant_derivative(left, boundary="ignore")
-    DxDy = pn.covariant_derivative(D[1], boundary="ignore")[0].gL
-    DyDx = pn.covariant_derivative(D[0], boundary="ignore")[1].gL
+    D = pn.covariant_derivative(left)
+    DxDy = pn.covariant_derivative(D[1])[0].gL
+    DyDx = pn.covariant_derivative(D[0])[1].gL
     kmag2 = np.where(g.kmag() == 0, 1.0, g.kmag()) ** 2
     curv = g.nhat(2) / kmag2
     good = np.linalg.norm((DxDy - DyDx) - 1j * curv * left.gL)
@@ -175,8 +176,8 @@ def test_curvature_sign_flips_with_helicity(grid48, basis48):
 
 
 def _hermiticity_defect(f, g, label):
-    af = algebra_checks.apply_generator(label, f, boundary="ignore")
-    ag = algebra_checks.apply_generator(label, g, boundary="ignore")
+    af = algebra_checks.apply_generator(label, f)
+    ag = algebra_checks.apply_generator(label, g)
     lhs = pn.scalar_product(f, ag)
     rhs = pn.scalar_product(af, g)
     return abs(lhs - rhs) / (photon_state.norm(f) * photon_state.norm(ag))

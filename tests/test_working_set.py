@@ -49,13 +49,13 @@ def stages64(grid64, basis64):
     return {
         "build_basis": lambda: pn.build_basis(grid64, (1.0, 0.0, 0.0)),
         "basis.e": lambda: basis64.e(1, out=e_i),
-        "generators_photon_picture": lambda: pn.generators_photon_picture(wf, boundary="ignore"),
-        "darwin_split": lambda: pn.darwin_split(Ek, boundary="ignore"),
+        "generators_photon_picture": lambda: pn.generators_photon_picture(wf),
+        "darwin_split": lambda: pn.darwin_split(Ek),
         "vector_potential": lambda: pn.vector_potential(B),
         "textbook_split": lambda: pn.textbook_split(E, A),
         "bessel_beam": lambda: pn.bessel_beam(grid64, basis64, spec),
         "synthesize": lambda: pn.synthesize(wf),
-        "generators_field_picture": lambda: pn.generators_field_picture(rs, boundary="ignore"),
+        "generators_field_picture": lambda: pn.generators_field_picture(rs),
         "spectral_e_from_wavefunction": lambda: pn.spectral_e_from_wavefunction(wf),
         "analyze": lambda: pn.analyze(E, B, basis64),
         "spin_nonlocal_real": lambda: pn.spin_nonlocal_real(E, B),
