@@ -17,7 +17,7 @@ from .grids import (
     make_grid,
     spectral_gradient_k,
 )
-from .polarization import PolarizationBasis, berry_loop, build_basis, gauge_transform, identity_residuals
+from .polarization import PolarizationBasis, berry_loop, build_basis, chart_basis, gauge_transform, identity_residuals
 from .photon_state import (
     PhotonWaveFunction,
     apply_helicity,

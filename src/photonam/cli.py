@@ -15,6 +15,11 @@ The photon, darwin and field routes each measure their decay margin once
 and report it (``diagnostics.boundary_margin``, ``boundary_margin_r`` for the
 field); a failing margin also writes one ``BoundaryDecayWarning`` to stderr.
 
+Only the photon route's covariant derivative (``observables``, ``split``)
+and ``check algebra``/``check polarization`` derive the connection of the
+polarization basis; ``beam``, ``synthesize``, ``analyze`` and ``potential``
+read only the basis vectors e(k).
+
 The THREADS environment variable caps the worker count of the commutator
 pool in ``check algebra`` (see ``algebra_checks.run_suite``); results are
 identical for any value.
@@ -96,7 +101,7 @@ def cmd_beam(args):
     chart = chart / norm
     dk = max(grid.dk)
 
-    # the input values are validated before the basis, the first grid-sized allocation
+    # the input values are validated before the beam factory, the first grid-sized allocation
     if args.family == "bessel":
         # default keeps the ring plus 8 sigma of tail inside the grid
         k0 = args.k0 if args.k0 is not None else 0.62 * np.pi / args.dx
@@ -132,7 +137,7 @@ def cmd_beam(args):
             "center": list(center), "sigma": list(sigma),
         }
     beams._check_photons(args.photons)
-    wf = make_beam(basis=polarization.build_basis(grid, tuple(chart)))
+    wf = make_beam(basis=polarization.chart_basis(grid, tuple(chart)))
 
     manifest = fileio.write_wavefunction(args.output, wf, provenance=provenance)
     _emit({"written": args.output, "manifest": manifest}, args.json,
@@ -172,14 +177,17 @@ def _load_state(path, chart_axis):
     if isinstance(obj, photon_state.PhotonWaveFunction):
         return obj, manifest
     if isinstance(obj, fields_bridge.RSField):
-        basis = polarization.build_basis(obj.grid, tuple(chart_axis))
-        return fields_bridge.analyze_rs(obj, basis), manifest
+        basis = polarization.chart_basis(obj.grid, tuple(chart_axis))
+        E, B = fields_bridge.electric_field(obj), fields_bridge.magnetic_field(obj)
+        del obj             # the file data; E and B are copies
+        return fields_bridge.analyze(E, B, basis), manifest
     raise ValueError(f"{path}: cannot compute observables from a {manifest['kind']} file")
 
 
 def build_report(wf, routes, manifest=None):
-    report = {"routes": {}, "deltas": {}, "grid": {"dims": list(wf.grid.dims), "spacing": list(wf.grid.spacing)},
-              "units": {"c": wf.grid.units.c, "hbar": wf.grid.units.hbar, "eps0": wf.grid.units.eps0},
+    grid = wf.grid
+    report = {"routes": {}, "deltas": {}, "grid": {"dims": list(grid.dims), "spacing": list(grid.spacing)},
+              "units": {"c": grid.units.c, "hbar": grid.units.hbar, "eps0": grid.units.eps0},
               "time": wf.time}
     if manifest and "provenance" in manifest:
         report["provenance"] = manifest["provenance"]
@@ -198,6 +206,7 @@ def build_report(wf, routes, manifest=None):
     rs = None
     if "field" in routes or "textbook" in routes or "nonlocal" in routes:
         rs = fields_bridge.synthesize(wf)
+    wf = None       # read no further: a state passed as a temporary is freed with its connection
     if "field" in routes:
         gen_f = observables.generators_field_picture(rs)
         report["routes"]["field"] = _generator_dict(gen_f)
@@ -206,7 +215,7 @@ def build_report(wf, routes, manifest=None):
         if gen_f.J is not None:
             report["deltas"]["J_field_vs_photon"] = _rel(gen_f.J, gen_p.J)
             # both K are energy x length; near zero on centred beams, so scale by H L
-            L = max(n * d for n, d in zip(wf.grid.dims, wf.grid.spacing))
+            L = max(n * d for n, d in zip(grid.dims, grid.spacing))
             report["deltas"]["K_field_vs_photon"] = float(
                 np.linalg.norm(gen_f.K - gen_p.K) / max(gen_p.H * L, 1e-300))
     # nonlocal before textbook, so that B is dropped before the textbook split
@@ -252,8 +261,9 @@ def cmd_observables(args):
     for r in routes:
         if r not in ROUTES:
             raise ValueError(f"unknown route {r!r}; choose from {ROUTES}")
-    wf, manifest = _load_state(args.file, _vec(args.chart_axis))
-    report = build_report(wf, routes, manifest)
+    loaded = list(_load_state(args.file, _vec(args.chart_axis)))
+    manifest = loaded.pop()
+    report = build_report(loaded.pop(), routes, manifest)     # holds no reference of its own to the state
     _emit(report, args.json, _report_lines(report))
     return 0
 
@@ -292,8 +302,10 @@ def cmd_analyze(args):
     obj, manifest = fileio.read(args.file)
     if not isinstance(obj, fields_bridge.RSField):
         raise ValueError(f"{args.file}: analyze needs an rs_field file")
-    basis = polarization.build_basis(obj.grid, tuple(_vec(args.chart_axis)))
-    wf = fields_bridge.analyze_rs(obj, basis)
+    basis = polarization.chart_basis(obj.grid, tuple(_vec(args.chart_axis)))
+    E, B = fields_bridge.electric_field(obj), fields_bridge.magnetic_field(obj)
+    del obj             # the file data; E and B are copies
+    wf = fields_bridge.analyze(E, B, basis)
     man = fileio.write_wavefunction(args.output, wf, provenance=manifest.get("provenance"))
     _emit({"written": args.output, "manifest": man}, args.json,
           [f"wrote {args.output} (wavefunction)"])

@@ -152,7 +152,7 @@ def read(path):
         grid = make_grid(tuple(manifest["dims"]), tuple(manifest["spacing"]),
                          UnitsConfig(c=u["c"], hbar=u["hbar"], eps0=u["eps0"]))
         if kind == "wavefunction":
-            basis = polarization.build_basis(grid, tuple(manifest["chart_axis"]))
+            basis = polarization.chart_basis(grid, tuple(manifest["chart_axis"]))
     except (KeyError, TypeError, ValueError) as exc:
         raise FieldFileError(f"{path}: manifest grid or chart axis is invalid ({exc!r})") from None
 

@@ -32,8 +32,8 @@ BOUNDARY_TOL = 1e-8
 
 #: peak working set of the largest photonam command, in complex grid arrays
 #: (16 bytes per grid point): `analyze`, and `observables` on an rs_field file,
-#: peak at 592 MiB RSS at 128^3; 21 arrays of 32 MiB leave a 13% margin
-WORKING_SET_ARRAYS = 21
+#: peak at 447 MiB RSS at 128^3; 16 arrays of 32 MiB leave a 14% margin
+WORKING_SET_ARRAYS = 16
 
 
 class BoundaryDecayWarning(UserWarning):

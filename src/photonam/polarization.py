@@ -11,6 +11,9 @@ which needs no azimuthal frame and no angles.  A basis stores no e array:
 `GridPair` derives its metadata.  What it stores is the Berry-type
 connection ``alpha_j = -Im[e* . d_j e]``, obtained with the same
 finite-difference stencil as every other k derivative in the package.
+Of the package's stages only the covariant derivative reads it, so a basis
+derives it on the first read of ``alpha`` or ``alpha_base`` and keeps it:
+`chart_basis` derives nothing, `build_basis` reads it once before returning.
 
 A single chart cannot cover the sphere smoothly; points within ``EPS_POLE``
 of the chart axis (`PolarizationBasis.pole_mask`) carry the limiting basis
@@ -21,6 +24,7 @@ constructed away from the poles.
 
 from __future__ import annotations
 
+import threading
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -30,7 +34,35 @@ from .grids import LEVI_CIVITA, cross, reflect_conjugate, spectral_gradient_k, _
 EPS_POLE = 1e-6  # radians
 
 
-@dataclass(frozen=True)
+class _Connection:
+    """Field descriptor of `alpha` and `alpha_base`.
+
+    Holds the array given to the constructor.  A field given none is the
+    construction-gauge connection: the first reader derives it, under the
+    basis's lock, into every unset field, and readers that waited find it set.
+    """
+
+    def __set_name__(self, owner, name):
+        self.slot = "_" + name
+
+    def __get__(self, basis, owner=None):
+        if basis is None:
+            return None             # the field default: derive on first read
+        fields = basis.__dict__
+        if fields[self.slot] is None:
+            with fields["_lock"]:
+                if fields[self.slot] is None:
+                    alpha = _readonly(_derive_connection(basis.grid, basis.chart_axis))
+                    for slot in ("_alpha", "_alpha_base"):
+                        if fields[slot] is None:
+                            fields[slot] = alpha
+        return fields[self.slot]
+
+    def __set__(self, basis, value):
+        basis.__dict__[self.slot] = value
+
+
+@dataclass(frozen=True, repr=False, eq=False)
 class PolarizationBasis:
     """Connection alpha(k) of the circular basis, with gauge bookkeeping.
 
@@ -43,13 +75,20 @@ class PolarizationBasis:
     gauge (exactly gauge covariant) and re-phased afterwards.  Until a gauge
     transform, ``alpha_base`` is the same read-only array as ``alpha`` and
     ``gauge_phase`` is a zero-stride view of one zero.
+
+    A connection not passed to the constructor is derived on its first read,
+    once per basis even when threads read it together, and kept; `e`,
+    `pole_mask` and the beam, synthesis and analysis stages never read it.
     """
 
     grid: object
     chart_axis: np.ndarray     # unit 3-vector
-    alpha: np.ndarray          # (3, nx, ny, nz) real, current gauge
-    alpha_base: np.ndarray     # connection of the construction gauge
     gauge_phase: np.ndarray    # accumulated phase field, zeros at construction
+    alpha: np.ndarray = _Connection()        # (3, nx, ny, nz) real, current gauge
+    alpha_base: np.ndarray = _Connection()   # connection of the construction gauge
+
+    def __post_init__(self):
+        object.__setattr__(self, "_lock", threading.Lock())
 
     @property
     def has_gauge_phase(self):
@@ -175,18 +214,36 @@ def _construction_e(grid, axis, i, out):
     return out
 
 
+def chart_basis(grid, chart_axis=(0.0, 0.0, 1.0)):
+    """The circular basis of `chart_axis` on `grid`, its connection derived on first read.
+
+    Validates the axis and allocates no grid array: the stages that read
+    only e(k) (beams, synthesis, analysis) never pay for the connection.
+    """
+    _chart_frame(chart_axis)        # a non-unit axis fails before any grid array exists
+    return PolarizationBasis(
+        grid=grid,
+        chart_axis=_readonly(np.asarray(chart_axis, dtype=float)),
+        gauge_phase=np.broadcast_to(0.0, grid.dims),
+    )
+
+
 def build_basis(grid, chart_axis=(0.0, 0.0, 1.0)):
     """Construct the circular basis and its connection on `grid`.
 
-    At every non-pole point the seven transversality/handedness identities
-    hold to rounding; see `identity_residuals`.  The connection is fixed only
-    up to a gauge transformation, the operational check being the curvature
-    relation exercised by `photonam.algebra_checks.check_curvature`.
+    `chart_basis` with the connection read once before returning.  At every
+    non-pole point the seven transversality/handedness identities hold to
+    rounding; see `identity_residuals`.  The connection is fixed only up to a
+    gauge transformation, the operational check being the curvature relation
+    exercised by `photonam.algebra_checks.check_curvature`.
     """
-    _chart_frame(chart_axis)        # a non-unit axis fails before any grid array exists
-    axis = _readonly(np.asarray(chart_axis, dtype=float))
+    basis = chart_basis(grid, chart_axis)
+    basis.alpha         # derived here, and kept
+    return basis
 
-    # alpha_j = -sum_c Im(e_c* d_j e_c), one component of e at a time
+
+def _derive_connection(grid, axis):
+    """alpha_j = -sum_c Im(e_c* d_j e_c) in the construction gauge, one component of e at a time."""
     alpha = np.zeros((3,) + grid.dims)
     e = np.empty(grid.dims, dtype=complex)
     for comp in range(3):
@@ -195,16 +252,7 @@ def build_basis(grid, chart_axis=(0.0, 0.0, 1.0)):
         grad *= np.conjugate(e, out=e)
         alpha -= grad.imag
         del grad        # before the next component's gradient is allocated
-    del e
-
-    alpha = _readonly(alpha)
-    return PolarizationBasis(
-        grid=grid,
-        chart_axis=axis,
-        alpha=alpha,
-        alpha_base=alpha,
-        gauge_phase=np.broadcast_to(0.0, grid.dims),
-    )
+    return alpha
 
 
 def gauge_transform(grid, basis, phi):

@@ -34,6 +34,21 @@ def decay_ignored():
         yield
 
 
+@pytest.fixture()
+def gradient_calls(monkeypatch):
+    """The list of calls of `spectral_gradient_k` made through any module that imports it."""
+    from photonam import grids, observables, photon_state, polarization
+    calls, gradient = [], grids.spectral_gradient_k
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return gradient(*args, **kwargs)
+
+    for module in (grids, polarization, photon_state, observables, pn):
+        monkeypatch.setattr(module, "spectral_gradient_k", counted)
+    return calls
+
+
 def traced_peak(fn):
     """Run ``fn()``; return its result and the tracemalloc peak, in bytes, above the size at the start.
 

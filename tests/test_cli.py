@@ -10,7 +10,7 @@ import photonam as pn
 from photonam import fileio
 from photonam.cli import build_report, main
 
-from conftest import rel, smooth_state
+from conftest import rel, smooth_state, traced_peak
 
 
 # ---------------------------------------------------------------------------
@@ -218,9 +218,9 @@ def test_beam_validation_error_json_on_stderr(tmp_path, capsys):
 
 def test_grid_too_large_for_memory_exits_2_before_allocating(tmp_path, capsys, monkeypatch):
     from photonam import grids
-    monkeypatch.setattr(grids, "physical_memory", lambda: 1 << 20)
+    monkeypatch.setattr(grids, "physical_memory", lambda: grids.WORKING_SET_ARRAYS * 16 * 16 ** 3 - 1)
     built = []
-    monkeypatch.setattr(pn.polarization, "build_basis", lambda *a, **k: built.append(a))
+    monkeypatch.setattr(pn.beams, "gaussian_vortex", lambda *a, **k: built.append(a))
     code, _, err = run_cli(capsys, "beam", "gaussian", "--grid", "16", "-o", str(tmp_path / "x.pam"))
     assert code == 2 and not built
     payload = json.loads(err.strip())
@@ -232,11 +232,15 @@ def test_grid_too_large_for_memory_exits_2_before_allocating(tmp_path, capsys, m
     (("bessel", "--m", "1", "--k0", "nan"), "finite"),
     (("gaussian", "--sigma", "nan"), "finite"),
 ])
-def test_beam_input_is_refused_before_the_basis_is_built(tmp_path, capsys, monkeypatch, argv, message):
+def test_beam_input_is_refused_before_the_first_grid_sized_allocation(tmp_path, capsys, monkeypatch,
+                                                                     argv, message):
     built = []
-    monkeypatch.setattr(pn.polarization, "build_basis", lambda *a, **k: built.append(a))
-    code, _, err = run_cli(capsys, "beam", *argv, "--grid", "64", "-o", str(tmp_path / "x.pam"))
+    for factory in ("bessel_beam", "gaussian_vortex"):
+        monkeypatch.setattr(pn.beams, factory, lambda *a, **k: built.append(a))
+    (code, _, err), peak = traced_peak(
+        lambda: run_cli(capsys, "beam", *argv, "--grid", "64", "-o", str(tmp_path / "x.pam")))
     assert code == 2 and not built
+    assert peak < 0.1 * 16 * 64 ** 3, f"{peak} bytes allocated before the refusal"
     payload = json.loads(err.strip())
     assert payload["type"] == "ValueError" and message in payload["error"]
 
@@ -244,7 +248,8 @@ def test_beam_input_is_refused_before_the_basis_is_built(tmp_path, capsys, monke
 def test_failed_allocation_exits_2_with_error_json(tmp_path, capsys, monkeypatch):
     def no_memory(*args, **kwargs):
         raise MemoryError("Unable to allocate 1.00 TiB for an array")
-    monkeypatch.setattr(pn.polarization, "build_basis", no_memory)
+    # the beam factory is the first grid-sized step; the chart basis allocates no grid array
+    monkeypatch.setattr(pn.beams, "gaussian_vortex", no_memory)
     code, _, err = run_cli(capsys, "beam", "gaussian", "--grid", "16", "-o", str(tmp_path / "x.pam"))
     assert code == 2
     payload = json.loads(err.strip())
@@ -318,6 +323,25 @@ def test_unknown_route_is_refused_before_the_file_is_read(tmp_path, capsys):
     code, _, err = run_cli(capsys, "observables", str(tmp_path / "missing.pam"), "--routes", "photon,bogus")
     assert code == 2
     assert "unknown route" in json.loads(err.strip())["error"]
+
+
+def test_file_commands_take_no_k_derivative(tmp_path, capsys, gradient_calls):
+    """beam, synthesize, analyze and potential read only e(k): no stencil runs, so no connection is built."""
+    paths = {name: str(tmp_path / name) for name in ("bessel", "beam", "rs", "back", "a")}
+    c = repr(np.pi / 3.0)
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")
+        for argv in (("beam", "bessel", "--grid", "48", "--m", "2", "-o", paths["bessel"]),
+                     ("beam", "gaussian", "--grid", "24", f"--center={c},{c},{c}", "-o", paths["beam"]),
+                     ("synthesize", paths["beam"], "--t", "0.1", "-o", paths["rs"]),
+                     ("analyze", paths["rs"], "-o", paths["back"]),
+                     ("potential", paths["rs"], "-o", paths["a"])):
+            assert run_cli(capsys, *argv)[0] == 0, argv
+        assert gradient_calls == []
+
+        # the photon route still derives the connection, once: three gradients of e
+        code, _, _ = run_cli(capsys, "split", paths["bessel"], "--json")
+    assert code == 0 and len(gradient_calls) == 3
 
 
 def test_synthesize_analyze_potential_pipeline(tmp_path, capsys):

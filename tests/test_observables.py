@@ -3,6 +3,7 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import photonam as pn
 from photonam.fields_bridge import RealVectorField, SpectralEField, project_spectral_e
@@ -239,6 +240,31 @@ def test_split_gauge_invariance(grid48, basis48):
     Jo, Js = photon.Jo, photon.Js
     assert rel(Jo, Jo0) < 1e-10
     assert rel(Js, Js0) < 1e-10
+
+
+@settings(max_examples=8, deadline=None)
+@given(st.lists(st.floats(-2.0, 2.0, allow_nan=False), min_size=10, max_size=10))
+def test_gauge_invariance_over_smooth_phase_fields(grid48, coeffs):
+    """A random smooth phase field (quadratic plus one plane wave in k) changes none of the generators.
+
+    Each basis is built lazily, so its connection is first derived inside the
+    transform or, untransformed, inside the photon picture.
+    """
+    g = grid48
+    kx, ky, kz = (g.kvec[j] / (np.pi / g.spacing[j]) for j in range(3))    # in [-1, 1)
+    c = coeffs
+    phi = (c[0] + c[1] * kx + c[2] * ky + c[3] * kz + c[4] * kx * ky + c[5] * kz ** 2
+           + c[6] * np.cos(np.pi * (c[7] * kx + c[8] * ky + c[9] * kz)))
+    basis = pn.chart_basis(g)
+    wf = smooth_state(g, basis, seed=5, mix=(0.8, 0.5j), m=1)
+    wf2 = pn.gauge_transform_amplitudes(wf, phi, pn.gauge_transform(g, basis, phi))
+    with decay_ignored():
+        ref = pn.generators_photon_picture(smooth_state(g, pn.chart_basis(g), seed=5, mix=(0.8, 0.5j), m=1))
+        gen = pn.generators_photon_picture(wf2)
+    for name in ("N", "H", "P", "J", "Jo", "Js"):
+        assert rel(getattr(gen, name), getattr(ref, name)) <= 1e-10, name
+    L = max(n * d for n, d in zip(g.dims, g.spacing))
+    assert np.linalg.norm(gen.K - ref.K) <= 1e-10 * ref.H * L
 
 
 def test_linear_polarization_has_no_spin(grid48):

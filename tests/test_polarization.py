@@ -1,3 +1,6 @@
+import sys
+import threading
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -5,6 +8,7 @@ from hypothesis import given, settings, strategies as st
 import photonam as pn
 from photonam.grids import spectral_gradient_k
 from photonam.polarization import EPS_POLE, _chart_frame
+from photonam.rotations import rotate_basis, rotation_matrix
 
 from conftest import e_stack, nhat_stack, rel
 
@@ -101,8 +105,9 @@ def test_alpha_is_real_and_finite(basis16):
 
 def test_non_unit_axis_rejected(grid16):
     for axis in ((0.0, 0.0, 2.0), (np.nan, 0.0, 1.0), (0.0, 0.0, 0.0)):
-        with pytest.raises(ValueError, match="unit"):
-            pn.build_basis(grid16, axis)
+        for construct in (pn.build_basis, pn.chart_basis):
+            with pytest.raises(ValueError, match="unit"):
+                construct(grid16, axis)
 
 
 def test_construction_is_deterministic(grid16):
@@ -110,6 +115,56 @@ def test_construction_is_deterministic(grid16):
     b2 = pn.build_basis(grid16)
     assert np.array_equal(e_stack(b1), e_stack(b2))
     assert np.array_equal(b1.alpha, b2.alpha)
+
+
+CHARTS = [(1.0, 0.0, 0.0), (0.0, 0.0, 1.0), tuple(np.ones(3) / np.sqrt(3.0))]
+
+
+@pytest.mark.parametrize("axis", CHARTS)
+def test_lazy_connection_is_bit_equal_to_build_basis(axis):
+    g = pn.make_grid((16, 12, 20))
+    eager = pn.build_basis(g, axis)
+    lazy = pn.chart_basis(g, axis)
+    assert np.array_equal(e_stack(lazy), e_stack(eager))
+    assert np.array_equal(lazy.alpha_base, eager.alpha)
+    assert lazy.alpha is lazy.alpha_base and not lazy.alpha.flags.writeable
+
+
+def test_concurrent_first_reads_derive_the_connection_once(gradient_calls):
+    basis = pn.chart_basis(pn.make_grid(24), (1.0, 0.0, 0.0))
+    readers = 6                 # more threads than cores, all released at once
+    barrier = threading.Barrier(readers, timeout=30)
+    seen = [None] * readers
+
+    def read(slot):
+        barrier.wait()
+        seen[slot] = getattr(basis, ("alpha", "alpha_base")[slot % 2])
+
+    threads = [threading.Thread(target=read, args=(slot,)) for slot in range(readers)]
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=60)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(t.is_alive() for t in threads)
+    assert seen[0] is not None and all(a is seen[0] for a in seen) and basis.alpha is seen[0]
+    assert len(gradient_calls) == 3
+
+
+def test_transforms_of_a_lazy_basis_equal_those_of_an_eager_one(grid16):
+    """gauge_transform and rotate_basis read the connection they carry over, bit for bit."""
+    eager = pn.build_basis(grid16)
+    phi = 0.3 * grid16.kvec[0] * grid16.kvec[1]
+    for make in (lambda b: pn.gauge_transform(grid16, b, phi),
+                 lambda b: rotate_basis(grid16, b, rotation_matrix("x"))):
+        a, b = make(eager), make(pn.chart_basis(grid16))
+        assert np.array_equal(a.alpha, b.alpha) and np.array_equal(a.alpha_base, b.alpha_base)
+        assert np.array_equal(a.gauge_phase, b.gauge_phase)
+        assert np.array_equal(e_stack(a), e_stack(b))
 
 
 def _fd_curl_alpha(grid, basis):

@@ -21,6 +21,7 @@ BUDGETS = {
     "build_basis": 6.1,
     "basis.e": 1.0,
     "generators_photon_picture": 9.0,
+    "generators_photon_picture_lazy_basis": 9.0 + 1.6,     # derives and keeps alpha, 1.5 arrays
     "darwin_split": 10.0,
     "vector_potential": 10.0,
     "textbook_split": 10.0,
@@ -46,10 +47,12 @@ def stages64(grid64, basis64):
     sigma = 2.5 * grid64.dk[0]
     spec = pn.BesselSpec(k_perp0=0.6 * k0, k_z0=0.8 * k0, m=3, helicity=1, sigma_perp=sigma, sigma_z=sigma)
     e_i = np.empty(grid64.dims, dtype=complex)
+    wf_lazy = smooth_state(grid64, pn.chart_basis(grid64), seed=6, mix=(1.0, 0.4j), m=1)
     return {
         "build_basis": lambda: pn.build_basis(grid64, (1.0, 0.0, 0.0)),
         "basis.e": lambda: basis64.e(1, out=e_i),
         "generators_photon_picture": lambda: pn.generators_photon_picture(wf),
+        "generators_photon_picture_lazy_basis": lambda: pn.generators_photon_picture(wf_lazy),
         "darwin_split": lambda: pn.darwin_split(Ek),
         "vector_potential": lambda: pn.vector_potential(B),
         "textbook_split": lambda: pn.textbook_split(E, A),
@@ -83,6 +86,14 @@ def test_basis_retains_only_the_connection(grid64):
         tracemalloc.stop()
     assert basis.alpha.nbytes == 1.5 * unit
     assert retained / unit <= 1.6, f"build_basis retained {retained / unit:.2f} complex grid arrays"
+
+
+def test_chart_basis_retains_no_grid_array(grid64):
+    """Until its connection is read, a basis holds only its chart axis and a zero-stride phase."""
+    unit = np.dtype(complex).itemsize * grid64.npoints
+    basis, peak = traced_peak(lambda: pn.chart_basis(grid64, (1.0, 0.0, 0.0)))
+    assert peak <= 0.01 * unit, f"chart_basis allocated {peak / unit:.3f} complex grid arrays"
+    assert basis.gauge_phase.strides == (0, 0, 0)
 
 
 def test_grid_holds_no_3d_array():
