@@ -35,7 +35,6 @@ from .fields_bridge import (
     RealVectorField,
     SpectralEField,
     analyze,
-    analyze_rs,
     electric_field,
     greens_function_check,
     magnetic_field,

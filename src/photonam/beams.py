@@ -21,7 +21,8 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from . import photon_state
-from .grids import _readonly
+from .fields_bridge import SpectralEField, project_spectral_e
+from .grids import _readonly, check_boundary_decay
 
 
 @dataclass(frozen=True)
@@ -34,7 +35,6 @@ class BesselSpec:
     helicity: int
     sigma_perp: float
     sigma_z: float
-    amplitude: float = 1.0
 
     @property
     def k0(self):
@@ -45,7 +45,7 @@ class BesselSpec:
         return self.k_z0 / self.k0
 
     def validate(self, grid):
-        if not np.all(np.isfinite((self.k_perp0, self.k_z0, self.sigma_perp, self.sigma_z, self.amplitude))):
+        if not np.all(np.isfinite((self.k_perp0, self.k_z0, self.sigma_perp, self.sigma_z))):
             raise ValueError("Bessel beam parameters must be finite")
         if self.k_perp0 <= 0:
             raise ValueError("k_perp0 must be positive")
@@ -73,9 +73,13 @@ def bessel_ratio_oracle(m, kz_over_k, helicity):
 
     Equals ``m k / (chi k_z) - 1``: for helicity +1 this is ``m k/k_z - 1``;
     for helicity -1 the spin component is negative and the magnitude of the
-    ratio is ``m k/k_z + 1``.
+    ratio is ``m k/k_z + 1``.  At k_z = 0 the spin has no z component and
+    the ratio is undefined.
     """
-    return m / (helicity * kz_over_k) - 1.0
+    den = helicity * kz_over_k
+    if den == 0:
+        raise ValueError(f"Jo_z/Js_z is undefined for helicity {helicity} and kz_over_k {kz_over_k}")
+    return m / den - 1.0
 
 
 def _pole_line_distance(points, axis):
@@ -87,10 +91,12 @@ def _pole_line_distance(points, axis):
 def bessel_beam(grid, basis, spec, photons=1.0):
     """Regularized Bessel beam as a PhotonWaveFunction.
 
-    The construction is an exact helicity eigenstate point by point, so the
-    projection onto the basis leaves the opposite-helicity amplitude at
-    rounding level for any chart.  With `photons` set, the state is rescaled
-    to that photon number; pass None to keep the raw amplitude.
+    E(k) is built as an exact helicity eigenstate point by point and
+    projected onto the basis with `fields_bridge.project_spectral_e`, so the
+    opposite-helicity amplitude is at rounding level for any chart.  Its decay
+    at the momentum boundary is measured (`BoundaryDecayWarning`).  With
+    `photons` set, the state is rescaled to that photon number; pass None to
+    keep the raw amplitude.
     """
     spec.validate(grid)
     _check_photons(photons)
@@ -115,7 +121,7 @@ def bessel_beam(grid, basis, spec, photons=1.0):
     del on_axis, safe_perp
 
     # envelope x azimuthal phase, shared by the three components of the column
-    ep = spec.amplitude * np.exp(
+    ep = np.exp(
         -((kperp - spec.k_perp0) ** 2) / (2.0 * spec.sigma_perp ** 2)
         - ((kz - spec.k_z0) ** 2) / (2.0 * spec.sigma_z ** 2)
     )
@@ -127,48 +133,27 @@ def bessel_beam(grid, basis, spec, photons=1.0):
     b = np.divide(kperp, safe_k, out=kperp)
     del kperp, safe_k
 
-    # gL = e* . col, gR = e . col, one component of the helicity column
-    # (-a cos phi + i chi sin phi, -a sin phi - i chi cos phi, b) at a time,
-    # with a = k_z/k and b = k_perp/k
+    # E(k): the helicity column (-a cos phi + i chi sin phi, -a sin phi - i chi cos phi, b)
+    # times the envelope, with a = k_z/k and b = k_perp/k
     chi = spec.helicity
-    gL = np.zeros(grid.dims, dtype=complex)
-    gR = np.zeros(grid.dims, dtype=complex)
-    col = np.empty(grid.dims, dtype=complex)
-    tmp = np.empty(grid.dims, dtype=complex)
-    e_i = np.empty(grid.dims, dtype=complex)
-    for i in range(3):
-        if i == 0:
-            np.multiply(minus_a, cphi, out=col.real)
-            np.multiply(sphi, chi, out=col.imag)
-        elif i == 1:
-            np.multiply(minus_a, sphi, out=col.real)
-            np.multiply(cphi, -chi, out=col.imag)
-        else:
-            col.real, col.imag = b, 0.0
-        col *= ep
-        basis.e(i, out=e_i)
-        np.multiply(e_i, col, out=tmp)
-        gR += tmp
-        np.conjugate(e_i, out=e_i)
-        e_i *= col
-        gL += e_i
-    del minus_a, b, cphi, sphi, ep, col, tmp, e_i
+    Ek = np.empty((3,) + grid.dims, dtype=complex)
+    np.multiply(minus_a, cphi, out=Ek[0].real)
+    np.multiply(sphi, chi, out=Ek[0].imag)
+    np.multiply(minus_a, sphi, out=Ek[1].real)
+    np.multiply(cphi, -chi, out=Ek[1].imag)
+    Ek[2].real, Ek[2].imag = b, 0.0
+    del minus_a, b, cphi, sphi
+    Ek *= ep
+    del ep
 
-    scale = np.sqrt(2.0 * grid.units.eps0)
-    gL *= scale
-    gR *= scale
-    wf = photon_state.wavefunction(grid, basis, gL, gR)
-    del gL, gR
-    if photons is not None:
-        n = photon_state.photon_number(wf)
-        if n <= 0:
-            raise ValueError("beam has zero weight on this grid")
-        wf = rescale(wf, np.sqrt(photons / n))
-    return wf
+    wf = project_spectral_e(SpectralEField(values=Ek, grid=grid), basis)
+    del Ek
+    check_boundary_decay(grid, (wf.gL, wf.gR), "Bessel beam")
+    return _with_photons(wf, photons)
 
 
 def gaussian_vortex(grid, basis, center, widths, m=0, helicity="L",
-                    r_offset=None, amplitude=1.0, photons=None):
+                    r_offset=None, photons=None):
     """Smooth Gaussian packet, optionally with a vortex winding about z.
 
     ``g(k) ~ ((k_x + i sgn(m) k_y)/sigma)^{|m|} exp(-|k-k0|^2 / (2 sigma^2))``
@@ -201,13 +186,7 @@ def gaussian_vortex(grid, basis, center, widths, m=0, helicity="L",
         env = env * np.exp(-1j * (kx * r0[0] + ky * r0[1] + kz * r0[2]))
 
     cL, cR = _helicity_amplitudes(helicity)
-    wf = photon_state.wavefunction(grid, basis, amplitude * cL * env, amplitude * cR * env)
-    if photons is not None:
-        n = photon_state.photon_number(wf)
-        if n <= 0:
-            raise ValueError("packet has zero weight on this grid")
-        wf = rescale(wf, np.sqrt(photons / n))
-    return wf
+    return _with_photons(photon_state.wavefunction(grid, basis, cL * env, cR * env), photons)
 
 
 def _check_packet(grid, center, widths):
@@ -227,6 +206,17 @@ def _check_photons(photons):
         raise ValueError(f"photons must be positive and finite, got {photons}")
 
 
+def _with_photons(wf, photons):
+    """`wf` rescaled to `photons` photons; None keeps its raw amplitude."""
+    if photons is None:
+        return wf
+    n = photon_state.photon_number(wf)
+    if n <= 0:
+        raise ValueError("the state has zero weight on this grid")
+    factor = np.sqrt(photons / n)
+    return replace(wf, gL=_readonly(factor * wf.gL), gR=_readonly(factor * wf.gR))
+
+
 def _helicity_amplitudes(helicity):
     if isinstance(helicity, str):
         key = helicity.upper()
@@ -243,8 +233,3 @@ def _helicity_amplitudes(helicity):
         raise ValueError("scalar helicity must be +1 or -1")
     cL, cR = helicity
     return complex(cL), complex(cR)
-
-
-def rescale(wf, factor):
-    """Multiply both amplitude components by a scalar."""
-    return replace(wf, gL=_readonly(factor * wf.gL), gR=_readonly(factor * wf.gR))

@@ -6,8 +6,12 @@ machine-readable JSON.  Exit codes: 0 success, 1 numerical threshold
 failure, 2 usage or validation error (with an error JSON on stderr); a
 grid too large for the machine's memory is refused with exit 2 before it is
 allocated, and an allocation that fails all the same also exits 2.
-Non-finite or out-of-range numbers also exit 2 and write no file; an
-unknown ``observables`` route is refused before its file is read.  Every
+Non-finite or out-of-range numbers also exit 2 and write no file; the beam
+factories validate their inputs before their first grid-sized allocation,
+and an unknown ``observables`` route is refused before its file is read.
+``synthesize``, ``analyze``, ``observables`` and ``split`` read their file
+through one path that refuses a file of the wrong kind (exit 2) and analyzes
+an rs_field file after dropping its data.  Every
 ``observables`` route, the nonlocal Coulomb-kernel one included, runs on any
 grid the memory refusal accepts.
 
@@ -33,7 +37,6 @@ import io
 import json
 import sys
 import warnings
-from functools import partial
 
 import numpy as np
 
@@ -43,12 +46,9 @@ from . import (
     fields_bridge,
     fileio,
     observables,
-    photon_state,
     polarization,
 )
-from .grids import make_grid
-
-DEFAULT_CHART = (1.0, 0.0, 0.0)   # beams propagate about z; keep the chart poles away
+from .grids import BoundaryDecayWarning, make_grid
 
 
 def _vec(value, n=3, cast=float):
@@ -98,10 +98,10 @@ def cmd_beam(args):
     norm = np.linalg.norm(chart)
     if not 0.0 < norm < np.inf:
         raise ValueError(f"chart axis {args.chart_axis!r} must be a nonzero finite vector")
-    chart = chart / norm
+    basis = polarization.chart_basis(grid, tuple(chart / norm))     # allocates no grid array
     dk = max(grid.dk)
 
-    # the input values are validated before the beam factory, the first grid-sized allocation
+    # each factory validates its inputs before its first grid-sized allocation
     if args.family == "bessel":
         # default keeps the ring plus 8 sigma of tail inside the grid
         k0 = args.k0 if args.k0 is not None else 0.62 * np.pi / args.dx
@@ -117,8 +117,6 @@ def cmd_beam(args):
             sigma_perp=(args.sigma_perp if args.sigma_perp is not None else sigma_auto) * dk,
             sigma_z=(args.sigma_z if args.sigma_z is not None else sigma_auto) * dk,
         )
-        spec.validate(grid)
-        make_beam = partial(beams.bessel_beam, grid, spec=spec, photons=args.photons)
         provenance = {
             "family": "bessel", "m": args.m, "helicity": args.helicity,
             "k0": k0, "kz_over_k": args.kz_over_k,
@@ -126,18 +124,16 @@ def cmd_beam(args):
             "sigma_perp_cells": spec.sigma_perp / dk, "sigma_z_cells": spec.sigma_z / dk,
             "ratio_analytic": beams.bessel_ratio_oracle(args.m, args.kz_over_k, args.helicity),
         }
+        wf = beams.bessel_beam(grid, basis, spec, args.photons)
     else:
         center = _vec(args.center) if args.center else ((np.pi / args.dx) / 3.0,) * 3
         sigma = tuple(s * dk for s in _vec(args.sigma if args.sigma is not None else "2.5"))
-        beams._check_packet(grid, center, sigma)
-        make_beam = partial(beams.gaussian_vortex, grid, center=center, widths=sigma, m=args.m,
-                            helicity=args.helicity_name, photons=args.photons)
         provenance = {
             "family": "gaussian", "m": args.m, "helicity": args.helicity_name,
             "center": list(center), "sigma": list(sigma),
         }
-    beams._check_photons(args.photons)
-    wf = make_beam(basis=polarization.chart_basis(grid, tuple(chart)))
+        wf = beams.gaussian_vortex(grid, basis, center=center, widths=sigma, m=args.m,
+                                   helicity=args.helicity_name, photons=args.photons)
 
     manifest = fileio.write_wavefunction(args.output, wf, provenance=provenance)
     _emit({"written": args.output, "manifest": manifest}, args.json,
@@ -149,6 +145,9 @@ def cmd_beam(args):
 # observables / split
 
 ROUTES = ("photon", "field", "darwin", "textbook", "nonlocal")
+
+#: the file kinds `observables` and `split` read as a photon state
+STATE_KINDS = ("wavefunction", "rs_field")
 
 
 def _vec3(v):
@@ -172,16 +171,24 @@ def _rel(a, b):
     return float(np.linalg.norm(a - b) / den)
 
 
-def _load_state(path, chart_axis):
-    obj, manifest = fileio.read(path)
-    if isinstance(obj, photon_state.PhotonWaveFunction):
-        return obj, manifest
+def _load_state(args, kinds):
+    """Read ``args.file``, refusing any file kind not in `kinds`; return (state, manifest).
+
+    A wavefunction file is returned as read.  An rs_field file is analyzed
+    on the chart of ``args.chart_axis``; its data is dropped once E and B
+    are taken, before the analysis.
+    """
+    chart = _vec(args.chart_axis) if "rs_field" in kinds else None
+    obj, manifest = fileio.read(args.file)
+    if manifest["kind"] not in kinds:
+        raise ValueError(f"{args.file}: {args.command} needs a file of kind {' or '.join(kinds)}, "
+                         f"not {manifest['kind']}")
     if isinstance(obj, fields_bridge.RSField):
-        basis = polarization.chart_basis(obj.grid, tuple(chart_axis))
+        basis = polarization.chart_basis(obj.grid, tuple(chart))
         E, B = fields_bridge.electric_field(obj), fields_bridge.magnetic_field(obj)
         del obj             # the file data; E and B are copies
         return fields_bridge.analyze(E, B, basis), manifest
-    raise ValueError(f"{path}: cannot compute observables from a {manifest['kind']} file")
+    return obj, manifest
 
 
 def build_report(wf, routes, manifest=None):
@@ -212,12 +219,11 @@ def build_report(wf, routes, manifest=None):
         report["routes"]["field"] = _generator_dict(gen_f)
         report["deltas"]["H_field_vs_photon"] = _rel(gen_f.H, gen_p.H)
         report["deltas"]["P_field_vs_photon"] = _rel(gen_f.P, gen_p.P)
-        if gen_f.J is not None:
-            report["deltas"]["J_field_vs_photon"] = _rel(gen_f.J, gen_p.J)
-            # both K are energy x length; near zero on centred beams, so scale by H L
-            L = max(n * d for n, d in zip(grid.dims, grid.spacing))
-            report["deltas"]["K_field_vs_photon"] = float(
-                np.linalg.norm(gen_f.K - gen_p.K) / max(gen_p.H * L, 1e-300))
+        report["deltas"]["J_field_vs_photon"] = _rel(gen_f.J, gen_p.J)
+        # both K are energy x length; near zero on centred beams, so scale by H L
+        L = max(n * d for n, d in zip(grid.dims, grid.spacing))
+        report["deltas"]["K_field_vs_photon"] = float(
+            np.linalg.norm(gen_f.K - gen_p.K) / max(gen_p.H * L, 1e-300))
     # nonlocal before textbook, so that B is dropped before the textbook split
     if "textbook" in routes or "nonlocal" in routes:
         E = fields_bridge.electric_field(rs)
@@ -261,7 +267,7 @@ def cmd_observables(args):
     for r in routes:
         if r not in ROUTES:
             raise ValueError(f"unknown route {r!r}; choose from {ROUTES}")
-    loaded = list(_load_state(args.file, _vec(args.chart_axis)))
+    loaded = list(_load_state(args, STATE_KINDS))
     manifest = loaded.pop()
     report = build_report(loaded.pop(), routes, manifest)     # holds no reference of its own to the state
     _emit(report, args.json, _report_lines(report))
@@ -269,7 +275,7 @@ def cmd_observables(args):
 
 
 def cmd_split(args):
-    wf, manifest = _load_state(args.file, _vec(args.chart_axis))
+    wf, manifest = _load_state(args, STATE_KINDS)
     report = build_report(wf, ("photon",), manifest)
     vals = report["routes"]["photon"]
     payload = {"Jo": vals["Jo"], "Js": vals["Js"], "J": vals["J"],
@@ -288,10 +294,8 @@ def cmd_split(args):
 # synthesize / analyze / potential
 
 def cmd_synthesize(args):
-    obj, manifest = fileio.read(args.file)
-    if not isinstance(obj, photon_state.PhotonWaveFunction):
-        raise ValueError(f"{args.file}: synthesize needs a wavefunction file")
-    rs = fields_bridge.synthesize(obj, args.t)
+    wf, manifest = _load_state(args, ("wavefunction",))
+    rs = fields_bridge.synthesize(wf, args.t)
     man = fileio.write_rs_field(args.output, rs, provenance=manifest.get("provenance"))
     _emit({"written": args.output, "manifest": man}, args.json,
           [f"wrote {args.output} (rs_field at t={rs.time})"])
@@ -299,13 +303,7 @@ def cmd_synthesize(args):
 
 
 def cmd_analyze(args):
-    obj, manifest = fileio.read(args.file)
-    if not isinstance(obj, fields_bridge.RSField):
-        raise ValueError(f"{args.file}: analyze needs an rs_field file")
-    basis = polarization.chart_basis(obj.grid, tuple(_vec(args.chart_axis)))
-    E, B = fields_bridge.electric_field(obj), fields_bridge.magnetic_field(obj)
-    del obj             # the file data; E and B are copies
-    wf = fields_bridge.analyze(E, B, basis)
+    wf, manifest = _load_state(args, ("rs_field",))
     man = fileio.write_wavefunction(args.output, wf, provenance=manifest.get("provenance"))
     _emit({"written": args.output, "manifest": man}, args.json,
           [f"wrote {args.output} (wavefunction)"])
@@ -350,7 +348,7 @@ def check_algebra(grids=(48, 96), dx=1.0):
         grid = make_grid((n, n, n), (dx, dx, dx))
         basis = polarization.build_basis(grid)
         with warnings.catch_warnings():
-            warnings.simplefilter("ignore")
+            warnings.simplefilter("ignore", BoundaryDecayWarning)
             per_grid[n] = algebra_checks.run_suite(_algebra_state(grid, basis))
 
     coarse, fine = grids[0], grids[-1]
@@ -506,7 +504,7 @@ def build_parser():
         if fam == "bessel":
             bp.add_argument("--m", type=int, required=True)
             bp.add_argument("--kz-over-k", type=float, default=0.8, dest="kz_over_k")
-            bp.add_argument("--helicity", type=lambda s: {"L": 1, "R": -1}.get(s, int(s)), default=1)
+            bp.add_argument("--helicity", type=lambda s: {"L": 1, "R": -1}.get(s.upper()) or int(s), default=1)
             bp.add_argument("--k0", type=float, default=None, help="total wavenumber (default 0.62 Nyquist)")
             bp.add_argument("--sigma-perp", type=float, default=None, dest="sigma_perp",
                             help="regularization width in grid steps (default 3)")

@@ -4,6 +4,12 @@ The complex field ``F = sqrt(eps0/2) (E + i c B)`` packages both Maxwell
 fields; free evolution is ``dF/dt = -i c curl F`` with ``div F = 0``.
 Synthesis assembles F from helicity amplitudes, analysis inverts it through
 the plane-wave electric amplitudes ``E(k)`` and their basis projections.
+
+Each step of the photon picture has one implementation: `project_spectral_e`
+is the projection gL = sqrt(2 eps0) e*.E(k), gR = sqrt(2 eps0) e.E(k) (used by
+`analyze` and by `beams.bessel_beam`), and `photon_state.materialized` bakes
+the evolution phase e^{-i w t} (used by `synthesize` and
+`spectral_e_from_wavefunction`).
 """
 
 from __future__ import annotations
@@ -119,32 +125,29 @@ def synthesize(wf, t=0.0):
     ``F(r, t) = (2 pi)^{-3/2} int d3k e(k) [gL e^{-i w t + i k.r}
     + gR* e^{+i w t - i k.r}]``; the negative-frequency term is folded onto
     the grid by the k -> -k reflection, so a single inverse transform per
-    component suffices.  `t` is added to the wavefunction's own time.
-    Works one spectral component at a time.
+    component suffices.  `t` is added to the wavefunction's own time, and
+    `photon_state.materialized` bakes the evolution phase.  Works one
+    spectral component at a time.
     """
-    grid, basis = wf.grid, wf.basis
-    total_t = wf.time + t
-    if not np.isfinite(total_t):
-        raise ValueError(f"synthesis time must be finite, got {total_t}")
-    gLt, gRt = wf.gL, wf.gR
-    if total_t != 0.0:
-        phase = np.exp(-1j * grid.omega() * total_t)
-        gLt, gRt = gLt * phase, gRt * phase
-        del phase
+    wf = photon_state.evolve(wf, t)
+    if not np.isfinite(wf.time):
+        raise ValueError(f"synthesis time must be finite, got {wf.time}")
+    grid, basis, time = wf.grid, wf.basis, wf.time
+    wf = photon_state.materialized(wf)
     F = np.empty((3,) + grid.dims, dtype=complex)
     e_i = np.empty(grid.dims, dtype=complex)
     for i in range(3):
         basis.e(i, out=e_i)
         # second term folded to +k: coefficient e(-k) conj(gR(-k) e^{-i w t})
         spectral = np.conjugate(e_i)
-        spectral *= gRt
+        spectral *= wf.gR
         spectral = reflect_conjugate(grid, spectral)
-        e_i *= gLt
+        e_i *= wf.gL
         spectral += e_i
         F[i] = inverse_transform(grid, spectral)
         del spectral
     del e_i
-    return RSField(F=_readonly(F), grid=grid, time=float(total_t))
+    return RSField(F=_readonly(F), grid=grid, time=time)
 
 
 def electric_field(rs):
@@ -250,11 +253,6 @@ def spectral_e_from_wavefunction(wf):
     return SpectralEField(values=_readonly(Ek), grid=grid)
 
 
-def analyze_rs(rs, basis):
-    """Convenience: split an RSField into (E, B) and analyze."""
-    return analyze(electric_field(rs), magnetic_field(rs), basis)
-
-
 # ---------------------------------------------------------------------------
 # residuals and potentials
 
@@ -318,14 +316,16 @@ def vector_potential(B):
 # ---------------------------------------------------------------------------
 # discrete Coulomb kernel check
 
-def greens_function_check(grid, axis_cells=(8, 10, 12), diag_cells=(2, 3, 4, 5, 6)):
+def greens_function_check(grid):
     """Compare the inverse transform of 1/|k|^2 against the Coulomb kernel.
 
     On a periodic grid the excluded k=0 bin acts as a neutralizing
     background, so the discrete kernel equals ``1/(4 pi r)`` only up to the
     simple-cubic lattice constant ``-2.837297.../(4 pi L)``; the comparison
     removes that rigorously known offset and also reports the offset fitted
-    from the data so the constant itself is verified.
+    from the data so the constant itself is verified.  The kernel is sampled
+    8, 10 and 12 cells from the centre along x and 2 to 6 cells along the
+    (1, 1, 1) diagonal.
 
     Returns a dict with per-sample relative mismatches (largest first is
     `max_rel_mismatch`) and the fitted/expected offsets.
@@ -346,11 +346,11 @@ def greens_function_check(grid, axis_cells=(8, 10, 12), diag_cells=(2, 3, 4, 5, 
     offset_expected = -scale * WIGNER_SC / (4.0 * np.pi * L)
 
     samples = []
-    for m in axis_cells:
+    for m in (8, 10, 12):
         r = m * dx
         got = float(G[c0 + m, c0, c0])
         samples.append(("axis", m, r, got))
-    for m in diag_cells:
+    for m in (2, 3, 4, 5, 6):
         r = np.sqrt(3.0) * m * dx
         got = float(G[c0 + m, c0 + m, c0 + m])
         samples.append(("diag", m, r, got))

@@ -322,8 +322,9 @@ def reflect_conjugate(grid, F):
 # numpy's one-sided second-order formulas replace them.  The data must decay
 # near the momentum boundary, so the stencil is read as non-periodic there.
 # The stencil checks nothing: decay is a property of the state, measured by
-# `check_boundary_decay` where a state is built (`wavefunction`) and where a
-# route reports a result (`generators_photon_picture`, `darwin_split`).
+# `check_boundary_decay` where a state is built (`wavefunction`,
+# `bessel_beam`) and where a route reports a result
+# (`generators_photon_picture`, `darwin_split`).
 
 def boundary_margin(F, mask):
     """max |F| on the boundary shells in `mask` divided by the global max.

@@ -83,29 +83,25 @@ class GeneratorSet:
 # ---------------------------------------------------------------------------
 # field picture
 
-def generators_field_picture(rs, include_moments=True):
+def generators_field_picture(rs):
     """H, P, J, K as real-space integrals of the complex Maxwell field.
 
     ``H = int |F|^2``, ``P = (1/ic) int F* x F``, ``J = (1/ic) int r x (F* x F)``,
     ``K = int r |F|^2`` with r measured from the grid center.  The r-weighted
     moments need the field to decay near the grid boundary; that margin is
-    ``diagnostics["boundary_margin_r"]``, and one above BOUNDARY_TOL warns.
-    For periodic content (single plane waves) pass ``include_moments=False``.
+    ``diagnostics["boundary_margin_r"]``, and one above BOUNDARY_TOL warns
+    (periodic content, such as a single plane wave, always does).
     """
     grid = rs.grid
     F = rs.F
     c = grid.units.c
     dV = grid.dV
 
-    J = K = None
-    diagnostics = {}
-    if include_moments:
-        margin = boundary_margin(F, grid.boundary_mask_r())
-        diagnostics["boundary_margin_r"] = margin
-        if margin > BOUNDARY_TOL:
-            warnings.warn(f"field does not decay at the real-space boundary "
-                          f"(edge magnitude {margin:.2e}); r-weighted moments unreliable",
-                          BoundaryDecayWarning, stacklevel=2)
+    margin = boundary_margin(F, grid.boundary_mask_r())
+    if margin > BOUNDARY_TOL:
+        warnings.warn(f"field does not decay at the real-space boundary "
+                      f"(edge magnitude {margin:.2e}); r-weighted moments unreliable",
+                      BoundaryDecayWarning, stacklevel=2)
 
     # |F|^2 and V = Im(F* x F) = 2 Re F x Im F; P = V/c pointwise
     dens = np.zeros(grid.dims)
@@ -117,12 +113,10 @@ def generators_field_picture(rs, include_moments=True):
     H = float(np.sum(dens) * dV)
     P = np.sum(V, axis=(1, 2, 3)) * dV / c
 
-    if include_moments:
-        r = np.ix_(*grid.x_axes)
-        J = np.array([np.sum(cross_component(r, V, j)) for j in range(3)]) * dV / c
-        K = np.array([np.sum(ri * dens) for ri in r]) * dV
-
-    return GeneratorSet(H=H, P=P, J=J, K=K, diagnostics=diagnostics)
+    r = np.ix_(*grid.x_axes)
+    J = np.array([np.sum(cross_component(r, V, j)) for j in range(3)]) * dV / c
+    K = np.array([np.sum(ri * dens) for ri in r]) * dV
+    return GeneratorSet(H=H, P=P, J=J, K=K, diagnostics={"boundary_margin_r": margin})
 
 
 # ---------------------------------------------------------------------------

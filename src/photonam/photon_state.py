@@ -10,8 +10,9 @@ orbital/spin split conserved to rounding, as it is in the continuum.
 
 The covariant derivative D is a k-space finite difference, valid only for
 states that decay near the momentum boundary.  D checks nothing: the decay
-is measured when a state is built (`wavefunction`) and by the route that
-reports a result from D (`observables.generators_photon_picture`).
+is measured when a state is built (`wavefunction`, `beams.bessel_beam`) and
+by the route that reports a result from D
+(`observables.generators_photon_picture`).
 """
 
 from __future__ import annotations
@@ -107,7 +108,7 @@ def materialized(wf):
     if wf.time == 0.0:
         return wf
     phase = np.exp(-1j * wf.grid.omega() * wf.time)
-    return replace(wf, gL=_readonly(phase * wf.gL), gR=_readonly(phase * wf.gR), time=0.0)
+    return replace(wf, gL=_readonly(wf.gL * phase), gR=_readonly(wf.gR * phase), time=0.0)
 
 
 def gauge_transform_amplitudes(wf, phi, new_basis):

@@ -335,67 +335,40 @@ def solid_angle_quad(p1, p2, p3, p4):
     return tri(p1, p2, p3) + tri(p1, p3, p4)
 
 
-def berry_loop(grid, basis, center, half_cells, plane_axis=2):
+def berry_loop(grid, basis, center, half_cells):
     """Discrete loop integral of alpha around a grid-aligned square circuit.
 
-    The square lies in the plane normal to `plane_axis`, centred at the grid
-    point nearest `center`, with half-side ``half_cells`` grid steps.  The
-    loop is traversed counterclockwise as seen from the positive axis side.
+    The square lies in a plane of constant k_z, centred at the grid point
+    nearest `center`, with half-side ``half_cells`` grid steps.  The loop is
+    traversed counterclockwise as seen from positive k_z.
 
     Returns ``(loop_integral, expected, abs_error)`` where `expected` is the
     flux of the helicity +1 curvature ``-n/|k|^2`` through the square, i.e.
     minus the solid angle the square subtends at the origin (independent
     geometric oracle for the Stokes check).
     """
-    ax_a, ax_b = [ax for ax in range(3) if ax != plane_axis]
-    centre_idx = [int(np.argmin(np.abs(grid.k_axes[ax] - center[ax]))) for ax in range(3)]
+    cx, cy, cz = [int(np.argmin(np.abs(grid.k_axes[ax] - center[ax]))) for ax in range(3)]
     h = int(half_cells)
-
-    lo_a, hi_a = centre_idx[ax_a] - h, centre_idx[ax_a] + h
-    lo_b, hi_b = centre_idx[ax_b] - h, centre_idx[ax_b] + h
-    n_a, n_b = grid.dims[ax_a], grid.dims[ax_b]
+    lo_x, hi_x, lo_y, hi_y = cx - h, cx + h, cy - h, cy + h
+    nx, ny = grid.dims[0], grid.dims[1]
     # stay on the monotone branch (no wraparound through the Nyquist edge)
-    for lo, hi, nn in ((lo_a, hi_a, n_a), (lo_b, hi_b, n_b)):
+    for lo, hi, nn in ((lo_x, hi_x, nx), (lo_y, hi_y, ny)):
         if not (-(nn // 2) <= lo and hi < nn // 2):
             raise ValueError("loop leaves the momentum grid")
 
-    def idx(ia, ib):
-        full = [0, 0, 0]
-        full[ax_a] = ia % n_a
-        full[ax_b] = ib % n_b
-        full[plane_axis] = centre_idx[plane_axis]
-        return tuple(full)
+    def edge(axis, fixed, lo, hi):
+        """Trapezoidal integral of alpha_axis along the edge from index lo to hi."""
+        run = np.arange(lo, hi + 1)
+        index = (run % nx, fixed % ny, cz) if axis == 0 else (fixed % nx, run % ny, cz)
+        vals = basis.alpha[axis][index]
+        return grid.dk[axis] * (vals.sum() - 0.5 * (vals[0] + vals[-1]))
 
-    # corner order: counterclockwise in the (a, b) plane
-    corners = [(lo_a, lo_b), (hi_a, lo_b), (hi_a, hi_b), (lo_a, hi_b)]
-    da = grid.dk[ax_a]
-    db = grid.dk[ax_b]
+    # the four edges counterclockwise: +x at lo_y, +y at hi_x, -x at hi_y, -y at lo_x
+    loop = (edge(0, lo_y, lo_x, hi_x) + edge(1, hi_x, lo_y, hi_y)
+            - edge(0, hi_y, lo_x, hi_x) - edge(1, lo_x, lo_y, hi_y))
 
-    def edge_sum(c0, c1, axis, step):
-        """Trapezoidal line integral of alpha.axis between two corners."""
-        points = []
-        if axis == ax_a:
-            points = [idx(i, c0[1]) for i in range(min(c0[0], c1[0]), max(c0[0], c1[0]) + 1)]
-            dl = da
-        else:
-            points = [idx(c0[0], j) for j in range(min(c0[1], c1[1]), max(c0[1], c1[1]) + 1)]
-            dl = db
-        vals = np.array([basis.alpha[(axis,) + p] for p in points])
-        return step * dl * (vals.sum() - 0.5 * (vals[0] + vals[-1]))
-
-    loop = 0.0
-    loop += edge_sum(corners[0], corners[1], ax_a, +1)
-    loop += edge_sum(corners[1], corners[2], ax_b, +1)
-    loop += edge_sum(corners[3], corners[2], ax_a, -1)
-    loop += edge_sum(corners[0], corners[3], ax_b, -1)
-
-    kpts = []
-    for ia, ib in corners:
-        p = np.empty(3)
-        p[ax_a] = grid.k_axes[ax_a][ia % n_a]
-        p[ax_b] = grid.k_axes[ax_b][ib % n_b]
-        p[plane_axis] = grid.k_axes[plane_axis][centre_idx[plane_axis]]
-        kpts.append(p)
-    expected = -solid_angle_quad(*kpts)
+    kx, ky, kz = grid.k_axes
+    corners = [(lo_x, lo_y), (hi_x, lo_y), (hi_x, hi_y), (lo_x, hi_y)]
+    expected = -solid_angle_quad(*[np.array([kx[i % nx], ky[j % ny], kz[cz]]) for i, j in corners])
 
     return float(loop), float(expected), float(abs(loop - expected))

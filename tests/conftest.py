@@ -128,7 +128,7 @@ def smooth_state(grid, basis, seed=0, mix=(1.0, 0.6), m=0):
     sig = max(2.0 * dk, n / 29.0 * dk)
     r0 = rng.uniform(-1.0, 1.0, 3)
     with warnings.catch_warnings():
-        warnings.simplefilter("ignore")
+        warnings.simplefilter("ignore", BoundaryDecayWarning)
         return pn.gaussian_vortex(
             grid, basis, center=(kc, kc, kc), widths=sig, m=m,
             helicity=mix, r_offset=r0,

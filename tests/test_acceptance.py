@@ -166,10 +166,10 @@ def test_criterion_6_polarization_identities(grid32, basis32):
 def test_criterion_7_round_trips(grid64, grid48, basis48):
     from conftest import smooth_state
     wf = smooth_state(grid48, basis48, seed=42, mix=(0.9, 0.5j))
-    back = pn.analyze_rs(pn.synthesize(wf), basis48)
+    rs = pn.synthesize(wf)
+    back = pn.analyze(pn.electric_field(rs), pn.magnetic_field(rs), basis48)
     rt = max(rel(back.gL, wf.gL), rel(back.gR, wf.gR))
 
-    rs = pn.synthesize(wf)
     B = pn.magnetic_field(rs)
     A = pn.vector_potential(B)
     curl_err = rel(pn.spectral_curl(grid48, A.values), B.values)

@@ -10,7 +10,7 @@ import photonam as pn
 from photonam import fileio
 from photonam.cli import build_report, main
 
-from conftest import rel, smooth_state, traced_peak
+from conftest import decay_ignored, rel, smooth_state, traced_peak
 
 
 # ---------------------------------------------------------------------------
@@ -232,17 +232,32 @@ def test_grid_too_large_for_memory_exits_2_before_allocating(tmp_path, capsys, m
     (("bessel", "--m", "1", "--k0", "nan"), "finite"),
     (("gaussian", "--sigma", "nan"), "finite"),
 ])
-def test_beam_input_is_refused_before_the_first_grid_sized_allocation(tmp_path, capsys, monkeypatch,
-                                                                     argv, message):
-    built = []
-    for factory in ("bessel_beam", "gaussian_vortex"):
-        monkeypatch.setattr(pn.beams, factory, lambda *a, **k: built.append(a))
-    (code, _, err), peak = traced_peak(
-        lambda: run_cli(capsys, "beam", *argv, "--grid", "64", "-o", str(tmp_path / "x.pam")))
-    assert code == 2 and not built
+def test_beam_input_is_refused_before_the_first_grid_sized_allocation(tmp_path, capsys, argv, message):
+    out = tmp_path / "x.pam"
+    (code, _, err), peak = traced_peak(lambda: run_cli(capsys, "beam", *argv, "--grid", "64", "-o", str(out)))
+    assert code == 2 and not out.exists()
     assert peak < 0.1 * 16 * 64 ** 3, f"{peak} bytes allocated before the refusal"
     payload = json.loads(err.strip())
     assert payload["type"] == "ValueError" and message in payload["error"]
+
+
+def test_bessel_kz_over_k_zero_exits_2_without_a_file(tmp_path, capsys):
+    """At k_z = 0 the spin has no z component, so the Jo_z/Js_z oracle of the provenance is undefined."""
+    out = tmp_path / "x.pam"
+    code, _, err = run_cli(capsys, "beam", "bessel", "--grid", "48", "--m", "1", "--kz-over-k", "0", "-o", str(out))
+    assert code == 2 and not out.exists()
+    payload = json.loads(err.strip())
+    assert payload["type"] == "ValueError" and "undefined" in payload["error"]
+
+
+@pytest.mark.parametrize("name, sign", [("L", "+1"), ("R", "-1"), ("r", "-1")])
+def test_bessel_helicity_letter_equals_its_sign(tmp_path, capsys, name, sign):
+    files = [tmp_path / "letter.pam", tmp_path / "sign.pam"]
+    with decay_ignored():       # the default ring is not resolved to BOUNDARY_TOL at 48^3
+        for helicity, path in zip((name, sign), files):
+            assert run_cli(capsys, "beam", "bessel", "--grid", "48", "--m", "2",
+                           "--helicity", helicity, "-o", str(path))[0] == 0
+    assert files[0].read_bytes() == files[1].read_bytes()
 
 
 def test_failed_allocation_exits_2_with_error_json(tmp_path, capsys, monkeypatch):
@@ -317,6 +332,28 @@ def test_non_finite_synthesis_time_exits_2(tmp_path, capsys, grid16, basis16, t)
     assert code == 2
     assert "finite" in json.loads(err.strip())["error"]
     assert not out.exists()
+
+
+@pytest.mark.parametrize("command, kind, message", [
+    ("synthesize", "rs_field", "synthesize needs a file of kind wavefunction, not rs_field"),
+    ("analyze", "wavefunction", "analyze needs a file of kind rs_field, not wavefunction"),
+    ("observables", "real_field", "observables needs a file of kind wavefunction or rs_field, not real_field"),
+], ids=("synthesize", "analyze", "observables"))
+def test_file_of_the_wrong_kind_exits_2(tmp_path, capsys, grid16, basis16, command, kind, message):
+    wf = smooth_state(grid16, basis16)
+    path = tmp_path / f"{kind}.pam"
+    if kind == "wavefunction":
+        fileio.write_wavefunction(path, wf)
+    elif kind == "rs_field":
+        fileio.write_rs_field(path, pn.synthesize(wf))
+    else:
+        fileio.write_real_field(path, pn.magnetic_field(pn.synthesize(wf)))
+    out = tmp_path / "out.pam"
+    argv = (command, str(path)) + (() if command == "observables" else ("-o", str(out)))
+    code, text, err = run_cli(capsys, *argv)
+    assert code == 2 and text == "" and not out.exists()
+    payload = json.loads(err.strip())
+    assert payload["type"] == "ValueError" and payload["error"] == f"{path}: {message}"
 
 
 def test_unknown_route_is_refused_before_the_file_is_read(tmp_path, capsys):

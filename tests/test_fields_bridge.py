@@ -44,7 +44,7 @@ def test_synthesized_fields_are_divergence_free(state48):
 
 def test_analyze_roundtrip(state48):
     rs = pn.synthesize(state48)
-    back = pn.analyze_rs(rs, state48.basis)
+    back = pn.analyze(pn.electric_field(rs), pn.magnetic_field(rs), state48.basis)
     assert rel(back.gL, state48.gL) < 1e-10
     assert rel(back.gR, state48.gR) < 1e-10
 
@@ -56,7 +56,7 @@ def test_analyze_single_bin_helicity(grid16, basis16):
     gR[idx] = 1.1 + 0.3j
     wf = pn.wavefunction(g, b, np.zeros(g.dims), gR, warn=False)
     rs = pn.synthesize(wf)
-    back = pn.analyze_rs(rs, b)
+    back = pn.analyze(pn.electric_field(rs), pn.magnetic_field(rs), b)
     assert rel(back.gR, wf.gR) < 1e-12
     assert np.abs(back.gL).max() < 1e-12 * np.abs(gR[idx])
 

@@ -25,7 +25,7 @@ BUDGETS = {
     "darwin_split": 10.0,
     "vector_potential": 10.0,
     "textbook_split": 10.0,
-    "bessel_beam": 9.0,
+    "bessel_beam": 8.1,
     "synthesize": 8.0,
     "generators_field_picture": 5.0,
     "spectral_e_from_wavefunction": 5.0,
