@@ -17,13 +17,13 @@ from .grids import (
     make_grid,
     spectral_gradient_k,
 )
-from .polarization import PolarizationBasis, berry_loop, build_basis, chart_basis, gauge_transform, identity_residuals
+from .polarization import PolarizationBasis, berry_loop, build_basis, chart_basis, identity_residuals
 from .photon_state import (
     PhotonWaveFunction,
     apply_helicity,
     covariant_derivative,
     evolve,
-    gauge_transform_amplitudes,
+    gauge_transform,
     materialized,
     photon_number,
     scalar_product,

@@ -5,7 +5,8 @@ plotdata.  Human-readable text goes to stdout; ``--json`` switches to
 machine-readable JSON.  Exit codes: 0 success, 1 numerical threshold
 failure, 2 usage or validation error (with an error JSON on stderr); a
 grid too large for the machine's memory is refused with exit 2 before it is
-allocated, and an allocation that fails all the same also exits 2.
+allocated (``check algebra`` by its own working set, twice that of the other
+commands), and an allocation that fails all the same also exits 2.
 Non-finite or out-of-range numbers also exit 2 and write no file; the beam
 factories validate their inputs before their first grid-sized allocation,
 and an unknown ``observables`` route is refused before its file is read.
@@ -21,8 +22,11 @@ field); a failing margin also writes one ``BoundaryDecayWarning`` to stderr.
 
 Only the photon route's covariant derivative (``observables``, ``split``)
 and ``check algebra``/``check polarization`` derive the connection of the
-polarization basis; ``beam``, ``synthesize``, ``analyze`` and ``potential``
-read only the basis vectors e(k).
+polarization basis, once per basis (`PolarizationBasis.connection`);
+``beam``, ``synthesize``, ``analyze`` and ``potential`` read only the basis
+vectors e(k).  ``--chart-axis`` normalizes any nonzero finite vector and sets
+the chart of a new beam or of an rs_field file; a wavefunction file carries
+its own chart, and the flag is refused there.
 
 The THREADS environment variable caps the worker count of the commutator
 pool in ``check algebra`` (see ``algebra_checks.run_suite``); results are
@@ -48,7 +52,10 @@ from . import (
     observables,
     polarization,
 )
-from .grids import BoundaryDecayWarning, make_grid
+from .grids import BoundaryDecayWarning, make_grid, _refuse_beyond_memory
+
+#: peak of `check algebra` in complex arrays of its grid (467 MiB RSS at 96^3)
+ALGEBRA_WORKING_SET_ARRAYS = 32
 
 
 def _vec(value, n=3, cast=float):
@@ -56,7 +63,7 @@ def _vec(value, n=3, cast=float):
     if len(parts) == 1:
         parts = parts * n
     if len(parts) != n:
-        raise argparse.ArgumentTypeError(f"expected {n} comma-separated values, got {value!r}")
+        raise ValueError(f"expected {n} comma-separated values, got {value!r}")
     return tuple(parts)
 
 
@@ -84,21 +91,21 @@ def _emit(payload, as_json, text_lines):
             print(line)
 
 
-def _grid_arg(spec, dx):
-    dims = _vec(spec, 3, int)
-    return make_grid(dims, (dx, dx, dx))
+def _chart_axis(value):
+    """The unit chart axis of a ``--chart-axis`` value (x when None); only a nonzero finite vector passes."""
+    chart = np.asarray(_vec("1,0,0" if value is None else value))
+    norm = np.linalg.norm(chart)
+    if not 0.0 < norm < np.inf:
+        raise ValueError(f"chart axis {value!r} must be a nonzero finite vector")
+    return tuple(chart / norm)
 
 
 # ---------------------------------------------------------------------------
 # beam
 
 def cmd_beam(args):
-    grid = _grid_arg(args.grid, args.dx)
-    chart = np.asarray(_vec(args.chart_axis))
-    norm = np.linalg.norm(chart)
-    if not 0.0 < norm < np.inf:
-        raise ValueError(f"chart axis {args.chart_axis!r} must be a nonzero finite vector")
-    basis = polarization.chart_basis(grid, tuple(chart / norm))     # allocates no grid array
+    grid = make_grid(_vec(args.grid, 3, int), (args.dx, args.dx, args.dx))
+    basis = polarization.chart_basis(grid, _chart_axis(args.chart_axis))     # allocates no grid array
     dk = max(grid.dk)
 
     # each factory validates its inputs before its first grid-sized allocation
@@ -174,20 +181,25 @@ def _rel(a, b):
 def _load_state(args, kinds):
     """Read ``args.file``, refusing any file kind not in `kinds`; return (state, manifest).
 
-    A wavefunction file is returned as read.  An rs_field file is analyzed
-    on the chart of ``args.chart_axis``; its data is dropped once E and B
-    are taken, before the analysis.
+    A wavefunction file is returned as read: it fixes its own chart, so an
+    explicit ``--chart-axis`` is refused.  An rs_field file is analyzed on
+    the chart of ``--chart-axis`` (default x); its data is dropped once E and
+    B are taken, before the analysis.
     """
-    chart = _vec(args.chart_axis) if "rs_field" in kinds else None
+    flag = getattr(args, "chart_axis", None)
+    chart = _chart_axis(flag) if "rs_field" in kinds else None
     obj, manifest = fileio.read(args.file)
     if manifest["kind"] not in kinds:
         raise ValueError(f"{args.file}: {args.command} needs a file of kind {' or '.join(kinds)}, "
                          f"not {manifest['kind']}")
     if isinstance(obj, fields_bridge.RSField):
-        basis = polarization.chart_basis(obj.grid, tuple(chart))
+        basis = polarization.chart_basis(obj.grid, chart)
         E, B = fields_bridge.electric_field(obj), fields_bridge.magnetic_field(obj)
         del obj             # the file data; E and B are copies
         return fields_bridge.analyze(E, B, basis), manifest
+    if flag is not None:
+        raise ValueError(f"{args.file}: a {manifest['kind']} file fixes its own chart axis; "
+                         f"--chart-axis applies to rs_field files only")
     return obj, manifest
 
 
@@ -342,6 +354,7 @@ def _algebra_state(grid, basis):
 
 
 def check_algebra(grids=(48, 96), dx=1.0):
+    _refuse_beyond_memory((max(grids),) * 3, ALGEBRA_WORKING_SET_ARRAYS)
     rows = []
     per_grid = {}
     for n in grids:
@@ -497,7 +510,7 @@ def build_parser():
         bp = beam_sub.add_parser(fam)
         bp.add_argument("--grid", default="96", help="N or Nx,Ny,Nz")
         bp.add_argument("--dx", type=float, default=1.0)
-        bp.add_argument("--chart-axis", default="1,0,0", dest="chart_axis")
+        bp.add_argument("--chart-axis")
         bp.add_argument("--photons", type=float, default=1.0)
         bp.add_argument("--json", action="store_true")
         bp.add_argument("-o", "--output", required=True)
@@ -519,13 +532,13 @@ def build_parser():
     obs = sub.add_parser("observables", help="compute every applicable route and report")
     obs.add_argument("file")
     obs.add_argument("--routes", default=None, help=f"comma list from {ROUTES}")
-    obs.add_argument("--chart-axis", default="1,0,0", dest="chart_axis")
+    obs.add_argument("--chart-axis")
     obs.add_argument("--json", action="store_true")
     obs.set_defaults(func=cmd_observables)
 
     spl = sub.add_parser("split", help="orbital/spin split in the photon picture")
     spl.add_argument("file")
-    spl.add_argument("--chart-axis", default="1,0,0", dest="chart_axis")
+    spl.add_argument("--chart-axis")
     spl.add_argument("--json", action="store_true")
     spl.set_defaults(func=cmd_split)
 
@@ -538,7 +551,7 @@ def build_parser():
 
     ana = sub.add_parser("analyze", help="rs_field file -> wavefunction file")
     ana.add_argument("file")
-    ana.add_argument("--chart-axis", default="1,0,0", dest="chart_axis")
+    ana.add_argument("--chart-axis")
     ana.add_argument("--json", action="store_true")
     ana.add_argument("-o", "--output", required=True)
     ana.set_defaults(func=cmd_analyze)

@@ -213,12 +213,7 @@ def make_grid(dims, spacing=(1.0, 1.0, 1.0), units=None):
     if not all(0.0 < s < np.inf for s in spacing):
         raise ValueError("spacing must be positive and finite")
     units = units or UnitsConfig()
-    need = WORKING_SET_ARRAYS * 16 * int(np.prod(dims))
-    memory = physical_memory()
-    if memory is not None and need > memory:
-        raise ValueError(
-            f"grid {dims} too large: its working set is about {need / 2 ** 30:.1f} GiB, "
-            f"more than the {memory / 2 ** 30:.1f} GiB of physical memory")
+    _refuse_beyond_memory(dims, WORKING_SET_ARRAYS)
 
     return GridPair(
         dims=dims,
@@ -227,6 +222,16 @@ def make_grid(dims, spacing=(1.0, 1.0, 1.0), units=None):
         x_axes=tuple(_readonly((np.arange(n) - n // 2) * d) for n, d in zip(dims, spacing)),
         k_axes=tuple(_readonly(TWO_PI * np.fft.fftfreq(n, d=d)) for n, d in zip(dims, spacing)),
     )
+
+
+def _refuse_beyond_memory(dims, arrays):
+    """Raise ValueError when `arrays` complex arrays of shape `dims` exceed `physical_memory`."""
+    need = arrays * 16 * int(np.prod(dims))
+    memory = physical_memory()
+    if memory is not None and need > memory:
+        raise ValueError(
+            f"grid {dims} too large: its working set is about {need / 2 ** 30:.1f} GiB, "
+            f"more than the {memory / 2 ** 30:.1f} GiB of physical memory")
 
 
 def physical_memory():

@@ -133,7 +133,7 @@ def generators_photon_picture(wf):
     and the K integrand ``w u``.  ``diagnostics["boundary_margin"]`` is the
     decay of (gL, gR) that D needs, measured once against their joint peak.
     """
-    wf.basis.alpha_base         # a connection derived here never stacks on this route's arrays
+    wf.basis.connection()       # a connection derived here never stacks on this route's arrays
     grid = wf.grid
     margin = check_boundary_decay(grid, (wf.gL, wf.gR), "wavefunction")
     hbar = grid.units.hbar

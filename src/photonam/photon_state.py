@@ -7,6 +7,7 @@ applied analytically wherever it matters.  Baking a rapidly oscillating
 phase into sampled data would wreck every finite-difference observable long
 before ten optical periods, while the analytic bookkeeping keeps the
 orbital/spin split conserved to rounding, as it is in the continuum.
+A state and its basis change gauge together, only through `gauge_transform`.
 
 The covariant derivative D is a k-space finite difference, valid only for
 states that decay near the momentum boundary.  D checks nothing: the decay
@@ -111,24 +112,28 @@ def materialized(wf):
     return replace(wf, gL=_readonly(wf.gL * phase), gR=_readonly(wf.gR * phase), time=0.0)
 
 
-def gauge_transform_amplitudes(wf, phi, new_basis):
-    """Companion of polarization.gauge_transform: gL -> e^{i phi} gL, gR -> e^{-i phi} gR.
+def gauge_transform(wf, phi):
+    """Re-phase the chart of `wf` by the real field `phi`: the physical state, and every observable, stays.
 
-    Together with the re-phased basis this leaves the physical field, and
-    therefore every observable, unchanged.
+    gL -> e^{i phi} gL, gR -> e^{-i phi} gR and e -> e^{-i phi} e, which adds
+    `phi` to the basis's ``gauge_phase`` and carries its connection over.
+    `phi` may be any smooth field on the momentum grid (no decay required).
     """
     phi = np.asarray(phi, dtype=float)
     if phi.shape != wf.grid.dims:
         raise ValueError("phase field shape does not match grid")
+    basis = wf.basis
+    phase = np.array(phi) if basis.gauge_phase is None else basis.gauge_phase + phi
     up = np.exp(1j * phi)
-    return replace(wf, gL=_readonly(up * wf.gL), gR=_readonly(np.conj(up) * wf.gR), basis=new_basis)
+    return replace(wf, gL=_readonly(up * wf.gL), gR=_readonly(np.conj(up) * wf.gR),
+                   basis=replace(basis, gauge_phase=_readonly(phase)))
 
 
 def _construction_gauge(wf, chi):
     """Amplitude `chi` with the accumulated chart phase removed."""
     g = wf.components[chi]
     basis = wf.basis
-    return np.exp(-1j * chi * basis.gauge_phase) * g if basis.has_gauge_phase else g
+    return g if basis.gauge_phase is None else np.exp(-1j * chi * basis.gauge_phase) * g
 
 
 def _connect(wf, chi, ghat, j, d):
@@ -137,7 +142,7 @@ def _connect(wf, chi, ghat, j, d):
     Subtracts the connection term ``i chi alpha_j ghat`` and the analytic
     evolution-phase gradient ``i c t n_j ghat``.
     """
-    d -= 1j * chi * wf.basis.alpha_base[j] * ghat
+    d -= 1j * chi * wf.basis.connection()[j] * ghat
     if wf.time != 0.0:
         d -= (1j * wf.grid.units.c * wf.time) * wf.grid.nhat(j) * ghat
     return d
@@ -152,7 +157,7 @@ def _covariant_axis(wf, chi, ghat, j, d):
     """
     d = _connect(wf, chi, ghat, j, d)
     basis = wf.basis
-    return np.exp(1j * chi * basis.gauge_phase) * d if basis.has_gauge_phase else d
+    return d if basis.gauge_phase is None else np.exp(1j * chi * basis.gauge_phase) * d
 
 
 def covariant_derivative(wf):

@@ -8,12 +8,16 @@ In closed form, with ``n = k/|k|``,
 
 which needs no azimuthal frame and no angles.  A basis stores no e array:
 `PolarizationBasis.e` derives one Cartesian component per call, the way
-`GridPair` derives its metadata.  What it stores is the Berry-type
-connection ``alpha_j = -Im[e* . d_j e]``, obtained with the same
-finite-difference stencil as every other k derivative in the package.
-Of the package's stages only the covariant derivative reads it, so a basis
-derives it on the first read of ``alpha`` or ``alpha_base`` and keeps it:
-`chart_basis` derives nothing, `build_basis` reads it once before returning.
+`GridPair` derives its metadata.  A basis is plain data: the chart axis, the
+accumulated gauge phase (None in the construction gauge) and the Berry-type
+connection ``alpha_j = -Im[e* . d_j e]`` of the construction gauge, obtained
+with the same finite-difference stencil as every other k derivative in the
+package.  Of the package's stages only the covariant derivative reads the
+connection, so `PolarizationBasis.connection` derives it on its first call
+and keeps it: `chart_basis` derives nothing, `build_basis` derives it before
+returning.  The gauge changes only through
+`photonam.photon_state.gauge_transform`, which re-phases a state and its
+basis together.
 
 A single chart cannot cover the sphere smoothly; points within ``EPS_POLE``
 of the chart axis (`PolarizationBasis.pole_mask`) carry the limiting basis
@@ -24,8 +28,7 @@ constructed away from the poles.
 
 from __future__ import annotations
 
-import threading
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -34,65 +37,31 @@ from .grids import LEVI_CIVITA, cross, reflect_conjugate, spectral_gradient_k, _
 EPS_POLE = 1e-6  # radians
 
 
-class _Connection:
-    """Field descriptor of `alpha` and `alpha_base`.
-
-    Holds the array given to the constructor.  A field given none is the
-    construction-gauge connection: the first reader derives it, under the
-    basis's lock, into every unset field, and readers that waited find it set.
-    """
-
-    def __set_name__(self, owner, name):
-        self.slot = "_" + name
-
-    def __get__(self, basis, owner=None):
-        if basis is None:
-            return None             # the field default: derive on first read
-        fields = basis.__dict__
-        if fields[self.slot] is None:
-            with fields["_lock"]:
-                if fields[self.slot] is None:
-                    alpha = _readonly(_derive_connection(basis.grid, basis.chart_axis))
-                    for slot in ("_alpha", "_alpha_base"):
-                        if fields[slot] is None:
-                            fields[slot] = alpha
-        return fields[self.slot]
-
-    def __set__(self, basis, value):
-        basis.__dict__[self.slot] = value
-
-
 @dataclass(frozen=True, repr=False, eq=False)
 class PolarizationBasis:
-    """Connection alpha(k) of the circular basis, with gauge bookkeeping.
+    """The circular basis of one chart axis on one grid, with its gauge.
 
-    The vectors e(k) themselves are derived on request, one component per
-    call of `e`, in closed form from the chart axis, and re-phased by
+    The vectors e(k) are derived on request, one component per call of `e`,
+    in closed form from the chart axis, and re-phased by
     ``exp(-i gauge_phase)``; the chart poles likewise (`pole_mask`).
-    ``alpha`` is the connection in the current gauge; ``alpha_base`` and
-    ``gauge_phase`` keep the construction gauge and the accumulated chart
-    phase so that covariant derivatives can be evaluated in the construction
-    gauge (exactly gauge covariant) and re-phased afterwards.  Until a gauge
-    transform, ``alpha_base`` is the same read-only array as ``alpha`` and
-    ``gauge_phase`` is a zero-stride view of one zero.
-
-    A connection not passed to the constructor is derived on its first read,
-    once per basis even when threads read it together, and kept; `e`,
+    ``gauge_phase`` is the chart phase accumulated by gauge transforms
+    (`photonam.photon_state.gauge_transform`), None in the construction gauge.
+    ``alpha_base`` is the connection of the construction gauge: covariant
+    derivatives are evaluated there (exactly gauge covariant) and re-phased
+    afterwards.  It is None until `connection` derives it and keeps it; `e`,
     `pole_mask` and the beam, synthesis and analysis stages never read it.
     """
 
     grid: object
-    chart_axis: np.ndarray     # unit 3-vector
-    gauge_phase: np.ndarray    # accumulated phase field, zeros at construction
-    alpha: np.ndarray = _Connection()        # (3, nx, ny, nz) real, current gauge
-    alpha_base: np.ndarray = _Connection()   # connection of the construction gauge
+    chart_axis: np.ndarray              # unit 3-vector
+    gauge_phase: np.ndarray = None      # accumulated chart phase; None in the construction gauge
+    alpha_base: np.ndarray = None       # (3, nx, ny, nz) real; None until `connection`
 
-    def __post_init__(self):
-        object.__setattr__(self, "_lock", threading.Lock())
-
-    @property
-    def has_gauge_phase(self):
-        return bool(np.any(self.gauge_phase))
+    def connection(self):
+        """``alpha_base``, derived on the first call and kept."""
+        if self.alpha_base is None:
+            object.__setattr__(self, "alpha_base", _readonly(_derive_connection(self.grid, self.chart_axis)))
+        return self.alpha_base
 
     def e(self, i, out=None):
         """Component `i` of the polarization vector e(k) in the current gauge.
@@ -104,7 +73,7 @@ class PolarizationBasis:
         if out is None:
             out = np.empty(self.grid.dims, dtype=complex)
         _construction_e(self.grid, self.chart_axis, i, out)
-        if self.has_gauge_phase:
+        if self.gauge_phase is not None:
             phase = np.multiply(self.gauge_phase, -1j)
             out *= np.exp(phase, out=phase)
         return out
@@ -113,11 +82,6 @@ class PolarizationBasis:
         """Boolean grid mask of the chart poles, the excluded k=0 bin included."""
         cnorm, scratch = np.empty(self.grid.dims), np.empty(self.grid.dims)
         return _chart_geometry(self.grid, self.chart_axis, cnorm, scratch)[2]
-
-    @property
-    def pole_points(self):
-        """(npole, 3) integer grid indices of `pole_mask`."""
-        return np.argwhere(self.pole_mask())
 
 
 def _chart_frame(axis):
@@ -215,30 +179,26 @@ def _construction_e(grid, axis, i, out):
 
 
 def chart_basis(grid, chart_axis=(0.0, 0.0, 1.0)):
-    """The circular basis of `chart_axis` on `grid`, its connection derived on first read.
+    """The circular basis of `chart_axis` on `grid`, its connection not yet derived.
 
     Validates the axis and allocates no grid array: the stages that read
     only e(k) (beams, synthesis, analysis) never pay for the connection.
     """
     _chart_frame(chart_axis)        # a non-unit axis fails before any grid array exists
-    return PolarizationBasis(
-        grid=grid,
-        chart_axis=_readonly(np.asarray(chart_axis, dtype=float)),
-        gauge_phase=np.broadcast_to(0.0, grid.dims),
-    )
+    return PolarizationBasis(grid=grid, chart_axis=_readonly(np.asarray(chart_axis, dtype=float)))
 
 
 def build_basis(grid, chart_axis=(0.0, 0.0, 1.0)):
     """Construct the circular basis and its connection on `grid`.
 
-    `chart_basis` with the connection read once before returning.  At every
+    `chart_basis` with its `connection` derived before returning.  At every
     non-pole point the seven transversality/handedness identities hold to
     rounding; see `identity_residuals`.  The connection is fixed only up to a
     gauge transformation, the operational check being the curvature relation
     exercised by `photonam.algebra_checks.check_curvature`.
     """
     basis = chart_basis(grid, chart_axis)
-    basis.alpha         # derived here, and kept
+    basis.connection()
     return basis
 
 
@@ -253,25 +213,6 @@ def _derive_connection(grid, axis):
         alpha -= grad.imag
         del grad        # before the next component's gradient is allocated
     return alpha
-
-
-def gauge_transform(grid, basis, phi):
-    """Re-phase the chart: e -> e^{-i phi} e, alpha -> alpha + grad_k phi.
-
-    `phi` may be any smooth field on the momentum grid (boundary decay is not
-    required).  Amplitudes of photon states must be co-transformed with
-    `photonam.photon_state.gauge_transform_amplitudes` to describe the same
-    physical state.
-    """
-    phi = np.asarray(phi, dtype=float)
-    if phi.shape != grid.dims:
-        raise ValueError("phase field shape does not match grid")
-    grad_phi = spectral_gradient_k(grid, phi)
-    return replace(
-        basis,
-        alpha=_readonly(basis.alpha + grad_phi),
-        gauge_phase=_readonly(basis.gauge_phase + phi),
-    )
 
 
 # ---------------------------------------------------------------------------
@@ -356,11 +297,15 @@ def berry_loop(grid, basis, center, half_cells):
         if not (-(nn // 2) <= lo and hi < nn // 2):
             raise ValueError("loop leaves the momentum grid")
 
+    alpha = basis.connection()
+    if basis.gauge_phase is not None:      # the connection of the current gauge
+        alpha = alpha + spectral_gradient_k(grid, basis.gauge_phase)
+
     def edge(axis, fixed, lo, hi):
         """Trapezoidal integral of alpha_axis along the edge from index lo to hi."""
         run = np.arange(lo, hi + 1)
         index = (run % nx, fixed % ny, cz) if axis == 0 else (fixed % nx, run % ny, cz)
-        vals = basis.alpha[axis][index]
+        vals = alpha[axis][index]
         return grid.dk[axis] * (vals.sum() - 0.5 * (vals[0] + vals[-1]))
 
     # the four edges counterclockwise: +x at lo_y, +y at hi_x, -x at hi_y, -y at lo_x

@@ -62,12 +62,12 @@ def rotate_vector_field(grid, field, R):
 
 
 def rotate_basis(grid, basis, R):
-    """Rotate the connection and the gauge phase; e follows from the rotated chart axis."""
+    """Rotate the connection and any gauge phase; e follows from the rotated chart axis."""
+    phase = basis.gauge_phase
     return replace(
         basis,
-        alpha=_readonly(rotate_vector_field(grid, basis.alpha, R)),
-        alpha_base=_readonly(rotate_vector_field(grid, basis.alpha_base, R)),
-        gauge_phase=_readonly(rotate_scalar(grid, basis.gauge_phase, R)),
+        alpha_base=_readonly(rotate_vector_field(grid, basis.connection(), R)),
+        gauge_phase=None if phase is None else _readonly(rotate_scalar(grid, phase, R)),
         chart_axis=_readonly(R @ basis.chart_axis),
     )
 

@@ -96,9 +96,7 @@ def test_curvature_negative_control(grid48, basis48):
     """A global sign flip of the connection must break the curvature relation."""
     wf = smooth_state(grid48, basis48, seed=8, mix=(1.0, 0.0))
     good = pn.check_curvature(wf).residual
-    flipped_basis = replace(basis48,
-                            alpha=_readonly(-basis48.alpha),
-                            alpha_base=_readonly(-basis48.alpha_base))
+    flipped_basis = replace(basis48, alpha_base=_readonly(-basis48.alpha_base))
     wf_bad = replace(wf, basis=flipped_basis)
     bad = pn.check_curvature(wf_bad).residual
     assert good < 0.2
@@ -130,3 +128,13 @@ def test_run_suite_is_identical_for_any_thread_count(monkeypatch, grid16, basis1
         runs.append(pn.run_suite(wf))
     assert workers == [1, 2]
     assert runs[0] == runs[1]
+
+
+def test_run_suite_derives_a_lazy_connection_once(monkeypatch, grid16, basis16, gradient_calls):
+    """On a basis whose connection is not yet derived, six workers share one derivation."""
+    wf = smooth_state(grid16, pn.chart_basis(grid16), seed=5)
+    del gradient_calls[:]
+    monkeypatch.setenv("THREADS", "6")
+    reports = pn.run_suite(wf)
+    assert len(gradient_calls) == 3 and wf.basis.alpha_base is not None
+    assert reports == pn.run_suite(smooth_state(grid16, basis16, seed=5))

@@ -301,6 +301,7 @@ def test_nonlocal_route_runs_on_a_64_grid(tmp_path, capsys):
 @pytest.mark.parametrize("argv", [
     ("gaussian", "--grid", "16", "--chart-axis", "0,0,0"),
     ("gaussian", "--grid", "16", "--chart-axis", "nan,0,1"),
+    ("gaussian", "--grid", "16", "--chart-axis", "1,0"),
     ("gaussian", "--grid", "16", "--dx", "nan"),
     ("gaussian", "--grid", "16", "--dx", "inf"),
     ("gaussian", "--grid", "32", "--sigma", "nan"),
@@ -445,3 +446,56 @@ def test_plotdata_empty_input(capsys):
     code, out, _ = run_cli(capsys, "plotdata", "bessel")
     assert code == 0
     assert out.strip() == "sigma,ratio,analytic,abs_error"
+
+
+@pytest.fixture()
+def chart_files(tmp_path, capsys):
+    """A 24^3 gaussian wavefunction file and its rs_field file."""
+    paths = {name: str(tmp_path / name) for name in ("beam", "rs")}
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")
+        assert run_cli(capsys, "beam", "gaussian", "--grid", "24", "-o", paths["beam"])[0] == 0
+        assert run_cli(capsys, "synthesize", paths["beam"], "-o", paths["rs"])[0] == 0
+    return paths
+
+
+def test_beam_normalizes_a_non_unit_chart_axis(tmp_path, capsys):
+    out = tmp_path / "z.pam"
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")
+        code, _, _ = run_cli(capsys, "beam", "gaussian", "--grid", "24", "--chart-axis", "0,0,2", "-o", str(out))
+    assert code == 0
+    assert fileio.read(out)[1]["chart_axis"] == [0.0, 0.0, 1.0]
+
+
+def test_rs_field_chart_axis_is_normalized_and_defaults_to_x(chart_files, capsys):
+    def split(*flag):
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore")
+            code, text, _ = run_cli(capsys, "split", chart_files["rs"], "--json", *flag)
+        assert code == 0
+        return json.loads(text)
+
+    assert split("--chart-axis", "0,0,2") == split("--chart-axis", "0,0,1")
+    assert split() == split("--chart-axis", "1,0,0")
+
+
+def test_chart_axis_on_a_wavefunction_file_exits_2(chart_files, capsys):
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")
+        assert run_cli(capsys, "split", chart_files["beam"], "--json")[0] == 0
+        code, _, err = run_cli(capsys, "split", chart_files["beam"], "--chart-axis", "0,0,2", "--json")
+    assert code == 2
+    assert "fixes its own chart axis" in json.loads(err.strip())["error"]
+
+
+def test_check_algebra_beyond_memory_exits_2_before_any_grid(capsys, monkeypatch):
+    """Memory for 24 arrays of the 96^3 fine grid passes `make_grid`'s 16, not the suite's 32."""
+    from photonam import cli, grids
+    unit = 16 * 96 ** 3
+    assert grids.WORKING_SET_ARRAYS < 24 < cli.ALGEBRA_WORKING_SET_ARRAYS
+    monkeypatch.setattr(grids, "physical_memory", lambda: 24 * unit)
+    (code, _, err), peak = traced_peak(lambda: run_cli(capsys, "check", "algebra", "--grid", "48,96"))
+    assert code == 2
+    assert "physical memory" in json.loads(err.strip())["error"]
+    assert peak < 0.1 * unit, f"{peak} bytes allocated before the refusal"

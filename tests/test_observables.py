@@ -172,10 +172,9 @@ def test_photon_picture_matches_stacked_oracle(grid48, basis48):
     g = grid48
     kx, ky, kz = g.kvec
     phi = 0.6 * np.exp(-((kx - 1.1) ** 2 + (ky - 0.9) ** 2 + (kz - 1.3) ** 2) / (2 * 0.6 ** 2))
-    b2 = pn.gauge_transform(g, basis48, phi)
     wf = smooth_state(g, basis48, seed=17, mix=(1.0, 0.5j), m=1)
-    wf = pn.evolve(pn.gauge_transform_amplitudes(wf, phi, b2), 0.7)
-    assert wf.basis.has_gauge_phase and wf.time != 0.0
+    wf = pn.evolve(pn.gauge_transform(wf, phi), 0.7)
+    assert wf.basis.gauge_phase is not None and wf.time != 0.0
 
     with decay_ignored():
         gen = pn.generators_photon_picture(wf)
@@ -234,8 +233,7 @@ def test_split_gauge_invariance(grid48, basis48):
         photon = pn.generators_photon_picture(wf)
     Jo0, Js0 = photon.Jo, photon.Js
     phi = 0.5 * g.kvec[0] - 0.3 * g.kvec[2]
-    b2 = pn.gauge_transform(g, basis48, phi)
-    wf2 = pn.gauge_transform_amplitudes(wf, phi, b2)
+    wf2 = pn.gauge_transform(wf, phi)
     with decay_ignored():
         photon = pn.generators_photon_picture(wf2)
     Jo, Js = photon.Jo, photon.Js
@@ -249,7 +247,7 @@ def test_gauge_invariance_over_smooth_phase_fields(grid48, coeffs):
     """A random smooth phase field (quadratic plus one plane wave in k) changes none of the generators.
 
     Each basis is built lazily, so its connection is first derived inside the
-    transform or, untransformed, inside the photon picture.
+    photon picture, and the transformed basis derives its own.
     """
     g = grid48
     kx, ky, kz = (g.kvec[j] / (np.pi / g.spacing[j]) for j in range(3))    # in [-1, 1)
@@ -258,7 +256,7 @@ def test_gauge_invariance_over_smooth_phase_fields(grid48, coeffs):
            + c[6] * np.cos(np.pi * (c[7] * kx + c[8] * ky + c[9] * kz)))
     basis = pn.chart_basis(g)
     wf = smooth_state(g, basis, seed=5, mix=(0.8, 0.5j), m=1)
-    wf2 = pn.gauge_transform_amplitudes(wf, phi, pn.gauge_transform(g, basis, phi))
+    wf2 = pn.gauge_transform(wf, phi)
     with decay_ignored():
         ref = pn.generators_photon_picture(smooth_state(g, pn.chart_basis(g), seed=5, mix=(0.8, 0.5j), m=1))
         gen = pn.generators_photon_picture(wf2)
@@ -435,6 +433,38 @@ def test_rotations_transform_generators_exactly(grid48):
                          (genr.Jo, R @ gen.Jo), (genr.Js, R @ gen.Js),
                          (genr.K, R @ gen.K)):
                 assert rel(a, b) < 1e-12
+
+
+@settings(max_examples=8, deadline=None)
+@given(st.floats(0.0, 0.7), st.floats(-np.pi, np.pi), st.sampled_from((0, 1, 2)),
+       st.tuples(*[st.floats(-1.0, 1.0)] * 3), st.sampled_from("xyz"), st.integers(1, 3))
+def test_quarter_turn_covariance_over_smooth_states(grid48, weight, phase, m, r0, axis, turns):
+    """A random smooth state on a lazily built basis, which `rotate_basis` must derive and then rotate.
+
+    H and N stay, and P, J, Jo, Js and K rotate as vectors, each to 1e-12 of
+    its natural scale (H/c for P, hbar N for the angular momenta, H L for K),
+    so that a vector the random state makes small is not compared by its own
+    rounding.
+    """
+    g = grid48
+    dk = g.dk[0]
+    basis = pn.chart_basis(g)
+    with decay_ignored():
+        wf = pn.gaussian_vortex(g, basis, center=(11 * dk, 11 * dk, 11 * dk), widths=2.0 * dk, m=m,
+                                helicity=(1.0, weight * np.exp(1j * phase)), r_offset=r0)
+        R = pn.rotation_matrix(axis, turns)
+        wfr = pn.rotate_wavefunction(wf, axis, turns)
+        assert basis.alpha_base is not None
+        gen = pn.generators_photon_picture(wf)
+        genr = pn.generators_photon_picture(wfr)
+    u = g.units
+    L = max(n * d for n, d in zip(g.dims, g.spacing))
+    assert abs(genr.H - gen.H) / gen.H < 1e-12
+    assert abs(genr.N - gen.N) / gen.N < 1e-12
+    for name, scale in (("P", gen.H / u.c), ("J", u.hbar * gen.N), ("Jo", u.hbar * gen.N),
+                        ("Js", u.hbar * gen.N), ("K", gen.H * L)):
+        err = np.linalg.norm(getattr(genr, name) - R @ getattr(gen, name))
+        assert err < 1e-12 * scale, name
 
 
 def test_generator_set_validation(grid16):

@@ -131,8 +131,7 @@ def test_covariant_derivative_gauge_covariance(grid48, basis48):
     wf = smooth_state(g, basis48, seed=5, mix=(1.0, 0.5))
     kx, ky, kz = g.kvec
     phi = 0.7 * np.exp(-((kx - 1.0) ** 2 + (ky - 0.8) ** 2 + (kz - 1.2) ** 2) / (2 * 0.5 ** 2))
-    b2 = pn.gauge_transform(g, basis48, phi)
-    wf2 = pn.gauge_transform_amplitudes(wf, phi, b2)
+    wf2 = pn.gauge_transform(wf, phi)
     D = pn.covariant_derivative(wf)
     D2 = pn.covariant_derivative(wf2)
     for j in range(3):
@@ -145,13 +144,12 @@ def test_covariant_derivative_axis_matches_stack(grid48, basis48):
     g = grid48
     kx, ky, kz = g.kvec
     phi = 0.4 * np.sin(0.5 * kx) * np.cos(0.3 * kz)
-    b2 = pn.gauge_transform(g, basis48, phi)
-    wf = pn.evolve(pn.gauge_transform_amplitudes(smooth_state(g, basis48, seed=7), phi, b2), 0.6)
+    wf = pn.evolve(pn.gauge_transform(smooth_state(g, basis48, seed=7), phi), 0.6)
     D = pn.covariant_derivative(wf)
     for j in range(3):
         Dj = photon_state.covariant_derivative_axis(wf, j)
         assert np.array_equal(Dj.gL, D[j].gL) and np.array_equal(Dj.gR, D[j].gR)
-        assert Dj.time == wf.time and Dj.basis is b2
+        assert Dj.time == wf.time and Dj.basis is wf.basis
 
 
 def test_curvature_sign_flips_with_helicity(grid48, basis48):
@@ -208,9 +206,8 @@ def test_scalar_product_gauge_invariance(grid48, basis48):
     h = smooth_state(g, basis48, seed=31, mix=(0.5, 0.9))
     kx, ky, kz = g.kvec
     phi = 0.4 * kx - 0.2 * ky + 0.9 * kz
-    b2 = pn.gauge_transform(g, basis48, phi)
-    f2 = pn.gauge_transform_amplitudes(f, phi, b2)
-    h2 = pn.gauge_transform_amplitudes(h, phi, b2)
+    f2 = pn.gauge_transform(f, phi)
+    h2 = pn.gauge_transform(h, phi)
     before = pn.scalar_product(f, h)
     after = pn.scalar_product(f2, h2)
     assert abs(after - before) <= 1e-12 * abs(before)
