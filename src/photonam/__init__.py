@@ -40,7 +40,6 @@ from .fields_bridge import (
     magnetic_field,
     maxwell_residual,
     spectral_curl,
-    spectral_e_field,
     spectral_e_from_wavefunction,
     synthesize,
     vector_potential,

@@ -12,7 +12,7 @@ factories validate their inputs before their first grid-sized allocation,
 and an unknown ``observables`` route is refused before its file is read.
 ``synthesize``, ``analyze``, ``observables`` and ``split`` read their file
 through one path that refuses a file of the wrong kind (exit 2) and analyzes
-an rs_field file after dropping its data.  Every
+an rs_field file straight from its complex field F.  Every
 ``observables`` route, the nonlocal Coulomb-kernel one included, runs on any
 grid the memory refusal accepts.
 
@@ -67,25 +67,9 @@ def _vec(value, n=3, cast=float):
     return tuple(parts)
 
 
-def _jsonable(obj):
-    if isinstance(obj, np.ndarray):
-        return [_jsonable(v) for v in obj.tolist()]
-    if isinstance(obj, (bool, np.bool_)):
-        return bool(obj)
-    if isinstance(obj, (np.floating, float)):
-        return float(obj)
-    if isinstance(obj, (np.integer, int)):
-        return int(obj)
-    if isinstance(obj, dict):
-        return {k: _jsonable(v) for k, v in obj.items()}
-    if isinstance(obj, (list, tuple)):
-        return [_jsonable(v) for v in obj]
-    return obj
-
-
 def _emit(payload, as_json, text_lines):
     if as_json:
-        print(json.dumps(_jsonable(payload), sort_keys=True, indent=1))
+        print(json.dumps(payload, sort_keys=True, indent=1, default=lambda o: o.tolist()))
     else:
         for line in text_lines:
             print(line)
@@ -110,7 +94,8 @@ def cmd_beam(args):
 
     # each factory validates its inputs before its first grid-sized allocation
     if args.family == "bessel":
-        # default keeps the ring plus 8 sigma of tail inside the grid
+        # default keeps the ring plus about 5.7 sigma of k_z tail inside the grid
+        # (the ring-limited width below), 8 sigma from 96^3 where the width is 3 steps
         k0 = args.k0 if args.k0 is not None else 0.62 * np.pi / args.dx
         kz0 = args.kz_over_k * k0
         kperp0 = np.sqrt(max(k0 ** 2 - kz0 ** 2, 0.0))
@@ -167,7 +152,7 @@ def _generator_dict(gen):
         "P": _vec3(gen.P), "J": _vec3(gen.J), "K": _vec3(gen.K),
         "N": None if gen.N is None else float(gen.N),
         "Jo": _vec3(gen.Jo), "Js": _vec3(gen.Js),
-        "diagnostics": _jsonable(gen.diagnostics or {}),
+        "diagnostics": gen.diagnostics or {},
     }
 
 
@@ -183,8 +168,7 @@ def _load_state(args, kinds):
 
     A wavefunction file is returned as read: it fixes its own chart, so an
     explicit ``--chart-axis`` is refused.  An rs_field file is analyzed on
-    the chart of ``--chart-axis`` (default x); its data is dropped once E and
-    B are taken, before the analysis.
+    the chart of ``--chart-axis`` (default x).
     """
     flag = getattr(args, "chart_axis", None)
     chart = _chart_axis(flag) if "rs_field" in kinds else None
@@ -193,10 +177,7 @@ def _load_state(args, kinds):
         raise ValueError(f"{args.file}: {args.command} needs a file of kind {' or '.join(kinds)}, "
                          f"not {manifest['kind']}")
     if isinstance(obj, fields_bridge.RSField):
-        basis = polarization.chart_basis(obj.grid, chart)
-        E, B = fields_bridge.electric_field(obj), fields_bridge.magnetic_field(obj)
-        del obj             # the file data; E and B are copies
-        return fields_bridge.analyze(E, B, basis), manifest
+        return fields_bridge.analyze(obj, polarization.chart_basis(obj.grid, chart)), manifest
     if flag is not None:
         raise ValueError(f"{args.file}: a {manifest['kind']} file fixes its own chart axis; "
                          f"--chart-axis applies to rs_field files only")
@@ -218,7 +199,7 @@ def build_report(wf, routes, manifest=None):
     # darwin first, so that E(k) and F are never alive together
     if "darwin" in routes:
         Jo_d, Js_d, diag = observables.darwin_split(fields_bridge.spectral_e_from_wavefunction(wf))
-        report["routes"]["darwin"] = {"Jo": _vec3(Jo_d), "Js": _vec3(Js_d), "diagnostics": _jsonable(diag)}
+        report["routes"]["darwin"] = {"Jo": _vec3(Jo_d), "Js": _vec3(Js_d), "diagnostics": diag}
         report["deltas"]["Js_darwin_vs_photon"] = _rel(Js_d, gen_p.Js)
         report["deltas"]["Jo_darwin_vs_photon"] = _rel(Jo_d, gen_p.Jo)
 
@@ -453,7 +434,7 @@ def cmd_check(args):
 
     text = _write_csv(args.csv, header, rows)
     if args.json:
-        print(json.dumps(_jsonable(rep), sort_keys=True, indent=1))
+        print(json.dumps(rep, sort_keys=True, indent=1, default=lambda o: o.tolist()))
     else:
         print(text, end="")
         print(f"pass: {rep['pass']}")

@@ -2,14 +2,13 @@
 
 The complex field ``F = sqrt(eps0/2) (E + i c B)`` packages both Maxwell
 fields; free evolution is ``dF/dt = -i c curl F`` with ``div F = 0``.
-Synthesis assembles F from helicity amplitudes, analysis inverts it through
-the plane-wave electric amplitudes ``E(k)`` and their basis projections.
+Synthesis assembles F from helicity amplitudes, and analysis inverts it by
+projecting F(k) and its reflection onto the basis vectors e(k).
 
 Each step of the photon picture has one implementation: `project_spectral_e`
 is the projection gL = sqrt(2 eps0) e*.E(k), gR = sqrt(2 eps0) e.E(k) (used by
-`analyze` and by `beams.bessel_beam`), and `photon_state.materialized` bakes
-the evolution phase e^{-i w t} (used by `synthesize` and
-`spectral_e_from_wavefunction`).
+`beams.bessel_beam`), and `photon_state.materialized` bakes the evolution
+phase e^{-i w t} (used by `synthesize` and `spectral_e_from_wavefunction`).
 """
 
 from __future__ import annotations
@@ -30,9 +29,9 @@ from .grids import (
 #: simple-cubic lattice self-energy constant of the neutralizing background
 WIGNER_SC = 2.837297479480619
 
-#: accepted limits: longitudinal fraction of E(k), relative divergence of B
-#: (and of A in the textbook split), k=0 component of B relative to its peak
-LONGITUDINAL_TOL, TRANSVERSE_TOL, ZERO_MODE_TOL = 1e-6, 1e-6, 1e-12
+#: accepted limits: relative divergence of F in analysis, of B (and of A in
+#: the textbook split), k=0 component of B relative to its peak
+TRANSVERSE_TOL, ZERO_MODE_TOL = 1e-6, 1e-12
 
 
 @dataclass(frozen=True)
@@ -163,56 +162,40 @@ def magnetic_field(rs):
     return RealVectorField(values=_readonly(s * rs.F.imag), role="B", grid=rs.grid, time=rs.time)
 
 
-def spectral_e_field(E, B):
-    """Plane-wave electric amplitudes from real E and B snapshots.
+def analyze(rs, basis):
+    """Recover the photon wavefunction from the complex field F: the inverse of `synthesize`.
 
-    ``E(k) = (2(2 pi)^{3/2})^{-1} int d3r e^{-i k.r} [E + (i c/|k|) curl B]``;
-    the curl is evaluated spectrally.  Raises if the result has a longitudinal
-    component above LONGITUDINAL_TOL (non-radiative field content).
-    """
-    grid = E.grid
-    if E.values.dtype.kind == "c" or B.values.dtype.kind == "c":
-        raise ValueError("E and B must be real fields")
-    c = grid.units.c
-    Bk = np.empty(B.values.shape, dtype=complex)
-    for i in range(3):
-        Bk[i] = forward_transform(grid, B.values[i])
-    c_over_k = grid.kmag()
-    c_over_k[grid.excluded_index] = 1.0
-    np.divide(c, c_over_k, out=c_over_k)
-
-    # one component at a time, with the longitudinal part n . E(k) accumulated as it goes
-    Ek = np.empty(B.values.shape, dtype=complex)
-    long_part = np.zeros(grid.dims, dtype=complex)
-    curl = np.empty(grid.dims, dtype=complex)
-    for j in range(3):
-        cross_component(grid.kvec, Bk, j, out=curl)
-        curl *= c_over_k
-        Ek[j] = forward_transform(grid, E.values[j])
-        Ek[j] -= curl
-        Ek[j] *= 0.5
-        Ek[(j,) + grid.excluded_index] = 0.0
-        long_part += grid.nhat(j) * Ek[j]
-    del Bk, c_over_k, curl
-
-    num = np.linalg.norm(long_part)
-    den = np.linalg.norm(Ek)
-    if den > 0 and num / den > LONGITUDINAL_TOL:
-        raise ValueError(
-            f"non-radiative field content: longitudinal fraction {num / den:.2e} "
-            f"exceeds {LONGITUDINAL_TOL:.0e}")
-    return SpectralEField(values=_readonly(Ek), grid=grid)
-
-
-def analyze(E, B, basis):
-    """Recover the photon wavefunction from real E and B snapshots.
-
-    Inverse of `synthesize` at the snapshot instant: round-trips to 1e-10
-    relative for boundary-decaying states.  The returned wavefunction has
+    Synthesis builds ``F(k) = e gL + R[e* gR]`` with R = `reflect_conjugate`,
+    so ``gL = e*.F(k)`` and ``gR = e.R[F](k)``, since e*(k).e(-k) = 0 off the
+    Nyquist planes (on them -k aliases onto k, and the two mix).  Each
+    component of F is transformed once, one at a time, and the same spectra
+    measure the relative divergence of F: above TRANSVERSE_TOL the field has
+    non-radiative content and is refused.  The returned wavefunction has
     time 0 (phases, if any, are already baked into the field data).
     """
-    Ek = spectral_e_field(E, B)
-    return project_spectral_e(Ek, basis)
+    grid = rs.grid
+    gL = np.zeros(grid.dims, dtype=complex)
+    gR = np.zeros(grid.dims, dtype=complex)
+    div = _DivergenceSum(grid)
+    e_i = np.empty(grid.dims, dtype=complex)
+    for i in range(3):
+        Fk = forward_transform(grid, rs.F[i])
+        div.add(i, Fk)
+        basis.e(i, out=e_i)
+        reflected = reflect_conjugate(grid, Fk)
+        reflected *= e_i
+        gR += reflected
+        del reflected
+        Fk *= np.conjugate(e_i, out=e_i)
+        gL += Fk
+        del Fk          # before the next component's transform is allocated
+    del e_i
+    residual = div.ratio()
+    del div
+    if residual > TRANSVERSE_TOL:
+        raise ValueError(f"non-radiative field content: relative divergence {residual:.2e} "
+                         f"exceeds {TRANSVERSE_TOL:.0e}")
+    return photon_state.wavefunction(grid, basis, gL, gR, warn=False)
 
 
 def project_spectral_e(Ek, basis):

@@ -11,7 +11,9 @@ Layout (all integers little endian):
 The payload is the concatenation of the named components, each in C order
 over (x, y, z) with z fastest, complex data interleaved (re, im), which is
 the memory layout of little-endian complex128.
-Momentum-space data keeps the FFT axis ordering.  Writing is deterministic:
+Momentum-space data keeps the FFT axis ordering; a wavefunction's amplitudes
+are stored in the construction gauge of its chart, so a re-gauged state
+reads back as the same physical state.  Writing is deterministic:
 write -> read -> write reproduces the file byte for byte.
 """
 
@@ -66,7 +68,9 @@ def _write(path, grid, arrays, provenance, entries):
 
 
 def write_wavefunction(path, wf, provenance=None):
-    return _write(path, wf.grid, [wf.gL, wf.gR], provenance, {
+    """Write the amplitudes in the construction gauge of the chart, which the manifest names."""
+    amplitudes = [photon_state._construction_gauge(wf, chi) for chi in photon_state.HELICITIES]
+    return _write(path, wf.grid, amplitudes, provenance, {
         "kind": "wavefunction",
         "components": ["gL", "gR"],
         "complex": True,

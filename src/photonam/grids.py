@@ -31,8 +31,9 @@ ROOT_2PI_CUBED = TWO_PI ** 1.5
 BOUNDARY_TOL = 1e-8
 
 #: peak working set of the largest photonam command, in complex grid arrays
-#: (16 bytes per grid point): `analyze`, and `observables` on an rs_field file,
-#: peak at 447 MiB RSS at 128^3; 16 arrays of 32 MiB leave a 14% margin
+#: (16 bytes per grid point): `observables` with all five routes peaks at
+#: 418 MiB RSS at 128^3, on a wavefunction or an rs_field file; 16 arrays of
+#: 32 MiB leave a 22% margin
 WORKING_SET_ARRAYS = 16
 
 

@@ -167,7 +167,7 @@ def test_criterion_7_round_trips(grid64, grid48, basis48):
     from conftest import smooth_state
     wf = smooth_state(grid48, basis48, seed=42, mix=(0.9, 0.5j))
     rs = pn.synthesize(wf)
-    back = pn.analyze(pn.electric_field(rs), pn.magnetic_field(rs), basis48)
+    back = pn.analyze(rs, basis48)
     rt = max(rel(back.gL, wf.gL), rel(back.gR, wf.gR))
 
     B = pn.magnetic_field(rs)

@@ -5,6 +5,7 @@ import warnings
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings, strategies as st
 
 import photonam as pn
 from photonam import fileio
@@ -30,14 +31,57 @@ def test_wavefunction_file_roundtrip(tmp_path, grid32, basis32):
     assert back.time == wf.time
 
 
-def test_write_read_write_is_byte_identical(tmp_path, grid32, basis32):
-    wf = smooth_state(grid32, basis32, seed=2)
-    p1 = tmp_path / "a.pam"
-    p2 = tmp_path / "b.pam"
-    fileio.write_wavefunction(p1, wf)
-    back, _ = fileio.read(p1)
-    fileio.write_wavefunction(p2, back)
-    assert p1.read_bytes() == p2.read_bytes()
+def test_a_re_gauged_state_reads_back_as_the_same_physical_state(tmp_path):
+    grid = pn.make_grid(24)
+    dk = grid.dk[0]
+    with decay_ignored():
+        wf = pn.gaussian_vortex(grid, pn.chart_basis(grid), center=(4 * dk,) * 3, widths=2.0 * dk, m=1)
+    kx, ky = np.meshgrid(grid.k_axes[0], grid.k_axes[1], indexing="ij")
+    wf = pn.gauge_transform(wf, np.broadcast_to((0.7 * kx * ky)[..., None], grid.dims))
+    path = tmp_path / "regauged.pam"
+    fileio.write_wavefunction(path, wf)
+    back, _ = fileio.read(path)
+    assert back.basis.gauge_phase is None
+    Ek, Ek_back = pn.spectral_e_from_wavefunction(wf), pn.spectral_e_from_wavefunction(back)
+    assert rel(Ek_back.values, Ek.values) < 1e-14
+    with decay_ignored():
+        Jo, Jo_back = pn.generators_photon_picture(wf).Jo, pn.generators_photon_picture(back).Jo
+    assert np.abs(Jo_back - Jo).max() <= 1e-12 * np.abs(Jo).max()
+
+
+_JSON = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats(allow_nan=False, allow_infinity=False) | st.text(),
+    lambda inner: st.lists(inner, max_size=3) | st.dictionaries(st.text(), inner, max_size=3),
+    max_leaves=8)
+
+
+@settings(max_examples=30, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(st.sampled_from(("wavefunction", "regauged", "rs_field", "E", "B", "A")),
+       st.tuples(*[st.sampled_from((8, 10, 12, 14, 16))] * 3),
+       st.floats(allow_nan=False, allow_infinity=False),
+       st.dictionaries(st.text(), _JSON, max_size=4),
+       st.tuples(*[st.floats(-1.0, 1.0)] * 3).filter(lambda v: np.linalg.norm(v) > 1e-3),
+       st.integers(0, 2 ** 32 - 1))
+def test_write_read_write_is_byte_identical(tmp_path, kind, dims, time, provenance, axis, seed):
+    grid = pn.make_grid(dims)
+    rng = np.random.default_rng(seed)
+    data = rng.standard_normal((3,) + dims) + 1j * rng.standard_normal((3,) + dims)
+    if kind in ("wavefunction", "regauged"):
+        basis = pn.chart_basis(grid, np.asarray(axis) / np.linalg.norm(axis))
+        obj = pn.wavefunction(grid, basis, data[0], data[1], time=time, warn=False)
+        if kind == "regauged":
+            obj = pn.gauge_transform(obj, rng.uniform(-np.pi, np.pi, dims))
+        write = fileio.write_wavefunction
+    elif kind == "rs_field":
+        obj, write = pn.RSField(F=data, grid=grid, time=time), fileio.write_rs_field
+    else:
+        obj, write = pn.RealVectorField(values=data.real, role=kind, grid=grid, time=time), fileio.write_real_field
+    first, second = tmp_path / "first.pam", tmp_path / "second.pam"
+    write(first, obj, provenance=provenance)
+    back, manifest = fileio.read(first)
+    assert manifest["time"] == time and manifest.get("provenance", {}) == provenance
+    write(second, back, provenance=manifest.get("provenance"))
+    assert first.read_bytes() == second.read_bytes()
 
 
 def test_rs_and_real_field_files(tmp_path, grid32, basis32):
@@ -355,6 +399,18 @@ def test_file_of_the_wrong_kind_exits_2(tmp_path, capsys, grid16, basis16, comma
     assert code == 2 and text == "" and not out.exists()
     payload = json.loads(err.strip())
     assert payload["type"] == "ValueError" and payload["error"] == f"{path}: {message}"
+
+
+def test_analyze_of_a_non_transverse_field_exits_2(tmp_path, capsys, grid16):
+    x, y, z = np.meshgrid(*grid16.x_axes, indexing="ij")
+    coulombish = np.stack([x, y, z]) * np.exp(-(x ** 2 + y ** 2 + z ** 2 + 1.0) / 18.0)
+    path = tmp_path / "coulomb.pam"
+    fileio.write_rs_field(path, pn.RSField(F=coulombish.astype(complex), grid=grid16))
+    out = tmp_path / "out.pam"
+    code, text, err = run_cli(capsys, "analyze", str(path), "-o", str(out))
+    assert code == 2 and text == "" and not out.exists()
+    payload = json.loads(err.strip())
+    assert payload["type"] == "ValueError" and "non-radiative" in payload["error"]
 
 
 def test_unknown_route_is_refused_before_the_file_is_read(tmp_path, capsys):

@@ -2,6 +2,7 @@ import warnings
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import photonam as pn
 from photonam.fields_bridge import RealVectorField, relative_divergence
@@ -44,7 +45,7 @@ def test_synthesized_fields_are_divergence_free(state48):
 
 def test_analyze_roundtrip(state48):
     rs = pn.synthesize(state48)
-    back = pn.analyze(pn.electric_field(rs), pn.magnetic_field(rs), state48.basis)
+    back = pn.analyze(rs, state48.basis)
     assert rel(back.gL, state48.gL) < 1e-10
     assert rel(back.gR, state48.gR) < 1e-10
 
@@ -56,7 +57,7 @@ def test_analyze_single_bin_helicity(grid16, basis16):
     gR[idx] = 1.1 + 0.3j
     wf = pn.wavefunction(g, b, np.zeros(g.dims), gR, warn=False)
     rs = pn.synthesize(wf)
-    back = pn.analyze(pn.electric_field(rs), pn.magnetic_field(rs), b)
+    back = pn.analyze(rs, b)
     assert rel(back.gR, wf.gR) < 1e-12
     assert np.abs(back.gL).max() < 1e-12 * np.abs(gR[idx])
 
@@ -66,10 +67,37 @@ def test_analyze_rejects_nonradiative_field(grid16, basis16):
     x, y, z = np.meshgrid(*g.x_axes, indexing="ij")
     r2 = x ** 2 + y ** 2 + z ** 2 + 1.0
     coulombish = np.stack([x, y, z]) * np.exp(-r2 / 18.0)   # strongly longitudinal
-    E = RealVectorField(values=_readonly(coulombish), role="E", grid=g)
-    B = RealVectorField(values=_readonly(np.zeros((3,) + g.dims)), role="B", grid=g)
+    rs = pn.RSField(F=_readonly(coulombish.astype(complex)), grid=g)
     with pytest.raises(ValueError, match="non-radiative"):
-        pn.analyze(E, B, basis16)
+        pn.analyze(rs, basis16)
+
+
+@settings(max_examples=25, deadline=None)
+@given(st.tuples(*[st.sampled_from((8, 10, 12, 14, 16))] * 3),
+       st.one_of(st.sampled_from(((0.0, 0.0, 1.0), (1.0, 0.0, 0.0), (0.6, 0.8, 0.0))),
+                 st.tuples(*[st.floats(-1.0, 1.0)] * 3).filter(lambda v: np.linalg.norm(v) > 1e-3)),
+       st.floats(-50.0, 50.0), st.booleans(), st.integers(0, 2 ** 32 - 1))
+def test_analyze_inverts_synthesize(dims, axis, t, regauge, seed):
+    """analyze(synthesize(wf, t)) is wf evolved by t, for any amplitudes, chart, time and gauge.
+
+    The Nyquist planes are zeroed (k = 0 is, by `wavefunction`): there -k
+    aliases onto k, the only place where e*(k).e(-k) does not vanish.
+    """
+    grid = pn.make_grid(dims)
+    basis = pn.chart_basis(grid, np.asarray(axis) / np.linalg.norm(axis))
+    rng = np.random.default_rng(seed)
+    g = rng.standard_normal((2,) + dims) + 1j * rng.standard_normal((2,) + dims)
+    for ax, n in enumerate(dims):
+        g[(slice(None),) + (slice(None),) * ax + (n // 2,)] = 0.0
+    wf = pn.wavefunction(grid, basis, g[0], g[1], warn=False)
+    if regauge:
+        wf = pn.gauge_transform(wf, rng.uniform(-np.pi, np.pi, dims))
+    back = pn.analyze(pn.synthesize(wf, t), wf.basis)
+    expected = pn.materialized(pn.evolve(wf, t))
+    peak = np.abs(g).max()
+    assert back.time == 0.0
+    assert np.abs(back.gL - expected.gL).max() <= 1e-12 * peak
+    assert np.abs(back.gR - expected.gR).max() <= 1e-12 * peak
 
 
 def test_synthesize_evolve_bookkeeping(state48):
@@ -187,3 +215,17 @@ def test_potential_and_textbook_split_transform_each_component_once(state48, mon
     calls.clear()
     pn.textbook_split(E, A)
     assert len(calls) == 3          # A, whose spectra also give the divergence check
+
+
+def test_analyze_transforms_each_component_once(state48, monkeypatch):
+    from photonam import fields_bridge, grids
+    rs = pn.synthesize(state48)
+    calls = []
+
+    def counted(grid, f):
+        calls.append(np.shape(f))
+        return grids.forward_transform(grid, f)
+
+    monkeypatch.setattr(fields_bridge, "forward_transform", counted)
+    pn.analyze(rs, state48.basis)
+    assert calls == [state48.grid.dims] * 3     # F, whose spectra also give the divergence check

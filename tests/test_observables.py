@@ -81,7 +81,7 @@ def decaying_packet(grid, basis):
 def test_analysed_pure_helicity_packet_decays(grid48, basis48):
     """The analysed gR of a pure-L packet is rounding noise; against the joint peak it decays."""
     rs = pn.synthesize(decaying_packet(grid48, basis48), 0.3)
-    wf = pn.analyze(pn.electric_field(rs), pn.magnetic_field(rs), basis48)
+    wf = pn.analyze(rs, basis48)
     assert np.abs(wf.gR).max() < 1e-12 * np.abs(wf.gL).max()
     with warnings.catch_warnings():
         warnings.simplefilter("error", BoundaryDecayWarning)

@@ -29,7 +29,7 @@ BUDGETS = {
     "synthesize": 8.0,
     "generators_field_picture": 5.0,
     "spectral_e_from_wavefunction": 5.0,
-    "analyze": 11.0,
+    "analyze": 7.0,
     "spin_nonlocal_real": 11.0,
 }
 
@@ -60,7 +60,7 @@ def stages64(grid64, basis64):
         "synthesize": lambda: pn.synthesize(wf),
         "generators_field_picture": lambda: pn.generators_field_picture(rs),
         "spectral_e_from_wavefunction": lambda: pn.spectral_e_from_wavefunction(wf),
-        "analyze": lambda: pn.analyze(E, B, basis64),
+        "analyze": lambda: pn.analyze(rs, basis64),
         "spin_nonlocal_real": lambda: pn.spin_nonlocal_real(E, B),
     }
 
