@@ -335,6 +335,10 @@ def _algebra_state(grid, basis):
 
 
 def check_algebra(grids=(48, 96), dx=1.0):
+    """Run the suite on a coarse and a fine cubic grid; every relation compares the two."""
+    if len(grids) != 2 or not grids[0] < grids[1]:
+        raise ValueError(f"check algebra compares two grid sizes N1 < N2 (or one N, meaning N,2N); "
+                         f"got {','.join(map(str, grids))}")
     _refuse_beyond_memory((max(grids),) * 3, ALGEBRA_WORKING_SET_ARRAYS)
     rows = []
     per_grid = {}
@@ -345,7 +349,7 @@ def check_algebra(grids=(48, 96), dx=1.0):
             warnings.simplefilter("ignore", BoundaryDecayWarning)
             per_grid[n] = algebra_checks.run_suite(_algebra_state(grid, basis))
 
-    coarse, fine = grids[0], grids[-1]
+    coarse, fine = grids
     ok = True
     for rc, rf in zip(per_grid[coarse], per_grid[fine]):
         if rc.exact:

@@ -22,7 +22,11 @@ from .grids import (
     cross_component,
     forward_transform,
     inverse_transform,
+    real_forward_transform,
+    real_inverse_transform,
     reflect_conjugate,
+    _along,
+    _norm,
     _readonly,
 )
 
@@ -67,18 +71,25 @@ class SpectralEField:
 def spectral_curl(grid, field):
     """Curl of a real-space vector field via i k x in momentum space.
 
-    Builds and inverse-transforms one component of i k x V(k) at a time.
+    A real field takes the real transform pair, with the numerator k of
+    `derivative_kvec`; a complex field takes the full transforms.  Each
+    component of i k x V(k) is built and inverse-transformed one at a time.
     """
-    Vk = forward_transform(grid, field)
     real = np.isrealobj(field)
-    out = np.empty(Vk.shape, dtype=float if real else complex)
-    buf = np.empty(grid.dims, dtype=complex)
+    if real:
+        Vk = np.empty((3,) + grid.half_dims, dtype=complex)
+        for i in range(3):
+            Vk[i] = real_forward_transform(grid, field[i])
+        k, inverse = grid.derivative_kvec, real_inverse_transform
+    else:
+        Vk = forward_transform(grid, field)
+        k, inverse = grid.kvec, inverse_transform
+    out = np.empty(field.shape, dtype=float if real else complex)
+    buf = np.empty(Vk.shape[1:], dtype=complex)
     for j in range(3):
-        cross_component(grid.kvec, Vk, j, out=buf)
+        cross_component(k, Vk, j, out=buf)
         buf *= 1j
-        curl_j = inverse_transform(grid, buf)
-        out[j] = curl_j.real if real else curl_j
-        del curl_j      # before the next component's transform is allocated
+        out[j] = inverse(grid, buf)
     return out
 
 
@@ -86,32 +97,74 @@ class _DivergenceSum:
     """Accumulates `relative_divergence` from component spectra V_i(k), one at a time.
 
     Lets a stage that already holds the spectra measure the divergence
-    without transforming the field again.
+    without transforming the field again.  The spectra are full
+    (`forward_transform`) or the half spectra of a real field
+    (`real_forward_transform`), told apart by their shape; both give the
+    ratio of the full grid.  A half spectrum holds k_z >= 0, and each
+    interior k_z plane also stands for its mirror -k, where V(-k) = conj V(k):
+    |k|^2 |V|^2 counts twice there, and so does |div|^2, except on the rows
+    where k_x or k_y is the Nyquist bin.  That bin maps to itself, so there
+    div(-k) != conj div(k); the mirror's |div|^2 is summed explicitly, with
+    k read at the mirror index.
     """
 
     def __init__(self, grid):
         self.grid = grid
-        self.kmag = grid.kmag()
-        self.div = np.zeros(grid.dims, dtype=complex)
+        self.div = None
         self.den2 = 0.0
 
+    def _start(self, shape):
+        grid = self.grid
+        self.half = shape != grid.dims
+        axes = grid.half_k_axes if self.half else grid.k_axes
+        self.k = [_along(a, ax) for ax, a in enumerate(axes)]
+        self.kmag = _norm(axes)
+        self.div = np.zeros(shape, dtype=complex)
+        if self.half:
+            n0, n1 = grid.dims[:2]
+            interior = slice(1, shape[2] - 1)
+            # interior rows at the x Nyquist bin, then the other rows at the y Nyquist bin
+            self.rows = ((n0 // 2, slice(None), interior),
+                         (np.delete(np.arange(n0), n0 // 2), n1 // 2, interior))
+            mirror = [np.broadcast_to(_along(a[-np.arange(a.size)][:n], ax), shape)
+                      for ax, (a, n) in enumerate(zip(grid.k_axes, shape))]
+            self.kmirror = [[m[idx] for m in mirror] for idx in self.rows]
+            self.mirror = [np.zeros(self.div[idx].shape, dtype=complex) for idx in self.rows]
+
     def add(self, i, Vk):
-        self.div += self.grid.kvec[i] * Vk
-        self.den2 += np.linalg.norm(self.kmag * Vk) ** 2
+        if self.div is None:
+            self._start(Vk.shape)
+        self.div += self.k[i] * Vk
+        self.den2 += self._norm2(self.kmag * Vk)
+        if self.half:
+            for m, km, idx in zip(self.mirror, self.kmirror, self.rows):
+                m += km[i] * Vk[idx]
+
+    def _norm2(self, a):
+        """sum |a|^2 over the full grid; a half spectrum counts its interior k_z planes twice."""
+        total = np.linalg.norm(a) ** 2
+        if self.half:
+            total = 2.0 * total - np.linalg.norm(a[..., 0]) ** 2 - np.linalg.norm(a[..., -1]) ** 2
+        return total
 
     def ratio(self):
-        num = np.linalg.norm(self.div)
-        return float(num / np.sqrt(self.den2)) if self.den2 > 0 else 0.0
+        num2 = self._norm2(self.div)
+        if self.half:
+            for m, idx in zip(self.mirror, self.rows):
+                num2 += np.linalg.norm(m) ** 2 - np.linalg.norm(self.div[idx]) ** 2
+        return float(np.sqrt(num2 / self.den2)) if self.den2 > 0 else 0.0
 
 
 def relative_divergence(grid, field):
     """L2 norm of div(field) over the field gradient scale, dimensionless.
 
-    Transforms one component at a time.
+    Transforms one component at a time, with the real transform where the
+    field is real.
     """
+    transform = real_forward_transform if np.isrealobj(field) else forward_transform
     acc = _DivergenceSum(grid)
     for i in range(3):
-        acc.add(i, forward_transform(grid, field[i]))
+        acc.add(i, transform(grid, field[i]))
     return acc.ratio()
 
 
@@ -263,16 +316,18 @@ def vector_potential(B):
     """Transverse-gauge vector potential with curl A = B, div A = 0.
 
     Spectral inversion ``A(k) = i k x B(k) / |k|^2``, the momentum-space form
-    of the Coulomb-kernel convolution of curl B.  Requires B to be real,
+    of the Coulomb-kernel convolution of curl B, on the half spectrum of the
+    real transform pair: 3 forward and 3 inverse real transforms, whose
+    spectra of B also give the divergence check.  Requires B to be real,
     mean free (no uniform component) and spectrally divergence free.
     """
     grid = B.grid
     if B.values.dtype.kind == "c":
         raise ValueError("B must be a real field")
-    Bk = np.empty(B.values.shape, dtype=complex)
+    Bk = np.empty((3,) + grid.half_dims, dtype=complex)
     div = _DivergenceSum(grid)
     for i in range(3):
-        Bk[i] = forward_transform(grid, B.values[i])
+        Bk[i] = real_forward_transform(grid, B.values[i])
         div.add(i, Bk[i])
     peak = max(np.abs(Bk[i]).max() for i in range(3))
     zero_mode = np.abs(Bk[(slice(None),) + grid.excluded_index]).max()
@@ -282,17 +337,18 @@ def vector_potential(B):
     del div
     if residual > TRANSVERSE_TOL:
         raise ValueError(f"B is not divergence free (relative residual {residual:.2e})")
-    k2 = grid.kmag()
+    k2 = _norm(grid.half_k_axes)
     k2 *= k2
     k2[grid.excluded_index] = 1.0
+    k = grid.derivative_kvec
     A = np.empty(B.values.shape)
-    Ak = np.empty(grid.dims, dtype=complex)
+    Ak = np.empty(grid.half_dims, dtype=complex)
     for j in range(3):
-        cross_component(grid.kvec, Bk, j, out=Ak)
+        cross_component(k, Bk, j, out=Ak)
         Ak *= 1j
         Ak /= k2
         Ak[grid.excluded_index] = 0.0
-        A[j] = inverse_transform(grid, Ak).real
+        A[j] = real_inverse_transform(grid, Ak)
     return RealVectorField(values=_readonly(A), role="A", grid=grid, time=B.time)
 
 

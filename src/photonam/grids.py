@@ -8,6 +8,12 @@ Conventions used throughout the package:
 * the transform pair is symmetric,
   ``f(r) = (2 pi)^{-3/2} sum_k F(k) e^{i k.r} dVk`` and
   ``F(k) = (2 pi)^{-3/2} sum_r f(r) e^{-i k.r} dV``;
+  the centred origin puts the phase (-1)^(i+j+l) on the spectrum;
+* a real field (E, B, A) takes the real pair `real_forward_transform` /
+  `real_inverse_transform` instead: plain ``rfftn``/``irfftn`` on the half
+  spectrum k_z >= 0 (`half_k_axes`), with neither that phase nor the scale.
+  Every caller applies an operator diagonal in k and transforms back, and
+  the phase and the scale of the two directions cancel there;
 * the ``k = 0`` bin carries zero quadrature weight because the invariant
   measure ``d3k / omega`` is singular there; fields are required to vanish
   on that bin;
@@ -32,8 +38,9 @@ BOUNDARY_TOL = 1e-8
 
 #: peak working set of the largest photonam command, in complex grid arrays
 #: (16 bytes per grid point): `observables` with all five routes peaks at
-#: 418 MiB RSS at 128^3, on a wavefunction or an rs_field file; 16 arrays of
-#: 32 MiB leave a 22% margin
+#: 418 MiB RSS at 128^3, on a wavefunction or an rs_field file (its peak is
+#: the photon picture; `potential` peaks at 329 MiB); 16 arrays of 32 MiB
+#: leave a 22% margin
 WORKING_SET_ARRAYS = 16
 
 
@@ -133,9 +140,34 @@ class GridPair:
 
     def kmag(self):
         """|k| at every point."""
-        kx, ky, kz = (_along(a, ax) for ax, a in enumerate(self.k_axes))
-        out = kx ** 2 + ky ** 2 + kz ** 2
-        return np.sqrt(out, out=out)
+        return _norm(self.k_axes)
+
+    @property
+    def half_dims(self):
+        """Shape of the half spectrum of a real field: the last axis keeps its first n/2 + 1 bins."""
+        return self.dims[:2] + (self.dims[2] // 2 + 1,)
+
+    @property
+    def half_k_axes(self):
+        """The 1-d k axes of the half spectrum: the full x and y axes and k_z >= 0.
+
+        The last bin of k_z is the Nyquist bin, which keeps fftfreq's -pi/dz.
+        """
+        return self.k_axes[:2] + (self.k_axes[2][:self.half_dims[2]],)
+
+    @property
+    def derivative_kvec(self):
+        """(kx, ky, kz) in the numerator of a derivative i k of a real field, on the half spectrum.
+
+        Read-only zero-stride views of shape `half_dims`.  The Nyquist bins
+        of the two full axes hold 0: there -k aliases onto k, so i k_N F(k)
+        is anti-Hermitian and has no real part, which is all a real field
+        keeps.  The last axis keeps -pi/dz: `real_inverse_transform` reads
+        only the real part of its Nyquist plane.
+        """
+        kx, ky, kz = self.half_k_axes
+        kx, ky = (np.where(np.arange(a.size) == a.size // 2, 0.0, a) for a in (kx, ky))
+        return tuple(np.broadcast_to(_along(a, ax), self.half_dims) for ax, a in enumerate((kx, ky, kz)))
 
     def omega(self):
         """c |k| at every point."""
@@ -183,6 +215,24 @@ def _along(a, ax):
     shape = [1, 1, 1]
     shape[ax] = a.size
     return a.reshape(shape)
+
+
+def _norm(axes):
+    """sqrt(k_0^2 + k_1^2 + k_2^2) on the grid spanned by three 1-d axes."""
+    k0, k1, k2 = (_along(a, ax) for ax, a in enumerate(axes))
+    out = k0 ** 2 + k1 ** 2 + k2 ** 2
+    return np.sqrt(out, out=out)
+
+
+def moments(axes, X):
+    """``sum_r c_a(r) X(r)`` for a = 0, 1, 2, where c_a is the 1-d array `axes[a]` along axis a.
+
+    Each c_a varies along its own axis only, so its moment is the 1-d
+    profile of X (X summed over the other two axes) weighted by c_a: no
+    grid-sized product is formed.  `X` is one real or complex grid array.
+    """
+    plane = X.sum(axis=0)
+    return np.array([axes[0] @ X.sum(axis=(1, 2)), axes[1] @ plane.sum(axis=1), axes[2] @ plane.sum(axis=0)])
 
 
 def _readonly(a):
@@ -297,6 +347,27 @@ def inverse_transform(grid, F):
     np.fft.ifftn(out, axes=(-3, -2, -1), out=out)
     out *= grid.dVk * grid.npoints / ROOT_2PI_CUBED
     return out
+
+
+def real_forward_transform(grid, f):
+    """Half spectrum of the real field `f` over the trailing three axes (``np.fft.rfftn``).
+
+    Without the phase and the scale of `forward_transform`: the caller
+    applies an operator diagonal in k, whose k are `half_k_axes` (or
+    `derivative_kvec`), and transforms back with `real_inverse_transform`,
+    where both cancel.
+    """
+    f = np.asarray(f)
+    _check_shape(grid, f)
+    return np.fft.rfftn(f, axes=(-3, -2, -1))
+
+
+def real_inverse_transform(grid, F):
+    """Real field of the half spectrum `F`: the inverse of `real_forward_transform` (``np.fft.irfftn``)."""
+    F = np.asarray(F)
+    if F.shape[-3:] != grid.half_dims:
+        raise ValueError(f"array shape {F.shape} is not the half spectrum {grid.half_dims} of grid {grid.dims}")
+    return np.fft.irfftn(F, s=grid.dims, axes=(-3, -2, -1))
 
 
 def _apply_fft_phase(grid, a):

@@ -12,13 +12,17 @@ Every route streams: no stage builds a (3, N) complex stack only to reduce
 it.  The field picture accumulates |F|^2 and F* x F one component at a
 time.  The photon picture reduces everything from the density
 ``u = sum_chi i g* D g``, built one helicity and axis at a time; the darwin
-route sums each Levi-Civita term straight into its totals; the textbook
-route transforms each component of A once and takes one inverse transform
-per axis; the nonlocal route convolves one component of curl B at a time on
-the doubled grid, in O(M log M), so it runs at every grid size.  Grid
-metadata (w, omega, n) is derived inside each stage, n one component at a
-time.  Reductions are plain numpy sums, each on one thread, so results do
-not depend on the THREADS worker count of the check suites.
+route reduces one component of E at a time; the textbook route takes the
+real transforms of the real fields: one forward transform per component
+of A and one inverse transform per derivative d_b A_i; the nonlocal route
+convolves one component of curl B at a time on the doubled grid, in
+O(M log M), so it runs at every grid size.  A sum weighted by one
+coordinate r_a or k_a (P, J, K, the darwin and textbook Jo) is the 1-d
+profile of its integrand weighted by that coordinate (`grids.moments`),
+never a grid-sized product.  Grid metadata (w, omega, n) is derived inside
+each stage, n one component at a time.  Reductions are plain numpy sums,
+each on one thread, so results do not depend on the THREADS worker count
+of the check suites.
 
 Each route measures the decay its result needs once and reports it in its
 diagnostics: the photon picture that of (gL, gR) and the darwin route that
@@ -42,8 +46,9 @@ from .grids import (
     boundary_margin,
     check_boundary_decay,
     cross_component,
-    forward_transform,
-    inverse_transform,
+    moments,
+    real_forward_transform,
+    real_inverse_transform,
     spectral_gradient_k,
     _along,
 )
@@ -113,9 +118,10 @@ def generators_field_picture(rs):
     H = float(np.sum(dens) * dV)
     P = np.sum(V, axis=(1, 2, 3)) * dV / c
 
-    r = np.ix_(*grid.x_axes)
-    J = np.array([np.sum(cross_component(r, V, j)) for j in range(3)]) * dV / c
-    K = np.array([np.sum(ri * dens) for ri in r]) * dV
+    # M[a, b] = sum r_a V_b; J_j = eps_jab M[a, b]
+    M = np.stack([moments(grid.x_axes, V[b]) for b in range(3)], axis=1)
+    J = np.einsum("jab,ab->j", LEVI_CIVITA, M) * dV / c
+    K = moments(grid.x_axes, dens) * dV
     return GeneratorSet(H=H, P=P, J=J, K=K, diagnostics={"boundary_margin_r": margin})
 
 
@@ -147,7 +153,8 @@ def generators_photon_picture(wf):
 
     N = float(np.sum(w * dens))
     H = float(np.sum(grid.dVk * dens))
-    P = hbar * np.array([np.sum(w * k[j] * dens) for j in range(3)])
+    dens *= w
+    P = hbar * moments(grid.k_axes, dens)
     del dens
     absL2 -= absR2
     del absR2
@@ -215,14 +222,15 @@ def darwin_split(Ek):
         Js[j] = 4.0 * eps0 * np.sum(buf)
     del buf
 
-    # X_j = sum_i conj(E_i) eps_jab k_a d_b E_i, summed term by term
-    X = np.zeros(3, dtype=complex)
+    # X_j = eps_jab M[a, b], M[a, b] = sum_i sum_k k_a conj(E_i) d_b E_i
+    M = np.zeros((3, 3), dtype=complex)
     for i in range(3):
         T = spectral_gradient_k(grid, E[i])
         T *= w2 * np.conj(E[i])
-        for j, a, b in zip(*np.nonzero(LEVI_CIVITA)):
-            X[j] += LEVI_CIVITA[j, a, b] * np.sum(grid.kvec[a] * T[b])
+        for b in range(3):
+            M[:, b] += moments(grid.k_axes, T[b])
         del T           # before the next component's gradient is allocated
+    X = np.einsum("jab,ab->j", LEVI_CIVITA, M)
     Jo = 2.0 * eps0 * X.imag
 
     scale = max(float(np.linalg.norm(Jo)), float(np.linalg.norm(Js)), 1e-300)
@@ -236,39 +244,37 @@ def darwin_split(Ek):
 # ---------------------------------------------------------------------------
 # textbook real-space route
 
-def _real_space_gradient(grid, Fk):
-    """Spectral gradient of a real scalar field from its spectrum `Fk`: one inverse transform per axis."""
-    out = np.empty((3,) + grid.dims)
-    for b in range(3):
-        out[b] = inverse_transform(grid, 1j * grid.kvec[b] * Fk).real
-    return out
-
-
 def textbook_split(E, A):
     """The familiar split ``Jo = eps0 int E_i (r x grad) A_i``, ``Js = eps0 int E x A``.
 
     Valid only with the transverse-gauge potential (div A = 0), which is
     exactly what `vector_potential` produces; any other gauge shifts both
-    terms.  Real-space derivatives are spectral; each component of A is
-    transformed once, for its gradient and for the divergence check.
+    terms.  Real-space derivatives are spectral, on the real transform pair:
+    each component of A is transformed once, for its gradient and for the
+    divergence check, and each derivative takes one inverse transform.
+    ``Jo_j = eps0 eps_jab sum_i int r_a E_i d_b A_i`` reduces each product
+    E_i d_b A_i to its coordinate moments.
     """
     grid = E.grid
     eps0 = grid.units.eps0
     dV = grid.dV
 
-    r = np.ix_(*grid.x_axes)
-    Jo = np.zeros(3)
+    k = grid.derivative_kvec
+    M = np.zeros((3, 3))            # M[a, b] = sum_i sum_r r_a E_i d_b A_i
     div = _DivergenceSum(grid)
     for i in range(3):
-        Ak = forward_transform(grid, A.values[i])
+        Ak = real_forward_transform(grid, A.values[i])
         div.add(i, Ak)
-        g = _real_space_gradient(grid, Ak)
+        Ak *= 1j
+        for b in range(3):
+            g = real_inverse_transform(grid, k[b] * Ak)
+            g *= E.values[i]
+            M[:, b] += moments(grid.x_axes, g)
+            del g       # before the next derivative is allocated
         del Ak
-        for j in range(3):
-            Jo[j] += eps0 * dV * np.sum(E.values[i] * cross_component(r, g, j))
-        del g           # before the next component's gradient is allocated
     if div.ratio() > TRANSVERSE_TOL:
         raise ValueError("A is not transverse: the split requires div A = 0")
+    Jo = eps0 * dV * np.einsum("jab,ab->j", LEVI_CIVITA, M)
 
     Js = np.array([eps0 * dV * np.sum(cross_component(E.values, A.values, j)) for j in range(3)])
     return Jo, Js

@@ -555,3 +555,17 @@ def test_check_algebra_beyond_memory_exits_2_before_any_grid(capsys, monkeypatch
     assert code == 2
     assert "physical memory" in json.loads(err.strip())["error"]
     assert peak < 0.1 * unit, f"{peak} bytes allocated before the refusal"
+
+
+@pytest.mark.parametrize("sizes", ["96,48", "48,64,96", "48,48"])
+def test_check_algebra_refuses_grids_it_cannot_compare(capsys, monkeypatch, sizes):
+    """Anything but two sizes, coarse < fine, is a usage error (exit 2), refused before any grid is built."""
+    from photonam import cli
+
+    def no_grid(*args, **kwargs):
+        raise AssertionError("a grid was built")
+
+    monkeypatch.setattr(cli, "make_grid", no_grid)
+    code, out, err = run_cli(capsys, "check", "algebra", "--grid", sizes)
+    assert code == 2 and out == ""
+    assert "two grid sizes" in json.loads(err.strip())["error"]

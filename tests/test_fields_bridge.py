@@ -6,7 +6,7 @@ from hypothesis import given, settings, strategies as st
 
 import photonam as pn
 from photonam.fields_bridge import RealVectorField, relative_divergence
-from photonam.grids import _readonly
+from photonam.grids import cross_component, forward_transform, inverse_transform, _along, _readonly
 
 from conftest import e_stack, rel, smooth_state
 
@@ -182,6 +182,81 @@ def test_vector_potential_rejects_divergent_field(grid16):
         pn.vector_potential(RealVectorField(values=_readonly(B), role="B", grid=g))
 
 
+def _transverse_noise(grid, rng):
+    """White noise made transverse at every bin of the full grid, Nyquist bins included.
+
+    A Nyquist bin aliases onto its own mirror -k, so there a real transverse
+    field has no component along that axis, and is perpendicular to k with
+    that component of k zeroed.
+    """
+    Vk = np.fft.fftn(rng.normal(size=(3,) + grid.dims), axes=(1, 2, 3))
+    inner = [_along(np.arange(n) != n // 2, ax) for ax, n in enumerate(grid.dims)]
+    k = [inner[a] * _along(grid.k_axes[a], a) for a in range(3)]
+    for a in range(3):
+        Vk[a] *= inner[a]
+    k2 = k[0] ** 2 + k[1] ** 2 + k[2] ** 2
+    along_k = sum(k[a] * Vk[a] for a in range(3)) / np.where(k2 > 0.0, k2, 1.0)
+    for a in range(3):
+        Vk[a] -= k[a] * along_k
+        Vk[a][k2 == 0.0] = 0.0
+    return np.fft.ifftn(Vk, axes=(1, 2, 3)).real
+
+
+def _random_b(grid, rng, nyquist):
+    """B of a state with random amplitudes; without `nyquist` its Nyquist planes are empty, so B is transverse."""
+    g = [rng.normal(size=grid.dims) + 1j * rng.normal(size=grid.dims) for _ in range(2)]
+    if not nyquist:
+        for a in g:
+            for ax, n in enumerate(grid.dims):
+                np.moveaxis(a, ax, 0)[n // 2] = 0.0
+    wf = pn.wavefunction(grid, pn.chart_basis(grid), *g, warn=False)
+    return pn.magnetic_field(pn.synthesize(wf)).values
+
+
+def _complex_curl(grid, V, denominator=1.0):
+    """Reference: i k x V(k) / denominator through the full complex transforms, real part kept."""
+    Vk = forward_transform(grid, V)
+    return np.stack([inverse_transform(grid, 1j * cross_component(grid.kvec, Vk, j) / denominator).real
+                     for j in range(3)])
+
+
+def _complex_potential(grid, B):
+    """Reference: A(k) = i k x B(k) / |k|^2, zero at k = 0."""
+    k2 = grid.kmag() ** 2
+    k2[grid.excluded_index] = np.inf
+    return _complex_curl(grid, B, k2)
+
+
+@settings(max_examples=25, deadline=None)
+@given(st.tuples(*[st.sampled_from((8, 10, 12, 14, 16))] * 3), st.tuples(*[st.floats(0.5, 2.0)] * 3),
+       st.booleans(), st.integers(0, 2 ** 32 - 1))
+def test_real_transforms_match_the_complex_reference(dims, spacing, nyquist, seed):
+    """curl, A and the divergence ratio of a real field equal the full complex formulas."""
+    grid = pn.make_grid(dims, spacing)
+    rng = np.random.default_rng(seed)
+    B = _transverse_noise(grid, rng) if nyquist else _random_b(grid, rng, nyquist=False)
+    for V, ref in ((pn.spectral_curl(grid, B), _complex_curl(grid, B)),
+                   (pn.vector_potential(RealVectorField(values=_readonly(B), role="B", grid=grid)).values,
+                    _complex_potential(grid, B))):
+        assert np.abs(V - ref).max() <= 1e-14 * np.abs(ref).max()
+    for field in (_random_b(grid, rng, nyquist=True), rng.normal(size=(3,) + dims)):
+        full = relative_divergence(grid, field.astype(complex))
+        assert abs(relative_divergence(grid, field) - full) <= 1e-12 * full
+
+
+def test_gaussian_beyond_the_k_edge_is_refused_with_its_full_grid_ratio():
+    """A centre component of -Nyquist/3 puts a 24^3 Gaussian one bin nearer the -Nyquist edge of the k grid."""
+    grid = pn.make_grid(24)
+    c = np.pi / 3.0
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")
+        wf = pn.gaussian_vortex(grid, pn.chart_basis(grid), center=(-c, c, c), widths=2.5 * grid.dk[0])
+    B = pn.magnetic_field(pn.synthesize(wf))
+    with pytest.raises(ValueError, match="relative residual 2.01e-03"):
+        pn.vector_potential(B)
+    assert relative_divergence(grid, B.values) == pytest.approx(2.0115930586764685e-03, rel=1e-12)
+
+
 def test_greens_kernel_against_coulomb(grid64):
     rep = pn.greens_function_check(grid64)
     assert rep["max_rel_mismatch"] <= 0.02
@@ -199,22 +274,31 @@ def test_greens_kernel_improves_with_grid(grid64, grid96):
 
 
 def test_potential_and_textbook_split_transform_each_component_once(state48, monkeypatch):
+    """The real fields take real transforms only: one forward per component, one inverse per derivative."""
     from photonam import fields_bridge, grids, observables
     rs = pn.synthesize(state48)
     E, B = pn.electric_field(rs), pn.magnetic_field(rs)
     calls = []
 
-    def counted(grid, f):
-        calls.append(np.shape(f))
-        return grids.forward_transform(grid, f)
+    def counted(name):
+        transform = getattr(grids, name)
 
-    monkeypatch.setattr(fields_bridge, "forward_transform", counted)
-    monkeypatch.setattr(observables, "forward_transform", counted)
+        def call(grid, f):
+            calls.append(name)
+            return transform(grid, f)
+        return call
+
+    for module in (fields_bridge, observables):
+        for name in ("forward_transform", "inverse_transform", "real_forward_transform", "real_inverse_transform"):
+            if hasattr(module, name):
+                monkeypatch.setattr(module, name, counted(name))
     A = pn.vector_potential(B)
-    assert len(calls) == 3          # B, whose spectra also give the divergence check
+    # B, whose spectra also give the divergence check, and one inverse per component of A
+    assert sorted(calls) == ["real_forward_transform"] * 3 + ["real_inverse_transform"] * 3
     calls.clear()
     pn.textbook_split(E, A)
-    assert len(calls) == 3          # A, whose spectra also give the divergence check
+    # A, whose spectra also give the divergence check, and one inverse per derivative d_b A_i
+    assert sorted(calls) == ["real_forward_transform"] * 3 + ["real_inverse_transform"] * 9
 
 
 def test_analyze_transforms_each_component_once(state48, monkeypatch):

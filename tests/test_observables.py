@@ -180,7 +180,8 @@ def test_photon_picture_matches_stacked_oracle(grid48, basis48):
         gen = pn.generators_photon_picture(wf)
     ref = _stacked_photon_picture(wf)
     assert gen.N == ref["N"] and gen.H == ref["H"]
-    assert np.array_equal(gen.P, ref["P"]) and np.array_equal(gen.Js, ref["Js"])
+    assert np.array_equal(gen.Js, ref["Js"])
+    assert rel(gen.P, ref["P"]) < 1e-14     # P sums 1-d profiles, in another order than the oracle
     assert rel(gen.Jo, ref["Jo"]) < 1e-12
     L = max(n * d for n, d in zip(g.dims, g.spacing))
     assert np.linalg.norm(gen.K - ref["K"]) < 1e-12 * gen.H * L
