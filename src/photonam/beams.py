@@ -2,12 +2,12 @@
 
 The Bessel beam of total z angular-momentum index ``m``, longitudinal
 wavenumber ``k_z`` and helicity ``chi`` is built directly as the transverse
-helicity-eigenstate column
+helicity eigenstate
 
-    E(k) ~ ( -(k_z/k) cos(phi) + i chi sin(phi),
-             -(k_z/k) sin(phi) - i chi cos(phi),
-              k_perp/k ) * exp(i m phi)
+    E(k) ~ -sqrt(2) e_z(k) exp(i m phi)     (chi = +1; e_z* for chi = -1)
 
+from e_z = (theta_hat + i phi_hat)/sqrt(2) about the beam axis z, the column
+``(-(k_z/k) cos(phi) + i chi sin(phi), -(k_z/k) sin(phi) - i chi cos(phi), k_perp/k)``,
 with the momentum-cone delta functions replaced by Gaussians of widths
 ``(sigma_perp, sigma_z)``.  The ideal beam is non-normalizable (infinite
 transverse extent), but per-photon ratios such as Jo_z/Js_z converge as the
@@ -23,6 +23,7 @@ import numpy as np
 from . import photon_state
 from .fields_bridge import SpectralEField, project_spectral_e
 from .grids import _readonly, check_boundary_decay
+from .polarization import chart_basis
 
 
 @dataclass(frozen=True)
@@ -91,8 +92,8 @@ def _pole_line_distance(points, axis):
 def bessel_beam(grid, basis, spec, photons=1.0):
     """Regularized Bessel beam as a PhotonWaveFunction.
 
-    E(k) is built as an exact helicity eigenstate point by point and
-    projected onto the basis with `fields_bridge.project_spectral_e`, so the
+    E(k) is built as an exact helicity eigenstate from the circular basis
+    about z and projected onto the basis with `fields_bridge.project_spectral_e`, so the
     opposite-helicity amplitude is at rounding level for any chart.  Its decay
     at the momentum boundary is measured (`BoundaryDecayWarning`).  With
     `photons` set, the state is rescaled to that photon number; pass None to
@@ -112,38 +113,28 @@ def bessel_beam(grid, basis, spec, photons=1.0):
     if _pole_line_distance(ring, basis.chart_axis).min() < 4.0 * max(spec.sigma_perp, spec.sigma_z):
         raise ValueError("pole collision: chart axis passes through the regularized ring")
 
+    # -sqrt(2) x envelope x winding e^{i m phi} = ((k_x +- i k_y)/k_perp)^|m|, shared by
+    # the three components; phi = 0 on the beam axis, the azimuth of the pole limit of e_z
     kx, ky, kz = grid.kvec
     kperp = np.hypot(kx, ky)
-    on_axis = kperp == 0.0
-    safe_perp = np.where(on_axis, 1.0, kperp)
-    cphi = np.where(on_axis, 1.0, kx / safe_perp)
-    sphi = np.where(on_axis, 0.0, ky / safe_perp)
-    del on_axis, safe_perp
-
-    # envelope x azimuthal phase, shared by the three components of the column
     ep = np.exp(
         -((kperp - spec.k_perp0) ** 2) / (2.0 * spec.sigma_perp ** 2)
         - ((kz - spec.k_z0) ** 2) / (2.0 * spec.sigma_z ** 2)
     )
-    ep = ep * ((cphi + 1j * sphi) ** spec.m if spec.m >= 0 else (cphi - 1j * sphi) ** (-spec.m))
+    winding = np.divide(kx + 1j * np.sign(spec.m) * ky, kperp, out=np.ones(grid.dims, dtype=complex),
+                        where=kperp > 0.0)
+    del kperp
+    ep = -np.sqrt(2.0) * ep * winding ** abs(spec.m)
+    del winding
 
-    safe_k = grid.kmag()
-    safe_k[grid.excluded_index] = 1.0
-    minus_a = np.negative(kz / safe_k)
-    b = np.divide(kperp, safe_k, out=kperp)
-    del kperp, safe_k
-
-    # E(k): the helicity column (-a cos phi + i chi sin phi, -a sin phi - i chi cos phi, b)
-    # times the envelope, with a = k_z/k and b = k_perp/k
-    chi = spec.helicity
+    # E(k): -sqrt(2) e_z (chi = +1) or -sqrt(2) e_z* (chi = -1) times the envelope
+    e_z = chart_basis(grid, (0.0, 0.0, 1.0))
     Ek = np.empty((3,) + grid.dims, dtype=complex)
-    np.multiply(minus_a, cphi, out=Ek[0].real)
-    np.multiply(sphi, chi, out=Ek[0].imag)
-    np.multiply(minus_a, sphi, out=Ek[1].real)
-    np.multiply(cphi, -chi, out=Ek[1].imag)
-    Ek[2].real, Ek[2].imag = b, 0.0
-    del minus_a, b, cphi, sphi
-    Ek *= ep
+    for i in range(3):
+        e_z.e(i, out=Ek[i])
+        if spec.helicity < 0:
+            np.conjugate(Ek[i], out=Ek[i])
+        Ek[i] *= ep
     del ep
 
     wf = project_spectral_e(SpectralEField(values=Ek, grid=grid), basis)
@@ -164,7 +155,8 @@ def gaussian_vortex(grid, basis, center, widths, m=0, helicity="L",
 
     This is the package's stock factory for smooth decaying test states;
     keep the center several widths away from the chart axis, the origin and
-    the grid boundary.
+    the grid boundary.  Its decay at the momentum boundary is measured
+    (`BoundaryDecayWarning`).
     """
     center, widths = _check_packet(grid, center, widths)
     _check_photons(photons)
@@ -186,7 +178,9 @@ def gaussian_vortex(grid, basis, center, widths, m=0, helicity="L",
         env = env * np.exp(-1j * (kx * r0[0] + ky * r0[1] + kz * r0[2]))
 
     cL, cR = _helicity_amplitudes(helicity)
-    return _with_photons(photon_state.wavefunction(grid, basis, cL * env, cR * env), photons)
+    wf = photon_state.wavefunction(grid, basis, cL * env, cR * env)
+    check_boundary_decay(grid, (wf.gL, wf.gR), "wavefunction")
+    return _with_photons(wf, photons)
 
 
 def _check_packet(grid, center, widths):

@@ -28,9 +28,11 @@ vectors e(k).  ``--chart-axis`` normalizes any nonzero finite vector and sets
 the chart of a new beam or of an rs_field file; a wavefunction file carries
 its own chart, and the flag is refused there.
 
-The THREADS environment variable caps the worker count of the commutator
-pool in ``check algebra`` (see ``algebra_checks.run_suite``); results are
-identical for any value.
+``check`` runs each suite on cubic grids of step 1, by default of the sizes
+``CHECK_SIZES``; ``--grid`` gives one N (greens: N >= 26), or N1,N2 for
+algebra, where N alone means N,2N.  The THREADS environment variable caps
+the worker count of the commutator pool in ``check algebra`` (see
+``algebra_checks.run_suite``); results are identical for any value.
 """
 
 from __future__ import annotations
@@ -56,6 +58,9 @@ from .grids import BoundaryDecayWarning, make_grid, _refuse_beyond_memory
 
 #: peak of `check algebra` in complex arrays of its grid (467 MiB RSS at 96^3)
 ALGEBRA_WORKING_SET_ARRAYS = 32
+
+#: default grid sizes N of each check suite (grid step 1); algebra compares two grids
+CHECK_SIZES = {"algebra": "48,96", "polarization": "32", "greens": "64"}
 
 
 def _vec(value, n=3, cast=float):
@@ -121,11 +126,11 @@ def cmd_beam(args):
         center = _vec(args.center) if args.center else ((np.pi / args.dx) / 3.0,) * 3
         sigma = tuple(s * dk for s in _vec(args.sigma if args.sigma is not None else "2.5"))
         provenance = {
-            "family": "gaussian", "m": args.m, "helicity": args.helicity_name,
+            "family": "gaussian", "m": args.m, "helicity": args.helicity,
             "center": list(center), "sigma": list(sigma),
         }
         wf = beams.gaussian_vortex(grid, basis, center=center, widths=sigma, m=args.m,
-                                   helicity=args.helicity_name, photons=args.photons)
+                                   helicity=args.helicity, photons=args.photons)
 
     manifest = fileio.write_wavefunction(args.output, wf, provenance=provenance)
     _emit({"written": args.output, "manifest": manifest}, args.json,
@@ -334,7 +339,7 @@ def _algebra_state(grid, basis):
     )
 
 
-def check_algebra(grids=(48, 96), dx=1.0):
+def check_algebra(grids):
     """Run the suite on a coarse and a fine cubic grid; every relation compares the two."""
     if len(grids) != 2 or not grids[0] < grids[1]:
         raise ValueError(f"check algebra compares two grid sizes N1 < N2 (or one N, meaning N,2N); "
@@ -343,7 +348,7 @@ def check_algebra(grids=(48, 96), dx=1.0):
     rows = []
     per_grid = {}
     for n in grids:
-        grid = make_grid((n, n, n), (dx, dx, dx))
+        grid = make_grid((n, n, n))
         basis = polarization.build_basis(grid)
         with warnings.catch_warnings():
             warnings.simplefilter("ignore", BoundaryDecayWarning)
@@ -371,8 +376,8 @@ def check_algebra(grids=(48, 96), dx=1.0):
     return {"relations": rows, "grids": list(grids), "pass": bool(ok)}
 
 
-def check_polarization(n=32, dx=1.0):
-    grid = make_grid((n, n, n), (dx, dx, dx))
+def check_polarization(n):
+    grid = make_grid((n, n, n))
     basis = polarization.build_basis(grid)
     res = polarization.identity_residuals(grid, basis)
     loop, expected, err = polarization.berry_loop(grid, basis, (0.8, 0.6, 1.1), max(1, round(0.4 / grid.dk[0])))
@@ -388,8 +393,8 @@ def check_polarization(n=32, dx=1.0):
             "grid": n, "pass": bool(ok)}
 
 
-def check_greens(n=64, dx=1.0):
-    grid = make_grid((n, n, n), (dx, dx, dx))
+def check_greens(n):
+    grid = make_grid((n, n, n))
     rep = fields_bridge.greens_function_check(grid)
     rep["threshold"] = 0.02
     rep["pass"] = bool(rep["max_rel_mismatch"] <= 0.02)
@@ -410,11 +415,11 @@ def _write_csv(path, header, rows):
 
 
 def cmd_check(args):
+    sizes = tuple(int(v) for v in (args.grid or CHECK_SIZES[args.suite]).split(","))
+    if args.suite != "algebra" and len(sizes) != 1:
+        raise ValueError(f"check {args.suite} runs on one grid size N; got {args.grid}")
     if args.suite == "algebra":
-        grids = tuple(int(v) for v in str(args.grid or "48,96").split(","))
-        if len(grids) == 1:
-            grids = (grids[0], 2 * grids[0])
-        rep = check_algebra(grids, args.dx)
+        rep = check_algebra(sizes if len(sizes) > 1 else (sizes[0], 2 * sizes[0]))
         header = ["relation", "expected", "grid_coarse", "residual_coarse",
                   "grid_fine", "residual_fine", "ratio", "threshold", "pass"]
         rows = [[r["relation"], r["expected"], r["grid_coarse"], f"{r['residual_coarse']:.6e}",
@@ -422,14 +427,12 @@ def cmd_check(args):
                  "" if r["ratio"] is None else f"{r['ratio']:.3f}", r["threshold"], r["pass"]]
                 for r in rep["relations"]]
     elif args.suite == "polarization":
-        n = int(str(args.grid or "32").split(",")[0])
-        rep = check_polarization(n, args.dx)
+        rep = check_polarization(*sizes)
         header = ["identity", "residual", "threshold", "pass"]
         rows = [[r["identity"], f"{r['residual']:.6e}", f"{r['threshold']:.3e}", r["pass"]]
                 for r in rep["identities"]]
     elif args.suite == "greens":
-        n = int(str(args.grid or "64").split(",")[0])
-        rep = check_greens(n, args.dx)
+        rep = check_greens(*sizes)
         header = ["kind", "cells", "r", "value", "reference", "rel_mismatch"]
         rows = [[s["kind"], s["cells"], f"{s['r']:.6g}", f"{s['value']:.8e}",
                  f"{s['reference']:.8e}", f"{s['rel_mismatch']:.4e}"] for s in rep["samples"]]
@@ -497,19 +500,18 @@ def build_parser():
         bp.add_argument("--dx", type=float, default=1.0)
         bp.add_argument("--chart-axis")
         bp.add_argument("--photons", type=float, default=1.0)
+        bp.add_argument("--helicity", type=lambda s: {"L": 1, "R": -1}.get(s.upper()) or int(s), default=1)
         bp.add_argument("--json", action="store_true")
         bp.add_argument("-o", "--output", required=True)
         if fam == "bessel":
             bp.add_argument("--m", type=int, required=True)
             bp.add_argument("--kz-over-k", type=float, default=0.8, dest="kz_over_k")
-            bp.add_argument("--helicity", type=lambda s: {"L": 1, "R": -1}.get(s.upper()) or int(s), default=1)
             bp.add_argument("--k0", type=float, default=None, help="total wavenumber (default 0.62 Nyquist)")
             bp.add_argument("--sigma-perp", type=float, default=None, dest="sigma_perp",
                             help="regularization width in grid steps (default 3)")
             bp.add_argument("--sigma-z", type=float, default=None, dest="sigma_z")
         else:
             bp.add_argument("--m", type=int, default=0)
-            bp.add_argument("--helicity", default="L", dest="helicity_name")
             bp.add_argument("--center", default=None, help="kx,ky,kz (default diagonal at 1/3 Nyquist)")
             bp.add_argument("--sigma", default=None, help="width in grid steps (default 2.5)")
         bp.set_defaults(func=cmd_beam)
@@ -549,8 +551,9 @@ def build_parser():
 
     chk = sub.add_parser("check", help="residual suites: algebra, polarization, greens")
     chk.add_argument("suite", choices=("algebra", "polarization", "greens"))
-    chk.add_argument("--grid", default=None, help="N or N1,N2 (algebra uses two grids)")
-    chk.add_argument("--dx", type=float, default=1.0)
+    chk.add_argument("--grid", default=None,
+                     help="N, or N1,N2 for algebra (N alone: N,2N); default "
+                          + ", ".join(f"{suite} {n}" for suite, n in CHECK_SIZES.items()))
     chk.add_argument("--csv", default=None, help="also write the table to this CSV file")
     chk.add_argument("--json", action="store_true")
     chk.set_defaults(func=cmd_check)

@@ -69,27 +69,24 @@ class SpectralEField:
 # spectral vector calculus
 
 def spectral_curl(grid, field):
-    """Curl of a real-space vector field via i k x in momentum space.
+    """Curl of a real vector field via i k x V(k) on the half spectrum.
 
-    A real field takes the real transform pair, with the numerator k of
-    `derivative_kvec`; a complex field takes the full transforms.  Each
-    component of i k x V(k) is built and inverse-transformed one at a time.
+    Takes the real transform pair, with the numerator k of `derivative_kvec`;
+    each component of i k x V(k) is built and inverse-transformed one at a
+    time.  A complex field is refused (curl its real and imaginary parts).
     """
-    real = np.isrealobj(field)
-    if real:
-        Vk = np.empty((3,) + grid.half_dims, dtype=complex)
-        for i in range(3):
-            Vk[i] = real_forward_transform(grid, field[i])
-        k, inverse = grid.derivative_kvec, real_inverse_transform
-    else:
-        Vk = forward_transform(grid, field)
-        k, inverse = grid.kvec, inverse_transform
-    out = np.empty(field.shape, dtype=float if real else complex)
-    buf = np.empty(Vk.shape[1:], dtype=complex)
+    if np.iscomplexobj(field):
+        raise ValueError("spectral_curl takes a real field")
+    Vk = np.empty((3,) + grid.half_dims, dtype=complex)
+    for i in range(3):
+        Vk[i] = real_forward_transform(grid, field[i])
+    k = grid.derivative_kvec
+    out = np.empty(field.shape)
+    buf = np.empty(grid.half_dims, dtype=complex)
     for j in range(3):
         cross_component(k, Vk, j, out=buf)
         buf *= 1j
-        out[j] = inverse(grid, buf)
+        out[j] = real_inverse_transform(grid, buf)
     return out
 
 
@@ -223,10 +220,11 @@ def analyze(rs, basis):
     Nyquist planes (on them -k aliases onto k, and the two mix).  Each
     component of F is transformed once, one at a time, and the same spectra
     measure the relative divergence of F: above TRANSVERSE_TOL the field has
-    non-radiative content and is refused.  The returned wavefunction has
-    time 0 (phases, if any, are already baked into the field data).
+    non-radiative content and is refused, as is a basis on another grid.  The
+    returned wavefunction has time 0 (any phase is baked into F).
     """
     grid = rs.grid
+    grid.require_same(basis.grid, "the field and the polarization basis")
     gL = np.zeros(grid.dims, dtype=complex)
     gR = np.zeros(grid.dims, dtype=complex)
     div = _DivergenceSum(grid)
@@ -248,12 +246,13 @@ def analyze(rs, basis):
     if residual > TRANSVERSE_TOL:
         raise ValueError(f"non-radiative field content: relative divergence {residual:.2e} "
                          f"exceeds {TRANSVERSE_TOL:.0e}")
-    return photon_state.wavefunction(grid, basis, gL, gR, warn=False)
+    return photon_state.wavefunction(grid, basis, gL, gR)
 
 
 def project_spectral_e(Ek, basis):
-    """Basis projections gL = sqrt(2 eps0) e*.E(k), gR = sqrt(2 eps0) e.E(k)."""
+    """Basis projections gL = sqrt(2 eps0) e*.E(k), gR = sqrt(2 eps0) e.E(k), on the grid of E(k)."""
     grid = Ek.grid
+    grid.require_same(basis.grid, "E(k) and the polarization basis")
     gL = np.zeros(grid.dims, dtype=complex)
     gR = np.zeros(grid.dims, dtype=complex)
     tmp = np.empty(grid.dims, dtype=complex)
@@ -269,7 +268,7 @@ def project_spectral_e(Ek, basis):
     s = np.sqrt(2.0 * grid.units.eps0)
     gL *= s
     gR *= s
-    return photon_state.wavefunction(grid, basis, gL, gR, warn=False)
+    return photon_state.wavefunction(grid, basis, gL, gR)
 
 
 def spectral_e_from_wavefunction(wf):
@@ -298,15 +297,14 @@ def maxwell_residual(rs1, rs2):
     Symmetric differencing about the midpoint; second order in the snapshot
     separation for exact solutions.
     """
-    if rs1.grid is not rs2.grid and not rs1.grid.same_as(rs2.grid):
-        raise ValueError("snapshots live on different grids")
     grid = rs1.grid
+    grid.require_same(rs2.grid, "the snapshots")
     dt = rs2.time - rs1.time
     if dt <= 0:
         raise ValueError("snapshots must be time ordered")
     mid = 0.5 * (rs1.F + rs2.F)
     dF = (rs2.F - rs1.F) / dt
-    resid = dF + 1j * grid.units.c * spectral_curl(grid, mid)
+    resid = dF + 1j * grid.units.c * (spectral_curl(grid, mid.real) + 1j * spectral_curl(grid, mid.imag))
     num = np.linalg.norm(resid)
     den = np.linalg.norm(mid)
     return float(num / den) if den > 0 else float(num)
@@ -372,6 +370,8 @@ def greens_function_check(grid):
     if len(set(grid.dims)) != 1 or len(set(grid.spacing)) != 1:
         raise ValueError("the kernel check needs a cubic grid")
     n = grid.dims[0]
+    if n // 2 + 12 >= n:
+        raise ValueError(f"the kernel check samples 12 cells from the centre: grid size {n} < 26")
     dx = grid.spacing[0]
     L = n * dx
     kmag2 = grid.kmag() ** 2

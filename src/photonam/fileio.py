@@ -161,7 +161,7 @@ def read(path):
         raise FieldFileError(f"{path}: manifest grid or chart axis is invalid ({exc!r})") from None
 
     if kind == "wavefunction":
-        return photon_state.wavefunction(grid, basis, data[0], data[1], time=time, warn=False), manifest
+        return photon_state.wavefunction(grid, basis, data[0], data[1], time=time), manifest
     if kind == "rs_field":
         return RSField(F=_readonly(data), grid=grid, time=time), manifest
     return RealVectorField(values=_readonly(data), role=manifest["role"], grid=grid, time=time), manifest

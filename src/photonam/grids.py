@@ -75,7 +75,7 @@ def cross(a, b):
 
 @dataclass(frozen=True)
 class UnitsConfig:
-    """Physical constants; mu0 is derived as 1/(eps0 c^2)."""
+    """Physical constants: speed of light c, reduced Planck constant hbar, vacuum permittivity eps0."""
 
     c: float = 1.0
     hbar: float = 1.0
@@ -84,10 +84,6 @@ class UnitsConfig:
     def __post_init__(self):
         if not all(0.0 < v < np.inf for v in (self.c, self.hbar, self.eps0)):
             raise ValueError("c, hbar and eps0 must all be positive and finite")
-
-    @property
-    def mu0(self):
-        return 1.0 / (self.eps0 * self.c ** 2)
 
 
 @dataclass(frozen=True)
@@ -130,8 +126,10 @@ class GridPair:
     def excluded_index(self):
         return (0, 0, 0)
 
-    def same_as(self, other):
-        return self.dims == other.dims and self.spacing == other.spacing
+    def require_same(self, other, what):
+        """Refuse `other` unless it has the dims and spacing of this grid; `what` names the two owners."""
+        if self.dims != other.dims or self.spacing != other.spacing:
+            raise ValueError(f"{what} live on different grids")
 
     @property
     def kvec(self):

@@ -71,19 +71,6 @@ class GeneratorSet:
     Js: np.ndarray = None
     diagnostics: dict = None
 
-    def validate(self, units, tol=1e-10):
-        if self.H < -tol:
-            raise ValueError("negative field energy")
-        pmax = self.H / units.c
-        if np.linalg.norm(self.P) > pmax * (1 + 1e-12) + tol:
-            raise ValueError("momentum exceeds H/c")
-        if self.Jo is not None and self.Js is not None and self.J is not None:
-            resid = np.linalg.norm(self.Jo + self.Js - self.J)
-            scale = max(np.linalg.norm(self.J), 1e-300)
-            if resid > tol * max(scale, 1.0):
-                raise ValueError("orbital and spin parts do not sum to J")
-        return self
-
 
 # ---------------------------------------------------------------------------
 # field picture

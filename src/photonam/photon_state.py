@@ -10,10 +10,10 @@ orbital/spin split conserved to rounding, as it is in the continuum.
 A state and its basis change gauge together, only through `gauge_transform`.
 
 The covariant derivative D is a k-space finite difference, valid only for
-states that decay near the momentum boundary.  D checks nothing: the decay
-is measured when a state is built (`wavefunction`, `beams.bessel_beam`) and
-by the route that reports a result from D
-(`observables.generators_photon_picture`).
+states that decay near the momentum boundary.  Neither D nor `wavefunction`
+checks it: the decay is measured by the beam factories
+(`beams.bessel_beam`, `beams.gaussian_vortex`) and by the route that
+reports a result from D (`observables.generators_photon_picture`).
 """
 
 from __future__ import annotations
@@ -22,7 +22,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .grids import check_boundary_decay, spectral_gradient_k, _gradient_k_axis, _readonly
+from .grids import spectral_gradient_k, _gradient_k_axis, _readonly
 
 HELICITIES = (+1, -1)
 
@@ -42,34 +42,27 @@ class PhotonWaveFunction:
         return {+1: self.gL, -1: self.gR}
 
 
-def wavefunction(grid, basis, gL, gR, time=0.0, warn=True):
+def wavefunction(grid, basis, gL, gR, time=0.0):
     """Canonicalize raw amplitude arrays into a PhotonWaveFunction.
 
     The excluded k=0 bin is zeroed (the invariant measure has no weight
-    there).  With `warn`, the decay of (gL, gR) at the momentum boundary is
-    measured against their joint peak, warning once with a
-    `BoundaryDecayWarning` when it fails.
+    there).  A basis on another grid is refused; the decay of the state is
+    not measured here.
     """
+    grid.require_same(basis.grid, "the amplitudes and their polarization basis")
     gL = np.array(gL, dtype=complex)
     gR = np.array(gR, dtype=complex)
     if gL.shape != grid.dims or gR.shape != grid.dims:
         raise ValueError("amplitude shape does not match grid")
     gL[grid.excluded_index] = 0.0
     gR[grid.excluded_index] = 0.0
-    wf = PhotonWaveFunction(gL=_readonly(gL), gR=_readonly(gR), grid=grid, basis=basis, time=float(time))
-    if warn:
-        check_boundary_decay(grid, (gL, gR), "wavefunction")
-    return wf
+    return PhotonWaveFunction(gL=_readonly(gL), gR=_readonly(gR), grid=grid, basis=basis, time=float(time))
 
-
-def _require_same_grid(wf1, wf2):
-    if wf1.grid is not wf2.grid and not wf1.grid.same_as(wf2.grid):
-        raise ValueError("wavefunctions live on different grids")
 
 
 def scalar_product(wf1, wf2):
     """Lorentz-invariant product sum over dVk/(hbar omega) of g1* g2."""
-    _require_same_grid(wf1, wf2)
+    wf1.grid.require_same(wf2.grid, "the wavefunctions")
     integrand = np.conj(wf1.gL) * wf2.gL + np.conj(wf1.gR) * wf2.gR
     if wf1.time != wf2.time:
         # relative evolution phase between the two snapshots

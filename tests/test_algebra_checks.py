@@ -26,7 +26,7 @@ def test_energy_on_single_bin(grid16, basis16):
     idx = (4, 2, 6)
     gL = np.zeros(g.dims, dtype=complex)
     gL[idx] = 2.0 - 1.0j
-    wf = pn.wavefunction(g, basis16, gL, np.zeros(g.dims), warn=False)
+    wf = pn.wavefunction(g, basis16, gL, np.zeros(g.dims))
     out = pn.apply_generator("H", wf)
     expect = g.units.hbar * g.omega()[idx] * gL[idx]
     assert out.gL[idx] == pytest.approx(expect, rel=1e-14)
@@ -54,7 +54,7 @@ def test_commutator_reports_never_throw_on_bad_states(grid16, basis16):
     # even a rough state yields a report, with whatever residual it earns
     rng = np.random.default_rng(0)
     raw = rng.standard_normal(grid16.dims) + 1j * rng.standard_normal(grid16.dims)
-    wf = pn.wavefunction(grid16, basis16, raw, raw, warn=False)
+    wf = pn.wavefunction(grid16, basis16, raw, raw)
     rep = pn.check_commutator("Jx", "Jy", wf)
     assert rep.residual >= 0
 

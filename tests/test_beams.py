@@ -5,6 +5,8 @@ import pytest
 
 import photonam as pn
 
+from photonam.fields_bridge import SpectralEField, project_spectral_e
+
 from conftest import decay_ignored, rel
 
 
@@ -36,6 +38,37 @@ def test_spec_validation(grid48, basis48):
     with pytest.raises(ValueError, match="helicity"):
         pn.BesselSpec(k_perp0=1.0, k_z0=1.0, m=0, helicity=2,
                       sigma_perp=3 * dk, sigma_z=3 * dk).validate(grid48)
+
+
+@pytest.mark.parametrize("m, helicity", [(3, 1), (-2, -1)])
+def test_bessel_column_is_the_written_out_helicity_column(grid48, m, helicity):
+    """-sqrt(2) e_z (e_z* for chi = -1) is the column (-a cos phi + i chi sin phi, -a sin phi - i chi cos phi, b).
+
+    With a = k_z/k and b = k_perp/k, and phi = 0 on the beam axis; the
+    amplitudes agree to rounding on a chart other than z.
+    """
+    g = grid48
+    dk = g.dk[0]
+    k0 = g.dims[0] / 2.6 * dk
+    spec = pn.BesselSpec(k_perp0=0.6 * k0, k_z0=0.8 * k0, m=m, helicity=helicity,
+                         sigma_perp=2.5 * dk, sigma_z=2.5 * dk)
+    basis = pn.chart_basis(g, (1.0, 0.0, 0.0))
+    with decay_ignored():
+        wf = pn.bessel_beam(g, basis, spec, photons=None)
+    kx, ky, kz = g.kvec
+    kperp = np.hypot(kx, ky)
+    k = g.kmag()
+    k[g.excluded_index] = 1.0
+    phi = np.arctan2(ky, kx)
+    column = np.stack([-kz / k * np.cos(phi) + 1j * helicity * np.sin(phi),
+                       -kz / k * np.sin(phi) - 1j * helicity * np.cos(phi),
+                       kperp / k + 0j])
+    envelope = np.exp(-(kperp - spec.k_perp0) ** 2 / (2 * spec.sigma_perp ** 2)
+                      - (kz - spec.k_z0) ** 2 / (2 * spec.sigma_z ** 2))
+    ref = project_spectral_e(SpectralEField(values=column * envelope * np.exp(1j * m * phi), grid=g), basis)
+    peak = max(np.abs(ref.gL).max(), np.abs(ref.gR).max())
+    for got, want in ((wf.gL, ref.gL), (wf.gR, ref.gR)):
+        assert np.abs(got - want).max() <= 1e-14 * peak
 
 
 def test_pole_collision_detected(grid48):

@@ -68,7 +68,7 @@ def test_write_read_write_is_byte_identical(tmp_path, kind, dims, time, provenan
     data = rng.standard_normal((3,) + dims) + 1j * rng.standard_normal((3,) + dims)
     if kind in ("wavefunction", "regauged"):
         basis = pn.chart_basis(grid, np.asarray(axis) / np.linalg.norm(axis))
-        obj = pn.wavefunction(grid, basis, data[0], data[1], time=time, warn=False)
+        obj = pn.wavefunction(grid, basis, data[0], data[1], time=time)
         if kind == "regauged":
             obj = pn.gauge_transform(obj, rng.uniform(-np.pi, np.pi, dims))
         write = fileio.write_wavefunction
@@ -110,7 +110,7 @@ def test_corrupt_files_rejected(tmp_path, capsys):
     grid = pn.make_grid(8)
     basis = pn.build_basis(grid)
     z = np.zeros(grid.dims, dtype=complex)
-    wf = pn.wavefunction(grid, basis, z, z, warn=False)
+    wf = pn.wavefunction(grid, basis, z, z)
     good = tmp_path / "good.pam"
     fileio.write_wavefunction(good, wf)
     truncated = tmp_path / "trunc.pam"
@@ -304,6 +304,18 @@ def test_bessel_helicity_letter_equals_its_sign(tmp_path, capsys, name, sign):
     assert files[0].read_bytes() == files[1].read_bytes()
 
 
+@pytest.mark.parametrize("name, sign", [("L", "+1"), ("R", "-1"), ("r", "-1")])
+def test_gaussian_helicity_letter_equals_its_sign(tmp_path, capsys, name, sign):
+    """Both beam families read --helicity alike; the file records the sign."""
+    files = [tmp_path / "letter.pam", tmp_path / "sign.pam"]
+    with decay_ignored():
+        for helicity, path in zip((name, sign), files):
+            assert run_cli(capsys, "beam", "gaussian", "--grid", "24", "--helicity", helicity,
+                           "-o", str(path))[0] == 0
+    assert files[0].read_bytes() == files[1].read_bytes()
+    assert fileio.read(files[0])[1]["provenance"]["helicity"] == int(sign)
+
+
 def test_failed_allocation_exits_2_with_error_json(tmp_path, capsys, monkeypatch):
     def no_memory(*args, **kwargs):
         raise MemoryError("Unable to allocate 1.00 TiB for an array")
@@ -317,7 +329,7 @@ def test_failed_allocation_exits_2_with_error_json(tmp_path, capsys, monkeypatch
 
 def test_zero_state_report(tmp_path, capsys, grid16, basis16):
     z = np.zeros(grid16.dims, dtype=complex)
-    wf = pn.wavefunction(grid16, basis16, z, z, warn=False)
+    wf = pn.wavefunction(grid16, basis16, z, z)
     path = tmp_path / "zero.pam"
     fileio.write_wavefunction(path, wf)
     code, text, _ = run_cli(capsys, "observables", str(path), "--json",
@@ -473,6 +485,24 @@ def test_check_polarization_and_greens(capsys, tmp_path):
     assert code == 0
     rep = json.loads(out)
     assert rep["pass"] is True and rep["max_rel_mismatch"] <= 0.02
+
+
+@pytest.mark.parametrize("argv, message", [
+    (("polarization", "--grid", "16,48"), "one grid size"),
+    (("greens", "--grid", "16,64"), "one grid size"),
+    (("greens", "--grid", "16"), "12 cells"),
+    (("greens", "--grid", "24"), "12 cells"),
+])
+def test_check_refuses_sizes_its_suite_cannot_use(capsys, argv, message):
+    code, out, err = run_cli(capsys, "check", *argv, "--json")
+    assert code == 2 and out == ""
+    assert message in json.loads(err.strip())["error"]
+
+
+def test_check_has_no_grid_step_option(capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["check", "polarization", "--grid", "16", "--dx", "2"])
+    assert exc.value.code == 2
 
 
 def test_plotdata_bessel_series(tmp_path, capsys):

@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import photonam as pn
-from photonam.fields_bridge import RealVectorField, relative_divergence
+from photonam.fields_bridge import RealVectorField, project_spectral_e, relative_divergence
 from photonam.grids import cross_component, forward_transform, inverse_transform, _along, _readonly
 
 from conftest import e_stack, rel, smooth_state
@@ -13,7 +13,7 @@ from conftest import e_stack, rel, smooth_state
 
 def test_synthesize_zero(grid16, basis16):
     z = np.zeros(grid16.dims, dtype=complex)
-    wf = pn.wavefunction(grid16, basis16, z, z, warn=False)
+    wf = pn.wavefunction(grid16, basis16, z, z)
     rs = pn.synthesize(wf)
     assert np.all(rs.F == 0)
 
@@ -25,7 +25,7 @@ def test_single_bin_plane_wave_oracle(grid16, basis16):
     amp = 0.7 - 0.2j
     gL = np.zeros(g.dims, dtype=complex)
     gL[idx] = amp
-    wf = pn.wavefunction(g, b, gL, np.zeros(g.dims), warn=False)
+    wf = pn.wavefunction(g, b, gL, np.zeros(g.dims))
     rs = pn.synthesize(wf, t=0.37)
 
     kvec = np.stack(g.kvec)[:, idx[0], idx[1], idx[2]]
@@ -55,7 +55,7 @@ def test_analyze_single_bin_helicity(grid16, basis16):
     idx = (3, 2, 5)
     gR = np.zeros(g.dims, dtype=complex)
     gR[idx] = 1.1 + 0.3j
-    wf = pn.wavefunction(g, b, np.zeros(g.dims), gR, warn=False)
+    wf = pn.wavefunction(g, b, np.zeros(g.dims), gR)
     rs = pn.synthesize(wf)
     back = pn.analyze(rs, b)
     assert rel(back.gR, wf.gR) < 1e-12
@@ -89,7 +89,7 @@ def test_analyze_inverts_synthesize(dims, axis, t, regauge, seed):
     g = rng.standard_normal((2,) + dims) + 1j * rng.standard_normal((2,) + dims)
     for ax, n in enumerate(dims):
         g[(slice(None),) + (slice(None),) * ax + (n // 2,)] = 0.0
-    wf = pn.wavefunction(grid, basis, g[0], g[1], warn=False)
+    wf = pn.wavefunction(grid, basis, g[0], g[1])
     if regauge:
         wf = pn.gauge_transform(wf, rng.uniform(-np.pi, np.pi, dims))
     back = pn.analyze(pn.synthesize(wf, t), wf.basis)
@@ -116,7 +116,7 @@ def test_maxwell_residual_second_order(state48):
 
 def test_maxwell_residual_zero_and_negative_control(grid16, basis16, state48):
     z = np.zeros(grid16.dims, dtype=complex)
-    zero = pn.wavefunction(grid16, basis16, z, z, warn=False)
+    zero = pn.wavefunction(grid16, basis16, z, z)
     a = pn.synthesize(zero, 0.0)
     b = pn.synthesize(zero, 0.1)
     assert pn.maxwell_residual(a, b) == 0.0
@@ -127,6 +127,23 @@ def test_maxwell_residual_zero_and_negative_control(grid16, basis16, state48):
     junk = pn.RSField(F=rng.standard_normal((3,) + g.dims)
                       + 1j * rng.standard_normal((3,) + g.dims), grid=g, time=0.05)
     assert pn.maxwell_residual(F1, junk) > 0.5
+
+
+def test_spectral_curl_refuses_a_complex_field(grid16):
+    with pytest.raises(ValueError, match="real field"):
+        pn.spectral_curl(grid16, np.zeros((3,) + grid16.dims, dtype=complex))
+
+
+def test_a_basis_on_another_grid_is_refused(grid32, basis32, basis16):
+    """Same dims, another spacing: the amplitudes would be read on the wrong k points without an error."""
+    wf = smooth_state(grid32, basis32, m=1)
+    foreign = pn.chart_basis(pn.make_grid(32, (1.0, 1.0, 0.5)))
+    for make in (lambda: pn.wavefunction(grid32, foreign, wf.gL, wf.gR),
+                 lambda: pn.wavefunction(grid32, basis16, wf.gL, wf.gR),
+                 lambda: pn.analyze(pn.synthesize(wf), foreign),
+                 lambda: project_spectral_e(pn.spectral_e_from_wavefunction(wf), foreign)):
+        with pytest.raises(ValueError, match="different grids"):
+            make()
 
 
 def test_maxwell_residual_requires_time_order(state48):
@@ -209,7 +226,7 @@ def _random_b(grid, rng, nyquist):
         for a in g:
             for ax, n in enumerate(grid.dims):
                 np.moveaxis(a, ax, 0)[n // 2] = 0.0
-    wf = pn.wavefunction(grid, pn.chart_basis(grid), *g, warn=False)
+    wf = pn.wavefunction(grid, pn.chart_basis(grid), *g)
     return pn.magnetic_field(pn.synthesize(wf)).values
 
 

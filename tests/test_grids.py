@@ -14,12 +14,9 @@ from photonam.grids import (
 from conftest import nhat_stack, rel
 
 
-def test_units_defaults_and_mu0():
+def test_units_defaults():
     u = pn.UnitsConfig()
     assert u.c == u.hbar == u.eps0 == 1.0
-    assert u.mu0 == 1.0
-    u2 = pn.UnitsConfig(c=2.0, eps0=4.0)
-    assert u2.mu0 == pytest.approx(1.0 / 16.0)
 
 
 @pytest.mark.parametrize("bad", [dict(c=0.0), dict(hbar=-1.0), dict(eps0=0.0),

@@ -13,9 +13,7 @@ from conftest import rel, smooth_state
 def test_wavefunction_zeroes_excluded_bin(grid16, basis16):
     g = grid16
     raw = np.ones(g.dims, dtype=complex)
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore")
-        wf = pn.wavefunction(g, basis16, raw, raw)
+    wf = pn.wavefunction(g, basis16, raw, raw)
     assert wf.gL[0, 0, 0] == 0.0 and wf.gR[0, 0, 0] == 0.0
 
 
@@ -24,16 +22,20 @@ def test_wavefunction_shape_check(grid16, basis16):
         pn.wavefunction(grid16, basis16, np.zeros((4, 4, 4)), np.zeros((4, 4, 4)))
 
 
-def test_wavefunction_warns_on_poor_decay(grid16, basis16):
-    with pytest.warns(BoundaryDecayWarning, match="edge") as record:
+def test_wavefunction_is_silent_and_gaussian_vortex_warns_on_poor_decay(grid16, basis16):
+    """`wavefunction` measures nothing; the beam factory measures the decay, once."""
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
         pn.wavefunction(grid16, basis16, np.ones(grid16.dims), np.zeros(grid16.dims))
+    with pytest.warns(BoundaryDecayWarning, match="wavefunction does not decay") as record:
+        pn.gaussian_vortex(grid16, basis16, center=(2.0, 2.0, 0.5), widths=1.0)
     assert len(record) == 1
 
 
 def test_poor_decay_warns_once_per_call(grid16, basis16):
     """Both helicities fail the decay check, yet the reporting route warns once; D checks nothing."""
     flat = np.ones(grid16.dims)
-    wf = pn.wavefunction(grid16, basis16, flat, flat, warn=False)
+    wf = pn.wavefunction(grid16, basis16, flat, flat)
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         pn.covariant_derivative(wf)
@@ -57,7 +59,7 @@ def test_scalar_product_single_bin(grid16, basis16):
     amp = 1.3 - 0.7j
     arr = np.zeros(g.dims, dtype=complex)
     arr[idx] = amp
-    wf = pn.wavefunction(g, basis16, arr, np.zeros(g.dims), warn=False)
+    wf = pn.wavefunction(g, basis16, arr, np.zeros(g.dims))
     expected = abs(amp) ** 2 * g.dVk / (g.units.hbar * g.omega()[idx])
     assert pn.photon_number(wf) == pytest.approx(expected, rel=1e-14)
 
@@ -65,19 +67,19 @@ def test_scalar_product_single_bin(grid16, basis16):
 def test_scalar_product_grid_mismatch(grid16, grid32, basis16, basis32):
     a = smooth_state(grid32, basis32)
     z = np.zeros(grid16.dims, dtype=complex)
-    b = pn.wavefunction(grid16, basis16, z, z, warn=False)
+    b = pn.wavefunction(grid16, basis16, z, z)
     with pytest.raises(ValueError, match="different grids"):
         pn.scalar_product(a, b)
 
 
 def test_photon_number_zero_state_and_scaling(grid16, basis16):
     z = np.zeros(grid16.dims, dtype=complex)
-    zero = pn.wavefunction(grid16, basis16, z, z, warn=False)
+    zero = pn.wavefunction(grid16, basis16, z, z)
     assert pn.photon_number(zero) == 0.0
 
     wf = smooth_state(pn.make_grid(48), pn.build_basis(pn.make_grid(48)))
     lam = 0.3 - 1.1j
-    scaled = pn.wavefunction(wf.grid, wf.basis, lam * wf.gL, lam * wf.gR, warn=False)
+    scaled = pn.wavefunction(wf.grid, wf.basis, lam * wf.gL, lam * wf.gR)
     assert pn.photon_number(scaled) == pytest.approx(abs(lam) ** 2 * pn.photon_number(wf), rel=1e-12)
 
 
@@ -117,7 +119,7 @@ def test_covariant_derivative_flat_patch(grid48, basis48):
     center = np.array([g.dims[0] // 4 * g.dk[0], 0.0, 0.0])
     d2 = (kx - center[0]) ** 2 + ky ** 2 + kz ** 2
     plateau = (d2 < (3 * g.dk[0]) ** 2).astype(complex)
-    wf = pn.wavefunction(g, basis48, plateau, np.zeros(g.dims), warn=False)
+    wf = pn.wavefunction(g, basis48, plateau, np.zeros(g.dims))
     D = pn.covariant_derivative(wf)
     idx = (g.dims[0] // 4, 0, 0)
     for j in range(3):

@@ -133,7 +133,7 @@ def test_transforms_of_a_lazy_basis_equal_those_of_an_eager_one(grid16):
     eager = pn.build_basis(grid16)
     phi = 0.3 * grid16.kvec[0] * grid16.kvec[1]
     zero = np.zeros(grid16.dims)
-    for make in (lambda b: pn.gauge_transform(pn.wavefunction(grid16, b, zero, zero, warn=False), phi).basis,
+    for make in (lambda b: pn.gauge_transform(pn.wavefunction(grid16, b, zero, zero), phi).basis,
                  lambda b: rotate_basis(grid16, b, rotation_matrix("x"))):
         a, b = make(eager), make(pn.chart_basis(grid16))
         assert np.array_equal(a.connection(), b.connection())
@@ -214,7 +214,7 @@ def test_gauge_transform_linear_shifts_alpha(grid32, basis32):
     a = np.array([0.4, -0.9, 0.25])
     phi = a[0] * g.kvec[0] + a[1] * g.kvec[1] + a[2] * g.kvec[2]
     zero = np.zeros(g.dims)
-    bl = pn.gauge_transform(pn.wavefunction(g, b, zero, zero, warn=False), phi).basis
+    bl = pn.gauge_transform(pn.wavefunction(g, b, zero, zero), phi).basis
     # second-order stencils are exact on linear phases, edges included
     grad = spectral_gradient_k(g, bl.gauge_phase)
     for j in range(3):
@@ -222,7 +222,7 @@ def test_gauge_transform_linear_shifts_alpha(grid32, basis32):
     assert np.abs(bl.gauge_phase - phi).max() == 0.0
     # the construction gauge is carried over, not copied, and its phase accumulates
     assert b.gauge_phase is None and bl.alpha_base is b.alpha_base
-    twice = pn.gauge_transform(pn.wavefunction(g, bl, zero, zero, warn=False), phi).basis
+    twice = pn.gauge_transform(pn.wavefunction(g, bl, zero, zero), phi).basis
     assert np.array_equal(twice.gauge_phase, phi + phi) and twice.alpha_base is b.alpha_base
     # the loop integral of a gradient vanishes: the Berry loop is gauge invariant
     loop = pn.berry_loop(g, b, (0.8, 0.6, 1.1), 3)[0]
@@ -232,7 +232,7 @@ def test_gauge_transform_linear_shifts_alpha(grid32, basis32):
 def test_gauge_transform_shape_check(grid32, basis32):
     zero = np.zeros(grid32.dims)
     with pytest.raises(ValueError, match="shape"):
-        pn.gauge_transform(pn.wavefunction(grid32, basis32, zero, zero, warn=False), np.zeros((4, 4, 4)))
+        pn.gauge_transform(pn.wavefunction(grid32, basis32, zero, zero), np.zeros((4, 4, 4)))
 
 
 def _closed_form_connection(grid, axis):
