@@ -219,9 +219,8 @@ def build_report(wf, routes, manifest=None):
         report["deltas"]["P_field_vs_photon"] = _rel(gen_f.P, gen_p.P)
         report["deltas"]["J_field_vs_photon"] = _rel(gen_f.J, gen_p.J)
         # both K are energy x length; near zero on centred beams, so scale by H L
-        L = max(n * d for n, d in zip(grid.dims, grid.spacing))
         report["deltas"]["K_field_vs_photon"] = float(
-            np.linalg.norm(gen_f.K - gen_p.K) / max(gen_p.H * L, 1e-300))
+            np.linalg.norm(gen_f.K - gen_p.K) / max(gen_p.H * grid.box_length, 1e-300))
     # nonlocal before textbook, so that B is dropped before the textbook split
     if "textbook" in routes or "nonlocal" in routes:
         E = fields_bridge.electric_field(rs)

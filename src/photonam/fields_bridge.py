@@ -91,7 +91,7 @@ def spectral_curl(grid, field):
 
 
 class _DivergenceSum:
-    """Accumulates `relative_divergence` from component spectra V_i(k), one at a time.
+    """Relative divergence ``|k.V(k)| / | |k| V(k) |`` from component spectra V_i(k), one at a time.
 
     Lets a stage that already holds the spectra measure the divergence
     without transforming the field again.  The spectra are full
@@ -150,19 +150,6 @@ class _DivergenceSum:
             for m, idx in zip(self.mirror, self.rows):
                 num2 += np.linalg.norm(m) ** 2 - np.linalg.norm(self.div[idx]) ** 2
         return float(np.sqrt(num2 / self.den2)) if self.den2 > 0 else 0.0
-
-
-def relative_divergence(grid, field):
-    """L2 norm of div(field) over the field gradient scale, dimensionless.
-
-    Transforms one component at a time, with the real transform where the
-    field is real.
-    """
-    transform = real_forward_transform if np.isrealobj(field) else forward_transform
-    acc = _DivergenceSum(grid)
-    for i in range(3):
-        acc.add(i, transform(grid, field[i]))
-    return acc.ratio()
 
 
 # ---------------------------------------------------------------------------

@@ -39,8 +39,9 @@ BOUNDARY_TOL = 1e-8
 #: peak working set of the largest photonam command, in complex grid arrays
 #: (16 bytes per grid point): `observables` with all five routes peaks at
 #: 418 MiB RSS at 128^3, on a wavefunction or an rs_field file (its peak is
-#: the photon picture; `potential` peaks at 329 MiB); 16 arrays of 32 MiB
-#: leave a 22% margin
+#: the nonlocal convolution; the four default routes peak at 384 MiB, in the
+#: darwin route, `split` at 290 MiB, `analyze` at 354 MiB and `potential` at
+#: 329 MiB); 16 arrays of 32 MiB leave a 22% margin
 WORKING_SET_ARRAYS = 16
 
 
@@ -117,6 +118,11 @@ class GridPair:
     @property
     def dVk(self):
         return float(np.prod(self.dk))
+
+    @property
+    def box_length(self):
+        """The longest side n d of the real-space box: the length scale of K against H."""
+        return max(n * d for n, d in zip(self.dims, self.spacing))
 
     @property
     def npoints(self):

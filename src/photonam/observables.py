@@ -8,18 +8,21 @@ Cross checks:    the k-space double-transform form acting on E(k), the
                  textbook real-space split with the transverse-gauge A, and
                  the nonlocal Coulomb-kernel double integral for the spin.
 
-Every route streams: no stage builds a (3, N) complex stack only to reduce
-it.  The field picture accumulates |F|^2 and F* x F one component at a
-time.  The photon picture reduces everything from the density
-``u = sum_chi i g* D g``, built one helicity and axis at a time; the darwin
-route reduces one component of E at a time; the textbook route takes the
+Every route streams: no stage builds a (3, N) stack only to reduce it.
+The field picture accumulates |F|^2, then forms V = Im(F* x F) one
+component at a time.  The photon picture reduces each term
+``i g_chi* D_a g_chi`` of the density ``u = sum_chi i g* D g`` as soon as it
+is made, one helicity and axis at a time, in one reused buffer.  The darwin
+route reduces one component of E at a time, from its stacked k gradient
+(the one (3, N) stack left: `perfbench` counts the callers of
+`spectral_gradient_k`, and this is one of them); the textbook route takes the
 real transforms of the real fields: one forward transform per component
 of A and one inverse transform per derivative d_b A_i; the nonlocal route
 convolves one component of curl B at a time on the doubled grid, in
 O(M log M), so it runs at every grid size.  A sum weighted by one
-coordinate r_a or k_a (P, J, K, the darwin and textbook Jo) is the 1-d
-profile of its integrand weighted by that coordinate (`grids.moments`),
-never a grid-sized product.  Grid metadata (w, omega, n) is derived inside
+coordinate r_a or k_a (P, J, the field K, and Jo on the photon, darwin
+and textbook routes) is the 1-d profile of its integrand weighted by that
+coordinate (`grids.moments`), never a grid-sized product.  Grid metadata (w, omega, n) is derived inside
 each stage, n one component at a time.  Reductions are plain numpy sums,
 each on one thread, so results do not depend on the THREADS worker count
 of the check suites.
@@ -95,20 +98,26 @@ def generators_field_picture(rs):
                       f"(edge magnitude {margin:.2e}); r-weighted moments unreliable",
                       BoundaryDecayWarning, stacklevel=2)
 
-    # |F|^2 and V = Im(F* x F) = 2 Re F x Im F; P = V/c pointwise
     dens = np.zeros(grid.dims)
-    V = np.empty((3,) + grid.dims)
     for j in range(3):
         dens += F[j].real ** 2 + F[j].imag ** 2
-        cross_component(F.real, F.imag, j, out=V[j])
-        V[j] *= 2.0
     H = float(np.sum(dens) * dV)
-    P = np.sum(V, axis=(1, 2, 3)) * dV / c
-
-    # M[a, b] = sum r_a V_b; J_j = eps_jab M[a, b]
-    M = np.stack([moments(grid.x_axes, V[b]) for b in range(3)], axis=1)
-    J = np.einsum("jab,ab->j", LEVI_CIVITA, M) * dV / c
     K = moments(grid.x_axes, dens) * dV
+    del dens
+
+    # V = Im(F* x F) = 2 Re F x Im F, one component at a time: P = V/c pointwise,
+    # and M[a, b] = sum r_a V_b gives J_j = eps_jab M[a, b] / c
+    P = np.empty(3)
+    M = np.empty((3, 3))
+    V = np.empty(grid.dims)
+    for b in range(3):
+        cross_component(F.real, F.imag, b, out=V)
+        V *= 2.0
+        P[b] = np.sum(V)
+        M[:, b] = moments(grid.x_axes, V)
+    del V
+    P = P * dV / c
+    J = np.einsum("jab,ab->j", LEVI_CIVITA, M) * dV / c
     return GeneratorSet(H=H, P=P, J=J, K=K, diagnostics={"boundary_margin_r": margin})
 
 
@@ -119,11 +128,14 @@ def generators_photon_picture(wf):
     """Expectation-value form of all ten quantities plus the Jo/Js split.
 
     ``H = <hbar w>``, ``P = <hbar k>``, ``Jo = <i hbar D x k>``,
-    ``Js = <hbar chi n_k>``, ``K = <i hbar w D>`` over the invariant measure;
-    imaginary parts of the discretized D expectations are reported as
-    diagnostics, not silently dropped.  Jo, K and the diagnostics all follow
-    from the density ``u = sum_chi i g* D g``: the Jo integrand is ``u x k``
-    and the K integrand ``w u``.  ``diagnostics["boundary_margin"]`` is the
+    ``Js = <hbar chi n_k>``, ``K = <i hbar w D>`` over the invariant measure.
+    Jo and K follow from the density ``u = sum_chi i g* D g``: the Jo
+    integrand is ``u x k`` and the K integrand ``w u``, and each term of u is
+    reduced as soon as it is made.  The imaginary parts of the discretized D
+    expectations are reported as diagnostics, not silently dropped:
+    ``imag_residual_Jo`` is ``|Im Jo| / max(|Jo|, |Js|)``, as in
+    `darwin_split`, and ``imag_residual_K`` is ``|Im K| / (H L)``, with L
+    the `box_length` of the grid.  ``diagnostics["boundary_margin"]`` is the
     decay of (gL, gR) that D needs, measured once against their joint peak.
     """
     wf.basis.connection()       # a connection derived here never stacks on this route's arrays
@@ -131,7 +143,6 @@ def generators_photon_picture(wf):
     margin = check_boundary_decay(grid, (wf.gL, wf.gR), "wavefunction")
     hbar = grid.units.hbar
     w = grid.w_invariant()        # dVk / (hbar omega), zero at the excluded bin
-    k = grid.kvec
 
     absL2 = np.abs(wf.gL) ** 2
     absR2 = np.abs(wf.gR) ** 2
@@ -148,36 +159,26 @@ def generators_photon_picture(wf):
     Js = hbar * np.array([np.sum(w * grid.nhat(j) * absL2) for j in range(3)])
     del absL2
 
-    u = photon_state._covariant_density(wf)
+    # M[a, b] = sum k_b w u_a, so that sum w (u x k)_j = eps_jab M[a, b];
+    # w omega = dVk / hbar wherever w != 0, so K = dVk sum u off the excluded bin
+    M = np.zeros((3, 3), dtype=complex)
+    K = np.zeros(3, dtype=complex)
+    for a, t in photon_state._covariant_terms(wf):
+        t[grid.excluded_index] = 0.0
+        K[a] += np.sum(t)
+        t *= w
+        M[a] += moments(grid.k_axes, t)
+    X = hbar * np.einsum("jab,ab->j", LEVI_CIVITA, M)
+    K *= grid.dVk
+    Jo = X.real
 
-    Jo, K = np.zeros(3), np.zeros(3)
-    imJo, imK = np.zeros(3), np.zeros(3)
-    scaleJ = scaleK = 1e-300
-    dot_n = np.zeros(grid.dims)   # n . Re(u x k)
-    mag2 = np.zeros(grid.dims)    # |Re(u x k)|^2
-    wo = grid.omega()             # w omega = dVk / hbar away from the excluded bin
-    wo *= w
-    for j in range(3):
-        orb = cross_component(u, k, j)
-        Jo[j] = hbar * np.sum(w * orb.real)
-        imJo[j] = hbar * np.sum(w * orb.imag)
-        scaleJ = max(scaleJ, float(np.sum(w * np.abs(orb))))
-        dot_n += grid.nhat(j) * orb.real
-        mag2 += orb.real ** 2
-        K[j] = hbar * np.sum(wo * u[j].real)
-        imK[j] = hbar * np.sum(wo * u[j].imag)
-        scaleK = max(scaleK, float(np.sum(wo * np.abs(u[j]))))
-
-    orth_num = float(np.sum(w * np.abs(dot_n)))
-    orth_den = max(float(np.sum(w * np.sqrt(mag2))), 1e-300)
+    scale = max(float(np.linalg.norm(Jo)), float(np.linalg.norm(Js)), 1e-300)
     diagnostics = {
-        "imag_residual_Jo": float(np.abs(imJo).max() / scaleJ),
-        "imag_residual_K": float(np.abs(imK).max() / scaleK),
-        "jo_orthogonality": orth_num / orth_den,
+        "imag_residual_Jo": float(np.linalg.norm(X.imag)) / scale,
+        "imag_residual_K": float(np.linalg.norm(K.imag)) / max(H * grid.box_length, 1e-300),
         "boundary_margin": margin,
     }
-
-    return GeneratorSet(H=H, P=P, J=Jo + Js, K=K, N=N, Jo=Jo, Js=Js, diagnostics=diagnostics)
+    return GeneratorSet(H=H, P=P, J=Jo + Js, K=K.real, N=N, Jo=Jo, Js=Js, diagnostics=diagnostics)
 
 
 # ---------------------------------------------------------------------------

@@ -190,21 +190,22 @@ def covariant_derivative_axis(wf, j):
     return replace(wf, gL=_readonly(out[0]), gR=_readonly(out[1]))
 
 
-def _covariant_density(wf):
-    """``u_j = sum_chi i g* D_j g``, shape (3,) + dims, built one helicity and axis at a time.
+def _covariant_terms(wf):
+    """Yield ``(j, t)`` with ``t = i g* D_j g``, one helicity and axis at a time.
 
     Same gauge and time handling as `covariant_derivative`; the re-phasing
     factor ``e^{i chi phase}`` of D g cancels against the one in g*, so
-    ``i g* D_j g = i ghat* (D_j ghat)`` in the construction gauge.
+    ``i g* D_j g = i ghat* (D_j ghat)`` in the construction gauge.  The sum
+    of the six terms is the density ``u_j = sum_chi i g* D_j g``.  Every `t`
+    is the same buffer, overwritten by the next term, so the caller may
+    reduce it in place.
     """
     grid = wf.grid
-    u = np.zeros((3,) + grid.dims, dtype=complex)
-    d = np.empty(grid.dims, dtype=complex)
+    t = np.empty(grid.dims, dtype=complex)
     for chi in HELICITIES:
         ghat = _construction_gauge(wf, chi)
         igc = 1j * np.conj(ghat)
         for j in range(3):
-            _connect(wf, chi, ghat, j, _gradient_k_axis(grid, ghat, j, out=d))
-            d *= igc
-            u[j] += d
-    return u
+            _connect(wf, chi, ghat, j, _gradient_k_axis(grid, ghat, j, out=t))
+            t *= igc
+            yield j, t

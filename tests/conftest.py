@@ -26,6 +26,19 @@ def e_stack(basis):
     return np.stack([basis.e(i) for i in range(3)])
 
 
+def divergence_ratio(grid, V):
+    """Reference ``|div V| / | |k| V |`` of a real or complex (3,) + dims field, summed over the full k grid.
+
+    Plain ``np.fft.fftn`` of each component; the transform phase and scale
+    multiply every component alike and cancel in the ratio.
+    """
+    Vk = np.fft.fftn(V, axes=(1, 2, 3))
+    k = np.ix_(*grid.k_axes)
+    div = k[0] * Vk[0] + k[1] * Vk[1] + k[2] * Vk[2]
+    k2 = k[0] ** 2 + k[1] ** 2 + k[2] ** 2
+    return float(np.sqrt(np.sum(np.abs(div) ** 2) / np.sum(k2 * np.abs(Vk) ** 2)))
+
+
 @contextlib.contextmanager
 def decay_ignored():
     """Silence `BoundaryDecayWarning`, for a route run on a state that does not decay at the grid edge."""

@@ -10,9 +10,8 @@ import pytest
 
 import photonam as pn
 from photonam.cli import check_algebra
-from photonam.fields_bridge import relative_divergence
 
-from conftest import decay_ignored, rel
+from conftest import decay_ignored, divergence_ratio, rel
 
 
 def report(num, ok, desc, metric):
@@ -173,7 +172,7 @@ def test_criterion_7_round_trips(grid64, grid48, basis48):
     B = pn.magnetic_field(rs)
     A = pn.vector_potential(B)
     curl_err = rel(pn.spectral_curl(grid48, A.values), B.values)
-    div_err = relative_divergence(grid48, A.values)
+    div_err = divergence_ratio(grid48, A.values)
 
     greens = pn.greens_function_check(grid64)["max_rel_mismatch"]
     ok = rt <= 1e-10 and curl_err <= 1e-10 and div_err <= 1e-10 and greens <= 0.02

@@ -207,8 +207,8 @@ def test_beam_split_and_observables(tmp_path, capsys):
 
     code, text, _ = run_cli(capsys, "split", str(out), "--json")
     assert code == 0
-    rep = json.loads(text)
-    jz_per_photon = rep["J"][2] / rep["n_photons"]
+    split = json.loads(text)
+    jz_per_photon = split["J"][2] / split["n_photons"]
     assert jz_per_photon == pytest.approx(2.0, abs=0.06)
 
     code, text, _ = run_cli(capsys, "observables", str(out), "--json",
@@ -219,6 +219,10 @@ def test_beam_split_and_observables(tmp_path, capsys):
     assert rep["deltas"]["Js_darwin_vs_photon"] < 1e-10
     assert rep["deltas"]["Js_textbook_vs_photon"] < 1e-3
     assert rep["provenance"]["family"] == "bessel"
+    photon = rep["routes"]["photon"]
+    assert set(photon["diagnostics"]) == {"boundary_margin", "imag_residual_Jo", "imag_residual_K"}
+    assert all(np.isfinite(v) for v in photon["diagnostics"].values())
+    assert split["Jo"] == photon["Jo"] and split["Js"] == photon["Js"]
 
 
 def test_k_delta_of_centred_beam_is_noise_scaled_by_energy_times_box(tmp_path, capsys):

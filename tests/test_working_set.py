@@ -20,14 +20,14 @@ from conftest import smooth_state, traced_peak
 BUDGETS = {
     "build_basis": 6.1,
     "basis.e": 1.0,
-    "generators_photon_picture": 9.0,
-    "generators_photon_picture_lazy_basis": 9.0 + 1.6,     # derives and keeps alpha, 1.5 arrays
+    "generators_photon_picture": 4.0,
+    "generators_photon_picture_lazy_basis": 6.1,     # also derives and keeps alpha, 1.5 arrays
     "darwin_split": 10.0,
     "vector_potential": 5.0,
     "textbook_split": 3.4,
     "bessel_beam": 8.1,
     "synthesize": 8.0,
-    "generators_field_picture": 5.0,
+    "generators_field_picture": 2.0,
     "spectral_e_from_wavefunction": 5.0,
     "analyze": 7.0,
     "spin_nonlocal_real": 9.1,
