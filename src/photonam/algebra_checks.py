@@ -10,15 +10,13 @@ is refined.
 
 from __future__ import annotations
 
-import os
 import re
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, replace
 
 import numpy as np
 
 from . import photon_state
-from .grids import LEVI_CIVITA, _readonly
+from .grids import LEVI_CIVITA, _map_threads, _readonly
 
 _AXES = {"x": 0, "y": 1, "z": 2}
 
@@ -222,13 +220,12 @@ DEFAULT_SUITE = (
 def run_suite(wf):
     """Run the DEFAULT_SUITE commutators plus the curvature relation on one state.
 
-    The pairs run on a pool of THREADS workers (default: the CPU count).
-    Each pair is computed on one thread, so the reports are identical for
+    The pairs run on the THREADS workers of `grids._map_threads` (default:
+    the CPU count).  Each pair is computed on one thread, and the threaded
+    kernels it reaches run inline there, so the reports are identical for
     any worker count.  The connection of the state's basis is derived
-    before the pool starts, so no two workers derive it.
+    before the workers start, so no two workers derive it.
     """
     wf.basis.connection()
-    workers = max(1, int(os.environ.get("THREADS") or os.cpu_count() or 1))
-    with ThreadPoolExecutor(max_workers=workers) as pool:
-        reports = list(pool.map(lambda p: check_commutator(p[0], p[1], wf), DEFAULT_SUITE))
+    reports = _map_threads(lambda p: check_commutator(p[0], p[1], wf), DEFAULT_SUITE)
     return reports + [check_curvature(wf)]

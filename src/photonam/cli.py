@@ -31,8 +31,11 @@ its own chart, and the flag is refused there.
 ``check`` runs each suite on cubic grids of step 1, by default of the sizes
 ``CHECK_SIZES``; ``--grid`` gives one N (greens: N >= 26), or N1,N2 for
 algebra, where N alone means N,2N.  The THREADS environment variable caps
-the worker count of the commutator pool in ``check algebra`` (see
-``algebra_checks.run_suite``); results are identical for any value.
+the worker threads of every command (default: the CPU count): the 3-d
+transforms, e(k), the k gradient and the photon picture run in slabs on
+them, and ``check algebra`` runs its commutator pairs on them (see
+``grids._map_threads`` and ``algebra_checks.run_suite``).  Outputs are
+identical, bit for bit, for any value.
 """
 
 from __future__ import annotations
@@ -43,6 +46,7 @@ import io
 import json
 import sys
 import warnings
+from dataclasses import replace
 
 import numpy as np
 
@@ -200,6 +204,8 @@ def build_report(wf, routes, manifest=None):
     gen_p = observables.generators_photon_picture(wf)
     report["routes"]["photon"] = _generator_dict(gen_p)
     report["n_photons"] = float(gen_p.N)
+    # no later route reads the connection: drop it (1.5 grid arrays) with the basis that keeps it
+    wf = replace(wf, basis=replace(wf.basis, alpha_base=None))
 
     # darwin first, so that E(k) and F are never alive together
     if "darwin" in routes:

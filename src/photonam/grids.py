@@ -19,13 +19,26 @@ Conventions used throughout the package:
   on that bin;
 * a grid stores only its 1-d axes.  |k|, omega, the unit vectors n, the
   invariant weight, the boundary masks and the transform phase are derived
-  on request, so a stage holds only the metadata it is using.
+  on request, so a stage holds only the metadata it is using;
+* the 3-d transforms run as in-place slab passes, in numpy's own axis
+  order: the last two axes in slabs of the first, then the first axis in
+  slabs of the second.  Each 1-d line is transformed by the same call as in
+  ``np.fft.fftn`` & co, so the result equals theirs bit for bit;
+* `_map_threads` is the one helper that runs work on threads: a function
+  over items on up to THREADS threads (the environment variable; default
+  the CPU count), inline with one thread or when called from one of its own
+  workers, so calls never nest.  Every threaded kernel writes disjoint
+  slices of an array its caller allocated, and no worker allocates a
+  grid-sized array; every reduction runs whole on the calling thread, so
+  results are bit-identical for any THREADS.
 """
 
 from __future__ import annotations
 
 import os
+import threading
 import warnings
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
@@ -38,10 +51,10 @@ BOUNDARY_TOL = 1e-8
 
 #: peak working set of the largest photonam command, in complex grid arrays
 #: (16 bytes per grid point): `observables` with all five routes peaks at
-#: 418 MiB RSS at 128^3, on a wavefunction or an rs_field file (its peak is
-#: the nonlocal convolution; the four default routes peak at 384 MiB, in the
-#: darwin route, `split` at 290 MiB, `analyze` at 354 MiB and `potential` at
-#: 329 MiB); 16 arrays of 32 MiB leave a 22% margin
+#: 420 MiB RSS at 128^3 with THREADS=2, on a wavefunction or an rs_field file
+#: (its peak is the nonlocal convolution; the four default routes peak at
+#: 338 MiB, in the darwin route, `split` at 289 MiB, `analyze` at 353 MiB
+#: and `potential` at 329 MiB); 16 arrays of 32 MiB leave a 22% margin
 WORKING_SET_ARRAYS = 16
 
 
@@ -181,11 +194,7 @@ class GridPair:
 
     def nhat(self, j):
         """Component `j` of the unit vector k/|k|; the excluded k=0 bin holds the placeholder z."""
-        out = self.kmag()
-        out[self.excluded_index] = 1.0
-        np.divide(self.kvec[j], out, out=out)
-        out[self.excluded_index] = (0.0, 0.0, 1.0)[j]   # arbitrary fixed direction
-        return out
+        return _nhat(self, j, (slice(None),) * 3)
 
     def w_invariant(self):
         """dVk / (hbar omega): the invariant measure, 0 at the excluded k=0 bin."""
@@ -221,10 +230,23 @@ def _along(a, ax):
     return a.reshape(shape)
 
 
-def _norm(axes):
-    """sqrt(k_0^2 + k_1^2 + k_2^2) on the grid spanned by three 1-d axes."""
+def _nhat(grid, j, region):
+    """Component `j` of `GridPair.nhat` on `region`, a tuple of three slices of the grid axes."""
+    axes = [a[r] for a, r in zip(grid.k_axes, region)]
+    out = _norm(axes)
+    at_zero = all((r.start or 0) == 0 for r in region)      # the region holds the excluded bin
+    if at_zero:
+        out[0, 0, 0] = 1.0
+    np.divide(_along(axes[j], j), out, out=out)
+    if at_zero:
+        out[0, 0, 0] = (0.0, 0.0, 1.0)[j]     # arbitrary fixed direction
+    return out
+
+
+def _norm(axes, out=None):
+    """sqrt(k_0^2 + k_1^2 + k_2^2) on the grid spanned by three 1-d axes, written into `out` if given."""
     k0, k1, k2 = (_along(a, ax) for ax, a in enumerate(axes))
-    out = k0 ** 2 + k1 ** 2 + k2 ** 2
+    out = np.add(k0 ** 2 + k1 ** 2, k2 ** 2, out=out)
     return np.sqrt(out, out=out)
 
 
@@ -323,6 +345,60 @@ def _shell_mask(dims, ncells, fft_order):
 
 
 # ---------------------------------------------------------------------------
+# threads
+
+def _thread_count():
+    """THREADS from the environment, at least 1; default the CPU count."""
+    value = os.environ.get("THREADS") or os.cpu_count() or 1
+    try:
+        return max(1, int(value))
+    except ValueError:
+        raise ValueError(f"THREADS must be an integer, not {value!r}") from None
+
+
+_WORKER_NAME = "photonam-worker"
+
+#: slabs of e(k) and of a photon-picture term: a worker's temporaries stay
+#: within 1/16 of a grid array, and a slab's Python calls cost little
+_SCRATCH_SLABS = 16
+
+#: grid points of the smallest slab worth a thread of its own: on smaller
+#: slabs, starting a pool (about 0.4 ms) costs more than a second thread saves
+_MIN_SLAB_POINTS = 2 ** 17
+
+
+def _map_threads(fn, items):
+    """``[fn(item) for item in items]``, run on up to THREADS threads; results in item order.
+
+    Runs inline when one thread would do, or when called from one of its
+    own workers, so calls never nest.  Reading every result re-raises the
+    first exception of a worker.
+    """
+    items = list(items)
+    workers = min(_thread_count(), len(items))
+    if workers <= 1 or threading.current_thread().name.startswith(_WORKER_NAME):
+        return [fn(item) for item in items]
+    with ThreadPoolExecutor(max_workers=workers, thread_name_prefix=_WORKER_NAME) as pool:
+        return list(pool.map(fn, items))
+
+
+def _slabs(n, count, points):
+    """Contiguous slices of nearly equal length that cover ``range(n)``.
+
+    At most `count`, and no more than leave each slab `_MIN_SLAB_POINTS` of
+    the `points` grid points that ``range(n)`` spans; at least one.
+    """
+    count = max(1, min(count, n, points // _MIN_SLAB_POINTS))
+    edges = [n * s // count for s in range(count + 1)]
+    return [slice(a, b) for a, b in zip(edges, edges[1:])]
+
+
+def _on_slabs(fn, n, points):
+    """Run `fn` on slabs of ``range(n)``, one per THREADS worker, spanning `points` grid points in all."""
+    _map_threads(fn, _slabs(n, _thread_count(), points))
+
+
+# ---------------------------------------------------------------------------
 # transforms
 
 def forward_transform(grid, f):
@@ -334,10 +410,25 @@ def forward_transform(grid, f):
     f = np.asarray(f)
     _check_shape(grid, f)
     out = np.empty(f.shape, dtype=complex)
-    out[...] = f
-    np.fft.fftn(out, axes=(-3, -2, -1), out=out)
-    out *= grid.dV / ROOT_2PI_CUBED
-    return _apply_fft_phase(grid, out)
+    scale = grid.dV / ROOT_2PI_CUBED
+    px, pyz = grid.fft_phase()
+
+    def rows(s):
+        part = out[..., s, :, :]
+        part[...] = f[..., s, :, :]
+        np.fft.fft(part, axis=-1, out=part)
+        np.fft.fft(part, axis=-2, out=part)
+
+    def columns(s):
+        part = out[..., s, :]
+        np.fft.fft(part, axis=-3, out=part)
+        part *= scale
+        part *= px
+        part *= pyz[s]
+
+    _on_slabs(rows, grid.dims[0], f.size)
+    _on_slabs(columns, grid.dims[1], f.size)
+    return out
 
 
 def inverse_transform(grid, F):
@@ -347,9 +438,25 @@ def inverse_transform(grid, F):
     """
     F = np.asarray(F)
     _check_shape(grid, F)
-    out = _apply_fft_phase(grid, np.array(F, dtype=complex))
-    np.fft.ifftn(out, axes=(-3, -2, -1), out=out)
-    out *= grid.dVk * grid.npoints / ROOT_2PI_CUBED
+    out = np.empty(F.shape, dtype=complex)
+    scale = grid.dVk * grid.npoints / ROOT_2PI_CUBED
+    px, pyz = grid.fft_phase()
+
+    def rows(s):
+        part = out[..., s, :, :]
+        part[...] = F[..., s, :, :]
+        part *= px[s]
+        part *= pyz
+        np.fft.ifft(part, axis=-1, out=part)
+        np.fft.ifft(part, axis=-2, out=part)
+
+    def columns(s):
+        part = out[..., s, :]
+        np.fft.ifft(part, axis=-3, out=part)
+        part *= scale
+
+    _on_slabs(rows, grid.dims[0], F.size)
+    _on_slabs(columns, grid.dims[1], F.size)
     return out
 
 
@@ -359,26 +466,48 @@ def real_forward_transform(grid, f):
     Without the phase and the scale of `forward_transform`: the caller
     applies an operator diagonal in k, whose k are `half_k_axes` (or
     `derivative_kvec`), and transforms back with `real_inverse_transform`,
-    where both cancel.
+    where both cancel.  The result is the only array allocated.
     """
     f = np.asarray(f)
     _check_shape(grid, f)
-    return np.fft.rfftn(f, axes=(-3, -2, -1))
+    out = np.empty(f.shape[:-3] + grid.half_dims, dtype=complex)
+
+    def rows(s):
+        part = out[..., s, :, :]
+        np.fft.rfft(f[..., s, :, :], axis=-1, out=part)
+        np.fft.fft(part, axis=-2, out=part)
+
+    def columns(s):
+        part = out[..., s, :]
+        np.fft.fft(part, axis=-3, out=part)
+
+    _on_slabs(rows, grid.dims[0], f.size)
+    _on_slabs(columns, grid.dims[1], f.size)
+    return out
 
 
 def real_inverse_transform(grid, F):
-    """Real field of the half spectrum `F`: the inverse of `real_forward_transform` (``np.fft.irfftn``)."""
+    """Real field of the half spectrum `F`: the inverse of `real_forward_transform` (``np.fft.irfftn``).
+
+    Allocates the result and one complex copy of `F`, its scratch.
+    """
     F = np.asarray(F)
     if F.shape[-3:] != grid.half_dims:
         raise ValueError(f"array shape {F.shape} is not the half spectrum {grid.half_dims} of grid {grid.dims}")
-    return np.fft.irfftn(F, s=grid.dims, axes=(-3, -2, -1))
+    work = np.empty(F.shape, dtype=complex)
+    out = np.empty(F.shape[:-3] + grid.dims)
 
+    def columns(s):
+        np.fft.ifft(F[..., s, :], axis=-3, out=work[..., s, :])
 
-def _apply_fft_phase(grid, a):
-    """Multiply `a` by (-1)^(i+j+l) in place (an exact sign flip); return `a`."""
-    for factor in grid.fft_phase():
-        a *= factor
-    return a
+    def rows(s):
+        part = work[..., s, :, :]
+        np.fft.ifft(part, axis=-2, out=part)
+        np.fft.irfft(part, n=grid.dims[2], axis=-1, out=out[..., s, :, :])
+
+    _on_slabs(columns, grid.dims[1], out.size)
+    _on_slabs(rows, grid.dims[0], out.size)
+    return out
 
 
 def _check_shape(grid, a):
@@ -468,11 +597,16 @@ def spectral_gradient_k(grid, F):
     Valid for data that decays near the momentum boundary; the caller owns
     that contract, and nothing is checked here.
 
-    Returns an array of shape ``(3,) + F.shape``.
+    Returns an array of shape ``(3,) + F.shape``; its three axes are
+    computed on the THREADS workers, one axis per worker.
     """
     F = np.asarray(F)
     _check_shape(grid, F)
     out = np.empty((3,) + F.shape, dtype=F.dtype if np.iscomplexobj(F) else float)
-    for ax in range(3):
-        _gradient_k_axis(grid, F, ax, out=out[ax])
+
+    def axes(s):
+        for ax in range(3)[s]:
+            _gradient_k_axis(grid, F, ax, out=out[ax])
+
+    _map_threads(axes, _slabs(3, 3, out.size))
     return out

@@ -23,9 +23,12 @@ O(M log M), so it runs at every grid size.  A sum weighted by one
 coordinate r_a or k_a (P, J, the field K, and Jo on the photon, darwin
 and textbook routes) is the 1-d profile of its integrand weighted by that
 coordinate (`grids.moments`), never a grid-sized product.  Grid metadata (w, omega, n) is derived inside
-each stage, n one component at a time.  Reductions are plain numpy sums,
-each on one thread, so results do not depend on the THREADS worker count
-of the check suites.
+each stage, n one component at a time.  The transforms, e(k), the k
+gradient and each term of the photon picture run on the THREADS workers
+(`grids._map_threads`), each worker filling its own slice of an array made
+on the calling thread; every reduction is a plain numpy sum over a whole
+array on the calling thread, in a fixed order, so results are bit-identical
+for any THREADS.
 
 Each route measures the decay its result needs once and reports it in its
 diagnostics: the photon picture that of (gL, gR) and the darwin route that

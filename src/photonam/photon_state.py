@@ -22,7 +22,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .grids import spectral_gradient_k, _gradient_k_axis, _readonly
+from .grids import spectral_gradient_k, _gradient_k_axis, _map_threads, _nhat, _readonly, _slabs, _SCRATCH_SLABS
 
 HELICITIES = (+1, -1)
 
@@ -129,15 +129,20 @@ def _construction_gauge(wf, chi):
     return g if basis.gauge_phase is None else np.exp(-1j * chi * basis.gauge_phase) * g
 
 
-def _connect(wf, chi, ghat, j, d):
+def _connect(wf, chi, ghat, j, d, region=(slice(None),) * 3, scratch=None):
     """Turn ``d = d_j ghat`` into ``D_j ghat`` in place, in the construction gauge.
 
-    Subtracts the connection term ``i chi alpha_j ghat`` and the analytic
-    evolution-phase gradient ``i c t n_j ghat``.
+    Subtracts the connection term ``i chi alpha_j ghat``, built in the
+    complex array `scratch` (allocated when None), and the analytic
+    evolution-phase gradient ``i c t n_j ghat``.  `ghat`, `d` and `scratch`
+    are the parts on `region` (three slices of the grid axes) of whole
+    arrays.
     """
-    d -= 1j * chi * wf.basis.connection()[j] * ghat
+    scratch = np.multiply(1j * chi, wf.basis.connection()[j][region], out=scratch)
+    scratch *= ghat
+    d -= scratch
     if wf.time != 0.0:
-        d -= (1j * wf.grid.units.c * wf.time) * wf.grid.nhat(j) * ghat
+        d -= (1j * wf.grid.units.c * wf.time) * _nhat(wf.grid, j, region) * ghat
     return d
 
 
@@ -198,14 +203,30 @@ def _covariant_terms(wf):
     ``i g* D_j g = i ghat* (D_j ghat)`` in the construction gauge.  The sum
     of the six terms is the density ``u_j = sum_chi i g* D_j g``.  Every `t`
     is the same buffer, overwritten by the next term, so the caller may
-    reduce it in place.
+    reduce it in place.  Each term is filled on the THREADS workers, in
+    slabs across an axis that the stencil along j does not read.
     """
     grid = wf.grid
-    t = np.empty(grid.dims, dtype=complex)
+    wf.basis.connection()       # derived here if need be, never on a worker
+    t, scratch = np.empty(grid.dims, dtype=complex), np.empty(grid.dims, dtype=complex)
     for chi in HELICITIES:
         ghat = _construction_gauge(wf, chi)
-        igc = 1j * np.conj(ghat)
         for j in range(3):
-            _connect(wf, chi, ghat, j, _gradient_k_axis(grid, ghat, j, out=t))
-            t *= igc
+            across = 1 if j == 0 else 0
+            planes = [tuple(s if ax == across else slice(None) for ax in range(3))
+                      for s in _slabs(grid.dims[across], _SCRATCH_SLABS, grid.npoints)]
+            _map_threads(lambda region: _covariant_term(wf, chi, ghat, j, region, t[region], scratch[region]),
+                         planes)
             yield j, t
+
+
+def _covariant_term(wf, chi, ghat, j, region, out, scratch):
+    """Write ``i ghat* D_j ghat`` on `region` into `out`, its part of the term buffer.
+
+    `scratch` is the part on `region` of a complex grid array: the
+    connection term and i ghat* are built there, one after the other.
+    """
+    g = ghat[region]
+    d = _connect(wf, chi, g, j, _gradient_k_axis(wf.grid, g, j, out=out), region, scratch)
+    np.multiply(1j, np.conjugate(g, out=scratch), out=scratch)
+    d *= scratch

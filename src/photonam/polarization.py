@@ -22,8 +22,9 @@ basis together.
 A single chart cannot cover the sphere smoothly; points within ``EPS_POLE``
 of the chart axis (`PolarizationBasis.pole_mask`) carry the limiting basis
 of an azimuth-0 approach, ``(cos(theta) u - sin(theta) a + i v)/sqrt(2)``
-in a fixed right-handed frame (u, v, a).  Beams and test states are
-constructed away from the poles.
+in a fixed right-handed frame (u, v, a), projected onto the plane normal to
+n and renormalized where k is off the axis itself.  Beams and test states
+are constructed away from the poles.
 """
 
 from __future__ import annotations
@@ -32,7 +33,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .grids import LEVI_CIVITA, cross, reflect_conjugate, spectral_gradient_k, _along, _readonly
+from .grids import LEVI_CIVITA, cross, reflect_conjugate, spectral_gradient_k, _along, _map_threads, _norm, _readonly, _slabs, _SCRATCH_SLABS
 
 EPS_POLE = 1e-6  # radians
 
@@ -80,8 +81,8 @@ class PolarizationBasis:
 
     def pole_mask(self):
         """Boolean grid mask of the chart poles, the excluded k=0 bin included."""
-        cnorm, scratch = np.empty(self.grid.dims), np.empty(self.grid.dims)
-        return _chart_geometry(self.grid, self.chart_axis, cnorm, scratch)[2]
+        kmag, cnorm, scratch = (np.empty(self.grid.dims) for _ in range(3))
+        return _chart_geometry(self.grid, self.chart_axis, kmag, cnorm, scratch, slice(None))[1]
 
 
 def _chart_frame(axis):
@@ -111,71 +112,101 @@ def _split(x):
     return hi, x - hi
 
 
-def _chart_geometry(grid, axis, cnorm, scratch):
-    """a x k, |k| and the pole points of the chart axis `a` on `grid`.
+def _chart_geometry(grid, axis, kmag, cnorm, scratch, rows):
+    """a x k, |k| and the pole points of the chart axis `a` on the k_x slab `rows` of `grid`.
 
-    Returns ``(c, kmag, poles)``: the three components of a x k as
-    broadcasting 2-d arrays, |k| with 1 at the excluded bin, and the mask of
-    the points within EPS_POLE of the axis plus the excluded bin.
-    sqrt(2) |a x k| is written into `cnorm`; `scratch` is overwritten.  The
-    components of a x k are formed from exact products, so they keep full
-    relative accuracy where the products cancel near the axis: the direction
-    of a x k, and every vector derived from it, stays accurate to rounding
-    however close k comes to the axis.
+    Returns ``(c, poles)``: the three components of a x k as broadcasting
+    2-d arrays and the mask of the points within EPS_POLE of the axis plus
+    the excluded bin.  |k|, with 1 at the excluded bin, is written into
+    `kmag` and sqrt(2) |a x k| into `cnorm`; `scratch` is overwritten; all
+    three have the shape of the slab.  The components of a x k are formed from
+    exact products, so they keep full relative accuracy where the products
+    cancel near the axis: the direction of a x k, and every vector derived
+    from it, stays accurate to rounding however close k comes to the axis.
     """
-    k = [_along(a, ax) for ax, a in enumerate(grid.k_axes)]
+    axes = (grid.k_axes[0][rows],) + grid.k_axes[1:]
+    k = [_along(a, ax) for ax, a in enumerate(axes)]
     c = []
     for j in range(3):
         p, q = (j + 1) % 3, (j + 2) % 3
         h1, l1 = _two_product(axis[p], k[q])
         h2, l2 = _two_product(axis[q], k[p])
         c.append((h1 - h2) + (l1 - l2))
-    kmag = grid.kmag()
-    kmag[grid.excluded_index] = 1.0
+    at_zero = (rows.start or 0) == 0        # the slab holds the excluded bin
+    _norm(axes, out=kmag)
+    if at_zero:
+        kmag[0, 0, 0] = 1.0
     np.add(2.0 * c[0] * c[0], 2.0 * c[1] * c[1], out=cnorm)
     cnorm += 2.0 * c[2] * c[2]
     np.sqrt(cnorm, out=cnorm)
     np.multiply(kmag, np.sqrt(2.0) * EPS_POLE, out=scratch)
     poles = cnorm < scratch                 # sin(theta) < EPS_POLE
-    poles[grid.excluded_index] = True       # direction undefined there
-    return c, kmag, poles
+    if at_zero:
+        poles[0, 0, 0] = True               # direction undefined there
+    return c, poles
 
 
 def _pole_limit(grid, axis, pts, i):
-    """Component `i` of (cos(theta) u - sin(theta) a + i v)/sqrt(2) at the points `pts`.
+    """Component `i` of the basis vector at the chart poles `pts`, as its real and imaginary parts.
 
-    The excluded k=0 bin takes the placeholder direction z of `GridPair.nhat`.
+    The limit of an azimuth-0 approach, ``(cos(theta) u - sin(theta) a +
+    i v)/sqrt(2)``, is transverse only on the chart axis itself.  Where it
+    is not (k within EPS_POLE of the axis but off it), it is projected onto
+    the plane normal to n and renormalized, so e.n = 0 and e*.e = 1 to
+    rounding at every pole.  The excluded k=0 bin keeps the limit of the
+    placeholder direction z of `GridPair.nhat`.
     """
     n = np.stack([a[idx] for a, idx in zip(grid.k_axes, pts)])
     kmag = np.linalg.norm(n, axis=0)
     n /= np.where(kmag == 0.0, 1.0, kmag)
     n[:, kmag == 0.0] = ((0.0,), (0.0,), (1.0,))
-    ca = axis @ n
+    ca = axis[0] * n[0] + axis[1] * n[1] + axis[2] * n[2]
     st = np.linalg.norm(np.cross(axis, n, axis=0), axis=0)
     u, v = _chart_frame(axis)
-    return (ca * u[i] - st * axis[i]) / np.sqrt(2.0), v[i] / np.sqrt(2.0)
+    re = (ca * u[:, None] - st * axis[:, None]) / np.sqrt(2.0)
+    im = np.repeat(v[:, None] / np.sqrt(2.0), n.shape[1], axis=1)
+    n_re, n_im = (n[0] * x[0] + n[1] * x[1] + n[2] * x[2] for x in (re, im))
+    off = ((n_re != 0.0) | (n_im != 0.0)) & (kmag > 0.0)
+    re[:, off] -= n_re[off] * n[:, off]
+    im[:, off] -= n_im[off] * n[:, off]
+    size = np.sqrt(np.sum(re[:, off] ** 2 + im[:, off] ** 2, axis=0))
+    re[:, off] /= size
+    im[:, off] /= size
+    return re[i], im[i]
 
 
 def _construction_e(grid, axis, i, out):
     """Write component `i` of e(k) in the construction gauge into the complex array `out`.
 
+    The k_x slabs are filled on the THREADS workers (`grids._map_threads`),
+    with one real grid array of scratch allocated here.
+    """
+    kmag = np.empty(grid.dims)
+    _map_threads(lambda rows: _construction_e_rows(grid, axis, i, rows, out[rows], kmag[rows]),
+                 _slabs(grid.dims[0], _SCRATCH_SLABS, grid.npoints))
+    return out
+
+
+def _construction_e_rows(grid, axis, i, rows, out, kmag):
+    """Component `i` of e(k) on the k_x slab `rows`, written into `out`; `kmag` is scratch.
+
     Evaluates ``((a x k) x k + i |k| a x k) / (sqrt(2) |k| |a x k|)``, the
-    closed form of the module docstring multiplied through by |k|^2.
+    closed form of the module docstring multiplied through by |k|^2.  Both
+    arrays have the shape of the slab.
     """
     re, im = out.real, out.imag
-    c, kmag, poles = _chart_geometry(grid, axis, cnorm=im, scratch=re)
+    c, poles = _chart_geometry(grid, axis, kmag, cnorm=im, scratch=re, rows=rows)
     pts = np.nonzero(poles)
     del poles
     im[pts] = 1.0
     kmag *= im
-    k = [_along(a, ax) for ax, a in enumerate(grid.k_axes)]
+    k = [_along(a, ax) for ax, a in enumerate((grid.k_axes[0][rows],) + grid.k_axes[1:])]
     p, q = (i + 1) % 3, (i + 2) % 3
     np.subtract(c[p] * k[q], c[q] * k[p], out=re)
     re /= kmag                              # theta_hat_i / sqrt(2)
-    del kmag
     np.divide(c[i], im, out=im)             # phi_hat_i / sqrt(2)
-    re[pts], im[pts] = _pole_limit(grid, axis, pts, i)
-    return out
+    if pts[0].size:
+        re[pts], im[pts] = _pole_limit(grid, axis, (pts[0] + rows.start,) + pts[1:], i)
 
 
 def chart_basis(grid, chart_axis=(0.0, 0.0, 1.0)):

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 import photonam as pn
-from photonam import algebra_checks
+from photonam import algebra_checks, grids
 from photonam.algebra_checks import OperatorTag
 from photonam.grids import _readonly
 
@@ -113,20 +113,23 @@ def test_run_suite_covers_all_families(state48):
 
 
 def test_run_suite_is_identical_for_any_thread_count(monkeypatch, grid16, basis16):
+    """The pairs run on the shared THREADS helper: one thread at THREADS=1, a pool of two at THREADS=2."""
     workers = []
 
-    class Pool(algebra_checks.ThreadPoolExecutor):
-        def __init__(self, max_workers):
+    class Pool(grids.ThreadPoolExecutor):
+        def __init__(self, max_workers, **kwargs):
             workers.append(max_workers)
-            super().__init__(max_workers)
+            super().__init__(max_workers, **kwargs)
 
-    monkeypatch.setattr(algebra_checks, "ThreadPoolExecutor", Pool)
+    monkeypatch.setattr(grids, "ThreadPoolExecutor", Pool)
     wf = smooth_state(grid16, basis16, seed=5)
-    runs = []
+    runs, pools = [], []
     for threads in ("1", "2"):
         monkeypatch.setenv("THREADS", threads)
         runs.append(pn.run_suite(wf))
-    assert workers == [1, 2]
+        pools.append(workers[:])
+        del workers[:]
+    assert pools == [[], [2]]
     assert runs[0] == runs[1]
 
 

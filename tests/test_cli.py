@@ -2,13 +2,14 @@ import json
 import os
 import struct
 import warnings
+import weakref
 
 import numpy as np
 import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
 import photonam as pn
-from photonam import fileio
+from photonam import fileio, observables
 from photonam.cli import build_report, main
 
 from conftest import decay_ignored, rel, smooth_state, traced_peak
@@ -233,6 +234,23 @@ def test_k_delta_of_centred_beam_is_noise_scaled_by_energy_times_box(tmp_path, c
     code, text, _ = run_cli(capsys, "observables", str(out), "--json", "--routes", "photon,field")
     assert code == 0
     assert json.loads(text)["deltas"]["K_field_vs_photon"] < 1e-12
+
+
+def test_the_connection_is_freed_before_the_darwin_route(monkeypatch, grid32):
+    """Only the photon route reads the connection: the basis that keeps it is gone by the darwin route."""
+    states = [smooth_state(grid32, pn.chart_basis(grid32), seed=2)]
+    basis = weakref.ref(states[0].basis)
+    alive, darwin = [], observables.darwin_split
+
+    def spy(Ek):
+        alive.append(basis() is not None)
+        return darwin(Ek)
+
+    monkeypatch.setattr(observables, "darwin_split", spy)
+    with decay_ignored():
+        rep = build_report(states.pop(), ("photon", "darwin"))   # as `observables` passes its state
+    assert alive == [False]
+    assert set(rep["routes"]) == {"photon", "darwin"}
 
 
 def test_k_delta_is_scaled_by_energy_times_box(grid48, basis48):

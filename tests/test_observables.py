@@ -306,6 +306,7 @@ def test_gauge_invariance_over_smooth_phase_fields(grid48, coeffs):
 @given(st.tuples(*[st.floats(-1.0, 1.0)] * 3).filter(lambda v: np.linalg.norm(v) > 0.1),
        st.floats(0.0, 0.7), st.floats(-np.pi, np.pi), st.sampled_from((0, 1, 2)),
        st.tuples(*[st.floats(-1.0, 1.0)] * 3))
+@example(chart=(0.0, 1.0, 1.192092896e-07), weight=0.0, phase=0.0, m=0, r0=(0.0, 0.0, 0.0))
 def test_chart_axis_independence_over_decaying_states(chart, weight, phase, m, r0):
     """A random decaying state re-expressed on a random unit chart is the same physical state.
 

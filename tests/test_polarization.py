@@ -90,6 +90,28 @@ def test_pole_limit_values(grid16, basis16):
     assert np.abs(e_stack(b)[(slice(None),) + down] - expect_down).max() < 1e-14
 
 
+@pytest.mark.parametrize("dims", [16, (24, 20, 16)])
+@pytest.mark.parametrize("line", [0, 1, 2])
+def test_poles_of_a_chart_just_off_a_grid_line_are_transverse_unit_vectors(dims, line):
+    """A chart 1e-7 rad off a k axis: pole points lie near that axis but not on it.
+
+    There the azimuth-0 limit is off the plane normal to n by about 1e-7; the
+    basis must still satisfy e.n = 0 and e*.e = 1 to rounding at every k != 0.
+    """
+    g = pn.make_grid(dims)
+    axis = np.zeros(3)
+    axis[line], axis[(line + 1) % 3] = np.cos(1e-7), np.sin(1e-7)
+    b = pn.chart_basis(g, tuple(axis))
+    poles = b.pole_mask()
+    poles[0, 0, 0] = False
+    assert poles.sum() == g.dims[line] - 1       # every other point of the k axis is a pole
+    e, n = e_stack(b), nhat_stack(g)
+    away = np.ones(g.dims, dtype=bool)
+    away[0, 0, 0] = False
+    assert np.abs(np.einsum("i...,i...->...", e, n))[away].max() <= 1e-15
+    assert np.abs(np.einsum("i...,i...->...", np.conj(e), e) - 1.0)[away].max() <= 1e-15
+
+
 def test_pole_points_lie_on_axis(grid16, basis16):
     for idx in np.argwhere(basis16.pole_mask()):
         assert idx[0] == 0 and idx[1] == 0  # kx = ky = 0 line

@@ -4,7 +4,8 @@ Each stage streams over components and axes instead of building (3, N)
 complex stacks it only reduces or transforms, and derives the grid metadata
 it uses; these budgets hold it there.  The peaks are tracemalloc peaks above
 the size at the call, so inputs prepared beforehand do not count, while the
-stage's own result does.
+stage's own result does.  tracemalloc sees every thread, and every test runs
+at THREADS=2, so the budgets hold on the threaded paths on any machine.
 """
 
 import tracemalloc
@@ -16,6 +17,12 @@ import pytest
 import photonam as pn
 
 from conftest import smooth_state, traced_peak
+
+
+@pytest.fixture(autouse=True)
+def two_threads(monkeypatch):
+    monkeypatch.setenv("THREADS", "2")
+
 
 BUDGETS = {
     "build_basis": 6.1,
