@@ -21,8 +21,8 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from . import photon_state
-from .fields_bridge import SpectralEField, project_spectral_e
-from .grids import _readonly, check_boundary_decay
+from .fields_bridge import _projection
+from .grids import _along, _in_region, _readonly, check_boundary_decay
 from .polarization import chart_basis
 
 
@@ -93,12 +93,15 @@ def bessel_beam(grid, basis, spec, photons=1.0):
     """Regularized Bessel beam as a PhotonWaveFunction.
 
     E(k) is built as an exact helicity eigenstate from the circular basis
-    about z and projected onto the basis with `fields_bridge.project_spectral_e`, so the
-    opposite-helicity amplitude is at rounding level for any chart.  Its decay
+    about z and projected onto the basis in its current gauge, one k_x slab
+    at a time (`fields_bridge._projection`, the projection of
+    `project_spectral_e`), so the opposite-helicity amplitude is at rounding
+    level for any chart and no (3, N) E(k) is built.  Its decay
     at the momentum boundary is measured (`BoundaryDecayWarning`).  With
     `photons` set, the state is rescaled to that photon number; pass None to
     keep the raw amplitude.
     """
+    grid.require_same(basis.grid, "the beam's grid and the polarization basis")
     spec.validate(grid)
     _check_photons(photons)
 
@@ -113,34 +116,39 @@ def bessel_beam(grid, basis, spec, photons=1.0):
     if _pole_line_distance(ring, basis.chart_axis).min() < 4.0 * max(spec.sigma_perp, spec.sigma_z):
         raise ValueError("pole collision: chart axis passes through the regularized ring")
 
-    # -sqrt(2) x envelope x winding e^{i m phi} = ((k_x +- i k_y)/k_perp)^|m|, shared by
-    # the three components; phi = 0 on the beam axis, the azimuth of the pole limit of e_z
-    kx, ky, kz = grid.kvec
+    e_z = chart_basis(grid, (0.0, 0.0, 1.0))
+    wf = _projection(basis, lambda region: _bessel_components(grid, spec, e_z, region))
+    check_boundary_decay(grid, (wf.gL, wf.gR), "Bessel beam")
+    return _with_photons(wf, photons)
+
+
+def _bessel_components(grid, spec, e_z, region):
+    """Yield the three components of the beam's E(k) on the k_x slab `region`, one at a time, in one buffer.
+
+    E(k) is -sqrt(2) e_z (chi = +1) or -sqrt(2) e_z* (chi = -1), e_z the
+    basis `e_z` of the z chart, times the envelope and the winding
+    e^{i m phi} = ((k_x +- i k_y)/k_perp)^|m|, shared by the three
+    components; phi = 0 on the beam axis, the azimuth of the pole limit of
+    e_z.  k_perp and the winding are (k_x, k_y) planes, broadcast along k_z.
+    """
+    kx, ky, kz = (_along(a, ax) for ax, a in enumerate(_in_region(grid.k_axes, region)))
     kperp = np.hypot(kx, ky)
     ep = np.exp(
         -((kperp - spec.k_perp0) ** 2) / (2.0 * spec.sigma_perp ** 2)
         - ((kz - spec.k_z0) ** 2) / (2.0 * spec.sigma_z ** 2)
     )
-    winding = np.divide(kx + 1j * np.sign(spec.m) * ky, kperp, out=np.ones(grid.dims, dtype=complex),
+    winding = np.divide(kx + 1j * np.sign(spec.m) * ky, kperp, out=np.ones(kperp.shape, dtype=complex),
                         where=kperp > 0.0)
     del kperp
     ep = -np.sqrt(2.0) * ep * winding ** abs(spec.m)
     del winding
-
-    # E(k): -sqrt(2) e_z (chi = +1) or -sqrt(2) e_z* (chi = -1) times the envelope
-    e_z = chart_basis(grid, (0.0, 0.0, 1.0))
-    Ek = np.empty((3,) + grid.dims, dtype=complex)
+    E_i = np.empty(ep.shape, dtype=complex)
     for i in range(3):
-        e_z.e(i, out=Ek[i])
+        e_z._e_slab(i, region, E_i)
         if spec.helicity < 0:
-            np.conjugate(Ek[i], out=Ek[i])
-        Ek[i] *= ep
-    del ep
-
-    wf = project_spectral_e(SpectralEField(values=Ek, grid=grid), basis)
-    del Ek
-    check_boundary_decay(grid, (wf.gL, wf.gR), "Bessel beam")
-    return _with_photons(wf, photons)
+            np.conjugate(E_i, out=E_i)
+        E_i *= ep
+        yield E_i
 
 
 def gaussian_vortex(grid, basis, center, widths, m=0, helicity="L",

@@ -32,9 +32,10 @@ its own chart, and the flag is refused there.
 ``CHECK_SIZES``; ``--grid`` gives one N (greens: N >= 26), or N1,N2 for
 algebra, where N alone means N,2N.  The THREADS environment variable caps
 the worker threads of every command (default: the CPU count): the 3-d
-transforms, e(k), the k gradient and the photon picture run in slabs on
-them, and ``check algebra`` runs its commutator pairs on them (see
-``grids._map_threads`` and ``algebra_checks.run_suite``).  Outputs are
+transforms, e(k), alpha, the k gradient, E(k), the Bessel beam and the
+photon, darwin and field pictures run in slabs on them, and ``check
+algebra`` runs its commutator pairs on them (see ``grids._map_threads``,
+``grids._over_slabs`` and ``algebra_checks.run_suite``).  Outputs are
 identical, bit for bit, for any value.
 """
 

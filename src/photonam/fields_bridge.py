@@ -5,10 +5,13 @@ fields; free evolution is ``dF/dt = -i c curl F`` with ``div F = 0``.
 Synthesis assembles F from helicity amplitudes, and analysis inverts it by
 projecting F(k) and its reflection onto the basis vectors e(k).
 
-Each step of the photon picture has one implementation: `project_spectral_e`
-is the projection gL = sqrt(2 eps0) e*.E(k), gR = sqrt(2 eps0) e.E(k) (used by
-`beams.bessel_beam`), and `photon_state.materialized` bakes the evolution
-phase e^{-i w t} (used by `synthesize` and `spectral_e_from_wavefunction`).
+Each step of the photon picture has one implementation: `_projection` is
+the projection gL = sqrt(2 eps0) e*.E(k), gR = sqrt(2 eps0) e.E(k), one k_x
+slab at a time on the THREADS workers, shared by `project_spectral_e` and
+`beams.bessel_beam` (which builds its E(k) slab by slab, so no (3, N) E(k)
+exists), and `photon_state.materialized` bakes the evolution phase
+e^{-i w t} (used by `synthesize` and `spectral_e_from_wavefunction`).
+`spectral_e_from_wavefunction` fills E(k) in the same k_x slabs.
 """
 
 from __future__ import annotations
@@ -27,6 +30,7 @@ from .grids import (
     reflect_conjugate,
     _along,
     _norm,
+    _over_slabs,
     _readonly,
 )
 
@@ -237,41 +241,70 @@ def analyze(rs, basis):
 
 
 def project_spectral_e(Ek, basis):
-    """Basis projections gL = sqrt(2 eps0) e*.E(k), gR = sqrt(2 eps0) e.E(k), on the grid of E(k)."""
-    grid = Ek.grid
-    grid.require_same(basis.grid, "E(k) and the polarization basis")
-    gL = np.zeros(grid.dims, dtype=complex)
-    gR = np.zeros(grid.dims, dtype=complex)
-    tmp = np.empty(grid.dims, dtype=complex)
-    e_i = np.empty(grid.dims, dtype=complex)
-    for i in range(3):
-        basis.e(i, out=e_i)
-        np.conjugate(e_i, out=tmp)
-        tmp *= Ek.values[i]
-        gL += tmp
-        e_i *= Ek.values[i]
-        gR += e_i
-    del tmp, e_i
+    """Basis projections gL = sqrt(2 eps0) e*.E(k), gR = sqrt(2 eps0) e.E(k), on the grid of E(k).
+
+    The k_x slabs of `_projection`, the projection `beams.bessel_beam` shares.
+    """
+    Ek.grid.require_same(basis.grid, "E(k) and the polarization basis")
+    return _projection(basis, lambda region: (E_i[region] for E_i in Ek.values))
+
+
+def _projection(basis, components):
+    """The wavefunction ``gL = sqrt(2 eps0) e*.E(k)``, ``gR = sqrt(2 eps0) e.E(k)``, one k_x slab at a time.
+
+    ``components(region)`` yields the three components of E(k) on the k_x
+    slab `region` (`grids._over_slabs`), in order, each an array of the
+    slab's shape that is read before the next is asked for.  The slabs run
+    on the THREADS workers; besides gL and gR, each allocates two complex
+    arrays of its own shape, and e(k) one real one.  The one projection of
+    `project_spectral_e` and of `beams.bessel_beam`, which builds its E(k)
+    slab by slab.
+    """
+    grid = basis.grid
+    gL = np.empty(grid.dims, dtype=complex)
+    gR = np.empty(grid.dims, dtype=complex)
     s = np.sqrt(2.0 * grid.units.eps0)
-    gL *= s
-    gR *= s
+
+    def project(region):
+        L, R = gL[region], gR[region]
+        L[...] = 0.0
+        R[...] = 0.0
+        tmp = np.empty(L.shape, dtype=complex)
+        e_i = np.empty(L.shape, dtype=complex)
+        for i, E_i in enumerate(components(region)):
+            basis._e_slab(i, region, e_i)
+            np.conjugate(e_i, out=tmp)
+            tmp *= E_i
+            L += tmp
+            e_i *= E_i
+            R += e_i
+        L *= s
+        R *= s
+
+    _over_slabs(grid, 0, project)
     return photon_state.wavefunction(grid, basis, gL, gR)
 
 
 def spectral_e_from_wavefunction(wf):
-    """E(k) of the state's snapshot, evolution phase materialized."""
+    """E(k) of the state's snapshot, evolution phase materialized, filled in k_x slabs on the THREADS workers."""
     grid, basis = wf.grid, wf.basis
     w = photon_state.materialized(wf)
     pref = 1.0 / np.sqrt(2.0 * grid.units.eps0)
     Ek = np.empty((3,) + grid.dims, dtype=complex)
-    tmp = np.empty(grid.dims, dtype=complex)
-    for i in range(3):
-        basis.e(i, out=Ek[i])
-        np.conjugate(Ek[i], out=tmp)
-        Ek[i] *= w.gL
-        tmp *= w.gR
-        Ek[i] += tmp
-        Ek[i] *= pref
+
+    def fill(region):
+        gL, gR = w.gL[region], w.gR[region]
+        tmp = np.empty(gL.shape, dtype=complex)
+        for i in range(3):
+            E_i = Ek[i][region]
+            basis._e_slab(i, region, E_i)
+            np.conjugate(E_i, out=tmp)
+            E_i *= gL
+            tmp *= gR
+            E_i += tmp
+            E_i *= pref
+
+    _over_slabs(grid, 0, fill)
     return SpectralEField(values=_readonly(Ek), grid=grid)
 
 

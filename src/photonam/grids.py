@@ -28,13 +28,19 @@ Conventions used throughout the package:
   over items on up to THREADS threads (the environment variable; default
   the CPU count), inline with one thread or when called from one of its own
   workers, so calls never nest.  Every threaded kernel writes disjoint
-  slices of an array its caller allocated, and no worker allocates a
-  grid-sized array; every reduction runs whole on the calling thread, so
-  results are bit-identical for any THREADS.
+  slices of an array its caller allocated, and no worker allocates more
+  than a slab;
+* a stage that multiplies and sums runs on `_over_slabs`: each slab region
+  of one axis is built, multiplied and reduced on a worker, and the
+  per-slab partial sums (``np.sum``, `moments` on the slab's axes) are
+  added in slab order.  The slabs depend on the grid alone, never on
+  THREADS, so every result is bit-identical for any THREADS; a grid of
+  fewer than 2^18 points (48^3, say) is one slab and sums as a whole array.
 """
 
 from __future__ import annotations
 
+import operator
 import os
 import threading
 import warnings
@@ -51,10 +57,11 @@ BOUNDARY_TOL = 1e-8
 
 #: peak working set of the largest photonam command, in complex grid arrays
 #: (16 bytes per grid point): `observables` with all five routes peaks at
-#: 420 MiB RSS at 128^3 with THREADS=2, on a wavefunction or an rs_field file
+#: 379 MiB RSS at 128^3 with THREADS=2, on a wavefunction or an rs_field file
 #: (its peak is the nonlocal convolution; the four default routes peak at
-#: 338 MiB, in the darwin route, `split` at 289 MiB, `analyze` at 353 MiB
-#: and `potential` at 329 MiB); 16 arrays of 32 MiB leave a 22% margin
+#: 313 MiB, in the darwin route, `split` at 275 MiB, in deriving alpha,
+#: `beam` at 178 MiB, `analyze` at 339 MiB and `potential` at 329 MiB);
+#: 16 arrays of 32 MiB leave a 35% margin
 WORKING_SET_ARRAYS = 16
 
 
@@ -232,9 +239,9 @@ def _along(a, ax):
 
 def _nhat(grid, j, region):
     """Component `j` of `GridPair.nhat` on `region`, a tuple of three slices of the grid axes."""
-    axes = [a[r] for a, r in zip(grid.k_axes, region)]
+    axes = _in_region(grid.k_axes, region)
     out = _norm(axes)
-    at_zero = all((r.start or 0) == 0 for r in region)      # the region holds the excluded bin
+    at_zero = _at_origin(region)
     if at_zero:
         out[0, 0, 0] = 1.0
     np.divide(_along(axes[j], j), out, out=out)
@@ -358,8 +365,11 @@ def _thread_count():
 
 _WORKER_NAME = "photonam-worker"
 
-#: slabs of e(k) and of a photon-picture term: a worker's temporaries stay
-#: within 1/16 of a grid array, and a slab's Python calls cost little
+#: slabs of every `_over_slabs` stage and of a photon-picture term: a
+#: worker's temporaries stay within 1/16 of a grid array, and a slab's Python
+#: calls cost little.  It fixes the order in which partial sums are added,
+#: so changing it changes the bits of every slab-summed result (though not
+#: their agreement across THREADS)
 _SCRATCH_SLABS = 16
 
 #: grid points of the smallest slab worth a thread of its own: on smaller
@@ -396,6 +406,38 @@ def _slabs(n, count, points):
 def _on_slabs(fn, n, points):
     """Run `fn` on slabs of ``range(n)``, one per THREADS worker, spanning `points` grid points in all."""
     _map_threads(fn, _slabs(n, _thread_count(), points))
+
+
+def _over_slabs(grid, axis, fn):
+    """Run ``fn(region)`` on the slab regions of grid axis `axis`; return the results added in slab order.
+
+    A region is three slices of the grid axes, the whole of two axes and a
+    slab of `axis`, one of ``_slabs(n, _SCRATCH_SLABS, npoints)``: the
+    slabs depend on the grid alone, never on THREADS.  The regions run on
+    the THREADS workers.  Their results, each a partial sum or a tuple of
+    partial sums (numbers or arrays), are added in slab order, so the total
+    is the same for any THREADS.  A function that only fills its region
+    returns None, and so does this helper.
+    """
+    regions = [tuple(s if ax == axis else slice(None) for ax in range(3))
+               for s in _slabs(grid.dims[axis], _SCRATCH_SLABS, grid.npoints)]
+    parts = _map_threads(fn, regions)
+    if parts[0] is None:
+        return None
+    total = parts[0]
+    for part in parts[1:]:
+        total = tuple(map(operator.add, total, part)) if isinstance(total, tuple) else total + part
+    return total
+
+
+def _at_origin(region):
+    """Whether `region`, three slices of the grid axes, holds the excluded k=0 bin at its own (0, 0, 0)."""
+    return all((r.start or 0) == 0 for r in region)
+
+
+def _in_region(axes, region):
+    """The three 1-d `axes` cut to `region`, three slices of the grid axes: the axes of a slab."""
+    return tuple(a[r] for a, r in zip(axes, region))
 
 
 # ---------------------------------------------------------------------------

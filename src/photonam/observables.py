@@ -11,24 +11,28 @@ Cross checks:    the k-space double-transform form acting on E(k), the
 Every route streams: no stage builds a (3, N) stack only to reduce it.
 The field picture accumulates |F|^2, then forms V = Im(F* x F) one
 component at a time.  The photon picture reduces each term
-``i g_chi* D_a g_chi`` of the density ``u = sum_chi i g* D g`` as soon as it
-is made, one helicity and axis at a time, in one reused buffer.  The darwin
-route reduces one component of E at a time, from its stacked k gradient
-(the one (3, N) stack left: `perfbench` counts the callers of
-`spectral_gradient_k`, and this is one of them); the textbook route takes the
-real transforms of the real fields: one forward transform per component
-of A and one inverse transform per derivative d_b A_i; the nonlocal route
-convolves one component of curl B at a time on the doubled grid, in
-O(M log M), so it runs at every grid size.  A sum weighted by one
-coordinate r_a or k_a (P, J, the field K, and Jo on the photon, darwin
-and textbook routes) is the 1-d profile of its integrand weighted by that
-coordinate (`grids.moments`), never a grid-sized product.  Grid metadata (w, omega, n) is derived inside
-each stage, n one component at a time.  The transforms, e(k), the k
-gradient and each term of the photon picture run on the THREADS workers
-(`grids._map_threads`), each worker filling its own slice of an array made
-on the calling thread; every reduction is a plain numpy sum over a whole
-array on the calling thread, in a fixed order, so results are bit-identical
-for any THREADS.
+``i g_chi* D_a g_chi`` of the density ``u = sum_chi i g* D g`` where it is
+made, one helicity and axis at a time.  The darwin route reduces one
+component of E at a time, from its stacked k gradient (the one (3, N)
+stack left: `perfbench` counts the callers of `spectral_gradient_k`, and
+this is one of them); the textbook route takes the real transforms of the
+real fields: one forward transform per component of A and one inverse
+transform per derivative d_b A_i; the nonlocal route convolves one
+component of curl B at a time on the doubled grid, in O(M log M), so it
+runs at every grid size.  A sum weighted by one coordinate r_a or k_a (P,
+J, the field K, and Jo on the photon, darwin and textbook routes) is the
+1-d profile of its integrand weighted by that coordinate (`grids.moments`),
+never a grid-sized product.  Grid metadata (w, omega, n) is derived inside
+each stage, n one component at a time.
+
+The photon, darwin and field pictures build, multiply and reduce their
+integrands slab by slab on the THREADS workers (`grids._over_slabs`): each
+worker returns the partial sums of its slab, with `moments` taken on the
+slab's own axes, and the partials are added in slab order.  The slabs
+depend on the grid alone, so results are bit-identical for any THREADS,
+and equal those of a whole-array sum to rounding.  The nonlocal route
+sums its last inverse transform with E the same way, per x slab; the
+textbook route sums whole arrays on the calling thread.
 
 Each route measures the decay its result needs once and reports it in its
 diagnostics: the photon picture that of (gL, gR) and the darwin route that
@@ -57,6 +61,10 @@ from .grids import (
     real_inverse_transform,
     spectral_gradient_k,
     _along,
+    _at_origin,
+    _in_region,
+    _nhat,
+    _over_slabs,
 )
 
 
@@ -101,24 +109,27 @@ def generators_field_picture(rs):
                       f"(edge magnitude {margin:.2e}); r-weighted moments unreliable",
                       BoundaryDecayWarning, stacklevel=2)
 
-    dens = np.zeros(grid.dims)
-    for j in range(3):
-        dens += F[j].real ** 2 + F[j].imag ** 2
-    H = float(np.sum(dens) * dV)
-    K = moments(grid.x_axes, dens) * dV
-    del dens
+    # per slab: H and K from |F|^2, then V = Im(F* x F) = 2 Re F x Im F, one component
+    # at a time: P = V/c pointwise, and M[a, b] = sum r_a V_b gives J_j = eps_jab M[a, b] / c
+    def sums(region):
+        Fs = F[(slice(None),) + region]
+        x = _in_region(grid.x_axes, region)
+        dens = np.zeros(Fs.shape[1:])
+        for j in range(3):
+            dens += Fs[j].real ** 2 + Fs[j].imag ** 2
+        H, K = np.sum(dens), moments(x, dens)
+        P, M = np.empty(3), np.empty((3, 3))
+        V = dens
+        for b in range(3):
+            cross_component(Fs.real, Fs.imag, b, out=V)
+            V *= 2.0
+            P[b] = np.sum(V)
+            M[:, b] = moments(x, V)
+        return H, K, P, M
 
-    # V = Im(F* x F) = 2 Re F x Im F, one component at a time: P = V/c pointwise,
-    # and M[a, b] = sum r_a V_b gives J_j = eps_jab M[a, b] / c
-    P = np.empty(3)
-    M = np.empty((3, 3))
-    V = np.empty(grid.dims)
-    for b in range(3):
-        cross_component(F.real, F.imag, b, out=V)
-        V *= 2.0
-        P[b] = np.sum(V)
-        M[:, b] = moments(grid.x_axes, V)
-    del V
+    H, K, P, M = _over_slabs(grid, 0, sums)
+    H = float(H * dV)
+    K = K * dV
     P = P * dV / c
     J = np.einsum("jab,ab->j", LEVI_CIVITA, M) * dV / c
     return GeneratorSet(H=H, P=P, J=J, K=K, diagnostics={"boundary_margin_r": margin})
@@ -147,30 +158,44 @@ def generators_photon_picture(wf):
     hbar = grid.units.hbar
     w = grid.w_invariant()        # dVk / (hbar omega), zero at the excluded bin
 
-    absL2 = np.abs(wf.gL) ** 2
-    absR2 = np.abs(wf.gR) ** 2
-    dens = absL2 + absR2
-    dens[grid.excluded_index] = 0.0     # the k=0 exclusion of the dVk quadrature
+    def densities(region):
+        wr = w[region]
+        absL2 = np.abs(wf.gL[region]) ** 2
+        absR2 = np.abs(wf.gR[region]) ** 2
+        dens = absL2 + absR2
+        if _at_origin(region):
+            dens[0, 0, 0] = 0.0     # the k=0 exclusion of the dVk quadrature
+        N = np.sum(wr * dens)
+        H = np.sum(grid.dVk * dens)
+        dens *= wr
+        P = moments(_in_region(grid.k_axes, region), dens)
+        del dens
+        absL2 -= absR2
+        del absR2
+        Js = np.array([np.sum(wr * _nhat(grid, j, region) * absL2) for j in range(3)])
+        return N, H, P, Js
 
-    N = float(np.sum(w * dens))
-    H = float(np.sum(grid.dVk * dens))
-    dens *= w
-    P = hbar * moments(grid.k_axes, dens)
-    del dens
-    absL2 -= absR2
-    del absR2
-    Js = hbar * np.array([np.sum(w * grid.nhat(j) * absL2) for j in range(3)])
-    del absL2
+    N, H, P, Js = _over_slabs(grid, 0, densities)
+    N, H = float(N), float(H)
+    P = hbar * P
+    Js = hbar * Js
 
     # M[a, b] = sum k_b w u_a, so that sum w (u x k)_j = eps_jab M[a, b];
     # w omega = dVk / hbar wherever w != 0, so K = dVk sum u off the excluded bin
+    def reduce(region):
+        t = term(region)
+        if _at_origin(region):
+            t[0, 0, 0] = 0.0
+        K = np.sum(t)
+        t *= w[region]
+        return K, moments(_in_region(grid.k_axes, region), t)
+
     M = np.zeros((3, 3), dtype=complex)
     K = np.zeros(3, dtype=complex)
-    for a, t in photon_state._covariant_terms(wf):
-        t[grid.excluded_index] = 0.0
-        K[a] += np.sum(t)
-        t *= w
-        M[a] += moments(grid.k_axes, t)
+    for a, axis, term in photon_state._covariant_terms(wf):
+        K_a, M_a = _over_slabs(grid, axis, reduce)
+        K[a] += K_a
+        M[a] += M_a
     X = hbar * np.einsum("jab,ab->j", LEVI_CIVITA, M)
     K *= grid.dVk
     Jo = X.real
@@ -205,21 +230,30 @@ def darwin_split(Ek):
     w2 *= grid.units.hbar
 
     # E* x E is purely imaginary: Im(E* x E) = 2 Re E x Im E
-    Js = np.zeros(3)
-    buf = np.empty(grid.dims)
-    for j in range(3):
-        cross_component(E.real, E.imag, j, out=buf)
-        buf *= w2
-        Js[j] = 4.0 * eps0 * np.sum(buf)
-    del buf
+    def spin(region):
+        Es = E[(slice(None),) + region]
+        buf = np.empty(Es.shape[1:])
+        part = np.empty(3)
+        for j in range(3):
+            cross_component(Es.real, Es.imag, j, out=buf)
+            buf *= w2[region]
+            part[j] = np.sum(buf)
+        return part
+
+    Js = 4.0 * eps0 * _over_slabs(grid, 0, spin)
 
     # X_j = eps_jab M[a, b], M[a, b] = sum_i sum_k k_a conj(E_i) d_b E_i
+    def orbital(region):
+        Ts = T[(slice(None),) + region]
+        weight = np.conjugate(E[i][region])
+        Ts *= np.multiply(w2[region], weight, out=weight)
+        k = _in_region(grid.k_axes, region)
+        return np.stack([moments(k, Ts[b]) for b in range(3)], axis=1)
+
     M = np.zeros((3, 3), dtype=complex)
     for i in range(3):
         T = spectral_gradient_k(grid, E[i])
-        T *= w2 * np.conj(E[i])
-        for b in range(3):
-            M[:, b] += moments(grid.k_axes, T[b])
+        M += _over_slabs(grid, 0, orbital)
         del T           # before the next component's gradient is allocated
     X = np.einsum("jab,ab->j", LEVI_CIVITA, M)
     Jo = 2.0 * eps0 * X.imag
@@ -316,12 +350,23 @@ def spin_nonlocal_real(E, B):
     convolution, taken exactly on the grid doubled along every axis
     (zero-padded circulant embedding, Hockney & Eastwood 1988) in O(M log M):
     one component of curl B at a time, padded one axis at a time on the way
-    in and cropped one axis at a time on the way out.
+    in and cropped one axis at a time on the way out.  The last inverse
+    transform and the sums with E run in x slabs on the THREADS workers
+    (`grids._over_slabs`), the transform cropped one x plane at a time, so
+    no worker holds more of the doubled C than one plane.
     """
     grid = E.grid
     n0, n1, n2 = grid.dims
     Khat = _kernel_spectrum(grid)
     curlB = spectral_curl(grid, B.values)
+
+    def pair_sums(X, region):
+        """``sum_r E_a(r) C_b(r)`` for the three a over the x slab `region` of C, cropped one x plane at a time."""
+        rows = region[0]
+        C = np.empty((rows.stop - rows.start, n1, n2))
+        for x in range(rows.start, rows.stop):
+            C[x - rows.start] = np.fft.irfft(X[x, :n1], n=2 * n2, axis=1)[:, :n2]
+        return np.array([np.sum(E.values[a][rows] * C) for a in range(3)])
 
     G = np.empty((3, 3))             # G[a, b] = sum_r E_a(r) C_b(r); Js_i = eps_iab G[a, b]
     for b in range(3):
@@ -332,9 +377,6 @@ def spin_nonlocal_real(E, B):
         X *= Khat
         np.fft.ifft(X, axis=0, out=X)
         np.fft.ifft(X[:n0], axis=1, out=X[:n0])
-        C = np.fft.irfft(X[:n0, :n1], n=2 * n2, axis=2)[:, :, :n2]
+        G[:, b] = _over_slabs(grid, 0, lambda region: pair_sums(X, region))
         del X
-        for a in range(3):
-            G[a, b] = np.sum(E.values[a] * C)
-        del C
     return grid.units.eps0 * grid.dV * np.einsum("iab,ab->i", LEVI_CIVITA, G)

@@ -10,7 +10,9 @@ orbital/spin split conserved to rounding, as it is in the continuum.
 A state and its basis change gauge together, only through `gauge_transform`.
 
 The covariant derivative D is a k-space finite difference, valid only for
-states that decay near the momentum boundary.  Neither D nor `wavefunction`
+states that decay near the momentum boundary.  The photon picture's terms
+i g* D_j g are made slab by slab (`_covariant_terms`), so that each slab is
+reduced on the THREADS worker that made it.  Neither D nor `wavefunction`
 checks it: the decay is measured by the beam factories
 (`beams.bessel_beam`, `beams.gaussian_vortex`) and by the route that
 reports a result from D (`observables.generators_photon_picture`).
@@ -19,10 +21,11 @@ reports a result from D (`observables.generators_photon_picture`).
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
+from functools import partial
 
 import numpy as np
 
-from .grids import spectral_gradient_k, _gradient_k_axis, _map_threads, _nhat, _readonly, _slabs, _SCRATCH_SLABS
+from .grids import spectral_gradient_k, _gradient_k_axis, _nhat, _readonly
 
 HELICITIES = (+1, -1)
 
@@ -134,9 +137,9 @@ def _connect(wf, chi, ghat, j, d, region=(slice(None),) * 3, scratch=None):
 
     Subtracts the connection term ``i chi alpha_j ghat``, built in the
     complex array `scratch` (allocated when None), and the analytic
-    evolution-phase gradient ``i c t n_j ghat``.  `ghat`, `d` and `scratch`
-    are the parts on `region` (three slices of the grid axes) of whole
-    arrays.
+    evolution-phase gradient ``i c t n_j ghat``.  `ghat` is the part on
+    `region` (three slices of the grid axes) of a whole array; `d` and
+    `scratch` have its shape.
     """
     scratch = np.multiply(1j * chi, wf.basis.connection()[j][region], out=scratch)
     scratch *= ghat
@@ -196,37 +199,34 @@ def covariant_derivative_axis(wf, j):
 
 
 def _covariant_terms(wf):
-    """Yield ``(j, t)`` with ``t = i g* D_j g``, one helicity and axis at a time.
+    """Yield ``(j, axis, term)`` for the six terms ``t = i g* D_j g``, one helicity and axis at a time.
 
     Same gauge and time handling as `covariant_derivative`; the re-phasing
     factor ``e^{i chi phase}`` of D g cancels against the one in g*, so
     ``i g* D_j g = i ghat* (D_j ghat)`` in the construction gauge.  The sum
-    of the six terms is the density ``u_j = sum_chi i g* D_j g``.  Every `t`
-    is the same buffer, overwritten by the next term, so the caller may
-    reduce it in place.  Each term is filled on the THREADS workers, in
-    slabs across an axis that the stencil along j does not read.
+    of the six terms is the density ``u_j = sum_chi i g* D_j g``.
+    ``term(region)`` returns t on a slab region of grid `axis`
+    (`grids._over_slabs`), in an array of its own: `axis` is one that the
+    stencil along j does not read, so the slabs may run on the THREADS
+    workers and each be reduced where it is made.
     """
-    grid = wf.grid
     wf.basis.connection()       # derived here if need be, never on a worker
-    t, scratch = np.empty(grid.dims, dtype=complex), np.empty(grid.dims, dtype=complex)
     for chi in HELICITIES:
         ghat = _construction_gauge(wf, chi)
         for j in range(3):
-            across = 1 if j == 0 else 0
-            planes = [tuple(s if ax == across else slice(None) for ax in range(3))
-                      for s in _slabs(grid.dims[across], _SCRATCH_SLABS, grid.npoints)]
-            _map_threads(lambda region: _covariant_term(wf, chi, ghat, j, region, t[region], scratch[region]),
-                         planes)
-            yield j, t
+            yield j, (1 if j == 0 else 0), partial(_covariant_term, wf, chi, ghat, j)
 
 
-def _covariant_term(wf, chi, ghat, j, region, out, scratch):
-    """Write ``i ghat* D_j ghat`` on `region` into `out`, its part of the term buffer.
+def _covariant_term(wf, chi, ghat, j, region):
+    """``i ghat* D_j ghat`` on `region`, in an array of the region's shape.
 
-    `scratch` is the part on `region` of a complex grid array: the
-    connection term and i ghat* are built there, one after the other.
+    One complex array of that shape more is scratch: the connection term
+    and i ghat* are built there, one after the other.
     """
     g = ghat[region]
-    d = _connect(wf, chi, g, j, _gradient_k_axis(wf.grid, g, j, out=out), region, scratch)
+    scratch = np.empty(g.shape, dtype=complex)
+    d = _gradient_k_axis(wf.grid, g, j, out=np.empty(g.shape, dtype=complex))
+    d = _connect(wf, chi, g, j, d, region, scratch)
     np.multiply(1j, np.conjugate(g, out=scratch), out=scratch)
     d *= scratch
+    return d

@@ -33,7 +33,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .grids import LEVI_CIVITA, cross, reflect_conjugate, spectral_gradient_k, _along, _map_threads, _norm, _readonly, _slabs, _SCRATCH_SLABS
+from .grids import LEVI_CIVITA, cross, reflect_conjugate, spectral_gradient_k, _along, _norm, _over_slabs, _readonly
 
 EPS_POLE = 1e-6  # radians
 
@@ -68,16 +68,24 @@ class PolarizationBasis:
         """Component `i` of the polarization vector e(k) in the current gauge.
 
         With `out` (a complex grid array) the component is written there and
-        `out` returned.  Uses one real grid array of scratch, and one complex
-        one more when a gauge phase is present.
+        `out` returned.  The k_x slabs are filled on the THREADS workers.
         """
         if out is None:
             out = np.empty(self.grid.dims, dtype=complex)
-        _construction_e(self.grid, self.chart_axis, i, out)
-        if self.gauge_phase is not None:
-            phase = np.multiply(self.gauge_phase, -1j)
-            out *= np.exp(phase, out=phase)
+        _over_slabs(self.grid, 0, lambda region: self._e_slab(i, region, out[region]))
         return out
+
+    def _e_slab(self, i, region, out):
+        """Component `i` of e(k) on the k_x slab `region` (`grids._over_slabs`), written into `out`.
+
+        `out` (complex) has the shape of the slab; one real array of that
+        shape is scratch, and one complex one more when a gauge phase is
+        present.  Equal, bit for bit, to the slab of `e`.
+        """
+        _construction_e_rows(self.grid, self.chart_axis, i, region[0], out, np.empty(out.shape))
+        if self.gauge_phase is not None:
+            phase = np.multiply(self.gauge_phase[region], -1j)
+            out *= np.exp(phase, out=phase)
 
     def pole_mask(self):
         """Boolean grid mask of the chart poles, the excluded k=0 bin included."""
@@ -175,18 +183,6 @@ def _pole_limit(grid, axis, pts, i):
     return re[i], im[i]
 
 
-def _construction_e(grid, axis, i, out):
-    """Write component `i` of e(k) in the construction gauge into the complex array `out`.
-
-    The k_x slabs are filled on the THREADS workers (`grids._map_threads`),
-    with one real grid array of scratch allocated here.
-    """
-    kmag = np.empty(grid.dims)
-    _map_threads(lambda rows: _construction_e_rows(grid, axis, i, rows, out[rows], kmag[rows]),
-                 _slabs(grid.dims[0], _SCRATCH_SLABS, grid.npoints))
-    return out
-
-
 def _construction_e_rows(grid, axis, i, rows, out, kmag):
     """Component `i` of e(k) on the k_x slab `rows`, written into `out`; `kmag` is scratch.
 
@@ -234,14 +230,24 @@ def build_basis(grid, chart_axis=(0.0, 0.0, 1.0)):
 
 
 def _derive_connection(grid, axis):
-    """alpha_j = -sum_c Im(e_c* d_j e_c) in the construction gauge, one component of e at a time."""
+    """alpha_j = -sum_c Im(e_c* d_j e_c) in the construction gauge, one component of e at a time.
+
+    Each product e_c* d_j e_c and its subtraction run in k_x slabs on the
+    THREADS workers, e_c* written over e_c, so no worker allocates.
+    """
+    construction = PolarizationBasis(grid=grid, chart_axis=axis)
     alpha = np.zeros((3,) + grid.dims)
     e = np.empty(grid.dims, dtype=complex)
+
+    def finish(region):
+        grad_slab = grad[(slice(None),) + region]
+        grad_slab *= np.conjugate(e[region], out=e[region])
+        alpha[(slice(None),) + region] -= grad_slab.imag
+
     for comp in range(3):
-        _construction_e(grid, axis, comp, e)
+        construction.e(comp, out=e)
         grad = spectral_gradient_k(grid, e)
-        grad *= np.conjugate(e, out=e)
-        alpha -= grad.imag
+        _over_slabs(grid, 0, finish)
         del grad        # before the next component's gradient is allocated
     return alpha
 

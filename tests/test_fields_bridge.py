@@ -139,10 +139,14 @@ def test_a_basis_on_another_grid_is_refused(grid32, basis32, basis16):
     """Same dims, another spacing: the amplitudes would be read on the wrong k points without an error."""
     wf = smooth_state(grid32, basis32, m=1)
     foreign = pn.chart_basis(pn.make_grid(32, (1.0, 1.0, 0.5)))
+    dk = grid32.dk[0]
+    spec = pn.BesselSpec(k_perp0=9.0 * dk, k_z0=6.0 * dk, m=1, helicity=1, sigma_perp=2.0 * dk, sigma_z=2.0 * dk)
     for make in (lambda: pn.wavefunction(grid32, foreign, wf.gL, wf.gR),
                  lambda: pn.wavefunction(grid32, basis16, wf.gL, wf.gR),
                  lambda: pn.analyze(pn.synthesize(wf), foreign),
-                 lambda: project_spectral_e(pn.spectral_e_from_wavefunction(wf), foreign)):
+                 lambda: project_spectral_e(pn.spectral_e_from_wavefunction(wf), foreign),
+                 lambda: pn.bessel_beam(grid32, foreign, spec),
+                 lambda: pn.bessel_beam(grid32, basis16, spec)):
         with pytest.raises(ValueError, match="different grids"):
             make()
 

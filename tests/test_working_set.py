@@ -27,12 +27,12 @@ def two_threads(monkeypatch):
 BUDGETS = {
     "build_basis": 6.1,
     "basis.e": 1.0,
-    "generators_photon_picture": 4.0,
+    "generators_photon_picture": 3.2,
     "generators_photon_picture_lazy_basis": 6.1,     # also derives and keeps alpha, 1.5 arrays
-    "darwin_split": 10.0,
+    "darwin_split": 5.1,
     "vector_potential": 5.0,
     "textbook_split": 3.4,
-    "bessel_beam": 8.1,
+    "bessel_beam": 7.1,
     "synthesize": 8.0,
     "generators_field_picture": 2.0,
     "spectral_e_from_wavefunction": 5.0,
