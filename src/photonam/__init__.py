@@ -20,7 +20,6 @@ from .grids import (
 from .polarization import PolarizationBasis, berry_loop, build_basis, chart_basis, identity_residuals
 from .photon_state import (
     PhotonWaveFunction,
-    apply_helicity,
     covariant_derivative,
     evolve,
     gauge_transform,
@@ -38,7 +37,6 @@ from .fields_bridge import (
     electric_field,
     greens_function_check,
     magnetic_field,
-    maxwell_residual,
     spectral_curl,
     spectral_e_from_wavefunction,
     synthesize,
@@ -60,6 +58,5 @@ from .algebra_checks import (
     check_curvature,
     run_suite,
 )
-from .rotations import rotate_wavefunction, rotation_matrix
 
 __version__ = "0.1.0"

@@ -32,11 +32,12 @@ its own chart, and the flag is refused there.
 ``CHECK_SIZES``; ``--grid`` gives one N (greens: N >= 26), or N1,N2 for
 algebra, where N alone means N,2N.  The THREADS environment variable caps
 the worker threads of every command (default: the CPU count): the 3-d
-transforms, e(k), alpha, the k gradient, E(k), the Bessel beam and the
-photon, darwin and field pictures run in slabs on them, and ``check
-algebra`` runs its commutator pairs on them (see ``grids._map_threads``,
-``grids._over_slabs`` and ``algebra_checks.run_suite``).  Outputs are
-identical, bit for bit, for any value.
+transforms, e(k), alpha, E(k), the Bessel beam and the photon, darwin and
+field pictures run on them in slabs that depend on the grid alone, the k
+gradient one axis per worker, and ``check algebra`` its commutator pairs
+(see ``grids._over_slabs``, ``grids._map_threads`` and
+``algebra_checks.run_suite``).  Outputs are identical, bit for bit, for
+any value.
 """
 
 from __future__ import annotations

@@ -309,26 +309,7 @@ def spectral_e_from_wavefunction(wf):
 
 
 # ---------------------------------------------------------------------------
-# residuals and potentials
-
-def maxwell_residual(rs1, rs2):
-    """Relative residual of dF/dt + i c curl F across two snapshots.
-
-    Symmetric differencing about the midpoint; second order in the snapshot
-    separation for exact solutions.
-    """
-    grid = rs1.grid
-    grid.require_same(rs2.grid, "the snapshots")
-    dt = rs2.time - rs1.time
-    if dt <= 0:
-        raise ValueError("snapshots must be time ordered")
-    mid = 0.5 * (rs1.F + rs2.F)
-    dF = (rs2.F - rs1.F) / dt
-    resid = dF + 1j * grid.units.c * (spectral_curl(grid, mid.real) + 1j * spectral_curl(grid, mid.imag))
-    num = np.linalg.norm(resid)
-    den = np.linalg.norm(mid)
-    return float(num / den) if den > 0 else float(num)
-
+# potentials
 
 def vector_potential(B):
     """Transverse-gauge vector potential with curl A = B, div A = 0.

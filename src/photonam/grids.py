@@ -20,22 +20,20 @@ Conventions used throughout the package:
 * a grid stores only its 1-d axes.  |k|, omega, the unit vectors n, the
   invariant weight, the boundary masks and the transform phase are derived
   on request, so a stage holds only the metadata it is using;
-* the 3-d transforms run as in-place slab passes, in numpy's own axis
-  order: the last two axes in slabs of the first, then the first axis in
-  slabs of the second.  Each 1-d line is transformed by the same call as in
-  ``np.fft.fftn`` & co, so the result equals theirs bit for bit;
-* `_map_threads` is the one helper that runs work on threads: a function
-  over items on up to THREADS threads (the environment variable; default
-  the CPU count), inline with one thread or when called from one of its own
-  workers, so calls never nest.  Every threaded kernel writes disjoint
-  slices of an array its caller allocated, and no worker allocates more
-  than a slab;
-* a stage that multiplies and sums runs on `_over_slabs`: each slab region
-  of one axis is built, multiplied and reduced on a worker, and the
-  per-slab partial sums (``np.sum``, `moments` on the slab's axes) are
-  added in slab order.  The slabs depend on the grid alone, never on
-  THREADS, so every result is bit-identical for any THREADS; a grid of
-  fewer than 2^18 points (48^3, say) is one slab and sums as a whole array.
+* every grid pass cut into slabs runs on `_over_slabs`: the 3-d
+  transforms (in numpy's own axis order, the last two axes in slabs of the
+  first, then the first axis in slabs of the second, each 1-d line by the
+  same call as in ``np.fft.fftn`` & co, so bit for bit numpy's), e(k),
+  alpha and every stage that multiplies and sums.  The regions of one axis
+  run on the THREADS workers, write disjoint slices of arrays their caller
+  allocated, and return partial sums (``np.sum``, `moments` on the slab's
+  axes) that are added in slab order.  The slabs are `_slabs` of the grid
+  alone, never of THREADS, so every result is bit-identical for any
+  THREADS; a grid of fewer than 2^18 points (48^3, say) is one slab.
+  `_map_threads`, the one helper that starts threads (up to THREADS, the
+  environment variable, default the CPU count; inline with one thread or
+  on one of its own workers, so calls never nest), runs those regions,
+  `spectral_gradient_k`'s three axes and `run_suite`'s pairs.
 """
 
 from __future__ import annotations
@@ -365,11 +363,10 @@ def _thread_count():
 
 _WORKER_NAME = "photonam-worker"
 
-#: slabs of every `_over_slabs` stage and of a photon-picture term: a
-#: worker's temporaries stay within 1/16 of a grid array, and a slab's Python
-#: calls cost little.  It fixes the order in which partial sums are added,
-#: so changing it changes the bits of every slab-summed result (though not
-#: their agreement across THREADS)
+#: the most slabs of a partition: a worker's temporaries stay within 1/16 of
+#: a grid array, and a slab's Python calls cost little.  It fixes the order
+#: in which partial sums are added, so changing it changes the bits of every
+#: slab-summed result (though not their agreement across THREADS)
 _SCRATCH_SLABS = 16
 
 #: grid points of the smallest slab worth a thread of its own: on smaller
@@ -392,35 +389,31 @@ def _map_threads(fn, items):
         return list(pool.map(fn, items))
 
 
-def _slabs(n, count, points):
-    """Contiguous slices of nearly equal length that cover ``range(n)``.
+def _slabs(n, points):
+    """Contiguous slices of nearly equal length that cover ``range(n)``: the one slab partition.
 
-    At most `count`, and no more than leave each slab `_MIN_SLAB_POINTS` of
-    the `points` grid points that ``range(n)`` spans; at least one.
+    At most `_SCRATCH_SLABS`, and no more than leave each slab
+    `_MIN_SLAB_POINTS` of the `points` grid points that ``range(n)`` spans;
+    at least one.  A function of its arguments alone, never of THREADS.
     """
-    count = max(1, min(count, n, points // _MIN_SLAB_POINTS))
+    count = max(1, min(_SCRATCH_SLABS, n, points // _MIN_SLAB_POINTS))
     edges = [n * s // count for s in range(count + 1)]
     return [slice(a, b) for a, b in zip(edges, edges[1:])]
-
-
-def _on_slabs(fn, n, points):
-    """Run `fn` on slabs of ``range(n)``, one per THREADS worker, spanning `points` grid points in all."""
-    _map_threads(fn, _slabs(n, _thread_count(), points))
 
 
 def _over_slabs(grid, axis, fn):
     """Run ``fn(region)`` on the slab regions of grid axis `axis`; return the results added in slab order.
 
     A region is three slices of the grid axes, the whole of two axes and a
-    slab of `axis`, one of ``_slabs(n, _SCRATCH_SLABS, npoints)``: the
-    slabs depend on the grid alone, never on THREADS.  The regions run on
-    the THREADS workers.  Their results, each a partial sum or a tuple of
-    partial sums (numbers or arrays), are added in slab order, so the total
-    is the same for any THREADS.  A function that only fills its region
-    returns None, and so does this helper.
+    slab of `axis`, one of ``_slabs(n, npoints)``: the slabs depend on the
+    grid alone, never on THREADS.  The regions run on the THREADS workers.
+    Their results, each a partial sum or a tuple of partial sums (numbers or
+    arrays), are added in slab order, so the total is the same for any
+    THREADS.  A function that only fills its region returns None, and so
+    does this helper.
     """
     regions = [tuple(s if ax == axis else slice(None) for ax in range(3))
-               for s in _slabs(grid.dims[axis], _SCRATCH_SLABS, grid.npoints)]
+               for s in _slabs(grid.dims[axis], grid.npoints)]
     parts = _map_threads(fn, regions)
     if parts[0] is None:
         return None
@@ -455,21 +448,21 @@ def forward_transform(grid, f):
     scale = grid.dV / ROOT_2PI_CUBED
     px, pyz = grid.fft_phase()
 
-    def rows(s):
-        part = out[..., s, :, :]
-        part[...] = f[..., s, :, :]
+    def rows(region):
+        part = out[(Ellipsis,) + region]
+        part[...] = f[(Ellipsis,) + region]
         np.fft.fft(part, axis=-1, out=part)
         np.fft.fft(part, axis=-2, out=part)
 
-    def columns(s):
-        part = out[..., s, :]
+    def columns(region):
+        part = out[(Ellipsis,) + region]
         np.fft.fft(part, axis=-3, out=part)
         part *= scale
         part *= px
-        part *= pyz[s]
+        part *= pyz[region[1:]]
 
-    _on_slabs(rows, grid.dims[0], f.size)
-    _on_slabs(columns, grid.dims[1], f.size)
+    _over_slabs(grid, 0, rows)
+    _over_slabs(grid, 1, columns)
     return out
 
 
@@ -484,21 +477,21 @@ def inverse_transform(grid, F):
     scale = grid.dVk * grid.npoints / ROOT_2PI_CUBED
     px, pyz = grid.fft_phase()
 
-    def rows(s):
-        part = out[..., s, :, :]
-        part[...] = F[..., s, :, :]
-        part *= px[s]
+    def rows(region):
+        part = out[(Ellipsis,) + region]
+        part[...] = F[(Ellipsis,) + region]
+        part *= px[region]
         part *= pyz
         np.fft.ifft(part, axis=-1, out=part)
         np.fft.ifft(part, axis=-2, out=part)
 
-    def columns(s):
-        part = out[..., s, :]
+    def columns(region):
+        part = out[(Ellipsis,) + region]
         np.fft.ifft(part, axis=-3, out=part)
         part *= scale
 
-    _on_slabs(rows, grid.dims[0], F.size)
-    _on_slabs(columns, grid.dims[1], F.size)
+    _over_slabs(grid, 0, rows)
+    _over_slabs(grid, 1, columns)
     return out
 
 
@@ -514,17 +507,17 @@ def real_forward_transform(grid, f):
     _check_shape(grid, f)
     out = np.empty(f.shape[:-3] + grid.half_dims, dtype=complex)
 
-    def rows(s):
-        part = out[..., s, :, :]
-        np.fft.rfft(f[..., s, :, :], axis=-1, out=part)
+    def rows(region):
+        part = out[(Ellipsis,) + region]
+        np.fft.rfft(f[(Ellipsis,) + region], axis=-1, out=part)
         np.fft.fft(part, axis=-2, out=part)
 
-    def columns(s):
-        part = out[..., s, :]
+    def columns(region):
+        part = out[(Ellipsis,) + region]
         np.fft.fft(part, axis=-3, out=part)
 
-    _on_slabs(rows, grid.dims[0], f.size)
-    _on_slabs(columns, grid.dims[1], f.size)
+    _over_slabs(grid, 0, rows)
+    _over_slabs(grid, 1, columns)
     return out
 
 
@@ -539,16 +532,16 @@ def real_inverse_transform(grid, F):
     work = np.empty(F.shape, dtype=complex)
     out = np.empty(F.shape[:-3] + grid.dims)
 
-    def columns(s):
-        np.fft.ifft(F[..., s, :], axis=-3, out=work[..., s, :])
+    def columns(region):
+        np.fft.ifft(F[(Ellipsis,) + region], axis=-3, out=work[(Ellipsis,) + region])
 
-    def rows(s):
-        part = work[..., s, :, :]
+    def rows(region):
+        part = work[(Ellipsis,) + region]
         np.fft.ifft(part, axis=-2, out=part)
-        np.fft.irfft(part, n=grid.dims[2], axis=-1, out=out[..., s, :, :])
+        np.fft.irfft(part, n=grid.dims[2], axis=-1, out=out[(Ellipsis,) + region])
 
-    _on_slabs(columns, grid.dims[1], out.size)
-    _on_slabs(rows, grid.dims[0], out.size)
+    _over_slabs(grid, 1, columns)
+    _over_slabs(grid, 0, rows)
     return out
 
 
@@ -640,7 +633,9 @@ def spectral_gradient_k(grid, F):
     that contract, and nothing is checked here.
 
     Returns an array of shape ``(3,) + F.shape``; its three axes are
-    computed on the THREADS workers, one axis per worker.
+    computed on the THREADS workers, one axis per worker.  The stencil is
+    memory-bound, so an axis is not cut further: slabbing each axis across a
+    second one balances two workers but was measured no faster.
     """
     F = np.asarray(F)
     _check_shape(grid, F)
@@ -650,5 +645,5 @@ def spectral_gradient_k(grid, F):
         for ax in range(3)[s]:
             _gradient_k_axis(grid, F, ax, out=out[ax])
 
-    _map_threads(axes, _slabs(3, 3, out.size))
+    _map_threads(axes, _slabs(3, out.size))
     return out

@@ -82,11 +82,6 @@ def photon_number(wf):
     return scalar_product(wf, wf).real
 
 
-def apply_helicity(wf):
-    """Helicity operator: +1 on the L component, -1 on the R component."""
-    return replace(wf, gR=_readonly(-wf.gR))
-
-
 def evolve(wf, t):
     """Advance by `t`: physically g -> exp(-i omega t) g.
 

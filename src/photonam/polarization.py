@@ -33,7 +33,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .grids import LEVI_CIVITA, cross, reflect_conjugate, spectral_gradient_k, _along, _norm, _over_slabs, _readonly
+from .grids import (LEVI_CIVITA, cross, reflect_conjugate, spectral_gradient_k, _along, _at_origin, _in_region, _norm,
+                    _over_slabs, _readonly)
 
 EPS_POLE = 1e-6  # radians
 
@@ -76,13 +77,30 @@ class PolarizationBasis:
         return out
 
     def _e_slab(self, i, region, out):
-        """Component `i` of e(k) on the k_x slab `region` (`grids._over_slabs`), written into `out`.
+        """Component `i` of e(k) on the slab `region` (`grids._over_slabs`), written into `out`.
 
-        `out` (complex) has the shape of the slab; one real array of that
-        shape is scratch, and one complex one more when a gauge phase is
-        present.  Equal, bit for bit, to the slab of `e`.
+        Evaluates ``((a x k) x k + i |k| a x k) / (sqrt(2) |k| |a x k|)``,
+        the closed form of the module docstring multiplied through by
+        |k|^2.  `out` (complex) has the shape of the slab and is scratch too;
+        one real array of that shape is allocated, and one complex one more
+        when a gauge phase is present.  Equal, bit for bit, to the slab of `e`.
         """
-        _construction_e_rows(self.grid, self.chart_axis, i, region[0], out, np.empty(out.shape))
+        grid, axis = self.grid, self.chart_axis
+        re, im = out.real, out.imag
+        kmag = np.empty(out.shape)
+        c, poles = _chart_geometry(grid, axis, region, kmag, cnorm=im, scratch=re)
+        pts = np.nonzero(poles)
+        del poles
+        im[pts] = 1.0
+        kmag *= im
+        k = [_along(a, ax) for ax, a in enumerate(_in_region(grid.k_axes, region))]
+        p, q = (i + 1) % 3, (i + 2) % 3
+        np.subtract(c[p] * k[q], c[q] * k[p], out=re)
+        re /= kmag                              # theta_hat_i / sqrt(2)
+        np.divide(c[i], im, out=im)             # phi_hat_i / sqrt(2)
+        if pts[0].size:
+            at = tuple(idx + (r.start or 0) for idx, r in zip(pts, region))
+            re[pts], im[pts] = _pole_limit(grid, axis, at, i)
         if self.gauge_phase is not None:
             phase = np.multiply(self.gauge_phase[region], -1j)
             out *= np.exp(phase, out=phase)
@@ -90,7 +108,7 @@ class PolarizationBasis:
     def pole_mask(self):
         """Boolean grid mask of the chart poles, the excluded k=0 bin included."""
         kmag, cnorm, scratch = (np.empty(self.grid.dims) for _ in range(3))
-        return _chart_geometry(self.grid, self.chart_axis, kmag, cnorm, scratch, slice(None))[1]
+        return _chart_geometry(self.grid, self.chart_axis, (slice(None),) * 3, kmag, cnorm, scratch)[1]
 
 
 def _chart_frame(axis):
@@ -120,19 +138,20 @@ def _split(x):
     return hi, x - hi
 
 
-def _chart_geometry(grid, axis, kmag, cnorm, scratch, rows):
-    """a x k, |k| and the pole points of the chart axis `a` on the k_x slab `rows` of `grid`.
+def _chart_geometry(grid, axis, region, kmag, cnorm, scratch):
+    """a x k, |k| and the pole points of the chart axis `a` on `region` of `grid`, three slices of its axes.
 
     Returns ``(c, poles)``: the three components of a x k as broadcasting
     2-d arrays and the mask of the points within EPS_POLE of the axis plus
     the excluded bin.  |k|, with 1 at the excluded bin, is written into
     `kmag` and sqrt(2) |a x k| into `cnorm`; `scratch` is overwritten; all
-    three have the shape of the slab.  The components of a x k are formed from
-    exact products, so they keep full relative accuracy where the products
-    cancel near the axis: the direction of a x k, and every vector derived
-    from it, stays accurate to rounding however close k comes to the axis.
+    three have the shape of the region.  The components of a x k are formed
+    from exact products, so they keep full relative accuracy where the
+    products cancel near the axis: the direction of a x k, and every vector
+    derived from it, stays accurate to rounding however close k comes to
+    the axis.
     """
-    axes = (grid.k_axes[0][rows],) + grid.k_axes[1:]
+    axes = _in_region(grid.k_axes, region)
     k = [_along(a, ax) for ax, a in enumerate(axes)]
     c = []
     for j in range(3):
@@ -140,7 +159,7 @@ def _chart_geometry(grid, axis, kmag, cnorm, scratch, rows):
         h1, l1 = _two_product(axis[p], k[q])
         h2, l2 = _two_product(axis[q], k[p])
         c.append((h1 - h2) + (l1 - l2))
-    at_zero = (rows.start or 0) == 0        # the slab holds the excluded bin
+    at_zero = _at_origin(region)            # the region holds the excluded bin
     _norm(axes, out=kmag)
     if at_zero:
         kmag[0, 0, 0] = 1.0
@@ -181,28 +200,6 @@ def _pole_limit(grid, axis, pts, i):
     re[:, off] /= size
     im[:, off] /= size
     return re[i], im[i]
-
-
-def _construction_e_rows(grid, axis, i, rows, out, kmag):
-    """Component `i` of e(k) on the k_x slab `rows`, written into `out`; `kmag` is scratch.
-
-    Evaluates ``((a x k) x k + i |k| a x k) / (sqrt(2) |k| |a x k|)``, the
-    closed form of the module docstring multiplied through by |k|^2.  Both
-    arrays have the shape of the slab.
-    """
-    re, im = out.real, out.imag
-    c, poles = _chart_geometry(grid, axis, kmag, cnorm=im, scratch=re, rows=rows)
-    pts = np.nonzero(poles)
-    del poles
-    im[pts] = 1.0
-    kmag *= im
-    k = [_along(a, ax) for ax, a in enumerate((grid.k_axes[0][rows],) + grid.k_axes[1:])]
-    p, q = (i + 1) % 3, (i + 2) % 3
-    np.subtract(c[p] * k[q], c[q] * k[p], out=re)
-    re /= kmag                              # theta_hat_i / sqrt(2)
-    np.divide(c[i], im, out=im)             # phi_hat_i / sqrt(2)
-    if pts[0].size:
-        re[pts], im[pts] = _pole_limit(grid, axis, (pts[0] + rows.start,) + pts[1:], i)
 
 
 def chart_basis(grid, chart_axis=(0.0, 0.0, 1.0)):

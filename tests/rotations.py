@@ -5,7 +5,7 @@ itself, so states can be rotated with no interpolation: scalars are
 relabeled, vector fields additionally rotate their components, and the
 polarization basis rotates as a whole (its chart axis moves with it).
 Generators computed from the rotated pair then rotate as exact vectors,
-up to summation-order rounding.
+up to summation-order rounding: the oracle of the quarter-turn tests.
 """
 
 from __future__ import annotations
@@ -14,7 +14,7 @@ from dataclasses import replace
 
 import numpy as np
 
-from .grids import _readonly
+from photonam.grids import _readonly
 
 # quarter-turn matrices, right-handed about each axis
 _QUARTER = {

@@ -10,7 +10,7 @@ from hypothesis import HealthCheck, given, settings, strategies as st
 
 import photonam as pn
 from photonam import fileio, observables
-from photonam.cli import build_report, main
+from photonam.cli import ROUTES, build_report, main
 
 from conftest import decay_ignored, rel, smooth_state, traced_peak
 
@@ -265,6 +265,37 @@ def test_k_delta_is_scaled_by_energy_times_box(grid48, basis48):
     assert np.linalg.norm(gen_p.K) > 1e-2 * gen_p.H
     expect = np.linalg.norm(gen_f.K - gen_p.K) / (gen_p.H * L)
     assert rep["deltas"]["K_field_vs_photon"] == pytest.approx(expect, rel=1e-12)
+
+
+def test_units_scale_every_route():
+    """At c=2, hbar=3, eps0=5 the five routes scale as their dimensions say, and no delta moves.
+
+    A packet of one photon: N stays, H and K scale by hbar c, and P, J, Jo
+    and Js by hbar, each to 1e-12 of its size; every delta, a ratio of two
+    routes, agrees to 1e-14.
+    """
+    reports = []
+    for units in (pn.UnitsConfig(), pn.UnitsConfig(c=2.0, hbar=3.0, eps0=5.0)):
+        grid = pn.make_grid(24, units=units)
+        dk = grid.dk[0]
+        with decay_ignored():       # the narrowest packet off the chart axis still reaches 5e-3 at the boundary
+            wf = pn.gaussian_vortex(grid, pn.chart_basis(grid), center=(3.0 * dk, 3.0 * dk, 0.0), widths=2.0 * dk,
+                                    m=1, helicity=(1.0, 0.6j), r_offset=(0.4, -0.7, 0.2), photons=1)
+            reports.append(build_report(wf, ROUTES))
+    base, scaled = reports
+    hbar_c = 3.0 * 2.0
+    factors = {"H": hbar_c, "K": hbar_c, "P": 3.0, "J": 3.0, "Jo": 3.0, "Js": 3.0}
+    assert scaled["n_photons"] == pytest.approx(base["n_photons"], rel=1e-12)
+    assert base["routes"].keys() == scaled["routes"].keys() == set(ROUTES)
+    for route, values in base["routes"].items():
+        for key, factor in factors.items():
+            if values.get(key) is not None:
+                want = factor * np.asarray(values[key])
+                err = np.linalg.norm(np.asarray(scaled["routes"][route][key]) - want)
+                assert err <= 1e-12 * np.linalg.norm(want), (route, key)
+    assert base["deltas"].keys() == scaled["deltas"].keys()
+    for key, delta in base["deltas"].items():
+        assert abs(scaled["deltas"][key] - delta) <= 1e-14, key
 
 
 def test_beam_usage_error_exit_2(capsys, tmp_path):

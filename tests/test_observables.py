@@ -11,6 +11,7 @@ from photonam.grids import BoundaryDecayWarning, _readonly, cross
 from photonam.observables import _cell_self_weight
 
 from conftest import decay_ignored, nhat_stack, rel, smooth_state
+from rotations import rotate_wavefunction, rotation_matrix
 
 
 def circular_packet(grid, sig_cells=2.5, helicity="L"):
@@ -489,8 +490,8 @@ def test_rotations_transform_generators_exactly(grid48):
         gen = pn.generators_photon_picture(wf)
     for axis in "xyz":
         for turns in (1, 2, 3):
-            R = pn.rotation_matrix(axis, turns)
-            wfr = pn.rotate_wavefunction(wf, axis, turns)
+            R = rotation_matrix(axis, turns)
+            wfr = rotate_wavefunction(wf, axis, turns)
             with decay_ignored():
                 genr = pn.generators_photon_picture(wfr)
             assert abs(genr.H - gen.H) / gen.H < 1e-12
@@ -518,8 +519,8 @@ def test_quarter_turn_covariance_over_smooth_states(grid48, weight, phase, m, r0
     with decay_ignored():
         wf = pn.gaussian_vortex(g, basis, center=(11 * dk, 11 * dk, 11 * dk), widths=2.0 * dk, m=m,
                                 helicity=(1.0, weight * np.exp(1j * phase)), r_offset=r0)
-        R = pn.rotation_matrix(axis, turns)
-        wfr = pn.rotate_wavefunction(wf, axis, turns)
+        R = rotation_matrix(axis, turns)
+        wfr = rotate_wavefunction(wf, axis, turns)
         assert basis.alpha_base is not None
         gen = pn.generators_photon_picture(wf)
         genr = pn.generators_photon_picture(wfr)

@@ -83,16 +83,6 @@ def test_photon_number_zero_state_and_scaling(grid16, basis16):
     assert pn.photon_number(scaled) == pytest.approx(abs(lam) ** 2 * pn.photon_number(wf), rel=1e-12)
 
 
-def test_helicity_operator(grid48, basis48):
-    pure_l = smooth_state(grid48, basis48, mix=(1.0, 0.0))
-    assert np.array_equal(pn.apply_helicity(pure_l).gL, pure_l.gL)
-    pure_r = smooth_state(grid48, basis48, mix=(0.0, 1.0))
-    assert np.array_equal(pn.apply_helicity(pure_r).gR, -pure_r.gR)
-    mixed = smooth_state(grid48, basis48, mix=(0.7, 0.7))
-    twice = pn.apply_helicity(pn.apply_helicity(mixed))
-    assert np.array_equal(twice.gL, mixed.gL) and np.array_equal(twice.gR, mixed.gR)
-
-
 def test_evolve_group_property_and_invariance(state48):
     wf = state48
     assert pn.evolve(wf, 0.0).time == wf.time

@@ -5,9 +5,9 @@ from hypothesis import given, settings, strategies as st
 import photonam as pn
 from photonam.grids import spectral_gradient_k
 from photonam.polarization import EPS_POLE, _chart_frame
-from photonam.rotations import rotate_basis, rotation_matrix
 
 from conftest import e_stack, nhat_stack, rel, smooth_state
+from rotations import rotate_basis, rotation_matrix
 
 
 IDENTITY_TOL = 1e-12

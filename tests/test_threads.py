@@ -109,6 +109,37 @@ def test_transforms_are_identical_for_any_thread_count(threaded, transform, lead
         assert np.array_equal(out, np.fft.irfftn(f[..., :grid.half_dims[2]], s=grid.dims, axes=axes))
 
 
+def test_slab_regions_depend_on_the_grid_alone(monkeypatch):
+    """The transforms and e(k) hand `_map_threads` the same regions at any THREADS: a slab per row, then per column."""
+    grid = pn.make_grid((16, 12, 10))
+    f = np.random.default_rng(10).standard_normal((3,) + grid.dims) + 0j
+    basis = pn.chart_basis(grid, (1.0, 0.0, 0.0))
+    monkeypatch.setattr(grids, "_MIN_SLAB_POINTS", 1)
+    seen, mapped = [], grids._map_threads
+
+    def recorded(fn, items):
+        seen.append(list(items))
+        return mapped(fn, seen[-1])
+
+    monkeypatch.setattr(grids, "_map_threads", recorded)
+
+    def regions(threads):
+        monkeypatch.setenv("THREADS", str(threads))
+        seen.clear()
+        for x in (f[0], f):
+            pn.forward_transform(grid, x)
+            pn.inverse_transform(grid, x)
+            grids.real_forward_transform(grid, x.real)
+            grids.real_inverse_transform(grid, x[..., :grid.half_dims[2]])
+        basis.e(0)
+        return list(seen)
+
+    rows = [(slice(i, i + 1), slice(None), slice(None)) for i in range(16)]
+    columns = [(slice(None), slice(j, j + 1), slice(None)) for j in range(12)]
+    transforms = [rows, columns] * 3 + [columns, rows]     # real_inverse_transform runs its columns first
+    assert regions(1) == regions(2) == regions(5) == transforms * 2 + [rows]
+
+
 @pytest.mark.parametrize("dtype", [float, complex])
 def test_spectral_gradient_k_is_identical_for_any_thread_count(threaded, dtype):
     grid = pn.make_grid((16, 12, 10))
