@@ -9,7 +9,8 @@ helicity eigenstate
 from e_z = (theta_hat + i phi_hat)/sqrt(2) about the beam axis z, the column
 ``(-(k_z/k) cos(phi) + i chi sin(phi), -(k_z/k) sin(phi) - i chi cos(phi), k_perp/k)``,
 with the momentum-cone delta functions replaced by Gaussians of widths
-``(sigma_perp, sigma_z)``.  The ideal beam is non-normalizable (infinite
+``(sigma_perp, sigma_z)``, and projected onto the target basis, one k_x slab
+at a time, as it is built.  The ideal beam is non-normalizable (infinite
 transverse extent), but per-photon ratios such as Jo_z/Js_z converge as the
 widths shrink; `bessel_ratio_oracle` gives the limit in closed form.
 """
@@ -21,8 +22,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from . import photon_state
-from .fields_bridge import _projection
-from .grids import _along, _in_region, _readonly, check_boundary_decay
+from .grids import _along, _in_region, _over_slabs, _readonly, check_boundary_decay
 from .polarization import chart_basis
 
 
@@ -93,13 +93,13 @@ def bessel_beam(grid, basis, spec, photons=1.0):
     """Regularized Bessel beam as a PhotonWaveFunction.
 
     E(k) is built as an exact helicity eigenstate from the circular basis
-    about z and projected onto the basis in its current gauge, one k_x slab
-    at a time (`fields_bridge._projection`, the projection of
-    `project_spectral_e`), so the opposite-helicity amplitude is at rounding
-    level for any chart and no (3, N) E(k) is built.  Its decay
-    at the momentum boundary is measured (`BoundaryDecayWarning`).  With
-    `photons` set, the state is rescaled to that photon number; pass None to
-    keep the raw amplitude.
+    about z and projected onto the basis in its current gauge,
+    ``gL = sqrt(2 eps0) e*.E(k)`` and ``gR = sqrt(2 eps0) e.E(k)``, so the
+    opposite-helicity amplitude is at rounding level for any chart.  Each
+    k_x slab builds its own E(k) column and projects it on the THREADS
+    workers, so no (3, N) E(k) exists.  Its decay at the momentum boundary
+    is measured (`BoundaryDecayWarning`).  With `photons` set, the state is
+    rescaled to that photon number; pass None to keep the raw amplitude.
     """
     grid.require_same(basis.grid, "the beam's grid and the polarization basis")
     spec.validate(grid)
@@ -117,38 +117,50 @@ def bessel_beam(grid, basis, spec, photons=1.0):
         raise ValueError("pole collision: chart axis passes through the regularized ring")
 
     e_z = chart_basis(grid, (0.0, 0.0, 1.0))
-    wf = _projection(basis, lambda region: _bessel_components(grid, spec, e_z, region))
-    check_boundary_decay(grid, (wf.gL, wf.gR), "Bessel beam")
+    gL = np.empty(grid.dims, dtype=complex)
+    gR = np.empty(grid.dims, dtype=complex)
+    s = np.sqrt(2.0 * grid.units.eps0)
+
+    # E(k) is -sqrt(2) e_z (chi = +1) or -sqrt(2) e_z* (chi = -1) times the
+    # envelope and the winding e^{i m phi} = ((k_x +- i k_y)/k_perp)^|m|,
+    # shared by the three components; phi = 0 on the beam axis, the azimuth
+    # of the pole limit of e_z.  k_perp and the winding are (k_x, k_y)
+    # planes, broadcast along k_z.
+    def column(region):
+        kx, ky, kz = (_along(a, ax) for ax, a in enumerate(_in_region(grid.k_axes, region)))
+        kperp = np.hypot(kx, ky)
+        ep = np.exp(
+            -((kperp - spec.k_perp0) ** 2) / (2.0 * spec.sigma_perp ** 2)
+            - ((kz - spec.k_z0) ** 2) / (2.0 * spec.sigma_z ** 2)
+        )
+        winding = np.divide(kx + 1j * np.sign(spec.m) * ky, kperp, out=np.ones(kperp.shape, dtype=complex),
+                            where=kperp > 0.0)
+        del kperp
+        ep = -np.sqrt(2.0) * ep * winding ** abs(spec.m)
+        del winding
+        L, R = gL[region], gR[region]
+        L[...] = 0.0
+        R[...] = 0.0
+        E_i, e_i, tmp = (np.empty(L.shape, dtype=complex) for _ in range(3))
+        for i in range(3):
+            e_z._e_slab(i, region, E_i)
+            if spec.helicity < 0:
+                np.conjugate(E_i, out=E_i)
+            E_i *= ep
+            basis._e_slab(i, region, e_i)
+            np.conjugate(e_i, out=tmp)
+            tmp *= E_i
+            L += tmp
+            e_i *= E_i
+            R += e_i
+        L *= s
+        R *= s
+
+    _over_slabs(grid, 0, column)
+    wf = photon_state.wavefunction(grid, basis, gL, gR)
+    del gL, gR          # wf holds its own copies
+    check_boundary_decay((wf.gL, wf.gR), "Bessel beam", "k")
     return _with_photons(wf, photons)
-
-
-def _bessel_components(grid, spec, e_z, region):
-    """Yield the three components of the beam's E(k) on the k_x slab `region`, one at a time, in one buffer.
-
-    E(k) is -sqrt(2) e_z (chi = +1) or -sqrt(2) e_z* (chi = -1), e_z the
-    basis `e_z` of the z chart, times the envelope and the winding
-    e^{i m phi} = ((k_x +- i k_y)/k_perp)^|m|, shared by the three
-    components; phi = 0 on the beam axis, the azimuth of the pole limit of
-    e_z.  k_perp and the winding are (k_x, k_y) planes, broadcast along k_z.
-    """
-    kx, ky, kz = (_along(a, ax) for ax, a in enumerate(_in_region(grid.k_axes, region)))
-    kperp = np.hypot(kx, ky)
-    ep = np.exp(
-        -((kperp - spec.k_perp0) ** 2) / (2.0 * spec.sigma_perp ** 2)
-        - ((kz - spec.k_z0) ** 2) / (2.0 * spec.sigma_z ** 2)
-    )
-    winding = np.divide(kx + 1j * np.sign(spec.m) * ky, kperp, out=np.ones(kperp.shape, dtype=complex),
-                        where=kperp > 0.0)
-    del kperp
-    ep = -np.sqrt(2.0) * ep * winding ** abs(spec.m)
-    del winding
-    E_i = np.empty(ep.shape, dtype=complex)
-    for i in range(3):
-        e_z._e_slab(i, region, E_i)
-        if spec.helicity < 0:
-            np.conjugate(E_i, out=E_i)
-        E_i *= ep
-        yield E_i
 
 
 def gaussian_vortex(grid, basis, center, widths, m=0, helicity="L",
@@ -169,8 +181,10 @@ def gaussian_vortex(grid, basis, center, widths, m=0, helicity="L",
     center, widths = _check_packet(grid, center, widths)
     _check_photons(photons)
     sig_max = float(widths.max())
-    if _pole_line_distance(center[None, :], basis.chart_axis)[0] < 2.0 * sig_max:
-        raise ValueError("packet center too close to the chart axis")
+    distance = _pole_line_distance(center[None, :], basis.chart_axis)[0]
+    if distance < 2.0 * sig_max:
+        raise ValueError(f"packet center too close to the chart axis: it lies {distance:.4g} from the axis, "
+                         f"and the packet needs two widths, {2.0 * sig_max:.4g}")
 
     kx, ky, kz = grid.kvec
     env = np.exp(
@@ -187,7 +201,7 @@ def gaussian_vortex(grid, basis, center, widths, m=0, helicity="L",
 
     cL, cR = _helicity_amplitudes(helicity)
     wf = photon_state.wavefunction(grid, basis, cL * env, cR * env)
-    check_boundary_decay(grid, (wf.gL, wf.gR), "wavefunction")
+    check_boundary_decay((wf.gL, wf.gR), "wavefunction", "k")
     return _with_photons(wf, photons)
 
 

@@ -125,7 +125,9 @@ def cmd_beam(args):
             "k0": k0, "kz_over_k": args.kz_over_k,
             "sigma_perp": spec.sigma_perp, "sigma_z": spec.sigma_z,
             "sigma_perp_cells": spec.sigma_perp / dk, "sigma_z_cells": spec.sigma_z / dk,
-            "ratio_analytic": beams.bessel_ratio_oracle(args.m, args.kz_over_k, args.helicity),
+            # null where the oracle is undefined: at k_z = 0 all of J_z is orbital
+            "ratio_analytic": (beams.bessel_ratio_oracle(args.m, args.kz_over_k, args.helicity)
+                               if args.helicity * args.kz_over_k else None),
         }
         wf = beams.bessel_beam(grid, basis, spec, args.photons)
     else:
@@ -468,10 +470,9 @@ def cmd_plotdata(args):
             prov = rep.get("provenance") or {}
             photon = rep["routes"]["photon"]
             ratio = photon["Jo"][2] / photon["Js"][2]
-            analytic = prov.get("ratio_analytic")
-            if analytic is None:
-                analytic = beams.bessel_ratio_oracle(prov["m"], prov["kz_over_k"], prov["helicity"])
-            rows.append([prov.get("sigma_perp"), ratio, analytic, abs(ratio - analytic)])
+            analytic = prov.get("ratio_analytic")      # null (an empty cell) where undefined
+            rows.append([prov.get("sigma_perp"), ratio, analytic,
+                         None if analytic is None else abs(ratio - analytic)])
         rows.sort(key=lambda r: (r[0] is None, r[0]))
     elif args.series == "algebra":
         header = ["dk", "relation", "residual"]

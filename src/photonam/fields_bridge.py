@@ -5,13 +5,9 @@ fields; free evolution is ``dF/dt = -i c curl F`` with ``div F = 0``.
 Synthesis assembles F from helicity amplitudes, and analysis inverts it by
 projecting F(k) and its reflection onto the basis vectors e(k).
 
-Each step of the photon picture has one implementation: `_projection` is
-the projection gL = sqrt(2 eps0) e*.E(k), gR = sqrt(2 eps0) e.E(k), one k_x
-slab at a time on the THREADS workers, shared by `project_spectral_e` and
-`beams.bessel_beam` (which builds its E(k) slab by slab, so no (3, N) E(k)
-exists), and `photon_state.materialized` bakes the evolution phase
-e^{-i w t} (used by `synthesize` and `spectral_e_from_wavefunction`).
-`spectral_e_from_wavefunction` fills E(k) in the same k_x slabs.
+`spectral_e_from_wavefunction` fills E(k) = (e gL + e* gR) / sqrt(2 eps0)
+in k_x slabs on the THREADS workers.  `photon_state.materialized` bakes the
+evolution phase e^{-i w t}, for it and for `synthesize`.
 """
 
 from __future__ import annotations
@@ -237,51 +233,6 @@ def analyze(rs, basis):
     if residual > TRANSVERSE_TOL:
         raise ValueError(f"non-radiative field content: relative divergence {residual:.2e} "
                          f"exceeds {TRANSVERSE_TOL:.0e}")
-    return photon_state.wavefunction(grid, basis, gL, gR)
-
-
-def project_spectral_e(Ek, basis):
-    """Basis projections gL = sqrt(2 eps0) e*.E(k), gR = sqrt(2 eps0) e.E(k), on the grid of E(k).
-
-    The k_x slabs of `_projection`, the projection `beams.bessel_beam` shares.
-    """
-    Ek.grid.require_same(basis.grid, "E(k) and the polarization basis")
-    return _projection(basis, lambda region: (E_i[region] for E_i in Ek.values))
-
-
-def _projection(basis, components):
-    """The wavefunction ``gL = sqrt(2 eps0) e*.E(k)``, ``gR = sqrt(2 eps0) e.E(k)``, one k_x slab at a time.
-
-    ``components(region)`` yields the three components of E(k) on the k_x
-    slab `region` (`grids._over_slabs`), in order, each an array of the
-    slab's shape that is read before the next is asked for.  The slabs run
-    on the THREADS workers; besides gL and gR, each allocates two complex
-    arrays of its own shape, and e(k) one real one.  The one projection of
-    `project_spectral_e` and of `beams.bessel_beam`, which builds its E(k)
-    slab by slab.
-    """
-    grid = basis.grid
-    gL = np.empty(grid.dims, dtype=complex)
-    gR = np.empty(grid.dims, dtype=complex)
-    s = np.sqrt(2.0 * grid.units.eps0)
-
-    def project(region):
-        L, R = gL[region], gR[region]
-        L[...] = 0.0
-        R[...] = 0.0
-        tmp = np.empty(L.shape, dtype=complex)
-        e_i = np.empty(L.shape, dtype=complex)
-        for i, E_i in enumerate(components(region)):
-            basis._e_slab(i, region, e_i)
-            np.conjugate(e_i, out=tmp)
-            tmp *= E_i
-            L += tmp
-            e_i *= E_i
-            R += e_i
-        L *= s
-        R *= s
-
-    _over_slabs(grid, 0, project)
     return photon_state.wavefunction(grid, basis, gL, gR)
 
 

@@ -18,8 +18,9 @@ Conventions used throughout the package:
   measure ``d3k / omega`` is singular there; fields are required to vanish
   on that bin;
 * a grid stores only its 1-d axes.  |k|, omega, the unit vectors n, the
-  invariant weight, the boundary masks and the transform phase are derived
-  on request, so a stage holds only the metadata it is using;
+  invariant weight and the transform phase are derived on request, and a
+  decay margin reads the edge planes of its arrays (`boundary_margin`), so
+  a stage holds only the metadata it is using;
 * every grid pass cut into slabs runs on `_over_slabs`: the 3-d
   transforms (in numpy's own axis order, the last two axes in slabs of the
   first, then the first axis in slabs of the second, each 1-d line by the
@@ -210,14 +211,6 @@ class GridPair:
         out[self.excluded_index] = 0.0
         return out
 
-    def boundary_mask_k(self):
-        """The outermost two momentum shells of each axis (in FFT order)."""
-        return _shell_mask(self.dims, 2, fft_order=True)
-
-    def boundary_mask_r(self):
-        """The outermost two real-space shells of each axis."""
-        return _shell_mask(self.dims, 2, fft_order=False)
-
     def fft_phase(self):
         """The transform phase (-1)^(i+j+l) as two broadcasting factors.
 
@@ -330,23 +323,6 @@ def physical_memory():
     if pages <= 0 or page_size <= 0:
         return None
     return pages * page_size
-
-
-def _shell_mask(dims, ncells, fft_order):
-    """Boolean mask of the outermost `ncells` shells along each axis."""
-    mask = np.zeros(dims, dtype=bool)
-    for ax, n in enumerate(dims):
-        idx = np.arange(n)
-        if fft_order:
-            # monotone position of an FFT-ordered index
-            pos = (idx + n // 2) % n
-        else:
-            pos = idx
-        edge = (pos < ncells) | (pos >= n - ncells)
-        sl = [None, None, None]
-        sl[ax] = slice(None)
-        mask |= edge[tuple(sl)]
-    return mask
 
 
 # ---------------------------------------------------------------------------
@@ -559,6 +535,58 @@ def reflect_conjugate(grid, F):
 
 
 # ---------------------------------------------------------------------------
+# boundary decay
+#
+# A state that does not decay at the edge of its grid spoils what reads that
+# edge as if the grid went on: the k stencil below, which is one-sided there,
+# and the r-weighted moments of the field picture, which wrap around.  The
+# margin is read off the outermost two planes of each axis, sliced in place.
+
+def boundary_margin(F, space):
+    """max |F| on the outermost two planes of each axis divided by the global max.
+
+    `space` is "k" for momentum-space arrays in FFT order, whose edge planes
+    are n/2 - 2 .. n/2 + 1 about the Nyquist bin, or "r" for real-space
+    arrays, whose edge planes are 0, 1, n - 2 and n - 1.  `F` is an array or
+    a tuple of arrays; every 3-d component along their leading axes is
+    measured one at a time, and all share one global max.  A max is exact,
+    so the margin is the one a mask of those planes would give, bit for bit.
+    """
+    if space not in ("k", "r"):
+        raise ValueError(f"space must be 'k' or 'r', not {space!r}")
+    peak = edge = 0.0
+    for part in F if isinstance(F, tuple) else (F,):
+        part = np.asarray(part)
+        for a in part.reshape((-1,) + part.shape[-3:]):
+            mag = np.abs(a)
+            peak = max(peak, mag.max())
+            for ax, n in enumerate(mag.shape):
+                ends = (slice(n // 2 - 2, n // 2 + 2),) if space == "k" else (slice(0, 2), slice(n - 2, n))
+                edge = max([edge] + [mag[(slice(None),) * ax + (s,)].max() for s in ends])
+    return float(edge / peak) if peak > 0.0 else 0.0
+
+
+def check_boundary_decay(arrays, what, space):
+    """Measure the decay of `arrays` at the edge of their grid in `space` ("k" or "r"); return the margin.
+
+    `arrays` is an array or a tuple of arrays, measured against one shared
+    peak (`boundary_margin`), so rounding noise beside a decaying component
+    is no failure.  Warns with `BoundaryDecayWarning` when the margin
+    exceeds BOUNDARY_TOL.
+    """
+    margin = boundary_margin(arrays, space)
+    if margin > BOUNDARY_TOL:
+        where, spoiled = (("momentum-grid", "derivative-based observables") if space == "k"
+                          else ("real-space", "r-weighted moments"))
+        warnings.warn(
+            f"{what} does not decay at the {where} boundary "
+            f"(relative edge magnitude {margin:.2e} > {BOUNDARY_TOL:.0e}); "
+            f"{spoiled} are unreliable",
+            BoundaryDecayWarning, stacklevel=3)
+    return margin
+
+
+# ---------------------------------------------------------------------------
 # finite differences in k
 #
 # Every k derivative is the same second-order stencil, taken directly in FFT
@@ -567,42 +595,9 @@ def reflect_conjugate(grid, F):
 # numpy's one-sided second-order formulas replace them.  The data must decay
 # near the momentum boundary, so the stencil is read as non-periodic there.
 # The stencil checks nothing: decay is a property of the state, measured by
-# `check_boundary_decay` where a state is built (`wavefunction`,
-# `bessel_beam`) and where a route reports a result
-# (`generators_photon_picture`, `darwin_split`).
-
-def boundary_margin(F, mask):
-    """max |F| on the boundary shells in `mask` divided by the global max.
-
-    `mask` is ``grid.boundary_mask_k()`` or ``grid.boundary_mask_r()``.  `F`
-    is an array or a tuple of arrays; every component along their leading
-    axes is measured one at a time, and all share one global max.
-    """
-    peak = edge = 0.0
-    for part in F if isinstance(F, tuple) else (F,):
-        for a in np.asarray(part).reshape((-1,) + mask.shape):
-            mag = np.abs(a)
-            peak = max(peak, mag.max())
-            edge = max(edge, mag[mask].max())
-    return float(edge / peak) if peak > 0.0 else 0.0
-
-
-def check_boundary_decay(grid, arrays, what):
-    """Measure the decay of `arrays` near the momentum boundary; return the margin.
-
-    `arrays` is an array or a tuple of arrays, measured against one shared
-    peak, so rounding noise beside a decaying component is no failure.
-    Warns with `BoundaryDecayWarning` when the margin exceeds BOUNDARY_TOL.
-    """
-    margin = boundary_margin(arrays, grid.boundary_mask_k())
-    if margin > BOUNDARY_TOL:
-        warnings.warn(
-            f"{what} does not decay at the momentum-grid boundary "
-            f"(relative edge magnitude {margin:.2e} > {BOUNDARY_TOL:.0e}); "
-            "derivative-based observables are unreliable",
-            BoundaryDecayWarning, stacklevel=3)
-    return margin
-
+# `check_boundary_decay` where a beam is built (`bessel_beam`,
+# `gaussian_vortex`) and where a route that differentiates in k reports a
+# result (`generators_photon_picture`, `darwin_split`).
 
 def _gradient_k_axis(grid, F, ax, out):
     """Write d F / d k along grid axis `ax` into `out` (same shape as `F`); return `out`.

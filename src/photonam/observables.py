@@ -34,15 +34,15 @@ and equal those of a whole-array sum to rounding.  The nonlocal route
 sums its last inverse transform with E the same way, per x slab; the
 textbook route sums whole arrays on the calling thread.
 
-Each route measures the decay its result needs once and reports it in its
-diagnostics: the photon picture that of (gL, gR) and the darwin route that
-of E(k), each against one shared peak, the field picture the real-space
-decay; a margin above BOUNDARY_TOL also gives one `BoundaryDecayWarning`.
+Each route measures the decay its result needs once, with
+`grids.check_boundary_decay`, and reports it in its diagnostics: the photon
+picture that of (gL, gR) and the darwin route that of E(k), each against
+one shared peak, the field picture the real-space decay of F; a margin
+above BOUNDARY_TOL also gives one `BoundaryDecayWarning`.
 """
 
 from __future__ import annotations
 
-import warnings
 from dataclasses import dataclass
 
 import numpy as np
@@ -50,10 +50,7 @@ import numpy as np
 from . import photon_state
 from .fields_bridge import TRANSVERSE_TOL, _DivergenceSum, spectral_curl
 from .grids import (
-    BOUNDARY_TOL,
-    BoundaryDecayWarning,
     LEVI_CIVITA,
-    boundary_margin,
     check_boundary_decay,
     cross_component,
     moments,
@@ -103,11 +100,7 @@ def generators_field_picture(rs):
     c = grid.units.c
     dV = grid.dV
 
-    margin = boundary_margin(F, grid.boundary_mask_r())
-    if margin > BOUNDARY_TOL:
-        warnings.warn(f"field does not decay at the real-space boundary "
-                      f"(edge magnitude {margin:.2e}); r-weighted moments unreliable",
-                      BoundaryDecayWarning, stacklevel=2)
+    margin = check_boundary_decay(F, "field", "r")
 
     # per slab: H and K from |F|^2, then V = Im(F* x F) = 2 Re F x Im F, one component
     # at a time: P = V/c pointwise, and M[a, b] = sum r_a V_b gives J_j = eps_jab M[a, b] / c
@@ -154,7 +147,7 @@ def generators_photon_picture(wf):
     """
     wf.basis.connection()       # a connection derived here never stacks on this route's arrays
     grid = wf.grid
-    margin = check_boundary_decay(grid, (wf.gL, wf.gR), "wavefunction")
+    margin = check_boundary_decay((wf.gL, wf.gR), "wavefunction", "k")
     hbar = grid.units.hbar
     w = grid.w_invariant()        # dVk / (hbar omega), zero at the excluded bin
 
@@ -225,7 +218,7 @@ def darwin_split(Ek):
     grid = Ek.grid
     eps0 = grid.units.eps0
     E = Ek.values
-    margin = check_boundary_decay(grid, E, "E(k)")
+    margin = check_boundary_decay(E, "E(k)", "k")
     w2 = grid.w_invariant()                     # dVk / (c |k|), zero at k=0
     w2 *= grid.units.hbar
 

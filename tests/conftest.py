@@ -26,6 +26,27 @@ def e_stack(basis):
     return np.stack([basis.e(i) for i in range(3)])
 
 
+def project_spectral_e(Ek, basis):
+    """The wavefunction ``gL = sqrt(2 eps0) e*.E(k)``, ``gR = sqrt(2 eps0) e.E(k)`` of the `SpectralEField` Ek.
+
+    Projected whole, one component of e(k) at a time, with the operations
+    and order `bessel_beam` takes in each of its k_x slabs: the oracle of
+    the beam, and of any re-expression of a state on another basis.
+    """
+    grid = basis.grid
+    gL = np.zeros(grid.dims, dtype=complex)
+    gR = np.zeros(grid.dims, dtype=complex)
+    for i, E_i in enumerate(Ek.values):
+        e_i = basis.e(i)
+        gL += np.conjugate(e_i) * E_i
+        e_i *= E_i
+        gR += e_i
+    s = np.sqrt(2.0 * grid.units.eps0)
+    gL *= s
+    gR *= s
+    return pn.wavefunction(grid, basis, gL, gR)
+
+
 def divergence_ratio(grid, V):
     """Reference ``|div V| / | |k| V |`` of a real or complex (3,) + dims field, summed over the full k grid.
 

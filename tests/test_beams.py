@@ -5,9 +5,9 @@ import pytest
 
 import photonam as pn
 
-from photonam.fields_bridge import SpectralEField, project_spectral_e
+from photonam.fields_bridge import SpectralEField
 
-from conftest import decay_ignored, rel
+from conftest import decay_ignored, project_spectral_e, rel
 
 
 def make_bessel(grid, basis, m=3, kz_over_k=0.8, helicity=+1, k0_cells=None, sig_cells=2.5):

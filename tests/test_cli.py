@@ -338,13 +338,49 @@ def test_beam_input_is_refused_before_the_first_grid_sized_allocation(tmp_path, 
     assert payload["type"] == "ValueError" and message in payload["error"]
 
 
-def test_bessel_kz_over_k_zero_exits_2_without_a_file(tmp_path, capsys):
-    """At k_z = 0 the spin has no z component, so the Jo_z/Js_z oracle of the provenance is undefined."""
+def _kz_zero_split(tmp_path, capsys):
+    """The `split --json` report of an m=1 Bessel beam at k_z = 0, on the z chart (the x chart cuts its ring)."""
+    beam = tmp_path / "kz0.pam"
+    with decay_ignored():
+        assert run_cli(capsys, "beam", "bessel", "--kz-over-k", "0", "--chart-axis", "0,0,1", "--grid", "32",
+                       "--m", "1", "-o", str(beam))[0] == 0
+        code, out, _ = run_cli(capsys, "split", str(beam), "--json")
+    assert code == 0
+    return json.loads(out)
+
+
+def test_bessel_kz_over_k_zero_records_a_null_ratio(tmp_path, capsys):
+    """At k_z = 0 the spin has no z component: the beam is written, and its Jo_z/Js_z oracle is null."""
+    rep = _kz_zero_split(tmp_path, capsys)
+    assert rep["provenance"]["kz_over_k"] == 0.0 and rep["provenance"]["ratio_analytic"] is None
+    # all of J_z is orbital
+    assert abs(rep["Js"][2]) <= 1e-12 * abs(rep["Jo"][2])
+    assert rep["Jo"][2] == pytest.approx(rep["n_photons"], rel=0.05)
+
+
+def test_plotdata_leaves_an_undefined_oracle_empty(tmp_path, capsys):
+    rep = _kz_zero_split(tmp_path, capsys)
+    rep["routes"] = {"photon": {"Jo": rep["Jo"], "Js": rep["Js"]}}
+    path = tmp_path / "rep.json"
+    path.write_text(json.dumps(rep))
+    code, out, _ = run_cli(capsys, "plotdata", "bessel", str(path))
+    assert code == 0
+    sigma, ratio, analytic, abs_error = out.strip().splitlines()[1].split(",")
+    assert float(sigma) == rep["provenance"]["sigma_perp"] and float(ratio) == rep["Jo"][2] / rep["Js"][2]
+    assert analytic == abs_error == ""
+
+
+def test_gaussian_too_close_to_the_chart_axis_names_both_lengths(tmp_path, capsys):
+    """The default centre sits sqrt(2) pi / 3 = 1.481 from the x axis; at 16^3 two widths are 5 dk = 1.963."""
     out = tmp_path / "x.pam"
-    code, _, err = run_cli(capsys, "beam", "bessel", "--grid", "48", "--m", "1", "--kz-over-k", "0", "-o", str(out))
+    code, _, err = run_cli(capsys, "beam", "gaussian", "--grid", "16", "-o", str(out))
     assert code == 2 and not out.exists()
-    payload = json.loads(err.strip())
-    assert payload["type"] == "ValueError" and "undefined" in payload["error"]
+    message = json.loads(err.strip())["error"]
+    assert "packet center too close to the chart axis" in message
+    assert f"{np.sqrt(2.0) * np.pi / 3.0:.4g}" in message and f"{5 * 2 * np.pi / 16:.4g}" in message
+    with decay_ignored():
+        assert run_cli(capsys, "beam", "gaussian", "--grid", "24", "-o", str(out))[0] == 0
+    assert out.exists()
 
 
 @pytest.mark.parametrize("name, sign", [("L", "+1"), ("R", "-1"), ("r", "-1")])

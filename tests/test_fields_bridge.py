@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import photonam as pn
-from photonam.fields_bridge import RealVectorField, _DivergenceSum, project_spectral_e
+from photonam.fields_bridge import RealVectorField, _DivergenceSum
 from photonam.grids import (cross_component, forward_transform, inverse_transform, real_forward_transform,
                             _along, _readonly)
 
@@ -144,7 +144,6 @@ def test_a_basis_on_another_grid_is_refused(grid32, basis32, basis16):
     for make in (lambda: pn.wavefunction(grid32, foreign, wf.gL, wf.gR),
                  lambda: pn.wavefunction(grid32, basis16, wf.gL, wf.gR),
                  lambda: pn.analyze(pn.synthesize(wf), foreign),
-                 lambda: project_spectral_e(pn.spectral_e_from_wavefunction(wf), foreign),
                  lambda: pn.bessel_beam(grid32, foreign, spec),
                  lambda: pn.bessel_beam(grid32, basis16, spec)):
         with pytest.raises(ValueError, match="different grids"):

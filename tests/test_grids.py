@@ -157,26 +157,69 @@ def test_gradient_gaussian_second_order():
 
 
 def test_gradient_boundary_modes(grid16):
-    """The stencil checks nothing; `check_boundary_decay` measures against one shared peak."""
+    """The stencil checks nothing; `check_boundary_decay` measures against one shared peak, in k or in r."""
     g = grid16
-    mask = g.boundary_mask_k()
+    mask = _stored_metadata(g)["mask_k"]
     bad = np.ones(g.dims, dtype=complex)  # no decay at all
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         pn.spectral_gradient_k(g, bad)
-    with pytest.warns(BoundaryDecayWarning, match="does not decay") as record:
-        assert check_boundary_decay(g, bad, "array") == 1.0
+    with pytest.warns(BoundaryDecayWarning, match="does not decay at the momentum-grid boundary") as record:
+        assert check_boundary_decay(bad, "array", "k") == 1.0
     assert len(record) == 1
-    assert boundary_margin(bad, mask) == 1.0
+    assert boundary_margin(bad, "k") == 1.0
+    with pytest.warns(BoundaryDecayWarning, match="does not decay at the real-space boundary"):
+        assert check_boundary_decay(bad, "array", "r") == 1.0
+    with pytest.raises(ValueError, match="space"):
+        boundary_margin(bad, "x")
 
     # rounding noise beside a decaying array: no failure against the joint peak
     decaying = np.where(mask, 0.0, 1.0)
     noise = np.full(g.dims, 1e-15)
-    assert boundary_margin(noise, mask) == 1.0
-    assert boundary_margin((decaying, noise), mask) == boundary_margin(np.stack([decaying, noise]), mask) == 1e-15
+    assert boundary_margin(noise, "k") == 1.0
+    assert boundary_margin((decaying, noise), "k") == boundary_margin(np.stack([decaying, noise]), "k") == 1e-15
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        assert check_boundary_decay(g, (decaying, noise), "pair") == 1e-15
+        assert check_boundary_decay((decaying, noise), "pair", "k") == 1e-15
+
+
+@pytest.mark.parametrize("dims", [(8, 10, 12), (16, 16, 16)])
+@pytest.mark.parametrize("space", ["k", "r"])
+def test_edge_plane_margin_equals_the_masked_max(dims, space):
+    """The margin read off the edge planes is the max over the shell mask of `_stored_metadata`, bit for bit.
+
+    The arrays decay from the centre of their space (k = 0 in FFT order, or
+    r = 0), and a spike on each edge plane in turn, off the edges of the
+    other two axes, sets the margin: reading any other planes changes it.
+    The three components differ in scale, so the margin takes their joint
+    peak, as a tuple of arrays and as one (3,) + dims stack.
+    """
+    g = pn.make_grid(dims)
+    mask = _stored_metadata(g)["mask_k" if space == "k" else "mask_r"]
+    axes, width, centre = ((g.k_axes, 1.0, [0, 0, 0]) if space == "k"
+                           else (g.x_axes, 1.5, [n // 2 for n in dims]))
+    r2 = sum(np.reshape(a, [-1 if ax == n else 1 for n in range(3)]) ** 2 for ax, a in enumerate(axes))
+    rng = np.random.default_rng(12)
+    parts = tuple(scale * np.exp(-r2 / (2 * width ** 2)) * rng.uniform(0.9, 1.0, dims)
+                  * np.exp(2j * np.pi * rng.uniform(size=dims)) for scale in (1.0, 0.5, 2.0))
+
+    def check(arrays):
+        want = max(np.abs(a)[mask].max() for a in arrays) / max(np.abs(a).max() for a in arrays)
+        assert boundary_margin(arrays, space) == want
+        assert boundary_margin(np.stack(arrays), space) == want
+        return want
+
+    decayed = check(parts)
+    assert 0.0 < decayed < 0.5
+    for ax in range(3):
+        planes = np.nonzero(mask[tuple(slice(None) if a == ax else c for a, c in enumerate(centre))])[0]
+        assert len(planes) == 4
+        for plane in planes:
+            spiked = tuple(a.copy() for a in parts)
+            at = list(centre)
+            at[ax] = plane
+            spiked[1][tuple(at)] = 1.5
+            assert check(spiked) > decayed
 
 
 def test_reflect_conjugate_is_conj_at_negated_k(grid16):
@@ -234,8 +277,6 @@ def test_derived_metadata_equals_stored_arrays(dims):
     assert np.array_equal(g.kmag(), ref["kmag"])
     assert np.array_equal(g.omega(), ref["omega"])
     assert np.array_equal(g.w_invariant(), ref["w_invariant"])
-    assert np.array_equal(g.boundary_mask_k(), ref["mask_k"])
-    assert np.array_equal(g.boundary_mask_r(), ref["mask_r"])
     assert np.array_equal(np.multiply(*g.fft_phase()), ref["phase"])
     # the transforms apply that phase and their prefactors bit for bit as the stored form did
     rng = np.random.default_rng(4)

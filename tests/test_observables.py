@@ -6,11 +6,11 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 import photonam as pn
-from photonam.fields_bridge import RealVectorField, SpectralEField, project_spectral_e
+from photonam.fields_bridge import RealVectorField, SpectralEField
 from photonam.grids import BoundaryDecayWarning, _readonly, cross
 from photonam.observables import _cell_self_weight
 
-from conftest import decay_ignored, nhat_stack, rel, smooth_state
+from conftest import decay_ignored, nhat_stack, project_spectral_e, rel, smooth_state
 from rotations import rotate_wavefunction, rotation_matrix
 
 

@@ -21,9 +21,9 @@ import pytest
 import photonam as pn
 from photonam import grids, photon_state
 from photonam.cli import main
-from photonam.fields_bridge import SpectralEField, project_spectral_e
+from photonam.fields_bridge import SpectralEField
 
-from conftest import decay_ignored, e_stack, smooth_state
+from conftest import decay_ignored, e_stack, project_spectral_e, smooth_state
 
 
 @pytest.fixture()
@@ -223,15 +223,9 @@ def test_photon_picture_is_identical_for_any_thread_count(threaded, grid32, basi
 @pytest.mark.parametrize("time", [0.0, 0.7])
 @pytest.mark.parametrize("gauged", [False, True])
 def test_spectral_e_is_identical_for_any_thread_count(threaded, grid32, basis32, time, gauged):
-    """E(k) from a state, and its projection back onto the basis, in k_x slabs."""
+    """E(k) from a state, filled in k_x slabs."""
     wf = _gauged_state(grid32, basis32, time, gauged)
-
-    def run():
-        Ek = pn.spectral_e_from_wavefunction(wf)
-        back = project_spectral_e(Ek, wf.basis)
-        return Ek.values, back.gL, back.gR
-
-    _compare(threaded, run)
+    _compare(threaded, lambda: pn.spectral_e_from_wavefunction(wf).values)
 
 
 def test_darwin_split_is_identical_for_any_thread_count(threaded, grid32, basis32):
@@ -263,7 +257,7 @@ def test_nonlocal_spin_is_identical_for_any_thread_count(threaded, grid32, basis
 
 
 def _whole_bessel_beam(grid, basis, spec):
-    """The beam built whole, as one (3,) + dims E(k) projected by `project_spectral_e`: the slabbed beam's oracle."""
+    """The beam built whole, as one (3,) + dims E(k) projected by `conftest.project_spectral_e`: the slabbed beam's oracle."""
     kx, ky, kz = grid.kvec
     kperp = np.hypot(kx, ky)
     ep = np.exp(-((kperp - spec.k_perp0) ** 2) / (2.0 * spec.sigma_perp ** 2)
