@@ -33,11 +33,14 @@ its own chart, and the flag is refused there.
 algebra, where N alone means N,2N.  The THREADS environment variable caps
 the worker threads of every command (default: the CPU count): the 3-d
 transforms, e(k), alpha, E(k), the Bessel beam and the photon, darwin and
-field pictures run on them in slabs that depend on the grid alone, the k
-gradient one axis per worker, and ``check algebra`` its commutator pairs
-(see ``grids._over_slabs``, ``grids._map_threads`` and
-``algebra_checks.run_suite``).  Outputs are identical, bit for bit, for
-any value.
+field pictures run on them in slabs that depend on the grid alone, and the
+k gradient one axis per worker.  ``check algebra`` makes omega, w and
+D_x, D_y, D_z of its test state once per grid (the derivatives on them,
+one axis per worker), shares them across every relation, and then runs its
+commutator pairs on them (see ``grids._over_slabs``, ``grids._map_threads``
+and ``algebra_checks.run_suite``).  Outputs are identical, bit for bit, for
+any value.  ``check algebra`` refuses a coarse grid below ALGEBRA_MIN_GRID
+(48), too coarse for its test state, before any grid is built.
 """
 
 from __future__ import annotations
@@ -46,6 +49,7 @@ import argparse
 import csv
 import io
 import json
+import math
 import sys
 import warnings
 from dataclasses import replace
@@ -62,11 +66,19 @@ from . import (
 )
 from .grids import BoundaryDecayWarning, make_grid, _refuse_beyond_memory
 
-#: peak of `check algebra` in complex arrays of its grid (467 MiB RSS at 96^3)
+#: peak of `check algebra` in complex arrays of its grid (13.5 MiB at 96^3):
+#: 392-407 MiB RSS at 48,96 with THREADS=2 and 296 MiB with THREADS=1, against
+#: 432 MiB for 32 arrays; the suite keeps omega, w and D_a psi (7 arrays)
 ALGEBRA_WORKING_SET_ARRAYS = 32
 
 #: default grid sizes N of each check suite (grid step 1); algebra compares two grids
 CHECK_SIZES = {"algebra": "48,96", "polarization": "32", "greens": "64"}
+
+#: k-space width of the `check algebra` test state
+ALGEBRA_STATE_WIDTH = 0.27
+
+#: smallest N that resolves that width by two k steps 2 pi / N at grid step 1, even (48)
+ALGEBRA_MIN_GRID = 2 * math.ceil(2.0 * math.pi / ALGEBRA_STATE_WIDTH)
 
 
 def _vec(value, n=3, cast=float):
@@ -338,12 +350,13 @@ def cmd_potential(args):
 def _algebra_state(grid, basis):
     """Canonical smooth test state: off-axis, off-origin, sub-Nyquist.
 
-    Fixed physical parameters, resolvable from 48^3 up (two cells per width
-    at dx = 1), so two-grid residual ratios probe the same state.
+    Fixed physical parameters, resolvable from ALGEBRA_MIN_GRID^3 up (two
+    cells per width at dx = 1), so two-grid residual ratios probe the same
+    state.
     """
     return beams.gaussian_vortex(
         grid, basis,
-        center=(1.45, 0.35, 1.15), widths=0.27, m=0,
+        center=(1.45, 0.35, 1.15), widths=ALGEBRA_STATE_WIDTH, m=0,
         helicity=(1.0, 0.6), r_offset=(0.4, -0.7, 0.2),
     )
 
@@ -353,6 +366,9 @@ def check_algebra(grids):
     if len(grids) != 2 or not grids[0] < grids[1]:
         raise ValueError(f"check algebra compares two grid sizes N1 < N2 (or one N, meaning N,2N); "
                          f"got {','.join(map(str, grids))}")
+    if grids[0] < ALGEBRA_MIN_GRID:
+        raise ValueError(f"check algebra needs N1 >= {ALGEBRA_MIN_GRID}, so that two k steps 2 pi / N fit in "
+                         f"the {ALGEBRA_STATE_WIDTH} width of its test state (grid step 1); got N1 = {grids[0]}")
     _refuse_beyond_memory((max(grids),) * 3, ALGEBRA_WORKING_SET_ARRAYS)
     rows = []
     per_grid = {}

@@ -34,7 +34,8 @@ Conventions used throughout the package:
   `_map_threads`, the one helper that starts threads (up to THREADS, the
   environment variable, default the CPU count; inline with one thread or
   on one of its own workers, so calls never nest), runs those regions,
-  `spectral_gradient_k`'s three axes and `run_suite`'s pairs.
+  `spectral_gradient_k`'s three axes and `run_suite`'s three base
+  derivatives and its pairs.
 """
 
 from __future__ import annotations

@@ -184,13 +184,15 @@ def covariant_derivative(wf):
 
 def covariant_derivative_axis(wf, j):
     """Component `j` of `covariant_derivative`, equal to it bit for bit."""
-    grid = wf.grid
-    out = []
-    for chi in HELICITIES:
-        ghat = _construction_gauge(wf, chi)
-        d = _gradient_k_axis(grid, ghat, j, out=np.empty(grid.dims, dtype=complex))
-        out.append(_covariant_axis(wf, chi, ghat, j, d))
-    return replace(wf, gL=_readonly(out[0]), gR=_readonly(out[1]))
+    gL, gR = (_covariant_helicity(wf, chi, j) for chi in HELICITIES)
+    return replace(wf, gL=_readonly(gL), gR=_readonly(gR))
+
+
+def _covariant_helicity(wf, chi, j):
+    """``D_j g`` of helicity `chi` alone: one of the two arrays of `covariant_derivative_axis`."""
+    ghat = _construction_gauge(wf, chi)
+    d = _gradient_k_axis(wf.grid, ghat, j, out=np.empty(wf.grid.dims, dtype=complex))
+    return _covariant_axis(wf, chi, ghat, j, d)
 
 
 def _covariant_terms(wf):

@@ -2,9 +2,10 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings, strategies as st
 
 import photonam as pn
-from photonam import algebra_checks, grids
+from photonam import algebra_checks, grids, photon_state
 from photonam.algebra_checks import OperatorTag
 from photonam.grids import _readonly
 
@@ -113,7 +114,7 @@ def test_run_suite_covers_all_families(state48):
 
 
 def test_run_suite_is_identical_for_any_thread_count(monkeypatch, grid16, basis16):
-    """The pairs run on the shared THREADS helper: one thread at THREADS=1, a pool of two at THREADS=2."""
+    """The base derivatives, then the pairs, run on the shared THREADS helper: inline at THREADS=1, two pools of two at THREADS=2."""
     workers = []
 
     class Pool(grids.ThreadPoolExecutor):
@@ -129,7 +130,7 @@ def test_run_suite_is_identical_for_any_thread_count(monkeypatch, grid16, basis1
         runs.append(pn.run_suite(wf))
         pools.append(workers[:])
         del workers[:]
-    assert pools == [[], [2]]
+    assert pools == [[], [2, 2]]
     assert runs[0] == runs[1]
 
 
@@ -141,3 +142,34 @@ def test_run_suite_derives_a_lazy_connection_once(monkeypatch, grid16, basis16, 
     reports = pn.run_suite(wf)
     assert len(gradient_calls) == 3 and wf.basis.alpha_base is not None
     assert reports == pn.run_suite(smooth_state(grid16, basis16, seed=5))
+
+
+@pytest.mark.parametrize("threads", ["1", "2"])
+@settings(max_examples=6, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(st.lists(st.floats(-2.0, 2.0), min_size=4, max_size=4), st.floats(-3.0, 3.0), st.integers(0, 2 ** 16))
+def test_run_suite_equals_each_check_alone(monkeypatch, grid16, basis16, threads, coefficients, t, seed):
+    """The derivatives the suite shares give the reports each relation gives on its own, bit for bit.
+
+    On a re-gauged state at any time, so the construction gauge and the
+    evolution-phase gradient of D are both in play.
+    """
+    monkeypatch.setenv("THREADS", threads)
+    kx, ky, kz = np.meshgrid(*grid16.k_axes, indexing="ij")
+    a, b, c, d = coefficients
+    phase = a + b * kx + c * ky * kz + d * np.cos(kz)
+    wf = pn.evolve(pn.gauge_transform(smooth_state(grid16, basis16, seed=seed, mix=(1.0, 0.5j), m=1), phase), t)
+    alone = [pn.check_commutator(p, q, wf) for p, q in algebra_checks.DEFAULT_SUITE] + [pn.check_curvature(wf)]
+    assert pn.run_suite(wf) == alone
+
+
+def test_run_suite_derives_each_base_derivative_once(monkeypatch, state48):
+    """Of the 39 D axes the suite applies, the three of the state itself are derived once: 20 axes, 40 stencils."""
+    calls, stencil = [], photon_state._gradient_k_axis
+
+    def counted(*args, **kwargs):
+        calls.append(args[2])
+        return stencil(*args, **kwargs)
+
+    monkeypatch.setattr(photon_state, "_gradient_k_axis", counted)
+    pn.run_suite(state48)
+    assert len(calls) == 40

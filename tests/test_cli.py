@@ -688,3 +688,18 @@ def test_check_algebra_refuses_grids_it_cannot_compare(capsys, monkeypatch, size
     code, out, err = run_cli(capsys, "check", "algebra", "--grid", sizes)
     assert code == 2 and out == ""
     assert "two grid sizes" in json.loads(err.strip())["error"]
+
+
+@pytest.mark.parametrize("sizes", ["32,64", "46"])
+def test_check_algebra_refuses_grids_too_coarse_for_its_state(capsys, monkeypatch, sizes):
+    """A coarse grid below 48, too coarse for the 0.27 width of the test state, exits 2 naming 48, before any grid is built."""
+    from photonam import cli
+
+    def no_grid(*args, **kwargs):
+        raise AssertionError("a grid was built")
+
+    monkeypatch.setattr(cli, "make_grid", no_grid)
+    code, out, err = run_cli(capsys, "check", "algebra", "--grid", sizes)
+    assert code == 2 and out == ""
+    assert cli.ALGEBRA_MIN_GRID == 48
+    assert "N1 >= 48" in json.loads(err.strip())["error"]
