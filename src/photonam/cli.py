@@ -16,15 +16,16 @@ an rs_field file straight from its complex field F.  Every
 ``observables`` route, the nonlocal Coulomb-kernel one included, runs on any
 grid the memory refusal accepts.
 
-The photon, darwin and field routes each measure their decay margin once
-and report it (``diagnostics.boundary_margin``, ``boundary_margin_r`` for the
-field); a failing margin also writes one ``BoundaryDecayWarning`` to stderr.
+The photon, darwin and field routes each measure their decay margins once
+and report them: ``diagnostics.boundary_margin`` at the k edge (photon and
+darwin) and ``boundary_margin_r`` at the real-space edge (photon and field);
+a failing margin also writes one ``BoundaryDecayWarning`` to stderr.
 
-Only the photon route's covariant derivative (``observables``, ``split``)
-and ``check algebra``/``check polarization`` derive the connection of the
-polarization basis, once per basis (`PolarizationBasis.connection`);
-``beam``, ``synthesize``, ``analyze`` and ``potential`` read only the basis
-vectors e(k).  ``--chart-axis`` normalizes any nonzero finite vector and sets
+Only ``check algebra`` and ``check polarization`` derive the connection
+alpha of the polarization basis (`PolarizationBasis.connection`); the
+photon route takes Jo and K from E(k) with an exact k derivative, and
+darwin is the one route that differentiates by finite differences.
+``--chart-axis`` normalizes any nonzero finite vector and sets
 the chart of a new beam or of an rs_field file; a wavefunction file carries
 its own chart, and the flag is refused there.
 
@@ -52,7 +53,6 @@ import json
 import math
 import sys
 import warnings
-from dataclasses import replace
 
 import numpy as np
 
@@ -220,8 +220,6 @@ def build_report(wf, routes, manifest=None):
     gen_p = observables.generators_photon_picture(wf)
     report["routes"]["photon"] = _generator_dict(gen_p)
     report["n_photons"] = float(gen_p.N)
-    # no later route reads the connection: drop it (1.5 grid arrays) with the basis that keeps it
-    wf = replace(wf, basis=replace(wf.basis, alpha_base=None))
 
     # darwin first, so that E(k) and F are never alive together
     if "darwin" in routes:
@@ -233,7 +231,7 @@ def build_report(wf, routes, manifest=None):
     rs = None
     if "field" in routes or "textbook" in routes or "nonlocal" in routes:
         rs = fields_bridge.synthesize(wf)
-    wf = None       # read no further: a state passed as a temporary is freed with its connection
+    wf = None       # read no further: a state passed as a temporary is freed here
     if "field" in routes:
         gen_f = observables.generators_field_picture(rs)
         report["routes"]["field"] = _generator_dict(gen_f)

@@ -238,25 +238,26 @@ def analyze(rs, basis):
 
 def spectral_e_from_wavefunction(wf):
     """E(k) of the state's snapshot, evolution phase materialized, filled in k_x slabs on the THREADS workers."""
-    grid, basis = wf.grid, wf.basis
+    grid = wf.grid
     w = photon_state.materialized(wf)
-    pref = 1.0 / np.sqrt(2.0 * grid.units.eps0)
     Ek = np.empty((3,) + grid.dims, dtype=complex)
 
     def fill(region):
-        gL, gR = w.gL[region], w.gR[region]
-        tmp = np.empty(gL.shape, dtype=complex)
         for i in range(3):
-            E_i = Ek[i][region]
-            basis._e_slab(i, region, E_i)
-            np.conjugate(E_i, out=tmp)
-            E_i *= gL
-            tmp *= gR
-            E_i += tmp
-            E_i *= pref
+            _spectral_e_slab(w, i, region, Ek[i][region])
 
     _over_slabs(grid, 0, fill)
     return SpectralEField(values=_readonly(Ek), grid=grid)
+
+
+def _spectral_e_slab(wf, i, region, out):
+    """E_i = (e_i gL + e_i* gR) / sqrt(2 eps0) of the stored amplitudes of `wf` on `region`, written into `out`."""
+    wf.basis._e_slab(i, region, out)
+    tmp = np.conjugate(out)
+    out *= wf.gL[region]
+    tmp *= wf.gR[region]
+    out += tmp
+    out *= 1.0 / np.sqrt(2.0 * wf.grid.units.eps0)
 
 
 # ---------------------------------------------------------------------------

@@ -38,9 +38,10 @@ class FieldFileError(ValueError):
     pass
 
 
-#: manifest keys the reader needs; per kind, the component count and extra keys
+#: manifest keys the reader needs; per kind, the component count, extra keys and its "complex" flag
 _COMMON_KEYS = {"kind", "components", "complex", "dims", "spacing", "units", "time"}
-_KINDS = {"wavefunction": (2, {"chart_axis"}), "rs_field": (3, set()), "real_field": (3, {"role"})}
+_KINDS = {"wavefunction": (2, {"chart_axis"}, True), "rs_field": (3, set(), True),
+          "real_field": (3, {"role"}, False)}
 
 
 def _write(path, grid, arrays, provenance, entries):
@@ -115,10 +116,13 @@ def _read_container(path):
         raise FieldFileError(f"{path}: truncated or corrupt header ({exc})") from None
     if not isinstance(manifest, dict) or manifest.get("kind") not in _KINDS:
         raise FieldFileError(f"{path}: manifest names no known file kind")
-    ncomp, kind_keys = _KINDS[manifest["kind"]]
+    ncomp, kind_keys, is_complex = _KINDS[manifest["kind"]]
     missing = (_COMMON_KEYS | kind_keys) - manifest.keys()
     if missing:
         raise FieldFileError(f"{path}: manifest lacks {', '.join(sorted(missing))}")
+    if manifest["complex"] is not is_complex:
+        raise FieldFileError(f"{path}: a {manifest['kind']} file has \"complex\": {json.dumps(is_complex)}, "
+                             f"not {json.dumps(manifest['complex'])}")
     time, dims, components = manifest["time"], manifest["dims"], manifest["components"]
     if not _finite_number(time):
         raise FieldFileError(f"{path}: manifest time {time!r} is not a finite number")
@@ -134,7 +138,7 @@ def _read_container(path):
     payload = memoryview(raw)[24 + mlen:]
     if len(payload) < plen:
         raise FieldFileError(f"{path}: truncated payload")
-    dtype = np.dtype("<c16" if manifest["complex"] else "<f8")
+    dtype = np.dtype("<c16" if is_complex else "<f8")
     if plen != len(payload) or plen != math.prod(shape) * dtype.itemsize:
         raise FieldFileError(f"{path}: payload length {plen} does not match manifest")
     return manifest, np.frombuffer(payload, dtype=dtype).reshape(shape)

@@ -57,9 +57,9 @@ BOUNDARY_TOL = 1e-8
 
 #: peak working set of the largest photonam command, in complex grid arrays
 #: (16 bytes per grid point): `observables` with all five routes peaks at
-#: 379 MiB RSS at 128^3 with THREADS=2, on a wavefunction or an rs_field file
+#: 381 MiB RSS at 128^3 with THREADS=2, on a wavefunction or an rs_field file
 #: (its peak is the nonlocal convolution; the four default routes peak at
-#: 313 MiB, in the darwin route, `split` at 275 MiB, in deriving alpha,
+#: 315 MiB, in the darwin route, `split` at 159 MiB, in the photon picture,
 #: `beam` at 178 MiB, `analyze` at 339 MiB and `potential` at 329 MiB);
 #: 16 arrays of 32 MiB leave a 35% margin
 WORKING_SET_ARRAYS = 16
@@ -575,7 +575,11 @@ def check_boundary_decay(arrays, what, space):
     is no failure.  Warns with `BoundaryDecayWarning` when the margin
     exceeds BOUNDARY_TOL.
     """
-    margin = boundary_margin(arrays, space)
+    return _warn_decay(boundary_margin(arrays, space), what, space, stacklevel=4)
+
+
+def _warn_decay(margin, what, space, stacklevel=3):
+    """Warn when `margin`, measured in `space`, exceeds BOUNDARY_TOL; return it (`stacklevel` as in `warnings.warn`)."""
     if margin > BOUNDARY_TOL:
         where, spoiled = (("momentum-grid", "derivative-based observables") if space == "k"
                           else ("real-space", "r-weighted moments"))
@@ -583,22 +587,42 @@ def check_boundary_decay(arrays, what, space):
             f"{what} does not decay at the {where} boundary "
             f"(relative edge magnitude {margin:.2e} > {BOUNDARY_TOL:.0e}); "
             f"{spoiled} are unreliable",
-            BoundaryDecayWarning, stacklevel=3)
+            BoundaryDecayWarning, stacklevel=stacklevel)
     return margin
 
 
 # ---------------------------------------------------------------------------
-# finite differences in k
+# derivatives in k
 #
-# Every k derivative is the same second-order stencil, taken directly in FFT
-# order: central differences with wrap-around indexing everywhere except at
-# the two ends of the monotone k range (indices n/2 - 1 and n/2), where
-# numpy's one-sided second-order formulas replace them.  The data must decay
-# near the momentum boundary, so the stencil is read as non-periodic there.
-# The stencil checks nothing: decay is a property of the state, measured by
-# `check_boundary_decay` where a beam is built (`bessel_beam`,
-# `gaussian_vortex`) and where a route that differentiates in k reports a
-# result (`generators_photon_picture`, `darwin_split`).
+# The photon picture takes the exact, spectral derivative d/dk_a =
+# F_a[-i x_a F_a^-1] (`_exact_gradient_k_axis`).  Every other k derivative
+# is one second-order finite-difference (FD) stencil in FFT order: central
+# differences with wrap-around indexing except at the two ends of the
+# monotone k range (indices n/2 - 1 and n/2), where numpy's one-sided
+# formulas replace them, as the data must decay near the momentum boundary.
+# Its readers are alpha and D, which only `check algebra` and `check
+# polarization` read, and darwin, the one report route that differentiates
+# by FD.  The stencil checks nothing: decay is measured by
+# `check_boundary_decay` where a beam is built and where a route that
+# differentiates in k reports a result.
+
+def _exact_gradient_k_axis(grid, F, ax, region):
+    """``(dF, edge, peak)``: ``dF = F_ax[-i x_ax F_ax^-1[F]]`` on `region`, a slab that spans all of axis `ax`.
+
+    The 1-d transforms run along `ax`, with the grid's x_ax in FFT order.
+    `edge` and `peak` are the largest |F_ax^-1[F]| on the outermost two x
+    planes and anywhere: the real-space decay that the derivative needs.
+    """
+    n = grid.dims[ax]
+    out = np.fft.ifft(F[region], axis=ax)
+    mag = np.abs(out)
+    edge = mag[(slice(None),) * ax + (slice(n // 2 - 2, n // 2 + 2),)].max()
+    peak = mag.max()
+    del mag
+    out *= _along(-1j * np.fft.ifftshift(grid.x_axes[ax]), ax)
+    np.fft.fft(out, axis=ax, out=out)
+    return out, edge, peak
+
 
 def _gradient_k_axis(grid, F, ax, out):
     """Write d F / d k along grid axis `ax` into `out` (same shape as `F`); return `out`.

@@ -3,19 +3,19 @@
 Field picture:   quadratic integrals of F over real space.
 Photon picture:  expectation values over the invariant measure d3k/(hbar w),
                  with J split into the part perpendicular to k (orbital) and
-                 the helicity part parallel to k (spin).
-Cross checks:    the k-space double-transform form acting on E(k), the
-                 textbook real-space split with the transverse-gauge A, and
-                 the nonlocal Coulomb-kernel double integral for the spin.
+                 the helicity part parallel to k (spin), gauge free.
+Cross checks:    the k-space double-transform form acting on E(k) by finite
+                 differences (darwin), the textbook real-space split with
+                 the transverse-gauge A, and the nonlocal Coulomb-kernel
+                 double integral for the spin.
 
 Every route streams: no stage builds a (3, N) stack only to reduce it.
 The field picture accumulates |F|^2, then forms V = Im(F* x F) one
-component at a time.  The photon picture reduces each term
-``i g_chi* D_a g_chi`` of the density ``u = sum_chi i g* D g`` where it is
-made, one helicity and axis at a time.  The darwin route reduces one
-component of E at a time, from its stacked k gradient (the one (3, N)
-stack left: `perfbench` counts the callers of `spectral_gradient_k`, and
-this is one of them); the textbook route takes the real transforms of the
+component at a time.  The photon picture reduces each product
+E_i* d_a E_i where it is made, one component and axis at a time.  The
+darwin route reduces one component of E at a time, from its stacked k
+gradient (the one (3, N) stack left: `perfbench` counts the callers of
+`spectral_gradient_k`); the textbook route takes the real transforms of the
 real fields: one forward transform per component of A and one inverse
 transform per derivative d_b A_i; the nonlocal route convolves one
 component of curl B at a time on the doubled grid, in O(M log M), so it
@@ -34,21 +34,20 @@ and equal those of a whole-array sum to rounding.  The nonlocal route
 sums its last inverse transform with E the same way, per x slab; the
 textbook route sums whole arrays on the calling thread.
 
-Each route measures the decay its result needs once, with
-`grids.check_boundary_decay`, and reports it in its diagnostics: the photon
-picture that of (gL, gR) and the darwin route that of E(k), each against
-one shared peak, the field picture the real-space decay of F; a margin
-above BOUNDARY_TOL also gives one `BoundaryDecayWarning`.
+Each route measures the decay its result needs once and reports it in its
+diagnostics: the photon picture that of (gL, gR) in k and of its field in
+r, the darwin route that of E(k), the field picture that of F in r.  A
+margin above BOUNDARY_TOL also gives one `BoundaryDecayWarning`.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import partial
 
 import numpy as np
 
-from . import photon_state
-from .fields_bridge import TRANSVERSE_TOL, _DivergenceSum, spectral_curl
+from .fields_bridge import TRANSVERSE_TOL, _DivergenceSum, _spectral_e_slab, spectral_curl
 from .grids import (
     LEVI_CIVITA,
     check_boundary_decay,
@@ -59,9 +58,11 @@ from .grids import (
     spectral_gradient_k,
     _along,
     _at_origin,
+    _exact_gradient_k_axis,
     _in_region,
     _nhat,
     _over_slabs,
+    _warn_decay,
 )
 
 
@@ -137,15 +138,20 @@ def generators_photon_picture(wf):
     ``H = <hbar w>``, ``P = <hbar k>``, ``Jo = <i hbar D x k>``,
     ``Js = <hbar chi n_k>``, ``K = <i hbar w D>`` over the invariant measure.
     Jo and K follow from the density ``u = sum_chi i g* D g``: the Jo
-    integrand is ``u x k`` and the K integrand ``w u``, and each term of u is
-    reduced as soon as it is made.  The imaginary parts of the discretized D
-    expectations are reported as diagnostics, not silently dropped:
+    integrand is ``u x k`` and the K integrand ``w u``.  With ``E = (e gL +
+    e* gR) / sqrt(2 eps0)`` the cross-helicity terms vanish (e.d e = 0), so
+    ``u_a = 2 eps0 i E*.d_a E`` needs no connection; d_a E is exact
+    (`grids._exact_gradient_k_axis`), on E of the stored snapshot.  Time
+    enters analytically: Jo is time-free (n x k = 0) and ``K(t) = K(0) +
+    c^2 t P``.  The imaginary parts of the Jo and K expectations are
+    reported as diagnostics, not silently dropped:
     ``imag_residual_Jo`` is ``|Im Jo| / max(|Jo|, |Js|)``, as in
     `darwin_split`, and ``imag_residual_K`` is ``|Im K| / (H L)``, with L
     the `box_length` of the grid.  ``diagnostics["boundary_margin"]`` is the
-    decay of (gL, gR) that D needs, measured once against their joint peak.
+    decay of (gL, gR) at the k edge, against their joint peak, and
+    ``boundary_margin_r`` the real-space decay the exact derivative needs,
+    read off its inverse passes.
     """
-    wf.basis.connection()       # a connection derived here never stacks on this route's arrays
     grid = wf.grid
     margin = check_boundary_decay((wf.gL, wf.gR), "wavefunction", "k")
     hbar = grid.units.hbar
@@ -173,33 +179,42 @@ def generators_photon_picture(wf):
     P = hbar * P
     Js = hbar * Js
 
-    # M[a, b] = sum k_b w u_a, so that sum w (u x k)_j = eps_jab M[a, b];
-    # w omega = dVk / hbar wherever w != 0, so K = dVk sum u off the excluded bin
-    def reduce(region):
-        t = term(region)
-        if _at_origin(region):
-            t[0, 0, 0] = 0.0
-        K = np.sum(t)
-        t *= w[region]
-        return K, moments(_in_region(grid.k_axes, region), t)
+    # S[a] = sum E_i* d_a E_i and M[a, b] = sum k_b w E_i* d_a E_i give sum w (u x k)_j =
+    # 2 eps0 i eps_jab M[a, b] and K = 2 eps0 i dVk S (w omega = dVk / hbar; E = 0 at k = 0).
+    # A slab forms conj(E* d_a E) in the array of d_a E, conjugated back once summed
+    def reduce(a, region):
+        d, edge, peak = _exact_gradient_k_axis(grid, E, a, region)
+        planes[a].append((edge, peak))
+        np.conjugate(d, out=d)
+        d *= E[region]
+        S_a = np.sum(d)
+        d *= w[region]
+        return S_a, moments(_in_region(grid.k_axes, region), d)
 
-    M = np.zeros((3, 3), dtype=complex)
-    K = np.zeros(3, dtype=complex)
-    for a, axis, term in photon_state._covariant_terms(wf):
-        K_a, M_a = _over_slabs(grid, axis, reduce)
-        K[a] += K_a
-        M[a] += M_a
-    X = hbar * np.einsum("jab,ab->j", LEVI_CIVITA, M)
-    K *= grid.dVk
+    E, planes = np.empty(grid.dims, dtype=complex), ([], [], [])
+    S, M = np.zeros(3, dtype=complex), np.zeros((3, 3), dtype=complex)
+    for i in range(3):
+        _over_slabs(grid, 0, lambda region: _spectral_e_slab(wf, i, region, E[region]))
+        E[grid.excluded_index] = 0.0
+        for a in range(3):
+            S_a, M_a = _over_slabs(grid, 1 if a == 0 else 0, partial(reduce, a))
+            S[a] += S_a
+            M[a] += M_a
+    X = 2j * grid.units.eps0 * hbar * np.einsum("jab,ab->j", LEVI_CIVITA, np.conjugate(M))
+    K = 2j * grid.units.eps0 * grid.dVk * np.conjugate(S)
     Jo = X.real
+    # per axis, the largest edge of the three components' inverse passes against their joint peak
+    margin_r = max(max(e for e, _ in p) / max(max(q for _, q in p), 1e-300) for p in planes)
 
     scale = max(float(np.linalg.norm(Jo)), float(np.linalg.norm(Js)), 1e-300)
     diagnostics = {
         "imag_residual_Jo": float(np.linalg.norm(X.imag)) / scale,
         "imag_residual_K": float(np.linalg.norm(K.imag)) / max(H * grid.box_length, 1e-300),
         "boundary_margin": margin,
+        "boundary_margin_r": _warn_decay(float(margin_r), "the field of the wavefunction", "r"),
     }
-    return GeneratorSet(H=H, P=P, J=Jo + Js, K=K.real, N=N, Jo=Jo, Js=Js, diagnostics=diagnostics)
+    K = K.real + grid.units.c ** 2 * wf.time * P
+    return GeneratorSet(H=H, P=P, J=Jo + Js, K=K, N=N, Jo=Jo, Js=Js, diagnostics=diagnostics)
 
 
 # ---------------------------------------------------------------------------

@@ -9,23 +9,23 @@ before ten optical periods, while the analytic bookkeeping keeps the
 orbital/spin split conserved to rounding, as it is in the continuum.
 A state and its basis change gauge together, only through `gauge_transform`.
 
-The covariant derivative D is a k-space finite difference, valid only for
-states that decay near the momentum boundary.  The photon picture's terms
-i g* D_j g are made slab by slab (`_covariant_terms`), so that each slab is
-reduced on the THREADS worker that made it.  Neither D nor `wavefunction`
-checks it: the decay is measured by the beam factories
-(`beams.bessel_beam`, `beams.gaussian_vortex`) and by the route that
-reports a result from D (`observables.generators_photon_picture`).
+The covariant derivative D = grad_k - i chi alpha is a k-space finite
+difference through the connection alpha of the basis, valid only for states
+that decay near the momentum boundary.  Only `check algebra` reads it (its
+generators and commutators, `algebra_checks`); no reported route does: the
+photon picture takes its Jo and K from E(k) with an exact k derivative and
+needs no connection (`observables.generators_photon_picture`).  Neither D
+nor `wavefunction` checks the decay: the beam factories
+(`beams.bessel_beam`, `beams.gaussian_vortex`) measure it.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
-from functools import partial
 
 import numpy as np
 
-from .grids import spectral_gradient_k, _gradient_k_axis, _nhat, _readonly
+from .grids import spectral_gradient_k, _gradient_k_axis, _readonly
 
 HELICITIES = (+1, -1)
 
@@ -127,31 +127,20 @@ def _construction_gauge(wf, chi):
     return g if basis.gauge_phase is None else np.exp(-1j * chi * basis.gauge_phase) * g
 
 
-def _connect(wf, chi, ghat, j, d, region=(slice(None),) * 3, scratch=None):
-    """Turn ``d = d_j ghat`` into ``D_j ghat`` in place, in the construction gauge.
-
-    Subtracts the connection term ``i chi alpha_j ghat``, built in the
-    complex array `scratch` (allocated when None), and the analytic
-    evolution-phase gradient ``i c t n_j ghat``.  `ghat` is the part on
-    `region` (three slices of the grid axes) of a whole array; `d` and
-    `scratch` have its shape.
-    """
-    scratch = np.multiply(1j * chi, wf.basis.connection()[j][region], out=scratch)
-    scratch *= ghat
-    d -= scratch
-    if wf.time != 0.0:
-        d -= (1j * wf.grid.units.c * wf.time) * _nhat(wf.grid, j, region) * ghat
-    return d
-
-
 def _covariant_axis(wf, chi, ghat, j, d):
     """``D_j g`` of helicity `chi` from ``d = d_j ghat``, in the current gauge of the basis.
 
     The one per-axis step shared by `covariant_derivative` and
-    `covariant_derivative_axis`: connect in the construction gauge, then
-    restore the accumulated chart phase.
+    `covariant_derivative_axis`: in the construction gauge, subtract the
+    connection term ``i chi alpha_j ghat`` and the analytic evolution-phase
+    gradient ``i c t n_j ghat`` from d in place, then restore the
+    accumulated chart phase.
     """
-    d = _connect(wf, chi, ghat, j, d)
+    scratch = np.multiply(1j * chi, wf.basis.connection()[j])
+    scratch *= ghat
+    d -= scratch
+    if wf.time != 0.0:
+        d -= (1j * wf.grid.units.c * wf.time) * wf.grid.nhat(j) * ghat
     basis = wf.basis
     return d if basis.gauge_phase is None else np.exp(1j * chi * basis.gauge_phase) * d
 
@@ -193,37 +182,3 @@ def _covariant_helicity(wf, chi, j):
     ghat = _construction_gauge(wf, chi)
     d = _gradient_k_axis(wf.grid, ghat, j, out=np.empty(wf.grid.dims, dtype=complex))
     return _covariant_axis(wf, chi, ghat, j, d)
-
-
-def _covariant_terms(wf):
-    """Yield ``(j, axis, term)`` for the six terms ``t = i g* D_j g``, one helicity and axis at a time.
-
-    Same gauge and time handling as `covariant_derivative`; the re-phasing
-    factor ``e^{i chi phase}`` of D g cancels against the one in g*, so
-    ``i g* D_j g = i ghat* (D_j ghat)`` in the construction gauge.  The sum
-    of the six terms is the density ``u_j = sum_chi i g* D_j g``.
-    ``term(region)`` returns t on a slab region of grid `axis`
-    (`grids._over_slabs`), in an array of its own: `axis` is one that the
-    stencil along j does not read, so the slabs may run on the THREADS
-    workers and each be reduced where it is made.
-    """
-    wf.basis.connection()       # derived here if need be, never on a worker
-    for chi in HELICITIES:
-        ghat = _construction_gauge(wf, chi)
-        for j in range(3):
-            yield j, (1 if j == 0 else 0), partial(_covariant_term, wf, chi, ghat, j)
-
-
-def _covariant_term(wf, chi, ghat, j, region):
-    """``i ghat* D_j ghat`` on `region`, in an array of the region's shape.
-
-    One complex array of that shape more is scratch: the connection term
-    and i ghat* are built there, one after the other.
-    """
-    g = ghat[region]
-    scratch = np.empty(g.shape, dtype=complex)
-    d = _gradient_k_axis(wf.grid, g, j, out=np.empty(g.shape, dtype=complex))
-    d = _connect(wf, chi, g, j, d, region, scratch)
-    np.multiply(1j, np.conjugate(g, out=scratch), out=scratch)
-    d *= scratch
-    return d

@@ -11,10 +11,12 @@ which needs no azimuthal frame and no angles.  A basis stores no e array:
 `GridPair` derives its metadata.  A basis is plain data: the chart axis, the
 accumulated gauge phase (None in the construction gauge) and the Berry-type
 connection ``alpha_j = -Im[e* . d_j e]`` of the construction gauge, obtained
-with the same finite-difference stencil as every other k derivative in the
-package.  Of the package's stages only the covariant derivative reads the
-connection, so `PolarizationBasis.connection` derives it on its first call
-and keeps it: `chart_basis` derives nothing, `build_basis` derives it before
+with the finite-difference stencil of `grids`.  Only two commands read the
+connection: ``check algebra``, through the covariant derivative of
+`photon_state`, and ``check polarization``, through `berry_loop`; no
+reported route does (the photon picture works on E(k), which is gauge
+free).  So `PolarizationBasis.connection` derives it on its first call and
+keeps it: `chart_basis` derives nothing, `build_basis` derives it before
 returning.  The gauge changes only through
 `photonam.photon_state.gauge_transform`, which re-phases a state and its
 basis together.
@@ -51,7 +53,7 @@ class PolarizationBasis:
     ``alpha_base`` is the connection of the construction gauge: covariant
     derivatives are evaluated there (exactly gauge covariant) and re-phased
     afterwards.  It is None until `connection` derives it and keeps it; `e`,
-    `pole_mask` and the beam, synthesis and analysis stages never read it.
+    `pole_mask` and every stage of a report or a file conversion never read it.
     """
 
     grid: object

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 import photonam as pn
-from photonam.grids import BoundaryDecayWarning
+from photonam.grids import BoundaryDecayWarning, cross_component
 
 
 def rel(a, b):
@@ -77,6 +77,42 @@ def maxwell_residual(rs1, rs2):
     num = np.linalg.norm(resid)
     den = np.linalg.norm(mid)
     return float(num / den) if den > 0 else float(num)
+
+
+def fd_photon_picture(wf):
+    """Oracle of finite-difference (FD) order: the photon picture from the FD `covariant_derivative`.
+
+    ``Jo = hbar sum_chi sum w g* i (D g x k)`` and ``K = hbar sum_chi sum w
+    g* i omega D g``, one component at a time from the stacked derivative:
+    the photon picture as it was before it took its Jo and K from E(k) with
+    an exact derivative, kept as the FD reference that second-order tests
+    converge against.  Returns a dict with N, H, P, Js, Jo, J, K and the
+    imaginary residuals.
+    """
+    grid = wf.grid
+    hbar = grid.units.hbar
+    w, k, omega = grid.w_invariant(), grid.kvec, grid.omega()
+    absL2, absR2 = np.abs(wf.gL) ** 2, np.abs(wf.gR) ** 2
+    dens = absL2 + absR2
+    D = pn.covariant_derivative(wf)
+    Jo, K = np.zeros(3, dtype=complex), np.zeros(3, dtype=complex)
+    for chi, g in wf.components.items():
+        Dg = [D[j].components[chi] for j in range(3)]
+        weight = 1j * w * np.conj(g)
+        for j in range(3):
+            Jo[j] += np.sum(weight * cross_component(Dg, k, j))
+            K[j] += np.sum(weight * omega * Dg[j])
+    Jo, K = hbar * Jo, hbar * K
+    H = float(np.sum(grid.dVk * dens))
+    Js = hbar * np.array([np.sum(w * grid.nhat(j) * (absL2 - absR2)) for j in range(3)])
+    L = max(size * d for size, d in zip(grid.dims, grid.spacing))
+    return dict(
+        N=float(np.sum(w * dens)), H=H,
+        P=hbar * np.array([np.sum(w * k[j] * dens) for j in range(3)]),
+        Js=Js, Jo=Jo.real, J=Jo.real + Js, K=K.real,
+        imag_residual_Jo=np.linalg.norm(Jo.imag) / max(np.linalg.norm(Jo.real), np.linalg.norm(Js)),
+        imag_residual_K=np.linalg.norm(K.imag) / (H * L),
+    )
 
 
 @contextlib.contextmanager

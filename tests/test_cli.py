@@ -2,14 +2,13 @@ import json
 import os
 import struct
 import warnings
-import weakref
 
 import numpy as np
 import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
 import photonam as pn
-from photonam import fileio, observables
+from photonam import fileio, polarization
 from photonam.cli import ROUTES, build_report, main
 
 from conftest import decay_ignored, rel, smooth_state, traced_peak
@@ -144,10 +143,27 @@ def test_corrupt_files_rejected(tmp_path, capsys):
                    {"dims": [8.0, 8, 8]}, {"dims": "888"}, {"dims": [-8, -8, 8]},
                    {"dims": [True, 8, 8]}, {"dims": [8, 8]}, {"components": 2},
                    {"chart_axis": [1, 0]}, {"chart_axis": "x"}, {"chart_axis": [1.0, 0.0, None]},
-                   {"chart_axis": [2.0, 0.0, 0.0]}):
+                   {"chart_axis": [2.0, 0.0, 0.0]}, {"complex": "yes"}, {"complex": 1}):
         rewrite({**manifest, **change})
         with pytest.raises(fileio.FieldFileError):
             fileio.read(bad)
+
+    # a "complex" flag that contradicts the file kind, the payload length made to match it
+    for kind, path in (("wavefunction", good), ("real_field", tmp_path / "real.pam")):
+        if kind == "real_field":
+            fileio.write_real_field(path, pn.RealVectorField(values=np.zeros((3,) + grid.dims), role="E", grid=grid))
+        raw_k = path.read_bytes()
+        (mlen_k,) = struct.unpack("<Q", raw_k[8:16])
+        flipped = {**json.loads(raw_k[16:16 + mlen_k]), "complex": kind != "wavefunction"}
+        payload = np.zeros(2 * 8 ** 3 * (1 if kind == "wavefunction" else 6), dtype="<f8").tobytes()
+        blob = json.dumps(flipped).encode()
+        bad.write_bytes(b"PHOTONAM" + struct.pack("<Q", len(blob)) + blob
+                        + struct.pack("<Q", len(payload)) + payload)
+        with pytest.raises(fileio.FieldFileError, match=f'a {kind} file has "complex": '):
+            fileio.read(bad)
+        if kind == "wavefunction":
+            code, out, err = run_cli(capsys, "observables", str(bad), "--routes", "photon", "--json")
+            assert code == 2 and out == "" and json.loads(err)["type"] == "FieldFileError"
 
     rewrite({**manifest, "dims": [8.0, 8, 8]})
     code, out, err = run_cli(capsys, "split", str(bad), "--json")
@@ -221,7 +237,7 @@ def test_beam_split_and_observables(tmp_path, capsys):
     assert rep["deltas"]["Js_textbook_vs_photon"] < 1e-3
     assert rep["provenance"]["family"] == "bessel"
     photon = rep["routes"]["photon"]
-    assert set(photon["diagnostics"]) == {"boundary_margin", "imag_residual_Jo", "imag_residual_K"}
+    assert set(photon["diagnostics"]) == {"boundary_margin", "boundary_margin_r", "imag_residual_Jo", "imag_residual_K"}
     assert all(np.isfinite(v) for v in photon["diagnostics"].values())
     assert split["Jo"] == photon["Jo"] and split["Js"] == photon["Js"]
 
@@ -236,21 +252,21 @@ def test_k_delta_of_centred_beam_is_noise_scaled_by_energy_times_box(tmp_path, c
     assert json.loads(text)["deltas"]["K_field_vs_photon"] < 1e-12
 
 
-def test_the_connection_is_freed_before_the_darwin_route(monkeypatch, grid32):
-    """Only the photon route reads the connection: the basis that keeps it is gone by the darwin route."""
-    states = [smooth_state(grid32, pn.chart_basis(grid32), seed=2)]
-    basis = weakref.ref(states[0].basis)
-    alive, darwin = [], observables.darwin_split
-
-    def spy(Ek):
-        alive.append(basis() is not None)
-        return darwin(Ek)
-
-    monkeypatch.setattr(observables, "darwin_split", spy)
+def test_report_commands_derive_no_connection(tmp_path, capsys, monkeypatch):
+    """split and observables run their routes without the connection alpha: deriving it would raise."""
+    beam = tmp_path / "beam.pam"
     with decay_ignored():
-        rep = build_report(states.pop(), ("photon", "darwin"))   # as `observables` passes its state
-    assert alive == [False]
-    assert set(rep["routes"]) == {"photon", "darwin"}
+        assert run_cli(capsys, "beam", "bessel", "--grid", "48", "--m", "2", "-o", str(beam))[0] == 0
+
+    def refused(grid, axis):
+        raise AssertionError("a report derived the connection")
+
+    monkeypatch.setattr(polarization, "_derive_connection", refused)
+    with decay_ignored():
+        code, text, _ = run_cli(capsys, "split", str(beam), "--json")
+        assert code == 0 and json.loads(text)["Js"][2] > 0
+        code, text, _ = run_cli(capsys, "observables", str(beam), "--json")
+    assert code == 0 and set(json.loads(text)["routes"]) == {"photon", "field", "darwin", "textbook"}
 
 
 def test_k_delta_is_scaled_by_energy_times_box(grid48, basis48):
@@ -521,7 +537,7 @@ def test_unknown_route_is_refused_before_the_file_is_read(tmp_path, capsys):
 
 
 def test_file_commands_take_no_k_derivative(tmp_path, capsys, gradient_calls):
-    """beam, synthesize, analyze and potential read only e(k): no stencil runs, so no connection is built."""
+    """No file command differentiates by FD or builds the connection: split takes the exact E(k) route."""
     paths = {name: str(tmp_path / name) for name in ("bessel", "beam", "rs", "back", "a")}
     c = repr(np.pi / 3.0)
     with warnings.catch_warnings():
@@ -533,10 +549,8 @@ def test_file_commands_take_no_k_derivative(tmp_path, capsys, gradient_calls):
                      ("potential", paths["rs"], "-o", paths["a"])):
             assert run_cli(capsys, *argv)[0] == 0, argv
         assert gradient_calls == []
-
-        # the photon route still derives the connection, once: three gradients of e
         code, _, _ = run_cli(capsys, "split", paths["bessel"], "--json")
-    assert code == 0 and len(gradient_calls) == 3
+    assert code == 0 and gradient_calls == []
 
 
 def test_synthesize_analyze_potential_pipeline(tmp_path, capsys):

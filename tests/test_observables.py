@@ -7,10 +7,10 @@ from hypothesis import example, given, settings, strategies as st
 
 import photonam as pn
 from photonam.fields_bridge import RealVectorField, SpectralEField
-from photonam.grids import BoundaryDecayWarning, _readonly, cross
+from photonam.grids import BOUNDARY_TOL, BoundaryDecayWarning, _readonly, cross
 from photonam.observables import _cell_self_weight
 
-from conftest import decay_ignored, nhat_stack, project_spectral_e, rel, smooth_state
+from conftest import decay_ignored, fd_photon_picture, nhat_stack, project_spectral_e, rel, smooth_state
 from rotations import rotate_wavefunction, rotation_matrix
 
 
@@ -80,12 +80,18 @@ def decaying_packet(grid, basis):
 
 
 def test_analysed_pure_helicity_packet_decays(grid48, basis48):
-    """The analysed gR of a pure-L packet is rounding noise; against the joint peak it decays."""
+    """The analysed gR of a pure-L packet is rounding noise; against the joint peak it decays at the k edge.
+
+    Its field reaches the real-space edge at about 1e-7 of its peak, which
+    the field picture and the photon picture's exact derivative both flag;
+    only a k-edge warning is an error here.
+    """
     rs = pn.synthesize(decaying_packet(grid48, basis48), 0.3)
     wf = pn.analyze(rs, basis48)
     assert np.abs(wf.gR).max() < 1e-12 * np.abs(wf.gL).max()
     with warnings.catch_warnings():
         warnings.simplefilter("error", BoundaryDecayWarning)
+        warnings.filterwarnings("ignore", "the field of the wavefunction", BoundaryDecayWarning)
         gen = pn.generators_photon_picture(wf)
         _, _, diag = pn.darwin_split(pn.spectral_e_from_wavefunction(wf))
     assert gen.diagnostics["boundary_margin"] <= 1e-10
@@ -97,10 +103,21 @@ def test_shared_peak_still_flags_a_flat_helicity(grid48, basis48):
     good = decaying_packet(grid48, basis48)
     flat = np.full(grid48.dims, 1e-3 * np.abs(good.gL).max())
     wf = pn.wavefunction(grid48, basis48, good.gL, flat)
-    with pytest.warns(BoundaryDecayWarning, match="edge") as record:
+    with warnings.catch_warnings(record=True) as record:
+        warnings.simplefilter("always")
         gen = pn.generators_photon_picture(wf)
-    assert len(record) == 1
+    assert len([w for w in record if w.category is BoundaryDecayWarning and "momentum-grid" in str(w.message)]) == 1
     assert gen.diagnostics["boundary_margin"] == pytest.approx(1e-3, rel=1e-12)
+
+
+def test_photon_picture_flags_a_field_that_reaches_the_box_edge(grid48, basis48):
+    """The decaying packet's field reaches the real-space edge at about 1e-7: one real-space warning, and its margin."""
+    with warnings.catch_warnings(record=True) as record:
+        warnings.simplefilter("always")
+        gen = pn.generators_photon_picture(decaying_packet(grid48, basis48))
+    assert [str(w.message).split(" (")[0] for w in record if w.category is BoundaryDecayWarning] == [
+        "the field of the wavefunction does not decay at the real-space boundary"]
+    assert 1e-7 < gen.diagnostics["boundary_margin_r"] < 1e-6
 
 
 def test_darwin_split_warns_once_and_reports_its_margin(grid16):
@@ -128,40 +145,50 @@ def test_photon_picture_diagnostics(grid64):
     wf = circular_packet(grid64)
     with decay_ignored():
         gen = pn.generators_photon_picture(wf)
-    assert set(gen.diagnostics) == {"boundary_margin", "imag_residual_Jo", "imag_residual_K"}
+    assert set(gen.diagnostics) == {"boundary_margin", "boundary_margin_r", "imag_residual_Jo", "imag_residual_K"}
     assert gen.diagnostics["imag_residual_K"] < 1e-8
     assert np.allclose(gen.Jo + gen.Js, gen.J)
 
 
-def _stacked_photon_picture(wf):
-    """Oracle: the photon picture from full covariant-derivative stacks.
+def _exact_photon_picture(wf):
+    """Oracle: the photon picture from whole-array stacks, its Jo and K from the exact k derivative of E(k).
 
-    ``orb = sum_chi g* i (D g x k)`` and ``kexp = sum_chi g* i w D g`` are
-    built as (3, N) complex arrays, then reduced.
+    E(k) of the stored snapshot, zero at k = 0, is differentiated along each
+    axis a by whole-array numpy transforms, ``d_a E = fft_a(-i x_a ifft_a E)``
+    with x_a = (j - n/2) dx in FFT order, into a (3, 3, N) stack; then
+    ``u = 2 eps0 i E*.d E``, ``Jo = hbar sum w u x k``, ``K = dVk sum u +
+    c^2 t P``.  ``boundary_margin_r`` is the largest |ifft_a E| on the two
+    outermost x planes of a over its largest anywhere, the worst axis.
     """
     grid = wf.grid
-    hbar = grid.units.hbar
+    u_ = grid.units
     w, k, n = grid.w_invariant(), np.stack(grid.kvec), nhat_stack(grid)
     absL2, absR2 = np.abs(wf.gL) ** 2, np.abs(wf.gR) ** 2
     dens = absL2 + absR2
-    D = pn.covariant_derivative(wf)
-    orb = np.zeros((3,) + grid.dims, dtype=complex)
-    kexp = np.zeros((3,) + grid.dims, dtype=complex)
-    for chi, g in wf.components.items():
-        Dg = np.stack([D[j].components[chi] for j in range(3)])
-        orb += np.conj(g) * 1j * cross(Dg, k)
-        kexp += np.conj(g) * 1j * grid.omega() * Dg
+    dens[0, 0, 0] = 0.0
+    E = np.array(pn.spectral_e_from_wavefunction(replace(wf, time=0.0)).values)
+    E[:, 0, 0, 0] = 0.0
+    dE = np.empty((3,) + E.shape, dtype=complex)
+    margins = []
+    for a, (size, dx) in enumerate(zip(grid.dims, grid.spacing)):
+        j = np.arange(size)
+        x = (dx * np.where(j < size // 2, j, j - size)).reshape([-1 if ax == a else 1 for ax in range(3)])
+        f = np.fft.ifft(E, axis=1 + a)
+        edge = np.take(np.abs(f), range(size // 2 - 2, size // 2 + 2), axis=1 + a).max()
+        margins.append(edge / np.abs(f).max())
+        dE[a] = np.fft.fft(-1j * x * f, axis=1 + a)
+    u = 2j * u_.eps0 * np.sum(np.conj(E) * dE, axis=1)
     H = float(np.sum(grid.dVk * dens))
-    Js = hbar * np.sum(w * n * (absL2 - absR2), axis=(1, 2, 3))
-    Jo = hbar * np.sum(w * orb, axis=(1, 2, 3))
-    K = hbar * np.sum(w * kexp, axis=(1, 2, 3))
+    P = u_.hbar * np.sum(w * k * dens, axis=(1, 2, 3))
+    Js = u_.hbar * np.sum(w * n * (absL2 - absR2), axis=(1, 2, 3))
+    Jo = u_.hbar * np.sum(w * cross(u, k), axis=(1, 2, 3))
+    K = grid.dVk * np.sum(u, axis=(1, 2, 3))
     L = max(size * d for size, d in zip(grid.dims, grid.spacing))
     return dict(
-        N=float(np.sum(w * dens)), H=H,
-        P=hbar * np.sum(w * k * dens, axis=(1, 2, 3)),
-        Js=Js, Jo=Jo.real, K=K.real,
+        N=float(np.sum(w * dens)), H=H, P=P, Js=Js, Jo=Jo.real, K=K.real + u_.c ** 2 * wf.time * P,
         imag_residual_Jo=np.linalg.norm(Jo.imag) / max(np.linalg.norm(Jo.real), np.linalg.norm(Js)),
         imag_residual_K=np.linalg.norm(K.imag) / (H * L),
+        boundary_margin_r=max(margins),
     )
 
 
@@ -190,7 +217,8 @@ def test_photon_picture_matches_stacked_oracle(n, center, seed, mix, m, t, gauge
     The packet is two cells wide, `center` cells out along the k diagonal, at
     the real-space offset drawn from `seed`; the explicit example is
     `smooth_state(seed=17)` at 48^3.  Both streamed pictures are checked
-    against their stacked oracles.
+    against their stacked oracles, the photon picture against the exact
+    route's (`_exact_photon_picture`).
     """
     g = pn.make_grid(n)
     dk = g.dk[0]
@@ -208,7 +236,7 @@ def test_photon_picture_matches_stacked_oracle(n, center, seed, mix, m, t, gauge
     with decay_ignored():
         gen = pn.generators_photon_picture(wf)
         gen_f = pn.generators_field_picture(rs)
-    ref = _stacked_photon_picture(wf)
+    ref = _exact_photon_picture(wf)
     assert gen.N == ref["N"] and gen.H == ref["H"]
     assert np.array_equal(gen.Js, ref["Js"])
     assert rel(gen.P, ref["P"]) < 1e-14     # P sums 1-d profiles, in another order than the oracle
@@ -217,6 +245,7 @@ def test_photon_picture_matches_stacked_oracle(n, center, seed, mix, m, t, gauge
     assert np.linalg.norm(gen.K - ref["K"]) < 1e-12 * gen.H * L
     for key in ("imag_residual_Jo", "imag_residual_K"):
         assert abs(gen.diagnostics[key] - ref[key]) < 1e-12, key
+    assert gen.diagnostics["boundary_margin_r"] == ref["boundary_margin_r"]
 
     ref = _stacked_field_picture(rs)
     u = g.units
@@ -237,6 +266,7 @@ def test_photon_picture_ignores_the_excluded_bin(grid48, basis48):
         gen = pn.generators_photon_picture(replace(wf, gL=gL))
     assert gen.H == ref.H and gen.N == ref.N
     assert np.array_equal(gen.P, ref.P) and np.array_equal(gen.Js, ref.Js)
+    assert np.array_equal(gen.Jo, ref.Jo) and np.array_equal(gen.K, ref.K)
 
 
 def test_causality_and_spin_bounds(grid48, basis48):
@@ -261,6 +291,66 @@ def test_split_time_invariance(grid48, basis48):
         Jo, Js = photon.Jo, photon.Js
         assert rel(Jo, Jo0) < 1e-10
         assert rel(Js, Js0) < 1e-10
+
+
+def _default_bessel_beam(grid, m, helicity):
+    """The `beam bessel` defaults at 96^3: k0 0.62 Nyquist, k_z/k 0.8, widths 3 k steps, chart x."""
+    dk = grid.dk[0]
+    k0 = 0.62 * np.pi / grid.spacing[0]
+    kz0 = 0.8 * k0
+    spec = pn.BesselSpec(k_perp0=np.sqrt(k0 ** 2 - kz0 ** 2), k_z0=kz0, m=m, helicity=helicity,
+                         sigma_perp=3.0 * dk, sigma_z=3.0 * dk)
+    return pn.bessel_beam(grid, pn.chart_basis(grid, (1.0, 0.0, 0.0)), spec)
+
+
+@pytest.mark.parametrize("m", [-3, 1, 4])
+@pytest.mark.parametrize("helicity", [1, -1])
+def test_default_bessel_beam_is_a_jz_eigenstate(grid96, m, helicity):
+    """The regularized Bessel beam is a J_z eigenstate: the photon picture's (Jo_z + Js_z)/N = m to 1e-12.
+
+    Gated where the beam decays at the k edge, as it does from 96^3.
+    """
+    with decay_ignored():
+        gen = pn.generators_photon_picture(_default_bessel_beam(grid96, m, helicity))
+    assert gen.diagnostics["boundary_margin"] <= BOUNDARY_TOL
+    assert abs((gen.Jo[2] + gen.Js[2]) / gen.N - m) <= 1e-12
+
+
+def test_default_bessel_beam_split_matches_the_field_picture(grid96):
+    """On the default m = 3 beam, Jo is the field's J - Js to 1e-12 and K the field's K to 1e-15 H L.
+
+    The beam decays at both edges, k and r, so no route warns.
+    """
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", BoundaryDecayWarning)
+        wf = _default_bessel_beam(grid96, 3, 1)
+        gen = pn.generators_photon_picture(wf)
+        field = pn.generators_field_picture(pn.synthesize(wf))
+    assert gen.diagnostics["boundary_margin_r"] <= BOUNDARY_TOL
+    assert rel(gen.Jo, field.J - gen.Js) <= 1e-12
+    assert np.linalg.norm(gen.K - field.K) <= 1e-15 * gen.H * grid96.box_length
+
+
+def test_moment_of_energy_moves_with_the_momentum():
+    """K(t) - K(0) = c^2 t P over +-10 periods, to 1e-15 H L, while Jo and Js stay bit for bit.
+
+    An m = 1 packet displaced to r0 = (3, -2, 1.5), in units where c, hbar
+    and eps0 are not 1, so that K is far from zero and c^2 is not 1.
+    """
+    g = pn.make_grid(64, units=pn.UnitsConfig(c=1.7, hbar=0.8, eps0=1.3))
+    dk = g.dk[0]
+    with decay_ignored():
+        wf = pn.gaussian_vortex(g, pn.chart_basis(g), center=(16 * dk,) * 3, widths=2.5 * dk, m=1,
+                                helicity=(1.0, 0.3j), r_offset=(3.0, -2.0, 1.5))
+        gen0 = pn.generators_photon_picture(wf)
+    period = 2.0 * np.pi / (np.sqrt(3.0) * 16 * dk * g.units.c)
+    assert np.linalg.norm(gen0.K) > 0.1 * gen0.H * 3.0
+    for t in (-10 * period, -2.7 * period, 0.6 * period, 10 * period):
+        with decay_ignored():
+            gen = pn.generators_photon_picture(pn.evolve(wf, t))
+        drift = gen.K - gen0.K - g.units.c ** 2 * t * gen0.P
+        assert np.linalg.norm(drift) <= 1e-15 * gen0.H * g.box_length, t
+        assert np.array_equal(gen.Jo, gen0.Jo) and np.array_equal(gen.Js, gen0.Js)
 
 
 def test_split_gauge_invariance(grid48, basis48):
@@ -364,6 +454,7 @@ def test_darwin_spin_vanishes_for_real_spectrum(grid48):
 
 
 def test_darwin_orbital_converges_to_photon_route():
+    """Darwin's FD Jo converges at second order to the FD photon picture of the same state (`fd_photon_picture`)."""
     errs = []
     for n in (48, 96):
         g = pn.make_grid(n)
@@ -372,8 +463,8 @@ def test_darwin_orbital_converges_to_photon_route():
         with decay_ignored():
             Jo_d, Js_d, _ = pn.darwin_split(Ek)
             wf = project_spectral_e(Ek, b)
-            photon = pn.generators_photon_picture(wf)
-        Jo_h, Js_h = photon.Jo, photon.Js
+            photon = fd_photon_picture(wf)
+        Jo_h, Js_h = photon["Jo"], photon["Js"]
         assert rel(Js_d, Js_h) < 1e-10
         errs.append(rel(Jo_d, Jo_h))
     assert errs[0] < 3e-2          # finite-difference floor at 48^3

@@ -14,12 +14,14 @@ slab, in slab order, so it equals the whole run's only to rounding
 
 import json
 import threading
+from dataclasses import replace
+from functools import partial
 
 import numpy as np
 import pytest
 
 import photonam as pn
-from photonam import grids, photon_state
+from photonam import grids
 from photonam.cli import main
 from photonam.fields_bridge import SpectralEField
 
@@ -201,22 +203,31 @@ def _report(gen):
 @pytest.mark.parametrize("time", [0.0, 0.7])
 @pytest.mark.parametrize("gauged", [False, True])
 def test_photon_picture_is_identical_for_any_thread_count(threaded, grid32, basis32, time, gauged):
-    """Each term i g* D_j g exactly, and its sums N, H, P, Js, K and Jo added up in slabs."""
-    wf = _gauged_state(grid32, basis32, time, gauged)
+    """Each exact derivative d_a E_i of the snapshot's E(k) exactly, and the sums N, H, P, Js, K and Jo in slabs.
 
-    def terms():
-        out = []
-        for j, axis, term in photon_state._covariant_terms(wf):
-            t = np.empty(grid32.dims, dtype=complex)
-            grids._over_slabs(grid32, axis, lambda region: t.__setitem__(region, term(region)))
-            out.append((j, t))
+    The derivative along a runs in slabs of another axis, as the photon
+    picture runs it; the real-space margin of its inverse passes is one of
+    the diagnostics.
+    """
+    wf = _gauged_state(grid32, basis32, time, gauged)
+    E = pn.spectral_e_from_wavefunction(replace(wf, time=0.0)).values
+
+    def derivatives():
+        out = np.empty((3, 3) + grid32.dims, dtype=complex)
+
+        def slab(i, a, region):
+            out[(a, i) + region] = grids._exact_gradient_k_axis(grid32, E[i], a, region)[0]
+
+        for i in range(3):
+            for a in range(3):
+                grids._over_slabs(grid32, 1 if a == 0 else 0, partial(slab, i, a))
         return out
 
     def sums():
         with decay_ignored():
             return _report(pn.generators_photon_picture(wf))
 
-    _compare(threaded, terms)
+    _compare(threaded, derivatives)
     _compare(threaded, sums, close=_reduced)
 
 

@@ -28,7 +28,7 @@ BUDGETS = {
     "build_basis": 6.1,
     "basis.e": 1.0,
     "generators_photon_picture": 3.2,
-    "generators_photon_picture_lazy_basis": 6.1,     # also derives and keeps alpha, 1.5 arrays
+    "generators_photon_picture_lazy_basis": 3.2,     # derives no alpha: the same route as on a built basis
     "darwin_split": 5.1,
     "vector_potential": 5.0,
     "textbook_split": 3.4,
