@@ -24,7 +24,9 @@ a failing margin also writes one ``BoundaryDecayWarning`` to stderr.
 Only ``check algebra`` and ``check polarization`` derive the connection
 alpha of the polarization basis (`PolarizationBasis.connection`); the
 photon route takes Jo and K from E(k) with an exact k derivative, and
-darwin is the one route that differentiates by finite differences.
+darwin is the one route that differentiates by finite differences.  An
+``observables`` report builds E(k) of the stored snapshot once and hands it
+to both (`build_report`).
 ``--chart-axis`` normalizes any nonzero finite vector and sets
 the chart of a new beam or of an rs_field file; a wavefunction file carries
 its own chart, and the flag is refused there.
@@ -33,13 +35,14 @@ its own chart, and the flag is refused there.
 ``CHECK_SIZES``; ``--grid`` gives one N (greens: N >= 26), or N1,N2 for
 algebra, where N alone means N,2N.  The THREADS environment variable caps
 the worker threads of every command (default: the CPU count): the 3-d
-transforms, e(k), alpha, E(k), the Bessel beam and the photon, darwin and
-field pictures run on them in slabs that depend on the grid alone, and the
-k gradient one axis per worker.  ``check algebra`` makes omega, w and
-D_x, D_y, D_z of its test state once per grid (the derivatives on them,
-one axis per worker), shares them across every relation, and then runs its
-commutator pairs on them (see ``grids._over_slabs``, ``grids._map_threads``
-and ``algebra_checks.run_suite``).  Outputs are identical, bit for bit, for
+transforms, e(k), alpha, E(k), the Bessel beam and the photon, darwin,
+field and textbook routes run on them in slabs that depend on the grid
+alone, and the k gradient one axis per worker.  ``check algebra`` makes
+omega, w and D_x, D_y, D_z of its test state once per grid (the
+derivatives on them, one axis per worker), shares them across every
+relation, and then runs its commutator pairs on them (see
+``grids._over_slabs``, ``grids._map_threads`` and
+``algebra_checks.run_suite``).  Outputs are identical, bit for bit, for
 any value.  ``check algebra`` refuses a coarse grid below ALGEBRA_MIN_GRID
 (48), too coarse for its test state, before any grid is built.
 """
@@ -217,13 +220,17 @@ def build_report(wf, routes, manifest=None):
     if manifest and "provenance" in manifest:
         report["provenance"] = manifest["provenance"]
 
-    gen_p = observables.generators_photon_picture(wf)
+    # one E(k) of the snapshot for the photon and darwin routes; without darwin the photon
+    # route fills it one component at a time
+    Ek = fields_bridge.spectral_e_from_wavefunction(wf) if "darwin" in routes else None
+    gen_p = observables.generators_photon_picture(wf, Ek)
     report["routes"]["photon"] = _generator_dict(gen_p)
     report["n_photons"] = float(gen_p.N)
 
     # darwin first, so that E(k) and F are never alive together
     if "darwin" in routes:
-        Jo_d, Js_d, diag = observables.darwin_split(fields_bridge.spectral_e_from_wavefunction(wf))
+        Jo_d, Js_d, diag = observables.darwin_split(Ek)
+        Ek = None
         report["routes"]["darwin"] = {"Jo": _vec3(Jo_d), "Js": _vec3(Js_d), "diagnostics": diag}
         report["deltas"]["Js_darwin_vs_photon"] = _rel(Js_d, gen_p.Js)
         report["deltas"]["Jo_darwin_vs_photon"] = _rel(Jo_d, gen_p.Jo)

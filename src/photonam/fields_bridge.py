@@ -6,8 +6,9 @@ Synthesis assembles F from helicity amplitudes, and analysis inverts it by
 projecting F(k) and its reflection onto the basis vectors e(k).
 
 `spectral_e_from_wavefunction` fills E(k) = (e gL + e* gR) / sqrt(2 eps0)
-in k_x slabs on the THREADS workers.  `photon_state.materialized` bakes the
-evolution phase e^{-i w t}, for it and for `synthesize`.
+of the stored snapshot in k_x slabs on the THREADS workers; the routes that
+read it add time analytically or need none.  `synthesize` bakes the
+evolution phase e^{-i w t} (`photon_state.materialized`).
 """
 
 from __future__ import annotations
@@ -237,16 +238,21 @@ def analyze(rs, basis):
 
 
 def spectral_e_from_wavefunction(wf):
-    """E(k) of the state's snapshot, evolution phase materialized, filled in k_x slabs on the THREADS workers."""
+    """E(k) of the state's stored snapshot, 0 at k = 0, filled in k_x slabs on the THREADS workers.
+
+    The evolution phase e^{-i w t} is not applied: the photon picture adds
+    time analytically (its K(t)), and darwin's Jo and Js of a free field
+    are the same at every t, so both read the snapshot.
+    """
     grid = wf.grid
-    w = photon_state.materialized(wf)
     Ek = np.empty((3,) + grid.dims, dtype=complex)
 
     def fill(region):
         for i in range(3):
-            _spectral_e_slab(w, i, region, Ek[i][region])
+            _spectral_e_slab(wf, i, region, Ek[i][region])
 
     _over_slabs(grid, 0, fill)
+    Ek[(slice(None),) + grid.excluded_index] = 0.0
     return SpectralEField(values=_readonly(Ek), grid=grid)
 
 

@@ -57,9 +57,9 @@ BOUNDARY_TOL = 1e-8
 
 #: peak working set of the largest photonam command, in complex grid arrays
 #: (16 bytes per grid point): `observables` with all five routes peaks at
-#: 381 MiB RSS at 128^3 with THREADS=2, on a wavefunction or an rs_field file
+#: 379 MiB RSS at 128^3 with THREADS=2, on a wavefunction or an rs_field file
 #: (its peak is the nonlocal convolution; the four default routes peak at
-#: 315 MiB, in the darwin route, `split` at 159 MiB, in the photon picture,
+#: 313 MiB, in the darwin route, `split` at 159 MiB, in the photon picture,
 #: `beam` at 178 MiB, `analyze` at 339 MiB and `potential` at 329 MiB);
 #: 16 arrays of 32 MiB leave a 35% margin
 WORKING_SET_ARRAYS = 16
@@ -520,6 +520,20 @@ def real_inverse_transform(grid, F):
     _over_slabs(grid, 1, columns)
     _over_slabs(grid, 0, rows)
     return out
+
+
+def _real_derivative_axis(grid, f, ax, region):
+    """``d f / d x_ax`` of the real field `f` on `region`, a slab that spans all of axis `ax`.
+
+    A 1-d real transform pair along `ax`, ``irfft(i k_ax rfft(f))``, with
+    the Nyquist bin zeroed as `derivative_kvec` and `real_inverse_transform`
+    zero it: the derivative of the 3-d pair, to rounding, without it.
+    """
+    n = grid.dims[ax]
+    ik = _along(1j * np.append(grid.k_axes[ax][:n // 2], 0.0), ax)
+    spectrum = np.fft.rfft(f[region], axis=ax)
+    spectrum *= ik
+    return np.fft.irfft(spectrum, n=n, axis=ax)
 
 
 def _check_shape(grid, a):

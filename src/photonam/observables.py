@@ -12,27 +12,27 @@ Cross checks:    the k-space double-transform form acting on E(k) by finite
 Every route streams: no stage builds a (3, N) stack only to reduce it.
 The field picture accumulates |F|^2, then forms V = Im(F* x F) one
 component at a time.  The photon picture reduces each product
-E_i* d_a E_i where it is made, one component and axis at a time.  The
-darwin route reduces one component of E at a time, from its stacked k
-gradient (the one (3, N) stack left: `perfbench` counts the callers of
-`spectral_gradient_k`); the textbook route takes the real transforms of the
-real fields: one forward transform per component of A and one inverse
-transform per derivative d_b A_i; the nonlocal route convolves one
-component of curl B at a time on the doubled grid, in O(M log M), so it
-runs at every grid size.  A sum weighted by one coordinate r_a or k_a (P,
-J, the field K, and Jo on the photon, darwin and textbook routes) is the
-1-d profile of its integrand weighted by that coordinate (`grids.moments`),
-never a grid-sized product.  Grid metadata (w, omega, n) is derived inside
+E_i* d_a E_i where it is made, one component and axis at a time, on E(k)
+it fills one component at a time or on the whole E(k) that a report
+builds once for it and darwin.  The darwin route reduces one component of
+E at a time, from its stacked k gradient (the one (3, N) stack left:
+`perfbench` counts the callers of `spectral_gradient_k`); the textbook
+route takes each derivative d_b A_i by a 1-d real transform pair along b
+alone, one slab at a time, and reduces it there, so it makes no 3-d
+transform; the nonlocal route convolves one component of curl B at a time
+on the doubled grid, in O(M log M), so it runs at every grid size.  A sum
+weighted by one coordinate r_a or k_a (P, J, the field K, and Jo on the
+photon, darwin and textbook routes) is the 1-d profile of its integrand
+weighted by that coordinate (`grids.moments`), never a grid-sized product.  Grid metadata (w, omega, n) is derived inside
 each stage, n one component at a time.
 
-The photon, darwin and field pictures build, multiply and reduce their
-integrands slab by slab on the THREADS workers (`grids._over_slabs`): each
-worker returns the partial sums of its slab, with `moments` taken on the
-slab's own axes, and the partials are added in slab order.  The slabs
+The photon, darwin, field and textbook routes build, multiply and reduce
+their integrands slab by slab on the THREADS workers (`grids._over_slabs`):
+each worker returns the partial sums of its slab, with `moments` taken on
+the slab's own axes, and the partials are added in slab order.  The slabs
 depend on the grid alone, so results are bit-identical for any THREADS,
 and equal those of a whole-array sum to rounding.  The nonlocal route
-sums its last inverse transform with E the same way, per x slab; the
-textbook route sums whole arrays on the calling thread.
+sums its last inverse transform with E the same way, per x slab.
 
 Each route measures the decay its result needs once and reports it in its
 diagnostics: the photon picture that of (gL, gR) in k and of its field in
@@ -47,14 +47,12 @@ from functools import partial
 
 import numpy as np
 
-from .fields_bridge import TRANSVERSE_TOL, _DivergenceSum, _spectral_e_slab, spectral_curl
+from .fields_bridge import TRANSVERSE_TOL, _spectral_e_slab, spectral_curl
 from .grids import (
     LEVI_CIVITA,
     check_boundary_decay,
     cross_component,
     moments,
-    real_forward_transform,
-    real_inverse_transform,
     spectral_gradient_k,
     _along,
     _at_origin,
@@ -62,6 +60,7 @@ from .grids import (
     _in_region,
     _nhat,
     _over_slabs,
+    _real_derivative_axis,
     _warn_decay,
 )
 
@@ -132,7 +131,7 @@ def generators_field_picture(rs):
 # ---------------------------------------------------------------------------
 # photon picture
 
-def generators_photon_picture(wf):
+def generators_photon_picture(wf, Ek=None):
     """Expectation-value form of all ten quantities plus the Jo/Js split.
 
     ``H = <hbar w>``, ``P = <hbar k>``, ``Jo = <i hbar D x k>``,
@@ -150,9 +149,13 @@ def generators_photon_picture(wf):
     the `box_length` of the grid.  ``diagnostics["boundary_margin"]`` is the
     decay of (gL, gR) at the k edge, against their joint peak, and
     ``boundary_margin_r`` the real-space decay the exact derivative needs,
-    read off its inverse passes.
+    read off its inverse passes.  `Ek`, the `spectral_e_from_wavefunction`
+    of `wf` if the caller holds it, is read instead of filling E(k) one
+    component at a time; the values are the same, bit for bit.
     """
     grid = wf.grid
+    if Ek is not None:
+        grid.require_same(Ek.grid, "the wavefunction and its E(k)")
     margin = check_boundary_decay((wf.gL, wf.gR), "wavefunction", "k")
     hbar = grid.units.hbar
     w = grid.w_invariant()        # dVk / (hbar omega), zero at the excluded bin
@@ -191,11 +194,15 @@ def generators_photon_picture(wf):
         d *= w[region]
         return S_a, moments(_in_region(grid.k_axes, region), d)
 
-    E, planes = np.empty(grid.dims, dtype=complex), ([], [], [])
+    E = np.empty(grid.dims, dtype=complex) if Ek is None else None
+    planes = ([], [], [])
     S, M = np.zeros(3, dtype=complex), np.zeros((3, 3), dtype=complex)
     for i in range(3):
-        _over_slabs(grid, 0, lambda region: _spectral_e_slab(wf, i, region, E[region]))
-        E[grid.excluded_index] = 0.0
+        if Ek is None:
+            _over_slabs(grid, 0, lambda region: _spectral_e_slab(wf, i, region, E[region]))
+            E[grid.excluded_index] = 0.0
+        else:
+            E = Ek.values[i]
         for a in range(3):
             S_a, M_a = _over_slabs(grid, 1 if a == 0 else 0, partial(reduce, a))
             S[a] += S_a
@@ -282,35 +289,59 @@ def textbook_split(E, A):
 
     Valid only with the transverse-gauge potential (div A = 0), which is
     exactly what `vector_potential` produces; any other gauge shifts both
-    terms.  Real-space derivatives are spectral, on the real transform pair:
-    each component of A is transformed once, for its gradient and for the
-    divergence check, and each derivative takes one inverse transform.
-    ``Jo_j = eps0 eps_jab sum_i int r_a E_i d_b A_i`` reduces each product
-    E_i d_b A_i to its coordinate moments.
+    terms, and A whose relative divergence (`_textbook_moments`) exceeds
+    TRANSVERSE_TOL is refused.  ``Jo_j = eps0 eps_jab sum_i int r_a E_i
+    d_b A_i`` reduces each product E_i d_b A_i to its coordinate moments;
+    Js is summed per x slab.
     """
     grid = E.grid
-    eps0 = grid.units.eps0
-    dV = grid.dV
-
-    k = grid.derivative_kvec
-    M = np.zeros((3, 3))            # M[a, b] = sum_i sum_r r_a E_i d_b A_i
-    div = _DivergenceSum(grid)
-    for i in range(3):
-        Ak = real_forward_transform(grid, A.values[i])
-        div.add(i, Ak)
-        Ak *= 1j
-        for b in range(3):
-            g = real_inverse_transform(grid, k[b] * Ak)
-            g *= E.values[i]
-            M[:, b] += moments(grid.x_axes, g)
-            del g       # before the next derivative is allocated
-        del Ak
-    if div.ratio() > TRANSVERSE_TOL:
+    scale = grid.units.eps0 * grid.dV
+    M, ratio = _textbook_moments(grid, E.values, A.values)
+    if ratio > TRANSVERSE_TOL:
         raise ValueError("A is not transverse: the split requires div A = 0")
-    Jo = eps0 * dV * np.einsum("jab,ab->j", LEVI_CIVITA, M)
+    Jo = scale * np.einsum("jab,ab->j", LEVI_CIVITA, M)
 
-    Js = np.array([eps0 * dV * np.sum(cross_component(E.values, A.values, j)) for j in range(3)])
-    return Jo, Js
+    def spin(region):
+        Es, As = E.values[(slice(None),) + region], A.values[(slice(None),) + region]
+        buf = np.empty(Es.shape[1:])
+        part = np.empty(3)
+        for j in range(3):
+            part[j] = np.sum(cross_component(Es, As, j, out=buf))
+        return part
+
+    return Jo, scale * _over_slabs(grid, 0, spin)
+
+
+def _textbook_moments(grid, E, A):
+    """``(M, ratio)``: ``M[a, b] = sum_i sum_r r_a E_i d_b A_i``, and the relative divergence of A.
+
+    Each d_b A_i is a 1-d spectral derivative along b
+    (`grids._real_derivative_axis`), one pass per (i, b) in slabs of
+    another axis, reduced where it is made: its square to |grad A|^2 and
+    its product with E_i to moments.  The d_i A_i add up to div A in one
+    real buffer, and ``ratio = |div A| / |grad A|``, the ratio
+    `fields_bridge._DivergenceSum` takes of the spectra (by Parseval, up to
+    the Nyquist bins, which the derivative zeroes).
+    """
+    div = np.zeros(grid.dims)
+
+    def sums(i, b, region):
+        d = _real_derivative_axis(grid, A[i], b, region)
+        grad2 = np.einsum("ijk,ijk->", d, d)      # not np.vdot: BLAS threads contend with the workers
+        if b == i:
+            div[region] += d
+        d *= E[i][region]
+        return grad2, moments(_in_region(grid.x_axes, region), d)
+
+    M = np.zeros((3, 3))
+    grad2 = 0.0
+    for i in range(3):
+        for b in range(3):
+            g2, M_b = _over_slabs(grid, 1 if b == 0 else 0, partial(sums, i, b))
+            grad2 += g2
+            M[:, b] += M_b
+    ratio = float(np.sqrt(np.vdot(div, div) / grad2)) if grad2 > 0 else 0.0
+    return M, ratio
 
 
 # ---------------------------------------------------------------------------

@@ -8,7 +8,11 @@ from photonam.grids import (
     BoundaryDecayWarning,
     boundary_margin,
     check_boundary_decay,
+    real_forward_transform,
+    real_inverse_transform,
     reflect_conjugate,
+    _over_slabs,
+    _real_derivative_axis,
 )
 
 from conftest import nhat_stack, rel
@@ -65,6 +69,27 @@ def test_round_trip_and_parseval(grid16):
     a = np.sum(np.abs(f) ** 2) * grid16.dV
     b = np.sum(np.abs(F) ** 2) * grid16.dVk
     assert abs(a - b) / a < 1e-12
+
+
+@pytest.mark.parametrize("ax", [0, 1, 2])
+def test_one_axis_derivative_equals_the_3d_derivative(ax, monkeypatch):
+    """The 1-d pair along one axis, on the whole grid or in one-plane slabs of another, equals the 3-d pair's i k derivative."""
+    monkeypatch.setattr(pn.grids, "_MIN_SLAB_POINTS", 1)
+    grid = pn.make_grid((12, 10, 16), spacing=(1.0, 0.8, 1.3))
+    f = np.random.default_rng(3).standard_normal(grid.dims)
+    spectrum = real_forward_transform(grid, f)
+    spectrum *= 1j * grid.derivative_kvec[ax]
+    reference = real_inverse_transform(grid, spectrum)
+    whole = _real_derivative_axis(grid, f, ax, (slice(None),) * 3)
+    slabbed = np.empty(grid.dims)
+
+    def slab(region):
+        slabbed[region] = _real_derivative_axis(grid, f, ax, region)
+
+    _over_slabs(grid, (ax + 1) % 3, slab)
+    scale = np.abs(reference).max()
+    assert np.abs(whole - reference).max() <= 1e-14 * scale
+    assert np.abs(slabbed - reference).max() <= 1e-14 * scale
 
 
 def test_transform_of_zero_is_zero(grid16):

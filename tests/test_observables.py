@@ -6,9 +6,9 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 import photonam as pn
-from photonam.fields_bridge import RealVectorField, SpectralEField
-from photonam.grids import BOUNDARY_TOL, BoundaryDecayWarning, _readonly, cross
-from photonam.observables import _cell_self_weight
+from photonam.fields_bridge import RealVectorField, SpectralEField, _DivergenceSum
+from photonam.grids import BOUNDARY_TOL, BoundaryDecayWarning, _readonly, cross, real_forward_transform
+from photonam.observables import _cell_self_weight, _textbook_moments
 
 from conftest import decay_ignored, fd_photon_picture, nhat_stack, project_spectral_e, rel, smooth_state
 from rotations import rotate_wavefunction, rotation_matrix
@@ -490,8 +490,28 @@ def test_textbook_split_requires_transverse_A(grid16):
     rng = np.random.default_rng(1)
     E = RealVectorField(values=_readonly(rng.standard_normal((3,) + g.dims)), role="E", grid=g)
     A = RealVectorField(values=_readonly(rng.standard_normal((3,) + g.dims)), role="A", grid=g)
+    assert _textbook_moments(g, E.values, A.values)[1] > 0.1      # refused by far, not at the tolerance
     with pytest.raises(ValueError, match="transverse"):
         pn.textbook_split(E, A)
+
+
+@pytest.mark.parametrize("twist", [0.0, 0.5, 1.0])
+def test_textbook_divergence_ratio_matches_the_spectral_ratio(twist):
+    """|div A| / |grad A| of the real-space derivatives is the spectral ratio of `_DivergenceSum`, by Parseval.
+
+    On a decaying field the Nyquist bins, where the two may differ, hold
+    nothing; `twist` mixes a divergence-free swirl into a gradient field.
+    """
+    g = pn.make_grid((32, 40, 32), spacing=(1.0, 0.8, 1.3))
+    x, y, z = np.meshgrid(*g.x_axes, indexing="ij")
+    gauss = np.exp(-(x ** 2 + (y - 0.7) ** 2 + (z + 1.1) ** 2) / (2 * 2.5 ** 2))
+    A = np.stack([(x + twist * y) * gauss, (y - twist * x) * gauss, z * gauss])
+    div = _DivergenceSum(g)
+    for i in range(3):
+        div.add(i, real_forward_transform(g, A[i]))
+    ratio = _textbook_moments(g, np.zeros_like(A), A)[1]
+    assert ratio > 0.1
+    assert abs(ratio - div.ratio()) <= 1e-12 * div.ratio()
 
 
 def test_textbook_zero_field(grid16):

@@ -22,8 +22,9 @@ import pytest
 
 import photonam as pn
 from photonam import grids
-from photonam.cli import main
+from photonam.cli import _generator_dict, build_report, main
 from photonam.fields_bridge import SpectralEField
+from photonam.observables import _textbook_moments
 
 from conftest import decay_ignored, e_stack, project_spectral_e, smooth_state
 
@@ -248,6 +249,36 @@ def test_darwin_split_is_identical_for_any_thread_count(threaded, grid32, basis3
         return [Jo, Js], diagnostics
 
     _compare(threaded, run, close=_reduced)
+
+
+def test_build_report_hands_one_e_of_k_to_the_photon_and_darwin_routes(threaded, grid32, basis32):
+    """The photon route fed the report's E(k) equals the route alone, bit for bit, at t = 0 and 0.7.
+
+    E(k) is the snapshot's, so darwin's Jo and Js of the free field are the
+    same at both times.
+    """
+    reports = {}
+    for time in (0.0, 0.7):
+        wf = _gauged_state(grid32, basis32, time, True)
+        with decay_ignored():
+            reports[time] = threaded(2, lambda: build_report(wf, ("photon", "darwin")))
+            alone = threaded(2, lambda: _generator_dict(pn.generators_photon_picture(wf)))
+        assert reports[time]["routes"]["photon"] == alone
+    for key in ("Jo", "Js"):
+        now, later = (np.array(reports[t]["routes"]["darwin"][key]) for t in (0.0, 0.7))
+        assert np.abs(later - now).max() <= 1e-13 * np.abs(now).max()
+
+
+def test_textbook_split_is_identical_for_any_thread_count(threaded, grid32, basis32):
+    """Each one-axis derivative d_b A_i and its sums, and the sums of E x A, run in slabs of another axis.
+
+    Four workers, more than the cores, write their slabs of the shared div A
+    buffer; a lost update would move the divergence check.
+    """
+    rs = pn.synthesize(_gauged_state(grid32, basis32, 0.7, False))
+    E, A = pn.electric_field(rs), pn.vector_potential(pn.magnetic_field(rs))
+    _compare(threaded, lambda: (pn.textbook_split(E, A), _textbook_moments(grid32, E.values, A.values)[1]),
+             threads=4, close=_reduced)
 
 
 def test_field_picture_is_identical_for_any_thread_count(threaded, grid32, basis32):
