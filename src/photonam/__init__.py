@@ -24,8 +24,6 @@ from .photon_state import (
     evolve,
     gauge_transform,
     materialized,
-    photon_number,
-    scalar_product,
     wavefunction,
 )
 from .beams import BesselSpec, bessel_beam, bessel_ratio_oracle, gaussian_vortex

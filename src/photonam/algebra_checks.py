@@ -91,7 +91,7 @@ class _Suite:
         return _Suite(wf, shared=self)
 
     def norm(self, wf):
-        """`photon_state.norm` of `wf`, a state at the suite's time, with the suite's w: equal bit for bit.
+        """The norm ``sqrt(sum w (|gL|^2 + |gR|^2))`` of `wf`, a state at the suite's time, with the suite's w.
 
         The integrand conj(g) g of each helicity is made in place, so two
         complex arrays are the whole of its scratch.

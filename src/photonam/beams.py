@@ -13,16 +13,21 @@ with the momentum-cone delta functions replaced by Gaussians of widths
 at a time, as it is built.  The ideal beam is non-normalizable (infinite
 transverse extent), but per-photon ratios such as Jo_z/Js_z converge as the
 widths shrink; `bessel_ratio_oracle` gives the limit in closed form.
+
+The Gaussian packet writes cL env and cR env straight into gL and gR, one
+k_x slab at a time.  Each factory sums its slabs' shares of the photon
+number as it fills them, and one step rescales the arrays in place and
+makes them read-only (`_normalized`), so a beam is never copied.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
 from . import photon_state
-from .grids import _along, _in_region, _over_slabs, _readonly, check_boundary_decay
+from .grids import _along, _in_region, _over_slabs, _pairwise, check_boundary_decay
 from .polarization import chart_basis
 
 
@@ -97,9 +102,10 @@ def bessel_beam(grid, basis, spec, photons=1.0):
     ``gL = sqrt(2 eps0) e*.E(k)`` and ``gR = sqrt(2 eps0) e.E(k)``, so the
     opposite-helicity amplitude is at rounding level for any chart.  Each
     k_x slab builds its own E(k) column and projects it on the THREADS
-    workers, so no (3, N) E(k) exists.  Its decay at the momentum boundary
-    is measured (`BoundaryDecayWarning`).  With `photons` set, the state is
-    rescaled to that photon number; pass None to keep the raw amplitude.
+    workers, so no (3, N) E(k) exists, and sums its share of the photon
+    number.  Its decay at the momentum boundary is measured
+    (`BoundaryDecayWarning`).  With `photons` set, the state is rescaled to
+    that photon number; pass None to keep the raw amplitude.
     """
     grid.require_same(basis.grid, "the beam's grid and the polarization basis")
     spec.validate(grid)
@@ -153,14 +159,14 @@ def bessel_beam(grid, basis, spec, photons=1.0):
             L += tmp
             e_i *= E_i
             R += e_i
+        del E_i, e_i, tmp, ep
         L *= s
         R *= s
+        return [photon_state._photons_on(grid, L, R, region)]
 
-    _over_slabs(grid, 0, column)
-    wf = photon_state.wavefunction(grid, basis, gL, gR)
-    del gL, gR          # wf holds its own copies
+    wf = _normalized(grid, basis, gL, gR, _over_slabs(grid, 0, column), photons)
     check_boundary_decay((wf.gL, wf.gR), "Bessel beam", "k")
-    return _with_photons(wf, photons)
+    return wf
 
 
 def gaussian_vortex(grid, basis, center, widths, m=0, helicity="L",
@@ -175,8 +181,10 @@ def gaussian_vortex(grid, basis, center, widths, m=0, helicity="L",
 
     This is the package's stock factory for smooth decaying test states;
     keep the center several widths away from the chart axis, the origin and
-    the grid boundary.  Its decay at the momentum boundary is measured
-    (`BoundaryDecayWarning`).
+    the grid boundary.  The packet is filled in k_x slabs on the THREADS
+    workers, which also sum its photon number.  Its decay at the momentum
+    boundary is measured (`BoundaryDecayWarning`).  With `photons` set, the
+    state is rescaled to that photon number.
     """
     center, widths = _check_packet(grid, center, widths)
     _check_photons(photons)
@@ -186,23 +194,32 @@ def gaussian_vortex(grid, basis, center, widths, m=0, helicity="L",
         raise ValueError(f"packet center too close to the chart axis: it lies {distance:.4g} from the axis, "
                          f"and the packet needs two widths, {2.0 * sig_max:.4g}")
 
-    kx, ky, kz = grid.kvec
-    env = np.exp(
-        -((kx - center[0]) ** 2) / (2.0 * widths[0] ** 2)
-        - ((ky - center[1]) ** 2) / (2.0 * widths[1] ** 2)
-        - ((kz - center[2]) ** 2) / (2.0 * widths[2] ** 2)
-    ).astype(complex)
-    if m:
-        sgn = 1.0 if m > 0 else -1.0
-        env = env * ((kx + 1j * sgn * ky) / sig_max) ** abs(m)
-    if r_offset is not None:
-        r0 = np.asarray(r_offset, dtype=float)
-        env = env * np.exp(-1j * (kx * r0[0] + ky * r0[1] + kz * r0[2]))
-
     cL, cR = _helicity_amplitudes(helicity)
-    wf = photon_state.wavefunction(grid, basis, cL * env, cR * env)
+    sgn = 1.0 if m > 0 else -1.0
+    r0 = None if r_offset is None else np.asarray(r_offset, dtype=float)
+    gL = np.empty(grid.dims, dtype=complex)
+    gR = np.empty(grid.dims, dtype=complex)
+
+    # the envelope of each k_x slab is written into gL, scaled there to cL env and cR env
+    def fill(region):
+        kx, ky, kz = (_along(a, ax) for ax, a in enumerate(_in_region(grid.k_axes, region)))
+        L, R = gL[region], gR[region]
+        L[...] = np.exp(
+            -((kx - center[0]) ** 2) / (2.0 * widths[0] ** 2)
+            - ((ky - center[1]) ** 2) / (2.0 * widths[1] ** 2)
+            - ((kz - center[2]) ** 2) / (2.0 * widths[2] ** 2)
+        )
+        if m:
+            L *= ((kx + 1j * sgn * ky) / sig_max) ** abs(m)
+        if r0 is not None:
+            L *= np.exp(-1j * (kx * r0[0] + ky * r0[1] + kz * r0[2]))
+        np.multiply(cR, L, out=R)
+        np.multiply(cL, L, out=L)
+        return [photon_state._photons_on(grid, L, R, region)]
+
+    wf = _normalized(grid, basis, gL, gR, _over_slabs(grid, 0, fill), photons)
     check_boundary_decay((wf.gL, wf.gR), "wavefunction", "k")
-    return _with_photons(wf, photons)
+    return wf
 
 
 def _check_packet(grid, center, widths):
@@ -222,15 +239,28 @@ def _check_photons(photons):
         raise ValueError(f"photons must be positive and finite, got {photons}")
 
 
-def _with_photons(wf, photons):
-    """`wf` rescaled to `photons` photons; None keeps its raw amplitude."""
-    if photons is None:
-        return wf
-    n = photon_state.photon_number(wf)
-    if n <= 0:
-        raise ValueError("the state has zero weight on this grid")
-    factor = np.sqrt(photons / n)
-    return replace(wf, gL=_readonly(factor * wf.gL), gR=_readonly(factor * wf.gR))
+def _normalized(grid, basis, gL, gR, shares, photons):
+    """The state of a factory's freshly filled `gL` and `gR`, rescaled in place to `photons` photons.
+
+    The one step after the slab pass of a factory: the scale is applied in
+    k_x slabs, and `photon_state._adopted` zeroes k = 0 and makes the
+    arrays read-only without copying them; None keeps the raw amplitude.
+    `shares` are the slabs' shares of the photon number, in slab order,
+    added as ``np.sum`` adds (`grids._pairwise`).
+    """
+    if photons is not None:
+        n = _pairwise(shares)
+        if n <= 0:
+            raise ValueError("the state has zero weight on this grid")
+        factor = np.sqrt(photons / n)
+
+        def scale(region):
+            for g in (gL, gR):
+                part = g[region]
+                part *= factor
+
+        _over_slabs(grid, 0, scale)
+    return photon_state._adopted(grid, basis, gL, gR)
 
 
 def _helicity_amplitudes(helicity):

@@ -35,9 +35,11 @@ its own chart, and the flag is refused there.
 ``CHECK_SIZES``; ``--grid`` gives one N (greens: N >= 26), or N1,N2 for
 algebra, where N alone means N,2N.  The THREADS environment variable caps
 the worker threads of every command (default: the CPU count): the 3-d
-transforms, e(k), alpha, E(k), the Bessel beam and the photon, darwin,
-field and textbook routes run on them in slabs that depend on the grid
-alone, and the k gradient one axis per worker.  ``check algebra`` makes
+transforms, e(k), alpha, E(k), both beams (their fill, photon number and
+scale), ``synthesize``, ``analyze`` (projection, reflection and divergence
+check), the E and B copies of F, ``potential`` (its checks and products)
+and the photon, darwin, field and textbook routes run on them in slabs
+that depend on the grid alone, and the k gradient one axis per worker.  ``check algebra`` makes
 omega, w and D_x, D_y, D_z of its test state once per grid (the
 derivatives on them, one axis per worker), shares them across every
 relation, and then runs its commutator pairs on them (see

@@ -3,17 +3,26 @@
 The complex field ``F = sqrt(eps0/2) (E + i c B)`` packages both Maxwell
 fields; free evolution is ``dF/dt = -i c curl F`` with ``div F = 0``.
 Synthesis assembles F from helicity amplitudes, and analysis inverts it by
-projecting F(k) and its reflection onto the basis vectors e(k).
+projecting F(k) and its reflection R[F](k) = conj(F(-k)) onto the basis
+vectors e(k).
 
+Every grid pass of the conversions runs in k_x slabs on the THREADS workers
+(`grids._over_slabs`): the products with e(k) and their reflection, read
+through reversed-index slices (`grids._reflected`), the divergence sums
+(`_Divergence`), the peak and zero-mode checks and the i k x B / |k|^2
+products of `vector_potential`, and the E and B copies of F.  Between them
+run the 3-d transforms, themselves in slabs; so no whole-grid pass is left
+on the calling thread, and every result is bit-identical for any THREADS.
 `spectral_e_from_wavefunction` fills E(k) = (e gL + e* gR) / sqrt(2 eps0)
-of the stored snapshot in k_x slabs on the THREADS workers; the routes that
-read it add time analytically or need none.  `synthesize` bakes the
-evolution phase e^{-i w t} (`photon_state.materialized`).
+of the stored snapshot the same way; the routes that read it add time
+analytically or need none.  `synthesize` bakes the evolution phase
+e^{-i w t} (`photon_state.materialized`).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import partial
 
 import numpy as np
 
@@ -24,11 +33,13 @@ from .grids import (
     inverse_transform,
     real_forward_transform,
     real_inverse_transform,
-    reflect_conjugate,
     _along,
+    _at_origin,
+    _in_region,
     _norm,
     _over_slabs,
     _readonly,
+    _reflected,
 )
 
 #: simple-cubic lattice self-energy constant of the neutralizing background
@@ -91,66 +102,93 @@ def spectral_curl(grid, field):
     return out
 
 
-class _DivergenceSum:
-    """Relative divergence ``|k.V(k)| / | |k| V(k) |`` from component spectra V_i(k), one at a time.
+def _sum_squares(a):
+    """sum |a|^2 of a complex array by `np.einsum`: BLAS's own threads would contend with the slab workers."""
+    v = np.ascontiguousarray(a).reshape(-1).view(float)
+    return float(np.einsum("i,i->", v, v))
 
-    Lets a stage that already holds the spectra measure the divergence
-    without transforming the field again.  The spectra are full
-    (`forward_transform`) or the half spectra of a real field
-    (`real_forward_transform`), told apart by their shape; both give the
-    ratio of the full grid.  A half spectrum holds k_z >= 0, and each
-    interior k_z plane also stands for its mirror -k, where V(-k) = conj V(k):
-    |k|^2 |V|^2 counts twice there, and so does |div|^2, except on the rows
-    where k_x or k_y is the Nyquist bin.  That bin maps to itself, so there
-    div(-k) != conj div(k); the mirror's |div|^2 is summed explicitly, with
-    k read at the mirror index.
+
+class _Divergence:
+    """Relative divergence ``|k.V(k)| / | |k| V(k) |`` of a field, summed per k_x slab from its component spectra V_i(k).
+
+    Serves the full spectra of `forward_transform` (`analyze`) and, with
+    `half`, the half spectra of a real field from `real_forward_transform`
+    (`vector_potential`); both give the ratio of the full grid.  On each
+    slab region, `add` takes the region of one component spectrum at a time
+    and returns its share of ``| |k| V |^2``; once all three are in, `num2`
+    returns the region's share of ``|k.V|^2``, and `ratio` takes the totals.
+    k.V builds up in one buffer of the spectrum's shape, so a caller may
+    hold one component spectrum at a time.
+
+    A half spectrum holds k_z >= 0, and each interior k_z plane also stands
+    for its mirror -k, where V(-k) = conj V(k): |k|^2 |V|^2 counts twice
+    there, and so does |k.V|^2, except on the rows where k_x or k_y is the
+    Nyquist bin.  That bin maps to itself, so there k.V(-k) != conj k.V(k):
+    the mirror's k.V builds up in its own rows, with k read at the mirror
+    index, and its |k.V|^2 replaces the second count.
     """
 
-    def __init__(self, grid):
-        self.grid = grid
-        self.div = None
-        self.den2 = 0.0
-
-    def _start(self, shape):
-        grid = self.grid
-        self.half = shape != grid.dims
-        axes = grid.half_k_axes if self.half else grid.k_axes
-        self.k = [_along(a, ax) for ax, a in enumerate(axes)]
-        self.kmag = _norm(axes)
+    def __init__(self, grid, half=False):
+        self.grid, self.half = grid, half
+        shape = grid.half_dims if half else grid.dims
+        self.axes = grid.half_k_axes if half else grid.k_axes
         self.div = np.zeros(shape, dtype=complex)
-        if self.half:
-            n0, n1 = grid.dims[:2]
-            interior = slice(1, shape[2] - 1)
-            # interior rows at the x Nyquist bin, then the other rows at the y Nyquist bin
-            self.rows = ((n0 // 2, slice(None), interior),
-                         (np.delete(np.arange(n0), n0 // 2), n1 // 2, interior))
-            mirror = [np.broadcast_to(_along(a[-np.arange(a.size)][:n], ax), shape)
-                      for ax, (a, n) in enumerate(zip(grid.k_axes, shape))]
-            self.kmirror = [[m[idx] for m in mirror] for idx in self.rows]
-            self.mirror = [np.zeros(self.div[idx].shape, dtype=complex) for idx in self.rows]
+        if half:
+            n0, n1, nz = shape
+            self.mirror_axes = tuple(a[-np.arange(a.size)][:n] for a, n in zip(grid.k_axes, shape))
+            self.mirror_x = np.zeros((1, n1, nz), dtype=complex)     # the row at the k_x Nyquist bin
+            self.mirror_y = np.zeros((n0, 1, nz), dtype=complex)     # the rows at the k_y Nyquist bin
 
-    def add(self, i, Vk):
-        if self.div is None:
-            self._start(Vk.shape)
-        self.div += self.k[i] * Vk
-        self.den2 += self._norm2(self.kmag * Vk)
-        if self.half:
-            for m, km, idx in zip(self.mirror, self.kmirror, self.rows):
-                m += km[i] * Vk[idx]
+    def _rows(self, region):
+        """``(mirror, at, rows)`` of each Nyquist row set of `region`: its mirror buffer, the index there and in the slab.
 
-    def _norm2(self, a):
-        """sum |a|^2 over the full grid; a half spectrum counts its interior k_z planes twice."""
-        total = np.linalg.norm(a) ** 2
+        The k_x row holds the corner where both bins are Nyquist; the k_y
+        rows leave it out.
+        """
+        n0, n1 = self.grid.dims[:2]
+        start, stop, _ = region[0].indices(n0)
+        y = np.arange(start, stop)
+        out = []
+        if start <= n0 // 2 < stop:
+            out.append((self.mirror_x, Ellipsis, slice(n0 // 2 - start, n0 // 2 - start + 1)))
+            y = y[y != n0 // 2]
+        out.append((self.mirror_y, y, (y - start, slice(n1 // 2, n1 // 2 + 1))))
+        return out
+
+    def _sum2(self, a):
+        """sum |a|^2 over the share of the full grid of a region `a`; a half spectrum counts its interior k_z planes twice."""
+        total = _sum_squares(a)
         if self.half:
-            total = 2.0 * total - np.linalg.norm(a[..., 0]) ** 2 - np.linalg.norm(a[..., -1]) ** 2
+            total = 2.0 * total - _sum_squares(a[..., 0]) - _sum_squares(a[..., -1])
         return total
 
-    def ratio(self):
-        num2 = self._norm2(self.div)
+    def add(self, i, V, region):
+        """Add k_i V_i of the component spectrum `V` on `region` to k.V; return the region's share of | |k| V_i |^2."""
+        V = V[region]
+        axes = _in_region(self.axes, region)
+        buf = np.multiply(_along(axes[i], i), V)
+        part = self.div[region]
+        part += buf
+        np.multiply(_norm(axes), V, out=buf)
         if self.half:
-            for m, idx in zip(self.mirror, self.rows):
-                num2 += np.linalg.norm(m) ** 2 - np.linalg.norm(self.div[idx]) ** 2
-        return float(np.sqrt(num2 / self.den2)) if self.den2 > 0 else 0.0
+            k = np.broadcast_to(_along(_in_region(self.mirror_axes, region)[i], i), V.shape)
+            for mirror, at, rows in self._rows(region):
+                mirror[at] += k[rows] * V[rows]
+        return self._sum2(buf)
+
+    def num2(self, region):
+        """The share of `region` in |k.V|^2, once `add` has taken its three components."""
+        part = self.div[region]
+        total = self._sum2(part)
+        if self.half:
+            interior = slice(1, part.shape[2] - 1)
+            for mirror, at, rows in self._rows(region):
+                total += _sum_squares(mirror[at][..., interior]) - _sum_squares(part[rows][..., interior])
+        return total
+
+    @staticmethod
+    def ratio(num2, den2):
+        return float(np.sqrt(num2 / den2)) if den2 > 0 else 0.0
 
 
 # ---------------------------------------------------------------------------
@@ -161,80 +199,110 @@ def synthesize(wf, t=0.0):
 
     ``F(r, t) = (2 pi)^{-3/2} int d3k e(k) [gL e^{-i w t + i k.r}
     + gR* e^{+i w t - i k.r}]``; the negative-frequency term is folded onto
-    the grid by the k -> -k reflection, so a single inverse transform per
-    component suffices.  `t` is added to the wavefunction's own time, and
-    `photon_state.materialized` bakes the evolution phase.  Works one
-    spectral component at a time.
+    the grid by the reflection R[.](k) = conj(.(-k)), so one inverse
+    transform of the three components suffices.  `t` is added to the
+    wavefunction's own time, and `photon_state.materialized` bakes the
+    evolution phase.  Per component, one k_x slab pass writes e_i gL into
+    the spectrum and conj(e_i) gR into one buffer, and a second adds that
+    buffer's mirrored rows (`grids._reflected`).
     """
     wf = photon_state.evolve(wf, t)
     if not np.isfinite(wf.time):
         raise ValueError(f"synthesis time must be finite, got {wf.time}")
     grid, basis, time = wf.grid, wf.basis, wf.time
     wf = photon_state.materialized(wf)
-    F = np.empty((3,) + grid.dims, dtype=complex)
-    e_i = np.empty(grid.dims, dtype=complex)
+    spectra = np.empty((3,) + grid.dims, dtype=complex)
+    folded = np.empty(grid.dims, dtype=complex)        # conj(e_i) gR, folded to +k as R[.]
+
+    def products(i, region):
+        S = spectra[i][region]
+        basis._e_slab(i, region, S)
+        Q = np.conjugate(S, out=folded[region])
+        Q *= wf.gR[region]
+        S *= wf.gL[region]
+
+    def fold(i, region):
+        S = spectra[i][region]
+        S += _reflected(folded, region, np.empty(S.shape, dtype=complex))
+
     for i in range(3):
-        basis.e(i, out=e_i)
-        # second term folded to +k: coefficient e(-k) conj(gR(-k) e^{-i w t})
-        spectral = np.conjugate(e_i)
-        spectral *= wf.gR
-        spectral = reflect_conjugate(grid, spectral)
-        e_i *= wf.gL
-        spectral += e_i
-        F[i] = inverse_transform(grid, spectral)
-        del spectral
-    del e_i
-    return RSField(F=_readonly(F), grid=grid, time=time)
+        _over_slabs(grid, 0, partial(products, i))
+        _over_slabs(grid, 0, partial(fold, i))
+    del folded
+    wf = None       # a baked phase is freed before the transform's output is allocated
+    return RSField(F=_readonly(inverse_transform(grid, spectra)), grid=grid, time=time)
+
+
+def _scaled_part(rs, part, s):
+    """``s part(F)`` of the complex field of `rs`, `part` np.real or np.imag, in k_x slabs on the THREADS workers."""
+    out = np.empty(rs.F.shape)
+
+    def fill(region):
+        index = (slice(None),) + region
+        np.multiply(s, part(rs.F[index]), out=out[index])
+
+    _over_slabs(rs.grid, 0, fill)
+    return _readonly(out)
 
 
 def electric_field(rs):
     """E = sqrt(2/eps0) Re F."""
-    s = np.sqrt(2.0 / rs.grid.units.eps0)
-    return RealVectorField(values=_readonly(s * rs.F.real), role="E", grid=rs.grid, time=rs.time)
+    return RealVectorField(values=_scaled_part(rs, np.real, np.sqrt(2.0 / rs.grid.units.eps0)),
+                           role="E", grid=rs.grid, time=rs.time)
 
 
 def magnetic_field(rs):
     """B = sqrt(2/eps0) Im F / c."""
     u = rs.grid.units
-    s = np.sqrt(2.0 / u.eps0) / u.c
-    return RealVectorField(values=_readonly(s * rs.F.imag), role="B", grid=rs.grid, time=rs.time)
+    return RealVectorField(values=_scaled_part(rs, np.imag, np.sqrt(2.0 / u.eps0) / u.c),
+                           role="B", grid=rs.grid, time=rs.time)
 
 
 def analyze(rs, basis):
     """Recover the photon wavefunction from the complex field F: the inverse of `synthesize`.
 
-    Synthesis builds ``F(k) = e gL + R[e* gR]`` with R = `reflect_conjugate`,
-    so ``gL = e*.F(k)`` and ``gR = e.R[F](k)``, since e*(k).e(-k) = 0 off the
-    Nyquist planes (on them -k aliases onto k, and the two mix).  Each
-    component of F is transformed once, one at a time, and the same spectra
-    measure the relative divergence of F: above TRANSVERSE_TOL the field has
-    non-radiative content and is refused, as is a basis on another grid.  The
-    returned wavefunction has time 0 (any phase is baked into F).
+    Synthesis builds ``F(k) = e gL + R[e* gR]`` with R[.](k) = conj(.(-k)),
+    so ``gL = e*.F(k)`` and ``gR = e.R[F](k)``, since e*(k).e(-k) = 0 off
+    the Nyquist planes (on them -k aliases onto k, and the two mix).  Each
+    component of F is transformed once, one at a time; one k_x slab pass
+    then projects it, reading R[F] through the mirrored rows
+    (`grids._reflected`) into one slab buffer, and sums its share of the
+    relative divergence of F (`_Divergence`): above TRANSVERSE_TOL the field
+    has non-radiative content and is refused, as is a basis on another grid.
+    The returned wavefunction has time 0 (any phase is baked into F).
     """
     grid = rs.grid
     grid.require_same(basis.grid, "the field and the polarization basis")
     gL = np.zeros(grid.dims, dtype=complex)
     gR = np.zeros(grid.dims, dtype=complex)
-    div = _DivergenceSum(grid)
-    e_i = np.empty(grid.dims, dtype=complex)
-    for i in range(3):
-        Fk = forward_transform(grid, rs.F[i])
-        div.add(i, Fk)
-        basis.e(i, out=e_i)
-        reflected = reflect_conjugate(grid, Fk)
+    div = _Divergence(grid)
+
+    def project(i, Fk, region):
+        den2 = div.add(i, Fk, region)
+        part = Fk[region]
+        e_i = np.empty(part.shape, dtype=complex)
+        basis._e_slab(i, region, e_i)
+        reflected = _reflected(Fk, region, np.empty(part.shape, dtype=complex))
         reflected *= e_i
-        gR += reflected
+        R = gR[region]
+        R += reflected
         del reflected
-        Fk *= np.conjugate(e_i, out=e_i)
-        gL += Fk
-        del Fk          # before the next component's transform is allocated
-    del e_i
-    residual = div.ratio()
+        # F e*, into the buffer of e: F itself is read at the mirrored rows by the other slabs
+        np.multiply(part, np.conjugate(e_i, out=e_i), out=e_i)
+        L = gL[region]
+        L += e_i
+        return (div.num2(region) if i == 2 else 0.0), den2
+
+    num2 = den2 = 0.0
+    for i in range(3):
+        parts = _over_slabs(grid, 0, partial(project, i, forward_transform(grid, rs.F[i])))
+        num2, den2 = num2 + parts[0], den2 + parts[1]
+    residual = div.ratio(num2, den2)
     del div
     if residual > TRANSVERSE_TOL:
         raise ValueError(f"non-radiative field content: relative divergence {residual:.2e} "
                          f"exceeds {TRANSVERSE_TOL:.0e}")
-    return photon_state.wavefunction(grid, basis, gL, gR)
+    return photon_state._adopted(grid, basis, gL, gR)
 
 
 def spectral_e_from_wavefunction(wf):
@@ -274,39 +342,53 @@ def vector_potential(B):
 
     Spectral inversion ``A(k) = i k x B(k) / |k|^2``, the momentum-space form
     of the Coulomb-kernel convolution of curl B, on the half spectrum of the
-    real transform pair: 3 forward and 3 inverse real transforms, whose
-    spectra of B also give the divergence check.  Requires B to be real,
-    mean free (no uniform component) and spectrally divergence free.
+    real transform pair: 3 forward real transforms and one inverse of the
+    three components.  One k_x slab pass over the spectra of B sums the
+    divergence check (`_Divergence`) and finds their peak; a second forms
+    the products i k x B / |k|^2.  Requires B to be real, mean free (no
+    uniform component) and spectrally divergence free.
     """
     grid = B.grid
     if B.values.dtype.kind == "c":
         raise ValueError("B must be a real field")
-    Bk = np.empty((3,) + grid.half_dims, dtype=complex)
-    div = _DivergenceSum(grid)
-    for i in range(3):
-        Bk[i] = real_forward_transform(grid, B.values[i])
-        div.add(i, Bk[i])
-    peak = max(np.abs(Bk[i]).max() for i in range(3))
-    zero_mode = np.abs(Bk[(slice(None),) + grid.excluded_index]).max()
+    Bk = [real_forward_transform(grid, B.values[i]) for i in range(3)]
+    div = _Divergence(grid, half=True)
+
+    # a slab's peak comes back as a list of one, and the lists of the slabs concatenate
+    def checks(region):
+        den2 = sum(div.add(i, Bk[i], region) for i in range(3))
+        peak = max(float(np.abs(Bk[i][region]).max()) for i in range(3))
+        return div.num2(region), den2, [peak]
+
+    num2, den2, peaks = _over_slabs(grid, 0, checks)
+    peak = max(peaks)
+    zero_mode = max(abs(Bk[i][grid.excluded_index]) for i in range(3))
     if peak > 0 and zero_mode > ZERO_MODE_TOL * peak:
         raise ValueError("zero-mode in B: uniform component has no transverse potential")
-    residual = div.ratio()
+    residual = div.ratio(num2, den2)
     del div
     if residual > TRANSVERSE_TOL:
         raise ValueError(f"B is not divergence free (relative residual {residual:.2e})")
-    k2 = _norm(grid.half_k_axes)
-    k2 *= k2
-    k2[grid.excluded_index] = 1.0
     k = grid.derivative_kvec
-    A = np.empty(B.values.shape)
-    Ak = np.empty(grid.half_dims, dtype=complex)
-    for j in range(3):
-        cross_component(k, Bk, j, out=Ak)
-        Ak *= 1j
-        Ak /= k2
-        Ak[grid.excluded_index] = 0.0
-        A[j] = real_inverse_transform(grid, Ak)
-    return RealVectorField(values=_readonly(A), role="A", grid=grid, time=B.time)
+    Ak = np.empty((3,) + grid.half_dims, dtype=complex)
+
+    def products(region):
+        k2 = _norm(_in_region(grid.half_k_axes, region))
+        k2 *= k2
+        at_zero = _at_origin(region)
+        if at_zero:
+            k2[0, 0, 0] = 1.0
+        kr, Br = [a[region] for a in k], [b[region] for b in Bk]
+        for j in range(3):
+            part = cross_component(kr, Br, j, out=Ak[j][region])
+            part *= 1j
+            part /= k2
+            if at_zero:
+                part[0, 0, 0] = 0.0
+
+    _over_slabs(grid, 0, products)
+    del Bk
+    return RealVectorField(values=_readonly(real_inverse_transform(grid, Ak)), role="A", grid=grid, time=B.time)
 
 
 # ---------------------------------------------------------------------------

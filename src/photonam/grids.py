@@ -25,7 +25,10 @@ Conventions used throughout the package:
   transforms (in numpy's own axis order, the last two axes in slabs of the
   first, then the first axis in slabs of the second, each 1-d line by the
   same call as in ``np.fft.fftn`` & co, so bit for bit numpy's), e(k),
-  alpha and every stage that multiplies and sums.  The regions of one axis
+  alpha, the beams, the field conversions and every stage that multiplies
+  and sums.  A slab reads the reflection conj(F(-k)) through
+  reversed-index slices of the mirrored rows (`_reflected`, the one
+  implementation of it), so no pass rolls a whole array.  The regions of one axis
   run on the THREADS workers, write disjoint slices of arrays their caller
   allocated, and return partial sums (``np.sum``, `moments` on the slab's
   axes) that are added in slab order.  The slabs are `_slabs` of the grid
@@ -40,6 +43,7 @@ Conventions used throughout the package:
 
 from __future__ import annotations
 
+import itertools
 import operator
 import os
 import threading
@@ -60,7 +64,7 @@ BOUNDARY_TOL = 1e-8
 #: 379 MiB RSS at 128^3 with THREADS=2, on a wavefunction or an rs_field file
 #: (its peak is the nonlocal convolution; the four default routes peak at
 #: 313 MiB, in the darwin route, `split` at 159 MiB, in the photon picture,
-#: `beam` at 178 MiB, `analyze` at 339 MiB and `potential` at 329 MiB);
+#: `beam` at 138 MiB, `analyze` at 266 MiB and `potential` at 326 MiB);
 #: 16 arrays of 32 MiB leave a 35% margin
 WORKING_SET_ARRAYS = 16
 
@@ -195,22 +199,15 @@ class GridPair:
 
     def omega(self):
         """c |k| at every point."""
-        out = self.kmag()
-        out *= self.units.c
-        return out
+        return _omega(self, _WHOLE)
 
     def nhat(self, j):
         """Component `j` of the unit vector k/|k|; the excluded k=0 bin holds the placeholder z."""
-        return _nhat(self, j, (slice(None),) * 3)
+        return _nhat(self, j, _WHOLE)
 
     def w_invariant(self):
         """dVk / (hbar omega): the invariant measure, 0 at the excluded k=0 bin."""
-        out = self.omega()
-        out *= self.units.hbar
-        out[self.excluded_index] = 1.0
-        np.divide(self.dVk, out, out=out)
-        out[self.excluded_index] = 0.0
-        return out
+        return _w_invariant(self, _WHOLE)
 
     def fft_phase(self):
         """The transform phase (-1)^(i+j+l) as two broadcasting factors.
@@ -220,6 +217,10 @@ class GridPair:
         """
         px, py, pz = ((-1.0) ** np.arange(n) for n in self.dims)
         return px[:, None, None], py[:, None] * pz[None, :]
+
+
+#: the region of a whole grid, three slices of its axes
+_WHOLE = (slice(None),) * 3
 
 
 def _along(a, ax):
@@ -239,6 +240,26 @@ def _nhat(grid, j, region):
     np.divide(_along(axes[j], j), out, out=out)
     if at_zero:
         out[0, 0, 0] = (0.0, 0.0, 1.0)[j]     # arbitrary fixed direction
+    return out
+
+
+def _omega(grid, region):
+    """`GridPair.omega` on `region`, a tuple of three slices of the grid axes."""
+    out = _norm(_in_region(grid.k_axes, region))
+    out *= grid.units.c
+    return out
+
+
+def _w_invariant(grid, region):
+    """`GridPair.w_invariant` on `region`, a tuple of three slices of the grid axes."""
+    out = _omega(grid, region)
+    out *= grid.units.hbar
+    at_zero = _at_origin(region)
+    if at_zero:
+        out[0, 0, 0] = 1.0
+    np.divide(grid.dVk, out, out=out)
+    if at_zero:
+        out[0, 0, 0] = 0.0
     return out
 
 
@@ -386,8 +407,9 @@ def _over_slabs(grid, axis, fn):
     grid alone, never on THREADS.  The regions run on the THREADS workers.
     Their results, each a partial sum or a tuple of partial sums (numbers or
     arrays), are added in slab order, so the total is the same for any
-    THREADS.  A function that only fills its region returns None, and so
-    does this helper.
+    THREADS.  A list concatenates, so a slab that returns ``[share]`` gives
+    the list of shares, in slab order (`_pairwise` adds them).  A function
+    that only fills its region returns None, and so does this helper.
     """
     regions = [tuple(s if ax == axis else slice(None) for ax in range(3))
                for s in _slabs(grid.dims[axis], grid.npoints)]
@@ -398,6 +420,18 @@ def _over_slabs(grid, axis, fn):
     for part in parts[1:]:
         total = tuple(map(operator.add, total, part)) if isinstance(total, tuple) else total + part
     return total
+
+
+def _pairwise(parts):
+    """The sum of `parts`, the per-slab shares of a sum in slab order, added in halves as ``np.sum`` adds.
+
+    On a grid whose slabs are equal and a power of two in number (128^3,
+    say), this is ``np.sum`` of the whole contiguous array, bit for bit.
+    """
+    if len(parts) == 1:
+        return parts[0]
+    half = len(parts) // 2
+    return _pairwise(parts[:half]) + _pairwise(parts[half:])
 
 
 def _at_origin(region):
@@ -542,11 +576,39 @@ def _check_shape(grid, a):
 
 
 def reflect_conjugate(grid, F):
-    """Return ``conj(F(-k))`` on the FFT-ordered grid (Nyquist bins map to themselves)."""
+    """Return ``R[F] = conj(F(-k))`` on the FFT-ordered grid (Nyquist bins map to themselves), in k_x slabs."""
     F = np.asarray(F)
     _check_shape(grid, F)
-    out = np.roll(np.flip(F, axis=(-3, -2, -1)), (1, 1, 1), axis=(-3, -2, -1))
-    return np.conjugate(out, out=out)
+    out = np.empty_like(F)
+
+    def fill(region):
+        _reflected(F, region, out[(Ellipsis,) + region])
+
+    _over_slabs(grid, 0, fill)
+    return out
+
+
+def _reflected(F, region, out):
+    """Write ``R[F] = conj(F(-k))`` on `region`, three slices of the grid axes, into `out`, of the region's shape; return `out`.
+
+    The one implementation of R.  `F` is whole over its trailing three
+    axes.  In FFT order bin 0 of an axis is its own mirror and bins 1 to
+    n - 1 mirror onto n - 1 to 1 (the Nyquist bin n/2 onto itself), so each
+    axis of the region reads at most two blocks of F, one through a
+    reversed-index slice; the region is conjugated block by block as it is
+    read, no more than eight blocks, and nothing else is allocated.
+    """
+    blocks = []
+    for r, n in zip(region, F.shape[-3:]):
+        start, stop, _ = r.indices(n)
+        pairs = [(slice(0, 1), slice(0, 1))] if start == 0 < stop else []
+        first = max(start, 1)
+        if first < stop:
+            pairs.append((slice(first - start, stop - start), slice(n - first, n - stop, -1)))
+        blocks.append(pairs)
+    for (d0, s0), (d1, s1), (d2, s2) in itertools.product(*blocks):
+        np.conjugate(F[..., s0, s1, s2], out=out[..., d0, d1, d2])
+    return out
 
 
 # ---------------------------------------------------------------------------

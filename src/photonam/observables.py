@@ -320,7 +320,7 @@ def _textbook_moments(grid, E, A):
     another axis, reduced where it is made: its square to |grad A|^2 and
     its product with E_i to moments.  The d_i A_i add up to div A in one
     real buffer, and ``ratio = |div A| / |grad A|``, the ratio
-    `fields_bridge._DivergenceSum` takes of the spectra (by Parseval, up to
+    `fields_bridge._Divergence` takes of the spectra (by Parseval, up to
     the Nyquist bins, which the derivative zeroes).
     """
     div = np.zeros(grid.dims)

@@ -25,7 +25,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .grids import spectral_gradient_k, _gradient_k_axis, _readonly
+from .grids import spectral_gradient_k, _gradient_k_axis, _omega, _over_slabs, _readonly, _w_invariant
 
 HELICITIES = (+1, -1)
 
@@ -48,38 +48,43 @@ class PhotonWaveFunction:
 def wavefunction(grid, basis, gL, gR, time=0.0):
     """Canonicalize raw amplitude arrays into a PhotonWaveFunction.
 
-    The excluded k=0 bin is zeroed (the invariant measure has no weight
-    there).  A basis on another grid is refused; the decay of the state is
-    not measured here.
+    The arrays are copied, and the excluded k=0 bin is zeroed (the invariant
+    measure has no weight there).  A basis on another grid is refused; the
+    decay of the state is not measured here.
     """
     grid.require_same(basis.grid, "the amplitudes and their polarization basis")
     gL = np.array(gL, dtype=complex)
     gR = np.array(gR, dtype=complex)
     if gL.shape != grid.dims or gR.shape != grid.dims:
         raise ValueError("amplitude shape does not match grid")
-    gL[grid.excluded_index] = 0.0
-    gR[grid.excluded_index] = 0.0
+    return _adopted(grid, basis, gL, gR, time=time)
+
+
+def _adopted(grid, basis, gL, gR, time=0.0):
+    """The state of `gL` and `gR`, complex grid arrays just built and held nowhere else: `wavefunction` without its copies.
+
+    The k=0 bin is zeroed and the arrays are made read-only.
+    """
+    for g in (gL, gR):
+        g[grid.excluded_index] = 0.0
     return PhotonWaveFunction(gL=_readonly(gL), gR=_readonly(gR), grid=grid, basis=basis, time=float(time))
 
 
+def _photons_on(grid, gL, gR, region):
+    """The share of `region`, three slices of the grid axes, in the photon number ``N = sum w (|gL|^2 + |gR|^2)``.
 
-def scalar_product(wf1, wf2):
-    """Lorentz-invariant product sum over dVk/(hbar omega) of g1* g2."""
-    wf1.grid.require_same(wf2.grid, "the wavefunctions")
-    integrand = np.conj(wf1.gL) * wf2.gL + np.conj(wf1.gR) * wf2.gR
-    if wf1.time != wf2.time:
-        # relative evolution phase between the two snapshots
-        integrand = integrand * np.exp(-1j * wf1.grid.omega() * (wf2.time - wf1.time))
-    return complex(np.sum(wf1.grid.w_invariant() * integrand))
-
-
-def norm(wf):
-    return float(np.sqrt(max(scalar_product(wf, wf).real, 0.0)))
-
-
-def photon_number(wf):
-    """Total photon number N = <g|g>; real and nonnegative."""
-    return scalar_product(wf, wf).real
+    `gL` and `gR` are the region's slabs of the amplitudes, and w the
+    invariant weight dVk / (hbar omega), 0 at k = 0.  A factory sums the
+    shares of its slabs (`grids._over_slabs`) as it fills them.
+    """
+    integrand = np.conjugate(gL)
+    integrand *= gL
+    part = np.conjugate(gR)
+    part *= gR
+    integrand += part
+    del part
+    integrand *= _w_invariant(grid, region)
+    return float(np.sum(integrand).real)
 
 
 def evolve(wf, t):
@@ -92,15 +97,23 @@ def evolve(wf, t):
 
 
 def materialized(wf):
-    """Bake the evolution phase into the stored arrays (time reset to 0).
+    """Bake the evolution phase into the stored arrays (time reset to 0), in k_x slabs on the THREADS workers.
 
     Provided for interoperability; derivative-based observables computed from
     a materialized state suffer the full finite-difference phase error.
     """
     if wf.time == 0.0:
         return wf
-    phase = np.exp(-1j * wf.grid.omega() * wf.time)
-    return replace(wf, gL=_readonly(wf.gL * phase), gR=_readonly(wf.gR * phase), time=0.0)
+    grid = wf.grid
+    gL, gR = (np.empty(grid.dims, dtype=complex) for _ in range(2))
+
+    def bake(region):
+        phase = np.exp(-1j * _omega(grid, region) * wf.time)
+        np.multiply(wf.gL[region], phase, out=gL[region])
+        np.multiply(wf.gR[region], phase, out=gR[region])
+
+    _over_slabs(grid, 0, bake)
+    return replace(wf, gL=_readonly(gL), gR=_readonly(gR), time=0.0)
 
 
 def gauge_transform(wf, phi):

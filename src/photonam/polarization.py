@@ -288,7 +288,7 @@ def identity_residuals(grid, basis):
     # e*(k) . e(-k) = 0; needs both k and -k usable, which excludes the
     # self-aliased Nyquist planes along with the poles
     e_neg = np.stack([np.conj(reflect_conjugate(grid, e[i])) for i in range(3)])
-    ok_pair = ok & ~np.roll(np.flip(poles, axis=(0, 1, 2)), (1, 1, 1), axis=(0, 1, 2))
+    ok_pair = ok & (reflect_conjugate(grid, poles.astype(float)) == 0.0)       # no pole at -k either
     for ax, nn in enumerate(grid.dims):
         sl = [slice(None)] * 3
         sl[ax] = nn // 2

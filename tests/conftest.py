@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 import photonam as pn
+from photonam.fields_bridge import _Divergence
 from photonam.grids import BoundaryDecayWarning, cross_component
 
 
@@ -47,6 +48,29 @@ def project_spectral_e(Ek, basis):
     return pn.wavefunction(grid, basis, gL, gR)
 
 
+def scalar_product(wf1, wf2):
+    """Oracle: the Lorentz-invariant product sum over dVk/(hbar omega) of g1* g2, whole-array.
+
+    Two snapshots at different times pick up their relative evolution
+    phase.  The factories sum the photon number per slab as they fill
+    (`photon_state._photons_on`); this is their reference.
+    """
+    wf1.grid.require_same(wf2.grid, "the wavefunctions")
+    integrand = np.conj(wf1.gL) * wf2.gL + np.conj(wf1.gR) * wf2.gR
+    if wf1.time != wf2.time:
+        integrand = integrand * np.exp(-1j * wf1.grid.omega() * (wf2.time - wf1.time))
+    return complex(np.sum(wf1.grid.w_invariant() * integrand))
+
+
+def norm(wf):
+    return float(np.sqrt(max(scalar_product(wf, wf).real, 0.0)))
+
+
+def photon_number(wf):
+    """Oracle: the total photon number N = <g|g>; real and nonnegative."""
+    return scalar_product(wf, wf).real
+
+
 def divergence_ratio(grid, V):
     """Reference ``|div V| / | |k| V |`` of a real or complex (3,) + dims field, summed over the full k grid.
 
@@ -58,6 +82,27 @@ def divergence_ratio(grid, V):
     div = k[0] * Vk[0] + k[1] * Vk[1] + k[2] * Vk[2]
     k2 = k[0] ** 2 + k[1] ** 2 + k[2] ** 2
     return float(np.sqrt(np.sum(np.abs(div) ** 2) / np.sum(k2 * np.abs(Vk) ** 2)))
+
+
+def spectral_divergence(grid, spectra, half, regions):
+    """The relative divergence `fields_bridge._Divergence` sums from the three component `spectra`, region by region.
+
+    `half` says they are half spectra (`real_forward_transform`);
+    `regions` are slab regions (three slices of the grid axes) that cover
+    the grid, taken in order.
+    """
+    div = _Divergence(grid, half)
+    num2 = den2 = 0.0
+    for region in regions:
+        den2 += sum(div.add(i, spectra[i], region) for i in range(3))
+        num2 += div.num2(region)
+    return div.ratio(num2, den2)
+
+
+def row_slabs(n):
+    """The regions of one k_x row each, in order, and the whole grid as one region."""
+    whole = (slice(None),) * 3
+    return [(slice(i, i + 1), slice(None), slice(None)) for i in range(n)], [whole]
 
 
 def maxwell_residual(rs1, rs2):
@@ -207,8 +252,8 @@ def basis96(grid96):
     return pn.build_basis(grid96)
 
 
-def smooth_state(grid, basis, seed=0, mix=(1.0, 0.6), m=0):
-    """Stock smooth decaying state: off-axis, off-origin, sub-Nyquist."""
+def smooth_state(grid, basis, seed=0, mix=(1.0, 0.6), m=0, photons=None):
+    """Stock smooth decaying state: off-axis, off-origin, sub-Nyquist; normalized to `photons` if given."""
     rng = np.random.default_rng(seed)
     dk = grid.dk[0]
     n = grid.dims[0]
@@ -220,7 +265,7 @@ def smooth_state(grid, basis, seed=0, mix=(1.0, 0.6), m=0):
         warnings.simplefilter("ignore", BoundaryDecayWarning)
         return pn.gaussian_vortex(
             grid, basis, center=(kc, kc, kc), widths=sig, m=m,
-            helicity=mix, r_offset=r0,
+            helicity=mix, r_offset=r0, photons=photons,
         )
 
 

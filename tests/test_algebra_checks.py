@@ -9,7 +9,7 @@ from photonam import algebra_checks, grids, photon_state
 from photonam.algebra_checks import OperatorTag
 from photonam.grids import _readonly
 
-from conftest import decay_ignored, fd_photon_picture, rel, smooth_state
+from conftest import decay_ignored, fd_photon_picture, rel, scalar_product, smooth_state
 
 
 def test_operator_tag_parsing():
@@ -38,7 +38,7 @@ def test_jz_expectation_matches_observables(grid48, basis48):
     """<Jz> of the generator algebra equals the FD photon picture's J_z: both take the FD covariant derivative."""
     wf = smooth_state(grid48, basis48, seed=4, mix=(1.0, 0.4), m=1)
     gen = fd_photon_picture(wf)
-    jz = pn.scalar_product(wf, pn.apply_generator("Jz", wf))
+    jz = scalar_product(wf, pn.apply_generator("Jz", wf))
     assert jz.real == pytest.approx(gen["J"][2], rel=1e-10)
     # imaginary part is the reported stencil diagnostic, O(dk^2)
     assert abs(jz.imag) < 2e-2 * abs(jz.real)

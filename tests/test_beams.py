@@ -4,10 +4,12 @@ import numpy as np
 import pytest
 
 import photonam as pn
+from photonam import grids, photon_state
+from photonam.grids import _over_slabs
 
 from photonam.fields_bridge import SpectralEField
 
-from conftest import decay_ignored, project_spectral_e, rel
+from conftest import decay_ignored, photon_number, project_spectral_e, rel
 
 
 def make_bessel(grid, basis, m=3, kz_over_k=0.8, helicity=+1, k0_cells=None, sig_cells=2.5):
@@ -92,7 +94,7 @@ def test_helicity_purity_and_normalization(grid48):
         nR = float(np.sum(w * np.abs(wf.gR) ** 2))
         major, minor = (nL, nR) if hel > 0 else (nR, nL)
         assert np.sqrt(minor / major) < 1e-8      # cross-helicity leakage
-        assert pn.photon_number(wf) == pytest.approx(1.0, abs=1e-10)
+        assert photon_number(wf) == pytest.approx(1.0, abs=1e-10)
 
 
 def test_total_jz_is_m_per_photon(grid48):
@@ -186,3 +188,29 @@ def test_gaussian_vortex_validation(grid48, basis48):
         pn.gaussian_vortex(grid48, basis48, center=(1.5, 0.4, 1.0), widths=0.5 * dk)
     with pytest.raises(ValueError, match="chart axis"):
         pn.gaussian_vortex(grid48, basis48, center=(0.0, 0.0, 1.5), widths=3 * dk)
+
+
+@pytest.mark.parametrize("slab_points", [1, 2 ** 62])
+def test_slab_summed_photon_number_of_normalized_beams(grid64, monkeypatch, slab_points):
+    """A factory sums N per k_x slab as it fills; a Gaussian and a Bessel beam normalized to `photons` hold that many.
+
+    N of the normalized state, summed again per slab (16 slabs, or one) and
+    by the whole-array `photon_number` oracle, is `photons` to 1e-14.
+    """
+    monkeypatch.setattr(grids, "_MIN_SLAB_POINTS", slab_points)
+    basis = pn.chart_basis(grid64, (1.0, 0.0, 0.0))
+    c = np.pi / 3.0
+    dk = grid64.dk[0]
+    k0 = 0.62 * np.pi
+    spec = pn.BesselSpec(k_perp0=0.6 * k0, k_z0=0.8 * k0, m=3, helicity=1, sigma_perp=2.5 * dk, sigma_z=2.5 * dk)
+    photons = 3.7
+    with decay_ignored():
+        beams = [pn.gaussian_vortex(grid64, basis, center=(c, c, c), widths=2.5 * dk, m=1, helicity=(1.0, 0.4j),
+                                    r_offset=(0.3, -0.2, 0.5), photons=photons),
+                 pn.bessel_beam(grid64, basis, spec, photons=photons)]
+    for wf in beams:
+        slabbed = _over_slabs(grid64, 0, lambda region: photon_state._photons_on(grid64, wf.gL[region],
+                                                                                 wf.gR[region], region))
+        assert abs(slabbed - photons) <= 1e-14 * photons
+        assert abs(photon_number(wf) - photons) <= 1e-14 * photons
+        assert not wf.gL.flags.writeable and not wf.gR.flags.writeable

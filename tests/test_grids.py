@@ -13,6 +13,8 @@ from photonam.grids import (
     reflect_conjugate,
     _over_slabs,
     _real_derivative_axis,
+    _reflected,
+    _slabs,
 )
 
 from conftest import nhat_stack, rel
@@ -256,6 +258,33 @@ def test_reflect_conjugate_is_conj_at_negated_k(grid16):
     for idx in [(0, 0, 0), (1, 2, 3), (5, 0, 9), (15, 15, 15)]:
         neg = tuple((-i) % n for i in idx)
         assert out[idx] == np.conj(f[neg])
+
+
+@pytest.mark.parametrize("lead, dims", [((), (8, 10, 12)), ((), (16, 12, 10)), ((3,), (16, 12, 10))])
+def test_mirrored_rows_are_the_rolled_flip_bit_for_bit(lead, dims):
+    """`_reflected` on any slab region of any axis equals conj of the flipped array rolled by one, bit for bit.
+
+    The regions are each partition `_slabs` makes of the axis: whole, in
+    three uneven slabs, and in slabs of one row each, so row 0 and the
+    Nyquist row n/2 are read alone.  `reflect_conjugate`, its whole-grid
+    form, equals the same oracle.
+    """
+    grid = pn.make_grid(dims)
+    rng = np.random.default_rng(12)
+    F = rng.standard_normal(lead + dims) + 1j * rng.standard_normal(lead + dims)
+    axes = (-3, -2, -1)
+    oracle = np.conjugate(np.roll(np.flip(F, axis=axes), (1, 1, 1), axis=axes))
+    assert np.array_equal(reflect_conjugate(grid, F), oracle)
+    for ax, n in enumerate(dims):
+        partitions = [_slabs(n, points) for points in (grid.npoints, 3 * 2 ** 17, 2 ** 62)]
+        assert [len(p) for p in partitions] == [1, 3, n]
+        for partition in partitions:
+            for s in partition:
+                region = tuple(s if a == ax else slice(None) for a in range(3))
+                index = (Ellipsis,) + region
+                out = np.full(oracle[index].shape, np.nan + 0j)
+                assert _reflected(F, region, out) is out
+                assert np.array_equal(out, oracle[index]), (ax, s)
 
 
 def _stored_metadata(g):

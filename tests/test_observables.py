@@ -6,11 +6,12 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 import photonam as pn
-from photonam.fields_bridge import RealVectorField, SpectralEField, _DivergenceSum
+from photonam.fields_bridge import RealVectorField, SpectralEField
 from photonam.grids import BOUNDARY_TOL, BoundaryDecayWarning, _readonly, cross, real_forward_transform
 from photonam.observables import _cell_self_weight, _textbook_moments
 
-from conftest import decay_ignored, fd_photon_picture, nhat_stack, project_spectral_e, rel, smooth_state
+from conftest import (decay_ignored, fd_photon_picture, nhat_stack, project_spectral_e, rel, row_slabs, smooth_state,
+                      spectral_divergence)
 from rotations import rotate_wavefunction, rotation_matrix
 
 
@@ -497,7 +498,7 @@ def test_textbook_split_requires_transverse_A(grid16):
 
 @pytest.mark.parametrize("twist", [0.0, 0.5, 1.0])
 def test_textbook_divergence_ratio_matches_the_spectral_ratio(twist):
-    """|div A| / |grad A| of the real-space derivatives is the spectral ratio of `_DivergenceSum`, by Parseval.
+    """|div A| / |grad A| of the real-space derivatives is the spectral ratio of `_Divergence`, by Parseval.
 
     On a decaying field the Nyquist bins, where the two may differ, hold
     nothing; `twist` mixes a divergence-free swirl into a gradient field.
@@ -506,12 +507,10 @@ def test_textbook_divergence_ratio_matches_the_spectral_ratio(twist):
     x, y, z = np.meshgrid(*g.x_axes, indexing="ij")
     gauss = np.exp(-(x ** 2 + (y - 0.7) ** 2 + (z + 1.1) ** 2) / (2 * 2.5 ** 2))
     A = np.stack([(x + twist * y) * gauss, (y - twist * x) * gauss, z * gauss])
-    div = _DivergenceSum(g)
-    for i in range(3):
-        div.add(i, real_forward_transform(g, A[i]))
+    spectral = spectral_divergence(g, [real_forward_transform(g, A[i]) for i in range(3)], True, row_slabs(32)[0])
     ratio = _textbook_moments(g, np.zeros_like(A), A)[1]
     assert ratio > 0.1
-    assert abs(ratio - div.ratio()) <= 1e-12 * div.ratio()
+    assert abs(ratio - spectral) <= 1e-12 * spectral
 
 
 def test_textbook_zero_field(grid16):

@@ -7,7 +7,7 @@ import photonam as pn
 from photonam import algebra_checks, photon_state
 from photonam.grids import BoundaryDecayWarning
 
-from conftest import rel, smooth_state
+from conftest import norm, photon_number, rel, scalar_product, smooth_state
 
 
 def test_wavefunction_zeroes_excluded_bin(grid16, basis16):
@@ -49,9 +49,9 @@ def test_poor_decay_warns_once_per_call(grid16, basis16):
 def test_scalar_product_positivity_and_symmetry(grid48, basis48):
     f = smooth_state(grid48, basis48, seed=10, mix=(1.0, 0.3j))
     g = smooth_state(grid48, basis48, seed=11, mix=(0.2, 1.0))
-    n = pn.scalar_product(f, f)
+    n = scalar_product(f, f)
     assert n.real > 0 and abs(n.imag) < 1e-14 * n.real
-    assert pn.scalar_product(f, g) == pytest.approx(np.conj(pn.scalar_product(g, f)))
+    assert scalar_product(f, g) == pytest.approx(np.conj(scalar_product(g, f)))
 
 
 def test_scalar_product_single_bin(grid16, basis16):
@@ -62,7 +62,7 @@ def test_scalar_product_single_bin(grid16, basis16):
     arr[idx] = amp
     wf = pn.wavefunction(g, basis16, arr, np.zeros(g.dims))
     expected = abs(amp) ** 2 * g.dVk / (g.units.hbar * g.omega()[idx])
-    assert pn.photon_number(wf) == pytest.approx(expected, rel=1e-14)
+    assert photon_number(wf) == pytest.approx(expected, rel=1e-14)
 
 
 def test_scalar_product_grid_mismatch(grid16, grid32, basis16, basis32):
@@ -70,18 +70,18 @@ def test_scalar_product_grid_mismatch(grid16, grid32, basis16, basis32):
     z = np.zeros(grid16.dims, dtype=complex)
     b = pn.wavefunction(grid16, basis16, z, z)
     with pytest.raises(ValueError, match="different grids"):
-        pn.scalar_product(a, b)
+        scalar_product(a, b)
 
 
 def test_photon_number_zero_state_and_scaling(grid16, basis16):
     z = np.zeros(grid16.dims, dtype=complex)
     zero = pn.wavefunction(grid16, basis16, z, z)
-    assert pn.photon_number(zero) == 0.0
+    assert photon_number(zero) == 0.0
 
     wf = smooth_state(pn.make_grid(48), pn.build_basis(pn.make_grid(48)))
     lam = 0.3 - 1.1j
     scaled = pn.wavefunction(wf.grid, wf.basis, lam * wf.gL, lam * wf.gR)
-    assert pn.photon_number(scaled) == pytest.approx(abs(lam) ** 2 * pn.photon_number(wf), rel=1e-12)
+    assert photon_number(scaled) == pytest.approx(abs(lam) ** 2 * photon_number(wf), rel=1e-12)
 
 
 def test_evolve_group_property_and_invariance(state48):
@@ -89,13 +89,13 @@ def test_evolve_group_property_and_invariance(state48):
     assert pn.evolve(wf, 0.0).time == wf.time
     w12 = pn.evolve(pn.evolve(wf, 1.7), -0.4)
     assert w12.time == pytest.approx(1.3)
-    assert pn.photon_number(w12) == pn.photon_number(wf)
+    assert photon_number(w12) == photon_number(wf)
     # physical amplitudes agree with the directly materialized phase
     direct = pn.materialized(pn.evolve(wf, 1.3))
     phase = np.exp(-1j * wf.grid.omega() * 1.3)
     assert rel(direct.gL, phase * wf.gL) < 1e-15
     # mixed-time products pick up the relative phase
-    sp = pn.scalar_product(wf, pn.evolve(wf, 2.1))
+    sp = scalar_product(wf, pn.evolve(wf, 2.1))
     w = wf.grid.w_invariant()
     expect = np.sum(w * np.exp(-1j * wf.grid.omega() * 2.1)
                     * (np.abs(wf.gL) ** 2 + np.abs(wf.gR) ** 2))
@@ -169,9 +169,9 @@ def test_curvature_sign_flips_with_helicity(grid48, basis48):
 def _hermiticity_defect(f, g, label):
     af = algebra_checks.apply_generator(label, f)
     ag = algebra_checks.apply_generator(label, g)
-    lhs = pn.scalar_product(f, ag)
-    rhs = pn.scalar_product(af, g)
-    return abs(lhs - rhs) / (photon_state.norm(f) * photon_state.norm(ag))
+    lhs = scalar_product(f, ag)
+    rhs = scalar_product(af, g)
+    return abs(lhs - rhs) / (norm(f) * norm(ag))
 
 
 def test_generator_hermiticity(grid48, basis48, grid64, basis64, grid96, basis96):
@@ -201,6 +201,6 @@ def test_scalar_product_gauge_invariance(grid48, basis48):
     phi = 0.4 * kx - 0.2 * ky + 0.9 * kz
     f2 = pn.gauge_transform(f, phi)
     h2 = pn.gauge_transform(h, phi)
-    before = pn.scalar_product(f, h)
-    after = pn.scalar_product(f2, h2)
+    before = scalar_product(f, h)
+    after = scalar_product(f2, h2)
     assert abs(after - before) <= 1e-12 * abs(before)

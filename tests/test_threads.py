@@ -13,6 +13,7 @@ slab, in slab order, so it equals the whole run's only to rounding
 """
 
 import json
+import struct
 import threading
 from dataclasses import replace
 from functools import partial
@@ -23,10 +24,10 @@ import pytest
 import photonam as pn
 from photonam import grids
 from photonam.cli import _generator_dict, build_report, main
-from photonam.fields_bridge import SpectralEField
+from photonam.fields_bridge import RealVectorField, RSField, SpectralEField
 from photonam.observables import _textbook_moments
 
-from conftest import decay_ignored, e_stack, project_spectral_e, smooth_state
+from conftest import decay_ignored, e_stack, project_spectral_e, rel, smooth_state
 
 
 @pytest.fixture()
@@ -340,15 +341,103 @@ def test_bessel_beam_is_identical_for_any_thread_count(threaded, m, helicity, ga
 
 
 def test_beam_file_is_identical_for_any_thread_count(threaded, tmp_path, capsys):
+    """The file's bytes are the same for any THREADS.
+
+    The beam is normalized by its photon number, a sum added up slab by
+    slab, so against the whole run its header is the same and its
+    amplitudes agree to rounding.
+    """
     beam = tmp_path / "beam.pnam"
 
     def run():
         with decay_ignored():
             assert main(["beam", "bessel", "--grid", "48", "--m", "3", "--chart-axis=1,0,0", "-o", str(beam)]) == 0
         capsys.readouterr()
-        return np.frombuffer(beam.read_bytes(), dtype=np.uint8)
+        raw = beam.read_bytes()
+        start = 24 + struct.unpack("<Q", raw[8:16])[0]      # magic, manifest length, manifest, payload length
+        return np.frombuffer(raw[:start], dtype=np.uint8), np.frombuffer(raw[start:], dtype="<c16")
 
-    _compare(threaded, run)
+    _compare(threaded, run, close=lambda one, whole: _same(one[0], whole[0]) and _same(one[1], whole[1], REDUCED))
+
+
+#: the two grids of the conversion tests: every slab a single row at 16 x 12 x 10, and 64^3
+CONVERT_DIMS = [(16, 12, 10), (64, 64, 64)]
+
+
+def _packet(grid, basis, m, photons=None):
+    """A Gaussian packet with winding `m`, displaced by an offset phase, two widths from the x chart axis."""
+    width = 2.0 * max(grid.dk)
+    c = 2.0 * width
+    with decay_ignored():
+        return pn.gaussian_vortex(grid, basis, center=(0.5 * c, c, -c), widths=width, m=m,
+                                  helicity=(1.0, 0.4j), r_offset=(0.3, -0.2, 0.5), photons=photons)
+
+
+@pytest.mark.parametrize("dims", CONVERT_DIMS)
+@pytest.mark.parametrize("m", [0, 2])
+def test_gaussian_vortex_is_identical_for_any_thread_count(threaded, dims, m):
+    """Envelope, winding and offset phase are written per k_x slab; the normalized state's N is a slab sum."""
+    grid = pn.make_grid(dims)
+    basis = pn.chart_basis(grid, (1.0, 0.0, 0.0))
+    _compare(threaded, lambda: _pair(_packet(grid, basis, m)))
+    _compare(threaded, lambda: _pair(_packet(grid, basis, m, photons=2.0)),
+             close=lambda one, whole: _same(one, whole, REDUCED))
+
+
+def test_normalized_bessel_beam_is_identical_for_any_thread_count(threaded, grid64):
+    """At 64^3, the beam's N is summed in its column pass and the scale applied in slabs.
+
+    A 16 x 12 x 10 grid cannot resolve a Bessel ring (`BesselSpec.validate`);
+    the raw beam is compared at 28 x 26 x 26 above.
+    """
+    k0 = 0.62 * np.pi
+    sigma = 2.5 * grid64.dk[0]
+    spec = pn.BesselSpec(k_perp0=0.6 * k0, k_z0=0.8 * k0, m=3, helicity=-1, sigma_perp=sigma, sigma_z=sigma)
+    basis = _regauged(pn.chart_basis(grid64, (1.0, 0.0, 0.0)))
+
+    def run(photons):
+        with decay_ignored():
+            return _pair(pn.bessel_beam(grid64, basis, spec, photons=photons))
+
+    _compare(threaded, lambda: run(None))
+    _compare(threaded, lambda: run(1.0), close=lambda one, whole: _same(one, whole, REDUCED))
+
+
+def _pair(wf):
+    return wf.gL, wf.gR
+
+
+def _transverse_state(grid, basis):
+    """Random amplitudes that vanish on the Nyquist planes, so that their field is transverse to rounding on any grid."""
+    rng = np.random.default_rng(13)
+    g = rng.standard_normal((2,) + grid.dims) + 1j * rng.standard_normal((2,) + grid.dims)
+    for ax, n in enumerate(grid.dims):
+        g[(slice(None),) * (ax + 1) + (n // 2,)] = 0.0
+    return pn.wavefunction(grid, basis, g[0], g[1])
+
+
+@pytest.mark.parametrize("dims", CONVERT_DIMS)
+@pytest.mark.parametrize("time", [0.0, 0.7])
+def test_field_conversions_are_identical_for_any_thread_count(threaded, dims, time):
+    """`synthesize` on a re-gauged basis, the E and B copies, `analyze` and `vector_potential` run per k_x slab.
+
+    Each equals its whole run bit for bit; the reflection reads the
+    mirrored rows of other slabs, and the analyzed state's divergence check
+    and the potential's peak and divergence checks are slab sums.
+    """
+    grid = pn.make_grid(dims)
+    basis = _regauged(pn.chart_basis(grid, (1.0, 0.0, 0.0)))
+    wf = _transverse_state(grid, basis)
+    rs = RSField(F=_compare(threaded, lambda: pn.synthesize(wf, time).F), grid=grid, time=time)
+    E = _compare(threaded, lambda: pn.electric_field(rs).values)
+    B = RealVectorField(values=_compare(threaded, lambda: pn.magnetic_field(rs).values), role="B", grid=grid)
+    back = _compare(threaded, lambda: _pair(pn.analyze(rs, basis)))
+    A = _compare(threaded, lambda: pn.vector_potential(B).values)
+    assert np.array_equal(E, np.sqrt(2.0 / grid.units.eps0) * rs.F.real)
+    assert np.array_equal(B.values, np.sqrt(2.0 / grid.units.eps0) / grid.units.c * rs.F.imag)
+    expected = pn.materialized(pn.evolve(wf, time))
+    assert all(rel(g, h) < 1e-13 for g, h in zip(back, _pair(expected)))
+    assert np.abs(pn.spectral_curl(grid, A) - B.values).max() <= 1e-12 * np.abs(B.values).max()
 
 
 def _json_leaves(value, path=()):

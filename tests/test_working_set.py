@@ -35,6 +35,8 @@ BUDGETS = {
     # derivative of a half-grid slab (0.51): 1.52 measured
     "textbook_split": 1.6,
     "bessel_beam": 7.1,
+    # gL and gR, written in place per slab and scaled there, and the decay margin's |g|: 4.00 measured
+    "gaussian_vortex": 4.6,
     "synthesize": 8.0,
     "generators_field_picture": 2.0,
     "spectral_e_from_wavefunction": 5.0,
@@ -70,6 +72,7 @@ def stages64(grid64, basis64):
         "vector_potential": lambda: pn.vector_potential(B),
         "textbook_split": lambda: pn.textbook_split(E, A),
         "bessel_beam": lambda: pn.bessel_beam(grid64, basis64, spec),
+        "gaussian_vortex": lambda: smooth_state(grid64, basis64, seed=6, mix=(1.0, 0.4j), m=1, photons=1.0),
         "synthesize": lambda: pn.synthesize(wf),
         "generators_field_picture": lambda: pn.generators_field_picture(rs),
         "spectral_e_from_wavefunction": lambda: pn.spectral_e_from_wavefunction(wf),
