@@ -23,8 +23,6 @@ from .photon_state import (
     covariant_derivative,
     evolve,
     gauge_transform,
-    materialized,
-    wavefunction,
 )
 from .beams import BesselSpec, bessel_beam, bessel_ratio_oracle, gaussian_vortex
 from .fields_bridge import (

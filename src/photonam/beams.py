@@ -51,6 +51,13 @@ class BesselSpec:
         return self.k_z0 / self.k0
 
     def validate(self, grid):
+        """Refuse, before any grid-sized allocation, a beam that `grid` cannot resolve.
+
+        The widths must span two grid steps, the ring must keep 4 widths
+        clear of the beam axis, and its 4-sigma tails must stay inside the
+        Nyquist box: k_perp0 + 4 sigma_perp within the transverse Nyquist
+        wavenumbers and |k_z0| + 4 sigma_z within that of z.
+        """
         if not np.all(np.isfinite((self.k_perp0, self.k_z0, self.sigma_perp, self.sigma_z))):
             raise ValueError("Bessel beam parameters must be finite")
         if self.k_perp0 <= 0:
@@ -68,10 +75,10 @@ class BesselSpec:
             # the column and the m-winding are singular on the beam axis
             raise ValueError("ring unresolvable: k_perp0 must exceed 4 regularization widths")
         nyq = [np.pi / d for d in grid.spacing]
-        if self.k_perp0 > min(nyq[0], nyq[1]) - 4.0 * dk:
-            raise ValueError("ring unresolvable: k_perp0 too close to the grid boundary")
-        if abs(self.k_z0) > nyq[2] - 4.0 * dk:
-            raise ValueError("ring unresolvable: k_z0 too close to the grid boundary")
+        if self.k_perp0 + 4.0 * self.sigma_perp > min(nyq[0], nyq[1]):
+            raise ValueError("ring unresolvable: k_perp0 + 4 sigma_perp crosses the transverse grid boundary")
+        if abs(self.k_z0) + 4.0 * self.sigma_z > nyq[2]:
+            raise ValueError("ring unresolvable: |k_z0| + 4 sigma_z crosses the k_z grid boundary")
 
 
 def bessel_ratio_oracle(m, kz_over_k, helicity):

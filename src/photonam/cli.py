@@ -25,8 +25,12 @@ Only ``check algebra`` and ``check polarization`` derive the connection
 alpha of the polarization basis (`PolarizationBasis.connection`); the
 photon route takes Jo and K from E(k) with an exact k derivative, and
 darwin is the one route that differentiates by finite differences.  An
-``observables`` report builds E(k) of the stored snapshot once and hands it
-to both (`build_report`).
+``observables`` report builds E(k) of the stored snapshot once, when any
+route besides the photon one is asked for, and hands it to the photon
+route, to darwin and to the synthesis of F (`build_report`); it releases
+the state after the photon route and E(k) after the synthesis.
+``synthesize`` builds F from E(k) too, and reading a file allocates its
+payload once, in the arrays of the state or field it returns.
 ``--chart-axis`` normalizes any nonzero finite vector and sets
 the chart of a new beam or of an rs_field file; a wavefunction file carries
 its own chart, and the flag is refused there.
@@ -215,6 +219,15 @@ def _load_state(args, kinds):
 
 
 def build_report(wf, routes, manifest=None):
+    """The ``observables`` report of the state `wf` on `routes`, each route's values and the deltas between them.
+
+    One E(k) of the stored snapshot is built when any route besides the
+    photon one is asked for, and handed to the photon route, to darwin and
+    to the synthesis of F; the state is read no further after the photon
+    route, so a state passed as a temporary is freed there, and E(k) after
+    the synthesis.  With the photon route alone, it fills E(k) one component
+    at a time.
+    """
     grid = wf.grid
     report = {"routes": {}, "deltas": {}, "grid": {"dims": list(grid.dims), "spacing": list(grid.spacing)},
               "units": {"c": grid.units.c, "hbar": grid.units.hbar, "eps0": grid.units.eps0},
@@ -222,25 +235,21 @@ def build_report(wf, routes, manifest=None):
     if manifest and "provenance" in manifest:
         report["provenance"] = manifest["provenance"]
 
-    # one E(k) of the snapshot for the photon and darwin routes; without darwin the photon
-    # route fills it one component at a time
-    Ek = fields_bridge.spectral_e_from_wavefunction(wf) if "darwin" in routes else None
+    fields = "field" in routes or "textbook" in routes or "nonlocal" in routes
+    Ek = fields_bridge.spectral_e_from_wavefunction(wf) if fields or "darwin" in routes else None
     gen_p = observables.generators_photon_picture(wf, Ek)
+    wf = None
     report["routes"]["photon"] = _generator_dict(gen_p)
     report["n_photons"] = float(gen_p.N)
 
-    # darwin first, so that E(k) and F are never alive together
     if "darwin" in routes:
         Jo_d, Js_d, diag = observables.darwin_split(Ek)
-        Ek = None
         report["routes"]["darwin"] = {"Jo": _vec3(Jo_d), "Js": _vec3(Js_d), "diagnostics": diag}
         report["deltas"]["Js_darwin_vs_photon"] = _rel(Js_d, gen_p.Js)
         report["deltas"]["Jo_darwin_vs_photon"] = _rel(Jo_d, gen_p.Jo)
 
-    rs = None
-    if "field" in routes or "textbook" in routes or "nonlocal" in routes:
-        rs = fields_bridge.synthesize(wf)
-    wf = None       # read no further: a state passed as a temporary is freed here
+    rs = fields_bridge.synthesize(Ek) if fields else None
+    Ek = None
     if "field" in routes:
         gen_f = observables.generators_field_picture(rs)
         report["routes"]["field"] = _generator_dict(gen_f)
@@ -250,18 +259,17 @@ def build_report(wf, routes, manifest=None):
         # both K are energy x length; near zero on centred beams, so scale by H L
         report["deltas"]["K_field_vs_photon"] = float(
             np.linalg.norm(gen_f.K - gen_p.K) / max(gen_p.H * grid.box_length, 1e-300))
-    # nonlocal before textbook, so that B is dropped before the textbook split
+    # nonlocal before textbook, and B held in a list, so that `vector_potential` takes it as a temporary
     if "textbook" in routes or "nonlocal" in routes:
         E = fields_bridge.electric_field(rs)
-        B = fields_bridge.magnetic_field(rs)
+        B = [fields_bridge.magnetic_field(rs)]
         rs = None           # E and B are copies; F is no longer needed
     if "nonlocal" in routes:
-        Js_n = observables.spin_nonlocal_real(E, B)
+        Js_n = observables.spin_nonlocal_real(E, B[0])
         report["routes"]["nonlocal"] = {"Js": _vec3(Js_n)}
         report["deltas"]["Js_nonlocal_vs_photon"] = _rel(Js_n, gen_p.Js)
     if "textbook" in routes:
-        A = fields_bridge.vector_potential(B)
-        del B
+        A = fields_bridge.vector_potential(B.pop())
         Jo_t, Js_t = observables.textbook_split(E, A)
         del E, A
         report["routes"]["textbook"] = {"Jo": _vec3(Jo_t), "Js": _vec3(Js_t)}
@@ -320,8 +328,9 @@ def cmd_split(args):
 # synthesize / analyze / potential
 
 def cmd_synthesize(args):
-    wf, manifest = _load_state(args, ("wavefunction",))
-    rs = fields_bridge.synthesize(wf, args.t)
+    loaded = list(_load_state(args, ("wavefunction",)))
+    manifest = loaded.pop()
+    rs = fields_bridge.synthesize(loaded.pop(), args.t)      # the state is freed once its E(k) exists
     man = fileio.write_rs_field(args.output, rs, provenance=manifest.get("provenance"))
     _emit({"written": args.output, "manifest": man}, args.json,
           [f"wrote {args.output} (rs_field at t={rs.time})"])

@@ -2,21 +2,24 @@
 
 The complex field ``F = sqrt(eps0/2) (E + i c B)`` packages both Maxwell
 fields; free evolution is ``dF/dt = -i c curl F`` with ``div F = 0``.
-Synthesis assembles F from helicity amplitudes, and analysis inverts it by
-projecting F(k) and its reflection R[F](k) = conj(F(-k)) onto the basis
-vectors e(k).
+Synthesis builds F from the plane-wave amplitudes E(k) of a state alone,
+``F(k) = sqrt(eps0/2) [(E + R[E]) + i n x (E - R[E])]`` with the reflection
+R[E](k) = conj(E(-k)): no basis vector and no folded buffer enter, and the
+evolution phase e^{-i w t} is applied in the same pass.  Analysis inverts
+it by projecting F(k) and R[F](k) onto the basis vectors e(k).
 
 Every grid pass of the conversions runs in k_x slabs on the THREADS workers
-(`grids._over_slabs`): the products with e(k) and their reflection, read
-through reversed-index slices (`grids._reflected`), the divergence sums
-(`_Divergence`), the peak and zero-mode checks and the i k x B / |k|^2
-products of `vector_potential`, and the E and B copies of F.  Between them
-run the 3-d transforms, themselves in slabs; so no whole-grid pass is left
-on the calling thread, and every result is bit-identical for any THREADS.
+(`grids._over_slabs`): the synthesis pass, the projections of analysis, the
+reflections, read through reversed-index slices of the mirrored rows
+(`grids._reflected`), the divergence sums (`_Divergence`), the peak and
+zero-mode checks and the i k x B / |k|^2 products of `vector_potential`,
+and the E and B copies of F.  Between them run the 3-d transforms, themselves
+in slabs; so no whole-grid pass is left on the calling thread, and every
+result is bit-identical for any THREADS.
 `spectral_e_from_wavefunction` fills E(k) = (e gL + e* gR) / sqrt(2 eps0)
-of the stored snapshot the same way; the routes that read it add time
-analytically or need none.  `synthesize` bakes the evolution phase
-e^{-i w t} (`photon_state.materialized`).
+of the stored snapshot the same way and carries the state's time; the
+routes that read it add time analytically or need none, and synthesis
+applies the phase.
 """
 
 from __future__ import annotations
@@ -71,10 +74,15 @@ class RealVectorField:
 
 @dataclass(frozen=True)
 class SpectralEField:
-    """Plane-wave electric amplitudes E(k) on the momentum grid."""
+    """Plane-wave electric amplitudes E(k) on the momentum grid.
+
+    Like a wavefunction, the values are a snapshot and `time` its state's
+    time: the evolution phase e^{-i w t} is applied where it is needed.
+    """
 
     values: np.ndarray     # (3, nx, ny, nz) complex
     grid: object
+    time: float = 0.0
 
 
 # ---------------------------------------------------------------------------
@@ -194,43 +202,72 @@ class _Divergence:
 # ---------------------------------------------------------------------------
 # synthesis and analysis
 
-def synthesize(wf, t=0.0):
-    """Assemble the complex Maxwell field from helicity amplitudes.
+def synthesize(state, t=0.0):
+    """Assemble the complex Maxwell field of a photon state from its plane-wave amplitudes E(k).
 
-    ``F(r, t) = (2 pi)^{-3/2} int d3k e(k) [gL e^{-i w t + i k.r}
-    + gR* e^{+i w t - i k.r}]``; the negative-frequency term is folded onto
-    the grid by the reflection R[.](k) = conj(.(-k)), so one inverse
-    transform of the three components suffices.  `t` is added to the
-    wavefunction's own time, and `photon_state.materialized` bakes the
-    evolution phase.  Per component, one k_x slab pass writes e_i gL into
-    the spectrum and conj(e_i) gR into one buffer, and a second adds that
-    buffer's mirrored rows (`grids._reflected`).
+    `state` is a `PhotonWaveFunction` or the `SpectralEField` of one (the
+    snapshot's E(k), as a report holds it); `t` is added to its time.  The
+    field is the Riemann-Silberstein vector of E(k):
+    ``F(k) = sqrt(eps0/2) [(E + R[E]) + i n x (E - R[E])]`` with
+    R[E](k) = conj(E(-k)) and E evolved by e^{-i w t} (Bialynicki-Birula,
+    Prog. Opt. 36, 1996), so neither the basis nor a folded buffer enters.
+    One k_x slab pass forms the three components of F(k), one k_x plane at
+    a time from E and its mirrored rows (`grids._reflected`), and the
+    inverse transform runs on them in place.  A state passed as a temporary
+    is freed once its E(k) exists.
     """
-    wf = photon_state.evolve(wf, t)
-    if not np.isfinite(wf.time):
-        raise ValueError(f"synthesis time must be finite, got {wf.time}")
-    grid, basis, time = wf.grid, wf.basis, wf.time
-    wf = photon_state.materialized(wf)
-    spectra = np.empty((3,) + grid.dims, dtype=complex)
-    folded = np.empty(grid.dims, dtype=complex)        # conj(e_i) gR, folded to +k as R[.]
+    state = photon_state.evolve(state, t)
+    time = state.time
+    if not np.isfinite(time):
+        raise ValueError(f"synthesis time must be finite, got {time}")
+    Ek = state if isinstance(state, SpectralEField) else spectral_e_from_wavefunction(state)
+    state = None
+    grid = Ek.grid
+    F = np.empty((3,) + grid.dims, dtype=complex)
+    _over_slabs(grid, 0, partial(_field_rows, grid, Ek.values, F, time))
+    Ek = None
+    return RSField(F=_readonly(inverse_transform(grid, F, out=F)), grid=grid, time=time)
 
-    def products(i, region):
-        S = spectra[i][region]
-        basis._e_slab(i, region, S)
-        Q = np.conjugate(S, out=folded[region])
-        Q *= wf.gR[region]
-        S *= wf.gL[region]
 
-    def fold(i, region):
-        S = spectra[i][region]
-        S += _reflected(folded, region, np.empty(S.shape, dtype=complex))
+def _field_rows(grid, E, F, time, region):
+    """Write F(k) of `synthesize` on the k_x slab `region` into `F`, from the whole E(k) `E` evolved to `time`.
 
-    for i in range(3):
-        _over_slabs(grid, 0, partial(products, i))
-        _over_slabs(grid, 0, partial(fold, i))
-    del folded
-    wf = None       # a baked phase is freed before the transform's output is allocated
-    return RSField(F=_readonly(inverse_transform(grid, spectra)), grid=grid, time=time)
+    One k_x plane at a time, so a worker's scratch is a few planes: R[E]
+    of the plane (R[E] e^{+i w t} once evolved, as w(-k) = w(k)) becomes
+    E - R[E] in place, and ``i n x (E - R[E])`` is
+    ``k x (i (E - R[E]) / |k|)``, one component at a time.  E vanishes at k = 0, and so does F there.
+    The factor sqrt(eps0/2) rides on the phase, or scales the plane at t = 0.
+    """
+    s = np.sqrt(grid.units.eps0 / 2.0)
+    D = np.empty((3, 1) + grid.dims[1:], dtype=complex)
+    tmp = np.empty(D.shape[1:], dtype=complex)
+    for x in range(*region[0].indices(grid.dims[0])):
+        plane = (slice(x, x + 1), slice(None), slice(None))
+        out = F[(slice(None),) + plane]
+        axes = _in_region(grid.k_axes, plane)
+        kmag = _norm(axes)
+        _reflected(E, plane, D)
+        if time:
+            wt = kmag * grid.units.c          # w, then w t, rounded as `grids.GridPair.omega` * t
+            wt *= time
+            phase = np.empty(kmag.shape, dtype=complex)         # s e^{+i w t}, then s e^{-i w t}
+            np.cos(wt, out=phase.real)
+            np.sin(wt, out=phase.imag)
+            phase *= s
+            D *= phase
+            np.negative(phase.imag, out=phase.imag)
+        for i in range(3):
+            E_i = np.multiply(E[i][plane], phase, out=tmp) if time else E[i][plane]
+            np.add(E_i, D[i], out=out[i])
+            np.subtract(E_i, D[i], out=D[i])
+        if x == 0:
+            kmag[0, 0, 0] = 1.0
+        D *= 1j * np.reciprocal(kmag, out=kmag)
+        k = [_along(a, ax) for ax, a in enumerate(axes)]
+        for i in range(3):
+            out[i] += cross_component(k, D, i, out=tmp)
+        if not time:
+            out *= s
 
 
 def _scaled_part(rs, part, s):
@@ -308,9 +345,10 @@ def analyze(rs, basis):
 def spectral_e_from_wavefunction(wf):
     """E(k) of the state's stored snapshot, 0 at k = 0, filled in k_x slabs on the THREADS workers.
 
-    The evolution phase e^{-i w t} is not applied: the photon picture adds
-    time analytically (its K(t)), and darwin's Jo and Js of a free field
-    are the same at every t, so both read the snapshot.
+    The evolution phase e^{-i w t} is not applied, and the result carries
+    the state's time: the photon picture adds time analytically (its K(t)),
+    darwin's Jo and Js of a free field are the same at every t, so both
+    read the snapshot, and `synthesize` applies the phase in its own pass.
     """
     grid = wf.grid
     Ek = np.empty((3,) + grid.dims, dtype=complex)
@@ -321,7 +359,7 @@ def spectral_e_from_wavefunction(wf):
 
     _over_slabs(grid, 0, fill)
     Ek[(slice(None),) + grid.excluded_index] = 0.0
-    return SpectralEField(values=_readonly(Ek), grid=grid)
+    return SpectralEField(values=_readonly(Ek), grid=grid, time=wf.time)
 
 
 def _spectral_e_slab(wf, i, region, out):
@@ -346,12 +384,14 @@ def vector_potential(B):
     three components.  One k_x slab pass over the spectra of B sums the
     divergence check (`_Divergence`) and finds their peak; a second forms
     the products i k x B / |k|^2.  Requires B to be real, mean free (no
-    uniform component) and spectrally divergence free.
+    uniform component) and spectrally divergence free.  A field passed as
+    a temporary is freed once its spectra exist.
     """
-    grid = B.grid
+    grid, time = B.grid, B.time
     if B.values.dtype.kind == "c":
         raise ValueError("B must be a real field")
     Bk = [real_forward_transform(grid, B.values[i]) for i in range(3)]
+    B = None
     div = _Divergence(grid, half=True)
 
     # a slab's peak comes back as a list of one, and the lists of the slabs concatenate
@@ -388,7 +428,7 @@ def vector_potential(B):
 
     _over_slabs(grid, 0, products)
     del Bk
-    return RealVectorField(values=_readonly(real_inverse_transform(grid, Ak)), role="A", grid=grid, time=B.time)
+    return RealVectorField(values=_readonly(real_inverse_transform(grid, Ak)), role="A", grid=grid, time=time)
 
 
 # ---------------------------------------------------------------------------

@@ -21,6 +21,7 @@ from __future__ import annotations
 
 import json
 import math
+import os
 import struct
 import sys
 
@@ -103,17 +104,39 @@ def write_real_field(path, field, provenance=None):
 
 
 def _read_container(path):
-    """Validate a file; return (manifest, read-only (ncomp, nx, ny, nz) array)."""
+    """Validate a file; return (manifest, its (ncomp, nx, ny, nz) payload as a writable array held nowhere else).
+
+    The header is read and checked first, the payload lengths against the
+    manifest and the file's size, so a corrupt file allocates nothing of
+    grid size; the payload is then read straight into the one array.
+    """
     with open(path, "rb") as fh:
-        raw = fh.read()
-    if raw[:8] != MAGIC:
-        raise FieldFileError(f"{path}: not a photonam field file")
-    try:
-        (mlen,) = struct.unpack_from("<Q", raw, 8)
-        manifest = json.loads(raw[16:16 + mlen].decode("utf-8"))
-        (plen,) = struct.unpack_from("<Q", raw, 16 + mlen)
-    except (struct.error, ValueError) as exc:
-        raise FieldFileError(f"{path}: truncated or corrupt header ({exc})") from None
+        size = os.fstat(fh.fileno()).st_size
+        head = fh.read(16)
+        if head[:8] != MAGIC:
+            raise FieldFileError(f"{path}: not a photonam field file")
+        try:
+            (mlen,) = struct.unpack_from("<Q", head, 8)
+            if mlen > size - 16:
+                raise ValueError("the manifest runs past the end of the file")
+            manifest = json.loads(fh.read(mlen).decode("utf-8"))
+            (plen,) = struct.unpack("<Q", fh.read(8))
+        except (struct.error, ValueError) as exc:
+            raise FieldFileError(f"{path}: truncated or corrupt header ({exc})") from None
+        shape, dtype = _payload_layout(path, manifest)
+        left = size - (24 + mlen)
+        if left < plen:
+            raise FieldFileError(f"{path}: truncated payload")
+        if plen != left or plen != math.prod(shape) * dtype.itemsize:
+            raise FieldFileError(f"{path}: payload length {plen} does not match manifest")
+        payload = np.empty(shape, dtype=dtype)
+        if fh.readinto(payload.reshape(-1).view(np.uint8)) != plen:
+            raise FieldFileError(f"{path}: truncated payload")
+    return manifest, payload
+
+
+def _payload_layout(path, manifest):
+    """Validate a file's manifest; return the shape and dtype of its payload."""
     if not isinstance(manifest, dict) or manifest.get("kind") not in _KINDS:
         raise FieldFileError(f"{path}: manifest names no known file kind")
     ncomp, kind_keys, is_complex = _KINDS[manifest["kind"]]
@@ -134,14 +157,7 @@ def _read_container(path):
         axis = manifest["chart_axis"]
         if not (isinstance(axis, list) and len(axis) == 3 and all(map(_finite_number, axis))):
             raise FieldFileError(f"{path}: manifest chart_axis {axis!r} is not three finite numbers")
-    shape = (ncomp,) + tuple(dims)
-    payload = memoryview(raw)[24 + mlen:]
-    if len(payload) < plen:
-        raise FieldFileError(f"{path}: truncated payload")
-    dtype = np.dtype("<c16" if is_complex else "<f8")
-    if plen != len(payload) or plen != math.prod(shape) * dtype.itemsize:
-        raise FieldFileError(f"{path}: payload length {plen} does not match manifest")
-    return manifest, np.frombuffer(payload, dtype=dtype).reshape(shape)
+    return (ncomp,) + tuple(dims), np.dtype("<c16" if is_complex else "<f8")
 
 
 def _finite_number(v):
@@ -152,7 +168,8 @@ def _finite_number(v):
 def read(path):
     """Read any field file; returns (object, manifest).
 
-    Every malformed file raises `FieldFileError`.
+    Every malformed file raises `FieldFileError`.  The payload is read once,
+    into the arrays the object holds, read-only.
     """
     manifest, data = _read_container(path)
     kind, time, u = manifest["kind"], manifest["time"], manifest["units"]
@@ -165,7 +182,7 @@ def read(path):
         raise FieldFileError(f"{path}: manifest grid or chart axis is invalid ({exc!r})") from None
 
     if kind == "wavefunction":
-        return photon_state.wavefunction(grid, basis, data[0], data[1], time=time), manifest
+        return photon_state._adopted(grid, basis, data[0], data[1], time=time), manifest
     if kind == "rs_field":
         return RSField(F=_readonly(data), grid=grid, time=time), manifest
     return RealVectorField(values=_readonly(data), role=manifest["role"], grid=grid, time=time), manifest

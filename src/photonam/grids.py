@@ -61,11 +61,13 @@ BOUNDARY_TOL = 1e-8
 
 #: peak working set of the largest photonam command, in complex grid arrays
 #: (16 bytes per grid point): `observables` with all five routes peaks at
-#: 379 MiB RSS at 128^3 with THREADS=2, on a wavefunction or an rs_field file
-#: (its peak is the nonlocal convolution; the four default routes peak at
-#: 313 MiB, in the darwin route, `split` at 159 MiB, in the photon picture,
-#: `beam` at 138 MiB, `analyze` at 266 MiB and `potential` at 326 MiB);
-#: 16 arrays of 32 MiB leave a 35% margin
+#: 379-380 MiB RSS at 128^3 with THREADS=2, on a wavefunction or an rs_field
+#: file (its peak is the nonlocal convolution; the four default routes peak
+#: at 235 MiB on a wavefunction, where darwin, the synthesis of F and the E
+#: and B copies each hold about six arrays, and at 266 MiB on an rs_field
+#: file, in its analysis; `split` at 155 MiB, in the photon picture, `beam`
+#: at 133 MiB, `synthesize` at 228 MiB, `analyze` at 266 MiB and `potential`
+#: at 326 MiB); 16 arrays of 32 MiB leave a 35% margin
 WORKING_SET_ARRAYS = 16
 
 
@@ -120,7 +122,7 @@ class GridPair:
     `kvec` gives zero-stride views, the methods allocate one real array per
     call (`nhat` one component per call).  The quadrature weight of the
     momentum sum is the scalar `dVk`, with the k=0 bin (`excluded_index`)
-    excluded; `photon_state.wavefunction` zeroes amplitudes there.
+    excluded; `photon_state._adopted` zeroes amplitudes there.
     Immutable; the axes are read-only and may be shared freely between
     workers.
     """
@@ -477,20 +479,23 @@ def forward_transform(grid, f):
     return out
 
 
-def inverse_transform(grid, F):
+def inverse_transform(grid, F, out=None):
     """Momentum space -> real space; exact inverse of forward_transform.
 
-    The result is the only array allocated.
+    The result is the only array allocated; with `out`, a complex array of
+    the shape of `F` (`F` itself, to transform in place), none is.
     """
     F = np.asarray(F)
     _check_shape(grid, F)
-    out = np.empty(F.shape, dtype=complex)
+    if out is None:
+        out = np.empty(F.shape, dtype=complex)
     scale = grid.dVk * grid.npoints / ROOT_2PI_CUBED
     px, pyz = grid.fft_phase()
 
     def rows(region):
         part = out[(Ellipsis,) + region]
-        part[...] = F[(Ellipsis,) + region]
+        if out is not F:
+            part[...] = F[(Ellipsis,) + region]
         part *= px[region]
         part *= pyz
         np.fft.ifft(part, axis=-1, out=part)

@@ -14,9 +14,10 @@ The field picture accumulates |F|^2, then forms V = Im(F* x F) one
 component at a time.  The photon picture reduces each product
 E_i* d_a E_i where it is made, one component and axis at a time, on E(k)
 it fills one component at a time or on the whole E(k) that a report
-builds once for it and darwin.  The darwin route reduces one component of
-E at a time, from its stacked k gradient (the one (3, N) stack left:
-`perfbench` counts the callers of `spectral_gradient_k`); the textbook
+builds once for it, darwin and the synthesis of F.  The darwin route
+reduces one component of E at a time, from its stacked k gradient (the
+one (3, N) stack left: `perfbench` counts the callers of
+`spectral_gradient_k`), weighting it by w formed per slab; the textbook
 route takes each derivative d_b A_i by a 1-d real transform pair along b
 alone, one slab at a time, and reduces it there, so it makes no 3-d
 transform; the nonlocal route convolves one component of curl B at a time
@@ -61,6 +62,7 @@ from .grids import (
     _nhat,
     _over_slabs,
     _real_derivative_axis,
+    _w_invariant,
     _warn_decay,
 )
 
@@ -241,17 +243,22 @@ def darwin_split(Ek):
     eps0 = grid.units.eps0
     E = Ek.values
     margin = check_boundary_decay(E, "E(k)", "k")
-    w2 = grid.w_invariant()                     # dVk / (c |k|), zero at k=0
-    w2 *= grid.units.hbar
+
+    def weight(region):
+        """dVk / (c |k|) on the slab `region`, zero at k=0."""
+        w2 = _w_invariant(grid, region)
+        w2 *= grid.units.hbar
+        return w2
 
     # E* x E is purely imaginary: Im(E* x E) = 2 Re E x Im E
     def spin(region):
         Es = E[(slice(None),) + region]
+        w2 = weight(region)
         buf = np.empty(Es.shape[1:])
         part = np.empty(3)
         for j in range(3):
             cross_component(Es.real, Es.imag, j, out=buf)
-            buf *= w2[region]
+            buf *= w2
             part[j] = np.sum(buf)
         return part
 
@@ -260,8 +267,8 @@ def darwin_split(Ek):
     # X_j = eps_jab M[a, b], M[a, b] = sum_i sum_k k_a conj(E_i) d_b E_i
     def orbital(region):
         Ts = T[(slice(None),) + region]
-        weight = np.conjugate(E[i][region])
-        Ts *= np.multiply(w2[region], weight, out=weight)
+        wE = np.conjugate(E[i][region])
+        Ts *= np.multiply(weight(region), wE, out=wE)
         k = _in_region(grid.k_axes, region)
         return np.stack([moments(k, Ts[b]) for b in range(3)], axis=1)
 

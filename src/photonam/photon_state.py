@@ -15,8 +15,8 @@ that decay near the momentum boundary.  Only `check algebra` reads it (its
 generators and commutators, `algebra_checks`); no reported route does: the
 photon picture takes its Jo and K from E(k) with an exact k derivative and
 needs no connection (`observables.generators_photon_picture`).  Neither D
-nor `wavefunction` checks the decay: the beam factories
-(`beams.bessel_beam`, `beams.gaussian_vortex`) measure it.
+nor `_adopted`, which makes a state of its arrays, checks the decay: the
+beam factories (`beams.bessel_beam`, `beams.gaussian_vortex`) measure it.
 """
 
 from __future__ import annotations
@@ -25,7 +25,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .grids import spectral_gradient_k, _gradient_k_axis, _omega, _over_slabs, _readonly, _w_invariant
+from .grids import spectral_gradient_k, _gradient_k_axis, _readonly, _w_invariant
 
 HELICITIES = (+1, -1)
 
@@ -45,25 +45,11 @@ class PhotonWaveFunction:
         return {+1: self.gL, -1: self.gR}
 
 
-def wavefunction(grid, basis, gL, gR, time=0.0):
-    """Canonicalize raw amplitude arrays into a PhotonWaveFunction.
-
-    The arrays are copied, and the excluded k=0 bin is zeroed (the invariant
-    measure has no weight there).  A basis on another grid is refused; the
-    decay of the state is not measured here.
-    """
-    grid.require_same(basis.grid, "the amplitudes and their polarization basis")
-    gL = np.array(gL, dtype=complex)
-    gR = np.array(gR, dtype=complex)
-    if gL.shape != grid.dims or gR.shape != grid.dims:
-        raise ValueError("amplitude shape does not match grid")
-    return _adopted(grid, basis, gL, gR, time=time)
-
-
 def _adopted(grid, basis, gL, gR, time=0.0):
-    """The state of `gL` and `gR`, complex grid arrays just built and held nowhere else: `wavefunction` without its copies.
+    """The state of `gL` and `gR`, complex grid arrays just built or read and held nowhere else; no copy is made.
 
-    The k=0 bin is zeroed and the arrays are made read-only.
+    The k=0 bin is zeroed (the invariant measure has no weight there) and
+    the arrays are made read-only.  The decay of the state is not measured.
     """
     for g in (gL, gR):
         g[grid.excluded_index] = 0.0
@@ -87,33 +73,14 @@ def _photons_on(grid, gL, gR, region):
     return float(np.sum(integrand).real)
 
 
-def evolve(wf, t):
+def evolve(state, t):
     """Advance by `t`: physically g -> exp(-i omega t) g.
 
-    The phase is tracked analytically (see module docstring); synthesis and
-    mixed-time products materialize it where it is actually needed.
+    `state` is a wavefunction or its E(k) (`fields_bridge.SpectralEField`),
+    whose amplitudes evolve alike.  The phase is tracked analytically (see
+    module docstring); synthesis applies it where it is actually needed.
     """
-    return replace(wf, time=wf.time + float(t))
-
-
-def materialized(wf):
-    """Bake the evolution phase into the stored arrays (time reset to 0), in k_x slabs on the THREADS workers.
-
-    Provided for interoperability; derivative-based observables computed from
-    a materialized state suffer the full finite-difference phase error.
-    """
-    if wf.time == 0.0:
-        return wf
-    grid = wf.grid
-    gL, gR = (np.empty(grid.dims, dtype=complex) for _ in range(2))
-
-    def bake(region):
-        phase = np.exp(-1j * _omega(grid, region) * wf.time)
-        np.multiply(wf.gL[region], phase, out=gL[region])
-        np.multiply(wf.gR[region], phase, out=gR[region])
-
-    _over_slabs(grid, 0, bake)
-    return replace(wf, gL=_readonly(gL), gR=_readonly(gR), time=0.0)
+    return replace(state, time=state.time + float(t))
 
 
 def gauge_transform(wf, phi):

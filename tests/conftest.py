@@ -1,13 +1,15 @@
 import contextlib
 import tracemalloc
 import warnings
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
 import photonam as pn
+from photonam import photon_state
 from photonam.fields_bridge import _Divergence
-from photonam.grids import BoundaryDecayWarning, cross_component
+from photonam.grids import BoundaryDecayWarning, cross_component, reflect_conjugate, _readonly
 
 
 def rel(a, b):
@@ -25,6 +27,22 @@ def nhat_stack(grid):
 def e_stack(basis):
     """The polarization vectors e(k) as one (3,) + dims array, from the per-component accessor."""
     return np.stack([basis.e(i) for i in range(3)])
+
+
+def wavefunction(grid, basis, gL, gR, time=0.0):
+    """The state of copies of the raw amplitude arrays `gL` and `gR`: the tests' constructor.
+
+    The package builds its states in place (`photon_state._adopted`); this
+    copies, so a test may go on using its arrays.  The k=0 bin is zeroed, a
+    basis on another grid or arrays of another shape are refused, and the
+    decay of the state is not measured.
+    """
+    grid.require_same(basis.grid, "the amplitudes and their polarization basis")
+    gL = np.array(gL, dtype=complex)
+    gR = np.array(gR, dtype=complex)
+    if gL.shape != grid.dims or gR.shape != grid.dims:
+        raise ValueError("amplitude shape does not match grid")
+    return photon_state._adopted(grid, basis, gL, gR, time=time)
 
 
 def project_spectral_e(Ek, basis):
@@ -45,7 +63,7 @@ def project_spectral_e(Ek, basis):
     s = np.sqrt(2.0 * grid.units.eps0)
     gL *= s
     gR *= s
-    return pn.wavefunction(grid, basis, gL, gR)
+    return wavefunction(grid, basis, gL, gR)
 
 
 def scalar_product(wf1, wf2):
@@ -69,6 +87,32 @@ def norm(wf):
 def photon_number(wf):
     """Oracle: the total photon number N = <g|g>; real and nonnegative."""
     return scalar_product(wf, wf).real
+
+
+def materialized(wf):
+    """Oracle: the state with its evolution phase e^{-i w t} baked into the amplitudes, and time 0."""
+    if wf.time == 0.0:
+        return wf
+    phase = np.exp(-1j * wf.grid.omega() * wf.time)
+    return replace(wf, gL=_readonly(wf.gL * phase), gR=_readonly(wf.gR * phase), time=0.0)
+
+
+def basis_fold_spectrum(wf, t=0.0):
+    """Oracle of the spectrum F(k) that `synthesize` transforms: e gL + R[e* gR] of the amplitudes evolved by `t`.
+
+    The negative-frequency term e* gR is folded onto the grid by
+    R[.](k) = conj(.(-k)), whole-array, one component of e(k) at a time:
+    the synthesis through the basis, which `synthesize` replaced by its
+    pass over E(k).  The two agree to rounding off the Nyquist planes;
+    on them -k aliases onto k, and n(-k) != -n(k).
+    """
+    grid = wf.grid
+    wf = materialized(pn.evolve(wf, t))
+    F = np.empty((3,) + grid.dims, dtype=complex)
+    for i in range(3):
+        e_i = wf.basis.e(i)
+        F[i] = e_i * wf.gL + reflect_conjugate(grid, np.conjugate(e_i) * wf.gR)
+    return F
 
 
 def divergence_ratio(grid, V):

@@ -11,7 +11,7 @@ import photonam as pn
 from photonam import fileio, polarization
 from photonam.cli import ROUTES, build_report, main
 
-from conftest import decay_ignored, rel, smooth_state, traced_peak
+from conftest import decay_ignored, materialized, rel, smooth_state, traced_peak, wavefunction
 
 
 # ---------------------------------------------------------------------------
@@ -29,6 +29,24 @@ def test_wavefunction_file_roundtrip(tmp_path, grid32, basis32):
     assert np.array_equal(back.gL, wf.gL)
     assert np.array_equal(back.gR, wf.gR)
     assert back.time == wf.time
+
+
+def test_reading_a_file_allocates_its_payload_once(tmp_path, grid32, basis32):
+    """The payload is read straight into the arrays the objects hold, read-only, with no copy of the file's bytes."""
+    wf = smooth_state(grid32, basis32, seed=1)
+    rs = pn.synthesize(wf)
+    writes = {"wavefunction": lambda path: fileio.write_wavefunction(path, wf),
+              "rs_field": lambda path: fileio.write_rs_field(path, rs),
+              "real_field": lambda path: fileio.write_real_field(path, pn.electric_field(rs))}
+    for kind, write in writes.items():
+        path = tmp_path / f"{kind}.pam"
+        write(path)
+        payload = path.stat().st_size
+        (obj, manifest), peak = traced_peak(lambda: fileio.read(path))
+        assert manifest["kind"] == kind
+        assert payload < peak < 1.2 * payload, f"{kind}: {peak} bytes allocated for a {payload}-byte file"
+        arrays = (obj.gL, obj.gR) if kind == "wavefunction" else (obj.F if kind == "rs_field" else obj.values,)
+        assert not any(a.flags.writeable for a in arrays)
 
 
 def test_a_re_gauged_state_reads_back_as_the_same_physical_state(tmp_path):
@@ -68,7 +86,7 @@ def test_write_read_write_is_byte_identical(tmp_path, kind, dims, time, provenan
     data = rng.standard_normal((3,) + dims) + 1j * rng.standard_normal((3,) + dims)
     if kind in ("wavefunction", "regauged"):
         basis = pn.chart_basis(grid, np.asarray(axis) / np.linalg.norm(axis))
-        obj = pn.wavefunction(grid, basis, data[0], data[1], time=time)
+        obj = wavefunction(grid, basis, data[0], data[1], time=time)
         if kind == "regauged":
             obj = pn.gauge_transform(obj, rng.uniform(-np.pi, np.pi, dims))
         write = fileio.write_wavefunction
@@ -110,7 +128,7 @@ def test_corrupt_files_rejected(tmp_path, capsys):
     grid = pn.make_grid(8)
     basis = pn.build_basis(grid)
     z = np.zeros(grid.dims, dtype=complex)
-    wf = pn.wavefunction(grid, basis, z, z)
+    wf = wavefunction(grid, basis, z, z)
     good = tmp_path / "good.pam"
     fileio.write_wavefunction(good, wf)
     truncated = tmp_path / "trunc.pam"
@@ -354,11 +372,33 @@ def test_beam_input_is_refused_before_the_first_grid_sized_allocation(tmp_path, 
     assert payload["type"] == "ValueError" and message in payload["error"]
 
 
+def test_a_ring_whose_tail_crosses_the_grid_edge_is_refused_before_allocation(tmp_path, capsys):
+    """At k_z = 0 the default ring, k_perp0 = 0.62 pi, and 4 sigma_perp of its tail cross the Nyquist edge of 32^3."""
+    out = tmp_path / "x.pam"
+    (code, _, err), peak = traced_peak(lambda: run_cli(
+        capsys, "beam", "bessel", "--kz-over-k", "0", "--chart-axis", "0,0,1", "--grid", "32", "--m", "1",
+        "-o", str(out)))
+    assert code == 2 and not out.exists()
+    assert peak < 0.25 * 16 * 32 ** 3, f"{peak} bytes allocated before the refusal"
+    assert "crosses the transverse grid boundary" in json.loads(err.strip())["error"]
+
+
+@pytest.mark.parametrize("n", [48, 64, 96, 128])
+def test_the_default_bessel_beam_fits_its_grid(tmp_path, capsys, n):
+    out = tmp_path / "b.pam"
+    with decay_ignored():
+        assert run_cli(capsys, "beam", "bessel", "--grid", str(n), "--m", "3", "-o", str(out))[0] == 0
+    assert out.stat().st_size > 2 * 16 * n ** 3
+
+
 def _kz_zero_split(tmp_path, capsys):
-    """The `split --json` report of an m=1 Bessel beam at k_z = 0, on the z chart (the x chart cuts its ring)."""
+    """The `split --json` report of an m=1 Bessel beam at k_z = 0, on the z chart (the x chart cuts its ring).
+
+    From 64^3 the default ring and its tail fit the grid at k_z = 0.
+    """
     beam = tmp_path / "kz0.pam"
     with decay_ignored():
-        assert run_cli(capsys, "beam", "bessel", "--kz-over-k", "0", "--chart-axis", "0,0,1", "--grid", "32",
+        assert run_cli(capsys, "beam", "bessel", "--kz-over-k", "0", "--chart-axis", "0,0,1", "--grid", "64",
                        "--m", "1", "-o", str(beam))[0] == 0
         code, out, _ = run_cli(capsys, "split", str(beam), "--json")
     assert code == 0
@@ -434,7 +474,7 @@ def test_failed_allocation_exits_2_with_error_json(tmp_path, capsys, monkeypatch
 
 def test_zero_state_report(tmp_path, capsys, grid16, basis16):
     z = np.zeros(grid16.dims, dtype=complex)
-    wf = pn.wavefunction(grid16, basis16, z, z)
+    wf = wavefunction(grid16, basis16, z, z)
     path = tmp_path / "zero.pam"
     fileio.write_wavefunction(path, wf)
     code, text, _ = run_cli(capsys, "observables", str(path), "--json",
@@ -566,7 +606,7 @@ def test_synthesize_analyze_potential_pipeline(tmp_path, capsys):
 
     orig, _ = fileio.read(beam)
     back, _ = fileio.read(wf2)
-    evolved = pn.materialized(pn.evolve(orig, 0.1))
+    evolved = materialized(pn.evolve(orig, 0.1))
     assert rel(back.gL, evolved.gL) < 1e-10
 
     A, man = fileio.read(apath)

@@ -11,7 +11,7 @@ from photonam.grids import BOUNDARY_TOL, BoundaryDecayWarning, _readonly, cross,
 from photonam.observables import _cell_self_weight, _textbook_moments
 
 from conftest import (decay_ignored, fd_photon_picture, nhat_stack, project_spectral_e, rel, row_slabs, smooth_state,
-                      spectral_divergence)
+                      spectral_divergence, wavefunction)
 from rotations import rotate_wavefunction, rotation_matrix
 
 
@@ -56,7 +56,7 @@ def test_plane_wave_energy_momentum_lightlike(grid16, basis16):
     g = grid16
     gL = np.zeros(g.dims, dtype=complex)
     gL[2, 3, 4] = 1.0
-    wf = pn.wavefunction(g, basis16, gL, np.zeros(g.dims))
+    wf = wavefunction(g, basis16, gL, np.zeros(g.dims))
     rs = pn.synthesize(wf)
     with decay_ignored():      # a plane wave fills the box; only H and P are checked
         gen = pn.generators_field_picture(rs)
@@ -67,7 +67,7 @@ def test_field_picture_boundary_guard(grid16, basis16):
     g = grid16
     gL = np.zeros(g.dims, dtype=complex)
     gL[2, 3, 4] = 1.0   # plane wave: no real-space decay
-    rs = pn.synthesize(pn.wavefunction(g, basis16, gL, np.zeros(g.dims)))
+    rs = pn.synthesize(wavefunction(g, basis16, gL, np.zeros(g.dims)))
     with pytest.warns(BoundaryDecayWarning, match="real-space boundary") as record:
         gen = pn.generators_field_picture(rs)
     assert len(record) == 1
@@ -103,7 +103,7 @@ def test_shared_peak_still_flags_a_flat_helicity(grid48, basis48):
     """A non-decaying gR at 1e-3 of the peak beside a decaying gL fails the joint measurement."""
     good = decaying_packet(grid48, basis48)
     flat = np.full(grid48.dims, 1e-3 * np.abs(good.gL).max())
-    wf = pn.wavefunction(grid48, basis48, good.gL, flat)
+    wf = wavefunction(grid48, basis48, good.gL, flat)
     with warnings.catch_warnings(record=True) as record:
         warnings.simplefilter("always")
         gen = pn.generators_photon_picture(wf)

@@ -7,26 +7,26 @@ import photonam as pn
 from photonam import algebra_checks, photon_state
 from photonam.grids import BoundaryDecayWarning
 
-from conftest import norm, photon_number, rel, scalar_product, smooth_state
+from conftest import materialized, norm, photon_number, rel, scalar_product, smooth_state, wavefunction
 
 
 def test_wavefunction_zeroes_excluded_bin(grid16, basis16):
     g = grid16
     raw = np.ones(g.dims, dtype=complex)
-    wf = pn.wavefunction(g, basis16, raw, raw)
+    wf = wavefunction(g, basis16, raw, raw)
     assert wf.gL[0, 0, 0] == 0.0 and wf.gR[0, 0, 0] == 0.0
 
 
 def test_wavefunction_shape_check(grid16, basis16):
     with pytest.raises(ValueError, match="shape"):
-        pn.wavefunction(grid16, basis16, np.zeros((4, 4, 4)), np.zeros((4, 4, 4)))
+        wavefunction(grid16, basis16, np.zeros((4, 4, 4)), np.zeros((4, 4, 4)))
 
 
 def test_wavefunction_is_silent_and_gaussian_vortex_warns_on_poor_decay(grid16, basis16):
     """`wavefunction` measures nothing; the beam factory measures the decay, once."""
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        pn.wavefunction(grid16, basis16, np.ones(grid16.dims), np.zeros(grid16.dims))
+        wavefunction(grid16, basis16, np.ones(grid16.dims), np.zeros(grid16.dims))
     with pytest.warns(BoundaryDecayWarning, match="wavefunction does not decay") as record:
         pn.gaussian_vortex(grid16, basis16, center=(2.0, 2.0, 0.5), widths=1.0)
     assert len(record) == 1
@@ -35,7 +35,7 @@ def test_wavefunction_is_silent_and_gaussian_vortex_warns_on_poor_decay(grid16, 
 def test_poor_decay_warns_once_per_call(grid16, basis16):
     """Both helicities fail the decay check, yet the reporting route warns once; D checks nothing."""
     flat = np.ones(grid16.dims)
-    wf = pn.wavefunction(grid16, basis16, flat, flat)
+    wf = wavefunction(grid16, basis16, flat, flat)
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         pn.covariant_derivative(wf)
@@ -60,7 +60,7 @@ def test_scalar_product_single_bin(grid16, basis16):
     amp = 1.3 - 0.7j
     arr = np.zeros(g.dims, dtype=complex)
     arr[idx] = amp
-    wf = pn.wavefunction(g, basis16, arr, np.zeros(g.dims))
+    wf = wavefunction(g, basis16, arr, np.zeros(g.dims))
     expected = abs(amp) ** 2 * g.dVk / (g.units.hbar * g.omega()[idx])
     assert photon_number(wf) == pytest.approx(expected, rel=1e-14)
 
@@ -68,19 +68,19 @@ def test_scalar_product_single_bin(grid16, basis16):
 def test_scalar_product_grid_mismatch(grid16, grid32, basis16, basis32):
     a = smooth_state(grid32, basis32)
     z = np.zeros(grid16.dims, dtype=complex)
-    b = pn.wavefunction(grid16, basis16, z, z)
+    b = wavefunction(grid16, basis16, z, z)
     with pytest.raises(ValueError, match="different grids"):
         scalar_product(a, b)
 
 
 def test_photon_number_zero_state_and_scaling(grid16, basis16):
     z = np.zeros(grid16.dims, dtype=complex)
-    zero = pn.wavefunction(grid16, basis16, z, z)
+    zero = wavefunction(grid16, basis16, z, z)
     assert photon_number(zero) == 0.0
 
     wf = smooth_state(pn.make_grid(48), pn.build_basis(pn.make_grid(48)))
     lam = 0.3 - 1.1j
-    scaled = pn.wavefunction(wf.grid, wf.basis, lam * wf.gL, lam * wf.gR)
+    scaled = wavefunction(wf.grid, wf.basis, lam * wf.gL, lam * wf.gR)
     assert photon_number(scaled) == pytest.approx(abs(lam) ** 2 * photon_number(wf), rel=1e-12)
 
 
@@ -91,7 +91,7 @@ def test_evolve_group_property_and_invariance(state48):
     assert w12.time == pytest.approx(1.3)
     assert photon_number(w12) == photon_number(wf)
     # physical amplitudes agree with the directly materialized phase
-    direct = pn.materialized(pn.evolve(wf, 1.3))
+    direct = materialized(pn.evolve(wf, 1.3))
     phase = np.exp(-1j * wf.grid.omega() * 1.3)
     assert rel(direct.gL, phase * wf.gL) < 1e-15
     # mixed-time products pick up the relative phase
@@ -110,7 +110,7 @@ def test_covariant_derivative_flat_patch(grid48, basis48):
     center = np.array([g.dims[0] // 4 * g.dk[0], 0.0, 0.0])
     d2 = (kx - center[0]) ** 2 + ky ** 2 + kz ** 2
     plateau = (d2 < (3 * g.dk[0]) ** 2).astype(complex)
-    wf = pn.wavefunction(g, basis48, plateau, np.zeros(g.dims))
+    wf = wavefunction(g, basis48, plateau, np.zeros(g.dims))
     D = pn.covariant_derivative(wf)
     idx = (g.dims[0] // 4, 0, 0)
     for j in range(3):

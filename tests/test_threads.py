@@ -22,12 +22,12 @@ import numpy as np
 import pytest
 
 import photonam as pn
-from photonam import grids
+from photonam import fields_bridge, grids
 from photonam.cli import _generator_dict, build_report, main
 from photonam.fields_bridge import RealVectorField, RSField, SpectralEField
 from photonam.observables import _textbook_moments
 
-from conftest import decay_ignored, e_stack, project_spectral_e, rel, smooth_state
+from conftest import decay_ignored, e_stack, materialized, project_spectral_e, rel, smooth_state, wavefunction
 
 
 @pytest.fixture()
@@ -158,7 +158,7 @@ def _regauged(basis):
     grid = basis.grid
     kx, ky, kz = grid.kvec
     zero = np.zeros(grid.dims)
-    return pn.gauge_transform(pn.wavefunction(grid, basis, zero, zero), 0.3 * kx * kz - 0.2 * ky).basis
+    return pn.gauge_transform(wavefunction(grid, basis, zero, zero), 0.3 * kx * kz - 0.2 * ky).basis
 
 
 CHARTS = [(1.0, 0.0, 0.0), (0.0, np.cos(1e-7), np.sin(1e-7)), tuple(np.ones(3) / np.sqrt(3.0))]
@@ -322,9 +322,9 @@ def _whole_bessel_beam(grid, basis, spec):
 @pytest.mark.parametrize("gauged", [False, True])
 def test_bessel_beam_is_identical_for_any_thread_count(threaded, m, helicity, gauged):
     """Envelope, e_z column and projection per k_x slab equal the whole E(k) projected at once, bit for bit."""
-    grid = pn.make_grid((28, 26, 26))
+    grid = pn.make_grid((36, 34, 40))      # uneven, and its Nyquist box holds the ring's 4-sigma tails
     sigma = 2.0 * max(grid.dk)
-    spec = pn.BesselSpec(k_perp0=2.05, k_z0=2.0, m=m, helicity=helicity, sigma_perp=sigma, sigma_z=sigma)
+    spec = pn.BesselSpec(k_perp0=1.57, k_z0=1.5, m=m, helicity=helicity, sigma_perp=sigma, sigma_z=sigma)
     basis = pn.chart_basis(grid, (1.0, 0.0, 0.0))
     if gauged:
         basis = _regauged(basis)
@@ -388,7 +388,7 @@ def test_normalized_bessel_beam_is_identical_for_any_thread_count(threaded, grid
     """At 64^3, the beam's N is summed in its column pass and the scale applied in slabs.
 
     A 16 x 12 x 10 grid cannot resolve a Bessel ring (`BesselSpec.validate`);
-    the raw beam is compared at 28 x 26 x 26 above.
+    the raw beam is compared at 36 x 34 x 40 above.
     """
     k0 = 0.62 * np.pi
     sigma = 2.5 * grid64.dk[0]
@@ -413,7 +413,7 @@ def _transverse_state(grid, basis):
     g = rng.standard_normal((2,) + grid.dims) + 1j * rng.standard_normal((2,) + grid.dims)
     for ax, n in enumerate(grid.dims):
         g[(slice(None),) * (ax + 1) + (n // 2,)] = 0.0
-    return pn.wavefunction(grid, basis, g[0], g[1])
+    return wavefunction(grid, basis, g[0], g[1])
 
 
 @pytest.mark.parametrize("dims", CONVERT_DIMS)
@@ -435,9 +435,30 @@ def test_field_conversions_are_identical_for_any_thread_count(threaded, dims, ti
     A = _compare(threaded, lambda: pn.vector_potential(B).values)
     assert np.array_equal(E, np.sqrt(2.0 / grid.units.eps0) * rs.F.real)
     assert np.array_equal(B.values, np.sqrt(2.0 / grid.units.eps0) / grid.units.c * rs.F.imag)
-    expected = pn.materialized(pn.evolve(wf, time))
+    expected = materialized(pn.evolve(wf, time))
     assert all(rel(g, h) < 1e-13 for g, h in zip(back, _pair(expected)))
     assert np.abs(pn.spectral_curl(grid, A) - B.values).max() <= 1e-12 * np.abs(B.values).max()
+
+
+@pytest.mark.parametrize("dims", CONVERT_DIMS)
+@pytest.mark.parametrize("time", [0.0, 0.7])
+def test_synthesis_pass_is_identical_for_any_thread_count(threaded, dims, time):
+    """F(k) of E(k), one k_x plane at a time in each slab, and the field from it, at THREADS = 1, 2 and 4.
+
+    Each plane reads the mirrored rows of E, which other slabs own; four
+    workers are more than the cores.
+    """
+    grid = pn.make_grid(dims)
+    Ek = pn.spectral_e_from_wavefunction(_transverse_state(grid, _regauged(pn.chart_basis(grid, (1.0, 0.0, 0.0)))))
+
+    def spectrum():
+        out = np.empty((3,) + grid.dims, dtype=complex)
+        grids._over_slabs(grid, 0, partial(fields_bridge._field_rows, grid, Ek.values, out, time))
+        return out
+
+    for threads in (2, 4):
+        _compare(threaded, spectrum, threads=threads)
+        _compare(threaded, lambda: pn.synthesize(Ek, time).F, threads=threads)
 
 
 def _json_leaves(value, path=()):
@@ -490,7 +511,7 @@ def test_a_grid_with_fewer_rows_than_workers(threaded):
         F = pn.forward_transform(grid, f)
         half = grids.real_forward_transform(grid, f.real)
         basis = pn.build_basis(grid, (1.0, 0.0, 0.0))
-        Ek = pn.spectral_e_from_wavefunction(pn.wavefunction(grid, basis, f[1], f[2]))
+        Ek = pn.spectral_e_from_wavefunction(wavefunction(grid, basis, f[1], f[2]))
         return (F, pn.inverse_transform(grid, F), half, grids.real_inverse_transform(grid, half),
                 pn.spectral_gradient_k(grid, f[0]), e_stack(basis), basis.alpha_base, Ek.values)
 

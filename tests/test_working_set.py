@@ -10,11 +10,13 @@ at THREADS=2, so the budgets hold on the threaded paths on any machine.
 
 import tracemalloc
 import warnings
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
 import photonam as pn
+from photonam.cli import build_report
 
 from conftest import smooth_state, traced_peak
 
@@ -31,13 +33,21 @@ BUDGETS = {
     "generators_photon_picture_lazy_basis": 3.2,     # derives no alpha: the same route as on a built basis
     "darwin_split": 5.1,
     "vector_potential": 5.0,
+    # B passed as a temporary is freed once its spectra exist: 4.60 measured, and 6.1 if it were held
+    "vector_potential_temporary_B": 5.0,
     # one real buffer for div A (0.5) and, on each of two workers, the 1-d spectrum and
     # derivative of a half-grid slab (0.51): 1.52 measured
     "textbook_split": 1.6,
     "bessel_beam": 7.1,
     # gL and gR, written in place per slab and scaled there, and the decay margin's |g|: 4.00 measured
     "gaussian_vortex": 4.6,
-    "synthesize": 8.0,
+    # E(k) and F(k), transformed in place (6.0), and a few k_x planes of scratch per worker: 6.27 measured
+    "synthesize": 6.6,
+    # a state passed as a temporary is freed once its E(k) exists: 6.27 measured, and 8.3 if it were held
+    "synthesize_temporary_state": 6.6,
+    # the four default routes on a state passed as a temporary: darwin's peak, E(k) and its stacked
+    # gradient (6.0) and the slab scratch of two workers (1.58), once the state is freed: 7.58 measured
+    "build_report": 8.0,
     "generators_field_picture": 2.0,
     "spectral_e_from_wavefunction": 5.0,
     "analyze": 7.0,
@@ -70,10 +80,14 @@ def stages64(grid64, basis64):
         "generators_photon_picture_lazy_basis": lambda: pn.generators_photon_picture(wf_lazy),
         "darwin_split": lambda: pn.darwin_split(Ek),
         "vector_potential": lambda: pn.vector_potential(B),
+        "vector_potential_temporary_B": lambda: pn.vector_potential(replace(B, values=B.values.copy())),
         "textbook_split": lambda: pn.textbook_split(E, A),
         "bessel_beam": lambda: pn.bessel_beam(grid64, basis64, spec),
         "gaussian_vortex": lambda: smooth_state(grid64, basis64, seed=6, mix=(1.0, 0.4j), m=1, photons=1.0),
         "synthesize": lambda: pn.synthesize(wf),
+        "synthesize_temporary_state": lambda: pn.synthesize(smooth_state(grid64, basis64, seed=6, mix=(1.0, 0.4j), m=1)),
+        "build_report": lambda: build_report(smooth_state(grid64, basis64, seed=6, mix=(1.0, 0.4j), m=1),
+                                             ("photon", "field", "darwin", "textbook")),
         "generators_field_picture": lambda: pn.generators_field_picture(rs),
         "spectral_e_from_wavefunction": lambda: pn.spectral_e_from_wavefunction(wf),
         "analyze": lambda: pn.analyze(rs, basis64),
