@@ -7,21 +7,29 @@ relation involving the covariant derivative carries an O(dk^2) stencil
 residual that must fall by at least the second-order factor when the grid
 is refined.
 
-The relations checked on one state share what they read of it, in the
-state's `_Suite`: omega, the invariant weight w and the covariant
-derivatives D_x psi, D_y psi and D_z psi, each made once.  `run_suite`
-makes all of them before its pairs start and hands the suite to every pair
-and to the curvature check; `apply_generator`, `check_commutator` and
-`check_curvature` take a state or its suite, and make a one-off suite of a
-state.  Either way each array is made by the same operations, so a report
-is the same bit for bit.  A state derived from psi (J psi, say) is
-differentiated afresh, one helicity at a time where J or K reads it.
+Every generator acts on each helicity amplitude on its own: H = hbar omega,
+P = hbar k, K = i hbar omega D and J = i hbar D x k + hbar chi n, with
+D = grad_k - i chi alpha (Bialynicki-Birula, "Photon wave function",
+Prog. Opt. 36, 1996).  So every relation is checked one helicity at a time,
+on the `_Suite` of that helicity: its amplitude g, omega, the invariant
+weight w and D_x g, D_y g and D_z g, each made once.  On one helicity a
+relation reduces to squared w-norms (`_Squares`): sum w |.|^2 of AB g, BA g,
+the expected amplitude and the residual.  A report adds the squares of
+helicity +1 and -1, in that order, and then takes the square roots.
+`run_suite` runs every relation on helicity +1, then on -1, and frees the D
+of the first before it derives those of the second.  `apply_generator`,
+`check_commutator` and `check_curvature` take a state, or one helicity's
+suite, and run a state one helicity after the other.  Either way each array
+is made by the same operations, so a report is the same bit for bit.  An
+amplitude derived from g (J g, say) is differentiated afresh.
 """
 
 from __future__ import annotations
 
+import math
 import re
 from dataclasses import dataclass, replace
+from functools import partial
 
 import numpy as np
 
@@ -61,68 +69,97 @@ class CommutatorReport:
     exact: bool                 # True when no derivative is involved
 
 
+@dataclass(frozen=True)
+class _Squares:
+    """One relation checked on one helicity: the squared w-norms, each ``sum w |.|^2``, its report is made of.
+
+    `scales` holds those of AB g, BA g and, where the relation has one, of
+    the expected amplitude (for [D_x, D_y], of the curvature term alone);
+    `residual` that of AB g - BA g - expected.  The squares of the two
+    helicities add; `report` then takes the square roots.
+    """
+
+    pair: str
+    expected: str
+    exact: bool
+    scales: tuple
+    residual: float
+
+    def __add__(self, other):
+        return replace(self, scales=tuple(a + b for a, b in zip(self.scales, other.scales)),
+                       residual=self.residual + other.residual)
+
+    def report(self):
+        scale = max(math.sqrt(max(self.scales)), 1e-300)
+        return CommutatorReport(pair=self.pair, expected=self.expected,
+                                residual=math.sqrt(self.residual) / scale, exact=self.exact)
+
+
 def _as_tag(tag):
     return tag if isinstance(tag, OperatorTag) else OperatorTag.parse(tag)
 
 
 class _Suite:
-    """A state and what the relations checked on it share: omega, w and the state's own D_a psi.
+    """One helicity chi of a state and what the relations checked on it share: g, omega, w and D_a g.
 
-    The suite of a checked state makes omega and w once and derives each
-    D_a psi once, on first use, and keeps it (two complex arrays an axis,
-    six once all three are in).  The suite of a state derived from it
-    (`of`) shares its omega and w and keeps no D: such a state is
-    differentiated afresh.  Not locked: `run_suite` fills the kept D before
-    its pairs start.
+    The suite of a state's helicity makes omega and w, or shares those of
+    the other helicity's suite, and derives each D_a g of the state's own
+    amplitude once, on first use, and keeps it (one complex array an axis,
+    three once all are in).  The suite of an amplitude derived from g
+    (`of`) shares the state, chi, omega and w and keeps no D: such an
+    amplitude is differentiated afresh.  Not locked: `run_suite` fills the
+    kept D before its relations start.
     """
 
-    def __init__(self, wf, shared=None):
-        self.wf = wf
+    def __init__(self, wf, chi, g=None, shared=None):
+        self.wf, self.chi = wf, chi
+        self.g = wf.components[chi] if g is None else g
+        self._kept = [None] * 3 if g is None else None
         if shared is None:
             self.omega = wf.grid.omega()
             self.w = wf.grid.w_invariant()
-            self._kept = [None] * 3
         else:
             self.omega, self.w = shared.omega, shared.w
-            self._kept = None
 
-    def of(self, wf):
-        """The suite of `wf`, a state derived from this one."""
-        return _Suite(wf, shared=self)
-
-    def norm(self, wf):
-        """The norm ``sqrt(sum w (|gL|^2 + |gR|^2))`` of `wf`, a state at the suite's time, with the suite's w.
-
-        The integrand conj(g) g of each helicity is made in place, so two
-        complex arrays are the whole of its scratch.
-        """
-        integrand = np.conjugate(wf.gL)
-        integrand *= wf.gL
-        part = np.conjugate(wf.gR)
-        part *= wf.gR
-        integrand += part
-        del part
-        integrand *= self.w
-        return float(np.sqrt(max(complex(np.sum(integrand)).real, 0.0)))
+    def of(self, g):
+        """The suite of `g`, an amplitude of this helicity derived from this one."""
+        return _Suite(self.wf, self.chi, g, shared=self)
 
     def derivative(self, a):
-        """D_a of the state, both helicities."""
+        """D_a g: a kept, read-only array, or one made afresh."""
         if self._kept is None:
-            return photon_state.covariant_derivative_axis(self.wf, a)
+            return photon_state._covariant_helicity(self.wf, self.chi, a, self.g)
         if self._kept[a] is None:
-            self._kept[a] = photon_state.covariant_derivative_axis(self.wf, a)
+            self._kept[a] = _readonly(photon_state._covariant_helicity(self.wf, self.chi, a, self.g))
         return self._kept[a]
 
-    def derivative_helicity(self, chi, a):
-        """D_a g of helicity `chi` alone: a kept array, or one made afresh."""
-        if self._kept is None:
-            return photon_state._covariant_helicity(self.wf, chi, a)
-        return self.derivative(a).components[chi]
+    def square(self, g, buf):
+        """``sum w |g|^2`` of an amplitude `g` of this helicity, made in `buf`, a real grid array."""
+        np.abs(g, out=buf)
+        buf *= buf
+        buf *= self.w
+        return float(np.sum(buf))
 
 
-def _suite(wf):
-    """`wf` if it is a `_Suite` already, else a one-off suite of the state `wf`."""
-    return wf if isinstance(wf, _Suite) else _Suite(wf)
+def _helicities(wf):
+    """The suites of helicity +1 and -1 of the state `wf`, made one after the other; the second shares omega and w."""
+    suite = None
+    for chi in photon_state.HELICITIES:
+        suite = _Suite(wf, chi, shared=suite)
+        yield suite
+
+
+def _reports(wf, run):
+    """The reports of the `_Squares` lists `run(suite)` gives on each helicity of the state `wf`, added +1 then -1.
+
+    The suite of helicity +1, and the D it keeps, are freed before that of
+    -1 is made.
+    """
+    total = None
+    for suite in _helicities(wf):
+        part = run(suite)
+        total = part if total is None else [t + p for t, p in zip(total, part)]
+    return [t.report() for t in total]
 
 
 def _with(wf, gL, gR):
@@ -140,41 +177,42 @@ def _times(d, f):
 def apply_generator(tag, wf):
     """Apply H = hbar w, P = hbar k, J = i hbar D x k + hbar chi n, K = i hbar w D.
 
-    `wf` is a state, or its `_Suite` when the state is one of a suite of
-    checks, which lends omega and the kept D.  K and J are made one helicity
-    at a time, each holding only the D g of that helicity that it reads,
-    and their grid-sized factors i hbar omega and n_i are made for each
-    helicity once its D g is in.
+    `wf` is a state, whose helicities are made one after the other, or the
+    `_Suite` of one helicity in a suite of checks, which lends omega and the
+    kept D and is given back that helicity's amplitude: a fresh array,
+    except D_a g of the state's own amplitude, which the suite keeps
+    read-only.  The grid-sized factors hbar omega and n_i of K and J are
+    real, and made once the D g they multiply is in.
     """
     tag = _as_tag(tag)
-    suite = _suite(wf)
-    wf = suite.wf
-    grid = wf.grid
-    hbar = grid.units.hbar
     i = tag.axis
+    if not isinstance(wf, _Suite):
+        if tag.kind == "D":
+            return photon_state.covariant_derivative_axis(wf, i)
+        return _with(wf, *(apply_generator(tag, suite) for suite in _helicities(wf)))
+    suite = wf
+    grid = suite.wf.grid
+    hbar = grid.units.hbar
 
     if tag.kind == "H":
-        f = hbar * suite.omega
-        return _with(wf, f * wf.gL, f * wf.gR)
+        return (hbar * suite.omega) * suite.g
     if tag.kind == "P":
-        f = hbar * _along(grid.k_axes[i], i)
-        return _with(wf, f * wf.gL, f * wf.gR)
+        return (hbar * _along(grid.k_axes[i], i)) * suite.g
     if tag.kind == "D":
         return suite.derivative(i)
     if tag.kind == "K":
-        return _with(wf, *(_times(suite.derivative_helicity(chi, i), 1j * hbar * suite.omega)
-                           for chi in photon_state.HELICITIES))
+        out = _times(suite.derivative(i), hbar * suite.omega)
+        out *= 1j
+        return out
     if tag.kind == "J":
         a, b = (i + 1) % 3, (i + 2) % 3
         k = grid.kvec
-        out = []
-        for chi in photon_state.HELICITIES:
-            cross_i = _times(suite.derivative_helicity(chi, a), k[b])
-            cross_i -= _times(suite.derivative_helicity(chi, b), k[a])
-            cross_i *= 1j * hbar
-            cross_i += hbar * chi * grid.nhat(i) * wf.components[chi]
-            out.append(cross_i)
-        return _with(wf, *out)
+        # i hbar (D g x k)_i + hbar chi n_i g = i hbar ((D g x k)_i - i chi n_i g)
+        cross_i = _times(suite.derivative(a), k[b])
+        cross_i -= _times(suite.derivative(b), k[a])
+        photon_state._subtract_i_times(cross_i, suite.g, grid.nhat(i), suite.chi)
+        cross_i *= 1j * hbar
+        return cross_i
     raise ValueError(f"unknown operator kind {tag.kind}")
 
 
@@ -219,12 +257,14 @@ def _expected(tagA, tagB, units):
 def check_commutator(tagA, tagB, wf):
     """Residual of [A, B] psi against the Poincare table (report, never raises).
 
-    `wf` is the state psi, or its `_Suite` in a suite of checks.  The
-    expected state is made only once AB - BA is reduced to its difference,
-    so AB and BA are gone by then.
+    `wf` is the state psi, or the `_Suite` of one of its helicities in a
+    suite of checks, which gives that helicity's `_Squares`.  AB g - BA g
+    is made in AB g, and the expected amplitude only once BA g is gone.
     """
     tagA, tagB = _as_tag(tagA), _as_tag(tagB)
-    suite = _suite(wf)
+    if not isinstance(wf, _Suite):
+        return _reports(wf, lambda suite: [check_commutator(tagA, tagB, suite)])[0]
+    suite = wf
     units = suite.wf.grid.units
 
     found = _expected(tagA, tagB, units)
@@ -235,69 +275,53 @@ def check_commutator(tagA, tagB, wf):
         if found is None:
             raise ValueError(f"no tabulated relation for [{tagA}, {tagB}]")
     label, term = found
+    if sign < 0:
+        label = f"-({label})" if label != "0" else "0"
 
     AB = apply_generator(tagA, suite.of(apply_generator(tagB, suite)))
     BA = apply_generator(tagB, suite.of(apply_generator(tagA, suite)))
-    scales = [suite.norm(AB), suite.norm(BA)]
-    diff_L = AB.gL - BA.gL
-    diff_R = AB.gR - BA.gR
-    del AB, BA
+    buf = np.empty(suite.g.shape)
+    scales = [suite.square(AB, buf), suite.square(BA, buf)]
+    AB -= BA            # a fresh array: no suite keeps a generator of a derived amplitude
+    del BA
     if term is not None:
         tag, factor = term
-        g = apply_generator(tag, suite)
-        expected_wf = _with(g, factor * g.gL, factor * g.gR)
-        del g
-        diff_L -= sign * expected_wf.gL
-        diff_R -= sign * expected_wf.gR
-        scales.append(suite.norm(expected_wf))
-        del expected_wf
-
-    resid_norm = float(np.sqrt(np.sum(suite.w * (np.abs(diff_L) ** 2 + np.abs(diff_R) ** 2))))
-    scale = max(max(scales), 1e-300)
-
-    exact = tagA.kind in ("H", "P") and tagB.kind in ("H", "P")
-    if sign < 0:
-        label = f"-({label})" if label != "0" else "0"
-    return CommutatorReport(
-        pair=f"[{tagA}, {tagB}]",
-        expected=label,
-        residual=resid_norm / scale,
-        exact=exact,
-    )
+        expected = apply_generator(tag, suite)
+        expected *= sign * factor
+        scales.append(suite.square(expected, buf))
+        AB -= expected
+        del expected
+    return _Squares(pair=f"[{tagA}, {tagB}]", expected=label,
+                    exact=tagA.kind in ("H", "P") and tagB.kind in ("H", "P"),
+                    scales=tuple(scales), residual=suite.square(AB, buf))
 
 
 def check_curvature(wf):
-    """Residual of [D_x, D_y] = i chi n_z / |k|^2 on the state.
+    """Residual of [D_x, D_y] = i chi n_z / |k|^2 on the state (report, never raises).
 
-    `wf` is the state, or its `_Suite` in a suite of checks.  D_x D_y psi
-    and D_y D_x psi are made one helicity at a time.
+    `wf` is the state, or the `_Suite` of one of its helicities in a suite
+    of checks, which gives that helicity's `_Squares`, scaled by the
+    curvature term itself.
     """
-    suite = _suite(wf)
-    wf = suite.wf
-    grid = wf.grid
-    Dy = suite.derivative(1)
-    Dx = suite.derivative(0)
-
+    if not isinstance(wf, _Suite):
+        return _reports(wf, lambda suite: [check_curvature(suite)])[0]
+    suite = wf
+    grid = suite.wf.grid
     safe = grid.kmag() ** 2
     safe[grid.excluded_index] = 1.0
     curv = grid.nhat(2) / safe
     del safe
+    term = curv * suite.g
+    del curv
 
-    res = {}
-    for chi in photon_state.HELICITIES:
-        res[chi] = photon_state._covariant_helicity(Dy, chi, 0)
-        res[chi] -= photon_state._covariant_helicity(Dx, chi, 1)
-        res[chi] -= 1j * chi * curv * wf.components[chi]
-    w = suite.w
-    resid_norm = float(np.sqrt(np.sum(w * (np.abs(res[+1]) ** 2 + np.abs(res[-1]) ** 2))))
-    # scale: curvature term itself
-    curv_norm = float(np.sqrt(np.sum(w * (np.abs(curv * wf.gL) ** 2 + np.abs(curv * wf.gR) ** 2))))
-    return CommutatorReport(
-        pair="[Dx, Dy]",
-        expected="i chi eps nz / k^2",
-        residual=resid_norm / max(curv_norm, 1e-300),
-        exact=False,
-    )
+    res = suite.of(suite.derivative(1)).derivative(0)
+    res -= suite.of(suite.derivative(0)).derivative(1)
+    buf = np.empty(grid.dims)
+    scale = suite.square(term, buf)
+    term *= 1j * suite.chi
+    res -= term
+    return _Squares(pair="[Dx, Dy]", expected="i chi eps nz / k^2", exact=False,
+                    scales=(scale,), residual=suite.square(res, buf))
 
 
 #: a representative sample of every relation family
@@ -315,20 +339,25 @@ DEFAULT_SUITE = (
 
 
 def run_suite(wf):
-    """Run the DEFAULT_SUITE commutators plus the curvature relation on one state.
+    """Run the DEFAULT_SUITE commutators plus the curvature relation on one state, one helicity at a time.
 
-    Every relation is handed one `_Suite` of the state: omega, w and the
-    covariant derivatives D_x psi, D_y psi and D_z psi.  All of them, and
-    the connection of the state's basis, are made once, before the pairs
-    start, so no two workers make them.  The three derivatives run on the
-    THREADS workers of `grids._map_threads` (default: the CPU count), one
-    axis per worker, and then the pairs do.  Each pair is computed on one
-    thread, and the threaded kernels it reaches run inline there, so the
-    reports are identical for any worker count, and equal to those of
-    `check_commutator` and `check_curvature` called one at a time.
+    The connection of the state's basis is made first, once, so no two
+    workers make it.  Then, for helicity +1 and then -1, the three D_a g of
+    that helicity's `_Suite` run on the THREADS workers of
+    `grids._map_threads` (default: the CPU count), one axis per worker, and
+    then the ten relations do, one task each, each giving the helicity's
+    `_Squares`.  The D of helicity +1 are freed before those of -1 are
+    derived.  Each relation runs on one thread, and the threaded kernels it
+    reaches run inline there, and the squares of the two helicities are
+    added in that fixed order, so the reports are identical for any worker
+    count, and equal to those of `check_commutator` and `check_curvature`
+    called one at a time.
     """
     wf.basis.connection()
-    suite = _Suite(wf)
-    _map_threads(suite.derivative, range(3))
-    reports = _map_threads(lambda p: check_commutator(p[0], p[1], suite), DEFAULT_SUITE)
-    return reports + [check_curvature(suite)]
+    checks = [partial(check_commutator, a, b) for a, b in DEFAULT_SUITE] + [check_curvature]
+
+    def run(suite):
+        _map_threads(suite.derivative, range(3))
+        return _map_threads(lambda check: check(suite), checks)
+
+    return _reports(wf, run)

@@ -5,8 +5,8 @@ plotdata.  Human-readable text goes to stdout; ``--json`` switches to
 machine-readable JSON.  Exit codes: 0 success, 1 numerical threshold
 failure, 2 usage or validation error (with an error JSON on stderr); a
 grid too large for the machine's memory is refused with exit 2 before it is
-allocated (``check algebra`` by its own working set, twice that of the other
-commands), and an allocation that fails all the same also exits 2.
+allocated (``check algebra`` by its own working set, sized from its measured
+peaks), and an allocation that fails all the same also exits 2.
 Non-finite or out-of-range numbers also exit 2 and write no file; the beam
 factories validate their inputs before their first grid-sized allocation,
 and an unknown ``observables`` route is refused before its file is read.
@@ -43,10 +43,11 @@ transforms, e(k), alpha, E(k), both beams (their fill, photon number and
 scale), ``synthesize``, ``analyze`` (projection, reflection and divergence
 check), the E and B copies of F, ``potential`` (its checks and products)
 and the photon, darwin, field and textbook routes run on them in slabs
-that depend on the grid alone, and the k gradient one axis per worker.  ``check algebra`` makes
-omega, w and D_x, D_y, D_z of its test state once per grid (the
-derivatives on them, one axis per worker), shares them across every
-relation, and then runs its commutator pairs on them (see
+that depend on the grid alone, and the k gradient one axis per worker.  ``check algebra`` checks
+its test state one helicity at a time: for helicity +1, then -1, it makes
+D_x g, D_y g and D_z g once per grid (one axis per worker), shares them,
+with omega and w, across every relation, runs its ten relations on them
+(one per worker), and frees them before the other helicity (see
 ``grids._over_slabs``, ``grids._map_threads`` and
 ``algebra_checks.run_suite``).  Outputs are identical, bit for bit, for
 any value.  ``check algebra`` refuses a coarse grid below ALGEBRA_MIN_GRID
@@ -75,10 +76,12 @@ from . import (
 )
 from .grids import BoundaryDecayWarning, make_grid, _refuse_beyond_memory
 
-#: peak of `check algebra` in complex arrays of its grid (13.5 MiB at 96^3):
-#: 392-407 MiB RSS at 48,96 with THREADS=2 and 296 MiB with THREADS=1, against
-#: 432 MiB for 32 arrays; the suite keeps omega, w and D_a psi (7 arrays)
-ALGEBRA_WORKING_SET_ARRAYS = 32
+#: peak RSS of `check algebra` in complex arrays of its fine grid (13.5 MiB at
+#: 96^3, 32 MiB at 128^3), which it checks one helicity at a time: with THREADS=2,
+#: 248-265 MiB (18.4-19.6 arrays) at 48,96 and 531-540 MiB (16.6-16.9) at 64,128;
+#: with THREADS=3, 294-302 MiB (21.8-22.4) at 48,96.  23 arrays covers all of
+#: them and lies at most 39% above each THREADS=2 peak
+ALGEBRA_WORKING_SET_ARRAYS = 23
 
 #: default grid sizes N of each check suite (grid step 1); algebra compares two grids
 CHECK_SIZES = {"algebra": "48,96", "polarization": "32", "greens": "64"}
@@ -348,12 +351,14 @@ def cmd_analyze(args):
 def cmd_potential(args):
     obj, manifest = fileio.read(args.file)
     if isinstance(obj, fields_bridge.RSField):
-        B = fields_bridge.magnetic_field(obj)
+        B = [fields_bridge.magnetic_field(obj)]
     elif isinstance(obj, fields_bridge.RealVectorField) and obj.role == "B":
-        B = obj
+        B = [obj]
     else:
         raise ValueError(f"{args.file}: potential needs an rs_field or a B real_field file")
-    A = fields_bridge.vector_potential(B)
+    # B is a copy, so F goes now; B, held in a list only, goes to `vector_potential` as a temporary
+    obj = None
+    A = fields_bridge.vector_potential(B.pop())
     man = fileio.write_real_field(args.output, A, provenance=manifest.get("provenance"))
     _emit({"written": args.output, "manifest": man}, args.json,
           [f"wrote {args.output} (real_field A, transverse gauge)"])

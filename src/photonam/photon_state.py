@@ -25,7 +25,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .grids import spectral_gradient_k, _gradient_k_axis, _readonly, _w_invariant
+from .grids import spectral_gradient_k, _gradient_k_axis, _readonly, _w_invariant, _SCRATCH_SLABS
 
 HELICITIES = (+1, -1)
 
@@ -100,9 +100,9 @@ def gauge_transform(wf, phi):
                    basis=replace(basis, gauge_phase=_readonly(phase)))
 
 
-def _construction_gauge(wf, chi):
-    """Amplitude `chi` with the accumulated chart phase removed."""
-    g = wf.components[chi]
+def _construction_gauge(wf, chi, g=None):
+    """Amplitude `chi` of `wf`, or `g` of that helicity in its gauge, with the accumulated chart phase removed."""
+    g = wf.components[chi] if g is None else g
     basis = wf.basis
     return g if basis.gauge_phase is None else np.exp(-1j * chi * basis.gauge_phase) * g
 
@@ -116,13 +116,35 @@ def _covariant_axis(wf, chi, ghat, j, d):
     gradient ``i c t n_j ghat`` from d in place, then restore the
     accumulated chart phase.
     """
-    scratch = np.multiply(1j * chi, wf.basis.connection()[j])
-    scratch *= ghat
-    d -= scratch
+    _subtract_i_times(d, ghat, wf.basis.connection()[j], chi)
     if wf.time != 0.0:
-        d -= (1j * wf.grid.units.c * wf.time) * wf.grid.nhat(j) * ghat
+        _subtract_i_times(d, ghat, wf.grid.units.c * wf.time * wf.grid.nhat(j))
     basis = wf.basis
-    return d if basis.gauge_phase is None else np.exp(1j * chi * basis.gauge_phase) * d
+    if basis.gauge_phase is not None:
+        d *= np.exp(1j * chi * basis.gauge_phase)
+    return d
+
+
+def _subtract_i_times(d, ghat, rate, sign=1.0):
+    """``d -= i sign rate ghat`` for a real field `rate` and a sign of 1 or -1, in place.
+
+    -i s r (a + i b) = s r b - i s r a is made on the real and imaginary
+    parts of d, one of `_SCRATCH_SLABS` runs of k_x planes at a time, so
+    its scratch is one run of real planes, not a grid array.
+    """
+    n = d.shape[0]
+    step = -(-n // _SCRATCH_SLABS)
+    scratch = np.empty((step,) + d.shape[1:])
+    for lo in range(0, n, step):
+        rows = slice(lo, lo + step)
+        part = scratch[:min(step, n - lo)]
+        real, imag = d.real[rows], d.imag[rows]
+        np.multiply(rate[rows], ghat.imag[rows], out=part)
+        part *= sign
+        real += part
+        np.multiply(rate[rows], ghat.real[rows], out=part)
+        part *= sign
+        imag -= part
 
 
 def covariant_derivative(wf):
@@ -157,8 +179,12 @@ def covariant_derivative_axis(wf, j):
     return replace(wf, gL=_readonly(gL), gR=_readonly(gR))
 
 
-def _covariant_helicity(wf, chi, j):
-    """``D_j g`` of helicity `chi` alone: one of the two arrays of `covariant_derivative_axis`."""
-    ghat = _construction_gauge(wf, chi)
+def _covariant_helicity(wf, chi, j, g=None):
+    """``D_j g`` of helicity `chi` alone: one of the two arrays of `covariant_derivative_axis`.
+
+    `g` is an amplitude of that helicity in the gauge and at the time of
+    `wf`; by default, the state's own.
+    """
+    ghat = _construction_gauge(wf, chi, g)
     d = _gradient_k_axis(wf.grid, ghat, j, out=np.empty(wf.grid.dims, dtype=complex))
     return _covariant_axis(wf, chi, ghat, j, d)

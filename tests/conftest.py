@@ -204,6 +204,51 @@ def fd_photon_picture(wf):
     )
 
 
+def two_helicity_residuals(wf):
+    """Oracle: the residuals of the DEFAULT_SUITE relations and of [Dx, Dy] on `wf`, both helicities at once.
+
+    AB psi, BA psi and the expected state are whole states made by
+    `apply_generator`, the curvature's second derivatives come from the
+    stacked `covariant_derivative`, and each norm is
+    ``sqrt(sum w (|gL|^2 + |gR|^2))`` over both helicities together: the
+    reduction `run_suite` made before it checked one helicity at a time.
+    """
+    from photonam import algebra_checks
+    units, w = wf.grid.units, wf.grid.w_invariant()
+
+    def norm(gL, gR):
+        return float(np.sqrt(np.sum(w * (np.abs(gL) ** 2 + np.abs(gR) ** 2))))
+
+    out = []
+    for a, b in algebra_checks.DEFAULT_SUITE:
+        A, B = algebra_checks.OperatorTag.parse(a), algebra_checks.OperatorTag.parse(b)
+        found, sign = algebra_checks._expected(A, B, units), 1.0
+        if found is None:
+            found, sign = algebra_checks._expected(B, A, units), -1.0
+        AB = pn.apply_generator(A, pn.apply_generator(B, wf))
+        BA = pn.apply_generator(B, pn.apply_generator(A, wf))
+        diff_L, diff_R = AB.gL - BA.gL, AB.gR - BA.gR
+        scales = [norm(AB.gL, AB.gR), norm(BA.gL, BA.gR)]
+        if found[1] is not None:
+            tag, factor = found[1]
+            g = pn.apply_generator(tag, wf)
+            diff_L = diff_L - sign * (factor * g.gL)
+            diff_R = diff_R - sign * (factor * g.gR)
+            scales.append(norm(factor * g.gL, factor * g.gR))
+        out.append(norm(diff_L, diff_R) / max(max(scales), 1e-300))
+
+    grid = wf.grid
+    D = pn.covariant_derivative(wf)
+    DxDy, DyDx = pn.covariant_derivative(D[1])[0], pn.covariant_derivative(D[0])[1]
+    safe = grid.kmag() ** 2
+    safe[grid.excluded_index] = 1.0
+    curv = grid.nhat(2) / safe
+    res = {chi: DxDy.components[chi] - DyDx.components[chi] - 1j * chi * curv * wf.components[chi]
+           for chi in photon_state.HELICITIES}
+    out.append(norm(res[+1], res[-1]) / max(norm(curv * wf.gL, curv * wf.gR), 1e-300))
+    return out
+
+
 @contextlib.contextmanager
 def decay_ignored():
     """Silence `BoundaryDecayWarning`, for a route run on a state that does not decay at the grid edge."""

@@ -9,7 +9,8 @@ from photonam import algebra_checks, grids, photon_state
 from photonam.algebra_checks import OperatorTag
 from photonam.grids import _readonly
 
-from conftest import decay_ignored, fd_photon_picture, rel, scalar_product, smooth_state, wavefunction
+from conftest import (decay_ignored, fd_photon_picture, rel, scalar_product, smooth_state,
+                      two_helicity_residuals, wavefunction)
 
 
 def test_operator_tag_parsing():
@@ -114,7 +115,10 @@ def test_run_suite_covers_all_families(state48):
 
 
 def test_run_suite_is_identical_for_any_thread_count(monkeypatch, grid16, basis16):
-    """The base derivatives, then the pairs, run on the shared THREADS helper: inline at THREADS=1, two pools of two at THREADS=2."""
+    """Per helicity, the base derivatives, then the relations, run on the shared THREADS helper.
+
+    Inline at THREADS=1; at THREADS=2, two pools of two for each helicity.
+    """
     workers = []
 
     class Pool(grids.ThreadPoolExecutor):
@@ -130,7 +134,7 @@ def test_run_suite_is_identical_for_any_thread_count(monkeypatch, grid16, basis1
         runs.append(pn.run_suite(wf))
         pools.append(workers[:])
         del workers[:]
-    assert pools == [[], [2, 2]]
+    assert pools == [[], [2, 2, 2, 2]]
     assert runs[0] == runs[1]
 
 
@@ -144,6 +148,14 @@ def test_run_suite_derives_a_lazy_connection_once(monkeypatch, grid16, basis16, 
     assert reports == pn.run_suite(smooth_state(grid16, basis16, seed=5))
 
 
+def regauged_state(grid, basis, coefficients, t, seed, mix=(1.0, 0.5j)):
+    """A smooth state re-gauged by a smooth phase and evolved by `t`: the chart phase and time term of D both act."""
+    kx, ky, kz = np.meshgrid(*grid.k_axes, indexing="ij")
+    a, b, c, d = coefficients
+    phase = a + b * kx + c * ky * kz + d * np.cos(kz)
+    return pn.evolve(pn.gauge_transform(smooth_state(grid, basis, seed=seed, mix=mix, m=1), phase), t)
+
+
 @pytest.mark.parametrize("threads", ["1", "2"])
 @settings(max_examples=6, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
 @given(st.lists(st.floats(-2.0, 2.0), min_size=4, max_size=4), st.floats(-3.0, 3.0), st.integers(0, 2 ** 16))
@@ -154,12 +166,29 @@ def test_run_suite_equals_each_check_alone(monkeypatch, grid16, basis16, threads
     evolution-phase gradient of D are both in play.
     """
     monkeypatch.setenv("THREADS", threads)
-    kx, ky, kz = np.meshgrid(*grid16.k_axes, indexing="ij")
-    a, b, c, d = coefficients
-    phase = a + b * kx + c * ky * kz + d * np.cos(kz)
-    wf = pn.evolve(pn.gauge_transform(smooth_state(grid16, basis16, seed=seed, mix=(1.0, 0.5j), m=1), phase), t)
+    wf = regauged_state(grid16, basis16, coefficients, t, seed)
     alone = [pn.check_commutator(p, q, wf) for p, q in algebra_checks.DEFAULT_SUITE] + [pn.check_curvature(wf)]
     assert pn.run_suite(wf) == alone
+
+
+@settings(max_examples=6, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(st.lists(st.floats(-2.0, 2.0), min_size=4, max_size=4), st.floats(-3.0, 3.0).filter(lambda t: t != 0.0),
+       st.integers(0, 2 ** 16))
+def test_run_suite_matches_the_two_helicity_oracle(grid16, basis16, coefficients, t, seed):
+    """Adding the squares of the two helicities, then taking roots, gives the residuals of the whole-state reduction."""
+    wf = regauged_state(grid16, basis16, coefficients, t, seed)
+    for report, want in zip(pn.run_suite(wf), two_helicity_residuals(wf), strict=True):
+        assert abs(report.residual - want) <= 1e-14 * want, report.pair
+
+
+@pytest.mark.parametrize("mix", [(1.0, 0.0), (0.0, 1.0)])
+@pytest.mark.parametrize("label", ["H", "Px", "Py", "Pz", "Jx", "Jy", "Jz", "Kx", "Ky", "Kz", "Dx", "Dy", "Dz"])
+def test_every_generator_keeps_the_helicity(grid16, basis16, label, mix):
+    """The premise of the per-helicity checks: a state of one helicity alone (gR = 0, or gL = 0) stays one."""
+    wf = regauged_state(grid16, basis16, (0.3, 0.2, -0.4, 0.5), 1.7, seed=2, mix=mix)
+    out = pn.apply_generator(label, wf)
+    assert [bool(np.count_nonzero(g)) for g in (wf.gL, wf.gR)] == [bool(m) for m in mix]
+    assert [bool(np.count_nonzero(g)) for g in (out.gL, out.gR)] == [bool(m) for m in mix]
 
 
 def test_run_suite_derives_each_base_derivative_once(monkeypatch, state48):

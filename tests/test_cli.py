@@ -719,11 +719,11 @@ def test_chart_axis_on_a_wavefunction_file_exits_2(chart_files, capsys):
 
 
 def test_check_algebra_beyond_memory_exits_2_before_any_grid(capsys, monkeypatch):
-    """Memory for 24 arrays of the 96^3 fine grid passes `make_grid`'s 16, not the suite's 32."""
+    """Memory for 20 arrays of the 96^3 fine grid passes `make_grid`'s 16, not the suite's 23."""
     from photonam import cli, grids
     unit = 16 * 96 ** 3
-    assert grids.WORKING_SET_ARRAYS < 24 < cli.ALGEBRA_WORKING_SET_ARRAYS
-    monkeypatch.setattr(grids, "physical_memory", lambda: 24 * unit)
+    assert grids.WORKING_SET_ARRAYS < 20 < cli.ALGEBRA_WORKING_SET_ARRAYS
+    monkeypatch.setattr(grids, "physical_memory", lambda: 20 * unit)
     (code, _, err), peak = traced_peak(lambda: run_cli(capsys, "check", "algebra", "--grid", "48,96"))
     assert code == 2
     assert "physical memory" in json.loads(err.strip())["error"]

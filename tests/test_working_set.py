@@ -16,7 +16,8 @@ import numpy as np
 import pytest
 
 import photonam as pn
-from photonam.cli import build_report
+from photonam import fileio
+from photonam.cli import build_report, main
 
 from conftest import smooth_state, traced_peak
 
@@ -52,19 +53,25 @@ BUDGETS = {
     "spectral_e_from_wavefunction": 5.0,
     "analyze": 7.0,
     "spin_nonlocal_real": 9.1,
-    # its shared omega, w and D_a psi (7.0) and the pairs on two workers, 8.0
-    # each at most ([H, Jz], [Jx, Jy]): 20.0-21.1 measured, 23.1 when both
-    # of the largest pairs peak at once
-    "run_suite": 23.6,
+    # one helicity at a time: its shared omega, w and D_a g (4.0) and the relations
+    # on two workers, 4.05 each at most ([H, Jz], [Jx, Jy]): 11.1-12.0 measured,
+    # 12.1 when both of the largest pairs peak at once
+    "run_suite": 12.2,
+    # the file's F (3.0) is freed once B (1.5) is copied out, and B once its spectra
+    # exist: 4.62 measured, and 9.12 if F and B were held through `vector_potential`
+    "cmd_potential": 4.9,
 }
 
 
 @pytest.fixture(scope="module")
-def stages64(grid64, basis64):
+def stages64(grid64, basis64, tmp_path_factory):
     wf = smooth_state(grid64, basis64, seed=6, mix=(1.0, 0.4j), m=1)
     with warnings.catch_warnings():
         warnings.simplefilter("ignore")
         rs = pn.synthesize(wf)
+    files = tmp_path_factory.mktemp("files")
+    field, potential = str(files / "field.rs"), str(files / "A.real")
+    fileio.write_rs_field(field, rs)
     E, B = pn.electric_field(rs), pn.magnetic_field(rs)
     A = pn.vector_potential(B)
     Ek = pn.spectral_e_from_wavefunction(wf)
@@ -93,6 +100,7 @@ def stages64(grid64, basis64):
         "analyze": lambda: pn.analyze(rs, basis64),
         "spin_nonlocal_real": lambda: pn.spin_nonlocal_real(E, B),
         "run_suite": lambda: pn.run_suite(wf),
+        "cmd_potential": lambda: main(["potential", field, "-o", potential]),
     }
 
 
