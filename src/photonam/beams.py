@@ -138,35 +138,37 @@ def bessel_beam(grid, basis, spec, photons=1.0):
     # envelope and the winding e^{i m phi} = ((k_x +- i k_y)/k_perp)^|m|,
     # shared by the three components; phi = 0 on the beam axis, the azimuth
     # of the pole limit of e_z.  k_perp and the winding are (k_x, k_y)
-    # planes, broadcast along k_z.
+    # planes, broadcast along k_z.  The amplitude -sqrt(2) envelope winding
+    # is made afresh for each component, in the buffer its products then
+    # use, and e_z and e come from one chart geometry each per slab.
     def column(region):
         kx, ky, kz = (_along(a, ax) for ax, a in enumerate(_in_region(grid.k_axes, region)))
         kperp = np.hypot(kx, ky)
-        ep = np.exp(
+        envelope = np.exp(
             -((kperp - spec.k_perp0) ** 2) / (2.0 * spec.sigma_perp ** 2)
             - ((kz - spec.k_z0) ** 2) / (2.0 * spec.sigma_z ** 2)
         )
+        envelope *= -np.sqrt(2.0)
         winding = np.divide(kx + 1j * np.sign(spec.m) * ky, kperp, out=np.ones(kperp.shape, dtype=complex),
                             where=kperp > 0.0)
         del kperp
-        ep = -np.sqrt(2.0) * ep * winding ** abs(spec.m)
-        del winding
+        winding **= abs(spec.m)
         L, R = gL[region], gR[region]
         L[...] = 0.0
         R[...] = 0.0
         E_i, e_i, tmp = (np.empty(L.shape, dtype=complex) for _ in range(3))
-        for i in range(3):
-            e_z._e_slab(i, region, E_i)
+        components = zip(e_z._e_slabs(region, [(i, E_i) for i in range(3)]),
+                         basis._e_slabs(region, [(i, e_i) for i in range(3)]))
+        for _ in components:
             if spec.helicity < 0:
                 np.conjugate(E_i, out=E_i)
-            E_i *= ep
-            basis._e_slab(i, region, e_i)
+            E_i *= np.multiply(envelope, winding, out=tmp)
             np.conjugate(e_i, out=tmp)
             tmp *= E_i
             L += tmp
             e_i *= E_i
             R += e_i
-        del E_i, e_i, tmp, ep
+        del E_i, e_i, tmp, envelope
         L *= s
         R *= s
         return [photon_state._photons_on(grid, L, R, region)]

@@ -47,11 +47,13 @@ that depend on the grid alone, and the k gradient one axis per worker.  ``check 
 its test state one helicity at a time: for helicity +1, then -1, it makes
 D_x g, D_y g and D_z g once per grid (one axis per worker), shares them,
 with omega and w, across every relation, runs its ten relations on them
-(one per worker), and frees them before the other helicity (see
-``grids._over_slabs``, ``grids._map_threads`` and
-``algebra_checks.run_suite``).  Outputs are identical, bit for bit, for
-any value.  ``check algebra`` refuses a coarse grid below ALGEBRA_MIN_GRID
-(48), too coarse for its test state, before any grid is built.
+(one per worker, each reduced slab by slab on that worker), and frees them
+before the other helicity (see ``grids._over_slabs``,
+``grids._map_threads`` and ``algebra_checks.run_suite``).  Outputs are
+identical, bit for bit, for any value.  ``check algebra`` refuses a coarse
+grid below ALGEBRA_MIN_GRID (48), too coarse for its test state, before any
+grid is built, and a fine grid whose working set, which grows with
+THREADS, exceeds physical memory.
 """
 
 from __future__ import annotations
@@ -74,14 +76,16 @@ from . import (
     observables,
     polarization,
 )
-from .grids import BoundaryDecayWarning, make_grid, _refuse_beyond_memory
+from .grids import BoundaryDecayWarning, make_grid, _refuse_beyond_memory, _thread_count
 
 #: peak RSS of `check algebra` in complex arrays of its fine grid (13.5 MiB at
-#: 96^3, 32 MiB at 128^3), which it checks one helicity at a time: with THREADS=2,
-#: 248-265 MiB (18.4-19.6 arrays) at 48,96 and 531-540 MiB (16.6-16.9) at 64,128;
-#: with THREADS=3, 294-302 MiB (21.8-22.4) at 48,96.  23 arrays covers all of
-#: them and lies at most 39% above each THREADS=2 peak
-ALGEBRA_WORKING_SET_ARRAYS = 23
+#: 96^3, 32 MiB at 128^3), less one array for each worker running a relation
+#: (`_algebra_working_set`).  It checks one helicity at a time and reduces each
+#: relation slab by slab, so a worker holds a slab's scratch: at 48,96,
+#: 156 / 170 / 181 MiB (11.6 / 12.6 / 13.4 arrays) at THREADS=1 / 2 / 3, and at
+#: 64,128 339 MiB (10.6) at THREADS=2.  12 arrays and one a worker lie 11-32%
+#: above each of them.  `make_grid`'s own refusal applies to each grid too
+ALGEBRA_WORKING_SET_ARRAYS = 12
 
 #: default grid sizes N of each check suite (grid step 1); algebra compares two grids
 CHECK_SIZES = {"algebra": "48,96", "polarization": "32", "greens": "64"}
@@ -382,6 +386,11 @@ def _algebra_state(grid, basis):
     )
 
 
+def _algebra_working_set():
+    """Complex fine-grid arrays `check algebra` peaks at: ALGEBRA_WORKING_SET_ARRAYS and one a worker running a relation."""
+    return ALGEBRA_WORKING_SET_ARRAYS + min(_thread_count(), len(algebra_checks.DEFAULT_SUITE) + 1)
+
+
 def check_algebra(grids):
     """Run the suite on a coarse and a fine cubic grid; every relation compares the two."""
     if len(grids) != 2 or not grids[0] < grids[1]:
@@ -390,7 +399,7 @@ def check_algebra(grids):
     if grids[0] < ALGEBRA_MIN_GRID:
         raise ValueError(f"check algebra needs N1 >= {ALGEBRA_MIN_GRID}, so that two k steps 2 pi / N fit in "
                          f"the {ALGEBRA_STATE_WIDTH} width of its test state (grid step 1); got N1 = {grids[0]}")
-    _refuse_beyond_memory((max(grids),) * 3, ALGEBRA_WORKING_SET_ARRAYS)
+    _refuse_beyond_memory((max(grids),) * 3, _algebra_working_set())
     rows = []
     per_grid = {}
     for n in grids:

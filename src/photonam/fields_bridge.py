@@ -354,22 +354,26 @@ def spectral_e_from_wavefunction(wf):
     Ek = np.empty((3,) + grid.dims, dtype=complex)
 
     def fill(region):
-        for i in range(3):
-            _spectral_e_slab(wf, i, region, Ek[i][region])
+        _spectral_e_slab(wf, region, [(i, Ek[i][region]) for i in range(3)])
 
     _over_slabs(grid, 0, fill)
     Ek[(slice(None),) + grid.excluded_index] = 0.0
     return SpectralEField(values=_readonly(Ek), grid=grid, time=wf.time)
 
 
-def _spectral_e_slab(wf, i, region, out):
-    """E_i = (e_i gL + e_i* gR) / sqrt(2 eps0) of the stored amplitudes of `wf` on `region`, written into `out`."""
-    wf.basis._e_slab(i, region, out)
-    tmp = np.conjugate(out)
-    out *= wf.gL[region]
-    tmp *= wf.gR[region]
-    out += tmp
-    out *= 1.0 / np.sqrt(2.0 * wf.grid.units.eps0)
+def _spectral_e_slab(wf, region, outs):
+    """E_i = (e_i gL + e_i* gR) / sqrt(2 eps0) of the stored amplitudes of `wf` on `region`, written into `outs`.
+
+    `outs` lists pairs ``(i, out)``, as `PolarizationBasis._e_slabs` takes
+    them: the components come from one chart geometry per slab.
+    """
+    for _, out in wf.basis._e_slabs(region, outs):
+        tmp = np.conjugate(out)
+        out *= wf.gL[region]
+        tmp *= wf.gR[region]
+        out += tmp
+        del tmp
+        out *= 1.0 / np.sqrt(2.0 * wf.grid.units.eps0)
 
 
 # ---------------------------------------------------------------------------

@@ -234,14 +234,18 @@ def _along(a, ax):
 
 def _nhat(grid, j, region):
     """Component `j` of `GridPair.nhat` on `region`, a tuple of three slices of the grid axes."""
-    axes = _in_region(grid.k_axes, region)
-    out = _norm(axes)
-    at_zero = _at_origin(region)
-    if at_zero:
-        out[0, 0, 0] = 1.0
-    np.divide(_along(axes[j], j), out, out=out)
-    if at_zero:
+    out = _kmag(grid, region)
+    np.divide(_along(grid.k_axes[j][region[j]], j), out, out=out)
+    if _at_origin(region):
         out[0, 0, 0] = (0.0, 0.0, 1.0)[j]     # arbitrary fixed direction
+    return out
+
+
+def _kmag(grid, region, out=None):
+    """|k| on `region`, three slices of the grid axes, with 1 at the excluded bin; written into `out` if given."""
+    out = _norm(_in_region(grid.k_axes, region), out=out)
+    if _at_origin(region):
+        out[0, 0, 0] = 1.0
     return out
 
 

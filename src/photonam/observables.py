@@ -201,7 +201,7 @@ def generators_photon_picture(wf, Ek=None):
     S, M = np.zeros(3, dtype=complex), np.zeros((3, 3), dtype=complex)
     for i in range(3):
         if Ek is None:
-            _over_slabs(grid, 0, lambda region: _spectral_e_slab(wf, i, region, E[region]))
+            _over_slabs(grid, 0, lambda region: _spectral_e_slab(wf, region, [(i, E[region])]))
             E[grid.excluded_index] = 0.0
         else:
             E = Ek.values[i]

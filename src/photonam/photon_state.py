@@ -25,7 +25,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .grids import spectral_gradient_k, _gradient_k_axis, _readonly, _w_invariant, _SCRATCH_SLABS
+from .grids import spectral_gradient_k, _gradient_k_axis, _nhat, _readonly, _slabs, _w_invariant, _WHOLE
 
 HELICITIES = (+1, -1)
 
@@ -100,28 +100,38 @@ def gauge_transform(wf, phi):
                    basis=replace(basis, gauge_phase=_readonly(phase)))
 
 
-def _construction_gauge(wf, chi, g=None):
-    """Amplitude `chi` of `wf`, or `g` of that helicity in its gauge, with the accumulated chart phase removed."""
-    g = wf.components[chi] if g is None else g
-    basis = wf.basis
-    return g if basis.gauge_phase is None else np.exp(-1j * chi * basis.gauge_phase) * g
+def _construction_gauge(wf, chi, g=None, region=_WHOLE):
+    """Amplitude `chi` of `wf` on `region`, or `g`, an amplitude of that helicity there, with the accumulated chart phase removed.
+
+    `region` is three slices of the grid axes (`grids._over_slabs`); by
+    default the whole grid.
+    """
+    g = wf.components[chi][region] if g is None else g
+    phase = wf.basis.gauge_phase
+    return g if phase is None else np.exp(-1j * chi * phase[region]) * g
 
 
-def _covariant_axis(wf, chi, ghat, j, d):
-    """``D_j g`` of helicity `chi` from ``d = d_j ghat``, in the current gauge of the basis.
+def _covariant_axis(wf, chi, ghat, j, d, region=_WHOLE):
+    """``D_j g`` of helicity `chi` on `region` from ``d = d_j ghat`` there, in the current gauge of the basis.
 
     The one per-axis step shared by `covariant_derivative` and
-    `covariant_derivative_axis`: in the construction gauge, subtract the
+    `_covariant_helicity`: in the construction gauge, subtract the
     connection term ``i chi alpha_j ghat`` and the analytic evolution-phase
-    gradient ``i c t n_j ghat`` from d in place, then restore the
-    accumulated chart phase.
+    gradient ``i c t n_j ghat`` from d in place, in one step, then restore
+    the accumulated chart phase.
     """
-    _subtract_i_times(d, ghat, wf.basis.connection()[j], chi)
-    if wf.time != 0.0:
-        _subtract_i_times(d, ghat, wf.grid.units.c * wf.time * wf.grid.nhat(j))
-    basis = wf.basis
-    if basis.gauge_phase is not None:
-        d *= np.exp(1j * chi * basis.gauge_phase)
+    alpha = wf.basis.connection()[j][region]
+    if wf.time == 0.0:
+        _subtract_i_times(d, ghat, alpha, chi)
+    else:
+        # i (chi alpha + c t n) = i chi (alpha + chi c t n), as chi^2 = 1
+        rate = _nhat(wf.grid, j, region)
+        rate *= chi * wf.grid.units.c * wf.time
+        rate += alpha
+        _subtract_i_times(d, ghat, rate, chi)
+    phase = wf.basis.gauge_phase
+    if phase is not None:
+        d *= np.exp(1j * chi * phase[region])
     return d
 
 
@@ -129,15 +139,14 @@ def _subtract_i_times(d, ghat, rate, sign=1.0):
     """``d -= i sign rate ghat`` for a real field `rate` and a sign of 1 or -1, in place.
 
     -i s r (a + i b) = s r b - i s r a is made on the real and imaginary
-    parts of d, one of `_SCRATCH_SLABS` runs of k_x planes at a time, so
-    its scratch is one run of real planes, not a grid array.
+    parts of d, one run of planes of its first axis at a time, the runs
+    being the `grids._slabs` of that axis: a slab block of a grid is one
+    run, and its scratch is one run of real planes, not a grid array.
     """
-    n = d.shape[0]
-    step = -(-n // _SCRATCH_SLABS)
-    scratch = np.empty((step,) + d.shape[1:])
-    for lo in range(0, n, step):
-        rows = slice(lo, lo + step)
-        part = scratch[:min(step, n - lo)]
+    runs = _slabs(d.shape[0], d.size)
+    scratch = np.empty((max(r.stop - r.start for r in runs),) + d.shape[1:])
+    for rows in runs:
+        part = scratch[:rows.stop - rows.start]
         real, imag = d.real[rows], d.imag[rows]
         np.multiply(rate[rows], ghat.imag[rows], out=part)
         part *= sign
@@ -179,12 +188,13 @@ def covariant_derivative_axis(wf, j):
     return replace(wf, gL=_readonly(gL), gR=_readonly(gR))
 
 
-def _covariant_helicity(wf, chi, j, g=None):
-    """``D_j g`` of helicity `chi` alone: one of the two arrays of `covariant_derivative_axis`.
+def _covariant_helicity(wf, chi, j, g=None, region=_WHOLE):
+    """``D_j g`` of helicity `chi` alone, on `region`: by default one of the two arrays of `covariant_derivative_axis`.
 
-    `g` is an amplitude of that helicity in the gauge and at the time of
-    `wf`; by default, the state's own.
+    `g` is an amplitude of that helicity on `region` (three slices of the
+    grid axes, which must span all of axis `j`: the stencil reads along
+    it), in the gauge and at the time of `wf`; by default, the state's own.
     """
-    ghat = _construction_gauge(wf, chi, g)
-    d = _gradient_k_axis(wf.grid, ghat, j, out=np.empty(wf.grid.dims, dtype=complex))
-    return _covariant_axis(wf, chi, ghat, j, d)
+    ghat = _construction_gauge(wf, chi, g, region)
+    d = _gradient_k_axis(wf.grid, ghat, j, out=np.empty(ghat.shape, dtype=complex))
+    return _covariant_axis(wf, chi, ghat, j, d, region)

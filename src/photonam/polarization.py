@@ -35,7 +35,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .grids import (LEVI_CIVITA, cross, reflect_conjugate, spectral_gradient_k, _along, _at_origin, _in_region, _norm,
+from .grids import (LEVI_CIVITA, cross, reflect_conjugate, spectral_gradient_k, _along, _at_origin, _in_region, _kmag,
                     _over_slabs, _readonly)
 
 EPS_POLE = 1e-6  # radians
@@ -79,33 +79,50 @@ class PolarizationBasis:
         return out
 
     def _e_slab(self, i, region, out):
-        """Component `i` of e(k) on the slab `region` (`grids._over_slabs`), written into `out`.
+        """Component `i` of e(k) on the slab `region` (`grids._over_slabs`), written into `out`; one pass of `_e_slabs`."""
+        for _ in self._e_slabs(region, [(i, out)]):
+            pass
 
-        Evaluates ``((a x k) x k + i |k| a x k) / (sqrt(2) |k| |a x k|)``,
-        the closed form of the module docstring multiplied through by
-        |k|^2.  `out` (complex) has the shape of the slab and is scratch too;
-        one real array of that shape is allocated, and one complex one more
-        when a gauge phase is present.  Equal, bit for bit, to the slab of `e`.
+    def _e_slabs(self, region, outs):
+        """Components of e(k) on the slab `region` (`grids._over_slabs`), one at a time; yields ``(i, out)`` once it is in.
+
+        `outs` lists pairs ``(i, out)``: component `i` is written into
+        `out`, a complex array of the slab's shape, which is scratch too and
+        may be the `out` of another pair, refilled once the caller has read
+        it.  The chart geometry (`_chart_geometry`) is made once, before the
+        first component; each component then evaluates ``((a x k) x k + i
+        |k| a x k) / (sqrt(2) |k| |a x k|)``, the closed form of the module
+        docstring multiplied through by |k|^2.  One real array of the slab's
+        shape, sqrt(2) |a x k|, is kept from the first component to the
+        last, and one complex one is allocated per component when a gauge
+        phase is present.  Each component is equal, bit for bit, to the slab
+        of `e`.
         """
         grid, axis = self.grid, self.chart_axis
-        re, im = out.real, out.imag
-        kmag = np.empty(out.shape)
-        c, poles = _chart_geometry(grid, axis, region, kmag, cnorm=im, scratch=re)
+        out = outs[0][1]
+        cnorm = np.empty(out.shape)
+        # |k|, with 1 at the excluded bin, is left in the imaginary part of the first component's buffer
+        c, poles = _chart_geometry(grid, axis, region, kmag=out.imag, cnorm=cnorm, scratch=out.real)
         pts = np.nonzero(poles)
         del poles
-        im[pts] = 1.0
-        kmag *= im
+        cnorm[pts] = 1.0
+        at = tuple(idx + (r.start or 0) for idx, r in zip(pts, region))
         k = [_along(a, ax) for ax, a in enumerate(_in_region(grid.k_axes, region))]
-        p, q = (i + 1) % 3, (i + 2) % 3
-        np.subtract(c[p] * k[q], c[q] * k[p], out=re)
-        re /= kmag                              # theta_hat_i / sqrt(2)
-        np.divide(c[i], im, out=im)             # phi_hat_i / sqrt(2)
-        if pts[0].size:
-            at = tuple(idx + (r.start or 0) for idx, r in zip(pts, region))
-            re[pts], im[pts] = _pole_limit(grid, axis, at, i)
-        if self.gauge_phase is not None:
-            phase = np.multiply(self.gauge_phase[region], -1j)
-            out *= np.exp(phase, out=phase)
+        for n, (i, out) in enumerate(outs):
+            re, im = out.real, out.imag
+            if n:
+                _kmag(grid, region, im)
+            im *= cnorm                             # sqrt(2) |k| |a x k|
+            p, q = (i + 1) % 3, (i + 2) % 3
+            np.subtract(c[p] * k[q], c[q] * k[p], out=re)
+            re /= im                                # theta_hat_i / sqrt(2)
+            np.divide(c[i], cnorm, out=im)          # phi_hat_i / sqrt(2)
+            if pts[0].size:
+                re[pts], im[pts] = _pole_limit(grid, axis, at, i)
+            if self.gauge_phase is not None:
+                phase = np.multiply(self.gauge_phase[region], -1j)
+                out *= np.exp(phase, out=phase)
+            yield i, out
 
     def pole_mask(self):
         """Boolean grid mask of the chart poles, the excluded k=0 bin included."""
@@ -145,32 +162,28 @@ def _chart_geometry(grid, axis, region, kmag, cnorm, scratch):
 
     Returns ``(c, poles)``: the three components of a x k as broadcasting
     2-d arrays and the mask of the points within EPS_POLE of the axis plus
-    the excluded bin.  |k|, with 1 at the excluded bin, is written into
-    `kmag` and sqrt(2) |a x k| into `cnorm`; `scratch` is overwritten; all
-    three have the shape of the region.  The components of a x k are formed
-    from exact products, so they keep full relative accuracy where the
-    products cancel near the axis: the direction of a x k, and every vector
-    derived from it, stays accurate to rounding however close k comes to
-    the axis.
+    the excluded bin.  |k|, with 1 at the excluded bin (`grids._kmag`), is
+    written into `kmag` and sqrt(2) |a x k| into `cnorm`; `scratch` is
+    overwritten; all three have the shape of the region.  The components of
+    a x k are formed from exact products, so they keep full relative
+    accuracy where the products cancel near the axis: the direction of
+    a x k, and every vector derived from it, stays accurate to rounding
+    however close k comes to the axis.
     """
-    axes = _in_region(grid.k_axes, region)
-    k = [_along(a, ax) for ax, a in enumerate(axes)]
+    k = [_along(a, ax) for ax, a in enumerate(_in_region(grid.k_axes, region))]
     c = []
     for j in range(3):
         p, q = (j + 1) % 3, (j + 2) % 3
         h1, l1 = _two_product(axis[p], k[q])
         h2, l2 = _two_product(axis[q], k[p])
         c.append((h1 - h2) + (l1 - l2))
-    at_zero = _at_origin(region)            # the region holds the excluded bin
-    _norm(axes, out=kmag)
-    if at_zero:
-        kmag[0, 0, 0] = 1.0
+    _kmag(grid, region, kmag)
     np.add(2.0 * c[0] * c[0], 2.0 * c[1] * c[1], out=cnorm)
     cnorm += 2.0 * c[2] * c[2]
     np.sqrt(cnorm, out=cnorm)
     np.multiply(kmag, np.sqrt(2.0) * EPS_POLE, out=scratch)
     poles = cnorm < scratch                 # sin(theta) < EPS_POLE
-    if at_zero:
+    if _at_origin(region):
         poles[0, 0, 0] = True               # direction undefined there
     return c, poles
 

@@ -181,6 +181,23 @@ def test_run_suite_matches_the_two_helicity_oracle(grid16, basis16, coefficients
         assert abs(report.residual - want) <= 1e-14 * want, report.pair
 
 
+def test_slab_sums_match_the_two_helicity_oracle(monkeypatch, grid64, basis64):
+    """On 64^3, two slabs, the slab sums and the whole BA g of [Jx, Jy] give the oracle's residuals.
+
+    A re-gauged state at t != 0; at THREADS=2 each check alone runs its
+    slabs on the workers, and `run_suite` runs them inline on one worker,
+    with the same reports bit for bit.
+    """
+    monkeypatch.setenv("THREADS", "2")
+    assert len(grids._slabs(64, grid64.npoints)) == 2
+    wf = regauged_state(grid64, basis64, (0.4, -0.3, 0.2, 0.7), 1.3, seed=11)
+    reports = pn.run_suite(wf)
+    for report, want in zip(reports, two_helicity_residuals(wf), strict=True):
+        assert abs(report.residual - want) <= 1e-14 * want, report.pair
+    alone = [pn.check_commutator(p, q, wf) for p, q in algebra_checks.DEFAULT_SUITE] + [pn.check_curvature(wf)]
+    assert reports == alone
+
+
 @pytest.mark.parametrize("mix", [(1.0, 0.0), (0.0, 1.0)])
 @pytest.mark.parametrize("label", ["H", "Px", "Py", "Pz", "Jx", "Jy", "Jz", "Kx", "Ky", "Kz", "Dx", "Dy", "Dz"])
 def test_every_generator_keeps_the_helicity(grid16, basis16, label, mix):

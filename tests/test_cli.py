@@ -719,15 +719,27 @@ def test_chart_axis_on_a_wavefunction_file_exits_2(chart_files, capsys):
 
 
 def test_check_algebra_beyond_memory_exits_2_before_any_grid(capsys, monkeypatch):
-    """Memory for 20 arrays of the 96^3 fine grid passes `make_grid`'s 16, not the suite's 23."""
+    """Half an array short of the suite's estimate, 12 fine-grid arrays and one a worker running a relation, exits 2 before any grid.
+
+    At THREADS=16 the estimate, 22 arrays, exceeds `make_grid`'s 16.
+    """
     from photonam import cli, grids
+
+    def no_grid(*args, **kwargs):
+        raise AssertionError("a grid was built")
+
     unit = 16 * 96 ** 3
-    assert grids.WORKING_SET_ARRAYS < 20 < cli.ALGEBRA_WORKING_SET_ARRAYS
-    monkeypatch.setattr(grids, "physical_memory", lambda: 20 * unit)
-    (code, _, err), peak = traced_peak(lambda: run_cli(capsys, "check", "algebra", "--grid", "48,96"))
-    assert code == 2
-    assert "physical memory" in json.loads(err.strip())["error"]
-    assert peak < 0.1 * unit, f"{peak} bytes allocated before the refusal"
+    monkeypatch.setattr(cli, "make_grid", no_grid)
+    for threads in (1, 3, 16):
+        monkeypatch.setenv("THREADS", str(threads))
+        need = cli._algebra_working_set()
+        assert need == cli.ALGEBRA_WORKING_SET_ARRAYS + min(threads, 10)
+        monkeypatch.setattr(grids, "physical_memory", lambda: (need - 0.5) * unit)
+        (code, _, err), peak = traced_peak(lambda: run_cli(capsys, "check", "algebra", "--grid", "48,96"))
+        assert code == 2
+        assert "physical memory" in json.loads(err.strip())["error"]
+        assert peak < 0.1 * unit, f"{peak} bytes allocated before the refusal"
+    assert grids.WORKING_SET_ARRAYS < cli.ALGEBRA_WORKING_SET_ARRAYS + 10
 
 
 @pytest.mark.parametrize("sizes", ["96,48", "48,64,96", "48,48"])
