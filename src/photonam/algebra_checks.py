@@ -114,8 +114,9 @@ class _Suite:
 
     The suite of a state's helicity spans the whole grid.  It makes omega
     and w, or shares those of the other helicity's suite, and derives each
-    D_a g of the state's own amplitude once, on first use, and keeps it
-    whole (one complex array an axis, three once all are in).  `on(region)`
+    D_a g of the state's own amplitude once, on first use, on the slabs of
+    axis a + 1 (mod 3), and keeps it whole (one complex array an axis,
+    three once all are in).  `on(region)`
     gives the suite of that amplitude on a region, three slices of the grid
     axes: g, omega, w and the kept D are read through views.  `of(g)` gives
     the suite of an amplitude derived from g on the same region, which keeps
@@ -160,7 +161,13 @@ class _Suite:
             return photon_state._covariant_helicity(self.wf, self.chi, a, self.g, self.region)
         kept = self._kept
         if kept[a] is None:
-            kept[a] = _readonly(photon_state._covariant_helicity(self.wf, self.chi, a))
+            d = np.empty(self._g.shape, dtype=complex)
+
+            def fill(region):
+                d[region] = photon_state._covariant_helicity(self.wf, self.chi, a, self._g[region], region)
+
+            _over_slabs(self.wf.grid, (a + 1) % 3, fill)     # its slabs span axis a, which the stencil reads along
+            kept[a] = _readonly(d)
         return kept[a][self.region]
 
     def k(self, ax):
@@ -209,10 +216,6 @@ def _reports(wf, run):
     return [t.report() for t in total]
 
 
-def _with(wf, gL, gR):
-    return replace(wf, gL=_readonly(gL), gR=_readonly(gR))
-
-
 def _times(d, f):
     """``d * f``, made in `d` itself when `d` is a fresh array rather than one a suite keeps."""
     if not d.flags.writeable:
@@ -235,9 +238,8 @@ def apply_generator(tag, wf):
     tag = _as_tag(tag)
     i = tag.axis
     if not isinstance(wf, _Suite):
-        if tag.kind == "D":
-            return photon_state.covariant_derivative_axis(wf, i)
-        return _with(wf, *(apply_generator(tag, suite) for suite in _helicities(wf)))
+        gL, gR = (apply_generator(tag, suite) for suite in _helicities(wf))
+        return replace(wf, gL=_readonly(gL), gR=_readonly(gR))
     suite = wf
     hbar = suite.wf.grid.units.hbar
 

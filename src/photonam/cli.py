@@ -21,10 +21,10 @@ and report them: ``diagnostics.boundary_margin`` at the k edge (photon and
 darwin) and ``boundary_margin_r`` at the real-space edge (photon and field);
 a failing margin also writes one ``BoundaryDecayWarning`` to stderr.
 
-Only ``check algebra`` and ``check polarization`` derive the connection
-alpha of the polarization basis (`PolarizationBasis.connection`); the
-photon route takes Jo and K from E(k) with an exact k derivative, and
-darwin is the one route that differentiates by finite differences.  An
+Only ``check algebra`` derives the connection alpha of the polarization
+basis (`photonam.polarization` names its readers); the photon route takes
+Jo and K from E(k) with an exact k derivative, and darwin is the one route
+that differentiates by finite differences.  An
 ``observables`` report builds E(k) of the stored snapshot once, when any
 route besides the photon one is asked for, and hands it to the photon
 route, to darwin and to the synthesis of F (`build_report`); it releases
@@ -433,19 +433,14 @@ def check_algebra(grids):
 
 def check_polarization(n):
     grid = make_grid((n, n, n))
-    basis = polarization.build_basis(grid)
+    basis = polarization.chart_basis(grid)
     res = polarization.identity_residuals(grid, basis)
     loop, expected, err = polarization.berry_loop(grid, basis, (0.8, 0.6, 1.1), max(1, round(0.4 / grid.dk[0])))
-    identity_tol = 1e-12
-    rows = [{"identity": k, "residual": v, "threshold": identity_tol, "pass": v <= identity_tol}
-            for k, v in sorted(res.items())]
-    # discrete loop error is O(dk^2); allow an order-unity constant
-    loop_tol = max(0.08 * abs(expected), 4.0 * grid.dk[0] ** 2)
-    rows.append({"identity": "berry_loop_vs_solid_angle", "residual": err,
-                 "threshold": loop_tol, "pass": bool(err <= loop_tol)})
-    ok = all(r["pass"] for r in rows)
+    tol = 1e-12         # the Wilson loop, like the identities, is exact to rounding
+    rows = [{"identity": k, "residual": v, "threshold": tol, "pass": bool(v <= tol)}
+            for k, v in [*sorted(res.items()), ("berry_loop_vs_solid_angle", err)]]
     return {"identities": rows, "berry_loop": {"loop": loop, "expected": expected, "abs_error": err},
-            "grid": n, "pass": bool(ok)}
+            "grid": n, "pass": all(r["pass"] for r in rows)}
 
 
 def check_greens(n):

@@ -318,7 +318,7 @@ def analyze(rs, basis):
         den2 = div.add(i, Fk, region)
         part = Fk[region]
         e_i = np.empty(part.shape, dtype=complex)
-        basis._e_slab(i, region, e_i)
+        basis._e_slab(region, [(i, e_i)])
         reflected = _reflected(Fk, region, np.empty(part.shape, dtype=complex))
         reflected *= e_i
         R = gR[region]

@@ -71,7 +71,7 @@ def _write(path, grid, arrays, provenance, entries):
 
 def write_wavefunction(path, wf, provenance=None):
     """Write the amplitudes in the construction gauge of the chart, which the manifest names."""
-    amplitudes = [photon_state._construction_gauge(wf, chi) for chi in photon_state.HELICITIES]
+    amplitudes = [photon_state._construction_gauge(wf, chi, g) for chi, g in wf.components.items()]
     return _write(path, wf.grid, amplitudes, provenance, {
         "kind": "wavefunction",
         "components": ["gL", "gR"],

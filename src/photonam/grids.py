@@ -685,9 +685,9 @@ def _warn_decay(margin, what, space, stacklevel=3):
 # differences with wrap-around indexing except at the two ends of the
 # monotone k range (indices n/2 - 1 and n/2), where numpy's one-sided
 # formulas replace them, as the data must decay near the momentum boundary.
-# Its readers are alpha and D, which only `check algebra` and `check
-# polarization` read, and darwin, the one report route that differentiates
-# by FD.  The stencil checks nothing: decay is measured by
+# Its readers are alpha and D, which only `check algebra` reads (see
+# `photonam.polarization`), and darwin, the one report route that
+# differentiates by FD.  The stencil checks nothing: decay is measured by
 # `check_boundary_decay` where a beam is built and where a route that
 # differentiates in k reports a result.
 

@@ -25,7 +25,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .grids import spectral_gradient_k, _gradient_k_axis, _nhat, _readonly, _slabs, _w_invariant, _WHOLE
+from .grids import spectral_gradient_k, _gradient_k_axis, _nhat, _readonly, _w_invariant, _WHOLE
 
 HELICITIES = (+1, -1)
 
@@ -100,13 +100,12 @@ def gauge_transform(wf, phi):
                    basis=replace(basis, gauge_phase=_readonly(phase)))
 
 
-def _construction_gauge(wf, chi, g=None, region=_WHOLE):
-    """Amplitude `chi` of `wf` on `region`, or `g`, an amplitude of that helicity there, with the accumulated chart phase removed.
+def _construction_gauge(wf, chi, g, region=_WHOLE):
+    """`g`, an amplitude of helicity `chi` of `wf` on `region`, with the accumulated chart phase removed.
 
     `region` is three slices of the grid axes (`grids._over_slabs`); by
     default the whole grid.
     """
-    g = wf.components[chi][region] if g is None else g
     phase = wf.basis.gauge_phase
     return g if phase is None else np.exp(-1j * chi * phase[region]) * g
 
@@ -120,15 +119,13 @@ def _covariant_axis(wf, chi, ghat, j, d, region=_WHOLE):
     gradient ``i c t n_j ghat`` from d in place, in one step, then restore
     the accumulated chart phase.
     """
-    alpha = wf.basis.connection()[j][region]
-    if wf.time == 0.0:
-        _subtract_i_times(d, ghat, alpha, chi)
-    else:
+    rate = wf.basis.connection()[j][region]
+    if wf.time != 0.0:
         # i (chi alpha + c t n) = i chi (alpha + chi c t n), as chi^2 = 1
-        rate = _nhat(wf.grid, j, region)
-        rate *= chi * wf.grid.units.c * wf.time
-        rate += alpha
-        _subtract_i_times(d, ghat, rate, chi)
+        n = _nhat(wf.grid, j, region)
+        n *= chi * wf.grid.units.c * wf.time
+        rate = np.add(n, rate, out=n)
+    _subtract_i_times(d, ghat, rate, chi)
     phase = wf.basis.gauge_phase
     if phase is not None:
         d *= np.exp(1j * chi * phase[region])
@@ -139,21 +136,17 @@ def _subtract_i_times(d, ghat, rate, sign=1.0):
     """``d -= i sign rate ghat`` for a real field `rate` and a sign of 1 or -1, in place.
 
     -i s r (a + i b) = s r b - i s r a is made on the real and imaginary
-    parts of d, one run of planes of its first axis at a time, the runs
-    being the `grids._slabs` of that axis: a slab block of a grid is one
-    run, and its scratch is one run of real planes, not a grid array.
+    parts of d through one real temporary of d's shape: a slab block in
+    ``check algebra`` (`grids._over_slabs`), a whole array in the stacked
+    `covariant_derivative`.
     """
-    runs = _slabs(d.shape[0], d.size)
-    scratch = np.empty((max(r.stop - r.start for r in runs),) + d.shape[1:])
-    for rows in runs:
-        part = scratch[:rows.stop - rows.start]
-        real, imag = d.real[rows], d.imag[rows]
-        np.multiply(rate[rows], ghat.imag[rows], out=part)
-        part *= sign
-        real += part
-        np.multiply(rate[rows], ghat.real[rows], out=part)
-        part *= sign
-        imag -= part
+    real, imag = d.real, d.imag
+    part = np.multiply(rate, ghat.imag)
+    part *= sign
+    real += part
+    np.multiply(rate, ghat.real, out=part)
+    part *= sign
+    imag -= part
 
 
 def covariant_derivative(wf):
@@ -166,34 +159,23 @@ def covariant_derivative(wf):
     momentum boundary; that is measured where a state is built and reported.
 
     Returns a tuple of three wavefunctions, one per Cartesian k axis, at the
-    same time as the input.  `covariant_derivative_axis` gives one axis for
-    a third of the work.
+    same time as the input.  `_covariant_helicity` gives one axis of one
+    helicity, on a region, equal to it bit for bit.
     """
-    grid = wf.grid
-    out = [[None, None] for _ in range(3)]
-    for slot, chi in enumerate(HELICITIES):
-        ghat = _construction_gauge(wf, chi)
-        grad = spectral_gradient_k(grid, ghat)
-        for j in range(3):
-            out[j][slot] = _covariant_axis(wf, chi, ghat, j, grad[j])
-    return tuple(
-        replace(wf, gL=_readonly(out[j][0]), gR=_readonly(out[j][1]))
-        for j in range(3)
-    )
+    out = []
+    for chi, g in wf.components.items():
+        ghat = _construction_gauge(wf, chi, g)
+        grad = spectral_gradient_k(wf.grid, ghat)
+        out.append([_covariant_axis(wf, chi, ghat, j, grad[j]) for j in range(3)])
+    return tuple(replace(wf, gL=_readonly(gL), gR=_readonly(gR)) for gL, gR in zip(*out))
 
 
-def covariant_derivative_axis(wf, j):
-    """Component `j` of `covariant_derivative`, equal to it bit for bit."""
-    gL, gR = (_covariant_helicity(wf, chi, j) for chi in HELICITIES)
-    return replace(wf, gL=_readonly(gL), gR=_readonly(gR))
-
-
-def _covariant_helicity(wf, chi, j, g=None, region=_WHOLE):
-    """``D_j g`` of helicity `chi` alone, on `region`: by default one of the two arrays of `covariant_derivative_axis`.
+def _covariant_helicity(wf, chi, j, g, region):
+    """``D_j g`` of helicity `chi` alone on `region`; of the state's own amplitude, ``covariant_derivative(wf)[j]`` there, bit for bit.
 
     `g` is an amplitude of that helicity on `region` (three slices of the
     grid axes, which must span all of axis `j`: the stencil reads along
-    it), in the gauge and at the time of `wf`; by default, the state's own.
+    it), in the gauge and at the time of `wf`.
     """
     ghat = _construction_gauge(wf, chi, g, region)
     d = _gradient_k_axis(wf.grid, ghat, j, out=np.empty(ghat.shape, dtype=complex))

@@ -11,15 +11,15 @@ which needs no azimuthal frame and no angles.  A basis stores no e array:
 `GridPair` derives its metadata.  A basis is plain data: the chart axis, the
 accumulated gauge phase (None in the construction gauge) and the Berry-type
 connection ``alpha_j = -Im[e* . d_j e]`` of the construction gauge, obtained
-with the finite-difference stencil of `grids`.  Only two commands read the
-connection: ``check algebra``, through the covariant derivative of
-`photon_state`, and ``check polarization``, through `berry_loop`; no
-reported route does (the photon picture works on E(k), which is gauge
-free).  So `PolarizationBasis.connection` derives it on its first call and
-keeps it: `chart_basis` derives nothing, `build_basis` derives it before
-returning.  The gauge changes only through
-`photonam.photon_state.gauge_transform`, which re-phases a state and its
-basis together.
+with the finite-difference stencil of `grids`.  It has two readers, the
+covariant derivatives of `photon_state`: that of ``check algebra`` and the
+stacked `photon_state.covariant_derivative`, which no command calls.  No
+report reads it (E(k) is gauge free), nor ``check polarization``, whose
+Berry phase is a Wilson loop of e(k) (`berry_loop`).  So
+`PolarizationBasis.connection` derives it on its first call and keeps it:
+`chart_basis` derives nothing, `build_basis` derives it before returning.
+The gauge changes only through `photonam.photon_state.gauge_transform`,
+which re-phases a state and its basis together.
 
 A single chart cannot cover the sphere smoothly; points within ``EPS_POLE``
 of the chart axis (`PolarizationBasis.pole_mask`) carry the limiting basis
@@ -31,6 +31,7 @@ are constructed away from the poles.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -75,12 +76,12 @@ class PolarizationBasis:
         """
         if out is None:
             out = np.empty(self.grid.dims, dtype=complex)
-        _over_slabs(self.grid, 0, lambda region: self._e_slab(i, region, out[region]))
+        _over_slabs(self.grid, 0, lambda region: self._e_slab(region, [(i, out[region])]))
         return out
 
-    def _e_slab(self, i, region, out):
-        """Component `i` of e(k) on the slab `region` (`grids._over_slabs`), written into `out`; one pass of `_e_slabs`."""
-        for _ in self._e_slabs(region, [(i, out)]):
+    def _e_slab(self, region, outs):
+        """Components of e(k) on the slab `region` (`grids._over_slabs`), each into its own `out`; one pass of `_e_slabs`."""
+        for _ in self._e_slabs(region, outs):
             pass
 
     def _e_slabs(self, region, outs):
@@ -326,43 +327,43 @@ def solid_angle_quad(p1, p2, p3, p4):
 
 
 def berry_loop(grid, basis, center, half_cells):
-    """Discrete loop integral of alpha around a grid-aligned square circuit.
+    """Berry phase of e(k) around a grid-aligned square circuit: a discrete Wilson loop.
 
     The square lies in a plane of constant k_z, centred at the grid point
-    nearest `center`, with half-side ``half_cells`` grid steps.  The loop is
-    traversed counterclockwise as seen from positive k_z.
+    nearest `center`, with half-side ``half_cells`` grid steps, and may not
+    cross the Nyquist edge of k_x or k_y.  The loop is ``-arg prod_i e(k_i)*
+    . e(k_{i+1})`` over its grid points, counterclockwise as seen from
+    positive k_z (Pancharatnam 1956; Fukui, Hatsugai & Suzuki, J. Phys. Soc.
+    Jpn. 74, 1674, 2005): gauge invariant, as the phase of each e(k_i)
+    cancels between its two links, and the geodesic solid angle of the
+    corners to rounding, as a straight edge in k projects onto a great circle.
 
-    Returns ``(loop_integral, expected, abs_error)`` where `expected` is the
-    flux of the helicity +1 curvature ``-n/|k|^2`` through the square, i.e.
-    minus the solid angle the square subtends at the origin (independent
-    geometric oracle for the Stokes check).
+    Returns ``(loop, expected, abs_error)`` where `expected` is the flux of
+    the helicity +1 curvature ``-n/|k|^2`` through the square, i.e. minus
+    the solid angle the square subtends at the origin (independent
+    geometric oracle), and `abs_error` their distance modulo 2 pi.
     """
+    nx, ny = grid.dims[0], grid.dims[1]
     cx, cy, cz = [int(np.argmin(np.abs(grid.k_axes[ax] - center[ax]))) for ax in range(3)]
+    cx, cy = (c - nn if 2 * c >= nn else c for c, nn in ((cx, nx), (cy, ny)))      # signed, as k is
     h = int(half_cells)
     lo_x, hi_x, lo_y, hi_y = cx - h, cx + h, cy - h, cy + h
-    nx, ny = grid.dims[0], grid.dims[1]
     # stay on the monotone branch (no wraparound through the Nyquist edge)
     for lo, hi, nn in ((lo_x, hi_x, nx), (lo_y, hi_y, ny)):
         if not (-(nn // 2) <= lo and hi < nn // 2):
             raise ValueError("loop leaves the momentum grid")
 
-    alpha = basis.connection()
-    if basis.gauge_phase is not None:      # the connection of the current gauge
-        alpha = alpha + spectral_gradient_k(grid, basis.gauge_phase)
-
-    def edge(axis, fixed, lo, hi):
-        """Trapezoidal integral of alpha_axis along the edge from index lo to hi."""
-        run = np.arange(lo, hi + 1)
-        index = (run % nx, fixed % ny, cz) if axis == 0 else (fixed % nx, run % ny, cz)
-        vals = alpha[axis][index]
-        return grid.dk[axis] * (vals.sum() - 0.5 * (vals[0] + vals[-1]))
-
-    # the four edges counterclockwise: +x at lo_y, +y at hi_x, -x at hi_y, -y at lo_x
-    loop = (edge(0, lo_y, lo_x, hi_x) + edge(1, hi_x, lo_y, hi_y)
-            - edge(0, hi_y, lo_x, hi_x) - edge(1, lo_x, lo_y, hi_y))
+    e = np.empty((3, nx, ny, 1), dtype=complex)
+    basis._e_slab((slice(None), slice(None), slice(cz, cz + 1)), list(enumerate(e)))
+    # the grid points counterclockwise from the first corner, and back to it
+    corners = [(lo_x, lo_y), (hi_x, lo_y), (hi_x, hi_y), (lo_x, hi_y)]
+    step = np.arange(2 * h)
+    xs, ys = (np.concatenate([a + np.sign(b - a) * step for a, b in zip(c, c[1:])] + [c[:1]])
+              for c in zip(*corners + corners[:1]))
+    path = e[:, xs % nx, ys % ny, 0]
+    loop = -np.angle(np.prod(np.sum(np.conjugate(path[:, :-1]) * path[:, 1:], axis=0)))
 
     kx, ky, kz = grid.k_axes
-    corners = [(lo_x, lo_y), (hi_x, lo_y), (hi_x, hi_y), (lo_x, hi_y)]
     expected = -solid_angle_quad(*[np.array([kx[i % nx], ky[j % ny], kz[cz]]) for i, j in corners])
 
-    return float(loop), float(expected), float(abs(loop - expected))
+    return float(loop), float(expected), abs(math.remainder(loop - expected, 2.0 * math.pi))

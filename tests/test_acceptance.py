@@ -161,12 +161,12 @@ def test_criterion_6_polarization_identities(grid32, basis32):
     errs = []
     for n in (32, 64):
         g = pn.make_grid(n)
-        b = pn.build_basis(g)
+        b = pn.chart_basis(g)
         _, _, err = pn.berry_loop(g, b, (0.8, 0.6, 1.1), max(1, round(0.4 / g.dk[0])))
         errs.append(err)
-    ok = worst <= 1e-12 and errs[0] / errs[1] >= 3.0
-    report(6, ok, "basis identities at 1e-12; Berry loop matches solid angle at O(dk^2)",
-           f"identities {worst:.1e}, loop ratio {errs[0] / errs[1]:.2f}")
+    ok = worst <= 1e-12 and max(errs) <= 1e-12
+    report(6, ok, "basis identities at 1e-12; Berry Wilson loop matches solid angle at 1e-12",
+           f"identities {worst:.1e}, loop errors {errs[0]:.1e} (32^3), {errs[1]:.1e} (64^3)")
 
 
 def test_criterion_7_round_trips(grid64, grid48, basis48):

@@ -271,7 +271,7 @@ def test_k_delta_of_centred_beam_is_noise_scaled_by_energy_times_box(tmp_path, c
 
 
 def test_report_commands_derive_no_connection(tmp_path, capsys, monkeypatch):
-    """split and observables run their routes without the connection alpha: deriving it would raise."""
+    """split, observables and check polarization run without the connection alpha: deriving it would raise."""
     beam = tmp_path / "beam.pam"
     with decay_ignored():
         assert run_cli(capsys, "beam", "bessel", "--grid", "48", "--m", "2", "-o", str(beam))[0] == 0
@@ -285,6 +285,9 @@ def test_report_commands_derive_no_connection(tmp_path, capsys, monkeypatch):
         assert code == 0 and json.loads(text)["Js"][2] > 0
         code, text, _ = run_cli(capsys, "observables", str(beam), "--json")
     assert code == 0 and set(json.loads(text)["routes"]) == {"photon", "field", "darwin", "textbook"}
+    code, text, _ = run_cli(capsys, "check", "polarization", "--grid", "16", "--json")
+    rep = json.loads(text)
+    assert code == 0 and rep["pass"] is True and rep["berry_loop"]["abs_error"] <= 1e-12
 
 
 def test_k_delta_is_scaled_by_energy_times_box(grid48, basis48):

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 import photonam as pn
-from photonam import algebra_checks, photon_state
+from photonam import algebra_checks
 from photonam.grids import BoundaryDecayWarning
 
 from conftest import materialized, norm, photon_number, rel, scalar_product, smooth_state, wavefunction
@@ -132,17 +132,21 @@ def test_covariant_derivative_gauge_covariance(grid48, basis48):
         assert rel(D2[j].gR, np.exp(-1j * phi) * D[j].gR) < 1e-12
 
 
-def test_covariant_derivative_axis_matches_stack(grid48, basis48):
-    """One axis of D, as the generators use it, equals that axis of the full D bit for bit."""
-    g = grid48
-    kx, ky, kz = g.kvec
-    phi = 0.4 * np.sin(0.5 * kx) * np.cos(0.3 * kz)
-    wf = pn.evolve(pn.gauge_transform(smooth_state(g, basis48, seed=7), phi), 0.6)
-    D = pn.covariant_derivative(wf)
-    for j in range(3):
-        Dj = photon_state.covariant_derivative_axis(wf, j)
-        assert np.array_equal(Dj.gL, D[j].gL) and np.array_equal(Dj.gR, D[j].gR)
-        assert Dj.time == wf.time and Dj.basis is wf.basis
+def test_covariant_derivative_axis_matches_stack(grid48, basis48, grid64, basis64):
+    """The generator D_j of `apply_generator` equals axis j of the stacked D bit for bit.
+
+    On a re-gauged state at t != 0, on one slab (48^3) and on two (64^3),
+    where the generator's D is filled slab by slab.
+    """
+    for g, basis in ((grid48, basis48), (grid64, basis64)):
+        kx, ky, kz = g.kvec
+        phi = 0.4 * np.sin(0.5 * kx) * np.cos(0.3 * kz)
+        wf = pn.evolve(pn.gauge_transform(smooth_state(g, basis, seed=7), phi), 0.6)
+        D = pn.covariant_derivative(wf)
+        for j in range(3):
+            Dj = pn.apply_generator(f"D{'xyz'[j]}", wf)
+            assert np.array_equal(Dj.gL, D[j].gL) and np.array_equal(Dj.gR, D[j].gR)
+            assert Dj.time == wf.time and Dj.basis is wf.basis
 
 
 def test_curvature_sign_flips_with_helicity(grid48, basis48):

@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -193,25 +195,42 @@ def test_connection_curvature_matches_monopole():
 
 
 def test_berry_loop_solid_angle_convergence():
-    errs = []
+    """The Wilson loop is the solid angle to rounding on every grid, not only in the limit."""
     expecteds = []
     for n in (32, 64, 128):
         g = pn.make_grid(n)
-        b = pn.build_basis(g)
+        b = pn.chart_basis(g)
         half = max(1, round(0.4 / g.dk[0]))
         loop, expected, err = pn.berry_loop(g, b, (0.8, 0.6, 1.1), half)
         # orientation: counterclockwise loop encloses negative curvature flux
         assert loop < 0 and expected < 0
-        errs.append(err)
+        assert err <= 1e-12
         expecteds.append(expected)
-    # identical physical loop on the two finer grids: clean O(dk^2)
+    # identical physical loop on the two finer grids
     assert expecteds[1] == pytest.approx(expecteds[2], rel=1e-12)
-    assert errs[1] / errs[2] > 3.0
 
 
 def test_berry_loop_leaving_grid_rejected(grid16, basis16):
     with pytest.raises(ValueError, match="leaves"):
         pn.berry_loop(grid16, basis16, (0.0, 0.0, 1.0), grid16.dims[0])
+
+
+_LOOP_CHARTS = ((0.0, 0.0, 1.0), (1.0, 0.0, 0.0), tuple(np.array([0.3, -0.5, 0.8]) / np.linalg.norm([0.3, -0.5, 0.8])))
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.sampled_from((32, 48)), st.sampled_from(_LOOP_CHARTS), st.sampled_from((-1.0, 1.0)),
+       st.sampled_from((-1.0, 1.0)), st.floats(0.3, 1.2), st.floats(0.3, 1.2), st.floats(0.4, 1.2),
+       st.sampled_from((-1.0, 1.0)), st.integers(1, 4))
+def test_berry_loop_is_exact_in_every_quadrant(n, chart, sx, sy, ax, ay, az, sz, half):
+    """Loops centred in all four (k_x, k_y) quadrants, on any chart, are the solid angle to 1e-12 modulo 2 pi."""
+    g = pn.make_grid(n)
+    basis, center = pn.chart_basis(g, chart), (sx * ax, sy * ay, sz * az)
+    loop, expected, err = pn.berry_loop(g, basis, center, half)
+    assert abs(math.remainder(loop - expected, 2.0 * math.pi)) <= 1e-12 and err <= 1e-12
+    # a half-side that reaches past the Nyquist edge is still refused
+    with pytest.raises(ValueError, match="leaves"):
+        pn.berry_loop(g, basis, center, n // 2)
 
 
 def test_gauge_transform_identity_and_constant(grid32, basis32):
