@@ -6,7 +6,8 @@ machine-readable JSON.  Exit codes: 0 success, 1 numerical threshold
 failure, 2 usage or validation error (with an error JSON on stderr); a
 grid too large for the machine's memory is refused with exit 2 before it is
 allocated (``check algebra`` by its own working set, sized from its measured
-peaks), and an allocation that fails all the same also exits 2.
+peaks; ``check polarization`` by `make_grid`'s, as it reduces its identities
+slab by slab), and an allocation that fails all the same also exits 2.
 Non-finite or out-of-range numbers also exit 2 and write no file; the beam
 factories validate their inputs before their first grid-sized allocation,
 and an unknown ``observables`` route is refused before its file is read.
@@ -434,8 +435,8 @@ def check_algebra(grids):
 def check_polarization(n):
     grid = make_grid((n, n, n))
     basis = polarization.chart_basis(grid)
-    res = polarization.identity_residuals(grid, basis)
-    loop, expected, err = polarization.berry_loop(grid, basis, (0.8, 0.6, 1.1), max(1, round(0.4 / grid.dk[0])))
+    res = polarization.identity_residuals(basis)
+    loop, expected, err = polarization.berry_loop(basis, (0.8, 0.6, 1.1), max(1, round(0.4 / grid.dk[0])))
     tol = 1e-12         # the Wilson loop, like the identities, is exact to rounding
     rows = [{"identity": k, "residual": v, "threshold": tol, "pass": bool(v <= tol)}
             for k, v in [*sorted(res.items()), ("berry_loop_vs_solid_angle", err)]]

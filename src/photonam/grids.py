@@ -25,8 +25,8 @@ Conventions used throughout the package:
   transforms (in numpy's own axis order, the last two axes in slabs of the
   first, then the first axis in slabs of the second, each 1-d line by the
   same call as in ``np.fft.fftn`` & co, so bit for bit numpy's), e(k),
-  alpha, the beams, the field conversions and every stage that multiplies
-  and sums.  A slab reads the reflection conj(F(-k)) through
+  alpha, the beams, the field conversions, the basis identities of
+  ``check polarization`` and every stage that multiplies and sums.  A slab reads the reflection conj(F(-k)) through
   reversed-index slices of the mirrored rows (`_reflected`, the one
   implementation of it), so no pass rolls a whole array.  The regions of one axis
   run on the THREADS workers, write disjoint slices of arrays their caller
@@ -66,8 +66,9 @@ BOUNDARY_TOL = 1e-8
 #: at 235 MiB on a wavefunction, where darwin, the synthesis of F and the E
 #: and B copies each hold about six arrays, and at 266 MiB on an rs_field
 #: file, in its analysis; `split` at 155 MiB, in the photon picture, `beam`
-#: at 133 MiB, `synthesize` at 228 MiB, `analyze` at 266 MiB and `potential`
-#: at 326 MiB); 16 arrays of 32 MiB leave a 35% margin
+#: at 133 MiB, `synthesize` at 228 MiB, `analyze` at 266 MiB, `potential`
+#: at 326 MiB and ``check polarization`` at 167 MiB, reducing its identities
+#: slab by slab); 16 arrays of 32 MiB leave a 35% margin
 WORKING_SET_ARRAYS = 16
 
 
@@ -95,11 +96,6 @@ def cross_component(a, b, j, out=None):
     return out
 
 
-def cross(a, b):
-    """Cross product over the leading component axis; components may broadcast."""
-    return np.stack([cross_component(a, b, j) for j in range(3)])
-
-
 @dataclass(frozen=True)
 class UnitsConfig:
     """Physical constants: speed of light c, reduced Planck constant hbar, vacuum permittivity eps0."""
@@ -120,7 +116,8 @@ class GridPair:
     Only the 1-d axes are stored, so a grid costs a few kilobytes at any
     size.  Every 3-d quantity is derived on request from one formula:
     `kvec` gives zero-stride views, the methods allocate one real array per
-    call (`nhat` one component per call).  The quadrature weight of the
+    call, and the unit vectors n are derived one component on one region at
+    a time (`_nhat`).  The quadrature weight of the
     momentum sum is the scalar `dVk`, with the k=0 bin (`excluded_index`)
     excluded; `photon_state._adopted` zeroes amplitudes there.
     Immutable; the axes are read-only and may be shared freely between
@@ -203,10 +200,6 @@ class GridPair:
         """c |k| at every point."""
         return _omega(self, _WHOLE)
 
-    def nhat(self, j):
-        """Component `j` of the unit vector k/|k|; the excluded k=0 bin holds the placeholder z."""
-        return _nhat(self, j, _WHOLE)
-
     def w_invariant(self):
         """dVk / (hbar omega): the invariant measure, 0 at the excluded k=0 bin."""
         return _w_invariant(self, _WHOLE)
@@ -233,7 +226,7 @@ def _along(a, ax):
 
 
 def _nhat(grid, j, region):
-    """Component `j` of `GridPair.nhat` on `region`, a tuple of three slices of the grid axes."""
+    """Component `j` of the unit vector k/|k| on `region`, three slices of the grid axes; z at the k=0 bin."""
     out = _kmag(grid, region)
     np.divide(_along(grid.k_axes[j][region[j]], j), out, out=out)
     if _at_origin(region):
@@ -582,19 +575,6 @@ def _real_derivative_axis(grid, f, ax, region):
 def _check_shape(grid, a):
     if a.shape[-3:] != grid.dims:
         raise ValueError(f"array shape {a.shape} does not match grid dims {grid.dims}")
-
-
-def reflect_conjugate(grid, F):
-    """Return ``R[F] = conj(F(-k))`` on the FFT-ordered grid (Nyquist bins map to themselves), in k_x slabs."""
-    F = np.asarray(F)
-    _check_shape(grid, F)
-    out = np.empty_like(F)
-
-    def fill(region):
-        _reflected(F, region, out[(Ellipsis,) + region])
-
-    _over_slabs(grid, 0, fill)
-    return out
 
 
 def _reflected(F, region, out):

@@ -22,11 +22,16 @@ The gauge changes only through `photonam.photon_state.gauge_transform`,
 which re-phases a state and its basis together.
 
 A single chart cannot cover the sphere smoothly; points within ``EPS_POLE``
-of the chart axis (`PolarizationBasis.pole_mask`) carry the limiting basis
+of the chart axis (`_chart_geometry`) carry the limiting basis
 of an azimuth-0 approach, ``(cos(theta) u - sin(theta) a + i v)/sqrt(2)``
 in a fixed right-handed frame (u, v, a), projected onto the plane normal to
 n and renormalized where k is off the axis itself.  Beams and test states
 are constructed away from the poles.
+
+``check polarization`` verifies the basis on its own grid: the seven
+pointwise identities (`identity_residuals`), reduced over k_x slabs like
+every other check, and the Berry phase of one square loop (`berry_loop`).
+Both take the grid from the basis.
 """
 
 from __future__ import annotations
@@ -36,8 +41,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .grids import (LEVI_CIVITA, cross, reflect_conjugate, spectral_gradient_k, _along, _at_origin, _in_region, _kmag,
-                    _over_slabs, _readonly)
+from .grids import (LEVI_CIVITA, cross_component, spectral_gradient_k, _along, _at_origin, _in_region, _kmag, _nhat,
+                    _over_slabs, _readonly, _reflected)
 
 EPS_POLE = 1e-6  # radians
 
@@ -48,13 +53,13 @@ class PolarizationBasis:
 
     The vectors e(k) are derived on request, one component per call of `e`,
     in closed form from the chart axis, and re-phased by
-    ``exp(-i gauge_phase)``; the chart poles likewise (`pole_mask`).
+    ``exp(-i gauge_phase)``.
     ``gauge_phase`` is the chart phase accumulated by gauge transforms
     (`photonam.photon_state.gauge_transform`), None in the construction gauge.
     ``alpha_base`` is the connection of the construction gauge: covariant
     derivatives are evaluated there (exactly gauge covariant) and re-phased
-    afterwards.  It is None until `connection` derives it and keeps it; `e`,
-    `pole_mask` and every stage of a report or a file conversion never read it.
+    afterwards.  It is None until `connection` derives it and keeps it; `e`
+    and every stage of a report or a file conversion never read it.
     """
 
     grid: object
@@ -114,8 +119,7 @@ class PolarizationBasis:
             if n:
                 _kmag(grid, region, im)
             im *= cnorm                             # sqrt(2) |k| |a x k|
-            p, q = (i + 1) % 3, (i + 2) % 3
-            np.subtract(c[p] * k[q], c[q] * k[p], out=re)
+            cross_component(c, k, i, out=re)
             re /= im                                # theta_hat_i / sqrt(2)
             np.divide(c[i], cnorm, out=im)          # phi_hat_i / sqrt(2)
             if pts[0].size:
@@ -124,11 +128,6 @@ class PolarizationBasis:
                 phase = np.multiply(self.gauge_phase[region], -1j)
                 out *= np.exp(phase, out=phase)
             yield i, out
-
-    def pole_mask(self):
-        """Boolean grid mask of the chart poles, the excluded k=0 bin included."""
-        kmag, cnorm, scratch = (np.empty(self.grid.dims) for _ in range(3))
-        return _chart_geometry(self.grid, self.chart_axis, (slice(None),) * 3, kmag, cnorm, scratch)[1]
 
 
 def _chart_frame(axis):
@@ -197,7 +196,7 @@ def _pole_limit(grid, axis, pts, i):
     is not (k within EPS_POLE of the axis but off it), it is projected onto
     the plane normal to n and renormalized, so e.n = 0 and e*.e = 1 to
     rounding at every pole.  The excluded k=0 bin keeps the limit of the
-    placeholder direction z of `GridPair.nhat`.
+    placeholder direction z of `grids._nhat`.
     """
     n = np.stack([a[idx] for a, idx in zip(grid.k_axes, pts)])
     kmag = np.linalg.norm(n, axis=0)
@@ -268,47 +267,54 @@ def _derive_connection(grid, axis):
 # ---------------------------------------------------------------------------
 # verification helpers
 
-def identity_residuals(grid, basis):
-    """Max absolute residual of each basis identity over usable points.
+def identity_residuals(basis):
+    """Max absolute residual of each basis identity over the usable points of `basis.grid`.
 
     The dyadic identity is checked in its transverse-complete form
     ``e_i* e_j = (delta_ij - n_i n_j + i eps_ijl n_l) / 2``; contracted with
     transverse fields the ``n_i n_j`` term drops and the familiar shorthand
-    ``(delta_ij + i eps_ijl n_l)/2`` is recovered.
+    ``(delta_ij + i eps_ijl n_l)/2`` is recovered.  e(k) is filled whole
+    once; each k_x slab (`grids._over_slabs`) then forms every identity one
+    component or dyad entry at a time and returns its seven maxima, the
+    reflection row reading e(-k) through `grids._reflected`.
     """
-    poles = basis.pole_mask()
-    ok = ~poles
+    grid = basis.grid
     e = np.empty((3,) + grid.dims, dtype=complex)
     for i in range(3):
         basis.e(i, out=e[i])
-    n = np.stack([grid.nhat(j) for j in range(3)])
 
-    res = {}
-    # c k x e = -i omega e, written with unit vectors so it is scale free
-    res["k_cross_e"] = np.abs(cross(n, e) + 1j * e)[:, ok].max()
-    res["e_dot_e"] = np.abs(np.einsum("i...,i...->...", e, e))[ok].max()
-    res["estar_dot_e"] = np.abs(np.einsum("i...,i...->...", np.conj(e), e) - 1.0)[ok].max()
-    res["estar_cross_e"] = np.abs(cross(np.conj(e), e) - 1j * n)[:, ok].max()
-    res["e_cross_e"] = np.abs(cross(e, e))[:, ok].max()
+    def slab(region):
+        es = e[(slice(None),) + region]
+        ok = ~_chart_geometry(grid, basis.chart_axis, region, *(np.empty(es.shape[1:]) for _ in range(3)))[1]
+        n = [_nhat(grid, j, region) for j in range(3)]
+        ce, mirror = np.conjugate(es), np.empty_like(es[0])
+        # e*(k) . e(-k) = 0 needs k and -k usable.  The pole mask is even in k (exact
+        # products on k axes odd bin for bin) off the self-aliased Nyquist planes, excluded here
+        pair = ok.copy()
+        for ax, r in enumerate(region):
+            pair[(slice(None),) * ax + (np.arange(grid.dims[ax])[r] == grid.dims[ax] // 2,)] = False
 
-    dyad = np.einsum("i...,j...->ij...", np.conj(e), e)
-    expect = 0.5 * (
-        np.eye(3)[:, :, None, None, None]
-        - np.einsum("i...,j...->ij...", n, n)
-        + 1j * np.einsum("ijl,l...->ij...", LEVI_CIVITA, n)
-    )
-    res["dyadic"] = np.abs(dyad - expect)[:, :, ok].max()
+        def worst(rows, usable=ok):
+            return max(np.abs(row).max(initial=0.0, where=usable) for row in rows)
 
-    # e*(k) . e(-k) = 0; needs both k and -k usable, which excludes the
-    # self-aliased Nyquist planes along with the poles
-    e_neg = np.stack([np.conj(reflect_conjugate(grid, e[i])) for i in range(3)])
-    ok_pair = ok & (reflect_conjugate(grid, poles.astype(float)) == 0.0)       # no pole at -k either
-    for ax, nn in enumerate(grid.dims):
-        sl = [slice(None)] * 3
-        sl[ax] = nn // 2
-        ok_pair[tuple(sl)] = False
-    res["reflection"] = np.abs(np.einsum("i...,i...->...", np.conj(e), e_neg))[ok_pair].max()
-    return {k: float(v) for k, v in res.items()}
+        def dot(a, b):
+            return a[0] * b[0] + a[1] * b[1] + a[2] * b[2]
+
+        return [np.array([
+            worst(cross_component(n, es, j) + 1j * es[j] for j in range(3)),     # c k x e = -i omega e, scale free
+            worst([dot(es, es)]),
+            worst([dot(ce, es) - 1.0]),
+            worst(cross_component(ce, es, j) - 1j * n[j] for j in range(3)),
+            worst(cross_component(es, es, j) for j in range(3)),
+            worst(ce[i] * es[j]
+                  - 0.5 * ((i == j) - n[i] * n[j] + 1j * sum(LEVI_CIVITA[i, j, l] * n[l] for l in range(3)))
+                  for i in range(3) for j in range(3)),
+            # |e*(k) . e(-k)| = |e(k) . R[e](k)|, R[e](k) = conj(e(-k)); each product is made before `mirror` is refilled
+            worst([sum(es[i] * _reflected(e[i], region, mirror) for i in range(3))], pair),
+        ])]
+
+    names = ("k_cross_e", "e_dot_e", "estar_dot_e", "estar_cross_e", "e_cross_e", "dyadic", "reflection")
+    return dict(zip(names, map(float, np.max(_over_slabs(grid, 0, slab), axis=0))))
 
 
 def solid_angle_quad(p1, p2, p3, p4):
@@ -326,8 +332,8 @@ def solid_angle_quad(p1, p2, p3, p4):
     return tri(p1, p2, p3) + tri(p1, p3, p4)
 
 
-def berry_loop(grid, basis, center, half_cells):
-    """Berry phase of e(k) around a grid-aligned square circuit: a discrete Wilson loop.
+def berry_loop(basis, center, half_cells):
+    """Berry phase of e(k) around a grid-aligned square circuit of `basis.grid`: a discrete Wilson loop.
 
     The square lies in a plane of constant k_z, centred at the grid point
     nearest `center`, with half-side ``half_cells`` grid steps, and may not
@@ -343,6 +349,7 @@ def berry_loop(grid, basis, center, half_cells):
     the solid angle the square subtends at the origin (independent
     geometric oracle), and `abs_error` their distance modulo 2 pi.
     """
+    grid = basis.grid
     nx, ny = grid.dims[0], grid.dims[1]
     cx, cy, cz = [int(np.argmin(np.abs(grid.k_axes[ax] - center[ax]))) for ax in range(3)]
     cx, cy = (c - nn if 2 * c >= nn else c for c, nn in ((cx, nx), (cy, ny)))      # signed, as k is

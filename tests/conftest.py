@@ -9,7 +9,8 @@ import pytest
 import photonam as pn
 from photonam import photon_state
 from photonam.fields_bridge import _Divergence
-from photonam.grids import BoundaryDecayWarning, cross_component, reflect_conjugate, _readonly
+from photonam.grids import LEVI_CIVITA, BoundaryDecayWarning, cross_component, _nhat, _readonly, _reflected, _WHOLE
+from photonam.polarization import _chart_geometry
 
 
 def rel(a, b):
@@ -19,9 +20,69 @@ def rel(a, b):
     return float(np.linalg.norm((a - b).ravel()) / den)
 
 
+def nhat(grid, j):
+    """Component `j` of the unit vector k/|k| on the whole grid; the k=0 bin holds the placeholder z."""
+    return _nhat(grid, j, _WHOLE)
+
+
 def nhat_stack(grid):
     """The unit vectors k/|k| as one (3,) + dims array, from the per-component accessor."""
-    return np.stack([grid.nhat(j) for j in range(3)])
+    return np.stack([nhat(grid, j) for j in range(3)])
+
+
+def cross(a, b):
+    """Cross product over the leading component axis; components may broadcast."""
+    return np.stack([cross_component(a, b, j) for j in range(3)])
+
+
+def reflect_conjugate(F):
+    """``R[F] = conj(F(-k))`` of `F`, whole over its trailing three axes (Nyquist bins map to themselves)."""
+    F = np.asarray(F)
+    return _reflected(F, _WHOLE, np.empty_like(F))
+
+
+def pole_mask(basis):
+    """Boolean grid mask of the chart poles of `basis`, the excluded k=0 bin included."""
+    kmag, cnorm, scratch = (np.empty(basis.grid.dims) for _ in range(3))
+    return _chart_geometry(basis.grid, basis.chart_axis, _WHOLE, kmag, cnorm, scratch)[1]
+
+
+def whole_identity_residuals(basis):
+    """Oracle of `identity_residuals`: the seven residuals formed on whole (3,) + dims and (3, 3) + dims stacks.
+
+    e(k) and n are stacked whole, the dyad e_i* e_j and its expectation are
+    (3, 3) + dims arrays, and the pair mask of the reflection row reflects
+    the pole mask itself: the check as it was before it ran in slabs.
+    """
+    grid = basis.grid
+    poles = pole_mask(basis)
+    ok = ~poles
+    e = e_stack(basis)
+    n = nhat_stack(grid)
+
+    res = {}
+    res["k_cross_e"] = np.abs(cross(n, e) + 1j * e)[:, ok].max()
+    res["e_dot_e"] = np.abs(np.einsum("i...,i...->...", e, e))[ok].max()
+    res["estar_dot_e"] = np.abs(np.einsum("i...,i...->...", np.conj(e), e) - 1.0)[ok].max()
+    res["estar_cross_e"] = np.abs(cross(np.conj(e), e) - 1j * n)[:, ok].max()
+    res["e_cross_e"] = np.abs(cross(e, e))[:, ok].max()
+
+    dyad = np.einsum("i...,j...->ij...", np.conj(e), e)
+    expect = 0.5 * (
+        np.eye(3)[:, :, None, None, None]
+        - np.einsum("i...,j...->ij...", n, n)
+        + 1j * np.einsum("ijl,l...->ij...", LEVI_CIVITA, n)
+    )
+    res["dyadic"] = np.abs(dyad - expect)[:, :, ok].max()
+
+    e_neg = np.conj(reflect_conjugate(e))
+    ok_pair = ok & (reflect_conjugate(poles.astype(float)) == 0.0)       # no pole at -k either
+    for ax, nn in enumerate(grid.dims):
+        sl = [slice(None)] * 3
+        sl[ax] = nn // 2
+        ok_pair[tuple(sl)] = False
+    res["reflection"] = np.abs(np.einsum("i...,i...->...", np.conj(e), e_neg))[ok_pair].max()
+    return {k: float(v) for k, v in res.items()}
 
 
 def e_stack(basis):
@@ -111,7 +172,7 @@ def basis_fold_spectrum(wf, t=0.0):
     F = np.empty((3,) + grid.dims, dtype=complex)
     for i in range(3):
         e_i = wf.basis.e(i)
-        F[i] = e_i * wf.gL + reflect_conjugate(grid, np.conjugate(e_i) * wf.gR)
+        F[i] = e_i * wf.gL + reflect_conjugate(np.conjugate(e_i) * wf.gR)
     return F
 
 
@@ -193,7 +254,7 @@ def fd_photon_picture(wf):
             K[j] += np.sum(weight * omega * Dg[j])
     Jo, K = hbar * Jo, hbar * K
     H = float(np.sum(grid.dVk * dens))
-    Js = hbar * np.array([np.sum(w * grid.nhat(j) * (absL2 - absR2)) for j in range(3)])
+    Js = hbar * np.array([np.sum(w * nhat(grid, j) * (absL2 - absR2)) for j in range(3)])
     L = max(size * d for size, d in zip(grid.dims, grid.spacing))
     return dict(
         N=float(np.sum(w * dens)), H=H,
@@ -242,7 +303,7 @@ def two_helicity_residuals(wf):
     DxDy, DyDx = pn.covariant_derivative(D[1])[0], pn.covariant_derivative(D[0])[1]
     safe = grid.kmag() ** 2
     safe[grid.excluded_index] = 1.0
-    curv = grid.nhat(2) / safe
+    curv = nhat(grid, 2) / safe
     res = {chi: DxDy.components[chi] - DyDx.components[chi] - 1j * chi * curv * wf.components[chi]
            for chi in photon_state.HELICITIES}
     out.append(norm(res[+1], res[-1]) / max(norm(curv * wf.gL, curv * wf.gR), 1e-300))

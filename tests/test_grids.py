@@ -10,14 +10,13 @@ from photonam.grids import (
     check_boundary_decay,
     real_forward_transform,
     real_inverse_transform,
-    reflect_conjugate,
     _over_slabs,
     _real_derivative_axis,
     _reflected,
     _slabs,
 )
 
-from conftest import nhat_stack, rel
+from conftest import nhat, nhat_stack, reflect_conjugate, rel
 
 
 def test_units_defaults():
@@ -253,7 +252,7 @@ def test_reflect_conjugate_is_conj_at_negated_k(grid16):
     g = grid16
     rng = np.random.default_rng(2)
     f = rng.standard_normal(g.dims) + 1j * rng.standard_normal(g.dims)
-    out = reflect_conjugate(g, f)
+    out = reflect_conjugate(f)
     n = g.dims[0]
     for idx in [(0, 0, 0), (1, 2, 3), (5, 0, 9), (15, 15, 15)]:
         neg = tuple((-i) % n for i in idx)
@@ -266,15 +265,15 @@ def test_mirrored_rows_are_the_rolled_flip_bit_for_bit(lead, dims):
 
     The regions are each partition `_slabs` makes of the axis: whole, in
     three uneven slabs, and in slabs of one row each, so row 0 and the
-    Nyquist row n/2 are read alone.  `reflect_conjugate`, its whole-grid
-    form, equals the same oracle.
+    Nyquist row n/2 are read alone.  `reflect_conjugate`, the whole grid
+    as one region, equals the same oracle.
     """
     grid = pn.make_grid(dims)
     rng = np.random.default_rng(12)
     F = rng.standard_normal(lead + dims) + 1j * rng.standard_normal(lead + dims)
     axes = (-3, -2, -1)
     oracle = np.conjugate(np.roll(np.flip(F, axis=axes), (1, 1, 1), axis=axes))
-    assert np.array_equal(reflect_conjugate(grid, F), oracle)
+    assert np.array_equal(reflect_conjugate(F), oracle)
     for ax, n in enumerate(dims):
         partitions = [_slabs(n, points) for points in (grid.npoints, 3 * 2 ** 17, 2 ** 62)]
         assert [len(p) for p in partitions] == [1, 3, n]
@@ -326,8 +325,8 @@ def test_derived_metadata_equals_stored_arrays(dims):
     for j in range(3):
         assert np.array_equal(g.kvec[j], ref["kvec"][j])
         assert g.kvec[j].strides.count(0) == 2 and not g.kvec[j].flags.writeable
-        assert np.array_equal(g.nhat(j), ref["nhat"][j])
-    assert g.nhat(2)[0, 0, 0] == 1.0 and g.nhat(0)[0, 0, 0] == g.nhat(1)[0, 0, 0] == 0.0
+        assert np.array_equal(nhat(g, j), ref["nhat"][j])
+    assert nhat(g, 2)[0, 0, 0] == 1.0 and nhat(g, 0)[0, 0, 0] == nhat(g, 1)[0, 0, 0] == 0.0
     assert np.array_equal(g.kmag(), ref["kmag"])
     assert np.array_equal(g.omega(), ref["omega"])
     assert np.array_equal(g.w_invariant(), ref["w_invariant"])

@@ -7,11 +7,11 @@ from hypothesis import example, given, settings, strategies as st
 
 import photonam as pn
 from photonam.fields_bridge import RealVectorField, SpectralEField
-from photonam.grids import BOUNDARY_TOL, BoundaryDecayWarning, _readonly, cross, real_forward_transform
+from photonam.grids import BOUNDARY_TOL, BoundaryDecayWarning, _readonly, real_forward_transform
 from photonam.observables import _cell_self_weight, _textbook_moments
 
-from conftest import (decay_ignored, fd_photon_picture, nhat_stack, project_spectral_e, rel, row_slabs, smooth_state,
-                      spectral_divergence, wavefunction)
+from conftest import (cross, decay_ignored, fd_photon_picture, nhat_stack, project_spectral_e, rel, row_slabs,
+                      smooth_state, spectral_divergence, wavefunction)
 from rotations import rotate_wavefunction, rotation_matrix
 
 

@@ -7,7 +7,7 @@ import photonam as pn
 from photonam import algebra_checks
 from photonam.grids import BoundaryDecayWarning
 
-from conftest import materialized, norm, photon_number, rel, scalar_product, smooth_state, wavefunction
+from conftest import materialized, nhat, norm, photon_number, rel, scalar_product, smooth_state, wavefunction
 
 
 def test_wavefunction_zeroes_excluded_bin(grid16, basis16):
@@ -164,7 +164,7 @@ def test_curvature_sign_flips_with_helicity(grid48, basis48):
     DxDy = pn.covariant_derivative(D[1])[0].gL
     DyDx = pn.covariant_derivative(D[0])[1].gL
     kmag2 = np.where(g.kmag() == 0, 1.0, g.kmag()) ** 2
-    curv = g.nhat(2) / kmag2
+    curv = nhat(g, 2) / kmag2
     good = np.linalg.norm((DxDy - DyDx) - 1j * curv * left.gL)
     bad = np.linalg.norm((DxDy - DyDx) + 1j * curv * left.gL)
     assert bad > 5 * good

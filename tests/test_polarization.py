@@ -5,18 +5,19 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import photonam as pn
+from photonam import grids
 from photonam.grids import spectral_gradient_k
 from photonam.polarization import EPS_POLE, _chart_frame
 
-from conftest import e_stack, nhat_stack, rel, smooth_state, wavefunction
+from conftest import e_stack, nhat_stack, pole_mask, rel, smooth_state, wavefunction, whole_identity_residuals
 from rotations import rotate_basis, rotation_matrix
 
 
 IDENTITY_TOL = 1e-12
 
 
-def test_identities_pointwise(grid16, basis16):
-    res = pn.identity_residuals(grid16, basis16)
+def test_identities_pointwise(grid16):
+    res = pn.identity_residuals(pn.chart_basis(grid16))
     assert set(res) == {"k_cross_e", "e_dot_e", "estar_dot_e", "estar_cross_e",
                         "e_cross_e", "dyadic", "reflection"}
     for name, v in res.items():
@@ -25,8 +26,8 @@ def test_identities_pointwise(grid16, basis16):
 
 def test_identities_tilted_chart(grid16):
     axis = np.array([1.0, 1.0, 1.0]) / np.sqrt(3.0)
-    basis = pn.build_basis(grid16, tuple(axis))
-    for name, v in pn.identity_residuals(grid16, basis).items():
+    basis = pn.chart_basis(grid16, tuple(axis))
+    for name, v in pn.identity_residuals(basis).items():
         assert v <= IDENTITY_TOL, name
 
 
@@ -36,9 +37,62 @@ def test_identities_hold_for_any_chart_axis(raw):
     """Rounding-level identities at every non-pole point, however close the grid comes to the axis."""
     axis = np.asarray(raw) / np.linalg.norm(raw)
     for grid in (pn.make_grid(16), pn.make_grid((16, 12, 20), (1.0, 0.8, 1.3))):
-        basis = pn.build_basis(grid, tuple(axis))
-        for name, v in pn.identity_residuals(grid, basis).items():
+        basis = pn.chart_basis(grid, tuple(axis))
+        for name, v in pn.identity_residuals(basis).items():
             assert v <= IDENTITY_TOL, name
+
+
+_OFF_Y = np.array([0.0, 1.0, 2.4e-7]) / np.linalg.norm([0.0, 1.0, 2.4e-7])
+IDENTITY_CHARTS = [(0.0, 0.0, 1.0), (1.0, 0.0, 0.0), tuple(np.ones(3) / np.sqrt(3.0)), tuple(_OFF_Y)]
+
+
+@pytest.mark.parametrize("dims, spacing", [(16, 1.0), ((16, 12, 20), (1.0, 0.8, 1.3)), (32, 1.0), (64, 1.0),
+                                           (80, 1.0), (96, 1.0)])
+@pytest.mark.parametrize("chart", IDENTITY_CHARTS)
+def test_slab_identities_match_the_whole_array_oracle(dims, spacing, chart):
+    """One to six k_x slabs (two at 64^3, three at 80^3, six at 96^3) give the whole-array residuals to 1e-15.
+
+    The chart 2.4e-7 rad off k_y puts pole points on the k_y axis, off the
+    chart axis itself, in the slab of k_x = 0.
+    """
+    basis = pn.chart_basis(pn.make_grid(dims, spacing), chart)
+    got, want = pn.identity_residuals(basis), whole_identity_residuals(basis)
+    assert list(got) == list(want)
+    for name in want:
+        assert abs(got[name] - want[name]) <= 1e-15, (name, got[name], want[name])
+
+
+@pytest.mark.parametrize("dims", [16, (16, 12, 20)])
+def test_one_plane_slabs_match_the_whole_array_oracle(dims, monkeypatch):
+    """Slabs of one k_x plane each: the Nyquist plane's slab has no usable pair and adds nothing to the reflection row."""
+    monkeypatch.setattr(grids, "_MIN_SLAB_POINTS", 1)
+    grid = pn.make_grid(dims)
+    assert len(grids._slabs(grid.dims[0], grid.npoints)) == grid.dims[0]
+    basis = pn.chart_basis(grid, IDENTITY_CHARTS[2])
+    got, want = pn.identity_residuals(basis), whole_identity_residuals(basis)
+    for name in want:
+        assert abs(got[name] - want[name]) <= 1e-15, (name, got[name], want[name])
+
+
+def test_identities_on_a_grid_of_one_plane_slabs():
+    """(16, 256, 512) is cut into 16 slabs of one k_x plane: every residual is at rounding, and none raises."""
+    grid = pn.make_grid((16, 256, 512))
+    assert [s.stop - s.start for s in grids._slabs(16, grid.npoints)] == [1] * 16
+    for name, v in pn.identity_residuals(pn.chart_basis(grid, IDENTITY_CHARTS[2])).items():
+        assert v <= IDENTITY_TOL, name
+
+
+def test_checks_take_the_grid_from_the_basis():
+    """A basis is checked on its own grid: spacing (1, 0.5, 2) and a tilted chart, with no second grid to pass."""
+    basis = pn.chart_basis(pn.make_grid(16, (1.0, 0.5, 2.0)), (0.6, 0.0, 0.8))
+    other = pn.make_grid(16)
+    with pytest.raises(TypeError):
+        pn.identity_residuals(other, basis)
+    with pytest.raises(TypeError):
+        pn.berry_loop(other, basis, (0.8, 0.6, 1.1), 2)
+    for name, v in pn.identity_residuals(basis).items():
+        assert v <= IDENTITY_TOL, name
+    assert pn.berry_loop(basis, (0.8, 0.6, 1.1), 2)[2] <= 1e-12
 
 
 def _spherical_e(grid, axis):
@@ -68,7 +122,7 @@ def test_closed_form_matches_spherical_construction(dims, spacing, axis):
     g = pn.make_grid(dims, spacing)
     b = pn.build_basis(g, axis)
     e_ref, pole_ref = _spherical_e(g, np.asarray(axis))
-    assert np.array_equal(b.pole_mask(), pole_ref)
+    assert np.array_equal(pole_mask(b), pole_ref)
     assert np.abs(e_stack(b) - e_ref).max() <= 1e-13      # pole points and the k=0 bin included
     alpha_ref = np.zeros((3,) + g.dims)
     for c in range(3):
@@ -104,7 +158,7 @@ def test_poles_of_a_chart_just_off_a_grid_line_are_transverse_unit_vectors(dims,
     axis = np.zeros(3)
     axis[line], axis[(line + 1) % 3] = np.cos(1e-7), np.sin(1e-7)
     b = pn.chart_basis(g, tuple(axis))
-    poles = b.pole_mask()
+    poles = pole_mask(b)
     poles[0, 0, 0] = False
     assert poles.sum() == g.dims[line] - 1       # every other point of the k axis is a pole
     e, n = e_stack(b), nhat_stack(g)
@@ -115,7 +169,7 @@ def test_poles_of_a_chart_just_off_a_grid_line_are_transverse_unit_vectors(dims,
 
 
 def test_pole_points_lie_on_axis(grid16, basis16):
-    for idx in np.argwhere(basis16.pole_mask()):
+    for idx in np.argwhere(pole_mask(basis16)):
         assert idx[0] == 0 and idx[1] == 0  # kx = ky = 0 line
 
 
@@ -201,7 +255,7 @@ def test_berry_loop_solid_angle_convergence():
         g = pn.make_grid(n)
         b = pn.chart_basis(g)
         half = max(1, round(0.4 / g.dk[0]))
-        loop, expected, err = pn.berry_loop(g, b, (0.8, 0.6, 1.1), half)
+        loop, expected, err = pn.berry_loop(b, (0.8, 0.6, 1.1), half)
         # orientation: counterclockwise loop encloses negative curvature flux
         assert loop < 0 and expected < 0
         assert err <= 1e-12
@@ -212,7 +266,7 @@ def test_berry_loop_solid_angle_convergence():
 
 def test_berry_loop_leaving_grid_rejected(grid16, basis16):
     with pytest.raises(ValueError, match="leaves"):
-        pn.berry_loop(grid16, basis16, (0.0, 0.0, 1.0), grid16.dims[0])
+        pn.berry_loop(basis16, (0.0, 0.0, 1.0), grid16.dims[0])
 
 
 _LOOP_CHARTS = ((0.0, 0.0, 1.0), (1.0, 0.0, 0.0), tuple(np.array([0.3, -0.5, 0.8]) / np.linalg.norm([0.3, -0.5, 0.8])))
@@ -226,11 +280,11 @@ def test_berry_loop_is_exact_in_every_quadrant(n, chart, sx, sy, ax, ay, az, sz,
     """Loops centred in all four (k_x, k_y) quadrants, on any chart, are the solid angle to 1e-12 modulo 2 pi."""
     g = pn.make_grid(n)
     basis, center = pn.chart_basis(g, chart), (sx * ax, sy * ay, sz * az)
-    loop, expected, err = pn.berry_loop(g, basis, center, half)
+    loop, expected, err = pn.berry_loop(basis, center, half)
     assert abs(math.remainder(loop - expected, 2.0 * math.pi)) <= 1e-12 and err <= 1e-12
     # a half-side that reaches past the Nyquist edge is still refused
     with pytest.raises(ValueError, match="leaves"):
-        pn.berry_loop(g, basis, center, n // 2)
+        pn.berry_loop(basis, center, n // 2)
 
 
 def test_gauge_transform_identity_and_constant(grid32, basis32):
@@ -246,8 +300,8 @@ def test_gauge_transform_identity_and_constant(grid32, basis32):
     assert rel(e_stack(wfc.basis), np.exp(-0.8j) * e_stack(b)) < 1e-15
     assert rel(wfc.gL, np.exp(0.8j) * wf.gL) < 1e-15 and rel(wfc.gR, np.exp(-0.8j) * wf.gR) < 1e-15
     # gradient of a constant vanishes (edge stencils leave rounding dust)
-    loop = pn.berry_loop(g, b, (0.8, 0.6, 1.1), 3)[0]
-    assert abs(pn.berry_loop(g, wfc.basis, (0.8, 0.6, 1.1), 3)[0] - loop) < 1e-13
+    loop = pn.berry_loop(b, (0.8, 0.6, 1.1), 3)[0]
+    assert abs(pn.berry_loop(wfc.basis, (0.8, 0.6, 1.1), 3)[0] - loop) < 1e-13
 
 
 def test_gauge_transform_linear_shifts_alpha(grid32, basis32):
@@ -266,8 +320,8 @@ def test_gauge_transform_linear_shifts_alpha(grid32, basis32):
     twice = pn.gauge_transform(wavefunction(g, bl, zero, zero), phi).basis
     assert np.array_equal(twice.gauge_phase, phi + phi) and twice.alpha_base is b.alpha_base
     # the loop integral of a gradient vanishes: the Berry loop is gauge invariant
-    loop = pn.berry_loop(g, b, (0.8, 0.6, 1.1), 3)[0]
-    assert abs(pn.berry_loop(g, bl, (0.8, 0.6, 1.1), 3)[0] - loop) < 1e-12
+    loop = pn.berry_loop(b, (0.8, 0.6, 1.1), 3)[0]
+    assert abs(pn.berry_loop(bl, (0.8, 0.6, 1.1), 3)[0] - loop) < 1e-12
 
 
 def test_gauge_transform_shape_check(grid32, basis32):

@@ -27,7 +27,8 @@ from photonam.cli import _generator_dict, build_report, main
 from photonam.fields_bridge import RealVectorField, RSField, SpectralEField
 from photonam.observables import _textbook_moments
 
-from conftest import decay_ignored, e_stack, materialized, project_spectral_e, rel, smooth_state, wavefunction
+from conftest import (decay_ignored, e_stack, materialized, pole_mask, project_spectral_e, rel, smooth_state,
+                      wavefunction)
 
 
 @pytest.fixture()
@@ -170,10 +171,17 @@ def test_basis_e_is_identical_for_any_thread_count(threaded, chart):
     grid = pn.make_grid(16)
     basis = pn.chart_basis(grid, chart)
     if chart[0] == 1.0:
-        poles = np.argwhere(basis.pole_mask())
+        poles = np.argwhere(pole_mask(basis))
         assert set(poles[:, 0]) == set(range(16))
     gauged = _regauged(basis)
     _compare(threaded, lambda: (e_stack(basis), e_stack(gauged)))
+
+
+@pytest.mark.parametrize("chart", CHARTS)
+def test_identity_residuals_are_identical_for_any_thread_count(threaded, chart):
+    """The seven maxima over slabs of one k_x plane equal those of the whole grid as one slab, bit for bit."""
+    basis = pn.chart_basis(pn.make_grid((16, 12, 10)), chart)
+    _compare(threaded, lambda: pn.identity_residuals(basis))
 
 
 @pytest.mark.parametrize("chart", CHARTS)

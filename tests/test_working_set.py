@@ -57,6 +57,9 @@ BUDGETS = {
     # workers a relation reduced slab by slab, a 64^3 slab being half the grid, [Jx, Jy]
     # with its whole BA g: 8.86-9.05 measured
     "run_suite": 9.5,
+    # e(k) filled whole (3.0) and, on each of two workers, a half-grid slab's conj(e), n, the mirror
+    # buffer and the temporaries of one dyad entry: 12.70 measured, and 36.13 on whole stacks
+    "identity_residuals": 13.3,
     # the file's F (3.0) is freed once B (1.5) is copied out, and B once its spectra
     # exist: 4.62 measured, and 9.12 if F and B were held through `vector_potential`
     "cmd_potential": 4.9,
@@ -100,6 +103,7 @@ def stages64(grid64, basis64, tmp_path_factory):
         "analyze": lambda: pn.analyze(rs, basis64),
         "spin_nonlocal_real": lambda: pn.spin_nonlocal_real(E, B),
         "run_suite": lambda: pn.run_suite(wf),
+        "identity_residuals": lambda: pn.identity_residuals(pn.chart_basis(grid64)),
         "cmd_potential": lambda: main(["potential", field, "-o", potential]),
     }
 
