@@ -160,8 +160,10 @@ def cmd_beam(args):
         }
         wf = beams.bessel_beam(grid, basis, spec, args.photons)
     else:
-        center = _vec(args.center) if args.center else ((np.pi / args.dx) / 3.0,) * 3
         sigma = tuple(s * dk for s in _vec(args.sigma if args.sigma is not None else "2.5"))
+        # default on the diagonal at 1/3 Nyquist, or 1.45 widths out on small grids, where that
+        # lies within two widths (sqrt(2) widths on each axis) of the default x chart axis
+        center = _vec(args.center) if args.center else (max((np.pi / args.dx) / 3.0, 1.45 * max(sigma)),) * 3
         provenance = {
             "family": "gaussian", "m": args.m, "helicity": args.helicity,
             "center": list(center), "sigma": list(sigma),
@@ -562,7 +564,8 @@ def build_parser():
             bp.add_argument("--sigma-z", type=float, default=None, dest="sigma_z")
         else:
             bp.add_argument("--m", type=int, default=0)
-            bp.add_argument("--center", default=None, help="kx,ky,kz (default diagonal at 1/3 Nyquist)")
+            bp.add_argument("--center", default=None,
+                            help="kx,ky,kz (default diagonal at 1/3 Nyquist, or 1.45 widths if that nears the x axis)")
             bp.add_argument("--sigma", default=None, help="width in grid steps (default 2.5)")
         bp.set_defaults(func=cmd_beam)
 

@@ -11,8 +11,8 @@ it by projecting F(k) and R[F](k) onto the basis vectors e(k).
 Every grid pass of the conversions runs in k_x slabs on the THREADS workers
 (`grids._over_slabs`): the synthesis pass, the projections of analysis, the
 reflections, read through reversed-index slices of the mirrored rows
-(`grids._reflected`), the divergence sums (`_Divergence`), the peak and
-zero-mode checks and the i k x B / |k|^2 products of `vector_potential`,
+(`grids._reflected`), the divergence sums of `analyze` (`_Divergence`), the
+one pass of `vector_potential`, which checks B and forms i k x B / |k|^2,
 and the E and B copies of F.  Between them run the 3-d transforms, themselves
 in slabs; so no whole-grid pass is left on the calling thread, and every
 result is bit-identical for any THREADS.
@@ -117,58 +117,17 @@ def _sum_squares(a):
 
 
 class _Divergence:
-    """Relative divergence ``|k.V(k)| / | |k| V(k) |`` of a field, summed per k_x slab from its component spectra V_i(k).
+    """Sums of the relative divergence ``|k.V(k)| / | |k| V(k) |`` from full component spectra V_i(k), one at a time.
 
-    Serves the full spectra of `forward_transform` (`analyze`) and, with
-    `half`, the half spectra of a real field from `real_forward_transform`
-    (`vector_potential`); both give the ratio of the full grid.  On each
-    slab region, `add` takes the region of one component spectrum at a time
-    and returns its share of ``| |k| V |^2``; once all three are in, `num2`
-    returns the region's share of ``|k.V|^2``, and `ratio` takes the totals.
-    k.V builds up in one buffer of the spectrum's shape, so a caller may
-    hold one component spectrum at a time.
-
-    A half spectrum holds k_z >= 0, and each interior k_z plane also stands
-    for its mirror -k, where V(-k) = conj V(k): |k|^2 |V|^2 counts twice
-    there, and so does |k.V|^2, except on the rows where k_x or k_y is the
-    Nyquist bin.  That bin maps to itself, so there k.V(-k) != conj k.V(k):
-    the mirror's k.V builds up in its own rows, with k read at the mirror
-    index, and its |k.V|^2 replaces the second count.
+    The accumulator of `analyze`: on a k_x slab region, `add` takes one
+    component and returns its share of ``| |k| V |^2``, while k.V builds up
+    in one grid-shaped buffer; once all three are in, `num2` returns the
+    region's share of ``|k.V|^2``.  `_ratio` takes the totals.
     """
 
-    def __init__(self, grid, half=False):
-        self.grid, self.half = grid, half
-        shape = grid.half_dims if half else grid.dims
-        self.axes = grid.half_k_axes if half else grid.k_axes
-        self.div = np.zeros(shape, dtype=complex)
-        if half:
-            n0, n1, nz = shape
-            self.mirror_axes = tuple(a[-np.arange(a.size)][:n] for a, n in zip(grid.k_axes, shape))
-            self.mirror_x = np.zeros((1, n1, nz), dtype=complex)     # the row at the k_x Nyquist bin
-            self.mirror_y = np.zeros((n0, 1, nz), dtype=complex)     # the rows at the k_y Nyquist bin
-
-    def _rows(self, region):
-        """``(mirror, at, rows)`` of each Nyquist row set of `region`: its mirror buffer, the index there and in the slab.
-
-        The k_x row holds the corner where both bins are Nyquist; the k_y
-        rows leave it out.
-        """
-        n0, n1 = self.grid.dims[:2]
-        start, stop, _ = region[0].indices(n0)
-        y = np.arange(start, stop)
-        out = []
-        if start <= n0 // 2 < stop:
-            out.append((self.mirror_x, Ellipsis, slice(n0 // 2 - start, n0 // 2 - start + 1)))
-            y = y[y != n0 // 2]
-        out.append((self.mirror_y, y, (y - start, slice(n1 // 2, n1 // 2 + 1))))
-        return out
-
-    def _sum2(self, a):
-        """sum |a|^2 over the share of the full grid of a region `a`; a half spectrum counts its interior k_z planes twice."""
-        total = _sum_squares(a)
-        if self.half:
-            total = 2.0 * total - _sum_squares(a[..., 0]) - _sum_squares(a[..., -1])
-        return total
+    def __init__(self, grid):
+        self.axes = grid.k_axes
+        self.div = np.zeros(grid.dims, dtype=complex)
 
     def add(self, i, V, region):
         """Add k_i V_i of the component spectrum `V` on `region` to k.V; return the region's share of | |k| V_i |^2."""
@@ -178,25 +137,48 @@ class _Divergence:
         part = self.div[region]
         part += buf
         np.multiply(_norm(axes), V, out=buf)
-        if self.half:
-            k = np.broadcast_to(_along(_in_region(self.mirror_axes, region)[i], i), V.shape)
-            for mirror, at, rows in self._rows(region):
-                mirror[at] += k[rows] * V[rows]
-        return self._sum2(buf)
+        return _sum_squares(buf)
 
     def num2(self, region):
         """The share of `region` in |k.V|^2, once `add` has taken its three components."""
-        part = self.div[region]
-        total = self._sum2(part)
-        if self.half:
-            interior = slice(1, part.shape[2] - 1)
-            for mirror, at, rows in self._rows(region):
-                total += _sum_squares(mirror[at][..., interior]) - _sum_squares(part[rows][..., interior])
-        return total
+        return _sum_squares(self.div[region])
 
-    @staticmethod
-    def ratio(num2, den2):
-        return float(np.sqrt(num2 / den2)) if den2 > 0 else 0.0
+
+def _half_divergence(grid, V, region, out):
+    """Shares of `region` in ``|k.V|^2`` and ``| |k| V |^2`` over the full grid, from the three half spectra `V` of a real field.
+
+    A half spectrum holds k_z >= 0, and each interior k_z plane also stands
+    for the mirrored index, where V(-k) = conj V(k): there ``| |k| V |^2``
+    counts twice, and ``|k_m.V|^2`` adds, with k_m the momenta of the
+    mirrored index: -k, except that the k_x and k_y Nyquist bins map onto
+    themselves.  `out`, three complex arrays of the region's shape, is the
+    scratch.
+    """
+    axes = _in_region(grid.half_k_axes, region)
+    mirror = _in_region([a[-np.arange(a.size)][:n] for a, n in zip(grid.k_axes, grid.half_dims)], region)
+    parts = [v[region] for v in V]
+    dot, tmp, scaled = out
+
+    def interior(a):        # sum |a|^2 over the interior k_z planes
+        return _sum_squares(a) - _sum_squares(a[..., 0]) - _sum_squares(a[..., -1])
+
+    num2 = 0.0
+    for k, weight in ((axes, _sum_squares), (mirror, interior)):
+        np.multiply(_along(k[0], 0), parts[0], out=dot)
+        for i in (1, 2):
+            dot += np.multiply(_along(k[i], i), parts[i], out=tmp)
+        num2 += weight(dot)
+    kmag = _norm(axes)
+    den2 = 0.0
+    for v in parts:
+        np.multiply(kmag, v, out=scaled)
+        den2 += _sum_squares(scaled) + interior(scaled)
+    return num2, den2
+
+
+def _ratio(num2, den2):
+    """The relative divergence sqrt(num2 / den2) from its summed shares; 0 for a zero field."""
+    return float(np.sqrt(num2 / den2)) if den2 > 0 else 0.0
 
 
 # ---------------------------------------------------------------------------
@@ -303,9 +285,10 @@ def analyze(rs, basis):
     the Nyquist planes (on them -k aliases onto k, and the two mix).  Each
     component of F is transformed once, one at a time; one k_x slab pass
     then projects it, reading R[F] through the mirrored rows
-    (`grids._reflected`) into one slab buffer, and sums its share of the
-    relative divergence of F (`_Divergence`): above TRANSVERSE_TOL the field
-    has non-radiative content and is refused, as is a basis on another grid.
+    (`grids._reflected`) into one slab buffer, and adds its share of the
+    relative divergence of F to the full-spectrum sums of `_Divergence`:
+    above TRANSVERSE_TOL the field has non-radiative content and is refused,
+    as is a basis on another grid.
     The returned wavefunction has time 0 (any phase is baked into F).
     """
     grid = rs.grid
@@ -334,7 +317,7 @@ def analyze(rs, basis):
     for i in range(3):
         parts = _over_slabs(grid, 0, partial(project, i, forward_transform(grid, rs.F[i])))
         num2, den2 = num2 + parts[0], den2 + parts[1]
-    residual = div.ratio(num2, den2)
+    residual = _ratio(num2, den2)
     del div
     if residual > TRANSVERSE_TOL:
         raise ValueError(f"non-radiative field content: relative divergence {residual:.2e} "
@@ -385,10 +368,11 @@ def vector_potential(B):
     Spectral inversion ``A(k) = i k x B(k) / |k|^2``, the momentum-space form
     of the Coulomb-kernel convolution of curl B, on the half spectrum of the
     real transform pair: 3 forward real transforms and one inverse of the
-    three components.  One k_x slab pass over the spectra of B sums the
-    divergence check (`_Divergence`) and finds their peak; a second forms
-    the products i k x B / |k|^2.  Requires B to be real, mean free (no
-    uniform component) and spectrally divergence free.  A field passed as
+    three components.  One k_x slab pass over the spectra of B sums each
+    slab's share of the divergence check (`_half_divergence`) in its slab of
+    A(k), takes its peak, and then forms i k x B / |k|^2 there; the checks
+    run before A(k) is transformed back.  Requires B to be real, mean free
+    (no uniform component) and spectrally divergence free.  A field passed as
     a temporary is freed once its spectra exist.
     """
     grid, time = B.grid, B.time
@@ -396,42 +380,37 @@ def vector_potential(B):
         raise ValueError("B must be a real field")
     Bk = [real_forward_transform(grid, B.values[i]) for i in range(3)]
     B = None
-    div = _Divergence(grid, half=True)
-
-    # a slab's peak comes back as a list of one, and the lists of the slabs concatenate
-    def checks(region):
-        den2 = sum(div.add(i, Bk[i], region) for i in range(3))
-        peak = max(float(np.abs(Bk[i][region]).max()) for i in range(3))
-        return div.num2(region), den2, [peak]
-
-    num2, den2, peaks = _over_slabs(grid, 0, checks)
-    peak = max(peaks)
-    zero_mode = max(abs(Bk[i][grid.excluded_index]) for i in range(3))
-    if peak > 0 and zero_mode > ZERO_MODE_TOL * peak:
-        raise ValueError("zero-mode in B: uniform component has no transverse potential")
-    residual = div.ratio(num2, den2)
-    del div
-    if residual > TRANSVERSE_TOL:
-        raise ValueError(f"B is not divergence free (relative residual {residual:.2e})")
     k = grid.derivative_kvec
     Ak = np.empty((3,) + grid.half_dims, dtype=complex)
 
-    def products(region):
+    # a slab's peak comes back as a list of one, and the lists of the slabs concatenate
+    def slab(region):
+        A = [a[region] for a in Ak]
+        num2, den2 = _half_divergence(grid, Bk, region, A)
+        peak = max(float(np.abs(b[region]).max()) for b in Bk)
         k2 = _norm(_in_region(grid.half_k_axes, region))
         k2 *= k2
         at_zero = _at_origin(region)
         if at_zero:
             k2[0, 0, 0] = 1.0
         kr, Br = [a[region] for a in k], [b[region] for b in Bk]
-        for j in range(3):
-            part = cross_component(kr, Br, j, out=Ak[j][region])
+        for j, part in enumerate(A):
+            cross_component(kr, Br, j, out=part)
             part *= 1j
             part /= k2
             if at_zero:
                 part[0, 0, 0] = 0.0
+        return num2, den2, [peak]
 
-    _over_slabs(grid, 0, products)
+    num2, den2, peaks = _over_slabs(grid, 0, slab)
+    peak = max(peaks)
+    zero_mode = max(abs(b[grid.excluded_index]) for b in Bk)
     del Bk
+    if peak > 0 and zero_mode > ZERO_MODE_TOL * peak:
+        raise ValueError("zero-mode in B: uniform component has no transverse potential")
+    residual = _ratio(num2, den2)
+    if residual > TRANSVERSE_TOL:
+        raise ValueError(f"B is not divergence free (relative residual {residual:.2e})")
     return RealVectorField(values=_readonly(real_inverse_transform(grid, Ak)), role="A", grid=grid, time=time)
 
 

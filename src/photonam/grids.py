@@ -66,8 +66,8 @@ BOUNDARY_TOL = 1e-8
 #: at 235 MiB on a wavefunction, where darwin, the synthesis of F and the E
 #: and B copies each hold about six arrays, and at 266 MiB on an rs_field
 #: file, in its analysis; `split` at 155 MiB, in the photon picture, `beam`
-#: at 133 MiB, `synthesize` at 228 MiB, `analyze` at 266 MiB, `potential`
-#: at 326 MiB and ``check polarization`` at 167 MiB, reducing its identities
+#: at 128-134 MiB, `synthesize` at 230 MiB, `analyze` at 266 MiB, `potential`
+#: at 182 MiB and ``check polarization`` at 167 MiB, reducing its identities
 #: slab by slab); 16 arrays of 32 MiB leave a 35% margin
 WORKING_SET_ARRAYS = 16
 

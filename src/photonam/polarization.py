@@ -24,8 +24,9 @@ which re-phases a state and its basis together.
 A single chart cannot cover the sphere smoothly; points within ``EPS_POLE``
 of the chart axis (`_chart_geometry`) carry the limiting basis
 of an azimuth-0 approach, ``(cos(theta) u - sin(theta) a + i v)/sqrt(2)``
-in a fixed right-handed frame (u, v, a), projected onto the plane normal to
-n and renormalized where k is off the axis itself.  Beams and test states
+in a fixed right-handed frame (u, v, a); where k is off the axis itself,
+its real part is projected onto the plane normal to n and the imaginary
+part completes the circular pair.  Beams and test states
 are constructed away from the poles.
 
 ``check polarization`` verifies the basis on its own grid: the seven
@@ -193,8 +194,9 @@ def _pole_limit(grid, axis, pts, i):
 
     The limit of an azimuth-0 approach, ``(cos(theta) u - sin(theta) a +
     i v)/sqrt(2)``, is transverse only on the chart axis itself.  Where it
-    is not (k within EPS_POLE of the axis but off it), it is projected onto
-    the plane normal to n and renormalized, so e.n = 0 and e*.e = 1 to
+    is not (k within EPS_POLE of the axis but off it), its real part is
+    projected onto the plane normal to n and normalized to p, and the
+    vector is ``(p + i n x p)/sqrt(2)``: e.n = 0, e*.e = 1 and e.e = 0 to
     rounding at every pole.  The excluded k=0 bin keeps the limit of the
     placeholder direction z of `grids._nhat`.
     """
@@ -209,11 +211,10 @@ def _pole_limit(grid, axis, pts, i):
     im = np.repeat(v[:, None] / np.sqrt(2.0), n.shape[1], axis=1)
     n_re, n_im = (n[0] * x[0] + n[1] * x[1] + n[2] * x[2] for x in (re, im))
     off = ((n_re != 0.0) | (n_im != 0.0)) & (kmag > 0.0)
-    re[:, off] -= n_re[off] * n[:, off]
-    im[:, off] -= n_im[off] * n[:, off]
-    size = np.sqrt(np.sum(re[:, off] ** 2 + im[:, off] ** 2, axis=0))
-    re[:, off] /= size
-    im[:, off] /= size
+    p = re[:, off] - n_re[off] * n[:, off]
+    p /= np.sqrt(2.0) * np.linalg.norm(p, axis=0)
+    re[:, off] = p
+    im[:, off] = np.cross(n[:, off], p, axis=0)
     return re[i], im[i]
 
 

@@ -430,9 +430,10 @@ def test_plotdata_leaves_an_undefined_oracle_empty(tmp_path, capsys):
 
 
 def test_gaussian_too_close_to_the_chart_axis_names_both_lengths(tmp_path, capsys):
-    """The default centre sits sqrt(2) pi / 3 = 1.481 from the x axis; at 16^3 two widths are 5 dk = 1.963."""
+    """A centre at pi/3 on each axis sits sqrt(2) pi / 3 = 1.481 from the x axis; at 16^3 two widths are 5 dk = 1.963."""
     out = tmp_path / "x.pam"
-    code, _, err = run_cli(capsys, "beam", "gaussian", "--grid", "16", "-o", str(out))
+    center = ",".join([repr(np.pi / 3.0)] * 3)
+    code, _, err = run_cli(capsys, "beam", "gaussian", "--grid", "16", f"--center={center}", "-o", str(out))
     assert code == 2 and not out.exists()
     message = json.loads(err.strip())["error"]
     assert "packet center too close to the chart axis" in message
@@ -440,6 +441,17 @@ def test_gaussian_too_close_to_the_chart_axis_names_both_lengths(tmp_path, capsy
     with decay_ignored():
         assert run_cli(capsys, "beam", "gaussian", "--grid", "24", "-o", str(out))[0] == 0
     assert out.exists()
+
+
+@pytest.mark.parametrize("n", [8, 12, 16, 20])
+def test_default_gaussian_builds_on_small_grids(tmp_path, capsys, n):
+    """The default centre moves off 1/3 Nyquist where that lies within two widths of the default x chart axis."""
+    out = tmp_path / "x.pam"
+    with decay_ignored():       # so broad a packet reaches the edge of a small grid
+        assert run_cli(capsys, "beam", "gaussian", "--grid", str(n), "-o", str(out))[0] == 0
+    center = fileio.read(str(out))[1]["provenance"]["center"]
+    assert center[0] == center[1] == center[2] >= np.pi / 3.0
+    assert np.hypot(center[1], center[2]) >= 2 * 2.5 * 2 * np.pi / n      # two default widths from the x axis
 
 
 @pytest.mark.parametrize("name, sign", [("L", "+1"), ("R", "-1"), ("r", "-1")])

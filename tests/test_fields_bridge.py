@@ -3,7 +3,7 @@ from functools import partial
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 import photonam as pn
 from photonam import fields_bridge
@@ -11,7 +11,7 @@ from photonam.fields_bridge import RealVectorField
 from photonam.grids import (cross_component, forward_transform, inverse_transform, real_forward_transform,
                             _along, _over_slabs, _readonly)
 
-from conftest import (basis_fold_spectrum, divergence_ratio, e_stack, materialized, maxwell_residual, pole_mask, rel,
+from conftest import (basis_fold_spectrum, divergence_ratio, e_stack, materialized, maxwell_residual, rel,
                       row_slabs, smooth_state, spectral_divergence, wavefunction)
 
 
@@ -110,6 +110,7 @@ def test_analyze_inverts_synthesize(dims, axis, t, regauge, seed):
                  st.tuples(*[st.floats(-1.0, 1.0)] * 3).filter(lambda v: np.linalg.norm(v) > 1e-3)),
        st.one_of(st.just(0.0), st.floats(-50.0, 50.0)), st.tuples(*[st.floats(0.5, 2.0)] * 3),
        st.integers(0, 2 ** 32 - 1))
+@example((8, 8, 8), (0.0, 1.0, 2.4e-7), 0.0, (1.0, 1.0, 1.0), 0)     # pole points off the chart axis
 def test_synthesis_from_e_of_k_equals_the_basis_fold(dims, axis, t, units, seed):
     """F(k) = sqrt(eps0/2) [(E + R[E]) + i n x (E - R[E])] of a re-gauged state's E(k) is e gL + R[e* gR], and so is F.
 
@@ -119,10 +120,7 @@ def test_synthesis_from_e_of_k_equals_the_basis_fold(dims, axis, t, units, seed)
     the field `synthesize` returns, from the state and from its E(k).  The
     Nyquist planes are zeroed, as in
     `test_analyze_inverts_synthesize`: there -k aliases onto k, and
-    n(-k) != -n(k).  So are the chart's poles: off the axis, within
-    EPS_POLE of it, e(k) is the renormalized pole limit, transverse but
-    circular only to O(theta^2), and there the fold differs from the exact
-    helicity projection of E(k) by up to that much.
+    n(-k) != -n(k).
     """
     grid = pn.make_grid(dims, (0.9, 1.1, 1.3), pn.UnitsConfig(*units))
     basis = pn.chart_basis(grid, np.asarray(axis) / np.linalg.norm(axis))
@@ -130,7 +128,6 @@ def test_synthesis_from_e_of_k_equals_the_basis_fold(dims, axis, t, units, seed)
     g = rng.standard_normal((2,) + dims) + 1j * rng.standard_normal((2,) + dims)
     for ax, n in enumerate(dims):
         g[(slice(None),) + (slice(None),) * ax + (n // 2,)] = 0.0
-    g[:, pole_mask(basis)] = 0.0
     wf = pn.gauge_transform(wavefunction(grid, basis, g[0], g[1], time=0.3 if t else 0.0),
                             rng.uniform(-np.pi, np.pi, dims))
     expected = basis_fold_spectrum(wf, t)
@@ -312,6 +309,33 @@ def test_real_transforms_match_the_complex_reference(dims, spacing, nyquist, see
             for regions in row_slabs(dims[0]):
                 ratio = spectral_divergence(grid, spectra, half, regions)
                 assert abs(ratio - ref) <= 1e-12 * ref, (transform.__name__, len(regions))
+
+
+def test_divergence_only_at_the_mirrors_of_the_nyquist_rows():
+    """A real B with k.B(k) = 0 at every bin of its half spectrum, divergent only at the mirrors of three bins.
+
+    Beside a transverse part, B holds one bin on the k_x Nyquist plane, one
+    on a k_y Nyquist row and one at their corner, all on interior k_z planes.
+    The mirror of such a bin keeps the Nyquist momenta, so k.B(-k) !=
+    conj k.B(k) there, and each is built with k.B = 0 and k_m.B != 0.
+    """
+    grid = pn.make_grid((8, 12, 10), (0.7, 1.2, 0.9))
+    n0, n1 = grid.dims[0] // 2, grid.dims[1] // 2
+    Bk = np.zeros((3,) + grid.half_dims, dtype=complex)
+    for idx, c in (((1, 2, 1), (0.3, -1.0, 0.5j)), ((6, 9, 3), (1.0j, 0.2, -0.7))):
+        k = [a[i] for a, i in zip(grid.half_k_axes, idx)]
+        Bk[(slice(None),) + idx] = np.cross(k, c)           # transverse: k.B = 0 at k and at -k
+    for idx, (p, q) in (((n0, 2, 1), (0, 1)), ((1, n1, 2), (0, 1)), ((n0, n1, 4), (0, 2))):
+        k = [a[i] for a, i in zip(grid.half_k_axes, idx)]
+        Bk[(p,) + idx], Bk[(q,) + idx] = k[q], -k[p]        # k.B = 0; one of k_p, k_q keeps its sign at -k
+    B = np.fft.irfftn(Bk, s=grid.dims, axes=(1, 2, 3))
+    ref = divergence_ratio(grid, B)
+    assert ref > 0.1
+    spectra = [real_forward_transform(grid, B[i]) for i in range(3)]
+    for regions in row_slabs(grid.dims[0]):
+        assert abs(spectral_divergence(grid, spectra, True, regions) - ref) <= 1e-12 * ref, len(regions)
+    with pytest.raises(ValueError, match=f"relative residual {ref:.2e}"):
+        pn.vector_potential(RealVectorField(values=_readonly(B), role="B", grid=grid))
 
 
 def test_gaussian_beyond_the_k_edge_is_refused_with_its_full_grid_ratio():

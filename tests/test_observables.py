@@ -498,7 +498,7 @@ def test_textbook_split_requires_transverse_A(grid16):
 
 @pytest.mark.parametrize("twist", [0.0, 0.5, 1.0])
 def test_textbook_divergence_ratio_matches_the_spectral_ratio(twist):
-    """|div A| / |grad A| of the real-space derivatives is the spectral ratio of `_Divergence`, by Parseval.
+    """|div A| / |grad A| of the real-space derivatives is the spectral ratio of `_half_divergence`, by Parseval.
 
     On a decaying field the Nyquist bins, where the two may differ, hold
     nothing; `twist` mixes a divergence-free swirl into a gradient field.

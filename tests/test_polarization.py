@@ -168,6 +168,26 @@ def test_poles_of_a_chart_just_off_a_grid_line_are_transverse_unit_vectors(dims,
     assert np.abs(np.einsum("i...,i...->...", np.conj(e), e) - 1.0)[away].max() <= 1e-15
 
 
+@pytest.mark.parametrize("dims, spacing, axis", [((8, 8, 8), (1.0, 1.0, 1.0), (0.0, 1.0, 2.4e-7)),
+                                                 ((12, 10, 8), (0.9, 1.1, 1.3), (3e-7, -2e-7, 1.0)),
+                                                 ((10, 8, 12), (1.2, 0.8, 1.0), (-1.0, 4e-7, 6e-7))])
+def test_poles_of_a_near_grid_line_chart_are_circular(dims, spacing, axis):
+    """Within EPS_POLE of the chart axis but off it, e.n = 0, e*.e = 1 and e.e = 0 to rounding.
+
+    The azimuth-0 limit, only projected onto the plane normal to n and
+    renormalized, would be transverse and unit but circular only to O(theta^2).
+    """
+    g = pn.make_grid(dims, spacing)
+    b = pn.chart_basis(g, tuple(np.asarray(axis) / np.linalg.norm(axis)))
+    poles = pole_mask(b)
+    poles[0, 0, 0] = False
+    assert poles.any()
+    e, n = e_stack(b)[:, poles], nhat_stack(g)[:, poles]
+    assert np.abs(np.sum(e * n, axis=0)).max() <= 1e-15
+    assert np.abs(np.sum(np.conj(e) * e, axis=0) - 1.0).max() <= 1e-15
+    assert np.abs(np.sum(e * e, axis=0)).max() <= 1e-15
+
+
 def test_pole_points_lie_on_axis(grid16, basis16):
     for idx in np.argwhere(pole_mask(basis16)):
         assert idx[0] == 0 and idx[1] == 0  # kx = ky = 0 line
