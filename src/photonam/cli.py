@@ -212,7 +212,8 @@ def _load_state(args, kinds):
 
     A wavefunction file is returned as read: it fixes its own chart, so an
     explicit ``--chart-axis`` is refused.  An rs_field file is analyzed on
-    the chart of ``--chart-axis`` (default x).
+    the chart of ``--chart-axis`` (default x), and its field freed once its
+    spectra exist.
     """
     flag = getattr(args, "chart_axis", None)
     chart = _chart_axis(flag) if "rs_field" in kinds else None
@@ -221,7 +222,10 @@ def _load_state(args, kinds):
         raise ValueError(f"{args.file}: {args.command} needs a file of kind {' or '.join(kinds)}, "
                          f"not {manifest['kind']}")
     if isinstance(obj, fields_bridge.RSField):
-        return fields_bridge.analyze(obj, polarization.chart_basis(obj.grid, chart)), manifest
+        basis = polarization.chart_basis(obj.grid, chart)
+        # F, held in a list only, goes to `analyze` as a temporary: it is freed once its spectra exist
+        read, obj = [obj], None
+        return fields_bridge.analyze(read.pop(), basis), manifest
     if flag is not None:
         raise ValueError(f"{args.file}: a {manifest['kind']} file fixes its own chart axis; "
                          f"--chart-axis applies to rs_field files only")

@@ -9,13 +9,13 @@ evolution phase e^{-i w t} is applied in the same pass.  Analysis inverts
 it by projecting F(k) and R[F](k) onto the basis vectors e(k).
 
 Every grid pass of the conversions runs in k_x slabs on the THREADS workers
-(`grids._over_slabs`): the synthesis pass, the projections of analysis, the
-reflections, read through reversed-index slices of the mirrored rows
-(`grids._reflected`), the divergence sums of `analyze` (`_Divergence`), the
-one pass of `vector_potential`, which checks B and forms i k x B / |k|^2,
-and the E and B copies of F.  Between them run the 3-d transforms, themselves
-in slabs; so no whole-grid pass is left on the calling thread, and every
-result is bit-identical for any THREADS.
+(`grids._over_slabs`): the one pass each of synthesis, of analysis, which
+projects the three spectra of F and sums their divergence, and of
+`vector_potential`, which checks B and forms i k x B / |k|^2, with the
+reflections read through reversed-index slices of the mirrored rows
+(`grids._reflected`), and the E and B copies of F.  Between them run the
+3-d transforms, themselves in slabs; so no whole-grid pass is left on the
+calling thread, and every result is bit-identical for any THREADS.
 `spectral_e_from_wavefunction` fills E(k) = (e gL + e* gR) / sqrt(2 eps0)
 of the stored snapshot the same way and carries the state's time; the
 routes that read it add time analytically or need none, and synthesis
@@ -24,6 +24,7 @@ applies the phase.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from functools import partial
 
@@ -51,6 +52,9 @@ WIGNER_SC = 2.837297479480619
 #: accepted limits: relative divergence of F in analysis, of B (and of A in
 #: the textbook split), k=0 component of B relative to its peak
 TRANSVERSE_TOL, ZERO_MODE_TOL = 1e-6, 1e-12
+
+#: k_x planes that analysis projects at a time: fewer calls per point than one, less scratch than a slab
+_PROJECTION_PLANES = 4
 
 
 @dataclass(frozen=True)
@@ -116,32 +120,20 @@ def _sum_squares(a):
     return float(np.einsum("i,i->", v, v))
 
 
-class _Divergence:
-    """Sums of the relative divergence ``|k.V(k)| / | |k| V(k) |`` from full component spectra V_i(k), one at a time.
+def _divergence(grid, V, region, out):
+    """Shares of `region` in ``|k.V|^2`` and ``| |k| V |^2`` from the three full spectra `V`; `out` as `_half_divergence`."""
+    axes, parts = _in_region(grid.k_axes, region), [v[region] for v in V]
+    kmag = _norm(axes)
+    return (_sum_squares(_k_dot(axes, parts, *out)),
+            sum(_sum_squares(np.multiply(kmag, v, out=out[1])) for v in parts))
 
-    The accumulator of `analyze`: on a k_x slab region, `add` takes one
-    component and returns its share of ``| |k| V |^2``, while k.V builds up
-    in one grid-shaped buffer; once all three are in, `num2` returns the
-    region's share of ``|k.V|^2``.  `_ratio` takes the totals.
-    """
 
-    def __init__(self, grid):
-        self.axes = grid.k_axes
-        self.div = np.zeros(grid.dims, dtype=complex)
-
-    def add(self, i, V, region):
-        """Add k_i V_i of the component spectrum `V` on `region` to k.V; return the region's share of | |k| V_i |^2."""
-        V = V[region]
-        axes = _in_region(self.axes, region)
-        buf = np.multiply(_along(axes[i], i), V)
-        part = self.div[region]
-        part += buf
-        np.multiply(_norm(axes), V, out=buf)
-        return _sum_squares(buf)
-
-    def num2(self, region):
-        """The share of `region` in |k.V|^2, once `add` has taken its three components."""
-        return _sum_squares(self.div[region])
+def _k_dot(axes, parts, out, tmp):
+    """k.V into `out`, from the three `parts` of V and the momenta `axes` of their region; `tmp` is scratch."""
+    np.multiply(_along(axes[0], 0), parts[0], out=out)
+    for i in (1, 2):
+        out += np.multiply(_along(axes[i], i), parts[i], out=tmp)
+    return out
 
 
 def _half_divergence(grid, V, region, out):
@@ -151,34 +143,25 @@ def _half_divergence(grid, V, region, out):
     for the mirrored index, where V(-k) = conj V(k): there ``| |k| V |^2``
     counts twice, and ``|k_m.V|^2`` adds, with k_m the momenta of the
     mirrored index: -k, except that the k_x and k_y Nyquist bins map onto
-    themselves.  `out`, three complex arrays of the region's shape, is the
+    themselves.  `out`, two complex arrays of the region's shape, is the
     scratch.
     """
     axes = _in_region(grid.half_k_axes, region)
     mirror = _in_region([a[-np.arange(a.size)][:n] for a, n in zip(grid.k_axes, grid.half_dims)], region)
     parts = [v[region] for v in V]
-    dot, tmp, scaled = out
 
     def interior(a):        # sum |a|^2 over the interior k_z planes
         return _sum_squares(a) - _sum_squares(a[..., 0]) - _sum_squares(a[..., -1])
 
-    num2 = 0.0
-    for k, weight in ((axes, _sum_squares), (mirror, interior)):
-        np.multiply(_along(k[0], 0), parts[0], out=dot)
-        for i in (1, 2):
-            dot += np.multiply(_along(k[i], i), parts[i], out=tmp)
-        num2 += weight(dot)
+    num2 = _sum_squares(_k_dot(axes, parts, *out)) + interior(_k_dot(mirror, parts, *out))
     kmag = _norm(axes)
-    den2 = 0.0
-    for v in parts:
-        np.multiply(kmag, v, out=scaled)
-        den2 += _sum_squares(scaled) + interior(scaled)
-    return num2, den2
+    scaled = (np.multiply(kmag, v, out=out[1]) for v in parts)      # one at a time, in the same buffer
+    return num2, sum(_sum_squares(a) + interior(a) for a in scaled)
 
 
 def _ratio(num2, den2):
-    """The relative divergence sqrt(num2 / den2) from its summed shares; 0 for a zero field."""
-    return float(np.sqrt(num2 / den2)) if den2 > 0 else 0.0
+    """The relative divergence sqrt(num2 / den2) from its summed shares; 0 for a zero field, NaN for a NaN one."""
+    return float(np.sqrt(num2 / den2)) if den2 else 0.0
 
 
 # ---------------------------------------------------------------------------
@@ -199,12 +182,12 @@ def synthesize(state, t=0.0):
     is freed once its E(k) exists.
     """
     state = photon_state.evolve(state, t)
-    time = state.time
-    if not np.isfinite(time):
-        raise ValueError(f"synthesis time must be finite, got {time}")
+    grid, time = state.grid, state.time
+    # the largest phase w t, in Python floats: an overflow gives inf, not a numpy warning
+    if not math.isfinite(grid.units.c * math.hypot(*(float(abs(a).max()) for a in grid.k_axes)) * abs(time)):
+        raise ValueError(f"synthesis time and its phase w t must be finite, got t = {time}")
     Ek = state if isinstance(state, SpectralEField) else spectral_e_from_wavefunction(state)
     state = None
-    grid = Ek.grid
     F = np.empty((3,) + grid.dims, dtype=complex)
     _over_slabs(grid, 0, partial(_field_rows, grid, Ek.values, F, time))
     Ek = None
@@ -283,46 +266,48 @@ def analyze(rs, basis):
     Synthesis builds ``F(k) = e gL + R[e* gR]`` with R[.](k) = conj(.(-k)),
     so ``gL = e*.F(k)`` and ``gR = e.R[F](k)``, since e*(k).e(-k) = 0 off
     the Nyquist planes (on them -k aliases onto k, and the two mix).  Each
-    component of F is transformed once, one at a time; one k_x slab pass
-    then projects it, reading R[F] through the mirrored rows
-    (`grids._reflected`) into one slab buffer, and adds its share of the
-    relative divergence of F to the full-spectrum sums of `_Divergence`:
-    above TRANSVERSE_TOL the field has non-radiative content and is refused,
-    as is a basis on another grid.
+    component of F is transformed once, and a field passed as a temporary is
+    freed once its spectra exist; one k_x slab pass over the three spectra
+    (`_projection_rows`) projects them and sums the relative divergence of F:
+    above TRANSVERSE_TOL, or NaN, the field has non-radiative content and is
+    refused, as is a basis on another grid.
     The returned wavefunction has time 0 (any phase is baked into F).
     """
     grid = rs.grid
     grid.require_same(basis.grid, "the field and the polarization basis")
-    gL = np.zeros(grid.dims, dtype=complex)
-    gR = np.zeros(grid.dims, dtype=complex)
-    div = _Divergence(grid)
-
-    def project(i, Fk, region):
-        den2 = div.add(i, Fk, region)
-        part = Fk[region]
-        e_i = np.empty(part.shape, dtype=complex)
-        basis._e_slab(region, [(i, e_i)])
-        reflected = _reflected(Fk, region, np.empty(part.shape, dtype=complex))
-        reflected *= e_i
-        R = gR[region]
-        R += reflected
-        del reflected
-        # F e*, into the buffer of e: F itself is read at the mirrored rows by the other slabs
-        np.multiply(part, np.conjugate(e_i, out=e_i), out=e_i)
-        L = gL[region]
-        L += e_i
-        return (div.num2(region) if i == 2 else 0.0), den2
-
-    num2 = den2 = 0.0
-    for i in range(3):
-        parts = _over_slabs(grid, 0, partial(project, i, forward_transform(grid, rs.F[i])))
-        num2, den2 = num2 + parts[0], den2 + parts[1]
-    residual = _ratio(num2, den2)
-    del div
-    if residual > TRANSVERSE_TOL:
+    Fk = [forward_transform(grid, rs.F[i]) for i in range(3)]
+    rs = None
+    gL, gR = np.empty(grid.dims, dtype=complex), np.empty(grid.dims, dtype=complex)
+    residual = _ratio(*_over_slabs(grid, 0, partial(_projection_rows, grid, basis, Fk, gL, gR)))
+    del Fk
+    if not residual <= TRANSVERSE_TOL:
         raise ValueError(f"non-radiative field content: relative divergence {residual:.2e} "
                          f"exceeds {TRANSVERSE_TOL:.0e}")
     return photon_state._adopted(grid, basis, gL, gR)
+
+
+def _projection_rows(grid, basis, F, gL, gR, region):
+    """Write gL and gR of `analyze` on the k_x slab `region` from the three whole spectra `F`; return its divergence sums.
+
+    A few k_x planes at a time: their slices of gL and gR are the scratch of
+    their sums (`_divergence`) before ``gR = sum_i e_i R[F_i]`` and
+    ``gL = sum_i e_i* F_i`` add up there in component order.
+    """
+    start, stop, _ = region[0].indices(grid.dims[0])
+    scratch = np.empty((4, min(_PROJECTION_PLANES, stop - start)) + grid.dims[1:], dtype=complex)  # e(k), R[F_i]
+    sums = np.zeros(2)
+    for x in range(start, stop, _PROJECTION_PLANES):
+        rows = (slice(x, min(x + _PROJECTION_PLANES, stop)), slice(None), slice(None))
+        *e, reflected = scratch[:, :rows[0].stop - x]
+        L, R = gL[rows], gR[rows]
+        sums += _divergence(grid, F, rows, (L, R))
+        L[...] = R[...] = 0.0
+        basis._e_slab(rows, list(enumerate(e)))
+        for i, e_i in enumerate(e):
+            R += np.multiply(_reflected(F[i], rows, reflected), e_i, out=reflected)
+            # F e*, into the buffer of e: F itself is read at the mirrored rows by the other slabs
+            L += np.multiply(F[i][rows], np.conjugate(e_i, out=e_i), out=e_i)
+    return sums
 
 
 def spectral_e_from_wavefunction(wf):
@@ -372,8 +357,9 @@ def vector_potential(B):
     slab's share of the divergence check (`_half_divergence`) in its slab of
     A(k), takes its peak, and then forms i k x B / |k|^2 there; the checks
     run before A(k) is transformed back.  Requires B to be real, mean free
-    (no uniform component) and spectrally divergence free.  A field passed as
-    a temporary is freed once its spectra exist.
+    (no uniform component) and spectrally divergence free; a NaN fails
+    both checks.  A field passed as a temporary is freed once its spectra
+    exist.
     """
     grid, time = B.grid, B.time
     if B.values.dtype.kind == "c":
@@ -386,8 +372,8 @@ def vector_potential(B):
     # a slab's peak comes back as a list of one, and the lists of the slabs concatenate
     def slab(region):
         A = [a[region] for a in Ak]
-        num2, den2 = _half_divergence(grid, Bk, region, A)
-        peak = max(float(np.abs(b[region]).max()) for b in Bk)
+        num2, den2 = _half_divergence(grid, Bk, region, A[:2])
+        peak = float(np.max([np.abs(b[region]).max() for b in Bk]))      # NaN, if any, wins
         k2 = _norm(_in_region(grid.half_k_axes, region))
         k2 *= k2
         at_zero = _at_origin(region)
@@ -403,13 +389,12 @@ def vector_potential(B):
         return num2, den2, [peak]
 
     num2, den2, peaks = _over_slabs(grid, 0, slab)
-    peak = max(peaks)
-    zero_mode = max(abs(b[grid.excluded_index]) for b in Bk)
+    zero_mode = np.max([abs(b[grid.excluded_index]) for b in Bk])
     del Bk
-    if peak > 0 and zero_mode > ZERO_MODE_TOL * peak:
+    if not zero_mode <= ZERO_MODE_TOL * np.max(peaks):
         raise ValueError("zero-mode in B: uniform component has no transverse potential")
     residual = _ratio(num2, den2)
-    if residual > TRANSVERSE_TOL:
+    if not residual <= TRANSVERSE_TOL:
         raise ValueError(f"B is not divergence free (relative residual {residual:.2e})")
     return RealVectorField(values=_readonly(real_inverse_transform(grid, Ak)), role="A", grid=grid, time=time)
 

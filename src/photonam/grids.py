@@ -63,12 +63,12 @@ BOUNDARY_TOL = 1e-8
 #: (16 bytes per grid point): `observables` with all five routes peaks at
 #: 379-380 MiB RSS at 128^3 with THREADS=2, on a wavefunction or an rs_field
 #: file (its peak is the nonlocal convolution; the four default routes peak
-#: at 235 MiB on a wavefunction, where darwin, the synthesis of F and the E
-#: and B copies each hold about six arrays, and at 266 MiB on an rs_field
-#: file, in its analysis; `split` at 155 MiB, in the photon picture, `beam`
-#: at 128-134 MiB, `synthesize` at 230 MiB, `analyze` at 266 MiB, `potential`
-#: at 182 MiB and ``check polarization`` at 167 MiB, reducing its identities
-#: slab by slab); 16 arrays of 32 MiB leave a 35% margin
+#: at 235-237 MiB on a wavefunction or an rs_field file, where darwin, the
+#: synthesis of F and the E and B copies each hold about six arrays, the
+#: analysis of the file's F no more; `split` at 155 MiB, in the photon
+#: picture, `beam` at 128-134 MiB, `synthesize` at 230 MiB, `analyze` at
+#: 224 MiB, `potential` at 182 MiB and ``check polarization`` at 167 MiB,
+#: reducing its identities slab by slab); 16 arrays of 32 MiB leave a 35% margin
 WORKING_SET_ARRAYS = 16
 
 

@@ -48,7 +48,7 @@ from functools import partial
 
 import numpy as np
 
-from .fields_bridge import TRANSVERSE_TOL, _spectral_e_slab, spectral_curl
+from .fields_bridge import TRANSVERSE_TOL, _ratio, _spectral_e_slab, spectral_curl
 from .grids import (
     LEVI_CIVITA,
     check_boundary_decay,
@@ -297,14 +297,14 @@ def textbook_split(E, A):
     Valid only with the transverse-gauge potential (div A = 0), which is
     exactly what `vector_potential` produces; any other gauge shifts both
     terms, and A whose relative divergence (`_textbook_moments`) exceeds
-    TRANSVERSE_TOL is refused.  ``Jo_j = eps0 eps_jab sum_i int r_a E_i
-    d_b A_i`` reduces each product E_i d_b A_i to its coordinate moments;
-    Js is summed per x slab.
+    TRANSVERSE_TOL, or is NaN, is refused.  ``Jo_j = eps0 eps_jab sum_i
+    int r_a E_i d_b A_i`` reduces each product E_i d_b A_i to its
+    coordinate moments; Js is summed per x slab.
     """
     grid = E.grid
     scale = grid.units.eps0 * grid.dV
     M, ratio = _textbook_moments(grid, E.values, A.values)
-    if ratio > TRANSVERSE_TOL:
+    if not ratio <= TRANSVERSE_TOL:
         raise ValueError("A is not transverse: the split requires div A = 0")
     Jo = scale * np.einsum("jab,ab->j", LEVI_CIVITA, M)
 
@@ -327,8 +327,8 @@ def _textbook_moments(grid, E, A):
     another axis, reduced where it is made: its square to |grad A|^2 and
     its product with E_i to moments.  The d_i A_i add up to div A in one
     real buffer, and ``ratio = |div A| / |grad A|``, the ratio
-    `fields_bridge._Divergence` takes of the spectra (by Parseval, up to
-    the Nyquist bins, which the derivative zeroes).
+    `fields_bridge._divergence` takes of the spectra (by Parseval, up to
+    the Nyquist bins, which the derivative zeroes); NaN for a NaN A.
     """
     div = np.zeros(grid.dims)
 
@@ -347,8 +347,7 @@ def _textbook_moments(grid, E, A):
             g2, M_b = _over_slabs(grid, 1 if b == 0 else 0, partial(sums, i, b))
             grad2 += g2
             M[:, b] += M_b
-    ratio = float(np.sqrt(np.vdot(div, div) / grad2)) if grad2 > 0 else 0.0
-    return M, ratio
+    return M, _ratio(float(np.vdot(div, div)), grad2)
 
 
 # ---------------------------------------------------------------------------

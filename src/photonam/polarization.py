@@ -96,10 +96,11 @@ class PolarizationBasis:
         `outs` lists pairs ``(i, out)``: component `i` is written into
         `out`, a complex array of the slab's shape, which is scratch too and
         may be the `out` of another pair, refilled once the caller has read
-        it.  The chart geometry (`_chart_geometry`) is made once, before the
-        first component; each component then evaluates ``((a x k) x k + i
-        |k| a x k) / (sqrt(2) |k| |a x k|)``, the closed form of the module
-        docstring multiplied through by |k|^2.  One real array of the slab's
+        it.  The chart geometry (`_chart_geometry`) and the vectors at its
+        poles (`_pole_limit`) are made once, before the first component;
+        each component then evaluates ``((a x k) x k + i |k| a x k) /
+        (sqrt(2) |k| |a x k|)``, the closed form of the module docstring
+        multiplied through by |k|^2.  One real array of the slab's
         shape, sqrt(2) |a x k|, is kept from the first component to the
         last, and one complex one is allocated per component when a gauge
         phase is present.  Each component is equal, bit for bit, to the slab
@@ -114,6 +115,8 @@ class PolarizationBasis:
         del poles
         cnorm[pts] = 1.0
         at = tuple(idx + (r.start or 0) for idx, r in zip(pts, region))
+        if pts[0].size:
+            pole_re, pole_im = _pole_limit(grid, axis, at)
         k = [_along(a, ax) for ax, a in enumerate(_in_region(grid.k_axes, region))]
         for n, (i, out) in enumerate(outs):
             re, im = out.real, out.imag
@@ -124,7 +127,7 @@ class PolarizationBasis:
             re /= im                                # theta_hat_i / sqrt(2)
             np.divide(c[i], cnorm, out=im)          # phi_hat_i / sqrt(2)
             if pts[0].size:
-                re[pts], im[pts] = _pole_limit(grid, axis, at, i)
+                re[pts], im[pts] = pole_re[i], pole_im[i]
             if self.gauge_phase is not None:
                 phase = np.multiply(self.gauge_phase[region], -1j)
                 out *= np.exp(phase, out=phase)
@@ -189,8 +192,8 @@ def _chart_geometry(grid, axis, region, kmag, cnorm, scratch):
     return c, poles
 
 
-def _pole_limit(grid, axis, pts, i):
-    """Component `i` of the basis vector at the chart poles `pts`, as its real and imaginary parts.
+def _pole_limit(grid, axis, pts):
+    """The basis vector at the chart poles `pts`, as its real and imaginary parts, each of shape (3, len(pts[0])).
 
     The limit of an azimuth-0 approach, ``(cos(theta) u - sin(theta) a +
     i v)/sqrt(2)``, is transverse only on the chart axis itself.  Where it
@@ -215,7 +218,7 @@ def _pole_limit(grid, axis, pts, i):
     p /= np.sqrt(2.0) * np.linalg.norm(p, axis=0)
     re[:, off] = p
     im[:, off] = np.cross(n[:, off], p, axis=0)
-    return re[i], im[i]
+    return re, im
 
 
 def chart_basis(grid, chart_axis=(0.0, 0.0, 1.0)):

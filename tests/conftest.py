@@ -8,7 +8,7 @@ import pytest
 
 import photonam as pn
 from photonam import photon_state
-from photonam.fields_bridge import _Divergence, _half_divergence, _ratio
+from photonam.fields_bridge import _divergence, _half_divergence, _ratio
 from photonam.grids import LEVI_CIVITA, BoundaryDecayWarning, cross_component, _nhat, _readonly, _reflected, _WHOLE
 from photonam.polarization import _chart_geometry
 
@@ -193,20 +193,15 @@ def spectral_divergence(grid, spectra, half, regions):
     """The relative divergence `fields_bridge` sums from the three component `spectra`, region by region.
 
     `half` says they are half spectra (`real_forward_transform`), summed by
-    `_half_divergence`; full spectra are summed by `_Divergence`.
+    `_half_divergence`; full spectra are summed by `_divergence`.
     `regions` are slab regions (three slices of the grid axes) that cover
     the grid, taken in order.
     """
     num2 = den2 = 0.0
-    if half:
-        for region in regions:
-            parts = _half_divergence(grid, spectra, region, np.empty((3,) + spectra[0][region].shape, dtype=complex))
-            num2, den2 = num2 + parts[0], den2 + parts[1]
-        return _ratio(num2, den2)
-    div = _Divergence(grid)
+    shares = _half_divergence if half else _divergence
     for region in regions:
-        den2 += sum(div.add(i, spectra[i], region) for i in range(3))
-        num2 += div.num2(region)
+        parts = shares(grid, spectra, region, np.empty((2,) + spectra[0][region].shape, dtype=complex))
+        num2, den2 = num2 + parts[0], den2 + parts[1]
     return _ratio(num2, den2)
 
 

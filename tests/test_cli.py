@@ -540,12 +540,12 @@ def test_non_finite_or_negative_beam_input_exits_2(tmp_path, capsys, argv):
     assert not out.exists()
 
 
-@pytest.mark.parametrize("t", ["nan", "inf"])
+@pytest.mark.parametrize("t", ["nan", "inf", "1e308", "-1e308"])
 def test_non_finite_synthesis_time_exits_2(tmp_path, capsys, grid16, basis16, t):
     beam = tmp_path / "beam.pam"
     fileio.write_wavefunction(beam, smooth_state(grid16, basis16))
     out = tmp_path / "rs.pam"
-    code, _, err = run_cli(capsys, "synthesize", str(beam), "--t", t, "-o", str(out))
+    code, _, err = run_cli(capsys, "synthesize", str(beam), f"--t={t}", "-o", str(out))     # "--t", "-1e308" reads as a flag
     assert code == 2
     assert "finite" in json.loads(err.strip())["error"]
     assert not out.exists()
@@ -578,6 +578,19 @@ def test_analyze_of_a_non_transverse_field_exits_2(tmp_path, capsys, grid16):
     coulombish = np.stack([x, y, z]) * np.exp(-(x ** 2 + y ** 2 + z ** 2 + 1.0) / 18.0)
     path = tmp_path / "coulomb.pam"
     fileio.write_rs_field(path, pn.RSField(F=coulombish.astype(complex), grid=grid16))
+    out = tmp_path / "out.pam"
+    code, text, err = run_cli(capsys, "analyze", str(path), "-o", str(out))
+    assert code == 2 and text == "" and not out.exists()
+    payload = json.loads(err.strip())
+    assert payload["type"] == "ValueError" and "non-radiative" in payload["error"]
+
+
+def test_analyze_of_a_field_with_a_nan_exits_2(tmp_path, capsys):
+    grid = pn.make_grid(24)
+    F = pn.synthesize(smooth_state(grid, pn.chart_basis(grid))).F.copy()
+    F[0, 3, 4, 5] = np.nan
+    path = tmp_path / "nan.pam"
+    fileio.write_rs_field(path, pn.RSField(F=F, grid=grid))
     out = tmp_path / "out.pam"
     code, text, err = run_cli(capsys, "analyze", str(path), "-o", str(out))
     assert code == 2 and text == "" and not out.exists()

@@ -243,6 +243,25 @@ def test_vector_potential_rejects_divergent_field(grid16):
         pn.vector_potential(RealVectorField(values=_readonly(B), role="B", grid=g))
 
 
+@pytest.mark.parametrize("component", [0, 1, 2])
+def test_vector_potential_refuses_a_nan_in_b(grid16, basis16, component):
+    """One NaN spreads over its component's whole spectrum, the k=0 bin included, and fails the zero-mode check."""
+    B = pn.magnetic_field(pn.synthesize(smooth_state(grid16, basis16))).values.copy()
+    B[component, 3, 4, 5] = np.nan
+    with pytest.raises(ValueError, match="zero-mode"):
+        pn.vector_potential(RealVectorField(values=B, role="B", grid=grid16))
+
+
+def test_vector_potential_refuses_nan_divergence_sums(grid16, basis16, monkeypatch):
+    """NaN divergence sums fail the divergence check; a NaN in B itself stops at the zero-mode check first."""
+    B = pn.magnetic_field(pn.synthesize(smooth_state(grid16, basis16)))
+    pn.vector_potential(B)
+    shares = fields_bridge._half_divergence
+    monkeypatch.setattr(fields_bridge, "_half_divergence", lambda *args: (np.nan, shares(*args)[1]))
+    with pytest.raises(ValueError, match="not divergence free"):
+        pn.vector_potential(B)
+
+
 def _transverse_noise(grid, rng):
     """White noise made transverse at every bin of the full grid, Nyquist bins included.
 

@@ -496,6 +496,14 @@ def test_textbook_split_requires_transverse_A(grid16):
         pn.textbook_split(E, A)
 
 
+def test_textbook_split_refuses_a_nan_in_A(grid16, basis16):
+    rs = pn.synthesize(smooth_state(grid16, basis16))
+    A = pn.vector_potential(pn.magnetic_field(rs)).values.copy()
+    A[2, 3, 4, 5] = np.nan
+    with pytest.raises(ValueError, match="transverse"):
+        pn.textbook_split(pn.electric_field(rs), RealVectorField(values=A, role="A", grid=grid16))
+
+
 @pytest.mark.parametrize("twist", [0.0, 0.5, 1.0])
 def test_textbook_divergence_ratio_matches_the_spectral_ratio(twist):
     """|div A| / |grad A| of the real-space derivatives is the spectral ratio of `_half_divergence`, by Parseval.
